@@ -4,10 +4,11 @@
 //! fault/watchdog decorators, the simulation substrates, the demand
 //! generator, the flight recorder — exposes its dynamic state as a flat
 //! sequence of `u64` words through a [`StateWriter`], and rebuilds it
-//! from a [`StateReader`]. The word stream is the *logical* encoding;
-//! the on-disk container (format version, section framing, checksums)
-//! lives in `utilbp-snapshot`, which packs word streams into verified
-//! byte sections.
+//! from a [`StateReader`]. The word stream is the *logical* encoding and
+//! is stored packed little-endian, eight bytes per word; the on-disk
+//! container (format version, section framing, checksums) lives in
+//! `utilbp-snapshot`, which has the writer append straight into its
+//! output buffer and hands readers the verified payload slices.
 //!
 //! ## Contract
 //!
@@ -28,7 +29,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// A growable sink of `u64` state words.
+/// A growable sink of `u64` state words, packed little-endian into a
+/// byte buffer.
 ///
 /// # Examples
 ///
@@ -40,7 +42,7 @@ use std::fmt;
 /// w.push_f64(0.25);
 /// w.push_bool(true);
 ///
-/// let mut r = StateReader::new(w.words());
+/// let mut r = StateReader::new(w.bytes());
 /// assert_eq!(r.take().unwrap(), 7);
 /// assert_eq!(r.take_f64().unwrap(), 0.25);
 /// assert!(r.take_bool().unwrap());
@@ -48,58 +50,55 @@ use std::fmt;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct StateWriter {
-    words: Vec<u64>,
+    bytes: Vec<u8>,
 }
 
 impl StateWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        StateWriter { words: Vec::new() }
+        StateWriter { bytes: Vec::new() }
     }
 
-    /// The words written so far.
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// A writer appending to `bytes` after its existing content, so a
+    /// container can have the words encoded in place.
+    pub fn appending_to(bytes: Vec<u8>) -> Self {
+        StateWriter { bytes }
     }
 
-    /// Consumes the writer, returning its words.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
+    /// The buffer: any content it was created over, then the words
+    /// written so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Number of words written so far.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+    /// Consumes the writer, returning its buffer.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Appends one raw word.
     pub fn push(&mut self, word: u64) {
-        self.words.push(word);
+        self.bytes.extend_from_slice(&word.to_le_bytes());
     }
 
     /// Appends a `u32`, widened.
     pub fn push_u32(&mut self, value: u32) {
-        self.words.push(u64::from(value));
+        self.push(u64::from(value));
     }
 
     /// Appends a `usize`, widened.
     pub fn push_usize(&mut self, value: usize) {
-        self.words.push(value as u64);
+        self.push(value as u64);
     }
 
     /// Appends a boolean as 0/1.
     pub fn push_bool(&mut self, value: bool) {
-        self.words.push(u64::from(value));
+        self.push(u64::from(value));
     }
 
     /// Appends an `f64` bit-exactly.
     pub fn push_f64(&mut self, value: f64) {
-        self.words.push(value.to_bits());
+        self.push(value.to_bits());
     }
 
     /// Appends a UTF-8 string: its byte length, then its bytes packed
@@ -107,30 +106,36 @@ impl StateWriter {
     pub fn push_str(&mut self, s: &str) {
         let bytes = s.as_bytes();
         self.push_usize(bytes.len());
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.words.push(u64::from_le_bytes(word));
-        }
+        self.bytes.extend_from_slice(bytes);
+        let pad = bytes.len().next_multiple_of(8) - bytes.len();
+        self.bytes.extend_from_slice(&[0; 8][..pad]);
     }
 }
 
-/// A cursor over a word stream produced by [`StateWriter`].
+/// A cursor over a word stream produced by [`StateWriter`], decoding
+/// the little-endian words straight from the byte slice.
 #[derive(Debug)]
 pub struct StateReader<'a> {
-    words: &'a [u64],
+    rest: &'a [u8],
+    /// Words consumed so far.
     pos: usize,
 }
 
 impl<'a> StateReader<'a> {
-    /// A reader over `words`, positioned at the start.
-    pub fn new(words: &'a [u64]) -> Self {
-        StateReader { words, pos: 0 }
+    /// A reader over the packed words in `bytes`, positioned at the
+    /// start. A partial word at the end is never decoded: reads reach
+    /// [`StateError::Exhausted`] before it and [`finish`](Self::finish)
+    /// reports it as trailing.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        StateReader {
+            rest: bytes,
+            pos: 0,
+        }
     }
 
-    /// Words not yet consumed.
+    /// Whole words not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.words.len() - self.pos
+        self.rest.len() / 8
     }
 
     /// Takes the next raw word.
@@ -139,13 +144,13 @@ impl<'a> StateReader<'a> {
     ///
     /// [`StateError::Exhausted`] if the stream has run out.
     pub fn take(&mut self) -> Result<u64, StateError> {
-        let word = self
-            .words
-            .get(self.pos)
-            .copied()
+        let (word, rest) = self
+            .rest
+            .split_first_chunk::<8>()
             .ok_or(StateError::Exhausted { at: self.pos })?;
+        self.rest = rest;
         self.pos += 1;
-        Ok(word)
+        Ok(u64::from_le_bytes(*word))
     }
 
     /// Takes a word that must fit in `u32`.
@@ -204,15 +209,16 @@ impl<'a> StateReader<'a> {
     /// when the bytes are not UTF-8.
     pub fn take_string(&mut self) -> Result<String, StateError> {
         let len = self.take_usize()?;
-        let mut bytes = Vec::with_capacity(len);
-        let mut left = len;
-        while left > 0 {
-            let word = self.take()?;
-            let n = left.min(8);
-            bytes.extend_from_slice(&word.to_le_bytes()[..n]);
-            left -= n;
+        let words = len.div_ceil(8);
+        if words > self.remaining() {
+            return Err(StateError::Exhausted {
+                at: self.pos + self.remaining(),
+            });
         }
-        String::from_utf8(bytes).map_err(|_| StateError::Invalid {
+        let (padded, rest) = self.rest.split_at(words * 8);
+        self.rest = rest;
+        self.pos += words;
+        String::from_utf8(padded[..len].to_vec()).map_err(|_| StateError::Invalid {
             what: "utf-8 string",
             word: len as u64,
         })
@@ -224,11 +230,11 @@ impl<'a> StateReader<'a> {
     ///
     /// [`StateError::Trailing`] if words remain.
     pub fn finish(self) -> Result<(), StateError> {
-        if self.pos == self.words.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(StateError::Trailing {
-                remaining: self.words.len() - self.pos,
+                remaining: self.rest.len().div_ceil(8),
             })
         }
     }
@@ -294,7 +300,7 @@ mod tests {
         w.push_str("hello, snapshot");
         w.push_str("");
 
-        let mut r = StateReader::new(w.words());
+        let mut r = StateReader::new(w.bytes());
         assert_eq!(r.take().unwrap(), u64::MAX);
         assert_eq!(r.take_u32().unwrap(), 42);
         assert_eq!(r.take_usize().unwrap(), 7);
@@ -316,8 +322,10 @@ mod tests {
 
     #[test]
     fn invalid_words_are_rejected() {
-        let words = [2u64, u64::MAX];
-        let mut r = StateReader::new(&words);
+        let mut w = StateWriter::new();
+        w.push(2);
+        w.push(u64::MAX);
+        let mut r = StateReader::new(w.bytes());
         assert!(matches!(
             r.take_bool(),
             Err(StateError::Invalid { what: "bool", .. })
@@ -330,9 +338,16 @@ mod tests {
 
     #[test]
     fn trailing_words_are_detected() {
-        let words = [1u64, 2];
-        let mut r = StateReader::new(&words);
+        let mut w = StateWriter::new();
+        w.push(1);
+        w.push(2);
+        let mut r = StateReader::new(w.bytes());
         r.take().unwrap();
+        assert_eq!(r.finish(), Err(StateError::Trailing { remaining: 1 }));
+        // A partial word is trailing too, never decoded.
+        let mut r = StateReader::new(&w.bytes()[..12]);
+        r.take().unwrap();
+        assert_eq!(r.take(), Err(StateError::Exhausted { at: 1 }));
         assert_eq!(r.finish(), Err(StateError::Trailing { remaining: 1 }));
     }
 
@@ -340,8 +355,7 @@ mod tests {
     fn truncated_string_is_exhausted() {
         let mut w = StateWriter::new();
         w.push_str("a longer string than one word");
-        let words = &w.words()[..2];
-        let mut r = StateReader::new(words);
+        let mut r = StateReader::new(&w.bytes()[..16]);
         assert!(matches!(r.take_string(), Err(StateError::Exhausted { .. })));
     }
 }

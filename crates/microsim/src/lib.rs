@@ -862,9 +862,8 @@ mod tests {
         // Restore at tick 200 into a fresh simulator and replay the rest
         // (the demand stream is deterministic, so re-polling it re-derives
         // the same arrivals).
-        let words = snapshot.into_words();
         let mut resumed = MicroSim::new(g.topology().clone(), util_controllers(9), cfg);
-        let mut reader = StateReader::new(&words);
+        let mut reader = StateReader::new(snapshot.bytes());
         resumed
             .load_state(&mut reader)
             .expect("snapshot must restore");

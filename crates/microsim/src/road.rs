@@ -1946,16 +1946,14 @@ mod tests {
 
         let mut dst = NetworkLanes::new(&[(1, 4), (1, 4)]);
         dst.push(1, 0, 10.0, 0.0, 0, 99, 0, 99);
-        let words = w.into_words();
-        dst.load_lane(0, 0, &mut StateReader::new(&words)).unwrap();
+        dst.load_lane(0, 0, &mut StateReader::new(w.bytes())).unwrap();
         assert_eq!(dst.active_roads(), &[0, 1]);
         assert_eq!(dst.len(0, 0), 2);
         assert_eq!(dst.pos_at(0, 0, 0), 120.0);
         dst.verify_active().unwrap();
         // Now overwrite the occupied lane with an empty snapshot: the
         // road must deactivate.
-        let empty_words = empty.into_words();
-        dst.load_lane(1, 0, &mut StateReader::new(&empty_words))
+        dst.load_lane(1, 0, &mut StateReader::new(empty.bytes()))
             .unwrap();
         assert_eq!(dst.active_roads(), &[0]);
         dst.verify_active().unwrap();

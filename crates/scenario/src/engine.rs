@@ -162,11 +162,9 @@ fn micro_fingerprint(cfg: &MicroSimConfig) -> u64 {
         Fidelity::Batched => 1,
     });
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &word in w.words() {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
+    for &byte in w.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
 }
@@ -996,10 +994,16 @@ impl ScenarioEngine {
         // `checkpoint` event is recorded, so restoring it and re-running
         // this step re-captures a byte-identical snapshot and re-records
         // the identical event — resumed telemetry stays byte-equal to
-        // the uninterrupted stream.
+        // the uninterrupted stream. Once the ring is full, the capture
+        // reuses the buffer of the one it evicts.
         if let Some(policy) = self.ckpt_policy {
             if now.index() > 0 && now.index().is_multiple_of(policy.period) {
-                let bytes = self.checkpoint();
+                let mut bytes = if self.checkpoints.len() >= CHECKPOINT_RETAIN {
+                    self.checkpoints.remove(0).1
+                } else {
+                    Vec::new()
+                };
+                self.checkpoint_into(&mut bytes);
                 if recording {
                     self.telemetry.recorder.record(Event {
                         tick: now,
@@ -1010,9 +1014,6 @@ impl ScenarioEngine {
                     });
                 }
                 self.checkpoints.push((now, bytes));
-                if self.checkpoints.len() > CHECKPOINT_RETAIN {
-                    self.checkpoints.remove(0);
-                }
             }
         }
         while self.cursor < self.actions.len() && self.actions[self.cursor].0 <= now {
@@ -1531,65 +1532,68 @@ impl ScenarioEngine {
     /// yields byte-identical snapshot bytes (save→load→save is a fixed
     /// point).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut snapshot = SnapshotWriter::new();
+        let mut bytes = Vec::new();
+        self.checkpoint_into(&mut bytes);
+        bytes
+    }
 
-        let mut meta = StateWriter::new();
-        meta.push(match self.config.backend {
-            Backend::Queueing => 0,
-            Backend::Microscopic => 1,
-        });
-        meta.push(match self.config.parallelism {
-            Parallelism::Serial => 0,
-            Parallelism::Rayon => 1,
-        });
-        meta.push_bool(self.config.guard);
-        meta.push_bool(self.config.guard_observe);
-        meta.push(micro_fingerprint(&self.config.micro));
-        match self.ckpt_policy {
-            Some(policy) => {
-                meta.push_bool(true);
-                meta.push(policy.period);
+    /// [`checkpoint`](Self::checkpoint) into `bytes`, replacing its
+    /// content but keeping its allocation, so a caller that recycles an
+    /// old capture's buffer makes a new one without allocating.
+    pub fn checkpoint_into(&self, bytes: &mut Vec<u8>) {
+        let mut snapshot = SnapshotWriter::reusing(std::mem::take(bytes));
+
+        snapshot.section_state(TAG_META, |meta| {
+            meta.push(match self.config.backend {
+                Backend::Queueing => 0,
+                Backend::Microscopic => 1,
+            });
+            meta.push(match self.config.parallelism {
+                Parallelism::Serial => 0,
+                Parallelism::Rayon => 1,
+            });
+            meta.push_bool(self.config.guard);
+            meta.push_bool(self.config.guard_observe);
+            meta.push(micro_fingerprint(&self.config.micro));
+            match self.ckpt_policy {
+                Some(policy) => {
+                    meta.push_bool(true);
+                    meta.push(policy.period);
+                }
+                None => meta.push_bool(false),
             }
-            None => meta.push_bool(false),
-        }
-        match self.recorder() {
-            Some(recorder) => {
-                meta.push_bool(true);
-                meta.push_usize(recorder.capacity());
+            match self.recorder() {
+                Some(recorder) => {
+                    meta.push_bool(true);
+                    meta.push_usize(recorder.capacity());
+                }
+                None => meta.push_bool(false),
             }
-            None => meta.push_bool(false),
-        }
-        snapshot.section_words(TAG_META, meta.words());
+        });
 
         snapshot.section_bytes(TAG_SPEC, self.spec.to_text().as_bytes());
-
-        let mut plant = StateWriter::new();
-        self.substrate.save_state(&mut plant);
-        snapshot.section_words(TAG_PLANT, plant.words());
-
-        let mut engine = StateWriter::new();
-        self.save_engine_state(&mut engine);
-        snapshot.section_words(TAG_ENGINE, engine.words());
+        snapshot.section_state(TAG_PLANT, |plant| self.substrate.save_state(plant));
+        snapshot.section_state(TAG_ENGINE, |engine| self.save_engine_state(engine));
 
         if let Some(recorder) = self.recorder() {
-            let mut telemetry = StateWriter::new();
-            recorder.save_state(&mut telemetry);
-            telemetry.push_usize(self.telemetry.prev_trace.len());
-            for &value in &self.telemetry.prev_trace {
-                telemetry.push(u64::from(value));
-            }
-            telemetry.push_usize(self.telemetry.prev_activations.len());
-            for &value in &self.telemetry.prev_activations {
-                telemetry.push(value);
-            }
-            telemetry.push_usize(self.telemetry.prev_recoveries.len());
-            for &value in &self.telemetry.prev_recoveries {
-                telemetry.push(value);
-            }
-            snapshot.section_words(TAG_TELEMETRY, telemetry.words());
+            snapshot.section_state(TAG_TELEMETRY, |telemetry| {
+                recorder.save_state(telemetry);
+                telemetry.push_usize(self.telemetry.prev_trace.len());
+                for &value in &self.telemetry.prev_trace {
+                    telemetry.push(u64::from(value));
+                }
+                telemetry.push_usize(self.telemetry.prev_activations.len());
+                for &value in &self.telemetry.prev_activations {
+                    telemetry.push(value);
+                }
+                telemetry.push_usize(self.telemetry.prev_recoveries.len());
+                for &value in &self.telemetry.prev_recoveries {
+                    telemetry.push(value);
+                }
+            });
         }
 
-        snapshot.finish()
+        *bytes = snapshot.finish();
     }
 
     /// Serializes the engine-side dynamic state (everything outside the
@@ -1731,8 +1735,7 @@ impl ScenarioEngine {
             .map_err(|_| RestoreError::Spec("spec section is not UTF-8".to_string()))?;
         let spec = crate::format::parse_scenario(spec_text).map_err(RestoreError::Spec)?;
 
-        let meta_words = snapshot.words(TAG_META)?;
-        let mut meta = StateReader::new(&meta_words);
+        let mut meta = snapshot.words(TAG_META)?;
         let word = meta.take()?;
         let backend = match word {
             0 => Backend::Queueing,
@@ -1802,8 +1805,7 @@ impl ScenarioEngine {
         engine.ckpt_policy = policy;
 
         if let Some(capacity) = recorder_capacity {
-            let words = snapshot.words(TAG_TELEMETRY)?;
-            let mut reader = StateReader::new(&words);
+            let mut reader = snapshot.words(TAG_TELEMETRY)?;
             let mut recorder = FlightRecorder::new(capacity);
             recorder.load_state(&mut reader)?;
             engine.set_recorder(Box::new(recorder));
@@ -1830,13 +1832,11 @@ impl ScenarioEngine {
             reader.finish().map_err(RestoreError::from)?;
         }
 
-        let words = snapshot.words(TAG_PLANT)?;
-        let mut reader = StateReader::new(&words);
+        let mut reader = snapshot.words(TAG_PLANT)?;
         engine.substrate.load_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
 
-        let words = snapshot.words(TAG_ENGINE)?;
-        let mut reader = StateReader::new(&words);
+        let mut reader = snapshot.words(TAG_ENGINE)?;
         engine.load_engine_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
 

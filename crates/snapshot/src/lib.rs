@@ -27,6 +27,21 @@
 //!   a write torn *between* sections detectable too — a valid prefix
 //!   of sections is still a truncated snapshot.
 //!
+//! ## Encoding at memory speed
+//!
+//! [`crc32`] is table-driven *slicing-by-16*: sixteen compile-time
+//! 256-entry tables fold sixteen input bytes per step, in safe Rust,
+//! giving the same values as the classic bytewise loop at several times
+//! its speed. A word section is encoded in place:
+//! [`SnapshotWriter::section_state`] reserves the 16-byte section header,
+//! lets a [`StateWriter`] append the words straight into the container
+//! buffer, then patches in the payload length and checksum — there is no
+//! intermediate word vector or payload copy. On the read side
+//! [`SnapshotReader::words`] hands out a [`StateReader`] that decodes
+//! the words directly from the verified payload slice.
+//! [`SnapshotWriter::reusing`] writes into a caller's buffer, so a
+//! periodic capture can recycle the allocation of the one it evicts.
+//!
 //! ## Error contract
 //!
 //! Parsing never panics on untrusted bytes: truncation, bad magic,
@@ -41,12 +56,18 @@
 //! use utilbp_snapshot::{SnapshotReader, SnapshotWriter, SnapshotError};
 //!
 //! let mut w = SnapshotWriter::new();
-//! w.section_words(1, &[7, 8, 9]);
+//! w.section_state(1, |words| {
+//!     words.push(7);
+//!     words.push_f64(0.5);
+//! });
 //! w.section_bytes(2, b"spec text");
 //! let bytes = w.finish();
 //!
 //! let reader = SnapshotReader::parse(&bytes).unwrap();
-//! assert_eq!(reader.words(1).unwrap(), vec![7, 8, 9]);
+//! let mut words = reader.words(1).unwrap();
+//! assert_eq!(words.take().unwrap(), 7);
+//! assert_eq!(words.take_f64().unwrap(), 0.5);
+//! words.finish().unwrap();
 //! assert_eq!(reader.bytes(2).unwrap(), b"spec text");
 //!
 //! // A flipped payload bit is caught by the section checksum.
@@ -64,7 +85,7 @@
 use std::error::Error;
 use std::fmt;
 
-use utilbp_core::state::StateError;
+use utilbp_core::state::{StateError, StateReader, StateWriter};
 
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
@@ -72,9 +93,12 @@ pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 /// The current wire-format version.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Builds the CRC-32 (IEEE) lookup table at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
+/// `0xEDB88320`) tables at compile time. `table[0]` is the classic
+/// bytewise table; `table[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -87,15 +111,26 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial) of `bytes`.
+/// CRC-32 (IEEE 802.3 / zlib polynomial) of `bytes`, sixteen bytes per
+/// step (slicing-by-16), with a bytewise loop for the tail.
 ///
 /// # Examples
 ///
@@ -104,9 +139,29 @@ const CRC_TABLE: [u32; 256] = crc32_table();
 /// assert_eq!(utilbp_snapshot::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    // Two 8-byte loads per block, byte lanes by shifting. Only the low
+    // four lanes depend on the running CRC: folding the other twelve
+    // first keeps the loop-carried chain to one lookup and two XORs.
+    let lane = |word: u64, byte: u32| usize::from((word >> (8 * byte)) as u8);
+    for block in blocks {
+        let [lo, hi] = [&block[..8], &block[8..]]
+            .map(|half| u64::from_le_bytes(half.try_into().expect("8 bytes")));
+        let ahead = (t[11][lane(lo, 4)] ^ t[10][lane(lo, 5)])
+            ^ (t[9][lane(lo, 6)] ^ t[8][lane(lo, 7)])
+            ^ (t[7][lane(hi, 0)] ^ t[6][lane(hi, 1)])
+            ^ (t[5][lane(hi, 2)] ^ t[4][lane(hi, 3)])
+            ^ (t[3][lane(hi, 4)] ^ t[2][lane(hi, 5)])
+            ^ (t[1][lane(hi, 6)] ^ t[0][lane(hi, 7)]);
+        let lo = lo ^ u64::from(crc);
+        crc = ahead
+            ^ (t[15][lane(lo, 0)] ^ t[14][lane(lo, 1)])
+            ^ (t[13][lane(lo, 2)] ^ t[12][lane(lo, 3)]);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -209,11 +264,21 @@ pub struct SnapshotWriter {
     count: u32,
 }
 
+/// Bytes of a section header: tag, payload length, CRC.
+const SECTION_HEADER: usize = 16;
+
 impl SnapshotWriter {
-    /// A writer with the version-1 header already emitted (the section
-    /// count is patched in by [`finish`](Self::finish)).
+    /// A writer with the header already emitted (the section count is
+    /// patched in by [`finish`](Self::finish)).
     pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(64);
+        SnapshotWriter::reusing(Vec::new())
+    }
+
+    /// A writer over `buf`'s allocation: its content is discarded and
+    /// the snapshot written from the start, so a caller can recycle an
+    /// old snapshot's buffer for a new one.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
@@ -222,22 +287,36 @@ impl SnapshotWriter {
 
     /// Appends a raw byte section under `tag`.
     pub fn section_bytes(&mut self, tag: u32, payload: &[u8]) {
-        self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        let start = self.open(tag);
         self.buf.extend_from_slice(payload);
-        self.count += 1;
+        self.close(start);
     }
 
-    /// Appends a word section under `tag`: the words packed
-    /// little-endian.
-    pub fn section_words(&mut self, tag: u32, words: &[u64]) {
-        let mut payload = Vec::with_capacity(words.len() * 8);
-        for &w in words {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        self.section_bytes(tag, &payload);
+    /// Appends a word section under `tag`, encoded in place: `write`
+    /// pushes its words straight into the snapshot buffer.
+    pub fn section_state(&mut self, tag: u32, write: impl FnOnce(&mut StateWriter)) {
+        let start = self.open(tag);
+        let mut words = StateWriter::appending_to(std::mem::take(&mut self.buf));
+        write(&mut words);
+        self.buf = words.into_bytes();
+        self.close(start);
+    }
+
+    /// Reserves a section header for `tag`; returns where it starts.
+    fn open(&mut self, tag: u32) -> usize {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&tag.to_le_bytes());
+        self.buf.extend_from_slice(&[0; SECTION_HEADER - 4]);
+        start
+    }
+
+    /// Patches the payload length and checksum into the header opened
+    /// at `start`.
+    fn close(&mut self, start: usize) {
+        let (header, payload) = self.buf[start..].split_at_mut(SECTION_HEADER);
+        header[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+        self.count += 1;
     }
 
     /// Finalizes the snapshot, patching the section count into the
@@ -338,22 +417,20 @@ impl<'a> SnapshotReader<'a> {
             .ok_or(SnapshotError::MissingSection { tag })
     }
 
-    /// The words of section `tag` (payload unpacked little-endian).
+    /// A reader over the words of section `tag`, decoding them straight
+    /// from the verified payload.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::MissingSection`] when absent,
     /// [`SnapshotError::MisalignedSection`] when the payload is not a
     /// whole number of words.
-    pub fn words(&self, tag: u32) -> Result<Vec<u64>, SnapshotError> {
+    pub fn words(&self, tag: u32) -> Result<StateReader<'a>, SnapshotError> {
         let payload = self.bytes(tag)?;
         if payload.len() % 8 != 0 {
             return Err(SnapshotError::MisalignedSection { tag });
         }
-        Ok(payload
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        Ok(StateReader::new(payload))
     }
 }
 
@@ -371,12 +448,28 @@ pub fn validate(bytes: &[u8]) -> Result<(), SnapshotError> {
 mod tests {
     use super::*;
 
+    const SAMPLE_WORDS: [u64; 3] = [1, u64::MAX, 0x0123_4567_89AB_CDEF];
+
+    fn section_words(w: &mut SnapshotWriter, tag: u32, words: &[u64]) {
+        w.section_state(tag, |s| words.iter().for_each(|&word| s.push(word)));
+    }
+
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.section_words(10, &[1, u64::MAX, 0x0123_4567_89AB_CDEF]);
+        section_words(&mut w, 10, &SAMPLE_WORDS);
         w.section_bytes(20, b"scenario text\n");
-        w.section_words(30, &[]);
+        section_words(&mut w, 30, &[]);
         w.finish()
+    }
+
+    fn read_words(r: &SnapshotReader<'_>, tag: u32) -> Vec<u64> {
+        let mut words = r.words(tag).unwrap();
+        let mut out = Vec::new();
+        while let Ok(word) = words.take() {
+            out.push(word);
+        }
+        words.finish().unwrap();
+        out
     }
 
     #[test]
@@ -384,14 +477,38 @@ mod tests {
         let bytes = sample();
         let r = SnapshotReader::parse(&bytes).unwrap();
         assert_eq!(r.tags().collect::<Vec<_>>(), vec![10, 20, 30]);
-        assert_eq!(
-            r.words(10).unwrap(),
-            vec![1, u64::MAX, 0x0123_4567_89AB_CDEF]
-        );
+        assert_eq!(read_words(&r, 10), SAMPLE_WORDS);
         assert_eq!(r.bytes(20).unwrap(), b"scenario text\n");
-        assert_eq!(r.words(30).unwrap(), Vec::<u64>::new());
+        assert_eq!(read_words(&r, 30), Vec::<u64>::new());
         assert!(r.has(10));
         assert!(!r.has(99));
+    }
+
+    #[test]
+    fn in_place_sections_match_the_reference_framing() {
+        // The reference: words packed to little-endian bytes first, then
+        // framed as an opaque byte section.
+        let mut reference = SnapshotWriter::new();
+        for (tag, words) in [(10, &SAMPLE_WORDS[..]), (30, &[][..])] {
+            let payload: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            reference.section_bytes(tag, &payload);
+        }
+        let mut in_place = SnapshotWriter::new();
+        section_words(&mut in_place, 10, &SAMPLE_WORDS);
+        section_words(&mut in_place, 30, &[]);
+        assert_eq!(in_place.finish(), reference.finish());
+    }
+
+    #[test]
+    fn a_reused_buffer_writes_the_same_bytes() {
+        let fresh = sample();
+        let mut w = SnapshotWriter::reusing(vec![0xAB; 4096]);
+        section_words(&mut w, 10, &SAMPLE_WORDS);
+        w.section_bytes(20, b"scenario text\n");
+        section_words(&mut w, 30, &[]);
+        let reused = w.finish();
+        assert_eq!(reused, fresh);
+        assert!(reused.capacity() >= 4096, "the allocation is kept");
     }
 
     #[test]
@@ -463,8 +580,8 @@ mod tests {
     #[test]
     fn duplicate_and_missing_sections_are_typed_errors() {
         let mut w = SnapshotWriter::new();
-        w.section_words(5, &[1]);
-        w.section_words(5, &[2]);
+        section_words(&mut w, 5, &[1]);
+        section_words(&mut w, 5, &[2]);
         assert_eq!(
             SnapshotReader::parse(&w.finish()).unwrap_err(),
             SnapshotError::DuplicateSection { tag: 5 }
@@ -474,6 +591,10 @@ mod tests {
         let r = SnapshotReader::parse(&r_bytes).unwrap();
         assert_eq!(
             r.words(99).unwrap_err(),
+            SnapshotError::MissingSection { tag: 99 }
+        );
+        assert_eq!(
+            r.bytes(99).unwrap_err(),
             SnapshotError::MissingSection { tag: 99 }
         );
     }
@@ -498,6 +619,42 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The classic one-table bytewise CRC-32.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_reference() {
+        // A seeded pseudo-random buffer (SplitMix64), long enough for
+        // every length 0..=1100 at each of 16 start offsets, so every
+        // block/tail split and alignment is covered.
+        let mut state = 0x5EED_u64;
+        let buf: Vec<u8> = (0..1100 + 16)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=1100 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]

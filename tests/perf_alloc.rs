@@ -10,6 +10,10 @@
 //! only permitted residue is amortized slab growth (the waiting ledger
 //! and arena grow to the peak fleet / largest vehicle id), which doubles
 //! capacity and therefore vanishes relative to tick count.
+//!
+//! Periodic checkpoint capture is held to a byte budget instead: once
+//! the retention ring is full, each capture reuses the buffer of the one
+//! it evicts, so what it allocates is small against what it writes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,14 +26,16 @@ use adaptive_backpressure::netgen::{
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
-// SAFETY: delegates every operation to `System` unchanged; the counter is
-// a relaxed atomic with no effect on the returned memory.
+// SAFETY: delegates every operation to `System` unchanged; the counters
+// are relaxed atomics with no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -39,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -220,5 +227,45 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
         engine_allocs <= BUDGET,
         "engine+NullRecorder: {engine_allocs} allocations over {MEASURED} steady-state ticks \
          (budget {BUDGET}) — recording-off must stay allocation-free per tick"
+    );
+
+    // --- Scenario engine with periodic checkpoints and a full ring. ---
+    // Each policy capture is written into the buffer of the capture it
+    // evicts, so a steady-state capture allocates only the small side
+    // buffers of encoding (the spec text, sorted id sets), well under a
+    // tenth of the bytes it writes.
+    const PERIOD: u64 = 10;
+    let mut spec = adaptive_backpressure::scenario::builtin("paper-grid").expect("builtin exists");
+    spec.set_horizon(Ticks::new(WARMUP + MEASURED));
+    let mut engine = adaptive_backpressure::scenario::ScenarioEngine::new(
+        spec,
+        adaptive_backpressure::scenario::EngineConfig::new(
+            adaptive_backpressure::scenario::Backend::Microscopic,
+        ),
+        &|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>,
+    )
+    .expect("spec validates");
+    engine.enable_recording(4096);
+    engine.enable_checkpoints(adaptive_backpressure::scenario::CheckpointPolicy::every(PERIOD));
+    for _ in 0..WARMUP {
+        engine.step();
+    }
+    assert_eq!(engine.checkpoints().len(), 4, "the ring is full");
+    let mut captured = 0u64;
+    let mut allocated = 0u64;
+    for _ in 0..MEASURED {
+        let capturing = engine.now().index().is_multiple_of(PERIOD);
+        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+        engine.step();
+        if capturing {
+            allocated += ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+            captured += engine.latest_checkpoint().expect("captured").1.len() as u64;
+        }
+    }
+    assert!(captured > 0, "the window must contain captures");
+    assert!(
+        allocated * 10 < captured,
+        "policy captures allocated {allocated} B while writing {captured} B — \
+         a capture must reuse the evicted buffer, not allocate its own"
     );
 }
