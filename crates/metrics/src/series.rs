@@ -44,9 +44,11 @@ impl TimeSeries {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `tick` precedes the last recorded tick.
+    /// Panics if `tick` precedes the last recorded tick (in every build
+    /// profile: samples arrive on the gauge cadence, so the check is
+    /// off the per-vehicle hot path).
     pub fn push(&mut self, tick: Tick, value: f64) {
-        debug_assert!(
+        assert!(
             self.points.last().is_none_or(|&(t, _)| t <= tick),
             "time series samples must be pushed in tick order"
         );

@@ -165,16 +165,17 @@ impl WaitingLedger {
     }
 
     /// Appends the full ledger — the active slab and all completed-run
-    /// statistics — to a checkpoint stream.
+    /// statistics — to a checkpoint stream. The slab is written sparsely:
+    /// its length, the live count, then `(slot, entry tick)` for live
+    /// slots only, in slot order, so the size follows the vehicles on the
+    /// network rather than every vehicle ever entered.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         writer.push_usize(self.active.len());
-        for entry in &self.active {
-            match entry {
-                Some(tick) => {
-                    writer.push_bool(true);
-                    writer.push(tick.index());
-                }
-                None => writer.push_bool(false),
+        writer.push_usize(self.active_count);
+        for (slot, entry) in self.active.iter().enumerate() {
+            if let Some(tick) = entry {
+                writer.push_usize(slot);
+                writer.push(tick.index());
             }
         }
         self.waiting.save_state(writer);
@@ -187,20 +188,43 @@ impl WaitingLedger {
     /// # Errors
     ///
     /// [`StateError`](utilbp_core::state::StateError) when the stream
-    /// is truncated or malformed.
+    /// is truncated or malformed: a live count larger than the slab or
+    /// than the pairs the stream holds, a slab too large to allocate, a
+    /// slot outside the slab, or a slot out of order or repeated.
     pub fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
+        use utilbp_core::state::StateError;
         let len = reader.take_usize()?;
-        let mut active = Vec::with_capacity(len);
-        let mut active_count = 0;
-        for _ in 0..len {
-            if reader.take_bool()? {
-                active.push(Some(Tick::new(reader.take()?)));
-                active_count += 1;
-            } else {
-                active.push(None);
-            }
+        let active_count = reader.take_usize()?;
+        if active_count > len || active_count > reader.remaining() / 2 {
+            return Err(StateError::Invalid {
+                what: "ledger live count",
+                word: active_count as u64,
+            });
+        }
+        let mut active = Vec::new();
+        active
+            .try_reserve_exact(len)
+            .map_err(|_| StateError::Invalid {
+                what: "ledger slab length",
+                word: len as u64,
+            })?;
+        active.resize(len, None);
+        // Slots are written in ascending order, so each must lie past the
+        // previous one: this rejects repeats along with out-of-range slots.
+        let mut next_free = 0;
+        for _ in 0..active_count {
+            let word = reader.take()?;
+            let slot = usize::try_from(word)
+                .ok()
+                .filter(|slot| (next_free..len).contains(slot))
+                .ok_or(StateError::Invalid {
+                    what: "ledger slot",
+                    word,
+                })?;
+            active[slot] = Some(Tick::new(reader.take()?));
+            next_free = slot + 1;
         }
         Ok(WaitingLedger {
             active,
@@ -294,6 +318,75 @@ mod tests {
         let l = WaitingLedger::new();
         assert_eq!(l.mean_waiting_including_active(std::iter::empty()), 0.0);
         assert_eq!(l.waiting_stats().mean(), 0.0);
+    }
+
+    fn load_all(words: &[u64]) -> Result<WaitingLedger, utilbp_core::state::StateError> {
+        let mut w = utilbp_core::state::StateWriter::new();
+        words.iter().for_each(|&word| w.push(word));
+        let mut r = utilbp_core::state::StateReader::new(w.bytes());
+        let ledger = WaitingLedger::load_state(&mut r)?;
+        r.finish().map(|()| ledger)
+    }
+
+    fn saved_words(l: &WaitingLedger) -> Vec<u64> {
+        let mut w = utilbp_core::state::StateWriter::new();
+        l.save_state(&mut w);
+        w.bytes()
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("whole words")))
+            .collect()
+    }
+
+    #[test]
+    fn state_is_sparse_and_a_fixed_point() {
+        let mut l = WaitingLedger::new();
+        for i in 0..4 {
+            l.enter(VehicleId::new(i), Tick::new(10 + i));
+        }
+        l.complete(VehicleId::new(0), Tick::new(50), 7);
+        l.complete(VehicleId::new(2), Tick::new(60), 9);
+        let words = saved_words(&l);
+        // Slab length, live count, then (slot, entry tick) per live slot.
+        assert_eq!(words[..6], [4, 2, 1, 11, 3, 13]);
+        let back = load_all(&words).unwrap();
+        assert_eq!(back.active(), 2);
+        assert_eq!(saved_words(&back), words, "save -> load -> save");
+    }
+
+    #[test]
+    fn malformed_sparse_slabs_are_typed_errors() {
+        use utilbp_core::state::StateError;
+        let mut l = WaitingLedger::new();
+        for i in 0..4 {
+            l.enter(VehicleId::new(i), Tick::new(10 + i));
+        }
+        l.complete(VehicleId::new(0), Tick::new(50), 7);
+        l.complete(VehicleId::new(2), Tick::new(60), 9);
+        let words = saved_words(&l);
+        let patched = |at: usize, word: u64| {
+            let mut w = words.clone();
+            w[at] = word;
+            load_all(&w)
+        };
+        let slot = |word| {
+            Err(StateError::Invalid {
+                what: "ledger slot",
+                word,
+            })
+        };
+        let count = |word| {
+            Err(StateError::Invalid {
+                what: "ledger live count",
+                word,
+            })
+        };
+        assert_eq!(patched(4, 4).map(|_| ()), slot(4), "outside the slab");
+        assert_eq!(patched(4, 1).map(|_| ()), slot(1), "duplicate slot");
+        assert_eq!(patched(2, 3).map(|_| ()), slot(3), "out of order");
+        assert_eq!(patched(1, 5).map(|_| ()), count(5), "more live than slab");
+        for cut in 0..words.len() {
+            assert!(load_all(&words[..cut]).is_err(), "truncated to {cut}");
+        }
     }
 
     #[test]

@@ -1946,7 +1946,8 @@ mod tests {
 
         let mut dst = NetworkLanes::new(&[(1, 4), (1, 4)]);
         dst.push(1, 0, 10.0, 0.0, 0, 99, 0, 99);
-        dst.load_lane(0, 0, &mut StateReader::new(w.bytes())).unwrap();
+        dst.load_lane(0, 0, &mut StateReader::new(w.bytes()))
+            .unwrap();
         assert_eq!(dst.active_roads(), &[0, 1]);
         assert_eq!(dst.len(0, 0), 2);
         assert_eq!(dst.pos_at(0, 0, 0), 120.0);

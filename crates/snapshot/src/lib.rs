@@ -6,7 +6,11 @@
 //! are no-ops, so — like the scenario text format and the telemetry
 //! JSONL — the format is hand-rolled and fully specified here.
 //!
-//! ## Wire format (version 1)
+//! ## Wire format (version 2)
+//!
+//! Version 2 keeps version 1's framing; it marks the sparse waiting
+//! ledger (slab length, live count, then `(slot, entry tick)` for live
+//! vehicles only), so version-1 captures fail as `UnsupportedVersion`.
 //!
 //! ```text
 //! header   := magic "UBPSNAP\0" (8 bytes) · version u32 LE · section_count u32 LE
@@ -90,8 +94,10 @@ use utilbp_core::state::{StateError, StateReader, StateWriter};
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 
-/// The current wire-format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The current wire-format version. Version 2 changed no framing: it
+/// marks the waiting ledger's sparse word layout, so a version-1 capture
+/// is rejected instead of misread.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
 /// `0xEDB88320`) tables at compile time. `table[0]` is the classic

@@ -246,7 +246,9 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
     )
     .expect("spec validates");
     engine.enable_recording(4096);
-    engine.enable_checkpoints(adaptive_backpressure::scenario::CheckpointPolicy::every(PERIOD));
+    engine.enable_checkpoints(adaptive_backpressure::scenario::CheckpointPolicy::every(
+        PERIOD,
+    ));
     for _ in 0..WARMUP {
         engine.step();
     }
