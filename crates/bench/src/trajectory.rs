@@ -3,7 +3,7 @@
 //!
 //! The trajectory file is hand-rolled JSON (the workspace's `serde` shim
 //! does not serialize): a `runs` array where each run records the
-//! measurement protocol and one row per substrate × workload × mode.
+//! measurement protocol and one row per substrate × workload.
 //! [`render_run`] and [`append_run`] produce it; [`verify_trajectory`]
 //! asserts the invariants that used to live as inline Python in the CI
 //! workflow — every expected run label present in order, the required
@@ -15,7 +15,6 @@
 //! in `docs/PERFORMANCE.md`; keep the two in sync when the schema
 //! changes.
 
-use utilbp_core::Parallelism;
 use utilbp_microsim::PhaseTimings;
 
 /// Workload rows every fresh trajectory run must contain (the largest
@@ -31,14 +30,12 @@ pub const REQUIRED_WORKLOADS: &[&str] = &[
     "10x10+batched",
 ];
 
-/// One throughput measurement: a substrate × workload × mode row.
+/// One throughput measurement: a substrate × workload row.
 pub struct Measurement {
     /// Substrate name (`"queueing"` / `"microscopic"`).
     pub substrate: &'static str,
     /// Workload label: `"5x5"` for grids, the scenario name otherwise.
     pub workload: String,
-    /// Execution mode of the sharded phases.
-    pub mode: Parallelism,
     /// Measured tick count.
     pub ticks: u64,
     /// Best-of-reps wall-clock seconds for the measured ticks.
@@ -52,14 +49,6 @@ impl Measurement {
     /// The row's headline rate.
     pub fn ticks_per_sec(&self) -> f64 {
         self.ticks as f64 / self.seconds
-    }
-}
-
-/// The JSON name of an execution mode.
-pub fn mode_name(mode: Parallelism) -> &'static str {
-    match mode {
-        Parallelism::Serial => "serial",
-        Parallelism::Rayon => "rayon",
     }
 }
 
@@ -84,10 +73,9 @@ pub fn render_run(results: &[Measurement], warmup_ticks: u64, reps: u32, label: 
     s.push_str("      \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         s.push_str(&format!(
-            "        {{\"substrate\": \"{}\", \"grid\": \"{}\", \"mode\": \"{}\", \"measured_ticks\": {}, \"seconds\": {:.4}, \"ticks_per_sec\": {:.1}",
+            "        {{\"substrate\": \"{}\", \"grid\": \"{}\", \"measured_ticks\": {}, \"seconds\": {:.4}, \"ticks_per_sec\": {:.1}",
             m.substrate,
             m.workload,
-            mode_name(m.mode),
             m.ticks,
             m.seconds,
             m.ticks_per_sec(),
@@ -239,7 +227,6 @@ mod tests {
         Measurement {
             substrate,
             workload: workload.to_string(),
-            mode: Parallelism::Serial,
             ticks: 100,
             seconds: 0.5,
             phases: timed.then_some(PhaseTimings {

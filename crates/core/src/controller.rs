@@ -113,10 +113,10 @@ impl fmt::Display for PhaseDecision {
 /// }
 /// ```
 ///
-/// Controllers must be [`Send`] so the simulators' shard-parallel decide
-/// phase (see [`Parallelism`](crate::Parallelism)) can move each
-/// controller to a worker thread; they never need `Sync` — each is
-/// exclusively owned by its intersection's shard.
+/// Controllers must be [`Send`] so a whole simulation — substrate,
+/// controllers and all — can run on a worker thread, as the experiment
+/// harnesses do with independent runs; they never need `Sync` — each is
+/// exclusively owned by its intersection.
 pub trait SignalController: Send {
     /// Decides the phase for the mini-slot starting at `now`.
     fn decide(&mut self, view: &IntersectionView<'_>, now: Tick) -> PhaseDecision;

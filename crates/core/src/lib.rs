@@ -73,7 +73,6 @@ pub use layout::{IntersectionLayout, IntersectionLayoutBuilder, LayoutError, Lin
 pub use observation::{
     IntersectionView, ObservationBuffer, ObservationShapeError, QueueObservation,
 };
-pub use parallel::Parallelism;
 pub use pressure::{GainPenalties, PenaltyError};
 pub use time::{Tick, Ticks};
 pub use utilbp::{GStarPolicy, GainMode, PhaseScore, UtilBp, UtilBpConfig};

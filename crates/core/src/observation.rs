@@ -150,12 +150,12 @@ impl QueueObservation {
     pub fn load_state(
         reader: &mut crate::state::StateReader<'_>,
     ) -> Result<Self, crate::state::StateError> {
-        let links = reader.take_usize()?;
+        let links = reader.take_len(1, "observation link count")?;
         let mut movement = Vec::with_capacity(links);
         for _ in 0..links {
             movement.push(reader.take_u32()?);
         }
-        let outgoing_len = reader.take_usize()?;
+        let outgoing_len = reader.take_len(1, "observation outgoing count")?;
         let mut outgoing = Vec::with_capacity(outgoing_len);
         for _ in 0..outgoing_len {
             outgoing.push(reader.take_u32()?);
@@ -196,8 +196,8 @@ impl QueueObservation {
 /// same observations every tick, so the steady-state step path performs
 /// no observation-related heap allocation. The buffer also
 /// decouples the *sense* phase (write, `&mut self`) from the *decide*
-/// phase (read-only views), which is what lets the decide phase shard
-/// across threads.
+/// phase (read-only views), so every controller decides from the same
+/// tick's sensing.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationBuffer {
     observations: Vec<QueueObservation>,
@@ -451,4 +451,18 @@ mod tests {
     }
 
     use crate::layout::IntersectionLayout;
+
+    #[test]
+    fn crafted_huge_shape_is_an_error_not_an_abort() {
+        use crate::state::{StateError, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        w.push(u64::MAX);
+        assert!(matches!(
+            QueueObservation::load_state(&mut StateReader::new(w.bytes())),
+            Err(StateError::Invalid {
+                what: "observation link count",
+                ..
+            })
+        ));
+    }
 }

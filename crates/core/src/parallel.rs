@@ -1,57 +1,19 @@
-//! Shard-parallel execution of intersection-local work.
+//! The decide phase of a network step, shared by both simulation
+//! substrates.
 //!
 //! Back-pressure control is decentralized by construction: each
-//! controller reads only its own intersection's observation, so the
-//! decide phase of a network step is embarrassingly parallel. This module
-//! owns the execution-mode switch ([`Parallelism`]) and a fork-join
-//! helper ([`for_each_indexed_mut`]) the simulation substrates use to
-//! shard that work (and the per-road car-following phase) across threads
-//! via `rayon::scope` — backed by a persistent worker pool, so a
-//! per-tick fork-join costs a channel handoff, not thread spawns.
-//!
-//! Determinism: every parallel unit writes only to its own element, so a
-//! run's outputs are identical whatever the thread count — [`Parallelism::Serial`]
-//! and [`Parallelism::Rayon`] produce bit-identical step reports, which
-//! the cross-mode tests in both substrates assert.
-
-use serde::{Deserialize, Serialize};
+//! controller reads only its own intersection's observation. That is a
+//! property of the controller, not of the execution: [`decide_all`] is a
+//! plain loop over the intersections, and each decision depends only on
+//! its own controller and observation, never on the visiting order.
 
 use crate::controller::{PhaseDecision, SignalController};
 use crate::layout::IntersectionLayout;
 use crate::observation::{IntersectionView, ObservationBuffer};
 use crate::time::Tick;
 
-/// How a simulator distributes per-intersection and per-road work within
-/// one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Parallelism {
-    /// Everything on the calling thread. The default: zero coordination
-    /// overhead, and the right choice below ~25 intersections where a
-    /// step is cheaper than a fork-join.
-    #[default]
-    Serial,
-    /// Shard independent phases across threads with `rayon::scope` (a
-    /// persistent worker pool — the per-step cost is a channel handoff
-    /// and a latch wait, not thread spawns). Wins once per-step work
-    /// dominates that handoff (microscopic car-following, larger grids).
-    Rayon,
-}
-
-impl Parallelism {
-    /// The number of workers to fork for `items` independent units: 1 in
-    /// serial mode, else bounded by the available cores and by `items`
-    /// (never more shards than units of work).
-    pub fn workers(self, items: usize) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Rayon => rayon::current_num_threads().min(items).max(1),
-        }
-    }
-}
-
 /// One controller plus its latest decision — the unit of work of the
-/// shard-parallel decide phase. Each shard owns its slot exclusively, so
-/// writing `decision` needs no synchronization.
+/// decide phase.
 pub struct ControllerSlot {
     /// The intersection's controller.
     pub controller: Box<dyn SignalController>,
@@ -75,7 +37,7 @@ impl ControllerSlot {
 
 /// The decide phase of a network step: every slot's controller reads its
 /// own observation (via `layout_of(index)` and `observations`) and writes
-/// its decision, sharded across threads per `mode`.
+/// its decision.
 ///
 /// Shared by both simulation substrates so their decide semantics cannot
 /// drift.
@@ -84,82 +46,15 @@ impl ControllerSlot {
 ///
 /// Panics if an observation in the buffer is not shaped for the layout
 /// `layout_of` returns at the same index.
-pub fn decide_all<'a, F>(
-    mode: Parallelism,
+pub fn decide_all<'a>(
     slots: &mut [ControllerSlot],
     observations: &ObservationBuffer,
     now: Tick,
-    layout_of: F,
-) where
-    F: Fn(usize) -> &'a IntersectionLayout + Sync,
-{
-    for_each_indexed_mut(mode, slots, |idx, slot| {
+    layout_of: impl Fn(usize) -> &'a IntersectionLayout,
+) {
+    for (idx, slot) in slots.iter_mut().enumerate() {
         let view = IntersectionView::new(layout_of(idx), observations.get(idx))
             .expect("observation buffer shaped from the same layout");
         slot.decision = slot.controller.decide(&view, now);
-    });
-}
-
-/// Applies `f(index, &mut item)` to every element, sharded across threads
-/// per `mode`.
-///
-/// Each element is visited exactly once and only by one worker, so `f`
-/// may freely mutate its element; shared context captured by `f` is read
-/// by all workers concurrently and must therefore be `Sync`. Results are
-/// independent of the shard count by construction.
-pub fn for_each_indexed_mut<T, F>(mode: Parallelism, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = mode.workers(items.len());
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    rayon::scope(|s| {
-        for (c, slice) in items.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                for (i, item) in slice.iter_mut().enumerate() {
-                    f(c * chunk + i, item);
-                }
-            });
-        }
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serial_and_rayon_produce_identical_results() {
-        let mut serial: Vec<u64> = vec![0; 257];
-        let mut parallel = serial.clone();
-        let work = |i: usize, x: &mut u64| *x = (i as u64).wrapping_mul(0x9E37) ^ 7;
-        for_each_indexed_mut(Parallelism::Serial, &mut serial, work);
-        for_each_indexed_mut(Parallelism::Rayon, &mut parallel, work);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn worker_counts_are_bounded() {
-        assert_eq!(Parallelism::Serial.workers(100), 1);
-        assert!(Parallelism::Rayon.workers(100) >= 1);
-        assert!(Parallelism::Rayon.workers(3) <= 3);
-        assert_eq!(Parallelism::Rayon.workers(0), 1);
-    }
-
-    #[test]
-    fn empty_and_single_item_slices_are_fine() {
-        let mut empty: Vec<u32> = Vec::new();
-        for_each_indexed_mut(Parallelism::Rayon, &mut empty, |_, _| {});
-        let mut one = vec![5u32];
-        for_each_indexed_mut(Parallelism::Rayon, &mut one, |_, x| *x += 1);
-        assert_eq!(one, vec![6]);
     }
 }

@@ -24,7 +24,10 @@
 //! - **No panics on bad input.** Readers return [`StateError`]; a
 //!   corrupted or truncated stream must surface as an error, never as
 //!   an index-out-of-bounds panic. Values are range-checked as they
-//!   are read ([`StateReader::take_u32`], [`StateReader::take_bool`]).
+//!   are read ([`StateReader::take_u32`], [`StateReader::take_bool`]),
+//!   and a length that sizes an allocation is checked against the words
+//!   left in the stream first ([`StateReader::take_len`]), so a crafted
+//!   length cannot abort the process.
 
 use std::error::Error;
 use std::fmt;
@@ -176,6 +179,25 @@ impl<'a> StateReader<'a> {
             what: "usize",
             word,
         })
+    }
+
+    /// Takes the length of a collection whose items each occupy at least
+    /// `words_each` of the words still in the stream. Readers take the
+    /// lengths they allocate for through here, so a crafted length fails
+    /// as an error before any allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
+    /// `what` when that many items cannot fit in the
+    /// [`remaining`](Self::remaining) words.
+    pub fn take_len(&mut self, words_each: usize, what: &'static str) -> Result<usize, StateError> {
+        let word = self.take()?;
+        let remaining = self.remaining();
+        usize::try_from(word)
+            .ok()
+            .filter(|len| len.checked_mul(words_each).is_some_and(|w| w <= remaining))
+            .ok_or(StateError::Invalid { what, word })
     }
 
     /// Takes a 0/1 word as a boolean.
@@ -349,6 +371,31 @@ mod tests {
         r.take().unwrap();
         assert_eq!(r.take(), Err(StateError::Exhausted { at: 1 }));
         assert_eq!(r.finish(), Err(StateError::Trailing { remaining: 1 }));
+    }
+
+    #[test]
+    fn lengths_that_cannot_fit_are_invalid() {
+        let mut w = StateWriter::new();
+        w.push(2);
+        w.push(10);
+        w.push(20);
+        let mut r = StateReader::new(w.bytes());
+        assert_eq!(r.take_len(1, "items"), Ok(2));
+        let mut r = StateReader::new(w.bytes());
+        assert_eq!(
+            r.take_len(2, "pairs"),
+            Err(StateError::Invalid {
+                what: "pairs",
+                word: 2
+            })
+        );
+        let mut w = StateWriter::new();
+        w.push(u64::MAX);
+        let mut r = StateReader::new(w.bytes());
+        assert!(matches!(
+            r.take_len(1, "items"),
+            Err(StateError::Invalid { what: "items", .. })
+        ));
     }
 
     #[test]

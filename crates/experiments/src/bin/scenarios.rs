@@ -5,7 +5,6 @@
 //! scenarios                    # the whole built-in library, both backends
 //! scenarios --smoke            # one small built-in per backend (CI smoke)
 //! scenarios --builtin NAME ... # selected built-ins by name
-//! scenarios --parallelism rayon # run the sharded sim phases on the pool
 //! scenarios --fidelity batched # batched car-following on the microsim rows
 //! scenarios file.scn ...       # scenario files in the text format
 //! scenarios --trace            # append a flight-recorder trace per spec
@@ -14,16 +13,14 @@
 //!
 //! Env: `UTILBP_QUICK=1` caps every horizon at 300 ticks.
 //!
-//! Results are bit-identical across `--parallelism` modes and
-//! `RAYON_NUM_THREADS` settings (the substrate determinism contract); the
-//! CI determinism matrix diffs this binary's output across thread counts.
+//! Results are bit-identical across repeats (the substrate determinism
+//! contract); CI diffs two runs of this binary's output.
 //!
 //! Every operator-facing failure — an unknown flag, a missing built-in,
 //! an unreadable or malformed scenario file — prints a one-line
 //! diagnostic to stderr and exits non-zero; the binary never panics on
 //! bad input.
 
-use utilbp_core::Parallelism;
 use utilbp_experiments::{run_trace, scenario_comparison, Backend, ControllerKind, TraceOptions};
 use utilbp_microsim::Fidelity;
 use utilbp_scenario::{builtin, builtin_scenarios, parse_scenario, ScenarioSpec};
@@ -40,7 +37,6 @@ fn run() -> Result<(), String> {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut files: Vec<&String> = Vec::new();
     let mut builtins: Vec<ScenarioSpec> = Vec::new();
-    let mut parallelism = Parallelism::Serial;
     let mut fidelity = None;
     let mut trace = false;
     let mut profile = false;
@@ -59,17 +55,6 @@ fn run() -> Result<(), String> {
                     .ok_or_else(|| "--builtin needs a scenario name".to_string())?;
                 builtins
                     .push(builtin(name).ok_or_else(|| format!("no built-in scenario `{name}`"))?);
-            }
-            "--parallelism" => {
-                parallelism = match iter
-                    .next()
-                    .ok_or_else(|| "--parallelism needs serial|rayon".to_string())?
-                    .as_str()
-                {
-                    "serial" => Parallelism::Serial,
-                    "rayon" => Parallelism::Rayon,
-                    other => return Err(format!("unknown parallelism `{other}` (serial|rayon)")),
-                };
             }
             "--fidelity" => {
                 fidelity = Some(
@@ -141,7 +126,7 @@ fn run() -> Result<(), String> {
         backends.len(),
         controllers.len()
     );
-    let comparison = scenario_comparison(&specs, &backends, &controllers, horizon_cap, parallelism);
+    let comparison = scenario_comparison(&specs, &backends, &controllers, horizon_cap);
     if comparison.rows.is_empty() {
         return Err("scenario sweep produced no rows".to_string());
     }
@@ -164,7 +149,6 @@ fn run() -> Result<(), String> {
         // profiler) on. The replayed outcomes are bit-identical to the
         // comparison runs above — recording is strictly passive.
         let options = TraceOptions {
-            parallelism,
             profile,
             horizon_cap,
             ..TraceOptions::default()

@@ -8,7 +8,6 @@
 //! trace file.scn                                   # a scenario file
 //! trace --builtin NAME --profile                   # add the profile table
 //! trace --builtin NAME --backend microscopic       # pick the substrate
-//! trace --builtin NAME --parallelism rayon         # sharded phases
 //! trace --builtin NAME --capacity 8192 --every 10  # recorder/gauge tuning
 //! trace --builtin NAME --horizon 400 --width 100   # trim / widen
 //! trace --builtin NAME --checkpoint 64             # durable captures → o marks
@@ -24,7 +23,6 @@
 //! diagnostic to stderr and exits non-zero; the binary never panics on
 //! bad input.
 
-use utilbp_core::Parallelism;
 use utilbp_experiments::{run_trace, Backend, ControllerKind, TraceOptions};
 use utilbp_scenario::{builtin, parse_scenario, ScenarioSpec};
 
@@ -60,13 +58,6 @@ fn run() -> Result<(), String> {
                     other => {
                         return Err(format!("unknown backend `{other}` (queueing|microscopic)"))
                     }
-                };
-            }
-            "--parallelism" => {
-                options.parallelism = match value("--parallelism")?.as_str() {
-                    "serial" => Parallelism::Serial,
-                    "rayon" => Parallelism::Rayon,
-                    other => return Err(format!("unknown parallelism `{other}` (serial|rayon)")),
                 };
             }
             "--profile" => options.profile = true,

@@ -8,18 +8,17 @@
 //! same config always generates the same timelines, so a failing seed is
 //! a one-line repro.
 //!
-//! For every timeline × backend the harness runs the scenario four
+//! For every timeline × backend the harness runs the scenario three
 //! times, always with the [`InvariantGuard`] installed (so vehicle
 //! conservation, sensor consistency, and closed-road emptiness are
 //! re-proved after every tick — any violation panics with a tick-stamped
-//! diagnostic):
+//! diagnostic), then runs a recovery round:
 //!
-//! 1. watchdog installed, `Serial` — the reference outcome;
-//! 2. watchdog installed, `Rayon` — must equal the reference bit for
-//!    bit (the substrate determinism contract under active faults);
-//! 3. watchdog installed, `Serial` again — repeat determinism;
-//! 4. watchdog absent, `Serial` — the degradation baseline;
-//! 5. a **crash-recovery round**: the reference run is repeated with
+//! 1. watchdog installed — the reference outcome;
+//! 2. watchdog installed again — must equal the reference bit for bit
+//!    (repeat determinism under active faults);
+//! 3. watchdog absent — the degradation baseline;
+//! 4. a **crash-recovery round**: the reference run is repeated with
 //!    periodic checkpointing, killed at 5/8 of the horizon (inside the
 //!    actuation-fault window), its newest checkpoint suffers a torn
 //!    write, and recovery must reject the damage on checksum/structure
@@ -37,7 +36,7 @@
 //!
 //! [`InvariantGuard`]: utilbp_substrate::InvariantGuard
 
-use utilbp_core::{Parallelism, Tick, Ticks};
+use utilbp_core::{Tick, Ticks};
 use utilbp_metrics::TextTable;
 use utilbp_scenario::{
     run_scenario, Backend, CheckpointPolicy, DemandProfile, EngineConfig, ReplanPolicy,
@@ -85,7 +84,7 @@ pub struct TimelineReport {
     pub seed: u64,
     /// The substrate it ran on.
     pub backend: Backend,
-    /// The guarded reference outcome (watchdog installed, serial).
+    /// The guarded reference outcome (watchdog installed).
     pub with_fallback: ScenarioOutcome,
     /// The same timeline without the watchdog — the degradation
     /// baseline.
@@ -255,13 +254,13 @@ fn grid_topology() -> TopologySpec {
 }
 
 /// Runs the harness: generates `config.timelines` timelines, runs each
-/// on every configured backend (see the module docs for the four runs
-/// per timeline), and returns the report.
+/// on every configured backend (see the module docs for the runs per
+/// timeline), and returns the report.
 ///
 /// # Errors
 ///
 /// Returns a one-line diagnostic naming the timeline seed on the first
-/// violated property: a Serial/Rayon or repeat-run outcome mismatch, or
+/// violated property: a repeat-run or recovered-run outcome mismatch, or
 /// an aggregate degradation bound breach. Invariant violations inside a
 /// run (conservation, sensor consistency, closed-road emptiness) panic
 /// with the guard's tick-stamped diagnostic instead — the harness runs
@@ -285,21 +284,10 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                     let mut with = spec.clone();
                     with.watchdog = Some(utilbp_baselines::WatchdogConfig::default());
 
-                    let serial = EngineConfig::new(backend).guarded();
-                    let rayon = EngineConfig {
-                        parallelism: Parallelism::Rayon,
-                        ..serial
-                    };
-                    let reference = run_scenario(with.clone(), serial, &factory)
+                    let guarded = EngineConfig::new(backend).guarded();
+                    let reference = run_scenario(with.clone(), guarded, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    let on_pool = run_scenario(with.clone(), rayon, &factory)
-                        .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    if on_pool != reference {
-                        return Err(format!(
-                            "timeline seed {seed} on {backend}: Rayon outcome diverges from Serial"
-                        ));
-                    }
-                    let repeat = run_scenario(with.clone(), serial, &factory)
+                    let repeat = run_scenario(with.clone(), guarded, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     if repeat != reference {
                         return Err(format!(
@@ -307,11 +295,11 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                         ));
                     }
 
-                    // Run 5: the crash-recovery round (see the module
+                    // Run 4: the crash-recovery round (see the module
                     // docs). Period horizon/6 guarantees at least two
                     // captures exist by the 5/8-horizon kill, so there
                     // is a valid fallback behind the torn newest.
-                    let mut doomed = ScenarioEngine::new(with, serial, &factory)
+                    let mut doomed = ScenarioEngine::new(with, guarded, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     doomed.enable_checkpoints(CheckpointPolicy::every(config.horizon / 6));
                     for _ in 0..5 * config.horizon / 8 {
@@ -323,7 +311,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                     let keep = newest.1.len() * 2 / 3;
                     newest.1.truncate(keep);
                     let (mut recovered, resumed_at, rejected) =
-                        recover_newest_valid(&store, serial, &factory)
+                        recover_newest_valid(&store, guarded, &factory)
                             .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     if rejected.len() != 1 {
                         return Err(format!(
@@ -345,7 +333,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                         ));
                     }
 
-                    let without = run_scenario(spec, serial, &factory)
+                    let without = run_scenario(spec, guarded, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     Ok(TimelineReport {
                         index,

@@ -155,7 +155,8 @@ pub fn run(scenario: &Scenario, controller: &ControllerKind, probe: &Probe) -> R
 
 /// Runs several controllers on the same scenario, in parallel threads, and
 /// returns results in the input order. Each run is independently seeded
-/// from the scenario, so parallelism does not affect the numbers.
+/// from the scenario, so running them on threads does not affect the
+/// numbers.
 pub fn run_many(
     scenario: &Scenario,
     controllers: &[ControllerKind],

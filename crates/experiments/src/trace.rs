@@ -10,7 +10,7 @@
 //! is strictly passive: the replayed outcome is bit-identical to an
 //! uninstrumented run of the same spec.
 
-use utilbp_core::{Parallelism, SignalController, Ticks};
+use utilbp_core::{SignalController, Ticks};
 use utilbp_metrics::{ascii_chart, TimeSeries};
 use utilbp_scenario::{Backend, EngineConfig, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
 use utilbp_telemetry::{render_timeline, Event};
@@ -20,8 +20,6 @@ use utilbp_telemetry::{render_timeline, Event};
 pub struct TraceOptions {
     /// The substrate to replay on.
     pub backend: Backend,
-    /// Execution mode of the sharded simulation phases.
-    pub parallelism: Parallelism,
     /// Whether to run the tick-section profiler too.
     pub profile: bool,
     /// Flight-recorder ring-buffer capacity (events retained).
@@ -43,7 +41,6 @@ impl Default for TraceOptions {
     fn default() -> Self {
         TraceOptions {
             backend: Backend::Queueing,
-            parallelism: Parallelism::Serial,
             profile: false,
             capacity: 4096,
             gauge_every: 25,
@@ -94,8 +91,7 @@ pub fn run_trace(
             spec.set_horizon(Ticks::new(cap));
         }
     }
-    let mut config = EngineConfig::new(options.backend).observed();
-    config.parallelism = options.parallelism;
+    let config = EngineConfig::new(options.backend).observed();
     let mut engine = ScenarioEngine::new(spec, config, make_controller)?;
     engine.enable_recording(options.capacity);
     engine.enable_gauges(options.gauge_every);

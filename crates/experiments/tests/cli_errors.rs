@@ -71,14 +71,14 @@ fn scenarios_rejects_a_missing_flag_value() {
         "--builtin needs a scenario name",
     );
     assert_clean_failure(
-        &scenarios(&["--parallelism"]),
+        &scenarios(&["--fidelity"]),
         "scenarios",
-        "--parallelism needs serial|rayon",
+        "--fidelity needs exact|batched",
     );
     assert_clean_failure(
-        &scenarios(&["--parallelism", "osmosis"]),
+        &scenarios(&["--fidelity", "osmosis"]),
         "scenarios",
-        "unknown parallelism `osmosis`",
+        "unknown fidelity `osmosis`",
     );
 }
 

@@ -130,7 +130,7 @@ impl Histogram {
                 word: bin_width.to_bits(),
             });
         }
-        let len = reader.take_usize()?;
+        let len = reader.take_len(1, "histogram bin count")?;
         if len == 0 {
             return Err(utilbp_core::state::StateError::Invalid {
                 what: "histogram bin count",
@@ -261,5 +261,21 @@ mod tests {
     #[should_panic(expected = "bin_width")]
     fn rejects_bad_bin_width() {
         let _ = Histogram::new(0.0, 3);
+    }
+
+    #[test]
+    fn crafted_huge_bin_count_is_an_error_not_an_abort() {
+        use utilbp_core::state::{StateError, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        w.push_f64(10.0);
+        w.push(u64::MAX / 2);
+        w.push(0);
+        assert!(matches!(
+            Histogram::load_state(&mut StateReader::new(w.bytes())),
+            Err(StateError::Invalid {
+                what: "histogram bin count",
+                ..
+            })
+        ));
     }
 }

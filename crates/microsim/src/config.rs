@@ -1,7 +1,6 @@
 //! Microscopic simulation parameters.
 
 use serde::{Deserialize, Serialize};
-use utilbp_core::Parallelism;
 
 /// How vehicles are assigned to lanes on a road.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -49,10 +48,10 @@ pub enum OutgoingSensor {
 /// coefficients hoisted once, and (because the counter stream consumes
 /// no generator state) an exact short-circuit for parked queues, whose
 /// update is the identity for every possible draw. Batched mode is
-/// still fully deterministic — bit-identical across
-/// `Serial`/`Rayon`/repeats *with itself* and checkpoint-safe — but its
-/// trajectories differ from exact mode's and are validated
-/// distributionally (the `equivalence` harness), not per-bit.
+/// still fully deterministic — bit-identical across repeats *with
+/// itself* and checkpoint-safe — but its trajectories differ from exact
+/// mode's and are validated distributionally (the `equivalence`
+/// harness), not per-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Fidelity {
     /// Reference semantics: sequential per-road dawdle stream,
@@ -119,13 +118,9 @@ pub struct MicroSimConfig {
     /// the junction box, in m/s.
     pub insertion_speed_mps: f64,
     /// RNG seed for dawdling noise. Dawdling streams are per road (each
-    /// road derives its own generator from this seed), which is what
-    /// keeps serial and parallel stepping bit-identical.
+    /// road derives its own generator from this seed), so a road's noise
+    /// does not depend on which other roads hold traffic.
     pub seed: u64,
-    /// Execution mode of the controller-decide and car-following phases.
-    /// Serial by default; [`Parallelism::Rayon`] shards both phases
-    /// across threads, step-for-step identical to serial.
-    pub parallelism: Parallelism,
     /// Numerical contract of the car-following phase (see [`Fidelity`]).
     /// `Exact` by default; `Batched` is strictly opt-in.
     pub fidelity: Fidelity,
@@ -150,7 +145,6 @@ impl Default for MicroSimConfig {
             lane_discipline: LaneDiscipline::default(),
             insertion_speed_mps: 8.0,
             seed: 0,
-            parallelism: Parallelism::Serial,
             fidelity: Fidelity::default(),
         }
     }

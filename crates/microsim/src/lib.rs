@@ -26,9 +26,9 @@
 //! Together with `utilbp-queueing`, this simulator implements the
 //! workspace's unified plant interface — the `TrafficSubstrate` trait in
 //! `utilbp-substrate` — which states the cross-substrate contract
-//! (determinism across execution modes and repeats, road-closure
-//! semantics, accumulator-based waiting accounting, deterministic
-//! route-cursor access for en-route replanning) once for both backends;
+//! (determinism across repeats, road-closure semantics,
+//! accumulator-based waiting accounting, deterministic route-cursor
+//! access for en-route replanning) once for both backends;
 //! the notes below cover only what is specific to the microscopic model.
 //!
 //! ## Performance architecture
@@ -46,7 +46,7 @@
 //! sweep over packed storage instead of a pointer-chase across per-road
 //! heap boxes. Per-journey cold state (external id, `Arc<Route>`, route
 //! cursor) lives in a slab `VehicleArena` keyed by a compact `u32` slot
-//! that only the serial phases dereference. Lanes dequeue crossed heads
+//! that car-following never dereferences. Lanes dequeue crossed heads
 //! by advancing a head offset inside their span (amortized compaction,
 //! per-road strides pre-reserved at the geometric plateau; a road that
 //! outgrows its stride triggers a one-off whole-arena re-layout), so
@@ -104,25 +104,12 @@
 //! and [`MicroSim::step_into_timed`] attributes wall-clock time to the
 //! pipeline's phase groups for the perf harness.
 //!
-//! **Shard-parallel stepping.** Two of the step's phases are
-//! embarrassingly parallel and shard across threads under
-//! `MicroSimConfig { parallelism: Parallelism::Rayon, .. }`: the
-//! controller-decide phase (one controller per intersection, each
-//! reading only its own observation) and the car-following phase for
-//! non-head vehicles (per-road state, no cross-road reads — the network
-//! arena is split into disjoint per-shard windows at road boundaries
-//! with `split_at_mut`, no unsafe, and each shard walks only its
-//! occupied roads). Head
-//! release, landings, insertions, and ledger accounting mutate shared
-//! state and stay serial. The fork-join runs on `rayon`'s persistent
-//! worker pool (a channel handoff per step, not thread spawns), and
-//! dawdling noise is drawn from per-road RNG streams, so `Serial` and
-//! `Rayon` produce **bit-identical** step reports and ledgers —
-//! asserted by the cross-mode determinism tests, including under
-//! scenario disruption events. `Serial` is the default and the right
-//! choice for small grids, where a step is cheaper than a fork-join;
-//! `Rayon` pays off once per-step work dominates (large grids, heavy
-//! traffic, many cores).
+//! **One serial step path.** Every phase runs on the calling thread.
+//! UTIL-BP is decentralized because each controller reads only its own
+//! intersection's observation, and the decide phase keeps that property
+//! as a plain loop over intersections. Dawdling noise is drawn from
+//! per-road RNG streams, so the active-road sweep can skip empty roads
+//! without perturbing anyone's draws.
 //!
 //! **Fidelity contract.** The car-following phase runs under one of two
 //! numerical contracts selected by `MicroSimConfig { fidelity, .. }`
@@ -146,20 +133,14 @@
 //!   compares and a waiting-tick increment instead of a hash, a
 //!   divide, and the full bookkeeping — which is possible precisely
 //!   because a skipped counter draw perturbs no other vehicle's noise.
-//!   Batched runs are bit-identical to *themselves* across
-//!   `Serial`/`Rayon`, repeats, and checkpoint restores, but not to
-//!   exact mode; the two contracts are held together distributionally
-//!   by the statistical-equivalence harness
+//!   Batched runs are bit-identical to *themselves* across repeats
+//!   and checkpoint restores, but not to exact mode; the two contracts
+//!   are held together distributionally by the statistical-equivalence
+//!   harness
 //!   (`utilbp-experiments::equivalence`: relative-mean-gap and
 //!   Kolmogorov–Smirnov gates on mean waiting, throughput, and queue
 //!   length across ≥16 seeds × 3 scenarios, pinned as a tier-1
-//!   regression at the workspace root). The opt-in `simd` cargo
-//!   feature additionally hoists the batched kernel's dawdle draws
-//!   into a vectorizable precompute over the packed id stream —
-//!   bit-identical to the default build by construction (the
-//!   `counter_rng` unit tests pin element equality) and off by
-//!   default: on short urban lanes (mean occupied length ~4) the
-//!   precompute has nothing to amortize over and measures as a wash.
+//!   regression at the workspace root).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -661,12 +642,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_mixed_parallel_matches_serial() {
+    fn shared_mixed_repeats_are_bit_identical() {
         let g = grid();
-        let run = |parallelism| {
+        let run = || {
             let cfg = MicroSimConfig {
                 lane_discipline: LaneDiscipline::SharedMixed,
-                parallelism,
                 ..MicroSimConfig::default()
             };
             let mut sim = MicroSim::new(g.topology().clone(), util_controllers(9), cfg);
@@ -686,9 +666,9 @@ mod tests {
             )
         };
         assert_eq!(
-            run(utilbp_core::Parallelism::Serial),
-            run(utilbp_core::Parallelism::Rayon),
-            "sharded stepping must be bit-identical under SharedMixed"
+            run(),
+            run(),
+            "repeat runs must be bit-identical under SharedMixed"
         );
     }
 
@@ -758,19 +738,15 @@ mod tests {
 
     #[test]
     fn batched_mode_is_bit_identical_with_itself() {
-        // The batched contract: deterministic across repeats and across
-        // Serial/Rayon sharding (counter draws are pure functions of the
-        // key, so visitation order cannot matter).
-        let batched = |parallelism| MicroSimConfig {
+        // The batched contract: deterministic across repeats (counter
+        // draws are pure functions of the key).
+        let batched = MicroSimConfig {
             fidelity: Fidelity::Batched,
-            parallelism,
             ..MicroSimConfig::default()
         };
-        let serial = run_signature(batched(utilbp_core::Parallelism::Serial));
-        let repeat = run_signature(batched(utilbp_core::Parallelism::Serial));
-        let rayon = run_signature(batched(utilbp_core::Parallelism::Rayon));
-        assert_eq!(serial, repeat, "batched repeat must be bit-identical");
-        assert_eq!(serial, rayon, "batched Serial/Rayon must be bit-identical");
+        let first = run_signature(batched);
+        let repeat = run_signature(batched);
+        assert_eq!(first, repeat, "batched repeat must be bit-identical");
     }
 
     #[test]

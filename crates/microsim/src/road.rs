@@ -19,8 +19,8 @@
 //! - **Cold, per-journey state** — the external [`VehicleId`], the
 //!   `Arc<Route>`, and the route cursor (`hop`) — lives in the
 //!   [`VehicleArena`], a slab keyed by a compact `u32` slot carried in the
-//!   lane arrays. Only the serial phases (head release, landings,
-//!   insertions, completions) dereference it.
+//!   lane arrays. Only head release, landings, insertions and
+//!   completions dereference it; car-following never does.
 //! - The movement link a vehicle queues for is fixed while it is on a
 //!   road, so each lane also caches it as a `u16` per vehicle — the
 //!   `SharedMixed` movement counters never chase the `Arc<Route>` in the
@@ -198,11 +198,14 @@ impl VehicleArena {
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] on a truncated stream or a free-list
-    /// entry out of range.
+    /// Returns a [`StateError`] on a truncated stream, a slab or free
+    /// list longer than the stream could hold, or a free-list entry out
+    /// of range.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        let len = reader.take_usize()?;
-        let free_len = reader.take_usize()?;
+        // Every slot is followed by at least one word: its free-list
+        // entry or its live data.
+        let len = reader.take_len(1, "arena slab length")?;
+        let free_len = reader.take_len(1, "arena free list length")?;
         let mut free = Vec::with_capacity(free_len);
         for _ in 0..free_len {
             let slot = reader.take_u32()?;
@@ -612,15 +615,15 @@ impl NetworkLanes {
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] on a truncated stream or a link word out
-    /// of `u16` range.
+    /// Returns a [`StateError`] on a truncated stream, a lane longer
+    /// than the stream could hold, or a link word out of `u16` range.
     pub fn load_lane(
         &mut self,
         r: usize,
         l: usize,
         reader: &mut StateReader<'_>,
     ) -> Result<(), StateError> {
-        let len = reader.take_usize()?;
+        let len = reader.take_len(5, "lane length")?;
         let li = self.spans[r].lane0 + l;
         let old_len = self.lanes[li].fill - self.lanes[li].head;
         self.lanes[li] = LaneMeta::default();
@@ -713,9 +716,9 @@ impl NetworkLanes {
         Ok(())
     }
 
-    /// The follower phase's serial entry: one full-range view over the
-    /// hot arrays plus the road spans and the active list — everything
-    /// the serial sweep needs, borrowed disjointly and allocation-free.
+    /// The follower phase's entry: a view over the hot arrays plus the
+    /// road spans and the active list — everything the sweep needs,
+    /// borrowed disjointly and allocation-free.
     pub fn follower_parts(&mut self) -> (LaneView<'_>, &[RoadSpan], &[u32]) {
         (
             LaneView {
@@ -724,69 +727,10 @@ impl NetworkLanes {
                 link: &self.link,
                 id: &self.id,
                 lanes: &mut self.lanes,
-                offset: 0,
-                lane0: 0,
             },
             &self.spans,
             &self.active,
         )
-    }
-
-    /// Splits the hot arrays into disjoint per-shard views at road-region
-    /// boundaries, `chunk` roads per shard — the Rayon follower phase's
-    /// entry. Safe splitting only (`split_at_mut`), no `unsafe`.
-    pub fn follower_shards(&mut self, chunk: usize) -> (Vec<FollowerShard<'_>>, &[RoadSpan]) {
-        let num_roads = self.spans.len();
-        let chunk = chunk.max(1);
-        let total = self.pv.len();
-        let total_lanes = self.lanes.len();
-        let mut shards = Vec::with_capacity(num_roads.div_ceil(chunk));
-        let mut pv = self.pv.as_mut_slice();
-        let mut wait = self.wait.as_mut_slice();
-        let mut lanes = self.lanes.as_mut_slice();
-        let mut link = self.link.as_slice();
-        let mut id = self.id.as_slice();
-        let mut r0 = 0usize;
-        while r0 < num_roads {
-            let r1 = (r0 + chunk).min(num_roads);
-            let start = self.spans[r0].start;
-            let end = if r1 < num_roads {
-                self.spans[r1].start
-            } else {
-                total
-            };
-            let lane0 = self.spans[r0].lane0;
-            let lane_end = if r1 < num_roads {
-                self.spans[r1].lane0
-            } else {
-                total_lanes
-            };
-            let (pv_a, pv_b) = std::mem::take(&mut pv).split_at_mut(end - start);
-            pv = pv_b;
-            let (wait_a, wait_b) = std::mem::take(&mut wait).split_at_mut(end - start);
-            wait = wait_b;
-            let (lanes_a, lanes_b) = std::mem::take(&mut lanes).split_at_mut(lane_end - lane0);
-            lanes = lanes_b;
-            let (link_a, link_b) = link.split_at(end - start);
-            link = link_b;
-            let (id_a, id_b) = id.split_at(end - start);
-            id = id_b;
-            shards.push(FollowerShard {
-                view: LaneView {
-                    pv: pv_a,
-                    wait: wait_a,
-                    link: link_a,
-                    id: id_a,
-                    lanes: lanes_a,
-                    offset: start,
-                    lane0,
-                },
-                r0,
-                r1,
-            });
-            r0 = r1;
-        }
-        (shards, &self.spans)
     }
 
     /// The live `[position, speed]` span of lane `l` of road `r`.
@@ -902,31 +846,17 @@ impl NetworkLanes {
     }
 }
 
-/// A mutable window over the arena's follower-phase arrays: the hot
-/// mutable state (`pv`, `wait`, lane metadata), the read-only per-vehicle
-/// caches (`link`, `id`), and the window's element/lane offsets so
-/// road-span indices translate to window-local indices. The serial sweep
-/// uses one full-range view (offsets 0); the Rayon sweep splits the
-/// arrays into disjoint per-shard views at road boundaries. The `slot`
-/// array is deliberately absent — the follower phase never touches it.
+/// The arena's follower-phase arrays, borrowed apart from the road spans
+/// and the active list: the hot mutable state (`pv`, `wait`, lane
+/// metadata) and the read-only per-vehicle caches (`link`, `id`), indexed
+/// by network-wide element and lane-meta indices. The `slot` array is
+/// deliberately absent — the follower phase never touches it.
 pub(crate) struct LaneView<'a> {
     pub(crate) pv: &'a mut [[f64; 2]],
     pub(crate) wait: &'a mut [u32],
     pub(crate) link: &'a [u16],
     pub(crate) id: &'a [u64],
     pub(crate) lanes: &'a mut [LaneMeta],
-    /// Element offset of `pv[0]` within the network arrays.
-    pub(crate) offset: usize,
-    /// Lane-meta offset of `lanes[0]`.
-    pub(crate) lane0: usize,
-}
-
-/// One Rayon shard of the follower phase: a disjoint [`LaneView`] window
-/// covering roads `r0..r1`.
-pub(crate) struct FollowerShard<'a> {
-    pub(crate) view: LaneView<'a>,
-    pub(crate) r0: usize,
-    pub(crate) r1: usize,
 }
 
 /// Per-(road, link) movement counters for mixed-lane roads.
@@ -1020,7 +950,7 @@ impl MovementCounters {
 }
 
 /// Where a head vehicle's dawdle sample comes from — the one
-/// fidelity-dependent ingredient of the (serial, cold) head phase, so
+/// fidelity-dependent ingredient of the (cold) head phase, so
 /// the phase itself is shared between modes.
 #[derive(Debug)]
 pub(crate) enum DawdleSource<'a> {
@@ -1080,8 +1010,8 @@ pub(crate) struct HeadOutcome {
 /// Advances only the head vehicle of lane `l` of road `r` by one step,
 /// popping it and returning it in the outcome if it crossed the stop
 /// line under [`HeadMode::Release`]. Records the crossing on the lane so
-/// the follower phase ([`advance_followers`]) can run later — possibly
-/// on another thread — without re-deriving it.
+/// the follower phase ([`advance_followers`]) can run later without
+/// re-deriving it.
 ///
 /// If the head stays on the lane at waiting speed, its wait accumulator
 /// is incremented in place (a crossed head is in the junction box, not
@@ -1157,10 +1087,9 @@ pub(crate) fn advance_head(
 /// [`advance_head`] each step for every lane of an *occupied* road
 /// (roads skipped by the active list carry no vehicles and no pending
 /// scratch that matters — see the module docs); independent across lanes
-/// and roads, which is what the parallel car-following phase shards.
-/// Vehicles ending the step at waiting speed accumulate a waiting tick
-/// in place. Returns `(detected_delta, halted_delta)` for the caller's
-/// dense counter arrays.
+/// and roads. Vehicles ending the step at waiting speed accumulate a
+/// waiting tick in place. Returns `(detected_delta, halted_delta)` for
+/// the caller's dense counter arrays.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_followers(
     view: &mut LaneView<'_>,
@@ -1172,7 +1101,7 @@ pub(crate) fn advance_followers(
     rng: &mut SmallRng,
     mut movements: Option<&mut MovementCounters>,
 ) -> (i64, i64) {
-    let li = span.lane0 - view.lane0 + l;
+    let li = span.lane0 + l;
     let m = view.lanes[li];
     let start = if m.head_crossed { 0 } else { 1 };
     view.lanes[li].head_crossed = false;
@@ -1190,7 +1119,7 @@ pub(crate) fn advance_followers(
     let mut leader_pos = f64::INFINITY;
     let mut leader_speed = 0.0;
 
-    let base = span.start - view.offset + l * span.seg;
+    let base = span.start + l * span.seg;
     let n = m.fill - m.head;
     let pv = &mut view.pv[base + m.head..base + m.fill];
     let wait = &mut view.wait[base + m.head..base + m.fill];
@@ -1282,12 +1211,6 @@ pub(crate) fn advance_followers(
 /// draws (each draw has a ~38% chance of landing at or below it).
 const QUIESCE_GAP: f64 = 0.5;
 
-/// Stack-buffer width of the `simd` feature's precomputed dawdle draws:
-/// 1 KiB of stack per lane pass, wide enough that almost every urban
-/// lane fills in one chunk (longer lanes refill per chunk).
-#[cfg(feature = "simd")]
-const XI_CHUNK: usize = 128;
-
 /// The batched-fidelity counterpart of [`advance_followers`]: one call
 /// advances every lane of a road under the batched numerical contract.
 ///
@@ -1330,11 +1253,10 @@ const XI_CHUNK: usize = 128;
 /// its goldens) stable, so every vehicle pays the full update.
 ///
 /// Per-lane sensor deltas fold into `lane_detected` / `lane_halted`;
-/// the road totals are returned. Bit-identical to itself across
-/// `Serial`/`Rayon`, repeats, and checkpoint restores; *not*
-/// bit-compatible with [`advance_followers`] (the dawdle streams
-/// differ), which the statistical-equivalence harness validates
-/// distributionally.
+/// the road totals are returned. Bit-identical to itself across repeats
+/// and checkpoint restores; *not* bit-compatible with
+/// [`advance_followers`] (the dawdle streams differ), which the
+/// statistical-equivalence harness validates distributionally.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_followers_batched_road(
     view: &mut LaneView<'_>,
@@ -1354,13 +1276,10 @@ pub(crate) fn advance_followers_batched_road(
         link,
         id,
         lanes,
-        offset,
-        lane0,
     } = view;
     let seg = span.seg;
-    let road_base = span.start - *offset;
-    let meta_lo = span.lane0 - *lane0;
-    let meta = &mut lanes[meta_lo..meta_lo + span.num_lanes];
+    let road_base = span.start;
+    let meta = &mut lanes[span.lane0..span.lane0 + span.num_lanes];
 
     let dt = cfg.dt_seconds;
     let free_speed = cfg.free_speed_mps;
@@ -1406,21 +1325,7 @@ pub(crate) fn advance_followers_batched_road(
         let mut clamp_pos = if start == 0 { f64::INFINITY } else { pv[h][0] };
         let mut detected_delta = 0i64;
         let mut halted_delta = 0i64;
-        // `simd` pass: hoist the dawdle draws out of the sequential
-        // recurrence into a vectorizable precompute over the packed id
-        // stream. Element-for-element bit-identical to the fused draw
-        // (`counter_rng` pins it), so the gated build shares every
-        // golden and self-identity contract with the default one. Draws
-        // for frozen vehicles are computed and discarded — the counter
-        // RNG is stateless, so the waste is wall-clock only.
-        #[cfg(feature = "simd")]
-        let mut xi_buf = [0.0f64; XI_CHUNK];
         for i in f..e {
-            #[cfg(feature = "simd")]
-            if sigma_a_dt > 0.0 && (i - f).is_multiple_of(XI_CHUNK) {
-                let hi = (i + XI_CHUNK).min(e);
-                counter_rng::fill_xi(xi_base, sigma_a_dt, &id[i..hi], &mut xi_buf[..hi - i]);
-            }
             let [po, vo] = pv[i];
             let net_gap = leader_pos - po - gap_off;
             // Queue freeze: stopped behind a stationary leader with the
@@ -1438,11 +1343,7 @@ pub(crate) fn advance_followers_batched_road(
                 + (net_gap - leader_speed * tau) / ((vo + leader_speed) * half_inv_decel + tau);
             let v_des = free_speed.min(vo + a_dt).min(v_safe);
             let xi = if sigma_a_dt > 0.0 {
-                #[cfg(feature = "simd")]
-                let x = xi_buf[(i - f) % XI_CHUNK];
-                #[cfg(not(feature = "simd"))]
-                let x = sigma_a_dt * counter_rng::uniform01(counter_rng::finish(xi_base, id[i]));
-                x
+                sigma_a_dt * counter_rng::uniform01(counter_rng::finish(xi_base, id[i]))
             } else {
                 0.0
             };
@@ -1482,9 +1383,11 @@ pub(crate) fn advance_followers_batched_road(
 /// the head's `(slot, wait)` if it crossed the stop line under
 /// [`HeadMode::Release`].
 ///
-/// Composition of [`advance_head`] and [`advance_followers`]; the
+/// Composition of [`advance_head`] and [`advance_followers`]. The
 /// simulator calls the two phases separately (all heads first, then all
-/// followers) so the follower phase can shard across threads.
+/// followers) because the exact head phase must read every lane's tail
+/// from before the followers advance: a released head checks room on
+/// its destination lane against that pre-follower tail.
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn update_lane(
     net: &mut NetworkLanes,
@@ -1982,5 +1885,44 @@ mod tests {
         assert_eq!(arena.hop(c), 0);
         assert_eq!(arena.id(c), VehicleId::new(12));
         assert_eq!(arena.id(b), VehicleId::new(11));
+    }
+
+    #[test]
+    fn crafted_huge_lengths_are_errors_not_aborts() {
+        // A CRC-valid checkpoint can still carry any length word: readers
+        // must refuse a length the stream cannot hold before allocating
+        // (or re-segmenting) for it.
+        let huge = |prefix: &[u64]| {
+            let mut w = StateWriter::new();
+            for &word in prefix {
+                w.push(word);
+            }
+            w.push(0);
+            w
+        };
+        let slab = huge(&[1 << 50]);
+        assert!(matches!(
+            VehicleArena::new().load_state(&mut StateReader::new(slab.bytes())),
+            Err(StateError::Invalid {
+                what: "arena slab length",
+                ..
+            })
+        ));
+        let free = huge(&[1, 1 << 50]);
+        assert!(matches!(
+            VehicleArena::new().load_state(&mut StateReader::new(free.bytes())),
+            Err(StateError::Invalid {
+                what: "arena free list length",
+                ..
+            })
+        ));
+        let lane = huge(&[1 << 40]);
+        assert!(matches!(
+            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, &mut StateReader::new(lane.bytes())),
+            Err(StateError::Invalid {
+                what: "lane length",
+                ..
+            })
+        ));
     }
 }

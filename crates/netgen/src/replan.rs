@@ -27,7 +27,7 @@
 //! Everything is deterministic: enumeration order is fixed by the
 //! topology, the best option wins by (weighted) score with ties broken by
 //! enumeration order, and no randomness is drawn — so replanning cannot
-//! perturb the simulators' RNG streams, and Serial/Rayon runs stay
+//! perturb the simulators' RNG streams, and repeat runs stay
 //! bit-identical.
 
 use std::collections::HashMap;

@@ -79,7 +79,7 @@ impl Route {
     ) -> Result<Self, utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
         let entry = RoadId::new(reader.take_u32()?);
-        let len = reader.take_usize()?;
+        let len = reader.take_len(2, "route hop count")?;
         if len == 0 {
             return Err(StateError::Invalid {
                 what: "route hop count",
@@ -123,5 +123,22 @@ mod tests {
     #[should_panic(expected = "at least one intersection")]
     fn rejects_empty_routes() {
         let _ = Route::new(RoadId::new(0), Vec::new());
+    }
+
+    #[test]
+    fn crafted_huge_hop_count_is_an_error_not_an_abort() {
+        use utilbp_core::state::{StateError, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        w.push_u32(0);
+        w.push(1 << 40);
+        w.push(0);
+        w.push(0);
+        assert!(matches!(
+            Route::load_state(&mut StateReader::new(w.bytes())),
+            Err(StateError::Invalid {
+                what: "route hop count",
+                ..
+            })
+        ));
     }
 }

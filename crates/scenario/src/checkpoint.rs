@@ -1,16 +1,14 @@
 //! Checkpoint/restore types for the scenario engine.
 //!
 //! A checkpoint is a `utilbp-snapshot` container holding four sections:
-//! the engine's structural metadata (backend, execution mode, guard
-//! flags, checkpoint policy, recorder shape), the scenario spec in its
-//! text form, the plant's full dynamic state, and the engine's own
-//! dynamic state (demand cursors, event-timeline position, fault
+//! the engine's structural metadata (backend, guard flags, checkpoint
+//! policy, recorder shape), the scenario spec in its text form, the
+//! plant's full dynamic state, and the engine's own dynamic state (demand cursors, event-timeline position, fault
 //! switches, replanning trackers, congestion monitor, telemetry
 //! watermarks). [`ScenarioEngine::restore`] rebuilds a fresh engine from
 //! the embedded spec and overwrites its dynamic state, after which the
 //! restored run continues **bit-identically** to the uninterrupted one —
-//! same `ScenarioOutcome`, same telemetry JSONL — on either substrate
-//! and under either `Parallelism` mode.
+//! same `ScenarioOutcome`, same telemetry JSONL — on either substrate.
 //!
 //! [`ScenarioEngine::restore`]: crate::ScenarioEngine::restore
 
@@ -71,8 +69,8 @@ pub enum RestoreError {
     /// The embedded scenario spec failed to parse or validate.
     Spec(String),
     /// The checkpoint was captured under a different engine
-    /// configuration than the one offered for restore (backend,
-    /// parallelism, or guard flags).
+    /// configuration than the one offered for restore (backend, guard
+    /// flags, or microscopic parameters).
     Mismatch {
         /// Which configuration axis disagreed.
         what: &'static str,

@@ -41,7 +41,7 @@ use utilbp_baselines::{
     Degrading, FaultSwitch, FaultyActuation, FaultySensors, FixedTime, WatchdogStats,
 };
 use utilbp_core::state::{StateError, StateReader, StateWriter};
-use utilbp_core::{Parallelism, SignalController, Tick, Ticks};
+use utilbp_core::{SignalController, Tick, Ticks};
 use utilbp_metrics::{TimeSeries, VehicleId, WaitingLedger};
 use utilbp_microsim::MicroSimConfig;
 use utilbp_microsim::PhaseTimings;
@@ -62,7 +62,7 @@ use crate::checkpoint::{
 use crate::demand::NetworkDemand;
 use crate::spec::{Backend, ReplanPolicy, ScenarioEvent, ScenarioSpec};
 
-/// How the engine runs a scenario: substrate, execution mode, and the
+/// How the engine runs a scenario: substrate, guard, and the
 /// microscopic parameters (the queueing substrate derives its `Δt` and
 /// free-flow speed from them, so both backends simulate the same physical
 /// setup).
@@ -70,8 +70,6 @@ use crate::spec::{Backend, ReplanPolicy, ScenarioEvent, ScenarioSpec};
 pub struct EngineConfig {
     /// The simulation substrate.
     pub backend: Backend,
-    /// Execution mode of the sharded simulation phases.
-    pub parallelism: Parallelism,
     /// Microscopic parameters.
     pub micro: MicroSimConfig,
     /// When set, the substrate is wrapped in an [`InvariantGuard`] that
@@ -94,7 +92,6 @@ impl EngineConfig {
     pub fn new(backend: Backend) -> Self {
         EngineConfig {
             backend,
-            parallelism: Parallelism::Serial,
             micro: MicroSimConfig::default(),
             guard: false,
             guard_observe: false,
@@ -122,9 +119,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// FNV-1a fingerprint of the microscopic parameters, excluding the
-/// execution mode (Serial and Rayon are bit-identical, so a checkpoint
-/// captured under one may be restored under the other). Stored in every
+/// FNV-1a fingerprint of the microscopic parameters. Stored in every
 /// checkpoint's metadata: the physical parameters shape the plant state
 /// and the controller inputs, so restoring under different ones would
 /// silently break the bit-identical-continuation contract — the
@@ -156,7 +151,7 @@ fn micro_fingerprint(cfg: &MicroSimConfig) -> u64 {
     w.push(cfg.seed);
     // Fidelity shapes every car-following trajectory (batched mode is
     // not bit-compatible with exact), so a checkpoint must not restore
-    // across modes.
+    // across fidelities.
     w.push(match cfg.fidelity {
         Fidelity::Exact => 0,
         Fidelity::Batched => 1,
@@ -593,7 +588,6 @@ impl ScenarioEngine {
             .collect();
 
         let mut micro = config.micro;
-        micro.parallelism = config.parallelism;
         micro.seed = spec.seed;
         micro.fidelity = spec.fidelity;
         let substrate = build_substrate(
@@ -1548,10 +1542,6 @@ impl ScenarioEngine {
                 Backend::Queueing => 0,
                 Backend::Microscopic => 1,
             });
-            meta.push(match self.config.parallelism {
-                Parallelism::Serial => 0,
-                Parallelism::Rayon => 1,
-            });
             meta.push_bool(self.config.guard);
             meta.push_bool(self.config.guard_observe);
             meta.push(micro_fingerprint(&self.config.micro));
@@ -1711,11 +1701,9 @@ impl ScenarioEngine {
     /// to the uninterrupted run — same [`ScenarioOutcome`], same
     /// telemetry JSONL.
     ///
-    /// `config.backend` and the guard flags must match the capturing
-    /// engine's (the plant state is substrate-shaped); `config.parallelism`
-    /// **may differ** — Serial and Rayon execution are bit-identical by
-    /// the substrate contract, so a snapshot captured under one mode
-    /// resumes exactly under the other.
+    /// `config.backend`, the guard flags and the microscopic parameters
+    /// must match the capturing engine's (the plant state is
+    /// substrate-shaped).
     ///
     /// # Errors
     ///
@@ -1750,14 +1738,6 @@ impl ScenarioEngine {
         };
         if backend != config.backend {
             return Err(RestoreError::Mismatch { what: "backend" });
-        }
-        let word = meta.take()?;
-        if word > 1 {
-            return Err(StateError::Invalid {
-                what: "parallelism tag",
-                word,
-            }
-            .into());
         }
         if meta.take_bool()? != config.guard {
             return Err(RestoreError::Mismatch { what: "guard" });
@@ -1806,7 +1786,10 @@ impl ScenarioEngine {
 
         if let Some(capacity) = recorder_capacity {
             let mut reader = snapshot.words(TAG_TELEMETRY)?;
-            let mut recorder = FlightRecorder::new(capacity);
+            let mut recorder = FlightRecorder::try_new(capacity).ok_or(StateError::Invalid {
+                what: "flight recorder capacity",
+                word: capacity as u64,
+            })?;
             recorder.load_state(&mut reader)?;
             engine.set_recorder(Box::new(recorder));
             let len = reader.take_usize()?;

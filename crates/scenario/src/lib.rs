@@ -14,7 +14,7 @@
 //! A [`ScenarioSpec`] has five parts:
 //!
 //! 1. **Identity** — `name`, demand RNG `seed`, and `horizon` (ticks to
-//!    simulate). The same spec + substrate + parallelism always produces
+//!    simulate). The same spec + substrate always produces
 //!    bit-identical metrics.
 //! 2. **Topology** ([`TopologySpec`]) — which network family to build:
 //!    the paper's uniform grid, an arterial corridor, a ring road, or an
@@ -94,7 +94,7 @@
 //! queue *state* rather than a fixed turn matrix — the regime of
 //! back-pressure control with unknown routing rates (arXiv:1401.3357) —
 //! and because the decisions read only deterministic sensor state,
-//! Serial/Rayon/repeat runs stay bit-identical under every policy.
+//! repeat runs stay bit-identical under every policy.
 //!
 //! ## Running scenarios
 //!

@@ -3,12 +3,12 @@
 //! The contract under test: a run interrupted at an arbitrary tick and
 //! resumed from a checkpoint finishes **bit-identically** to the
 //! uninterrupted run — same `ScenarioOutcome`, byte-equal telemetry
-//! JSONL — across scenarios, both substrates, and both execution modes;
+//! JSONL — across scenarios and both substrates;
 //! snapshot→restore→snapshot is a byte-level fixed point; corrupted
 //! containers surface typed errors, never panics; and a fork is a fully
 //! independent timeline.
 
-use utilbp_core::{Parallelism, SignalController, Ticks, UtilBp};
+use utilbp_core::{SignalController, Ticks, UtilBp};
 use utilbp_scenario::{
     builtin, Backend, CheckpointPolicy, EngineConfig, RestoreError, ScenarioEngine,
 };
@@ -89,36 +89,16 @@ fn assert_bit_identical(name: &str, config: EngineConfig, horizon: u64, cut: u64
 }
 
 #[test]
-fn resume_is_bit_identical_queueing_serial() {
+fn resume_is_bit_identical_queueing() {
     for &(name, horizon, cut) in MATRIX {
         assert_bit_identical(name, EngineConfig::new(Backend::Queueing), horizon, cut);
     }
 }
 
 #[test]
-fn resume_is_bit_identical_queueing_rayon() {
-    let mut config = EngineConfig::new(Backend::Queueing);
-    config.parallelism = Parallelism::Rayon;
-    config.micro.parallelism = Parallelism::Rayon;
-    for &(name, horizon, cut) in MATRIX {
-        assert_bit_identical(name, config, horizon, cut);
-    }
-}
-
-#[test]
-fn resume_is_bit_identical_microscopic_serial() {
+fn resume_is_bit_identical_microscopic() {
     for &(name, horizon, cut) in MATRIX {
         assert_bit_identical(name, EngineConfig::new(Backend::Microscopic), horizon, cut);
-    }
-}
-
-#[test]
-fn resume_is_bit_identical_microscopic_rayon() {
-    let mut config = EngineConfig::new(Backend::Microscopic);
-    config.parallelism = Parallelism::Rayon;
-    config.micro.parallelism = Parallelism::Rayon;
-    for &(name, horizon, cut) in MATRIX {
-        assert_bit_identical(name, config, horizon, cut);
     }
 }
 
@@ -147,32 +127,6 @@ fn snapshot_restore_snapshot_is_a_fixed_point() {
             "{backend:?}: save→load→save must be byte-stable"
         );
     }
-}
-
-#[test]
-fn cross_mode_restore_is_bit_identical() {
-    // Serial and Rayon execution are bit-identical by the substrate
-    // contract, so a checkpoint captured under Serial resumes exactly
-    // under Rayon (and the golden can be computed in either mode).
-    let serial = EngineConfig::new(Backend::Queueing);
-    let mut rayon = serial;
-    rayon.parallelism = Parallelism::Rayon;
-    rayon.micro.parallelism = Parallelism::Rayon;
-
-    let (gold, gold_jsonl) = golden("grid-incident-replan", serial, 460);
-
-    let bytes = {
-        let mut engine = engine_for("grid-incident-replan", serial, 460);
-        for _ in 0..260 {
-            engine.step();
-        }
-        engine.checkpoint()
-    };
-    let mut resumed =
-        ScenarioEngine::restore(&bytes, rayon, &controller).expect("cross-mode restore");
-    resumed.run_to_end();
-    assert_eq!(resumed.outcome(), gold.outcome());
-    assert_eq!(resumed.events_jsonl(), gold_jsonl);
 }
 
 #[test]
@@ -290,12 +244,15 @@ fn bad_magic_is_rejected() {
 fn version_skew_is_rejected() {
     let (mut bytes, config) = sample_checkpoint();
     // The format version is the little-endian u32 right after the magic.
-    bytes[8] = 0x7F;
-    match ScenarioEngine::restore(&bytes, config, &controller).err() {
-        Some(RestoreError::Snapshot(SnapshotError::UnsupportedVersion { found })) => {
-            assert_eq!(found, 0x7F);
+    // Version 2 captures still carried the execution-mode META word.
+    for version in [2u8, 0x7F] {
+        bytes[8] = version;
+        match ScenarioEngine::restore(&bytes, config, &controller).err() {
+            Some(RestoreError::Snapshot(SnapshotError::UnsupportedVersion { found })) => {
+                assert_eq!(found, u32::from(version));
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 

@@ -6,11 +6,13 @@
 //! are no-ops, so — like the scenario text format and the telemetry
 //! JSONL — the format is hand-rolled and fully specified here.
 //!
-//! ## Wire format (version 2)
+//! ## Wire format (version 3)
 //!
-//! Version 2 keeps version 1's framing; it marks the sparse waiting
-//! ledger (slab length, live count, then `(slot, entry tick)` for live
-//! vehicles only), so version-1 captures fail as `UnsupportedVersion`.
+//! Versions 2 and 3 keep version 1's framing. Version 2 marks the sparse
+//! waiting ledger (slab length, live count, then `(slot, entry tick)`
+//! for live vehicles only). Version 3 marks the scenario engine's META
+//! section without its former execution-mode word. Captures of an older
+//! version fail as `UnsupportedVersion` instead of being misread.
 //!
 //! ```text
 //! header   := magic "UBPSNAP\0" (8 bytes) · version u32 LE · section_count u32 LE
@@ -94,10 +96,11 @@ use utilbp_core::state::{StateError, StateReader, StateWriter};
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 
-/// The current wire-format version. Version 2 changed no framing: it
-/// marks the waiting ledger's sparse word layout, so a version-1 capture
+/// The current wire-format version. Versions 2 and 3 changed no framing:
+/// version 2 marks the waiting ledger's sparse word layout, version 3 the
+/// engine metadata without its execution-mode word, so an older capture
 /// is rejected instead of misread.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
 /// `0xEDB88320`) tables at compile time. `table[0]` is the classic
@@ -539,11 +542,13 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            SnapshotReader::parse(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 99 }
-        );
+        for found in [2u32, 99] {
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                SnapshotReader::parse(&bytes).unwrap_err(),
+                SnapshotError::UnsupportedVersion { found }
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!
 //! - **Determinism.** The same topology, controllers, configuration, and
 //!   arrival stream produce bit-identical step reports, ledgers, and
-//!   metrics — across repeated runs *and* across execution modes
-//!   (`Parallelism::Serial` vs `Parallelism::Rayon`): sharded phases use
-//!   per-road RNG streams and touch no cross-shard state.
+//!   metrics across repeated runs: every phase runs serially, and
+//!   car-following noise comes from per-road RNG streams.
 //! - **Closure semantics.** [`set_road_closed`](TrafficSubstrate::set_road_closed)
 //!   closes a road *to entering traffic*: junctions stop serving vehicles
 //!   onto it and boundary insertions onto it stay backlogged, while
@@ -74,7 +73,7 @@
 //! substrate binds a vehicle's current lane (and a crossing vehicle's
 //! destination lane) to that movement. Replanning happens in the serial
 //! event/monitor phase and draws no randomness; decisions read only
-//! deterministic sensor state, so Serial/Rayon bit-identity is preserved
+//! deterministic sensor state, so repeat-run bit-identity is preserved
 //! under every policy. With [`ReplanPolicy::Off`] (the default) no route
 //! is ever rewritten and all fixed-seed results are unchanged.
 //!
@@ -402,8 +401,7 @@ pub trait TrafficSubstrate {
     /// with [`load_state`](Self::load_state) this is the plant half of
     /// the checkpoint/restore contract: a substrate restored into a
     /// freshly built twin (same topology, configuration, controllers)
-    /// continues **bit-identically** to the original, under either
-    /// `Parallelism` mode.
+    /// continues **bit-identically** to the original.
     fn save_state(&self, writer: &mut StateWriter);
 
     /// Restores the dynamic state written by
@@ -1042,11 +1040,11 @@ impl<S: TrafficSubstrate> TrafficSubstrate for InvariantGuard<S> {
 /// intersection.
 ///
 /// `micro` supplies the full microscopic configuration; the queueing
-/// substrate derives its `Δt`, free-flow speed, and execution mode from
-/// it (on the paper-exact instant-transfer model), so both backends
-/// simulate the same physical setup under the same `Parallelism`. This is
-/// the one construction path every driver shares — the scenario engine,
-/// the experiments runner, and the perf harness all build through here.
+/// substrate derives its `Δt` and free-flow speed from it (on the
+/// paper-exact instant-transfer model), so both backends simulate the
+/// same physical setup. This is the one construction path every driver
+/// shares — the scenario engine, the experiments runner, and the perf
+/// harness all build through here.
 ///
 /// # Panics
 ///
@@ -1066,7 +1064,6 @@ pub fn build_substrate(
             QueueSimConfig {
                 dt_seconds: micro.dt_seconds,
                 free_speed_mps: micro.free_speed_mps,
-                parallelism: micro.parallelism,
                 ..QueueSimConfig::paper_exact()
             },
         )),

@@ -430,12 +430,21 @@ impl FlightRecorder {
     /// Panics if `capacity` is 0.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder capacity must be at least 1");
-        FlightRecorder {
-            buffer: std::collections::VecDeque::with_capacity(capacity),
+        Self::try_new(capacity).expect("flight recorder ring fits in memory")
+    }
+
+    /// [`new`](Self::new) for a capacity read from untrusted input, such
+    /// as a checkpoint: `None` when `capacity` is 0 or its ring cannot be
+    /// allocated, instead of a panic or an abort.
+    pub fn try_new(capacity: usize) -> Option<Self> {
+        let mut buffer = std::collections::VecDeque::new();
+        buffer.try_reserve_exact(capacity).ok()?;
+        (capacity > 0).then_some(FlightRecorder {
+            buffer,
             capacity,
             recorded: 0,
             dropped: 0,
-        }
+        })
     }
 
     /// The retained events, oldest first.
@@ -622,5 +631,12 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         let _ = FlightRecorder::new(0);
+    }
+
+    #[test]
+    fn unallocatable_capacity_is_refused_not_an_abort() {
+        assert!(FlightRecorder::try_new(0).is_none());
+        assert!(FlightRecorder::try_new(usize::MAX / 2).is_none());
+        assert_eq!(FlightRecorder::try_new(8).map(|r| r.capacity()), Some(8));
     }
 }

@@ -41,9 +41,9 @@
 //! back into the run, so:
 //!
 //! - with recording **on**, scenario outcomes are bit-identical to
-//!   recording-off runs, across `Parallelism::{Serial, Rayon}` and
-//!   across repeats — and the event stream itself is byte-deterministic
-//!   (same scenario ⇒ byte-identical [`FlightRecorder::to_jsonl`]);
+//!   recording-off runs, across repeats — and the event stream itself
+//!   is byte-deterministic (same scenario ⇒ byte-identical
+//!   [`FlightRecorder::to_jsonl`]);
 //! - with recording **off** ([`NullRecorder`], the default), the hot
 //!   path performs no event construction and no allocation — the
 //!   workspace's counting-allocator test bounds the scenario engine's

@@ -43,8 +43,8 @@
 //! lives in the `utilbp-substrate` crate docs):
 //!
 //! - **Determinism** — identical inputs give bit-identical metrics,
-//!   across repeats and across `Parallelism::{Serial, Rayon}` (sharded
-//!   phases use per-road RNG streams and no cross-shard state).
+//!   across repeats (every phase runs serially, and car-following noise
+//!   comes from per-road RNG streams).
 //! - **Closure semantics** — `set_road_closed` stops traffic from
 //!   *entering* a road while on-road traffic drains; reopening restores
 //!   admission. Exit roads never close (validated at the scenario layer).
@@ -67,8 +67,8 @@
 //! [`scenario::ReplanPolicy`] governs how vehicles already en route react
 //! to the live network, executed by the scenario engine through the
 //! substrate hooks above (all passes are serial, draw no randomness, and
-//! read only deterministic sensor state — so Serial/Rayon/repeat runs
-//! stay bit-identical under every policy):
+//! read only deterministic sensor state — so repeat runs stay
+//! bit-identical under every policy):
 //!
 //! - **Closure diversion** (`AtNextJunction`): when a road closes
 //!   mid-run, [`netgen::Replanner`] rewrites the uncommitted suffix of
@@ -132,9 +132,8 @@
 //! scenario seed by fault domain, and every mode's draw is gated on its
 //! probability, so enabling one mode never perturbs another's stream —
 //! fixed-seed goldens hold with faults off, and runs with faults on are
-//! bit-identical across Serial/Rayon and across repeats. Mid-run
-//! toggling is exposed through shared [`baselines::FaultSwitch`]
-//! handles. The `chaos` binary (and `tests/chaos.rs`) sweeps seeded
+//! bit-identical across repeats. Mid-run toggling is exposed through
+//! shared [`baselines::FaultSwitch`] handles. The `chaos` binary (and `tests/chaos.rs`) sweeps seeded
 //! fault timelines — sensor, actuator, comms, closure/reopen
 //! interleavings — over both backends under the guard, asserting zero
 //! panics, exact conservation, bit-identical outcomes, and bounded
@@ -152,10 +151,10 @@
 //!   activations/recoveries, replans (closure / reopen / congestion),
 //!   invariant-guard violations — captured into a bounded ring buffer
 //!   (oldest dropped first) and exported as JSONL with a fixed key
-//!   order, so fixed-seed streams are byte-identical across
-//!   Serial/Rayon and across repeats. [`telemetry::NullRecorder`] is
-//!   the default: `enabled()` is false and every emission site is
-//!   gated on one cached bool, so the off path allocates nothing.
+//!   order, so fixed-seed streams are byte-identical across repeats.
+//!   [`telemetry::NullRecorder`] is the default: `enabled()` is false
+//!   and every emission site is gated on one cached bool, so the off
+//!   path allocates nothing.
 //! - **Gauges** ([`telemetry::GaugeRegistry`]): backlog depth,
 //!   congested-set size, per-intersection queue totals and max
 //!   movement pressure, per-road occupancy — sampled on a fixed tick
@@ -184,8 +183,7 @@
 //! running scenario can be captured to bytes at any tick and later
 //! restored into an engine that continues **bit-identically** — same
 //! [`scenario::ScenarioOutcome`], byte-equal telemetry JSONL — on either
-//! substrate and under either execution mode (a checkpoint captured
-//! under `Serial` resumes exactly under `Rayon`, and vice versa).
+//! substrate.
 //!
 //! - **Container** ([`snapshot`]): a little-endian binary format with a
 //!   magic/version header and tagged sections, each carrying its length

@@ -11,13 +11,13 @@ use adaptive_backpressure::scenario::{
 
 #[test]
 fn chaos_harness_passes_twenty_timelines_per_backend() {
-    // Each timeline runs four times per backend, always with the
-    // invariant guard installed: a conservation, sensor-consistency, or
-    // closed-road violation panics with a tick-stamped diagnostic, and
-    // a Serial/Rayon or repeat-run divergence fails the run. `Ok` here
-    // IS the property bundle: zero panics, exact conservation every
-    // tick, bit-identical outcomes under active faults, and bounded
-    // degradation.
+    // Each timeline runs three times per backend plus a recovery round,
+    // always with the invariant guard installed: a conservation,
+    // sensor-consistency, or closed-road violation panics with a
+    // tick-stamped diagnostic, and a repeat-run or recovered-run
+    // divergence fails the run. `Ok` here IS the property bundle: zero
+    // panics, exact conservation every tick, bit-identical outcomes
+    // under active faults, and bounded degradation.
     let config = ChaosConfig::default();
     assert!(config.timelines >= 20, "the acceptance floor");
     assert_eq!(config.backends.len(), 2, "both substrates");

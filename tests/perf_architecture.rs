@@ -1,12 +1,11 @@
-//! Integration tests of the performance architecture: shard-parallel
-//! stepping must be bit-identical to serial stepping, the incrementally
-//! maintained sensor counters must never diverge from a from-scratch
-//! rescan, and the SoA vehicle-arena hot loop must reproduce the legacy
+//! Integration tests of the performance architecture: twin runs must be
+//! bit-identical step for step, the incrementally maintained sensor
+//! counters must never diverge from a from-scratch rescan, and the SoA vehicle-arena hot loop must reproduce the legacy
 //! array-of-structs implementation bit for bit (golden oracle below).
 //! The steady-state allocation bound lives in `tests/perf_alloc.rs`,
 //! which needs a process-exclusive counting allocator.
 
-use adaptive_backpressure::core::{Parallelism, SignalController, Tick, Ticks, UtilBp};
+use adaptive_backpressure::core::{SignalController, Tick, Ticks, UtilBp};
 use adaptive_backpressure::microsim::{MicroSim, MicroSimConfig};
 use adaptive_backpressure::netgen::{
     Arrival, DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Network, Pattern,
@@ -32,97 +31,81 @@ fn demand(grid: &GridNetwork, horizon: u64) -> DemandGenerator {
     )
 }
 
-/// Drives two identically seeded demand streams, one per execution mode.
+/// Drives two identically seeded demand streams, one per twin run.
 fn tick_arrivals(gen: &mut DemandGenerator, grid: &GridNetwork, k: u64) -> Vec<Arrival> {
     gen.poll(grid, Tick::new(k))
 }
 
 #[test]
-fn microsim_serial_and_rayon_are_step_identical() {
+fn microsim_twin_runs_are_step_identical() {
     const HORIZON: u64 = 500;
     let g = grid();
     let n = g.topology().num_intersections();
-    let mut serial = MicroSim::new(
-        g.topology().clone(),
-        controllers(n),
-        MicroSimConfig {
-            parallelism: Parallelism::Serial,
-            ..MicroSimConfig::default()
-        },
-    );
-    let mut parallel = MicroSim::new(
-        g.topology().clone(),
-        controllers(n),
-        MicroSimConfig {
-            parallelism: Parallelism::Rayon,
-            ..MicroSimConfig::default()
-        },
-    );
+    let build = || {
+        MicroSim::new(
+            g.topology().clone(),
+            controllers(n),
+            MicroSimConfig::default(),
+        )
+    };
+    let (mut first, mut twin) = (build(), build());
     let mut demand_a = demand(&g, HORIZON);
     let mut demand_b = demand(&g, HORIZON);
 
     for k in 0..HORIZON {
-        let a = serial.step(tick_arrivals(&mut demand_a, &g, k));
-        let b = parallel.step(tick_arrivals(&mut demand_b, &g, k));
+        let a = first.step(tick_arrivals(&mut demand_a, &g, k));
+        let b = twin.step(tick_arrivals(&mut demand_b, &g, k));
         assert_eq!(a, b, "step reports diverged at tick {k}");
     }
-    assert!(serial.total_crossings() > 0, "traffic must actually flow");
-    assert_eq!(serial.total_crossings(), parallel.total_crossings());
-    assert_eq!(serial.vehicles_in_network(), parallel.vehicles_in_network());
-    assert_eq!(serial.backlog_len(), parallel.backlog_len());
-    assert_eq!(serial.fleet_digest(), parallel.fleet_digest());
+    assert!(first.total_crossings() > 0, "traffic must actually flow");
+    assert_eq!(first.total_crossings(), twin.total_crossings());
+    assert_eq!(first.vehicles_in_network(), twin.vehicles_in_network());
+    assert_eq!(first.backlog_len(), twin.backlog_len());
+    assert_eq!(first.fleet_digest(), twin.fleet_digest());
     // Final ledgers agree on every aggregate.
-    let (ls, lp) = (serial.ledger(), parallel.ledger());
-    assert_eq!(ls.completed(), lp.completed());
-    assert_eq!(ls.active(), lp.active());
-    assert_eq!(ls.waiting_stats().mean(), lp.waiting_stats().mean());
-    assert_eq!(ls.journey_stats().mean(), lp.journey_stats().mean());
+    let (la, lb) = (first.ledger(), twin.ledger());
+    assert_eq!(la.completed(), lb.completed());
+    assert_eq!(la.active(), lb.active());
+    assert_eq!(la.waiting_stats().mean(), lb.waiting_stats().mean());
+    assert_eq!(la.journey_stats().mean(), lb.journey_stats().mean());
     assert_eq!(
-        serial.mean_waiting_including_active(),
-        parallel.mean_waiting_including_active()
+        first.mean_waiting_including_active(),
+        twin.mean_waiting_including_active()
     );
 }
 
 #[test]
-fn queueing_serial_and_rayon_are_step_identical() {
+fn queueing_twin_runs_are_step_identical() {
     const HORIZON: u64 = 500;
     let g = grid();
     let n = g.topology().num_intersections();
-    let mut serial = QueueSim::new(
-        g.topology().clone(),
-        controllers(n),
-        QueueSimConfig {
-            parallelism: Parallelism::Serial,
-            ..QueueSimConfig::default()
-        },
-    );
-    let mut parallel = QueueSim::new(
-        g.topology().clone(),
-        controllers(n),
-        QueueSimConfig {
-            parallelism: Parallelism::Rayon,
-            ..QueueSimConfig::default()
-        },
-    );
+    let build = || {
+        QueueSim::new(
+            g.topology().clone(),
+            controllers(n),
+            QueueSimConfig::default(),
+        )
+    };
+    let (mut first, mut twin) = (build(), build());
     let mut demand_a = demand(&g, HORIZON);
     let mut demand_b = demand(&g, HORIZON);
 
     for k in 0..HORIZON {
-        let a = serial.step(tick_arrivals(&mut demand_a, &g, k));
-        let b = parallel.step(tick_arrivals(&mut demand_b, &g, k));
+        let a = first.step(tick_arrivals(&mut demand_a, &g, k));
+        let b = twin.step(tick_arrivals(&mut demand_b, &g, k));
         assert_eq!(a, b, "step reports diverged at tick {k}");
     }
-    assert!(serial.total_served() > 0, "traffic must actually flow");
-    assert_eq!(serial.total_served(), parallel.total_served());
-    assert_eq!(serial.backlog_len(), parallel.backlog_len());
-    let (ls, lp) = (serial.ledger(), parallel.ledger());
-    assert_eq!(ls.completed(), lp.completed());
-    assert_eq!(ls.active(), lp.active());
-    assert_eq!(ls.waiting_stats().mean(), lp.waiting_stats().mean());
-    assert_eq!(ls.journey_stats().mean(), lp.journey_stats().mean());
+    assert!(first.total_served() > 0, "traffic must actually flow");
+    assert_eq!(first.total_served(), twin.total_served());
+    assert_eq!(first.backlog_len(), twin.backlog_len());
+    let (la, lb) = (first.ledger(), twin.ledger());
+    assert_eq!(la.completed(), lb.completed());
+    assert_eq!(la.active(), lb.active());
+    assert_eq!(la.waiting_stats().mean(), lb.waiting_stats().mean());
+    assert_eq!(la.journey_stats().mean(), lb.journey_stats().mean());
     assert_eq!(
-        serial.mean_waiting_including_active(),
-        parallel.mean_waiting_including_active()
+        first.mean_waiting_including_active(),
+        twin.mean_waiting_including_active()
     );
 }
 
@@ -204,7 +187,7 @@ fn step_into_reuses_buffers_and_matches_step() {
 /// Legacy-semantics oracle: these constants were produced by the
 /// pre-arena implementation (`VecDeque<Vehicle>` per lane, ledger-side
 /// waiting accumulation) on the identical seeded run — 5×5 grid,
-/// UTIL-BP, Pattern I demand (seed 77), microsim seed 0, serial. The SoA
+/// UTIL-BP, Pattern I demand (seed 77), microsim seed 0. The SoA
 /// arena, per-vehicle wait accumulators, and query-time ledger fold must
 /// reproduce every number bit for bit, including the f64 position/speed
 /// sums (same operations in the same order).
@@ -254,10 +237,7 @@ fn arena_matches_legacy_oracle_on_seeded_5x5_run() {
     let mut sim = MicroSim::new(
         g.topology().clone(),
         controllers(n),
-        MicroSimConfig {
-            parallelism: Parallelism::Serial,
-            ..MicroSimConfig::default()
-        },
+        MicroSimConfig::default(),
     );
     let mut gen = DemandGenerator::new(
         &g,
@@ -299,9 +279,9 @@ fn arena_matches_legacy_oracle_on_seeded_5x5_run() {
 }
 
 /// One full disruption scenario (mid-run closure + reopen + demand surge)
-/// driven over the arena layout, per execution mode; returns every
-/// aggregate worth comparing.
-fn disruption_run(parallelism: Parallelism) -> (u64, u64, usize, (usize, usize, f64, f64), f64) {
+/// driven over the arena layout; returns every aggregate worth
+/// comparing.
+fn disruption_run() -> (u64, u64, usize, (usize, usize, f64, f64), f64) {
     const HORIZON: u64 = 400;
     let g = grid();
     let net = Network::from_grid(&g, Pattern::I);
@@ -309,10 +289,7 @@ fn disruption_run(parallelism: Parallelism) -> (u64, u64, usize, (usize, usize, 
     let mut sim = MicroSim::new(
         g.topology().clone(),
         controllers(n),
-        MicroSimConfig {
-            parallelism,
-            ..MicroSimConfig::default()
-        },
+        MicroSimConfig::default(),
     );
     let mut demand = NetworkDemand::new(&net, RateSchedule::flat(), 1.0, 21);
     let closed = net
@@ -356,10 +333,8 @@ fn disruption_run(parallelism: Parallelism) -> (u64, u64, usize, (usize, usize, 
 
 #[test]
 fn arena_is_deterministic_across_modes_under_disruption_events() {
-    let serial = disruption_run(Parallelism::Serial);
-    let rayon = disruption_run(Parallelism::Rayon);
-    let repeat = disruption_run(Parallelism::Serial);
-    assert_eq!(serial, rayon, "serial vs rayon diverged under events");
-    assert_eq!(serial, repeat, "repeated runs diverged under events");
-    assert!(serial.0 > 0, "traffic must actually flow");
+    let first = disruption_run();
+    let repeat = disruption_run();
+    assert_eq!(first, repeat, "repeated runs diverged under events");
+    assert!(first.0 > 0, "traffic must actually flow");
 }

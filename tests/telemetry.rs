@@ -1,11 +1,10 @@
 //! The observability-plane acceptance gates: recording is strictly
 //! passive (instrumented outcomes are bit-identical to uninstrumented
 //! ones), the event stream itself is byte-deterministic across
-//! Serial/Rayon and across repeats, watchdog telemetry surfaces
-//! per-intersection, and the observe-mode guard stays silent on a
-//! healthy plant.
+//! repeats, watchdog telemetry surfaces per-intersection, and the
+//! observe-mode guard stays silent on a healthy plant.
 
-use adaptive_backpressure::core::{Parallelism, SignalController, Ticks, UtilBp};
+use adaptive_backpressure::core::{SignalController, Ticks, UtilBp};
 use adaptive_backpressure::scenario::{
     builtin, run_scenario, Backend, EngineConfig, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
 };
@@ -36,15 +35,8 @@ fn acceptance_specs() -> Vec<ScenarioSpec> {
 /// Runs `spec` with the full observability plane on — flight recorder,
 /// gauges, profiler, observe-mode guard — and returns the outcome plus
 /// the JSONL event stream.
-fn run_recorded(
-    spec: &ScenarioSpec,
-    backend: Backend,
-    parallelism: Parallelism,
-) -> (ScenarioOutcome, String) {
-    let config = EngineConfig {
-        parallelism,
-        ..EngineConfig::new(backend).observed()
-    };
+fn run_recorded(spec: &ScenarioSpec, backend: Backend) -> (ScenarioOutcome, String) {
+    let config = EngineConfig::new(backend).observed();
     let mut engine =
         ScenarioEngine::new(spec.clone(), config, &util_factory()).expect("spec validates");
     engine.enable_recording(1 << 16);
@@ -55,12 +47,8 @@ fn run_recorded(
 }
 
 /// Runs `spec` with no instrumentation at all (no recorder, no guard).
-fn run_plain(spec: &ScenarioSpec, backend: Backend, parallelism: Parallelism) -> ScenarioOutcome {
-    let config = EngineConfig {
-        parallelism,
-        ..EngineConfig::new(backend)
-    };
-    run_scenario(spec.clone(), config, &util_factory()).expect("spec validates")
+fn run_plain(spec: &ScenarioSpec, backend: Backend) -> ScenarioOutcome {
+    run_scenario(spec.clone(), EngineConfig::new(backend), &util_factory()).expect("spec validates")
 }
 
 #[test]
@@ -68,28 +56,24 @@ fn recording_is_passive_and_the_event_stream_is_byte_deterministic() {
     // The tentpole contract, on all three acceptance builtins: with the
     // whole plane enabled (recorder + gauges + profiler + observe-mode
     // guard) every outcome field is bit-identical to the uninstrumented
-    // run, and the JSONL stream itself is byte-identical across
-    // Serial/Rayon and across repeats.
+    // run, and the JSONL stream itself is byte-identical across repeats.
     for spec in &acceptance_specs() {
-        let plain = run_plain(spec, Backend::Queueing, Parallelism::Serial);
-        let (serial_a, jsonl_a) = run_recorded(spec, Backend::Queueing, Parallelism::Serial);
-        let (serial_b, jsonl_b) = run_recorded(spec, Backend::Queueing, Parallelism::Serial);
-        let (rayon, jsonl_r) = run_recorded(spec, Backend::Queueing, Parallelism::Rayon);
-        assert_eq!(plain, serial_a, "{}: recording must be passive", spec.name);
-        assert_eq!(serial_a, serial_b, "{}: repeat outcome", spec.name);
-        assert_eq!(serial_a, rayon, "{}: serial vs rayon outcome", spec.name);
+        let plain = run_plain(spec, Backend::Queueing);
+        let (first, jsonl_a) = run_recorded(spec, Backend::Queueing);
+        let (repeat, jsonl_b) = run_recorded(spec, Backend::Queueing);
+        assert_eq!(plain, first, "{}: recording must be passive", spec.name);
+        assert_eq!(first, repeat, "{}: repeat outcome", spec.name);
         assert_eq!(jsonl_a, jsonl_b, "{}: repeat stream", spec.name);
-        assert_eq!(jsonl_a, jsonl_r, "{}: serial vs rayon stream", spec.name);
         assert!(!jsonl_a.is_empty(), "{}: events were recorded", spec.name);
     }
     // And once on the microscopic substrate, with the fault builtin.
     let spec = trimmed("grid-degraded-recovery", 400);
-    let plain = run_plain(&spec, Backend::Microscopic, Parallelism::Serial);
-    let (serial, jsonl_s) = run_recorded(&spec, Backend::Microscopic, Parallelism::Serial);
-    let (rayon, jsonl_r) = run_recorded(&spec, Backend::Microscopic, Parallelism::Rayon);
-    assert_eq!(plain, serial, "microsim: recording must be passive");
-    assert_eq!(serial, rayon, "microsim: serial vs rayon outcome");
-    assert_eq!(jsonl_s, jsonl_r, "microsim: serial vs rayon stream");
+    let plain = run_plain(&spec, Backend::Microscopic);
+    let (first, jsonl_a) = run_recorded(&spec, Backend::Microscopic);
+    let (repeat, jsonl_b) = run_recorded(&spec, Backend::Microscopic);
+    assert_eq!(plain, first, "microsim: recording must be passive");
+    assert_eq!(first, repeat, "microsim: repeat outcome");
+    assert_eq!(jsonl_a, jsonl_b, "microsim: repeat stream");
 }
 
 #[test]
@@ -147,7 +131,7 @@ fn observe_mode_guard_is_silent_on_a_healthy_plant() {
     // Observe mode reports violations as events instead of panicking —
     // and a healthy run under the full fault builtin produces none.
     for spec in &acceptance_specs() {
-        let (_, jsonl) = run_recorded(spec, Backend::Queueing, Parallelism::Serial);
+        let (_, jsonl) = run_recorded(spec, Backend::Queueing);
         assert!(
             !jsonl.contains("\"guard_violation\""),
             "{}: a healthy plant emits no guard violations",
