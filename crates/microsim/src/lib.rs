@@ -34,7 +34,7 @@
 //! ## Performance architecture
 //!
 //! The step path is built to run as fast as the hardware allows over
-//! large grids; six mechanisms carry it:
+//! large grids; seven mechanisms carry it:
 //!
 //! **Data-oriented vehicle layout.** Vehicle state is split by access
 //! pattern (see the `road` module source for the full layout). Per-tick
@@ -67,18 +67,33 @@
 //! consistency with the spans' live counters is checkable at runtime
 //! via [`MicroSim::verify_sensors`].
 //!
-//! **Incremental sensing.** Detector reads never rescan lanes. Each road
-//! keeps dense per-lane counters — vehicles inside the configured
-//! detection window, halted vehicles over the whole lane — plus their
-//! road-level sums, maintained from deltas the car-following advance
-//! returns and updated at the only other points where a vehicle's
+//! **Flat lane-indexed tables.** Every per-tick pass reads flat arrays
+//! built once at construction, not topology or layout objects: per
+//! (intersection, link) the dedicated incoming lane's global index, the
+//! incoming and outgoing roads and `µ·Δt`; per intersection its outgoing
+//! roads and phase link lists, all by offset; per global lane
+//! (`RoadSpan::lane0 + l`) the lane's link, detector counters, pending
+//! reservations and green-with-credit flag. Sensing is a gather over the
+//! link table, the signal refresh is one pass that updates each link's
+//! credit and writes its lane's green flag, and head release reads its
+//! link, out-road and verdict from the same tables. Checkpoints walk
+//! lanes in road order, so the wire format is the per-road one.
+//!
+//! **Incremental sensing.** Detector reads never rescan lanes. Every
+//! lane has dense counters — vehicles inside the configured detection
+//! window, halted vehicles over the whole lane — and each road their
+//! sums, maintained from deltas the car-following advance folds once per
+//! lane (checked: a counter leaving `u32` panics in release too, naming
+//! its road and lane) and updated at the only other points where a vehicle's
 //! position or speed can change (stop-line crossings, junction-box
 //! landings, boundary insertions). `movement_queue_len` and
 //! `road_sensor` are therefore O(1) reads of dense arrays — the sense
 //! phase never touches lane storage. The invariant (*counter ≡
 //! from-scratch rescan under the same sensor spec*) is checkable at
 //! runtime via [`MicroSim::verify_sensors`] and enforced tick-by-tick in
-//! the regression suite. The same idea gives `dest_lane_has_room` an
+//! the regression suite; [`MicroSim::load_state`] applies the same audit
+//! to a restored checkpoint and refuses one that fails it with a typed
+//! error, so a crafted snapshot cannot reach a step-time panic. The same idea gives `dest_lane_has_room` an
 //! O(1) per-lane pending-reservation counter and the head phase a
 //! per-lane green-with-credit flag precomputed in the signal-refresh
 //! pass. The `SharedMixed` lane discipline keeps per-(road, link)
@@ -117,7 +132,10 @@
 //! `--fidelity` flag on the operator binaries):
 //!
 //! - [`Fidelity::Exact`] (the default): sequential per-road dawdle
-//!   streams, per-lane advance, the mode every fixed-seed golden,
+//!   streams, each road's lanes advanced in order by a sweep that keeps
+//!   several roads in flight (each a dependent chain of followers, so
+//!   interleaving them overlaps the chains without changing a single
+//!   operation or draw), the mode every fixed-seed golden,
 //!   checkpoint, and cross-backend comparison in the workspace pins.
 //!   Its trajectories are part of the repository's bit-level history
 //!   and must never drift — which the occupancy-ordered sweep respects

@@ -1,5 +1,6 @@
 //! The data-oriented vehicle arena, the network-wide segmented SoA lane
-//! storage, and the per-lane car-following update.
+//! storage, and the car-following update: the head advance and the
+//! exact roads-in-flight follower sweep.
 //!
 //! ## Layout
 //!
@@ -52,13 +53,14 @@
 //! ## Incremental sensing
 //!
 //! Sensor counters (vehicles inside the detection window, halted
-//! vehicles) live as dense per-lane arrays on the *road* (see
-//! `RoadSim` in the simulator), not in the lane storage: the sense phase
-//! then reads short contiguous arrays instead of walking lane storage.
-//! The advance functions here return per-step counter deltas — computed
-//! at the *only* points where a vehicle's position or speed can change —
-//! which the road folds into its arrays and sums; crossings, landings,
-//! and insertions adjust them directly. The invariant (counter ≡ rescan
+//! vehicles) live in [`LaneSensors`], flat network-wide arrays indexed by
+//! global lane, not in the lane storage: the sense phase then gathers
+//! from one contiguous array instead of walking lane storage. The advance
+//! functions here compute per-step counter deltas — at the *only* points
+//! where a vehicle's position or speed can change — and fold them once
+//! per lane into those arrays and once per road into the road's sums,
+//! with checked arithmetic ([`fold_counter`]); crossings, landings, and
+//! insertions adjust them directly. The invariant (counter ≡ rescan
 //! under the same [`SensorSpec`], via [`NetworkLanes::rescan_sensors`])
 //! is enforced by `MicroSim::verify_sensors` and a dedicated regression
 //! test.
@@ -83,6 +85,7 @@ use utilbp_netgen::{IntersectionId, RoadId, Route};
 use crate::config::MicroSimConfig;
 use crate::counter_rng;
 use crate::krauss::{next_speed, LeaderInfo};
+use crate::sim::RoadSim;
 
 /// Lane-cached movement link of vehicles on boundary exit roads (no
 /// downstream junction, hence no movement).
@@ -168,6 +171,16 @@ impl VehicleArena {
         self.route[i] = route;
     }
 
+    /// Which slots hold a live vehicle (`mask[slot]`), for validating
+    /// slot words read from a checkpoint before they index the slab.
+    pub fn live_mask(&self) -> Vec<bool> {
+        let mut mask = vec![true; self.id.len()];
+        for &slot in &self.free {
+            mask[slot as usize] = false;
+        }
+        mask
+    }
+
     /// Serializes the slab: the free list exactly (its LIFO order decides
     /// future slot assignment, hence determinism), live slots in full,
     /// and freed slots not at all — their stale ids and routes are
@@ -179,12 +192,8 @@ impl VehicleArena {
         for &slot in &self.free {
             writer.push_u32(slot);
         }
-        let mut is_free = vec![false; self.id.len()];
-        for &slot in &self.free {
-            is_free[slot as usize] = true;
-        }
-        for (i, &freed) in is_free.iter().enumerate() {
-            if freed {
+        for (i, live) in self.live_mask().into_iter().enumerate() {
+            if !live {
                 continue;
             }
             writer.push(self.id[i].raw());
@@ -281,7 +290,7 @@ pub(crate) struct LaneMeta {
     /// One past the last occupied index within the segment.
     fill: usize,
     /// Whether this lane's head crossed the stop line in the current
-    /// step's head phase — consumed by [`advance_followers`].
+    /// step's head phase — consumed by the follower phase.
     head_crossed: bool,
 }
 
@@ -403,6 +412,17 @@ impl NetworkLanes {
     #[inline]
     fn meta(&self, r: usize, l: usize) -> LaneMeta {
         self.lanes[self.spans[r].lane0 + l]
+    }
+
+    /// Global index of road `r`'s first lane: lane `l` of road `r` is
+    /// lane `lane0(r) + l` of every network-wide per-lane array.
+    pub fn lane0(&self, r: usize) -> usize {
+        self.spans[r].lane0
+    }
+
+    /// Total lanes across the network.
+    pub fn total_lanes(&self) -> usize {
+        self.lanes.len()
     }
 
     /// Number of lanes of road `r`.
@@ -549,30 +569,6 @@ impl NetworkLanes {
         self.tail_position(r, l, length) >= cfg.jam_spacing_m()
     }
 
-    /// Number of vehicles on lane `l` of road `r` within `range` meters
-    /// of the stop line — what a presence detector reports. O(n) rescan
-    /// for arbitrary ranges; the road's dense counters answer the
-    /// configured detector in O(1).
-    pub fn detected(&self, r: usize, l: usize, length: f64, range: f64) -> u32 {
-        self.live(r, l)
-            .iter()
-            .filter(|pv| pv[0] >= length - range)
-            .count() as u32
-    }
-
-    /// Number of *halted* vehicles (speed below `halt_speed`) on lane
-    /// `l` of road `r` within `range` meters of the stop line — what a
-    /// SUMO-style jam detector reports. O(n) rescan; the road's dense
-    /// counters answer whole-lane reads under the configured halt speed
-    /// in O(1).
-    #[allow(dead_code)] // kept for ad-hoc detector queries and tests
-    pub fn halted(&self, r: usize, l: usize, length: f64, range: f64, halt_speed: f64) -> u32 {
-        self.live(r, l)
-            .iter()
-            .filter(|pv| pv[0] >= length - range && pv[1] < halt_speed)
-            .count() as u32
-    }
-
     /// Recomputes lane `l` of road `r`'s sensor counters by rescanning
     /// (used when validating the incremental-sensing invariant kept in
     /// the road's dense counter arrays).
@@ -616,11 +612,14 @@ impl NetworkLanes {
     /// # Errors
     ///
     /// Returns a [`StateError`] on a truncated stream, a lane longer
-    /// than the stream could hold, or a link word out of `u16` range.
+    /// than the stream could hold, a link word out of `u16` range, or a
+    /// vehicle slot that is not live in the restored arena (`live` is
+    /// [`VehicleArena::live_mask`]).
     pub fn load_lane(
         &mut self,
         r: usize,
         l: usize,
+        live: &[bool],
         reader: &mut StateReader<'_>,
     ) -> Result<(), StateError> {
         let len = reader.take_len(5, "lane length")?;
@@ -636,6 +635,12 @@ impl NetworkLanes {
             let speed = reader.take_f64()?;
             let wait = reader.take_u32()?;
             let slot = reader.take_u32()?;
+            if !live.get(slot as usize).copied().unwrap_or(false) {
+                return Err(StateError::Invalid {
+                    what: "lane vehicle slot",
+                    word: u64::from(slot),
+                });
+            }
             let word = reader.take()?;
             let link = u16::try_from(word).map_err(|_| StateError::Invalid {
                 what: "lane link",
@@ -1010,7 +1015,7 @@ pub(crate) struct HeadOutcome {
 /// Advances only the head vehicle of lane `l` of road `r` by one step,
 /// popping it and returning it in the outcome if it crossed the stop
 /// line under [`HeadMode::Release`]. Records the crossing on the lane so
-/// the follower phase ([`advance_followers`]) can run later without
+/// the follower phase ([`sweep_followers`]) can run later without
 /// re-deriving it.
 ///
 /// If the head stays on the lane at waiting speed, its wait accumulator
@@ -1070,9 +1075,7 @@ pub(crate) fn advance_head(
             halted_delta: -was_halted,
         };
     }
-    if new_speed < cfg.waiting_speed_mps {
-        net.wait[j] += 1;
-    }
+    net.wait[j] += u32::from(new_speed < cfg.waiting_speed_mps);
     HeadOutcome {
         crossed: None,
         detected_delta: (new_pos >= spec.detect_from) as i32 - was_detected,
@@ -1080,126 +1083,395 @@ pub(crate) fn advance_head(
     }
 }
 
-/// Advances every remaining vehicle of lane `l` of the road described by
-/// `span` (sequential front-to-back Krauss update with an anti-overlap
-/// clamp), streaming over the lane's contiguous position/speed/wait
-/// spans inside `view`. Must be called exactly once after
-/// [`advance_head`] each step for every lane of an *occupied* road
-/// (roads skipped by the active list carry no vehicles and no pending
-/// scratch that matters — see the module docs); independent across lanes
-/// and roads. Vehicles ending the step at waiting speed accumulate a
-/// waiting tick in place. Returns `(detected_delta, halted_delta)` for
-/// the caller's dense counter arrays.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_followers(
-    view: &mut LaneView<'_>,
-    span: &RoadSpan,
-    l: usize,
+/// Per-lane detector counters for every lane in the network, indexed by
+/// global lane (`RoadSpan::lane0 + l`, like the lane metadata): vehicles
+/// inside the detection window, and halted vehicles over the whole lane.
+/// Flat and network-wide, so the sense phase gathers from one array
+/// instead of chasing a per-road allocation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LaneSensors {
+    /// Vehicles inside the detection window, per lane.
+    pub detected: Vec<u32>,
+    /// Halted vehicles, per lane.
+    pub halted: Vec<u32>,
+}
+
+impl LaneSensors {
+    /// Zeroed counters for `lanes` lanes.
+    pub fn new(lanes: usize) -> Self {
+        LaneSensors {
+            detected: vec![0; lanes],
+            halted: vec![0; lanes],
+        }
+    }
+}
+
+/// Adds a signed delta to a sensor counter. A result outside `u32` means
+/// the counter invariant broke; that panics in every build profile
+/// instead of wrapping, naming the counter via `site`.
+#[inline]
+pub(crate) fn fold_counter(counter: &mut u32, delta: i64, site: impl FnOnce() -> String) {
+    match i32::try_from(delta)
+        .ok()
+        .and_then(|d| counter.checked_add_signed(d))
+    {
+        Some(value) => *counter = value,
+        None => panic!(
+            "sensor counter {} {delta:+} leaves u32 at {}",
+            *counter,
+            site()
+        ),
+    }
+}
+
+/// Roads the exact follower sweep advances side by side. A lane's
+/// followers form one dependent chain (each reads its leader's new state
+/// through two divisions), so a road-at-a-time sweep leaves the core
+/// waiting on the divider; interleaving independent roads overlaps their
+/// chains.
+const IN_FLIGHT: usize = 4;
+
+/// Marks an idle [`Flight`].
+const IDLE: usize = usize::MAX;
+
+/// The exact kernel's config scalars, hoisted once per sweep. `a_dt` and
+/// `sigma_a_dt` associate exactly as the expressions in [`next_speed`]
+/// (`speed + a·Δt` computes `a·Δt` first; `σ·a·Δt·ξ` associates left), so
+/// results are bit-identical.
+#[derive(Clone, Copy)]
+struct Krauss {
+    dt: f64,
+    veh_len: f64,
+    min_gap: f64,
+    waiting_speed: f64,
+    free_speed: f64,
+    a_dt: f64,
+    sigma_a_dt: f64,
+    tau: f64,
+    decel: f64,
+    /// Whether dawdling is on (`σ > 0`): draws happen iff it is.
+    dawdling: bool,
+}
+
+impl Krauss {
+    fn new(cfg: &MicroSimConfig) -> Self {
+        Krauss {
+            dt: cfg.dt_seconds,
+            veh_len: cfg.vehicle_length_m,
+            min_gap: cfg.min_gap_m,
+            waiting_speed: cfg.waiting_speed_mps,
+            free_speed: cfg.free_speed_mps,
+            a_dt: cfg.max_accel * cfg.dt_seconds,
+            sigma_a_dt: cfg.sigma * cfg.max_accel * cfg.dt_seconds,
+            tau: cfg.reaction_time_s,
+            decel: cfg.max_decel,
+            dawdling: cfg.sigma > 0.0,
+        }
+    }
+}
+
+/// One road in flight in [`sweep_followers`]: the road's follower state,
+/// moved in for the road's turn (a copy of its dawdle stream, its
+/// movement counters), and a cursor over the open lane's followers.
+struct Flight {
+    /// The road, or [`IDLE`].
+    road: usize,
     length: f64,
-    cfg: &MicroSimConfig,
     spec: SensorSpec,
-    rng: &mut SmallRng,
-    mut movements: Option<&mut MovementCounters>,
-) -> (i64, i64) {
-    let li = span.lane0 + l;
-    let m = view.lanes[li];
-    let start = if m.head_crossed { 0 } else { 1 };
-    view.lanes[li].head_crossed = false;
-    if m.fill - m.head <= start {
-        return (0, 0);
-    }
-    let mut detected_delta = 0i64;
-    let mut halted_delta = 0i64;
-    // Leader state of vehicle `i` (updated before `i` moves, so each
-    // follower reacts to its leader's already-advanced state, as in the
-    // sequential front-to-back Krauss update). `INFINITY` position marks
-    // "no leader; the stop line is the obstacle" — the case right after
-    // the head crossed (its successor is re-evaluated for release next
-    // step).
-    let mut leader_pos = f64::INFINITY;
-    let mut leader_speed = 0.0;
+    rng: SmallRng,
+    moves: Option<MovementCounters>,
+    span: RoadSpan,
+    /// Next lane to open, and the open lane whose deltas are pending.
+    next: usize,
+    open: usize,
+    /// Element cursor and end over the open lane's followers.
+    i: usize,
+    end: usize,
+    leader_pos: f64,
+    leader_speed: f64,
+    /// Sensor deltas of the open lane, and of the road's folded lanes.
+    lane_detected: i64,
+    lane_halted: i64,
+    road_detected: i64,
+    road_halted: i64,
+}
 
-    let base = span.start + l * span.seg;
-    let n = m.fill - m.head;
-    let pv = &mut view.pv[base + m.head..base + m.fill];
-    let wait = &mut view.wait[base + m.head..base + m.fill];
-    let link = &view.link[base + m.head..base + m.fill];
-    if start == 1 {
-        [leader_pos, leader_speed] = pv[0];
-    }
-    // Hoisted config scalars. `a_dt` and `sigma_a_dt` associate exactly as
-    // the inline expressions they replace (`speed + a·Δt` computes `a·Δt`
-    // first; `σ·a·Δt·ξ` associates left), so results are bit-identical.
-    let dt = cfg.dt_seconds;
-    let veh_len = cfg.vehicle_length_m;
-    let min_gap = cfg.min_gap_m;
-    let waiting_speed = cfg.waiting_speed_mps;
-    let free_speed = cfg.free_speed_mps;
-    let a_dt = cfg.max_accel * cfg.dt_seconds;
-    let sigma_a_dt = cfg.sigma * cfg.max_accel * cfg.dt_seconds;
-    let dawdling = cfg.sigma > 0.0;
-    let tau = cfg.reaction_time_s;
-    let decel = cfg.max_decel;
-    let (detect_from, halt_speed) = (spec.detect_from, spec.halt_speed);
+/// What every flight shares: the arena's hot arrays, the road table and
+/// the counters lanes fold into.
+struct Sweep<'s, 'v> {
+    view: LaneView<'v>,
+    spans: &'s [RoadSpan],
+    roads: &'s mut [RoadSim],
+    sensors: &'s mut LaneSensors,
+    cfg: &'s MicroSimConfig,
+    k: Krauss,
+}
 
-    let mut i = start;
-    // At most one follower faces the stop line instead of a vehicle: the
-    // new head right after a crossing (`leader_pos` infinite). Peeling it
-    // keeps the main loop free of the leader-kind branch.
-    if !leader_pos.is_finite() && i < n {
-        let [old_pos, old_speed] = pv[i];
-        let xi = dawdle(cfg, rng);
-        let v = next_speed(
-            old_speed,
-            LeaderInfo::Wall {
-                distance_m: length - old_pos,
+impl Flight {
+    fn idle() -> Self {
+        Flight {
+            road: IDLE,
+            length: 0.0,
+            spec: SensorSpec {
+                detect_from: 0.0,
+                halt_speed: 0.0,
             },
-            xi,
-            cfg,
-        );
-        let p = old_pos + v * dt;
-        pv[i] = [p, v];
-        detected_delta += (p >= detect_from) as i64 - (old_pos >= detect_from) as i64;
-        halted_delta += (v < halt_speed) as i64 - (old_speed < halt_speed) as i64;
-        if let Some(mv) = movements.as_deref_mut() {
-            mv.moved(link[i] as usize, old_pos, p, spec);
+            rng: SmallRng::from_state([0; 4]),
+            moves: None,
+            span: RoadSpan {
+                start: 0,
+                lane0: 0,
+                num_lanes: 0,
+                seg: 0,
+                live: 0,
+            },
+            next: 0,
+            open: 0,
+            i: 0,
+            end: 0,
+            leader_pos: 0.0,
+            leader_speed: 0.0,
+            lane_detected: 0,
+            lane_halted: 0,
+            road_detected: 0,
+            road_halted: 0,
         }
-        if v < waiting_speed {
-            wait[i] += 1;
-        }
-        (leader_pos, leader_speed) = (p, v);
-        i += 1;
     }
-    // Tight vehicle-leader loop: the Krauss update inlined with the same
-    // operation order as `next_speed`/`safe_speed`.
-    for i in i..n {
-        let [old_pos, old_speed] = pv[i];
-        let xi = if dawdling { rng.gen::<f64>() } else { 0.0 };
-        let net_gap = leader_pos - old_pos - veh_len - min_gap;
+
+    /// Boards the next queued road with a follower to advance; goes idle
+    /// when the queue is empty. A road holding heads only is passed over
+    /// without loading it, and one whose only followers are peeled while
+    /// opening its lanes is landed at once.
+    fn board(&mut self, sweep: &mut Sweep<'_, '_>, queue: &mut impl Iterator<Item = usize>) {
+        for r in queue {
+            let span = sweep.spans[r];
+            let metas = &mut sweep.view.lanes[span.lane0..span.lane0 + span.num_lanes];
+            if !metas
+                .iter()
+                .any(|m| m.fill - m.head > usize::from(!m.head_crossed))
+            {
+                // Heads only: nothing to advance and no stream to touch,
+                // so the road is never loaded.
+                metas.iter_mut().for_each(|m| m.head_crossed = false);
+                continue;
+            }
+            let road = &mut sweep.roads[r];
+            self.road = r;
+            self.length = road.length;
+            self.spec = road.spec;
+            self.rng = road.rng.clone();
+            self.moves = road.move_counts.take();
+            self.span = span;
+            self.next = 0;
+            self.open = 0;
+            if self.open_next_lane(sweep) {
+                return;
+            }
+            self.land(sweep);
+        }
+        self.road = IDLE;
+    }
+
+    /// Writes the road's state back: its stream position, movement
+    /// counters and folded sensor sums.
+    fn land(&mut self, sweep: &mut Sweep<'_, '_>) {
+        let r = self.road;
+        let road = &mut sweep.roads[r];
+        road.rng = self.rng.clone();
+        road.move_counts = self.moves.take();
+        fold_counter(&mut road.detected_sum, self.road_detected, || {
+            format!("road {r} detected sum")
+        });
+        fold_counter(&mut road.halted_sum, self.road_halted, || {
+            format!("road {r} halted sum")
+        });
+        self.road_detected = 0;
+        self.road_halted = 0;
+    }
+
+    /// Folds the open lane's deltas, then opens the road's next lane
+    /// with a follower left to advance (after peeling a crossed head's
+    /// successor against the stop line). `false` once the road's lanes
+    /// are exhausted. Every lane of the road passes through here, so
+    /// every `head_crossed` flag is consumed.
+    fn open_next_lane(&mut self, sweep: &mut Sweep<'_, '_>) -> bool {
+        self.fold_lane(sweep.sensors);
+        while self.next < self.span.num_lanes {
+            let l = self.next;
+            self.next += 1;
+            let li = self.span.lane0 + l;
+            let m = sweep.view.lanes[li];
+            sweep.view.lanes[li].head_crossed = false;
+            let first = if m.head_crossed { 0 } else { 1 };
+            if m.fill - m.head <= first {
+                continue;
+            }
+            let base = self.span.start + l * self.span.seg;
+            self.open = l;
+            self.i = base + m.head + first;
+            self.end = base + m.fill;
+            if !m.head_crossed {
+                [self.leader_pos, self.leader_speed] = sweep.view.pv[base + m.head];
+                return true;
+            }
+            // The new head right after a crossing faces the stop line,
+            // not a vehicle; it is re-evaluated for release next step.
+            let i = self.i;
+            let [old_pos, old_speed] = sweep.view.pv[i];
+            let xi = if sweep.k.dawdling {
+                self.rng.gen::<f64>()
+            } else {
+                0.0
+            };
+            let wall = LeaderInfo::Wall {
+                distance_m: self.length - old_pos,
+            };
+            let v = next_speed(old_speed, wall, xi, sweep.cfg);
+            let p = old_pos + v * sweep.cfg.dt_seconds;
+            self.record(
+                &mut sweep.view,
+                i,
+                [old_pos, old_speed],
+                [p, v],
+                sweep.cfg.waiting_speed_mps,
+            );
+            if self.i < self.end {
+                return true;
+            }
+            self.fold_lane(sweep.sensors);
+        }
+        false
+    }
+
+    /// Folds the open lane's sensor deltas into its counters and the
+    /// road's running totals (unconditionally: a zero delta is a no-op,
+    /// and a data-dependent skip would be one more mispredicted branch).
+    fn fold_lane(&mut self, sensors: &mut LaneSensors) {
+        let g = self.span.lane0 + self.open;
+        let (r, l) = (self.road, self.open);
+        fold_counter(&mut sensors.detected[g], self.lane_detected, || {
+            format!("road {r} lane {l} detected")
+        });
+        fold_counter(&mut sensors.halted[g], self.lane_halted, || {
+            format!("road {r} lane {l} halted")
+        });
+        self.road_detected += self.lane_detected;
+        self.road_halted += self.lane_halted;
+        self.lane_detected = 0;
+        self.lane_halted = 0;
+    }
+
+    /// Advances the follower under the cursor behind its leader: the
+    /// Krauss update inlined with the same operations, in the same order,
+    /// as `next_speed`/`safe_speed`, plus the anti-overlap clamp.
+    #[inline(always)]
+    fn follow(&mut self, view: &mut LaneView<'_>, k: &Krauss) {
+        let i = self.i;
+        let [old_pos, old_speed] = view.pv[i];
+        let xi = if k.dawdling {
+            self.rng.gen::<f64>()
+        } else {
+            0.0
+        };
+        let (leader_pos, leader_speed) = (self.leader_pos, self.leader_speed);
+        let net_gap = leader_pos - old_pos - k.veh_len - k.min_gap;
         let v_bar = (old_speed + leader_speed) / 2.0;
-        let v_safe = leader_speed + (net_gap - leader_speed * tau) / (v_bar / decel + tau);
-        let v_des = free_speed.min(old_speed + a_dt).min(v_safe);
-        let mut v = (v_des - sigma_a_dt * xi).max(0.0);
-        let mut p = old_pos + v * dt;
+        let v_safe = leader_speed + (net_gap - leader_speed * k.tau) / (v_bar / k.decel + k.tau);
+        let v_des = k.free_speed.min(old_speed + k.a_dt).min(v_safe);
+        let mut v = (v_des - k.sigma_a_dt * xi).max(0.0);
+        let mut p = old_pos + v * k.dt;
         // Anti-overlap safety clamp (numerical guard; Krauss alone is
         // collision-free for consistent inputs).
-        let max_pos = leader_pos - veh_len - 0.05;
+        let max_pos = leader_pos - k.veh_len - 0.05;
         if p > max_pos {
             p = max_pos.max(old_pos);
-            v = ((p - old_pos) / dt).max(0.0);
+            v = ((p - old_pos) / k.dt).max(0.0);
         }
-        pv[i] = [p, v];
-        detected_delta += (p >= detect_from) as i64 - (old_pos >= detect_from) as i64;
-        halted_delta += (v < halt_speed) as i64 - (old_speed < halt_speed) as i64;
-        if let Some(mv) = movements.as_deref_mut() {
-            mv.moved(link[i] as usize, old_pos, p, spec);
-        }
-        if v < waiting_speed {
-            wait[i] += 1;
-        }
-        (leader_pos, leader_speed) = (p, v);
+        self.record(view, i, [old_pos, old_speed], [p, v], k.waiting_speed);
     }
-    (detected_delta, halted_delta)
+
+    /// Stores vehicle `i`'s new state, tallies its sensor and movement
+    /// deltas and waiting tick, and makes it the next follower's leader.
+    #[inline(always)]
+    fn record(
+        &mut self,
+        view: &mut LaneView<'_>,
+        i: usize,
+        [old_pos, old_speed]: [f64; 2],
+        [p, v]: [f64; 2],
+        waiting_speed: f64,
+    ) {
+        let spec = self.spec;
+        view.pv[i] = [p, v];
+        self.lane_detected += (p >= spec.detect_from) as i64 - (old_pos >= spec.detect_from) as i64;
+        self.lane_halted += (v < spec.halt_speed) as i64 - (old_speed < spec.halt_speed) as i64;
+        if let Some(mv) = self.moves.as_mut() {
+            mv.moved(view.link[i] as usize, old_pos, p, spec);
+        }
+        // Branch-free: a queue's stop-and-creep pattern mispredicts a
+        // branch here often enough to flush the other flights' work.
+        view.wait[i] += u32::from(v < waiting_speed);
+        self.leader_pos = p;
+        self.leader_speed = v;
+        self.i = i + 1;
+    }
+}
+
+/// The exact follower phase: advances every vehicle that the head phase
+/// left in place, on every active road, under exact fidelity.
+///
+/// Each lane is the sequential front-to-back Krauss update with an
+/// anti-overlap clamp; a follower reacts to its leader's already-advanced
+/// state, and the new head after a crossing faces the stop line. Up to
+/// [`IN_FLIGHT`] roads are advanced in lock step, one follower each per
+/// round. Roads share nothing in this phase (each has its own dawdle
+/// stream, lanes, counters and movement counters) and each flight walks
+/// its road's lanes in order, so every stream is drawn in the road-at-a-
+/// time order and every vehicle computes the same operations in the same
+/// order: the interleaving changes the schedule, never a bit.
+///
+/// Vehicles ending the step at waiting speed accumulate a waiting tick in
+/// place. Per-lane sensor deltas fold into `sensors` once per lane and
+/// into the road sums once per road.
+pub(crate) fn sweep_followers(
+    net: &mut NetworkLanes,
+    roads: &mut [RoadSim],
+    sensors: &mut LaneSensors,
+    cfg: &MicroSimConfig,
+) {
+    let (view, spans, active) = net.follower_parts();
+    let mut queue = active.iter().map(|&r| r as usize);
+    let mut sweep = Sweep {
+        view,
+        spans,
+        roads,
+        sensors,
+        cfg,
+        k: Krauss::new(cfg),
+    };
+    let mut flights: [Flight; IN_FLIGHT] = std::array::from_fn(|_| Flight::idle());
+    for flight in &mut flights {
+        flight.board(&mut sweep, &mut queue);
+    }
+    loop {
+        let mut busy = false;
+        for flight in &mut flights {
+            if flight.i < flight.end {
+                flight.follow(&mut sweep.view, &sweep.k);
+            } else if flight.road != IDLE {
+                if !flight.open_next_lane(&mut sweep) {
+                    flight.land(&mut sweep);
+                    flight.board(&mut sweep, &mut queue);
+                }
+            } else {
+                continue;
+            }
+            busy = true;
+        }
+        if !busy {
+            break;
+        }
+    }
 }
 
 /// Residual net gap (meters) below which a stopped vehicle behind a
@@ -1211,7 +1483,7 @@ pub(crate) fn advance_followers(
 /// draws (each draw has a ~38% chance of landing at or below it).
 const QUIESCE_GAP: f64 = 0.5;
 
-/// The batched-fidelity counterpart of [`advance_followers`]: one call
+/// The batched-fidelity counterpart of [`sweep_followers`]: one call
 /// advances every lane of a road under the batched numerical contract.
 ///
 /// The recurrence is the *same* sequential front-to-back Krauss update
@@ -1220,9 +1492,10 @@ const QUIESCE_GAP: f64 = 0.5;
 /// equivalence is inherited rather than approximated. What changes is
 /// everything around the formula:
 ///
-/// - **Road-granular dispatch.** Urban lanes are short (mean occupied
-///   length is ~4 on the 10x10 bench workload), so a per-lane entry
-///   point pays its call and setup cost once per handful of vehicles.
+/// - **Road-granular dispatch.** Urban lanes can be short (mean
+///   occupied length is 3.9 on the `grid5-incident-ops` benchmark
+///   workload, 13.9 on the saturated 10x10), so a per-lane entry point
+///   can pay its call and setup cost once per handful of vehicles.
 ///   This kernel hoists every config-derived coefficient once per
 ///   *road* and streams all lanes from one frame.
 /// - **Counter-based dawdling.** The draw for vehicle `v` at tick `t`
@@ -1255,7 +1528,7 @@ const QUIESCE_GAP: f64 = 0.5;
 /// Per-lane sensor deltas fold into `lane_detected` / `lane_halted`;
 /// the road totals are returned. Bit-identical to itself across repeats
 /// and checkpoint restores; *not* bit-compatible with
-/// [`advance_followers`] (the dawdle streams differ), which the
+/// [`sweep_followers`] (the dawdle streams differ), which the
 /// statistical-equivalence harness validates distributionally.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_followers_batched_road(
@@ -1379,45 +1652,6 @@ pub(crate) fn advance_followers_batched_road(
     (road_detected, road_halted)
 }
 
-/// Advances every vehicle in lane `l` of road `r` by one step. Returns
-/// the head's `(slot, wait)` if it crossed the stop line under
-/// [`HeadMode::Release`].
-///
-/// Composition of [`advance_head`] and [`advance_followers`]. The
-/// simulator calls the two phases separately (all heads first, then all
-/// followers) because the exact head phase must read every lane's tail
-/// from before the followers advance: a released head checks room on
-/// its destination lane against that pre-follower tail.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn update_lane(
-    net: &mut NetworkLanes,
-    r: usize,
-    l: usize,
-    length: f64,
-    head_mode: HeadMode,
-    cfg: &MicroSimConfig,
-    rng: &mut SmallRng,
-) -> Option<(u32, u64)> {
-    let spec = SensorSpec::for_road(length, cfg);
-    let mut noise = DawdleSource::Stream(rng);
-    let outcome = advance_head(net, r, l, length, head_mode, cfg, spec, &mut noise, None);
-    let DawdleSource::Stream(rng) = noise else {
-        unreachable!()
-    };
-    let (mut view, spans, _) = net.follower_parts();
-    let span = spans[r];
-    advance_followers(&mut view, &span, l, length, cfg, spec, rng, None);
-    outcome.crossed
-}
-
-fn dawdle(cfg: &MicroSimConfig, rng: &mut SmallRng) -> f64 {
-    if cfg.sigma > 0.0 {
-        rng.gen::<f64>()
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1427,19 +1661,14 @@ mod tests {
         MicroSimConfig::deterministic()
     }
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(0)
-    }
-
-    /// A one-road, one-lane arena for the lane-level tests.
+    /// A one-road, one-lane arena for the storage-level tests.
     fn lane() -> NetworkLanes {
         NetworkLanes::new(&[(1, 1)])
     }
 
-    /// Pushes a vehicle (slot doubles as the test's vehicle id). Sensor
-    /// counters live in the road's dense arrays, which these lane-level
-    /// tests validate through `rescan_sensors` instead.
-    fn push(net: &mut NetworkLanes, slot: u32, pos: f64, speed: f64, _spec: SensorSpec) {
+    /// Pushes a vehicle (slot doubles as the test's vehicle id) without
+    /// touching any sensor counter.
+    fn push(net: &mut NetworkLanes, slot: u32, pos: f64, speed: f64) {
         net.push(0, 0, pos, speed, 0, slot, 0, slot as u64);
     }
 
@@ -1447,92 +1676,328 @@ mod tests {
         SensorSpec::for_road(300.0, &cfg())
     }
 
-    /// Runs the exact follower kernel for lane `l` of road `r` through a
-    /// throwaway full-range view.
-    fn followers(
-        net: &mut NetworkLanes,
-        r: usize,
+    /// The scalar per-lane follower kernel, kept as the reference the
+    /// roads-in-flight sweep must match bit for bit: advances every remaining
+    /// vehicle of lane `l` of the road described by `span` (sequential
+    /// front-to-back Krauss update with an anti-overlap clamp). Must run
+    /// once after [`advance_head`] for every lane of an occupied road.
+    /// Returns `(detected_delta, halted_delta)`.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_followers(
+        view: &mut LaneView<'_>,
+        span: &RoadSpan,
         l: usize,
         length: f64,
-        c: &MicroSimConfig,
+        cfg: &MicroSimConfig,
         spec: SensorSpec,
         rng: &mut SmallRng,
+        mut movements: Option<&mut MovementCounters>,
     ) -> (i64, i64) {
-        let (mut view, spans, _) = net.follower_parts();
-        let span = spans[r];
-        advance_followers(&mut view, &span, l, length, c, spec, rng, None)
+        let li = span.lane0 + l;
+        let m = view.lanes[li];
+        let start = if m.head_crossed { 0 } else { 1 };
+        view.lanes[li].head_crossed = false;
+        if m.fill - m.head <= start {
+            return (0, 0);
+        }
+        let mut detected_delta = 0i64;
+        let mut halted_delta = 0i64;
+        // Leader state of vehicle `i` (updated before `i` moves, so each
+        // follower reacts to its leader's already-advanced state, as in the
+        // sequential front-to-back Krauss update). `INFINITY` position marks
+        // "no leader; the stop line is the obstacle" — the case right after
+        // the head crossed (its successor is re-evaluated for release next
+        // step).
+        let mut leader_pos = f64::INFINITY;
+        let mut leader_speed = 0.0;
+
+        let base = span.start + l * span.seg;
+        let n = m.fill - m.head;
+        let pv = &mut view.pv[base + m.head..base + m.fill];
+        let wait = &mut view.wait[base + m.head..base + m.fill];
+        let link = &view.link[base + m.head..base + m.fill];
+        if start == 1 {
+            [leader_pos, leader_speed] = pv[0];
+        }
+        // Hoisted config scalars. `a_dt` and `sigma_a_dt` associate exactly as
+        // the inline expressions they replace (`speed + a·Δt` computes `a·Δt`
+        // first; `σ·a·Δt·ξ` associates left), so results are bit-identical.
+        let dt = cfg.dt_seconds;
+        let veh_len = cfg.vehicle_length_m;
+        let min_gap = cfg.min_gap_m;
+        let waiting_speed = cfg.waiting_speed_mps;
+        let free_speed = cfg.free_speed_mps;
+        let a_dt = cfg.max_accel * cfg.dt_seconds;
+        let sigma_a_dt = cfg.sigma * cfg.max_accel * cfg.dt_seconds;
+        let dawdling = cfg.sigma > 0.0;
+        let tau = cfg.reaction_time_s;
+        let decel = cfg.max_decel;
+        let (detect_from, halt_speed) = (spec.detect_from, spec.halt_speed);
+
+        let mut i = start;
+        // At most one follower faces the stop line instead of a vehicle: the
+        // new head right after a crossing (`leader_pos` infinite). Peeling it
+        // keeps the main loop free of the leader-kind branch.
+        if !leader_pos.is_finite() && i < n {
+            let [old_pos, old_speed] = pv[i];
+            let xi = dawdle(cfg, rng);
+            let v = next_speed(
+                old_speed,
+                LeaderInfo::Wall {
+                    distance_m: length - old_pos,
+                },
+                xi,
+                cfg,
+            );
+            let p = old_pos + v * dt;
+            pv[i] = [p, v];
+            detected_delta += (p >= detect_from) as i64 - (old_pos >= detect_from) as i64;
+            halted_delta += (v < halt_speed) as i64 - (old_speed < halt_speed) as i64;
+            if let Some(mv) = movements.as_deref_mut() {
+                mv.moved(link[i] as usize, old_pos, p, spec);
+            }
+            if v < waiting_speed {
+                wait[i] += 1;
+            }
+            (leader_pos, leader_speed) = (p, v);
+            i += 1;
+        }
+        // Tight vehicle-leader loop: the Krauss update inlined with the same
+        // operation order as `next_speed`/`safe_speed`.
+        for i in i..n {
+            let [old_pos, old_speed] = pv[i];
+            let xi = if dawdling { rng.gen::<f64>() } else { 0.0 };
+            let net_gap = leader_pos - old_pos - veh_len - min_gap;
+            let v_bar = (old_speed + leader_speed) / 2.0;
+            let v_safe = leader_speed + (net_gap - leader_speed * tau) / (v_bar / decel + tau);
+            let v_des = free_speed.min(old_speed + a_dt).min(v_safe);
+            let mut v = (v_des - sigma_a_dt * xi).max(0.0);
+            let mut p = old_pos + v * dt;
+            // Anti-overlap safety clamp (numerical guard; Krauss alone is
+            // collision-free for consistent inputs).
+            let max_pos = leader_pos - veh_len - 0.05;
+            if p > max_pos {
+                p = max_pos.max(old_pos);
+                v = ((p - old_pos) / dt).max(0.0);
+            }
+            pv[i] = [p, v];
+            detected_delta += (p >= detect_from) as i64 - (old_pos >= detect_from) as i64;
+            halted_delta += (v < halt_speed) as i64 - (old_speed < halt_speed) as i64;
+            if let Some(mv) = movements.as_deref_mut() {
+                mv.moved(link[i] as usize, old_pos, p, spec);
+            }
+            if v < waiting_speed {
+                wait[i] += 1;
+            }
+            (leader_pos, leader_speed) = (p, v);
+        }
+        (detected_delta, halted_delta)
     }
 
-    /// Manual follower-kernel timing probe (not a correctness test):
-    /// `cargo test -p utilbp-microsim --release -- --ignored --nocapture kernel_timing`.
-    #[test]
-    #[ignore = "timing probe; run manually in release"]
-    fn kernel_timing_probe() {
-        use std::time::Instant;
-        let c = MicroSimConfig::default();
-        // Bench-workload shape: a handful of short occupied lanes per
-        // road (mean occupied length ~4 at 10x10).
-        const LANES: usize = 4;
-        const N: usize = 4;
-        const ITERS: usize = 500_000;
-        let mut net = NetworkLanes::new(&[(LANES, 2 * N)]);
-        let spec = SensorSpec::for_road(1000.0, &c);
-        for l in 0..LANES {
-            for i in 0..N {
-                let s = (l * N + i) as u32;
-                net.push(0, l, 900.0 - 15.0 * i as f64, 8.0, 0, s, 0, s as u64);
+    fn dawdle(cfg: &MicroSimConfig, rng: &mut SmallRng) -> f64 {
+        if cfg.sigma > 0.0 {
+            rng.gen::<f64>()
+        } else {
+            0.0
+        }
+    }
+
+    /// A network of roads with consistent sensor counters, stepped through
+    /// the simulator's head phase plus either follower path.
+    #[derive(Clone)]
+    struct Rig {
+        net: NetworkLanes,
+        roads: Vec<RoadSim>,
+        sensors: LaneSensors,
+        cfg: MicroSimConfig,
+    }
+
+    impl Rig {
+        /// Roads of `length` m with `lanes[r]` lanes each; roads listed in
+        /// `mixed` keep movement counters over four links.
+        fn new(lanes: &[usize], length: f64, cfg: MicroSimConfig, mixed: &[usize]) -> Self {
+            let shapes: Vec<(usize, usize)> = lanes.iter().map(|&n| (n, 8)).collect();
+            let net = NetworkLanes::new(&shapes);
+            let total = lanes.iter().sum();
+            let roads = (0..lanes.len())
+                .map(|r| {
+                    let moves = mixed.contains(&r).then(|| MovementCounters::new(4));
+                    RoadSim::new(length, 1000, &cfg, SmallRng::seed_from_u64(r as u64), moves)
+                })
+                .collect();
+            Rig {
+                net,
+                roads,
+                sensors: LaneSensors::new(total),
+                cfg,
             }
         }
-        let saved_pv = net.pv.clone();
-        let mut r = rng();
-        let t = Instant::now();
-        for k in 0..ITERS {
-            if k % 64 == 0 {
-                net.pv.copy_from_slice(&saved_pv);
+
+        /// Places a vehicle bound for `link` at the back of lane `l` of
+        /// road `r`, registering it with every counter.
+        fn push(&mut self, r: usize, l: usize, pos: f64, speed: f64, link: u16) {
+            let slot = self.net.total_vehicles() as u32;
+            let g = self.net.lane0(r) + l;
+            let road = &mut self.roads[r];
+            road.sensor_add(&mut self.sensors, g, pos, speed);
+            if let Some(mv) = road.move_counts.as_mut() {
+                mv.add(link as usize, pos, road.spec);
             }
-            let (mut view, spans, _) = net.follower_parts();
-            let span = spans[0];
-            for l in 0..LANES {
-                advance_followers(&mut view, &span, l, 1000.0, &c, spec, &mut r, None);
+            self.net
+                .push(r, l, pos, speed, 0, slot, link, u64::from(slot));
+        }
+
+        /// One step: the head phase on every occupied lane (release
+        /// decided by `mode`), then the follower phase — the sweep, or the
+        /// per-lane reference kernel road by road. Returns the crossed
+        /// `(slot, wait)` pairs.
+        fn step(
+            &mut self,
+            mode: impl Fn(usize, usize) -> HeadMode,
+            sweep: bool,
+        ) -> Vec<(u32, u64)> {
+            let mut crossed = Vec::new();
+            // Walk the active list as the simulator does: a road emptied
+            // by its last crossing leaves the list, so the cursor only
+            // advances past a road still listed under it.
+            let mut ai = 0;
+            while let Some(&r) = self.net.active_roads().get(ai) {
+                let r = r as usize;
+                for l in 0..self.net.num_lanes(r) {
+                    if self.net.is_empty(r, l) {
+                        continue;
+                    }
+                    let road = &mut self.roads[r];
+                    let outcome = advance_head(
+                        &mut self.net,
+                        r,
+                        l,
+                        road.length,
+                        mode(r, l),
+                        &self.cfg,
+                        road.spec,
+                        &mut DawdleSource::Stream(&mut road.rng),
+                        road.move_counts.as_mut(),
+                    );
+                    let g = self.net.lane0(r) + l;
+                    let site = || String::new();
+                    fold_counter(
+                        &mut self.sensors.detected[g],
+                        outcome.detected_delta.into(),
+                        site,
+                    );
+                    fold_counter(&mut road.detected_sum, outcome.detected_delta.into(), site);
+                    fold_counter(
+                        &mut self.sensors.halted[g],
+                        outcome.halted_delta.into(),
+                        site,
+                    );
+                    fold_counter(&mut road.halted_sum, outcome.halted_delta.into(), site);
+                    crossed.extend(outcome.crossed);
+                }
+                if self.net.active_roads().get(ai) == Some(&(r as u32)) {
+                    ai += 1;
+                }
+            }
+            if sweep {
+                sweep_followers(&mut self.net, &mut self.roads, &mut self.sensors, &self.cfg);
+            } else {
+                let (mut view, spans, active) = self.net.follower_parts();
+                for &r in active {
+                    let (r, span) = (r as usize, spans[r as usize]);
+                    let road = &mut self.roads[r];
+                    for l in 0..span.num_lanes {
+                        let (dd, hd) = advance_followers(
+                            &mut view,
+                            &span,
+                            l,
+                            road.length,
+                            &self.cfg,
+                            road.spec,
+                            &mut road.rng,
+                            road.move_counts.as_mut(),
+                        );
+                        let g = span.lane0 + l;
+                        let site = || String::new();
+                        fold_counter(&mut self.sensors.detected[g], dd, site);
+                        fold_counter(&mut road.detected_sum, dd, site);
+                        fold_counter(&mut self.sensors.halted[g], hd, site);
+                        fold_counter(&mut road.halted_sum, hd, site);
+                    }
+                }
+            }
+            crossed
+        }
+
+        /// Every counter equals a from-scratch rescan.
+        fn assert_counters(&self) {
+            for (r, road) in self.roads.iter().enumerate() {
+                let (mut detected, mut halted) = (0, 0);
+                for l in 0..self.net.num_lanes(r) {
+                    let g = self.net.lane0(r) + l;
+                    let rescan = self.net.rescan_sensors(r, l, road.spec);
+                    assert_eq!(
+                        (self.sensors.detected[g], self.sensors.halted[g]),
+                        rescan,
+                        "road {r} lane {l}"
+                    );
+                    detected += rescan.0;
+                    halted += rescan.1;
+                }
+                assert_eq!(
+                    (road.detected_sum, road.halted_sum),
+                    (detected, halted),
+                    "road {r}"
+                );
             }
         }
-        let per = (ITERS * LANES * N) as f64;
-        let exact_ns = t.elapsed().as_secs_f64() * 1e9 / per;
-        let mut ld = [0u32; LANES];
-        let mut lh = [0u32; LANES];
-        let t = Instant::now();
-        for k in 0..ITERS {
-            if k % 64 == 0 {
-                net.pv.copy_from_slice(&saved_pv);
-            }
-            let (mut view, spans, _) = net.follower_parts();
-            let span = spans[0];
-            advance_followers_batched_road(
-                &mut view, &span, 1000.0, &c, spec, 7, k as u64, None, &mut ld, &mut lh,
-            );
+
+        /// Everything the follower phase may write, bit for bit.
+        fn state(&self) -> (Vec<u64>, Vec<u32>, LaneSensors, Vec<String>) {
+            let bits = self
+                .net
+                .pv
+                .iter()
+                .flat_map(|pv| pv.map(f64::to_bits))
+                .collect();
+            let roads = self
+                .roads
+                .iter()
+                .map(|road| {
+                    format!(
+                        "{:?} {:?} {} {}",
+                        road.rng.state(),
+                        road.move_counts,
+                        road.detected_sum,
+                        road.halted_sum
+                    )
+                })
+                .collect();
+            (bits, self.net.wait.clone(), self.sensors.clone(), roads)
         }
-        let batched_ns = t.elapsed().as_secs_f64() * 1e9 / per;
-        eprintln!("exact {exact_ns:.2} ns/vehicle, batched {batched_ns:.2} ns/vehicle");
+    }
+
+    /// The single-lane rig the kernel tests step (300 m road).
+    fn one_lane(c: MicroSimConfig) -> Rig {
+        Rig::new(&[1], 300.0, c, &[])
     }
 
     #[test]
     fn empty_lane_is_a_noop() {
-        let mut net = lane();
-        assert!(
-            update_lane(&mut net, 0, 0, 300.0, HeadMode::Release, &cfg(), &mut rng()).is_none()
-        );
+        let mut rig = one_lane(cfg());
+        assert!(rig.step(|_, _| HeadMode::Release, true).is_empty());
     }
 
     #[test]
     fn blocked_head_stops_at_the_line() {
         let c = cfg();
-        let mut net = lane();
-        push(&mut net, 0, 250.0, c.free_speed_mps, spec300());
-        let mut r = rng();
+        let mut rig = one_lane(c);
+        rig.push(0, 0, 250.0, c.free_speed_mps, 0);
         for _ in 0..30 {
-            let crossed = update_lane(&mut net, 0, 0, 300.0, HeadMode::Blocked, &c, &mut r);
-            assert!(crossed.is_none(), "blocked head must never cross");
+            let crossed = rig.step(|_, _| HeadMode::Blocked, true);
+            assert!(crossed.is_empty(), "blocked head must never cross");
         }
+        let net = &rig.net;
         assert!(net.speed_at(0, 0, 0) < 0.05);
         assert!(net.pos_at(0, 0, 0) <= 300.0 + 1e-9);
         assert!(
@@ -1544,30 +2009,30 @@ mod tests {
 
     #[test]
     fn released_head_crosses_and_is_returned() {
-        let c = cfg();
-        let mut net = lane();
-        push(&mut net, 7, 295.0, 10.0, spec300());
-        let mut r = rng();
-        let crossed = update_lane(&mut net, 0, 0, 300.0, HeadMode::Release, &c, &mut r);
-        let (slot, _wait) = crossed.expect("head must cross");
-        assert_eq!(slot, 7);
-        assert!(net.is_empty(0, 0));
-        assert_eq!(net.rescan_sensors(0, 0, spec300()), (0, 0));
+        let mut rig = one_lane(cfg());
+        rig.push(0, 0, 295.0, 10.0, 0);
+        let crossed = rig.step(|_, _| HeadMode::Release, true);
+        assert_eq!(crossed.len(), 1, "head must cross");
+        assert_eq!(crossed[0].0, 0);
+        assert!(rig.net.is_empty(0, 0));
+        assert_eq!(rig.net.rescan_sensors(0, 0, spec300()), (0, 0));
+        rig.assert_counters();
     }
 
     #[test]
     fn queue_compacts_without_collisions() {
         let c = cfg();
-        let mut net = lane();
+        let mut rig = one_lane(c);
         // Five vehicles strung out; head blocked at the line.
-        for (i, pos) in [280.0, 220.0, 160.0, 100.0, 40.0].iter().enumerate() {
-            push(&mut net, i as u32, *pos, 10.0, spec300());
+        for pos in [280.0, 220.0, 160.0, 100.0, 40.0] {
+            rig.push(0, 0, pos, 10.0, 0);
         }
-        let mut r = rng();
+        let net = |rig: &Rig| rig.net.clone();
         for _ in 0..80 {
-            update_lane(&mut net, 0, 0, 300.0, HeadMode::Blocked, &c, &mut r);
+            rig.step(|_, _| HeadMode::Blocked, true);
             // Strict ordering with at least a vehicle length between
             // consecutive front bumpers.
+            let net = net(&rig);
             for w in 0..net.len(0, 0) - 1 {
                 let gap = net.pos_at(0, 0, w) - net.pos_at(0, 0, w + 1);
                 assert!(
@@ -1577,6 +2042,7 @@ mod tests {
             }
         }
         // All stopped in a jam near the line at ~7.5 m spacing.
+        let net = net(&rig);
         for w in 0..net.len(0, 0) - 1 {
             let gap = net.pos_at(0, 0, w) - net.pos_at(0, 0, w + 1);
             assert!(
@@ -1592,9 +2058,16 @@ mod tests {
         net.push(0, 0, 295.0, 0.0, 0, 0, 0, 0);
         net.push(0, 0, 287.0, 0.0, 0, 1, 0, 1);
         net.push(0, 0, 100.0, 10.0, 0, 2, 0, 2); // far upstream
-        assert_eq!(net.detected(0, 0, 300.0, 100.0), 2);
-        assert_eq!(net.detected(0, 0, 300.0, 300.0), 3);
-        assert_eq!(net.detected(0, 0, 300.0, 1.0), 0);
+        let detected = |range: f64| {
+            let spec = SensorSpec {
+                detect_from: 300.0 - range,
+                halt_speed: 0.1,
+            };
+            net.rescan_sensors(0, 0, spec).0
+        };
+        assert_eq!(detected(100.0), 2);
+        assert_eq!(detected(300.0), 3);
+        assert_eq!(detected(1.0), 0);
     }
 
     #[test]
@@ -1611,76 +2084,47 @@ mod tests {
 
     #[test]
     fn successor_of_crossed_head_sees_the_line() {
-        let c = cfg();
-        let mut net = lane();
-        push(&mut net, 0, 296.0, 12.0, spec300());
-        push(&mut net, 1, 285.0, 12.0, spec300());
-        let mut r = rng();
-        let crossed = update_lane(&mut net, 0, 0, 300.0, HeadMode::Release, &c, &mut r);
-        assert!(crossed.is_some());
-        assert_eq!(net.len(0, 0), 1);
+        let mut rig = one_lane(cfg());
+        rig.push(0, 0, 296.0, 12.0, 0);
+        rig.push(0, 0, 285.0, 12.0, 0);
+        let crossed = rig.step(|_, _| HeadMode::Release, true);
+        assert_eq!(crossed.len(), 1);
+        assert_eq!(rig.net.len(0, 0), 1);
         // The successor advanced but is still on the lane.
-        assert!(net.pos_at(0, 0, 0) < 300.0);
-        assert!(net.pos_at(0, 0, 0) > 285.0);
+        assert!(rig.net.pos_at(0, 0, 0) < 300.0);
+        assert!(rig.net.pos_at(0, 0, 0) > 285.0);
     }
 
     #[test]
     fn advance_deltas_track_every_mutation() {
-        // The advance functions report sensor-counter deltas; applied to a
-        // running pair they must match a from-scratch rescan every step —
+        // The head phase and the sweep fold sensor-counter deltas; the
+        // folded counters must match a from-scratch rescan every step —
         // the invariant `MicroSim` relies on for its dense counter arrays.
-        let c = cfg();
-        let spec = spec300();
-        let mut net = lane();
+        let mut rig = one_lane(cfg());
         // One vehicle upstream of the 50 m window, one inside it, halted.
-        push(&mut net, 0, 270.0, 0.0, spec);
-        push(&mut net, 1, 100.0, 13.0, spec);
-        let (mut detected, mut halted) = net.rescan_sensors(0, 0, spec);
-        assert_eq!((detected, halted), (1, 1));
-
-        let mut r = rng();
+        rig.push(0, 0, 270.0, 0.0, 0);
+        rig.push(0, 0, 100.0, 13.0, 0);
+        assert_eq!((rig.sensors.detected[0], rig.sensors.halted[0]), (1, 1));
         for _ in 0..60 {
-            let outcome = {
-                let mut noise = DawdleSource::Stream(&mut r);
-                advance_head(
-                    &mut net,
-                    0,
-                    0,
-                    300.0,
-                    HeadMode::Blocked,
-                    &c,
-                    spec,
-                    &mut noise,
-                    None,
-                )
-            };
-            let (dd, hd) = followers(&mut net, 0, 0, 300.0, &c, spec, &mut r);
-            detected = (detected as i64 + outcome.detected_delta as i64 + dd) as u32;
-            halted = (halted as i64 + outcome.halted_delta as i64 + hd) as u32;
-            assert_eq!(
-                (detected, halted),
-                net.rescan_sensors(0, 0, spec),
-                "deltas diverged from rescan"
-            );
+            rig.step(|_, _| HeadMode::Blocked, true);
+            rig.assert_counters();
         }
         // Both vehicles end up jammed inside the window.
-        assert_eq!((detected, halted), (2, 2));
+        assert_eq!((rig.sensors.detected[0], rig.sensors.halted[0]), (2, 2));
     }
 
     #[test]
     fn waiting_accumulates_in_place_for_stopped_vehicles() {
         let c = cfg();
-        let spec = spec300();
-        let mut net = lane();
-        push(&mut net, 0, 299.0, 0.0, spec);
-        push(&mut net, 1, 150.0, c.free_speed_mps, spec);
-        let mut r = rng();
+        let mut rig = one_lane(c);
+        rig.push(0, 0, 299.0, 0.0, 0);
+        rig.push(0, 0, 150.0, c.free_speed_mps, 0);
         for _ in 0..40 {
-            update_lane(&mut net, 0, 0, 300.0, HeadMode::Blocked, &c, &mut r);
+            rig.step(|_, _| HeadMode::Blocked, true);
         }
         // The head sat at the line the whole time; the follower drove,
         // then queued behind it.
-        let waits: Vec<u64> = net.all_waits().collect();
+        let waits: Vec<u64> = rig.net.all_waits().collect();
         assert!(waits[0] >= 39, "head wait {waits:?}");
         assert!(
             waits[1] > 0 && waits[1] < waits[0],
@@ -1688,19 +2132,111 @@ mod tests {
         );
     }
 
+    /// The roads-in-flight sweep against the per-lane reference kernel on
+    /// seeded random traffic: more roads than flights, one to four lanes
+    /// each, single-vehicle and empty lanes, heads released (so crossed
+    /// heads' successors are peeled) or blocked at random, fresh entries
+    /// every step, and mixed-lane movement counters on some roads. Every
+    /// position, speed, waiting tick, counter and stream position must
+    /// agree bit for bit after every step.
+    #[test]
+    fn sweep_matches_the_per_lane_reference_bit_for_bit() {
+        use rand::Rng;
+        for seed in 0..6u64 {
+            let mut gen = SmallRng::seed_from_u64(seed);
+            let lanes: Vec<usize> = (0..11).map(|_| gen.gen_range(1..5usize)).collect();
+            let c = MicroSimConfig::default();
+            let mut sweep = Rig::new(&lanes, 300.0, c, &[1, 4, 7, 8]);
+            for (r, &n) in lanes.iter().enumerate() {
+                for l in 0..n {
+                    let mut pos = 299.0 - gen.gen_range(0.0..40.0);
+                    for _ in 0..gen.gen_range(0..12usize) {
+                        let speed = if gen.gen_bool(0.6) {
+                            0.0
+                        } else {
+                            gen.gen_range(0.0..13.9)
+                        };
+                        sweep.push(r, l, pos, speed, gen.gen_range(0..4u16));
+                        pos -= c.jam_spacing_m() + gen.gen_range(0.0..25.0);
+                        if pos < 0.0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut reference = sweep.clone();
+            let mut crossed = 0;
+            for step in 0..80 {
+                let release: Vec<Vec<bool>> = lanes
+                    .iter()
+                    .map(|&n| (0..n).map(|_| gen.gen_bool(0.4)).collect())
+                    .collect();
+                let mode = |r: usize, l: usize| {
+                    if release[r][l] {
+                        HeadMode::Release
+                    } else {
+                        HeadMode::Blocked
+                    }
+                };
+                let a = sweep.step(mode, true);
+                let b = reference.step(mode, false);
+                assert_eq!(a, b, "seed {seed} step {step}: crossings");
+                crossed += a.len();
+                assert_eq!(sweep.state(), reference.state(), "seed {seed} step {step}");
+                sweep.assert_counters();
+                for (r, &n) in lanes.iter().enumerate() {
+                    let l = gen.gen_range(0..n);
+                    if gen.gen_bool(0.5) && sweep.net.entry_clear(r, l, 300.0, &c) {
+                        let (speed, link) = (gen.gen_range(0.0..13.9), gen.gen_range(0..4u16));
+                        sweep.push(r, l, 0.0, speed, link);
+                        reference.push(r, l, 0.0, speed, link);
+                    }
+                }
+            }
+            assert!(
+                crossed > 20,
+                "seed {seed}: only {crossed} crossings to peel after"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "road 3 lane 1 detected")]
+    fn counter_fold_out_of_range_names_the_lane() {
+        let mut counter = 2u32;
+        fold_counter(&mut counter, -3, || "road 3 lane 1 detected".to_string());
+    }
+
+    #[test]
+    fn crafted_lane_slot_must_be_live() {
+        // A CRC-valid checkpoint can carry any slot word; a lane must
+        // refuse one that is not a live arena slot before the id refresh
+        // indexes the slab with it.
+        let mut src = NetworkLanes::new(&[(1, 4)]);
+        src.push(0, 0, 120.0, 5.0, 0, 2, 0, 2);
+        let mut w = StateWriter::new();
+        src.save_lane(0, 0, &mut w);
+        let load = |live: &[bool]| {
+            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, live, &mut StateReader::new(w.bytes()))
+        };
+        assert!(load(&[true, true, true]).is_ok());
+        for live in [&[true, true][..], &[true, true, false][..]] {
+            assert!(matches!(
+                load(live),
+                Err(StateError::Invalid {
+                    what: "lane vehicle slot",
+                    word: 2
+                })
+            ));
+        }
+    }
+
     #[test]
     fn pop_head_compacts_storage() {
-        let spec = spec300();
         let c = cfg();
         let mut net = lane();
         for i in 0..100u32 {
-            push(
-                &mut net,
-                i,
-                299.0 - f64::from(i) * c.jam_spacing_m(),
-                0.0,
-                spec,
-            );
+            push(&mut net, i, 299.0 - f64::from(i) * c.jam_spacing_m(), 0.0);
         }
         for expect in 0..60u32 {
             let (slot, _) = net.pop_head(0, 0);
@@ -1849,7 +2385,7 @@ mod tests {
 
         let mut dst = NetworkLanes::new(&[(1, 4), (1, 4)]);
         dst.push(1, 0, 10.0, 0.0, 0, 99, 0, 99);
-        dst.load_lane(0, 0, &mut StateReader::new(w.bytes()))
+        dst.load_lane(0, 0, &[true; 13], &mut StateReader::new(w.bytes()))
             .unwrap();
         assert_eq!(dst.active_roads(), &[0, 1]);
         assert_eq!(dst.len(0, 0), 2);
@@ -1857,7 +2393,7 @@ mod tests {
         dst.verify_active().unwrap();
         // Now overwrite the occupied lane with an empty snapshot: the
         // road must deactivate.
-        dst.load_lane(1, 0, &mut StateReader::new(empty.bytes()))
+        dst.load_lane(1, 0, &[], &mut StateReader::new(empty.bytes()))
             .unwrap();
         assert_eq!(dst.active_roads(), &[0]);
         dst.verify_active().unwrap();
@@ -1918,7 +2454,7 @@ mod tests {
         ));
         let lane = huge(&[1 << 40]);
         assert!(matches!(
-            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, &mut StateReader::new(lane.bytes())),
+            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, &[], &mut StateReader::new(lane.bytes())),
             Err(StateError::Invalid {
                 what: "lane length",
                 ..

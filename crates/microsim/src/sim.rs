@@ -49,8 +49,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
-    QueueObservation, SignalController, Tick,
+    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
+    PhaseDecision, QueueObservation, SignalController, Tick,
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
@@ -58,8 +58,8 @@ use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
 use crate::config::{Fidelity, MicroSimConfig};
 use crate::krauss::{next_speed, LeaderInfo};
 use crate::road::{
-    advance_followers, advance_followers_batched_road, advance_head, DawdleSource, HeadMode,
-    LaneView, MovementCounters, NetworkLanes, RoadSpan, SensorSpec, VehicleArena, LINK_NONE,
+    advance_followers_batched_road, advance_head, fold_counter, sweep_followers, DawdleSource,
+    HeadMode, LaneSensors, MovementCounters, NetworkLanes, SensorSpec, VehicleArena, LINK_NONE,
 };
 
 /// A vehicle traversing the junction box: its arena slot plus the wait
@@ -76,22 +76,13 @@ struct Crossing {
     dest_lane: usize,
 }
 
-#[derive(Debug, Clone, Default)]
-struct JunctionSim {
-    in_box: Vec<Crossing>,
-    /// Per-link service credit (rate `µ` accumulates while green).
-    credit: Vec<f64>,
-    /// Per-link green flag for the current step.
-    active: Vec<bool>,
-}
-
 #[derive(Debug, Clone)]
-struct RoadSim {
+pub(crate) struct RoadSim {
     // Vehicle state lives in the network-wide [`NetworkLanes`] arena on
-    // `MicroSim` (road index == `RoadSim` index), not here: the
-    // car-following phase streams the whole *network* through contiguous
-    // storage instead of chasing per-road allocations.
-    length: f64,
+    // `MicroSim` (road index == `RoadSim` index), and per-lane counters in
+    // network-wide lane-indexed arrays, not here: every per-tick pass
+    // streams flat storage instead of chasing per-road allocations.
+    pub(crate) length: f64,
     capacity: u32,
     /// Whether the road is closed to *entering* traffic (scenario
     /// events). Vehicles already on a closed road keep driving and may
@@ -105,49 +96,83 @@ struct RoadSim {
     /// callers observe where traffic actually went (e.g. detour roads
     /// after a replanned closure) without per-road event probes.
     entered: u64,
-    /// Per-lane count of vehicles currently in a junction box heading for
-    /// that lane — the reservations [`MicroSim::dest_lane_has_room`]
-    /// consults in O(1) instead of scanning every junction's box.
-    pending: Vec<u32>,
     /// Detector geometry shared by this road's lanes.
-    spec: SensorSpec,
-    /// Per-lane count of vehicles inside the detection window — dense, so
-    /// the sense phase reads a short array instead of walking `Lane`
-    /// structs. Maintained from the deltas the advance functions return.
-    lane_detected: Vec<u32>,
-    /// Per-lane halted-vehicle count (whole lane), dense like
-    /// `lane_detected`.
-    lane_halted: Vec<u32>,
-    /// Σ `lane_detected` — the `PresenceNearJunction` outgoing sensor in
-    /// O(1).
-    detected_sum: u32,
-    /// Σ `lane_halted` — the `HaltedWholeRoad` outgoing sensor in O(1).
-    halted_sum: u32,
+    pub(crate) spec: SensorSpec,
+    /// Σ of the road's per-lane detected counters — the
+    /// `PresenceNearJunction` outgoing sensor in O(1).
+    pub(crate) detected_sum: u32,
+    /// Σ of the road's per-lane halted counters — the `HaltedWholeRoad`
+    /// outgoing sensor in O(1).
+    pub(crate) halted_sum: u32,
     /// Per-(road, link) movement counters, maintained only under
     /// [`LaneDiscipline::SharedMixed`](crate::LaneDiscipline) for roads
     /// feeding an intersection — the O(1) replacement for the mixed-lane
     /// per-decision rescans. `None` under dedicated lanes (the per-lane
     /// counters already answer per-movement queries) and on exit roads.
-    move_counts: Option<MovementCounters>,
+    pub(crate) move_counts: Option<MovementCounters>,
     /// This road's dawdling stream. Car-following noise is drawn per road
     /// (not from one global generator), so skipping empty roads in the
     /// active-road sweep perturbs no other road's draws.
-    rng: SmallRng,
+    pub(crate) rng: SmallRng,
 }
 
 impl RoadSim {
-    /// Registers a vehicle appearing on `lane` (landing or insertion) in
-    /// the dense sensor counters.
-    fn sensor_add(&mut self, lane: usize, pos: f64, speed: f64) {
+    /// An empty, open road of `length` m holding up to `capacity`
+    /// vehicles.
+    pub(crate) fn new(
+        length: f64,
+        capacity: u32,
+        cfg: &MicroSimConfig,
+        rng: SmallRng,
+        move_counts: Option<MovementCounters>,
+    ) -> Self {
+        RoadSim {
+            length,
+            capacity,
+            closed: false,
+            occupancy: 0,
+            entered: 0,
+            spec: SensorSpec::for_road(length, cfg),
+            detected_sum: 0,
+            halted_sum: 0,
+            move_counts,
+            rng,
+        }
+    }
+
+    /// Registers a vehicle appearing on global lane `lane` of this road
+    /// (landing or insertion) in the dense sensor counters.
+    pub(crate) fn sensor_add(
+        &mut self,
+        sensors: &mut LaneSensors,
+        lane: usize,
+        pos: f64,
+        speed: f64,
+    ) {
         if pos >= self.spec.detect_from {
-            self.lane_detected[lane] += 1;
+            sensors.detected[lane] += 1;
             self.detected_sum += 1;
         }
         if speed < self.spec.halt_speed {
-            self.lane_halted[lane] += 1;
+            sensors.halted[lane] += 1;
             self.halted_sum += 1;
         }
     }
+}
+
+/// One feasible link of one intersection, in the flat per-link table
+/// built once at construction (links of intersection `i` occupy
+/// `link_off[i]..link_off[i + 1]`, in `LinkId` order).
+#[derive(Debug, Clone, Copy)]
+struct LinkEntry {
+    /// Global index of the incoming road's lane dedicated to this link.
+    in_lane: u32,
+    /// The incoming road.
+    in_road: u32,
+    /// The outgoing road.
+    out_road: u32,
+    /// Service credit a green tick earns (`µ·Δt`).
+    mu_dt: f64,
 }
 
 /// A vehicle waiting outside a full or closed boundary entry. Its backlog
@@ -158,6 +183,15 @@ struct Backlogged {
     id: VehicleId,
     route: Arc<Route>,
     since: Tick,
+}
+
+/// A counter that disagrees with the storage it summarizes, found by
+/// `MicroSim::audit_counters`: the offending word for a
+/// [`StateError::Invalid`] and a message for `verify_sensors`.
+struct CounterMismatch {
+    what: &'static str,
+    word: u64,
+    detail: String,
 }
 
 /// What happened during one microscopic step.
@@ -277,7 +311,8 @@ pub struct MicroSim {
     /// with the sorted active-road list the head and follower phases
     /// iterate (empty roads cost zero cache lines). Indexed by road.
     net: NetworkLanes,
-    junctions: Vec<JunctionSim>,
+    /// Per junction: the vehicles traversing its box.
+    boxes: Vec<Vec<Crossing>>,
     /// Per-journey vehicle state (id, route, cursor), slab-allocated.
     arena: VehicleArena,
     backlogs: Vec<VecDeque<Backlogged>>,
@@ -289,28 +324,45 @@ pub struct MicroSim {
     obs_buf: ObservationBuffer,
     /// Drain buffer for the landing phase (empty between steps).
     landing_scratch: Vec<Crossing>,
-    // Lookups (indices are plain usizes for borrow-free hot loops).
+    // Flat lookup tables, built once (plain integer indices for
+    // borrow-free hot loops).
     /// Per road: destination intersection index, if internal/entry.
     road_dest: Vec<Option<usize>>,
-    /// Per road, per lane: the movement link (at the destination
-    /// intersection) this lane feeds; `None` on exit-road lanes.
-    lane_links: Vec<Vec<Option<LinkId>>>,
-    /// Per road: lane index by `LinkId::index()` at the destination
-    /// intersection (`usize::MAX` when not applicable).
-    lane_index_by_link: Vec<Vec<usize>>,
-    /// Per intersection, per link: incoming road index.
-    link_in_road: Vec<Vec<usize>>,
-    /// Per intersection, per link: outgoing road index.
-    link_out_road: Vec<Vec<usize>>,
-    /// Per road, per lane: whether the lane's movement is green *with*
-    /// service credit this tick — precomputed in the signal-refresh pass
-    /// (which visits every link anyway) so the head phase reads one local
-    /// flag instead of two scattered junction lookups per lane. Only
-    /// maintained under dedicated lanes, where the lane→link map is
-    /// static; a link's credit can drop below 1 mid-phase only by its own
-    /// lane's release, and each lane is visited once, so the flag stays
-    /// exact for the whole head phase.
-    lane_green: Vec<Vec<bool>>,
+    /// Every intersection's links; intersection `i` owns
+    /// `link_off[i]..link_off[i + 1]`.
+    links: Vec<LinkEntry>,
+    link_off: Vec<usize>,
+    /// Every intersection's outgoing roads by `OutgoingId`; intersection
+    /// `i` owns `out_off[i]..out_off[i + 1]`.
+    out_roads: Vec<u32>,
+    out_off: Vec<usize>,
+    /// Every phase's links (local `LinkId` indices): phase `p` of
+    /// intersection `i` owns the range `phases[phase_base[i] + p]`.
+    phase_links: Vec<u16>,
+    phases: Vec<(usize, usize)>,
+    phase_base: Vec<usize>,
+    // Per-link state, indexed like `links`.
+    /// Service credit (rate `µ` accumulates while green).
+    credit: Vec<f64>,
+    /// Whether the link is green this tick.
+    link_active: Vec<bool>,
+    // Per-lane state, indexed by global lane (`NetworkLanes::lane0(r) + l`).
+    /// The movement link (at the road's destination) the lane is
+    /// dedicated to; [`LINK_NONE`] on exit-road lanes.
+    lane_link: Vec<u16>,
+    /// Detector counters (vehicles in the detection window, halted).
+    sensors: LaneSensors,
+    /// Vehicles in a junction box heading for the lane — the
+    /// reservations [`MicroSim::dest_lane_has_room`] reads in O(1).
+    pending: Vec<u32>,
+    /// Whether the lane's movement is green *with* service credit this
+    /// tick, written by the signal-refresh pass (which visits every link
+    /// anyway) so the head phase reads one flag per lane. Read only under
+    /// dedicated lanes, where the lane→link map is static; a link's
+    /// credit can drop below 1 mid-phase only by its own lane's release,
+    /// and each lane is visited once, so the flag stays exact for the
+    /// whole head phase.
+    lane_green: Vec<bool>,
 }
 
 impl std::fmt::Debug for MicroSim {
@@ -318,7 +370,7 @@ impl std::fmt::Debug for MicroSim {
         f.debug_struct("MicroSim")
             .field("now", &self.now)
             .field("roads", &self.roads.len())
-            .field("junctions", &self.junctions.len())
+            .field("junctions", &self.boxes.len())
             .field("vehicles", &self.vehicles_in_network())
             .field("total_crossings", &self.total_crossings)
             .finish_non_exhaustive()
@@ -347,59 +399,29 @@ impl MicroSim {
             panic!("invalid microsim config: {msg}");
         }
 
-        let num_roads = topology.num_roads();
-        let mut road_dest = vec![None; num_roads];
-        let mut lane_links: Vec<Vec<Option<LinkId>>> = vec![Vec::new(); num_roads];
-        let mut lane_index_by_link: Vec<Vec<usize>> = vec![Vec::new(); num_roads];
-
-        for r in topology.road_ids() {
-            let road = topology.road(r);
-            match road.dest() {
-                Some((i, arm)) => {
-                    road_dest[r.index()] = Some(i.index());
-                    let layout = topology.intersection(i).layout();
-                    let links = layout.links_from(arm);
-                    lane_links[r.index()] = links.iter().map(|&l| Some(l)).collect();
-                    let mut by_link = vec![usize::MAX; layout.num_links()];
-                    for (lane, &l) in links.iter().enumerate() {
-                        by_link[l.index()] = lane;
+        // Lanes per road, by the link each is dedicated to: one per
+        // movement at the destination junction; exit roads get enough
+        // lanes to hold the declared W.
+        let road_links: Vec<Vec<u16>> = topology
+            .road_ids()
+            .map(|r| {
+                let road = topology.road(r);
+                match road.dest() {
+                    Some((i, arm)) => topology
+                        .intersection(i)
+                        .layout()
+                        .links_from(arm)
+                        .iter()
+                        .map(|l| l.index() as u16)
+                        .collect(),
+                    None => {
+                        let lane_cap =
+                            (road.length_m() / config.jam_spacing_m()).floor().max(1.0) as u32;
+                        vec![LINK_NONE; road.capacity().div_ceil(lane_cap).max(1) as usize]
                     }
-                    lane_index_by_link[r.index()] = by_link;
                 }
-                None => {
-                    // Exit road: enough lanes to hold the declared W.
-                    let lane_cap =
-                        (road.length_m() / config.jam_spacing_m()).floor().max(1.0) as u32;
-                    let lanes = road.capacity().div_ceil(lane_cap).max(1) as usize;
-                    lane_links[r.index()] = vec![None; lanes];
-                }
-            }
-        }
-
-        let mut link_in_road = Vec::with_capacity(topology.num_intersections());
-        let mut link_out_road = Vec::with_capacity(topology.num_intersections());
-        let mut junctions = Vec::with_capacity(topology.num_intersections());
-        for i in topology.intersection_ids() {
-            let node = topology.intersection(i);
-            let layout = node.layout();
-            link_in_road.push(
-                layout
-                    .link_ids()
-                    .map(|l| node.incoming_road(layout.link(l).from()).index())
-                    .collect(),
-            );
-            link_out_road.push(
-                layout
-                    .link_ids()
-                    .map(|l| node.outgoing_road(layout.link(l).to()).index())
-                    .collect(),
-            );
-            junctions.push(JunctionSim {
-                in_box: Vec::new(),
-                credit: vec![0.0; layout.num_links()],
-                active: vec![false; layout.num_links()],
-            });
-        }
+            })
+            .collect();
 
         // Resident vehicles per lane are bounded by the road geometry;
         // sizing the network arena at the plateau up front keeps lane
@@ -409,41 +431,69 @@ impl MicroSim {
             .map(|r| {
                 let road = topology.road(r);
                 let lane_capacity = (road.length_m() / config.jam_spacing_m()).floor() as usize + 1;
-                (lane_links[r.index()].len(), lane_capacity)
+                (road_links[r.index()].len(), lane_capacity)
             })
             .collect();
         let net = NetworkLanes::new(&shapes);
+        let num_lanes = net.total_lanes();
+
+        let mut links = Vec::new();
+        let mut link_off = vec![0];
+        let mut out_roads = Vec::new();
+        let mut out_off = vec![0];
+        let mut phase_links = Vec::new();
+        let mut phases = Vec::new();
+        let mut phase_base = Vec::with_capacity(topology.num_intersections());
+        for i in topology.intersection_ids() {
+            let node = topology.intersection(i);
+            let layout = node.layout();
+            for l in layout.link_ids() {
+                let link = layout.link(l);
+                let in_road = node.incoming_road(link.from()).index();
+                let lane = layout
+                    .links_from(link.from())
+                    .iter()
+                    .position(|&x| x == l)
+                    .expect("a link leaves its own arm");
+                links.push(LinkEntry {
+                    in_lane: (net.lane0(in_road) + lane) as u32,
+                    in_road: in_road as u32,
+                    out_road: node.outgoing_road(link.to()).index() as u32,
+                    mu_dt: link.service_rate() * config.dt_seconds,
+                });
+            }
+            link_off.push(links.len());
+            out_roads.extend(
+                layout
+                    .outgoing_ids()
+                    .map(|o| node.outgoing_road(o).index() as u32),
+            );
+            out_off.push(out_roads.len());
+            phase_base.push(phases.len());
+            for p in layout.phase_ids() {
+                let start = phase_links.len();
+                phase_links.extend(layout.phase(p).links().iter().map(|l| l.index() as u16));
+                phases.push((start, phase_links.len()));
+            }
+        }
 
         let seed = config.seed;
         let roads: Vec<RoadSim> = topology
             .road_ids()
             .map(|r| {
                 let road = topology.road(r);
-                let num_lanes = lane_links[r.index()].len();
-                RoadSim {
-                    length: road.length_m(),
-                    capacity: road.capacity(),
-                    closed: false,
-                    occupancy: 0,
-                    entered: 0,
-                    pending: vec![0; num_lanes],
-                    spec: SensorSpec::for_road(road.length_m(), &config),
-                    lane_detected: vec![0; num_lanes],
-                    lane_halted: vec![0; num_lanes],
-                    detected_sum: 0,
-                    halted_sum: 0,
-                    move_counts: match (config.lane_discipline, road.dest()) {
-                        (crate::LaneDiscipline::SharedMixed, Some((i, _))) => Some(
-                            MovementCounters::new(topology.intersection(i).layout().num_links()),
-                        ),
-                        _ => None,
-                    },
-                    // Decorrelate road streams with a splitmix-style odd
-                    // multiplier; SmallRng scrambles the seed further.
-                    rng: SmallRng::seed_from_u64(
-                        seed ^ (r.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                let move_counts = match (config.lane_discipline, road.dest()) {
+                    (crate::LaneDiscipline::SharedMixed, Some((i, _))) => Some(
+                        MovementCounters::new(topology.intersection(i).layout().num_links()),
                     ),
-                }
+                    _ => None,
+                };
+                // Decorrelate road streams with a splitmix-style odd
+                // multiplier; SmallRng scrambles the seed further.
+                let rng = SmallRng::seed_from_u64(
+                    seed ^ (r.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                RoadSim::new(road.length_m(), road.capacity(), &config, rng, move_counts)
             })
             .collect();
 
@@ -455,28 +505,36 @@ impl MicroSim {
         );
 
         MicroSim {
+            boxes: vec![Vec::new(); topology.num_intersections()],
+            road_dest: topology
+                .road_ids()
+                .map(|r| topology.road(r).dest().map(|(i, _)| i.index()))
+                .collect(),
             topology,
             config,
             controllers: ControllerSlot::wrap_all(controllers),
             roads,
             net,
-            junctions,
             arena: VehicleArena::new(),
-            backlogs: vec![VecDeque::new(); num_roads],
+            backlogs: vec![VecDeque::new(); shapes.len()],
             ledger: WaitingLedger::new(),
             now: Tick::ZERO,
             total_crossings: 0,
             obs_buf,
             landing_scratch: Vec::new(),
-            lane_green: lane_links
-                .iter()
-                .map(|links| vec![false; links.len()])
-                .collect(),
-            road_dest,
-            lane_links,
-            lane_index_by_link,
-            link_in_road,
-            link_out_road,
+            credit: vec![0.0; links.len()],
+            link_active: vec![false; links.len()],
+            links,
+            link_off,
+            out_roads,
+            out_off,
+            phase_links,
+            phases,
+            phase_base,
+            lane_link: road_links.concat(),
+            sensors: LaneSensors::new(num_lanes),
+            pending: vec![0; num_lanes],
+            lane_green: vec![false; num_lanes],
         }
     }
 
@@ -512,10 +570,7 @@ impl MicroSim {
     pub fn mean_waiting_including_active(&self) -> f64 {
         let now = self.now;
         let lane_waits = self.net.all_waits();
-        let box_waits = self
-            .junctions
-            .iter()
-            .flat_map(|j| j.in_box.iter().map(|c| c.wait));
+        let box_waits = self.boxes.iter().flat_map(|b| b.iter().map(|c| c.wait));
         let backlog_waits = self
             .backlogs
             .iter()
@@ -532,7 +587,7 @@ impl MicroSim {
     /// Vehicles currently on lanes or in junction boxes.
     pub fn vehicles_in_network(&self) -> usize {
         let on_lanes = self.net.total_vehicles();
-        let in_boxes: usize = self.junctions.iter().map(|j| j.in_box.len()).sum();
+        let in_boxes: usize = self.boxes.iter().map(Vec::len).sum();
         on_lanes + in_boxes
     }
 
@@ -558,7 +613,7 @@ impl MicroSim {
                 }
             }
         }
-        let in_boxes: usize = self.junctions.iter().map(|j| j.in_box.len()).sum();
+        let in_boxes: usize = self.boxes.iter().map(Vec::len).sum();
         (on_lanes, in_boxes, pos, speed)
     }
 
@@ -600,17 +655,8 @@ impl MicroSim {
     ///
     /// Panics if the ids are out of range.
     pub fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        let r = self.link_in_road[intersection.index()][link.index()];
-        if self.config.lane_discipline == crate::LaneDiscipline::DedicatedPerMovement {
-            let lane = self.lane_index_by_link[r][link.index()];
-            return self.roads[r].lane_detected[lane];
-        }
-        if let Some(mv) = &self.roads[r].move_counts {
-            // SharedMixed: the incrementally maintained per-(road, link)
-            // counter (vehicles for a movement may sit on any lane).
-            return mv.detected[link.index()];
-        }
-        self.movement_detected(intersection, link, self.config.detection_range_m)
+        let i = intersection.index();
+        self.link_queue(&self.links[self.link_off[i] + link.index()], link.index())
     }
 
     /// Total vehicles bound for `link` on the incoming road, over its
@@ -620,44 +666,29 @@ impl MicroSim {
     ///
     /// Panics if the ids are out of range.
     pub fn movement_count(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        let r = self.link_in_road[intersection.index()][link.index()];
-        if self.config.lane_discipline == crate::LaneDiscipline::DedicatedPerMovement {
-            let lane = self.lane_index_by_link[r][link.index()];
-            return self.net.len(r, lane) as u32;
+        let entry = self.links[self.link_off[intersection.index()] + link.index()];
+        let r = entry.in_road as usize;
+        match &self.roads[r].move_counts {
+            // SharedMixed: the per-(road, link) counter.
+            Some(mv) => mv.total[link.index()],
+            None => self.net.len(r, entry.in_lane as usize - self.net.lane0(r)) as u32,
         }
-        if let Some(mv) = &self.roads[r].move_counts {
-            return mv.total[link.index()];
-        }
-        self.movement_detected(intersection, link, f64::INFINITY)
     }
 
-    /// Rescan-based detector read for arbitrary ranges (and the
-    /// [`LaneDiscipline::SharedMixed`](crate::LaneDiscipline) fallback,
-    /// where per-movement counts cannot be kept per lane). Reads the
-    /// lanes' cached per-vehicle movement links, so no route is chased.
-    fn movement_detected(&self, intersection: IntersectionId, link: LinkId, range: f64) -> u32 {
-        let r = self.link_in_road[intersection.index()][link.index()];
-        let length = self.roads[r].length;
-        match self.config.lane_discipline {
-            crate::LaneDiscipline::DedicatedPerMovement => {
-                let lane = self.lane_index_by_link[r][link.index()];
-                self.net.detected(r, lane, length, range)
-            }
-            crate::LaneDiscipline::SharedMixed => {
-                // Vehicles for this movement may sit on any lane.
-                let li = link.index() as u16;
-                (0..self.net.num_lanes(r))
-                    .map(|l| {
-                        (0..self.net.len(r, l))
-                            .filter(|&i| {
-                                self.net.pos_at(r, l, i) >= length - range
-                                    && self.net.link_at(r, l, i) == li
-                            })
-                            .count() as u32
-                    })
-                    .sum()
-            }
+    /// The detected queue of link `entry` (local index `link`): the
+    /// dedicated lane's detector counter, or under
+    /// [`LaneDiscipline::SharedMixed`](crate::LaneDiscipline), where a
+    /// movement's vehicles may sit on any lane, the incoming road's
+    /// per-link counter.
+    #[inline]
+    fn link_queue(&self, entry: &LinkEntry, link: usize) -> u32 {
+        if self.config.lane_discipline == crate::LaneDiscipline::DedicatedPerMovement {
+            return self.sensors.detected[entry.in_lane as usize];
         }
+        self.roads[entry.in_road as usize]
+            .move_counts
+            .as_ref()
+            .map_or(0, |mv| mv.detected[link])
     }
 
     /// Halted vehicles across all lanes of a road (whole length) — an
@@ -679,10 +710,11 @@ impl MicroSim {
     /// Panics if `road` is out of range.
     pub fn road_sensor(&self, road: RoadId) -> u32 {
         use crate::config::OutgoingSensor;
+        let road = &self.roads[road.index()];
         match self.config.outgoing_sensor {
-            OutgoingSensor::HaltedWholeRoad => self.road_halted(road),
-            OutgoingSensor::PresenceNearJunction => self.roads[road.index()].detected_sum,
-            OutgoingSensor::Occupancy => self.roads[road.index()].occupancy,
+            OutgoingSensor::HaltedWholeRoad => road.halted_sum,
+            OutgoingSensor::PresenceNearJunction => road.detected_sum,
+            OutgoingSensor::Occupancy => road.occupancy,
         }
     }
 
@@ -745,55 +777,38 @@ impl MicroSim {
     /// Panics if `intersection` is out of range or `obs` has the wrong
     /// shape.
     pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) {
-        let node = self.topology.intersection(intersection);
-        let layout = node.layout();
-        for link in layout.link_ids() {
-            obs.set_movement(link, self.movement_queue_len(intersection, link));
+        // A gather over the flat link and outgoing-road tables: no
+        // topology or layout walk.
+        let i = intersection.index();
+        let links = &self.links[self.link_off[i]..self.link_off[i + 1]];
+        for (l, entry) in links.iter().enumerate() {
+            obs.set_movement(LinkId::new(l as u16), self.link_queue(entry, l));
         }
-        for out in layout.outgoing_ids() {
-            obs.set_outgoing(out, self.road_sensor(node.outgoing_road(out)));
+        let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
+        for (o, &road) in outs.iter().enumerate() {
+            obs.set_outgoing(
+                OutgoingId::new(o as u8),
+                self.road_sensor(RoadId::new(road)),
+            );
         }
     }
 
     /// Validates the incremental-sensing invariants: every lane's detector
     /// and halt counters must equal a from-scratch rescan, every lane's
     /// pending-reservation counter must equal the number of junction-box
-    /// crossings heading for it (the scan it replaced), and every cached
-    /// per-vehicle movement link must equal the one derived from the
-    /// arena's route cursor. Debug/test facility backing the regression
-    /// suite.
+    /// crossings heading for it, the movement counters must equal a
+    /// rescan of the lanes' cached links, and every cached per-vehicle
+    /// movement link must equal the one derived from the arena's route
+    /// cursor. Debug/test facility backing the regression suite.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first divergent road/lane.
     pub fn verify_sensors(&self) -> Result<(), String> {
         self.net.verify_active()?;
-        for (r, road) in self.roads.iter().enumerate() {
-            let mut detected_sum = 0u32;
-            let mut halted_sum = 0u32;
+        self.audit_counters().map_err(|m| m.detail)?;
+        for r in 0..self.roads.len() {
             for l in 0..self.net.num_lanes(r) {
-                let (detected, halted) = self.net.rescan_sensors(r, l, road.spec);
-                detected_sum += detected;
-                halted_sum += halted;
-                if road.lane_detected[l] != detected || road.lane_halted[l] != halted {
-                    return Err(format!(
-                        "road {r} lane {l}: incremental (detected {}, halted {}) != rescan \
-                         (detected {detected}, halted {halted})",
-                        road.lane_detected[l], road.lane_halted[l],
-                    ));
-                }
-                let pending = self
-                    .junctions
-                    .iter()
-                    .flat_map(|j| j.in_box.iter())
-                    .filter(|c| c.dest_road == r && c.dest_lane == l)
-                    .count() as u32;
-                if road.pending[l] != pending {
-                    return Err(format!(
-                        "road {r} lane {l}: pending reservations {} != in-box scan {pending}",
-                        road.pending[l]
-                    ));
-                }
                 for i in 0..self.net.len(r, l) {
                     let slot = self.net.slot_at(r, l, i);
                     let derived = self
@@ -810,32 +825,102 @@ impl MicroSim {
                     }
                 }
             }
-            if road.detected_sum != detected_sum || road.halted_sum != halted_sum {
-                return Err(format!(
-                    "road {r}: sums (detected {}, halted {}) != rescan (detected \
-                     {detected_sum}, halted {halted_sum})",
-                    road.detected_sum, road.halted_sum,
-                ));
+        }
+        Ok(())
+    }
+
+    /// Checks every incrementally maintained counter against the storage
+    /// it summarizes: per-lane detector and halt counters and their road
+    /// sums against a rescan, pending reservations against the junction
+    /// boxes, movement counters against the lanes' cached links (each of
+    /// which must name a link of the road's destination, or
+    /// [`LINK_NONE`] on exit roads). Shared by
+    /// [`verify_sensors`](Self::verify_sensors) and
+    /// [`load_state`](Self::load_state), which must refuse a snapshot
+    /// whose counters would otherwise break at step time.
+    fn audit_counters(&self) -> Result<(), CounterMismatch> {
+        let mut pending = vec![0u32; self.pending.len()];
+        for c in self.boxes.iter().flatten() {
+            pending[self.net.lane0(c.dest_road) + c.dest_lane] += 1;
+        }
+        for (r, road) in self.roads.iter().enumerate() {
+            let num_links =
+                self.road_dest[r].map_or(0, |j| self.link_off[j + 1] - self.link_off[j]);
+            let mut moves = road
+                .move_counts
+                .as_ref()
+                .map(|_| MovementCounters::new(num_links));
+            let (mut detected_sum, mut halted_sum) = (0u32, 0u32);
+            for l in 0..self.net.num_lanes(r) {
+                let g = self.net.lane0(r) + l;
+                let (detected, halted) = self.net.rescan_sensors(r, l, road.spec);
+                detected_sum += detected;
+                halted_sum += halted;
+                let counters = (self.sensors.detected[g], self.sensors.halted[g]);
+                if counters != (detected, halted) {
+                    return Err(CounterMismatch {
+                        what: "lane sensor counter",
+                        word: u64::from(counters.0),
+                        detail: format!(
+                            "road {r} lane {l}: incremental (detected {}, halted {}) != rescan \
+                             (detected {detected}, halted {halted})",
+                            counters.0, counters.1
+                        ),
+                    });
+                }
+                if self.pending[g] != pending[g] {
+                    return Err(CounterMismatch {
+                        what: "lane pending reservations",
+                        word: u64::from(self.pending[g]),
+                        detail: format!(
+                            "road {r} lane {l}: pending reservations {} != in-box scan {}",
+                            self.pending[g], pending[g]
+                        ),
+                    });
+                }
+                for i in 0..self.net.len(r, l) {
+                    let link = self.net.link_at(r, l, i);
+                    let valid = if num_links == 0 {
+                        link == LINK_NONE
+                    } else {
+                        usize::from(link) < num_links
+                    };
+                    if !valid {
+                        return Err(CounterMismatch {
+                            what: "lane vehicle link",
+                            word: u64::from(link),
+                            detail: format!(
+                                "road {r} lane {l} vehicle {i}: link {link} out of range"
+                            ),
+                        });
+                    }
+                    if let Some(moves) = moves.as_mut() {
+                        moves.add(usize::from(link), self.net.pos_at(r, l, i), road.spec);
+                    }
+                }
             }
-            if let Some(mv) = &road.move_counts {
-                for link in 0..mv.total.len() {
-                    let (mut total, mut detected) = (0u32, 0u32);
-                    for l in 0..self.net.num_lanes(r) {
-                        for i in 0..self.net.len(r, l) {
-                            if self.net.link_at(r, l, i) == link as u16 {
-                                total += 1;
-                                if self.net.pos_at(r, l, i) >= road.spec.detect_from {
-                                    detected += 1;
-                                }
-                            }
-                        }
-                    }
-                    if mv.total[link] != total || mv.detected[link] != detected {
-                        return Err(format!(
-                            "road {r} link {link}: incremental movement (total {}, detected {})                              != rescan (total {total}, detected {detected})",
-                            mv.total[link], mv.detected[link]
-                        ));
-                    }
+            if (road.detected_sum, road.halted_sum) != (detected_sum, halted_sum) {
+                return Err(CounterMismatch {
+                    what: "road sensor sum",
+                    word: u64::from(road.detected_sum),
+                    detail: format!(
+                        "road {r}: sums (detected {}, halted {}) != rescan (detected \
+                         {detected_sum}, halted {halted_sum})",
+                        road.detected_sum, road.halted_sum,
+                    ),
+                });
+            }
+            if let (Some(mv), Some(moves)) = (&road.move_counts, &moves) {
+                if (&mv.total, &mv.detected) != (&moves.total, &moves.detected) {
+                    return Err(CounterMismatch {
+                        what: "movement counter",
+                        word: r as u64,
+                        detail: format!(
+                            "road {r}: incremental movement counters (total {:?}, detected {:?}) \
+                             != rescan (total {:?}, detected {:?})",
+                            mv.total, mv.detected, moves.total, moves.detected
+                        ),
+                    });
                 }
             }
         }
@@ -881,10 +966,11 @@ impl MicroSim {
         let mut watch = PhaseStopwatch::new(timings);
 
         // 1. Sense: rewrite the per-intersection observation buffer from
-        //    the incremental detector counters (O(links) per junction).
+        //    the incremental detector counters, gathered through the flat
+        //    link tables (O(links) per junction).
         let mut obs_buf = std::mem::take(&mut self.obs_buf);
-        for i in self.topology.intersection_ids() {
-            self.observe_into(i, obs_buf.get_mut(i.index()));
+        for (i, obs) in obs_buf.as_mut_slice().iter_mut().enumerate() {
+            self.observe_into(IntersectionId::new(i as u32), obs);
         }
 
         // 2. Decide: one controller per intersection, reading only its own
@@ -899,39 +985,37 @@ impl MicroSim {
         }
         self.obs_buf = obs_buf;
 
-        // 3. Refresh per-link green flags and service credits.
-        for i in self.topology.intersection_ids() {
-            let layout = self.topology.intersection(i).layout();
-            let j = &mut self.junctions[i.index()];
-            j.active.iter_mut().for_each(|a| *a = false);
-            if let PhaseDecision::Control(phase) = self.controllers[i.index()].decision {
-                for &l in layout.phase(phase).links() {
-                    j.active[l.index()] = true;
+        // 3. Refresh per-link green flags and service credits, and each
+        //    link's lane green-with-credit flag, in one pass over the flat
+        //    link table.
+        for i in 0..self.boxes.len() {
+            let (a, b) = (self.link_off[i], self.link_off[i + 1]);
+            let active = &mut self.link_active[a..b];
+            active.fill(false);
+            if let PhaseDecision::Control(phase) = self.controllers[i].decision {
+                let (start, end) = self.phases[self.phase_base[i] + phase.index()];
+                for &l in &self.phase_links[start..end] {
+                    active[usize::from(l)] = true;
                 }
             }
-            for l in layout.link_ids() {
-                let idx = l.index();
-                if j.active[idx] {
-                    let mu_dt = layout.link(l).service_rate() * self.config.dt_seconds;
-                    j.credit[idx] = (j.credit[idx] + mu_dt).min(mu_dt.max(1.0));
+            for k in a..b {
+                let LinkEntry { in_lane, mu_dt, .. } = self.links[k];
+                let green = self.link_active[k];
+                let credit = &mut self.credit[k];
+                *credit = if green {
+                    (*credit + mu_dt).min(mu_dt.max(1.0))
                 } else {
-                    j.credit[idx] = 0.0;
-                }
-                if self.config.lane_discipline == crate::LaneDiscipline::DedicatedPerMovement {
-                    let in_road = self.link_in_road[i.index()][idx];
-                    let lane = self.lane_index_by_link[in_road][idx];
-                    self.lane_green[in_road][lane] = j.active[idx] && j.credit[idx] >= 1.0;
-                }
+                    0.0
+                };
+                self.lane_green[in_lane as usize] = green && *credit >= 1.0;
             }
         }
         watch.lap(|t| &mut t.decide);
 
         // 4. Box countdown.
-        for j in &mut self.junctions {
-            for c in &mut j.in_box {
-                if c.remaining > 0 {
-                    c.remaining -= 1;
-                }
+        for c in self.boxes.iter_mut().flatten() {
+            if c.remaining > 0 {
+                c.remaining -= 1;
             }
         }
 
@@ -959,56 +1043,46 @@ impl MicroSim {
             let length = self.roads[r].length;
             let spec = self.roads[r].spec;
             let dest = self.road_dest[r];
+            let lane0 = self.net.lane0(r);
             for lane_idx in 0..self.net.num_lanes(r) {
                 if self.net.is_empty(r, lane_idx) {
                     continue;
                 }
+                let g = lane0 + lane_idx;
                 // Release decision for the head vehicle.
                 let (mode, head_dest) = match dest {
                     None => (HeadMode::Release, None),
                     Some(j) => {
-                        // Green-with-credit: the precomputed per-lane flag
-                        // under dedicated lanes; the live junction lookup
-                        // under SharedMixed (head-of-line semantics —
-                        // whatever movement the *head* vehicle needs
-                        // governs the lane; its cached link never changes
-                        // on-road).
-                        let (green, li) = match self.config.lane_discipline {
-                            crate::LaneDiscipline::DedicatedPerMovement => {
-                                (self.lane_green[r][lane_idx], usize::MAX)
-                            }
+                        // Green-with-credit: the refresh pass's per-lane
+                        // flag under dedicated lanes; the live per-link
+                        // verdict under SharedMixed (head-of-line
+                        // semantics — whatever movement the *head* vehicle
+                        // needs governs the lane; its cached link never
+                        // changes on-road).
+                        let (green, k) = match self.config.lane_discipline {
+                            crate::LaneDiscipline::DedicatedPerMovement => (
+                                self.lane_green[g],
+                                self.link_off[j] + usize::from(self.lane_link[g]),
+                            ),
                             crate::LaneDiscipline::SharedMixed => {
-                                let li = self.net.link_at(r, lane_idx, 0) as usize;
-                                (
-                                    self.junctions[j].active[li]
-                                        && self.junctions[j].credit[li] >= 1.0,
-                                    li,
-                                )
+                                let k = self.link_off[j]
+                                    + usize::from(self.net.link_at(r, lane_idx, 0));
+                                (self.link_active[k] && self.credit[k] >= 1.0, k)
                             }
                         };
-                        if green {
-                            let li = if li != usize::MAX {
-                                li
-                            } else {
-                                self.lane_links[r][lane_idx]
-                                    .expect("dedicated lanes always map to a link")
-                                    .index()
-                            };
-                            let out_r = self.link_out_road[j][li];
-                            if !self.roads[out_r].closed
-                                && self.roads[out_r].occupancy < self.roads[out_r].capacity
-                            {
-                                let slot = self.net.slot_at(r, lane_idx, 0);
-                                let dest_lane = self.choose_dest_lane(
-                                    out_r,
-                                    self.arena.hop(slot) + 1,
-                                    self.arena.route(slot),
-                                );
-                                if self.dest_lane_has_room(out_r, dest_lane) {
-                                    (HeadMode::Release, Some((j, li, out_r, dest_lane)))
-                                } else {
-                                    (HeadMode::Blocked, None)
-                                }
+                        let out_r = self.links[k].out_road as usize;
+                        if green
+                            && !self.roads[out_r].closed
+                            && self.roads[out_r].occupancy < self.roads[out_r].capacity
+                        {
+                            let slot = self.net.slot_at(r, lane_idx, 0);
+                            let dest_lane = self.choose_dest_lane(
+                                out_r,
+                                self.arena.hop(slot) + 1,
+                                self.arena.route(slot),
+                            );
+                            if self.dest_lane_has_room(out_r, dest_lane) {
+                                (HeadMode::Release, Some((j, k, out_r, dest_lane)))
                             } else {
                                 (HeadMode::Blocked, None)
                             }
@@ -1037,16 +1111,19 @@ impl MicroSim {
                     &mut noise,
                     road.move_counts.as_mut(),
                 );
-                if outcome.detected_delta != 0 {
-                    road.lane_detected[lane_idx] =
-                        (road.lane_detected[lane_idx] as i32 + outcome.detected_delta) as u32;
-                    road.detected_sum = (road.detected_sum as i32 + outcome.detected_delta) as u32;
-                }
-                if outcome.halted_delta != 0 {
-                    road.lane_halted[lane_idx] =
-                        (road.lane_halted[lane_idx] as i32 + outcome.halted_delta) as u32;
-                    road.halted_sum = (road.halted_sum as i32 + outcome.halted_delta) as u32;
-                }
+                // Folded unconditionally: a zero delta is a no-op, and a
+                // data-dependent skip would be one more mispredicted branch.
+                let (dd, hd) = (outcome.detected_delta.into(), outcome.halted_delta.into());
+                fold_counter(&mut self.sensors.detected[g], dd, || {
+                    format!("road {r} lane {lane_idx} detected")
+                });
+                fold_counter(&mut road.detected_sum, dd, || {
+                    format!("road {r} detected sum")
+                });
+                fold_counter(&mut self.sensors.halted[g], hd, || {
+                    format!("road {r} lane {lane_idx} halted")
+                });
+                fold_counter(&mut road.halted_sum, hd, || format!("road {r} halted sum"));
                 if let Some((slot, wait)) = outcome.crossed {
                     match head_dest {
                         None => {
@@ -1057,13 +1134,13 @@ impl MicroSim {
                             self.ledger.complete(id, now, wait);
                             completed += 1;
                         }
-                        Some((j, li, out_r, dest_lane)) => {
-                            self.junctions[j].credit[li] -= 1.0;
-                            self.roads[r].occupancy = self.roads[r].occupancy.saturating_sub(1);
+                        Some((j, k, out_r, dest_lane)) => {
+                            self.credit[k] -= 1.0;
+                            road.occupancy = road.occupancy.saturating_sub(1);
                             self.roads[out_r].occupancy += 1;
-                            self.roads[out_r].pending[dest_lane] += 1;
+                            self.pending[self.net.lane0(out_r) + dest_lane] += 1;
                             self.arena.bump_hop(slot);
-                            self.junctions[j].in_box.push(Crossing {
+                            self.boxes[j].push(Crossing {
                                 slot,
                                 wait,
                                 remaining: self.config.crossing_ticks,
@@ -1085,13 +1162,43 @@ impl MicroSim {
 
         // 6. Car-following for the remaining vehicles: per-road work with
         //    no cross-road reads or writes — the expensive phase. It walks
-        //    the active-road list over one view of the network arena (a
-        //    few linear sweeps, zero allocation).
-        {
-            let (mut view, spans, active) = self.net.follower_parts();
-            for &r in active {
-                let r = r as usize;
-                follow_road(&mut view, &spans[r], &mut self.roads[r], &self.config, tick);
+        //    the active-road list over the network arena (a few linear
+        //    sweeps, zero allocation); exact fidelity keeps several roads
+        //    in flight (see `sweep_followers`).
+        match fidelity {
+            Fidelity::Exact => {
+                sweep_followers(
+                    &mut self.net,
+                    &mut self.roads,
+                    &mut self.sensors,
+                    &self.config,
+                );
+            }
+            // The batched kernel advances the whole road in one call and
+            // folds per-lane sensor deltas itself.
+            Fidelity::Batched => {
+                let (mut view, spans, active) = self.net.follower_parts();
+                for &r in active {
+                    let (r, span) = (r as usize, spans[r as usize]);
+                    let road = &mut self.roads[r];
+                    let lanes = span.lane0..span.lane0 + span.num_lanes;
+                    let (dd, hd) = advance_followers_batched_road(
+                        &mut view,
+                        &span,
+                        road.length,
+                        &self.config,
+                        road.spec,
+                        dawdle_seed,
+                        tick,
+                        road.move_counts.as_mut(),
+                        &mut self.sensors.detected[lanes.clone()],
+                        &mut self.sensors.halted[lanes],
+                    );
+                    fold_counter(&mut road.detected_sum, dd, || {
+                        format!("road {r} detected sum")
+                    });
+                    fold_counter(&mut road.halted_sum, hd, || format!("road {r} halted sum"));
+                }
             }
         }
         watch.lap(|t| &mut t.car_following);
@@ -1100,27 +1207,28 @@ impl MicroSim {
         //    are drained through a reused scratch vector so box order is
         //    preserved for the held ones, without per-tick allocation.
         {
-            let junctions = &mut self.junctions;
             let roads = &mut self.roads;
             let net = &mut self.net;
+            let sensors = &mut self.sensors;
+            let pending = &mut self.pending;
             let config = &self.config;
             let scratch = &mut self.landing_scratch;
             let arena = &self.arena;
-            for junction in junctions.iter_mut() {
-                if junction.in_box.is_empty() {
+            for in_box in self.boxes.iter_mut() {
+                if in_box.is_empty() {
                     continue;
                 }
-                std::mem::swap(&mut junction.in_box, scratch);
+                std::mem::swap(in_box, scratch);
                 for crossing in scratch.drain(..) {
                     if crossing.remaining > 0 {
-                        junction.in_box.push(crossing);
+                        in_box.push(crossing);
                         continue;
                     }
                     let road = &mut roads[crossing.dest_road];
                     if !net.entry_clear(crossing.dest_road, crossing.dest_lane, road.length, config)
                     {
                         // Held in the box until the lane entry clears.
-                        junction.in_box.push(crossing);
+                        in_box.push(crossing);
                         continue;
                     }
                     let leader = lane_entry_leader(
@@ -1142,7 +1250,8 @@ impl MicroSim {
                         .route(crossing.slot)
                         .hop(arena.hop(crossing.slot))
                         .map_or(LINK_NONE, |(_, l)| l.index() as u16);
-                    road.sensor_add(crossing.dest_lane, 0.0, speed);
+                    let g = net.lane0(crossing.dest_road) + crossing.dest_lane;
+                    road.sensor_add(sensors, g, 0.0, speed);
                     if let (Some(mv), true) = (road.move_counts.as_mut(), link != LINK_NONE) {
                         mv.add(link as usize, 0.0, road.spec);
                     }
@@ -1156,7 +1265,7 @@ impl MicroSim {
                         link,
                         arena.id(crossing.slot).raw(),
                     );
-                    road.pending[crossing.dest_lane] -= 1;
+                    pending[g] -= 1;
                     road.entered += 1;
                 }
             }
@@ -1218,12 +1327,18 @@ impl MicroSim {
                     .hop(hop)
                     .expect("internal destination road implies a further hop");
                 debug_assert_eq!(next_i.index(), _next_i, "route disagrees with topology");
-                self.lane_index_by_link[out_road][link.index()]
+                self.dedicated_lane(out_road, link)
             }
             // Exit roads and mixed-lane roads: pick the lane with the most
             // entry space.
             _ => self.emptiest_lane(out_road),
         }
+    }
+
+    /// The lane of `road` dedicated to `link` at the road's destination.
+    fn dedicated_lane(&self, road: usize, link: LinkId) -> usize {
+        let j = self.road_dest[road].expect("a lane dedicated to a link feeds a junction");
+        self.links[self.link_off[j] + link.index()].in_lane as usize - self.net.lane0(road)
     }
 
     /// The lane of `road` with the most entry space.
@@ -1246,7 +1361,7 @@ impl MicroSim {
     /// an O(1) read of the road's pending-reservation counter.
     fn dest_lane_has_room(&self, out_road: usize, dest_lane: usize) -> bool {
         let road = &self.roads[out_road];
-        let pending = road.pending[dest_lane] as f64;
+        let pending = self.pending[self.net.lane0(out_road) + dest_lane] as f64;
         let tail = self.net.tail_position(out_road, dest_lane, road.length);
         tail >= self.config.jam_spacing_m() * (pending + 1.0)
     }
@@ -1259,7 +1374,7 @@ impl MicroSim {
         }
         let (_, link) = route.hop(0).expect("routes have at least one hop");
         let lane_idx = match self.config.lane_discipline {
-            crate::LaneDiscipline::DedicatedPerMovement => self.lane_index_by_link[r][link.index()],
+            crate::LaneDiscipline::DedicatedPerMovement => self.dedicated_lane(r, link),
             crate::LaneDiscipline::SharedMixed => self.emptiest_lane(r),
         };
         if !self
@@ -1295,7 +1410,7 @@ impl MicroSim {
             wait += 1;
         }
         let road = &mut self.roads[r];
-        road.sensor_add(lane_idx, 0.0, speed);
+        road.sensor_add(&mut self.sensors, self.net.lane0(r) + lane_idx, 0.0, speed);
         if let Some(mv) = road.move_counts.as_mut() {
             mv.add(link as usize, 0.0, road.spec);
         }
@@ -1336,9 +1451,9 @@ impl MicroSim {
                 }
             }
         }
-        for j in 0..self.junctions.len() {
-            for c in 0..self.junctions[j].in_box.len() {
-                let slot = self.junctions[j].in_box[c].slot;
+        for j in 0..self.boxes.len() {
+            for c in 0..self.boxes[j].len() {
+                let slot = self.boxes[j][c].slot;
                 let fixed = self.arena.hop(slot) + 1;
                 if let Some(route) = replan(self.arena.id(slot), self.arena.route(slot), fixed) {
                     self.arena.set_route(slot, route);
@@ -1390,14 +1505,13 @@ impl MicroSim {
             for l in 0..self.net.num_lanes(r) {
                 self.net.save_lane(r, l, writer);
             }
-            for &p in &road.pending {
-                writer.push_u32(p);
-            }
-            for &d in &road.lane_detected {
-                writer.push_u32(d);
-            }
-            for &h in &road.lane_halted {
-                writer.push_u32(h);
+            // Per-lane arrays are network-wide; the road's lanes are a
+            // contiguous run, written in lane order as before.
+            let lanes = self.net.lane0(r)..self.net.lane0(r) + self.net.num_lanes(r);
+            for counters in [&self.pending, &self.sensors.detected, &self.sensors.halted] {
+                for &c in &counters[lanes.clone()] {
+                    writer.push_u32(c);
+                }
             }
             writer.push_u32(road.detected_sum);
             writer.push_u32(road.halted_sum);
@@ -1412,18 +1526,19 @@ impl MicroSim {
                 writer.push(word);
             }
         }
-        writer.push_usize(self.junctions.len());
-        for junction in &self.junctions {
-            writer.push_usize(junction.in_box.len());
-            for c in &junction.in_box {
+        writer.push_usize(self.boxes.len());
+        for (j, in_box) in self.boxes.iter().enumerate() {
+            writer.push_usize(in_box.len());
+            for c in in_box {
                 writer.push_u32(c.slot);
                 writer.push(c.wait);
                 writer.push(c.remaining);
                 writer.push_usize(c.dest_road);
                 writer.push_usize(c.dest_lane);
             }
-            writer.push_usize(junction.credit.len());
-            for &credit in &junction.credit {
+            let credits = &self.credit[self.link_off[j]..self.link_off[j + 1]];
+            writer.push_usize(credits.len());
+            for &credit in credits {
                 writer.push_f64(credit);
             }
         }
@@ -1447,13 +1562,20 @@ impl MicroSim {
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] on a truncated or corrupt stream, or
-    /// when the saved shape (road/lane/junction counts) disagrees with
-    /// this simulator's topology.
+    /// Returns a [`StateError`] on a truncated or corrupt stream; when
+    /// the saved shape (road/lane/junction counts) disagrees with this
+    /// simulator's topology; on an index that points nowhere (a lane or
+    /// junction-box vehicle slot that is not live in the arena, a
+    /// crossing's destination road or lane out of range, a cached link
+    /// outside the road's junction); or when an incremental counter
+    /// disagrees with a rescan of the restored fleet or with the
+    /// restored junction boxes. Either way the error is typed: a crafted
+    /// snapshot never reaches the step path to panic there.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
         self.total_crossings = reader.take()?;
         self.arena.load_state(reader)?;
+        let live = self.arena.live_mask();
         let num_roads = reader.take_usize()?;
         if num_roads != self.roads.len() {
             return Err(StateError::Invalid {
@@ -1476,21 +1598,22 @@ impl MicroSim {
                 });
             }
             for l in 0..num_lanes {
-                self.net.load_lane(r, l, reader)?;
+                self.net.load_lane(r, l, &live, reader)?;
             }
             // The lanes' cached vehicle ids are not on the wire; rebuild
             // them from the (already restored) arena.
             self.net.refresh_ids_road(r, &self.arena);
+            let lanes = self.net.lane0(r)..self.net.lane0(r) + num_lanes;
+            for counters in [
+                &mut self.pending,
+                &mut self.sensors.detected,
+                &mut self.sensors.halted,
+            ] {
+                for c in &mut counters[lanes.clone()] {
+                    *c = reader.take_u32()?;
+                }
+            }
             let road = &mut self.roads[r];
-            for p in &mut road.pending {
-                *p = reader.take_u32()?;
-            }
-            for d in &mut road.lane_detected {
-                *d = reader.take_u32()?;
-            }
-            for h in &mut road.lane_halted {
-                *h = reader.take_u32()?;
-            }
             road.detected_sum = reader.take_u32()?;
             road.halted_sum = reader.take_u32()?;
             let has_moves = reader.take_bool()?;
@@ -1511,32 +1634,56 @@ impl MicroSim {
             road.rng = SmallRng::from_state(rng_state);
         }
         let num_junctions = reader.take_usize()?;
-        if num_junctions != self.junctions.len() {
+        if num_junctions != self.boxes.len() {
             return Err(StateError::Invalid {
                 what: "junction count",
                 word: num_junctions as u64,
             });
         }
-        for junction in &mut self.junctions {
-            let in_box = reader.take_usize()?;
-            junction.in_box.clear();
+        for j in 0..num_junctions {
+            let in_box = reader.take_len(5, "junction box length")?;
+            self.boxes[j].clear();
             for _ in 0..in_box {
-                junction.in_box.push(Crossing {
-                    slot: reader.take_u32()?,
-                    wait: reader.take()?,
-                    remaining: reader.take()?,
-                    dest_road: reader.take_usize()?,
-                    dest_lane: reader.take_usize()?,
+                let slot = reader.take_u32()?;
+                let wait = reader.take()?;
+                let remaining = reader.take()?;
+                let dest_road = reader.take_usize()?;
+                let dest_lane = reader.take_usize()?;
+                if !live.get(slot as usize).copied().unwrap_or(false) {
+                    return Err(StateError::Invalid {
+                        what: "crossing vehicle slot",
+                        word: u64::from(slot),
+                    });
+                }
+                if dest_road >= self.roads.len() {
+                    return Err(StateError::Invalid {
+                        what: "crossing destination road",
+                        word: dest_road as u64,
+                    });
+                }
+                if dest_lane >= self.net.num_lanes(dest_road) {
+                    return Err(StateError::Invalid {
+                        what: "crossing destination lane",
+                        word: dest_lane as u64,
+                    });
+                }
+                self.boxes[j].push(Crossing {
+                    slot,
+                    wait,
+                    remaining,
+                    dest_road,
+                    dest_lane,
                 });
             }
-            let credits = reader.take_usize()?;
-            if credits != junction.credit.len() {
+            let credits = &mut self.credit[self.link_off[j]..self.link_off[j + 1]];
+            let len = reader.take_usize()?;
+            if len != credits.len() {
                 return Err(StateError::Invalid {
                     what: "credit count",
-                    word: credits as u64,
+                    word: len as u64,
                 });
             }
-            for credit in &mut junction.credit {
+            for credit in credits {
                 *credit = reader.take_f64()?;
             }
         }
@@ -1554,7 +1701,10 @@ impl MicroSim {
         for slot in &mut self.controllers {
             slot.controller.load_state(reader)?;
         }
-        Ok(())
+        self.audit_counters().map_err(|m| StateError::Invalid {
+            what: m.what,
+            word: m.word,
+        })
     }
 }
 
@@ -1574,70 +1724,6 @@ fn lane_entry_leader(
         LeaderInfo::Vehicle {
             net_gap_m: net.pos_at(r, l, last) - cfg.vehicle_length_m - cfg.min_gap_m,
             speed_mps: net.speed_at(r, l, last),
-        }
-    }
-}
-
-/// Runs the follower phase for one road under the configured fidelity,
-/// folding the kernels' sensor deltas into the road's dense counters.
-fn follow_road(
-    view: &mut LaneView<'_>,
-    span: &RoadSpan,
-    road: &mut RoadSim,
-    config: &MicroSimConfig,
-    tick: u64,
-) {
-    let RoadSim {
-        length,
-        spec,
-        rng,
-        move_counts,
-        lane_detected,
-        lane_halted,
-        detected_sum,
-        halted_sum,
-        ..
-    } = road;
-    match config.fidelity {
-        Fidelity::Exact => {
-            for l in 0..span.num_lanes {
-                let (dd, hd) = advance_followers(
-                    view,
-                    span,
-                    l,
-                    *length,
-                    config,
-                    *spec,
-                    rng,
-                    move_counts.as_mut(),
-                );
-                if dd != 0 {
-                    lane_detected[l] = (lane_detected[l] as i64 + dd) as u32;
-                    *detected_sum = (*detected_sum as i64 + dd) as u32;
-                }
-                if hd != 0 {
-                    lane_halted[l] = (lane_halted[l] as i64 + hd) as u32;
-                    *halted_sum = (*halted_sum as i64 + hd) as u32;
-                }
-            }
-        }
-        // The batched kernel advances the whole road in one call and
-        // folds per-lane sensor deltas itself.
-        Fidelity::Batched => {
-            let (dd, hd) = advance_followers_batched_road(
-                view,
-                span,
-                *length,
-                config,
-                *spec,
-                config.seed,
-                tick,
-                move_counts.as_mut(),
-                lane_detected,
-                lane_halted,
-            );
-            *detected_sum = (*detected_sum as i64 + dd) as u32;
-            *halted_sum = (*halted_sum as i64 + hd) as u32;
         }
     }
 }
@@ -1746,7 +1832,8 @@ mod occupancy_probe {
         let mut drained = false;
         for _ in 0..3000 {
             step(&mut sim, &mut gen, &mut k);
-            if sim.net.road_len(r) == 0 && sim.roads[r].pending.iter().all(|&p| p == 0) {
+            let lanes = sim.net.lane0(r)..sim.net.lane0(r) + sim.net.num_lanes(r);
+            if sim.net.road_len(r) == 0 && sim.pending[lanes].iter().all(|&p| p == 0) {
                 drained = true;
                 break;
             }
@@ -1845,6 +1932,180 @@ mod occupancy_probe {
             200.0 / best_ex,
             200.0 / best_ba,
             best_ex / best_ba
+        );
+    }
+}
+
+#[cfg(test)]
+mod load_validation {
+    use super::*;
+    use crate::LaneDiscipline;
+    use utilbp_core::{SignalController, Ticks, UtilBp};
+    use utilbp_netgen::{
+        DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
+    };
+
+    fn sim(grid: &GridNetwork, discipline: LaneDiscipline) -> MicroSim {
+        let n = grid.topology().num_intersections();
+        let controllers = (0..n)
+            .map(|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>)
+            .collect();
+        MicroSim::new(
+            grid.topology().clone(),
+            controllers,
+            MicroSimConfig {
+                lane_discipline: discipline,
+                ..MicroSimConfig::default()
+            },
+        )
+    }
+
+    /// A 3×3 run stopped at a tick with vehicles in a junction box.
+    fn loaded(discipline: LaneDiscipline) -> (GridNetwork, MicroSim) {
+        let grid = GridNetwork::new(GridSpec::paper());
+        let mut s = sim(&grid, discipline);
+        let mut gen = DemandGenerator::new(
+            &grid,
+            DemandConfig::new(DemandSchedule::constant(Pattern::I, Ticks::new(10_000))),
+            5,
+        );
+        for k in 0..400 {
+            s.step(gen.poll(&grid, Tick::new(k)));
+            if k > 150 && s.boxes.iter().any(|b| !b.is_empty()) {
+                break;
+            }
+        }
+        assert!(
+            s.boxes.iter().any(|b| !b.is_empty()),
+            "a crossing in flight"
+        );
+        (grid, s)
+    }
+
+    /// Saves `s` after `craft` corrupts it, and loads the capture into a
+    /// fresh simulator.
+    fn reload(
+        grid: &GridNetwork,
+        discipline: LaneDiscipline,
+        mut s: MicroSim,
+        craft: impl FnOnce(&mut MicroSim),
+    ) -> Result<(), StateError> {
+        craft(&mut s);
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        sim(grid, discipline).load_state(&mut StateReader::new(w.bytes()))
+    }
+
+    fn rejects(what: &str, result: Result<(), StateError>) {
+        match result {
+            Err(StateError::Invalid { what: got, .. }) => assert_eq!(got, what),
+            other => panic!("expected an invalid {what}, got {other:?}"),
+        }
+    }
+
+    fn first_crossing(s: &mut MicroSim) -> &mut Crossing {
+        s.boxes.iter_mut().flatten().next().expect("a crossing")
+    }
+
+    #[test]
+    fn an_intact_capture_loads() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        assert_eq!(
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, |_| {}),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn crossing_destination_road_out_of_range_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        let craft = |s: &mut MicroSim| first_crossing(s).dest_road = 1 << 40;
+        rejects(
+            "crossing destination road",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn crossing_destination_lane_out_of_range_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        let craft = |s: &mut MicroSim| first_crossing(s).dest_lane = 7;
+        rejects(
+            "crossing destination lane",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn crossing_slot_that_is_not_live_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        let craft = |s: &mut MicroSim| first_crossing(s).slot = u32::MAX;
+        rejects(
+            "crossing vehicle slot",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn sensor_counter_that_disagrees_with_a_rescan_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        // An empty lane claiming a halted vehicle would wrap in release
+        // at its first fold; load must refuse it instead.
+        let craft = |s: &mut MicroSim| {
+            let g = (0..s.sensors.halted.len())
+                .find(|&g| s.sensors.halted[g] == 0)
+                .expect("an unhalted lane");
+            s.sensors.halted[g] = u32::MAX;
+        };
+        rejects(
+            "lane sensor counter",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn road_sum_that_disagrees_with_its_lanes_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        let craft = |s: &mut MicroSim| s.roads[0].detected_sum += 1;
+        rejects(
+            "road sensor sum",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn pending_count_that_disagrees_with_the_boxes_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+        let craft = |s: &mut MicroSim| {
+            let c = first_crossing(s).clone();
+            let g = s.net.lane0(c.dest_road) + c.dest_lane;
+            s.pending[g] -= 1;
+        };
+        rejects(
+            "lane pending reservations",
+            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+        );
+    }
+
+    #[test]
+    fn movement_counter_that_disagrees_with_a_rescan_is_rejected() {
+        let (grid, s) = loaded(LaneDiscipline::SharedMixed);
+        assert_eq!(
+            reload(&grid, LaneDiscipline::SharedMixed, s, |_| {}),
+            Ok(())
+        );
+        let (grid, s) = loaded(LaneDiscipline::SharedMixed);
+        let craft = |s: &mut MicroSim| {
+            let mv = s
+                .roads
+                .iter_mut()
+                .find_map(|r| r.move_counts.as_mut())
+                .expect("mixed roads keep movement counters");
+            mv.detected[0] += 1;
+        };
+        rejects(
+            "movement counter",
+            reload(&grid, LaneDiscipline::SharedMixed, s, craft),
         );
     }
 }

@@ -338,3 +338,65 @@ fn arena_is_deterministic_across_modes_under_disruption_events() {
     assert_eq!(first, repeat, "repeated runs diverged under events");
     assert!(first.0 > 0, "traffic must actually flow");
 }
+
+/// Mixed-lane golden: the same seeded 5×5 run under
+/// `LaneDiscipline::SharedMixed`, whose per-(road, link) movement
+/// counters the dedicated-lane oracle above never exercises. The
+/// constants were produced by the per-lane follower kernel; every later
+/// kernel must reproduce them bit for bit, f64 sums included.
+#[test]
+fn shared_mixed_matches_golden_on_seeded_5x5_run() {
+    use adaptive_backpressure::microsim::LaneDiscipline;
+    type Digest = (usize, usize, f64, f64);
+    let goldens: [(u64, u64, u64, Digest); 3] = [
+        (
+            199,
+            952,
+            37,
+            (772, 8, 191529.09255695026, 1969.4178018451207),
+        ),
+        (
+            399,
+            1114,
+            58,
+            (1579, 1, 352385.8364029437, 773.2202369130949),
+        ),
+        (
+            599,
+            1182,
+            66,
+            (2117, 1, 425942.00391249487, 338.1097217554258),
+        ),
+    ];
+    let g = GridNetwork::new(GridSpec::with_size(5, 5));
+    let n = g.topology().num_intersections();
+    let mut sim = MicroSim::new(
+        g.topology().clone(),
+        controllers(n),
+        MicroSimConfig {
+            lane_discipline: LaneDiscipline::SharedMixed,
+            ..MicroSimConfig::default()
+        },
+    );
+    let mut gen = DemandGenerator::new(
+        &g,
+        DemandConfig::new(DemandSchedule::constant(Pattern::I, Ticks::new(600))),
+        77,
+    );
+    let mut next = goldens.iter();
+    let mut expect = next.next();
+    for k in 0..600u64 {
+        sim.step(gen.poll(&g, Tick::new(k)));
+        if let Some(&(tick, crossings, completed, digest)) = expect {
+            if k == tick {
+                sim.verify_sensors()
+                    .unwrap_or_else(|msg| panic!("tick {k}: {msg}"));
+                assert_eq!(sim.total_crossings(), crossings, "tick {k}");
+                assert_eq!(sim.ledger().completed(), completed, "tick {k}");
+                assert_eq!(sim.fleet_digest(), digest, "tick {k}");
+                expect = next.next();
+            }
+        }
+    }
+    assert!(expect.is_none(), "all golden ticks must be reached");
+}
