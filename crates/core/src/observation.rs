@@ -173,6 +173,19 @@ impl QueueObservation {
         &self.outgoing
     }
 
+    /// Mutable movement-queue slice, indexed by `LinkId` — for sensors
+    /// that rewrite every reading in one gather. The shape is fixed.
+    pub fn movements_mut(&mut self) -> &mut [u32] {
+        &mut self.movement
+    }
+
+    /// Mutable outgoing-occupancy slice, indexed by `OutgoingId` — for
+    /// sensors that rewrite every reading in one gather. The shape is
+    /// fixed.
+    pub fn outgoings_mut(&mut self) -> &mut [u32] {
+        &mut self.outgoing
+    }
+
     /// Resets every reading to zero, keeping the shape (and allocation).
     pub fn fill_zero(&mut self) {
         self.movement.fill(0);

@@ -130,6 +130,58 @@ pub struct UtilBp {
     previous: PhaseDecision,
     /// The transition expiry `t_∆k` (global variable of Algorithm 1).
     transition_until: Tick,
+    /// The observation the last `Control` decision was taken on.
+    memo: DecideMemo,
+}
+
+/// The observation a `Control(c)` decision was taken on, so that a call
+/// with `c(k−1) = c` on the same layout and the same readings can return
+/// `c` without re-scoring.
+///
+/// That shortcut is exact. With `c(k−1) = c`, Case 2 is a pure function
+/// of `(Q, c)`, and Case 3's tie rule can only favor `c`. So if the
+/// memoized call chose `c` (through Case 2, or through Case 3 with
+/// `c(k−1)` either `c` or an amber that had just expired), a fresh
+/// evaluation on the same `Q` chooses `c` again and changes no state.
+///
+/// A cache, not controller state: checkpoints do not carry it, and
+/// `load_state` and `reset` clear it. The readings buffer is reused, so
+/// a warm controller never allocates.
+#[derive(Debug, Clone, Default)]
+struct DecideMemo {
+    /// Address of the layout the readings were taken against; `0` while
+    /// the memo is empty (a reference is never null).
+    layout: usize,
+    /// The movement readings followed by the outgoing readings.
+    readings: Vec<u32>,
+}
+
+impl DecideMemo {
+    fn address(view: &IntersectionView<'_>) -> usize {
+        std::ptr::from_ref(view.layout()) as usize
+    }
+
+    /// Whether `view` shows exactly the memoized layout and readings.
+    fn matches(&self, view: &IntersectionView<'_>) -> bool {
+        let queues = view.queues();
+        let (movements, outgoings) = (queues.movements(), queues.outgoings());
+        self.layout == Self::address(view)
+            && self.readings.len() == movements.len() + outgoings.len()
+            && self.readings[..movements.len()] == *movements
+            && self.readings[movements.len()..] == *outgoings
+    }
+
+    fn store(&mut self, view: &IntersectionView<'_>) {
+        let queues = view.queues();
+        self.layout = Self::address(view);
+        self.readings.clear();
+        self.readings.extend_from_slice(queues.movements());
+        self.readings.extend_from_slice(queues.outgoings());
+    }
+
+    fn clear(&mut self) {
+        self.layout = 0;
+    }
 }
 
 impl UtilBp {
@@ -139,6 +191,7 @@ impl UtilBp {
             config,
             previous: PhaseDecision::Transition,
             transition_until: Tick::ZERO,
+            memo: DecideMemo::default(),
         }
     }
 
@@ -278,10 +331,15 @@ impl SignalController for UtilBp {
         }
 
         // Case 2 (Lines 3–4): keep the current phase while it still offers
-        // reasonable utilization.
+        // reasonable utilization. On the readings `current` was last
+        // chosen on, Cases 2–3 would choose it again (see `DecideMemo`).
         if let PhaseDecision::Control(current) = self.previous {
+            if self.memo.matches(view) {
+                return PhaseDecision::Control(current);
+            }
             let (gmax, argmax) = phase_gain_max_under(self, view, current);
             if gmax > self.g_star(view, argmax) {
+                self.memo.store(view);
                 return PhaseDecision::Control(current);
             }
         }
@@ -300,12 +358,17 @@ impl SignalController for UtilBp {
             PhaseDecision::Transition
         };
         self.previous = decision;
+        match decision {
+            PhaseDecision::Control(_) => self.memo.store(view),
+            PhaseDecision::Transition => self.memo.clear(),
+        }
         decision
     }
 
     fn reset(&mut self) {
         self.previous = PhaseDecision::Transition;
         self.transition_until = Tick::ZERO;
+        self.memo.clear();
     }
 
     fn save_state(&self, writer: &mut crate::state::StateWriter) {
@@ -317,6 +380,7 @@ impl SignalController for UtilBp {
         &mut self,
         reader: &mut crate::state::StateReader<'_>,
     ) -> Result<(), crate::state::StateError> {
+        self.memo.clear();
         self.previous = PhaseDecision::from_state_word(reader.take()?)?;
         self.transition_until = Tick::new(reader.take()?);
         Ok(())
@@ -636,6 +700,105 @@ mod tests {
         // c2 has two empty links → total 2α, max α.
         assert_eq!(scores[1].total, -2.0);
         assert_eq!(scores[1].max, -1.0);
+    }
+
+    fn saved(ctrl: &UtilBp) -> Vec<u8> {
+        let mut w = crate::state::StateWriter::new();
+        ctrl.save_state(&mut w);
+        w.bytes().to_vec()
+    }
+
+    /// The decide memo never changes a decision or a state word: on
+    /// seeded random observation sequences with deliberate repeats, every
+    /// call matches a clone whose memo a `save_state`/`load_state` round
+    /// trip has cleared, under every gain mode and `g*` policy.
+    #[test]
+    fn decide_memo_is_equivalent_to_a_fresh_evaluation() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        // A small capacity so outgoing roads fill and the α/β cases of
+        // Eq. 8 occur next to ordinary gains.
+        let layout = standard::four_way(12, 1.0);
+        let modes = [
+            GainMode::UtilizationAware,
+            GainMode::PlainModified,
+            GainMode::PerRoadPressure,
+        ];
+        let policies = [
+            GStarPolicy::MaxLinkCapacityRate,
+            GStarPolicy::Constant(0.0),
+            GStarPolicy::Constant(14.0),
+            GStarPolicy::AlwaysReevaluate,
+        ];
+        for gain_mode in modes {
+            for g_star in policies {
+                let mut ctrl = UtilBp::new(UtilBpConfig {
+                    gain_mode,
+                    g_star,
+                    ..UtilBpConfig::default()
+                });
+                let mut obs = QueueObservation::zeros(&layout);
+                let mut hits = 0;
+                for k in 0..4000 {
+                    // Half the ticks repeat the last observation; the rest
+                    // change one to three readings.
+                    if next(2) == 0 {
+                        for _ in 0..=next(3) {
+                            if next(3) == 0 {
+                                let o = crate::OutgoingId::new(next(4) as u8);
+                                obs.set_outgoing(o, next(13) as u32);
+                            } else {
+                                let l = crate::LinkId::new(next(12) as u16);
+                                obs.set_movement(l, next(6) as u32);
+                            }
+                        }
+                    }
+                    let mut fresh = ctrl.clone();
+                    let words = saved(&ctrl);
+                    fresh
+                        .load_state(&mut crate::state::StateReader::new(&words))
+                        .unwrap();
+                    let view = IntersectionView::new(&layout, &obs).unwrap();
+                    hits += usize::from(ctrl.memo.matches(&view));
+                    assert!(!fresh.memo.matches(&view), "load clears the memo");
+                    let now = Tick::new(k);
+                    assert_eq!(
+                        ctrl.decide(&view, now),
+                        fresh.decide(&view, now),
+                        "{gain_mode:?}/{g_star:?} at k={k}"
+                    );
+                    assert_eq!(
+                        saved(&ctrl),
+                        saved(&fresh),
+                        "{gain_mode:?}/{g_star:?} at k={k}"
+                    );
+                }
+                assert!(
+                    hits > 500,
+                    "{gain_mode:?}/{g_star:?}: only {hits} memo hits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_clears_the_memo() {
+        let layout = layout();
+        let mut obs = QueueObservation::zeros(&layout);
+        obs.set_movement(standard::link_id(Approach::North, Turn::Straight), 5);
+        let mut ctrl = UtilBp::paper();
+        decide(&mut ctrl, &layout, &obs, 0);
+        let view = IntersectionView::new(&layout, &obs).unwrap();
+        assert!(ctrl.memo.matches(&view));
+        ctrl.reset();
+        assert!(!ctrl.memo.matches(&view));
     }
 
     #[test]

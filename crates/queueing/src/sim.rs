@@ -132,34 +132,101 @@ struct RoadState {
     dest_intersection: Option<usize>,
 }
 
-#[derive(Debug, Clone)]
-struct IntersectionState {
-    /// One FIFO per feasible link, indexed by `LinkId`.
-    queues: Vec<VecDeque<QueuedVehicle>>,
-    /// Fractional service credit per link (supports non-integer `µ·Δt`).
-    credit: Vec<f64>,
-}
-
-/// Precomputed per-link service lookup (avoids re-borrowing the topology in
-/// the hot loop).
+/// One feasible link of one intersection, in the flat per-link table
+/// built once at construction (links of intersection `i` occupy
+/// `link_off[i]..link_off[i + 1]`, in `LinkId` order).
 #[derive(Debug, Clone, Copy)]
 struct LinkService {
-    mu: f64,
-    in_road: RoadId,
-    out_road: RoadId,
+    /// Service credit a green tick earns (`µ·Δt`).
+    mu_dt: f64,
+    /// The incoming road.
+    in_road: u32,
+    /// The outgoing road.
+    out_road: u32,
+}
+
+/// A set of road indices as a bitset. Ascending iteration
+/// ([`next_from`](Self::next_from)) is road-index order, so a pass over
+/// the members does its work in the same order as a pass over every
+/// road.
+#[derive(Debug)]
+struct RoadSet {
+    words: Vec<u64>,
+}
+
+impl RoadSet {
+    fn new(roads: usize) -> Self {
+        RoadSet {
+            words: vec![0; roads.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, road: usize) {
+        self.words[road / 64] |= 1 << (road % 64);
+    }
+
+    fn remove(&mut self, road: usize) {
+        self.words[road / 64] &= !(1 << (road % 64));
+    }
+
+    fn contains(&self, road: usize) -> bool {
+        self.words[road / 64] & (1 << (road % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The smallest member `≥ from`, if any.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+    }
+}
+
+/// State a step would trip over — a counter that disagrees with the
+/// storage it summarizes, or a route that leaves the topology — found by
+/// `QueueSim::audit`: the offending word for a [`StateError::Invalid`]
+/// and a message for `verify_sensors`.
+struct AuditFailure {
+    what: &'static str,
+    word: u64,
+    detail: String,
+}
+
+/// Decrements an incrementally maintained counter. A counter that would
+/// go below zero means the plant's bookkeeping is broken; that is a bug,
+/// so it panics (in release too) naming the counter, road and link.
+#[track_caller]
+fn decrement(counter: &mut u32, what: &str, road: usize, link: Option<usize>) {
+    *counter = counter.checked_sub(1).unwrap_or_else(|| match link {
+        Some(link) => panic!("{what} underflow on road {road} (link {link})"),
+        None => panic!("{what} underflow on road {road}"),
+    });
 }
 
 /// Cumulative wall-clock seconds attributed to each section of the
 /// queueing step pipeline by [`QueueSim::step_into_timed`]. Fields are
 /// **added onto** across ticks, so one instance accumulates a whole
-/// run's profile.
+/// run's profile. Every section's cost scales with the work it finds
+/// except `decide` and `serve`, which visit every intersection.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepPhaseTimings {
-    /// Transit arrivals landing on queues + boundary backlog drains.
+    /// Transit arrivals landing on queues + boundary backlog drains,
+    /// visiting only roads with a non-empty delay line or backlog.
     pub transit: f64,
-    /// Sensing (observation rewrite) + controller decisions.
+    /// Sensing ([`QueueSim::observe_into`] per intersection) +
+    /// controller decisions (every controller, every tick).
     pub decide: f64,
-    /// Serving activated links.
+    /// Serving activated links: every link of an active phase earns
+    /// credit; only non-empty queues go on to serve.
     pub serve: f64,
     /// Exogenous arrival injection + report bookkeeping.
     pub inject: f64,
@@ -263,19 +330,36 @@ pub struct QueueSim {
     topology: NetworkTopology,
     config: QueueSimConfig,
     controllers: Vec<ControllerSlot>,
-    intersections: Vec<IntersectionState>,
     roads: Vec<RoadState>,
     /// Reusable per-step observation scratch (no steady-state allocation).
     obs_buf: ObservationBuffer,
-    /// `[intersection][link]` service lookup.
-    links: Vec<Vec<LinkService>>,
-    /// `[intersection][phase]` → activated link ids.
-    phase_links: Vec<Vec<Vec<LinkId>>>,
-    /// `[intersection][link]` → vehicles in transit on the incoming road
-    /// destined for this movement (they count toward the controller's
-    /// `q_i^{i'}` observation — every vehicle on a road is queued in the
-    /// paper's store-and-forward model).
-    transit_by_link: Vec<Vec<u32>>,
+    // Flat lookup tables, built once (plain integer indices for
+    // borrow-free hot loops).
+    /// Every intersection's links; intersection `i` owns
+    /// `link_off[i]..link_off[i + 1]` (its "global" link indices).
+    links: Vec<LinkService>,
+    link_off: Vec<usize>,
+    /// Every intersection's outgoing roads by `OutgoingId`; intersection
+    /// `i` owns `out_off[i]..out_off[i + 1]`.
+    out_roads: Vec<u32>,
+    out_off: Vec<usize>,
+    /// Every phase's links (global link indices): phase `p` of
+    /// intersection `i` owns the range `phases[phase_base[i] + p]`.
+    phase_links: Vec<u32>,
+    phases: Vec<(usize, usize)>,
+    phase_base: Vec<usize>,
+    // Per-link state, indexed like `links`.
+    /// One FIFO of queued vehicles per feasible link.
+    queues: Vec<VecDeque<QueuedVehicle>>,
+    /// Fractional service credit (supports non-integer `µ·Δt`).
+    credit: Vec<f64>,
+    /// Vehicles in transit on the link's incoming road destined for this
+    /// movement.
+    transit_by_link: Vec<u32>,
+    /// Roads whose delay line is non-empty.
+    transit_live: RoadSet,
+    /// Roads whose boundary backlog is non-empty.
+    backlog_live: RoadSet,
     /// Vehicles waiting outside full boundary entry roads, FIFO.
     backlogs: Vec<VecDeque<(VehicleId, Arc<Route>, Tick)>>,
     ledger: WaitingLedger,
@@ -287,7 +371,7 @@ impl std::fmt::Debug for QueueSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueueSim")
             .field("now", &self.now)
-            .field("intersections", &self.intersections.len())
+            .field("intersections", &self.phase_base.len())
             .field("roads", &self.roads.len())
             .field("total_served", &self.total_served)
             .field(
@@ -330,38 +414,46 @@ impl QueueSim {
             "free_speed_mps must be positive"
         );
 
-        let mut intersections = Vec::with_capacity(topology.num_intersections());
-        let mut links = Vec::with_capacity(topology.num_intersections());
-        let mut phase_links = Vec::with_capacity(topology.num_intersections());
-        let mut transit_by_link = Vec::with_capacity(topology.num_intersections());
+        let mut links = Vec::new();
+        let mut link_off = vec![0];
+        let mut out_roads = Vec::new();
+        let mut out_off = vec![0];
+        let mut phase_links = Vec::new();
+        let mut phases = Vec::new();
+        let mut phase_base = Vec::with_capacity(topology.num_intersections());
         for i in topology.intersection_ids() {
             let node = topology.intersection(i);
             let layout = node.layout();
-            intersections.push(IntersectionState {
-                queues: vec![VecDeque::new(); layout.num_links()],
-                credit: vec![0.0; layout.num_links()],
-            });
-            transit_by_link.push(vec![0u32; layout.num_links()]);
-            links.push(
+            let base = links.len();
+            links.extend(layout.link_ids().map(|l| {
+                let link = layout.link(l);
+                LinkService {
+                    mu_dt: link.service_rate() * config.dt_seconds,
+                    in_road: node.incoming_road(link.from()).index() as u32,
+                    out_road: node.outgoing_road(link.to()).index() as u32,
+                }
+            }));
+            link_off.push(links.len());
+            out_roads.extend(
                 layout
-                    .link_ids()
-                    .map(|lid| {
-                        let link = layout.link(lid);
-                        LinkService {
-                            mu: link.service_rate(),
-                            in_road: node.incoming_road(link.from()),
-                            out_road: node.outgoing_road(link.to()),
-                        }
-                    })
-                    .collect(),
+                    .outgoing_ids()
+                    .map(|o| node.outgoing_road(o).index() as u32),
             );
-            phase_links.push(
-                layout
-                    .phase_ids()
-                    .map(|p| layout.phase(p).links().to_vec())
-                    .collect(),
-            );
+            out_off.push(out_roads.len());
+            phase_base.push(phases.len());
+            for p in layout.phase_ids() {
+                let start = phase_links.len();
+                phase_links.extend(
+                    layout
+                        .phase(p)
+                        .links()
+                        .iter()
+                        .map(|l| (base + l.index()) as u32),
+                );
+                phases.push((start, phase_links.len()));
+            }
         }
+        let num_links = links.len();
 
         let roads = topology
             .road_ids()
@@ -387,7 +479,8 @@ impl QueueSim {
                 }
             })
             .collect();
-        let backlogs = vec![VecDeque::new(); topology.num_roads()];
+        let num_roads = topology.num_roads();
+        let backlogs = vec![VecDeque::new(); num_roads];
 
         let mut obs_buf = ObservationBuffer::new();
         obs_buf.shape_for(
@@ -400,12 +493,20 @@ impl QueueSim {
             topology,
             config,
             controllers: ControllerSlot::wrap_all(controllers),
-            intersections,
             roads,
             obs_buf,
             links,
+            link_off,
+            out_roads,
+            out_off,
             phase_links,
-            transit_by_link,
+            phases,
+            phase_base,
+            queues: vec![VecDeque::new(); num_links],
+            credit: vec![0.0; num_links],
+            transit_by_link: vec![0; num_links],
+            transit_live: RoadSet::new(num_roads),
+            backlog_live: RoadSet::new(num_roads),
             backlogs,
             ledger: WaitingLedger::new(),
             now: Tick::ZERO,
@@ -448,10 +549,7 @@ impl QueueSim {
     /// by exactly their stuck vehicles.
     pub fn mean_waiting_including_active(&self) -> f64 {
         let now = self.now;
-        let queued = self
-            .intersections
-            .iter()
-            .flat_map(|i| i.queues.iter().flat_map(|q| q.iter().map(|v| v.waited)));
+        let queued = self.queues.iter().flat_map(|q| q.iter().map(|v| v.waited));
         let transit = self
             .roads
             .iter()
@@ -476,7 +574,22 @@ impl QueueSim {
     ///
     /// Panics if the ids are out of range.
     pub fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        self.intersections[intersection.index()].queues[link.index()].len() as u32
+        self.queues[self.link_index(intersection, link)].len() as u32
+    }
+
+    /// The flat (global) index of `link` of `intersection`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ids are out of range.
+    fn link_index(&self, intersection: IntersectionId, link: LinkId) -> usize {
+        let i = intersection.index();
+        let g = self.link_off[i] + link.index();
+        assert!(
+            g < self.link_off[i + 1],
+            "link {link} out of range at intersection {intersection}"
+        );
+        g
     }
 
     /// The full movement count `q_i^{i'}` a controller observes: queued
@@ -490,8 +603,8 @@ impl QueueSim {
     ///
     /// Panics if the ids are out of range.
     pub fn movement_count(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        self.movement_queue_len(intersection, link)
-            + self.transit_by_link[intersection.index()][link.index()]
+        let g = self.link_index(intersection, link);
+        self.queues[g].len() as u32 + self.transit_by_link[g]
     }
 
     /// Total queue `q_i` (Eq. 1) at an incoming arm of an intersection —
@@ -585,54 +698,176 @@ impl QueueSim {
     }
 
     /// Writes the observation for `intersection` into `obs` (shaped for
-    /// the intersection's layout) without allocating. All reads are O(1)
-    /// per field: movement queues are deque lengths, outgoing occupancies
-    /// the incremental per-road queue counters.
+    /// the intersection's layout) without allocating. This is the step's
+    /// own sense phase: a gather over the intersection's slice of the
+    /// flat movement queues (their lengths) and of the outgoing-road
+    /// table (each road's incrementally maintained `queued` counter),
+    /// with no topology or layout walk.
     ///
     /// # Panics
     ///
     /// Panics if `intersection` is out of range or `obs` has the wrong
     /// shape.
     pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) {
-        let node = self.topology.intersection(intersection);
-        let layout = node.layout();
-        for link in layout.link_ids() {
-            obs.set_movement(link, self.movement_queue_len(intersection, link));
+        let i = intersection.index();
+        let queues = &self.queues[self.link_off[i]..self.link_off[i + 1]];
+        let movements = obs.movements_mut();
+        assert_eq!(movements.len(), queues.len(), "observation shape");
+        for (q, queue) in movements.iter_mut().zip(queues) {
+            *q = queue.len() as u32;
         }
-        for out in layout.outgoing_ids() {
-            let road = node.outgoing_road(out);
-            obs.set_outgoing(out, self.road_queue(road));
+        let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
+        let outgoings = obs.outgoings_mut();
+        assert_eq!(outgoings.len(), outs.len(), "observation shape");
+        for (q, &road) in outgoings.iter_mut().zip(outs) {
+            *q = self.roads[road as usize].queued;
         }
     }
 
-    /// Validates the incremental-sensing invariant: every road's `queued`
+    /// Validates the incremental bookkeeping: every road's `queued`
     /// counter must equal the sum of the movement queues at its
-    /// downstream arm. Debug/test facility backing the regression suite.
+    /// downstream arm, its occupancy the queued vehicles plus its delay
+    /// line, and the per-movement in-transit counters and the sets of
+    /// roads with a non-empty delay line or backlog must match a rescan.
+    /// Debug/test facility backing the regression suite.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first divergent road.
     pub fn verify_sensors(&self) -> Result<(), String> {
-        for r in self.topology.road_ids() {
-            let expected = match self.topology.road(r).dest() {
-                Some((i, arm)) => self
-                    .topology
-                    .intersection(i)
-                    .layout()
-                    .links_from(arm)
-                    .iter()
-                    .map(|&l| self.movement_queue_len(i, l))
-                    .sum(),
-                None => 0,
-            };
-            if self.roads[r.index()].queued != expected {
+        self.audit().map_err(|m| m.detail)?;
+        for (r, road) in self.roads.iter().enumerate() {
+            if self.transit_live.contains(r) == road.transit.is_empty() {
                 return Err(format!(
-                    "road {r}: incremental queued {} != rescan {expected}",
-                    self.roads[r.index()].queued
+                    "road {r}: delay-line set membership {} != non-empty line {}",
+                    self.transit_live.contains(r),
+                    !road.transit.is_empty()
+                ));
+            }
+            if self.backlog_live.contains(r) == self.backlogs[r].is_empty() {
+                return Err(format!(
+                    "road {r}: backlog set membership {} != non-empty backlog {}",
+                    self.backlog_live.contains(r),
+                    !self.backlogs[r].is_empty()
                 ));
             }
         }
+        let transit_by_link = self.rescan_transit_by_link();
+        if let Some(g) =
+            (0..self.links.len()).find(|&g| transit_by_link[g] != self.transit_by_link[g])
+        {
+            return Err(format!(
+                "link {g}: incremental in-transit count {} != rescan {}",
+                self.transit_by_link[g], transit_by_link[g]
+            ));
+        }
         Ok(())
+    }
+
+    /// Checks the state a step relies on: every road's `queued` and
+    /// `occupancy` counters against a rescan of its movement queues and
+    /// delay line, and every vehicle's remaining route (see
+    /// [`check_route`](Self::check_route)). Shared by
+    /// [`verify_sensors`](Self::verify_sensors) and
+    /// [`load_state`](Self::load_state), which must refuse a snapshot
+    /// that would otherwise panic or miscount at step time.
+    fn audit(&self) -> Result<(), AuditFailure> {
+        let mut queued = vec![0u32; self.roads.len()];
+        for (g, queue) in self.queues.iter().enumerate() {
+            let in_road = self.links[g].in_road as usize;
+            queued[in_road] += queue.len() as u32;
+            for v in queue {
+                if self.check_route(in_road, &v.route, v.hop)? != Some(g) {
+                    return Err(AuditFailure {
+                        what: "queueing queued vehicle hop",
+                        word: v.hop as u64,
+                        detail: format!(
+                            "link {g}: vehicle {} at hop {} is routed elsewhere",
+                            v.id.raw(),
+                            v.hop
+                        ),
+                    });
+                }
+            }
+        }
+        for (r, road) in self.roads.iter().enumerate() {
+            for v in &road.transit {
+                self.check_route(r, &v.route, v.hop)?;
+            }
+            for (_, route, _) in &self.backlogs[r] {
+                self.check_route(r, route, 0)?;
+            }
+            if road.queued != queued[r] {
+                return Err(AuditFailure {
+                    what: "queueing road queued count",
+                    word: u64::from(road.queued),
+                    detail: format!(
+                        "road {r}: incremental queued {} != rescan {}",
+                        road.queued, queued[r]
+                    ),
+                });
+            }
+            let occupancy = queued[r] as usize + road.transit.len();
+            if road.occupancy as usize != occupancy {
+                return Err(AuditFailure {
+                    what: "queueing road occupancy",
+                    word: u64::from(road.occupancy),
+                    detail: format!(
+                        "road {r}: occupancy {} != queued plus in transit {occupancy}",
+                        road.occupancy
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The in-transit movement counts a rescan of the (audited) delay
+    /// lines gives.
+    fn rescan_transit_by_link(&self) -> Vec<u32> {
+        let mut counts = vec![0; self.links.len()];
+        for road in &self.roads {
+            let Some(i) = road.dest_intersection else {
+                continue;
+            };
+            for v in &road.transit {
+                let (_, link) = v.route.hop(v.hop).expect("audited transit hop");
+                counts[self.link_off[i] + link.index()] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Walks `route` from hop `hop` on `road` to the network exit: each
+    /// hop must cross the destination junction of the road the vehicle is
+    /// on, by a link of that junction's layout leaving that road. Returns
+    /// the first hop's global link index (`None` on an exit road).
+    fn check_route(
+        &self,
+        mut road: usize,
+        route: &Route,
+        mut hop: usize,
+    ) -> Result<Option<usize>, AuditFailure> {
+        let mut first = None;
+        while let Some(i) = self.roads[road].dest_intersection {
+            let bad = |what: &'static str, word: u64| AuditFailure {
+                what,
+                word,
+                detail: format!("road {road}: route hop {hop} does not continue the road"),
+            };
+            let (j, link) = route
+                .hop(hop)
+                .ok_or_else(|| bad("queueing route hop", hop as u64))?;
+            let g = self.link_off[i] + link.index();
+            if j.index() != i || g >= self.link_off[i + 1] || self.links[g].in_road as usize != road
+            {
+                return Err(bad("queueing route link", link.index() as u64));
+            }
+            first = first.or(Some(g));
+            road = self.links[g].out_road as usize;
+            hop += 1;
+        }
+        Ok(first)
     }
 
     /// Simulates one mini-slot, injecting `arrivals` (produced for this
@@ -685,11 +920,12 @@ impl QueueSim {
         self.drain_backlogs(now);
         watch.lap(|t| &mut t.transit);
 
-        // Sense: rewrite the reusable observation buffer (O(1) reads per
-        // field from deque lengths and the incremental road counters).
+        // Sense: rewrite the reusable observation buffer, one flat gather
+        // per intersection (queue lengths and the incremental road
+        // counters).
         let mut obs_buf = std::mem::take(&mut self.obs_buf);
-        for i in self.topology.intersection_ids() {
-            self.observe_into(i, obs_buf.get_mut(i.index()));
+        for (i, obs) in obs_buf.as_mut_slice().iter_mut().enumerate() {
+            self.observe_into(IntersectionId::new(i as u32), obs);
         }
 
         // Decide, per intersection, from purely local observations — one
@@ -745,10 +981,13 @@ impl QueueSim {
 
     /// Moves vehicles whose transit delay has elapsed into their movement
     /// queue (internal roads) or out of the network (exit roads); returns
-    /// the number of journeys completed.
+    /// the number of journeys completed. Visits only the roads with a
+    /// non-empty delay line, in road order (journey completions feed the
+    /// ledger's floating-point statistics in that order).
     fn move_transit_arrivals(&mut self, now: Tick) -> u32 {
         let mut completed = 0u32;
-        for r in 0..self.roads.len() {
+        let mut next = self.transit_live.next_from(0);
+        while let Some(r) = next {
             let dest = self.roads[r].dest_intersection;
             loop {
                 match self.roads[r].transit.front() {
@@ -762,17 +1001,20 @@ impl QueueSim {
                             .route
                             .hop(v.hop)
                             .expect("route hop exists for internal road");
-                        self.transit_by_link[intersection][link.index()] =
-                            self.transit_by_link[intersection][link.index()].saturating_sub(1);
-                        self.intersections[intersection].queues[link.index()].push_back(
-                            QueuedVehicle {
-                                id: v.id,
-                                route: v.route,
-                                hop: v.hop,
-                                joined: now,
-                                waited: v.waited,
-                            },
+                        let g = self.link_off[intersection] + link.index();
+                        decrement(
+                            &mut self.transit_by_link[g],
+                            "in-transit movement count",
+                            r,
+                            Some(link.index()),
                         );
+                        self.queues[g].push_back(QueuedVehicle {
+                            id: v.id,
+                            route: v.route,
+                            hop: v.hop,
+                            joined: now,
+                            waited: v.waited,
+                        });
                         // Occupancy unchanged: the queue is the head of the
                         // same road. The queued counter tracks the join.
                         self.roads[r].queued += 1;
@@ -780,19 +1022,25 @@ impl QueueSim {
                     None => {
                         // Boundary exit: the vehicle leaves the network,
                         // flushing its accumulated waiting to the ledger.
-                        self.roads[r].occupancy = self.roads[r].occupancy.saturating_sub(1);
+                        decrement(&mut self.roads[r].occupancy, "occupancy", r, None);
                         self.ledger.complete(v.id, now, v.waited);
                         completed += 1;
                     }
                 }
             }
+            if self.roads[r].transit.is_empty() {
+                self.transit_live.remove(r);
+            }
+            next = self.transit_live.next_from(r + 1);
         }
         completed
     }
 
     /// Moves backlogged vehicles onto their entry road while space lasts.
+    /// Visits only the roads with a non-empty backlog, in road order.
     fn drain_backlogs(&mut self, now: Tick) {
-        for r in 0..self.roads.len() {
+        let mut next = self.backlog_live.next_from(0);
+        while let Some(r) = next {
             while !self.backlogs[r].is_empty()
                 && !self.roads[r].closed
                 && self.roads[r].occupancy < self.roads[r].capacity
@@ -804,49 +1052,59 @@ impl QueueSim {
                 let waited = now.saturating_since(queued_since).count();
                 self.enter_road(RoadId::new(r as u32), id, route, 0, now, waited);
             }
+            if self.backlogs[r].is_empty() {
+                self.backlog_live.remove(r);
+            }
+            next = self.backlog_live.next_from(r + 1);
         }
     }
 
     /// Serves every link of `phase` at intersection index `i`; returns the
     /// number of vehicles served.
     fn serve_phase(&mut self, i: usize, phase: PhaseId, now: Tick) -> u32 {
-        let dt = self.config.dt_seconds;
         let mut served = 0u32;
-        let link_ids = std::mem::take(&mut self.phase_links[i][phase.index()]);
-
-        for &link_id in &link_ids {
-            let service = self.links[i][link_id.index()];
+        let (start, end) = self.phases[self.phase_base[i] + phase.index()];
+        for k in start..end {
+            let g = self.phase_links[k] as usize;
+            let LinkService {
+                mu_dt,
+                in_road,
+                out_road,
+            } = self.links[g];
             // Fractional service credit supports µ·Δt < 1. The cap keeps
             // the per-slot budget at the service rate: a link cannot bank
             // green time it could not use (no queue or no space) to serve
             // a burst above µ later.
-            let mu_dt = service.mu * dt;
-            let credit = &mut self.intersections[i].credit[link_id.index()];
+            let credit = &mut self.credit[g];
             *credit = (*credit + mu_dt).min(mu_dt.max(1.0));
-            let mut budget = self.intersections[i].credit[link_id.index()].floor() as u32;
+            let mut budget = credit.floor() as u32;
+            if self.queues[g].is_empty() {
+                continue;
+            }
 
             while budget > 0 {
-                let out = &self.roads[service.out_road.index()];
+                let out = &self.roads[out_road as usize];
                 if out.closed || out.occupancy >= out.capacity {
                     break;
                 }
-                let Some(vehicle) = self.intersections[i].queues[link_id.index()].pop_front()
-                else {
+                let Some(vehicle) = self.queues[g].pop_front() else {
                     break;
                 };
-                self.intersections[i].credit[link_id.index()] -= 1.0;
+                self.credit[g] -= 1.0;
                 budget -= 1;
                 served += 1;
 
                 // Queue dwell is waiting time, accumulated on the vehicle.
                 let waited = vehicle.waited + now.saturating_since(vehicle.joined).count();
                 // Leave the incoming road…
-                let in_road = &mut self.roads[service.in_road.index()];
-                in_road.occupancy = in_road.occupancy.saturating_sub(1);
-                in_road.queued = in_road.queued.saturating_sub(1);
+                let r = in_road as usize;
+                let link = Some(g - self.link_off[i]);
+                let in_state = &mut self.roads[r];
+                decrement(&mut in_state.occupancy, "occupancy", r, link);
+                decrement(&mut in_state.queued, "queued count", r, link);
                 // …and enter the outgoing one toward the next hop.
                 self.enter_road(
-                    service.out_road,
+                    RoadId::new(out_road),
                     vehicle.id,
                     vehicle.route,
                     vehicle.hop + 1,
@@ -855,7 +1113,6 @@ impl QueueSim {
                 );
             }
         }
-        self.phase_links[i][phase.index()] = link_ids;
         served
     }
 
@@ -870,13 +1127,14 @@ impl QueueSim {
         now: Tick,
         waited: u64,
     ) {
-        let state = &mut self.roads[road.index()];
+        let r = road.index();
+        let state = &mut self.roads[r];
         state.occupancy += 1;
         state.entered += 1;
         let arrives = now + state.travel;
         if let Some(i) = state.dest_intersection {
             let (_, link) = route.hop(hop).expect("internal road implies a further hop");
-            self.transit_by_link[i][link.index()] += 1;
+            self.transit_by_link[self.link_off[i] + link.index()] += 1;
         }
         state.transit.push_back(TransitVehicle {
             id,
@@ -885,6 +1143,7 @@ impl QueueSim {
             arrives,
             waited,
         });
+        self.transit_live.insert(r);
     }
 
     /// Visits every vehicle that still has junction crossings ahead of it
@@ -904,13 +1163,11 @@ impl QueueSim {
     /// randomness.
     pub fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
         let mut diverted = 0u64;
-        for intersection in &mut self.intersections {
-            for queue in &mut intersection.queues {
-                for v in queue.iter_mut() {
-                    if let Some(route) = replan(v.id, &v.route, v.hop + 1) {
-                        v.route = route;
-                        diverted += 1;
-                    }
+        for queue in &mut self.queues {
+            for v in queue.iter_mut() {
+                if let Some(route) = replan(v.id, &v.route, v.hop + 1) {
+                    v.route = route;
+                    diverted += 1;
                 }
             }
         }
@@ -954,8 +1211,10 @@ impl QueueSim {
     /// tables, transit delays) and intra-step scratch (the observation
     /// buffer, per-slot decisions — rewritten by the next step's decide
     /// phase) are *not* state and are not written. The incremental
-    /// `transit_by_link` counters are derived from the transit lines and
-    /// are recomputed on load.
+    /// `transit_by_link` counters and the sets of roads with a non-empty
+    /// delay line or backlog are derived from the transit lines and
+    /// backlogs and are rebuilt on load. Queues and credits are written
+    /// per intersection in `LinkId` order.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_served);
@@ -974,10 +1233,11 @@ impl QueueSim {
                 writer.push(v.waited);
             }
         }
-        writer.push_usize(self.intersections.len());
-        for inter in &self.intersections {
-            writer.push_usize(inter.queues.len());
-            for queue in &inter.queues {
+        writer.push_usize(self.phase_base.len());
+        for links in self.link_off.windows(2) {
+            let links = links[0]..links[1];
+            writer.push_usize(links.len());
+            for queue in &self.queues[links.clone()] {
                 writer.push_usize(queue.len());
                 for v in queue {
                     writer.push(v.id.raw());
@@ -987,7 +1247,7 @@ impl QueueSim {
                     writer.push(v.waited);
                 }
             }
-            for &credit in &inter.credit {
+            for &credit in &self.credit[links] {
                 writer.push_f64(credit);
             }
         }
@@ -1012,9 +1272,14 @@ impl QueueSim {
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] if the stream is truncated, or if the
-    /// saved shape (road / intersection / movement-queue counts) does not
-    /// match this simulator's topology.
+    /// Returns a [`StateError`] if the stream is truncated, if the saved
+    /// shape (road / intersection / movement-queue counts) does not match
+    /// this simulator's topology, or — as [`StateError::Invalid`] — if a
+    /// restored vehicle's remaining route leaves the topology (a hop
+    /// past the route's end, or a link outside the destination layout or
+    /// not leaving the vehicle's road), a queued vehicle's route names
+    /// another movement, or a road's `queued` or `occupancy` counter
+    /// disagrees with a rescan of its queues and delay line.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
         self.total_served = reader.take()?;
@@ -1050,21 +1315,22 @@ impl QueueSim {
         }
 
         let intersections = reader.take_usize()?;
-        if intersections != self.intersections.len() {
+        if intersections != self.phase_base.len() {
             return Err(StateError::Invalid {
                 what: "queueing intersection count",
                 word: intersections as u64,
             });
         }
-        for inter in &mut self.intersections {
+        for i in 0..intersections {
+            let links = self.link_off[i]..self.link_off[i + 1];
             let queues = reader.take_usize()?;
-            if queues != inter.queues.len() {
+            if queues != links.len() {
                 return Err(StateError::Invalid {
                     what: "queueing movement queue count",
                     word: queues as u64,
                 });
             }
-            for queue in &mut inter.queues {
+            for queue in &mut self.queues[links.clone()] {
                 let len = reader.take_usize()?;
                 queue.clear();
                 for _ in 0..len {
@@ -1082,7 +1348,7 @@ impl QueueSim {
                     });
                 }
             }
-            for credit in &mut inter.credit {
+            for credit in &mut self.credit[links] {
                 *credit = reader.take_f64()?;
             }
         }
@@ -1103,21 +1369,22 @@ impl QueueSim {
             slot.controller.load_state(reader)?;
         }
 
-        // Rebuild the derived in-transit movement counters from the
-        // restored delay lines.
-        for counts in &mut self.transit_by_link {
-            counts.iter_mut().for_each(|c| *c = 0);
-        }
-        for road in &self.roads {
-            let Some(i) = road.dest_intersection else {
-                continue;
-            };
-            for v in &road.transit {
-                let (_, link) = v.route.hop(v.hop).ok_or(StateError::Invalid {
-                    what: "queueing transit hop",
-                    word: v.hop as u64,
-                })?;
-                self.transit_by_link[i][link.index()] += 1;
+        self.audit().map_err(|m| StateError::Invalid {
+            what: m.what,
+            word: m.word,
+        })?;
+        // Rebuild the derived state from the restored (and now audited)
+        // delay lines and backlogs: the in-transit movement counters and
+        // the sets of roads a step visits.
+        self.transit_by_link = self.rescan_transit_by_link();
+        self.transit_live.clear();
+        self.backlog_live.clear();
+        for (r, road) in self.roads.iter().enumerate() {
+            if !road.transit.is_empty() {
+                self.transit_live.insert(r);
+            }
+            if !self.backlogs[r].is_empty() {
+                self.backlog_live.insert(r);
             }
         }
         Ok(())
@@ -1135,7 +1402,219 @@ impl QueueSim {
             true
         } else {
             self.backlogs[road.index()].push_back((arrival.vehicle, route, now));
+            self.backlog_live.insert(road.index());
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use utilbp_core::UtilBp;
+    use utilbp_netgen::{
+        DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
+    };
+
+    fn sim(grid: &GridNetwork) -> QueueSim {
+        let controllers = (0..grid.topology().num_intersections())
+            .map(|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>)
+            .collect();
+        QueueSim::new(
+            grid.topology().clone(),
+            controllers,
+            QueueSimConfig::default(),
+        )
+    }
+
+    fn demand(grid: &GridNetwork) -> DemandGenerator {
+        DemandGenerator::new(
+            grid,
+            DemandConfig::new(DemandSchedule::constant(Pattern::I, Ticks::new(10_000))),
+            5,
+        )
+    }
+
+    fn capture(s: &QueueSim) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        w.bytes().to_vec()
+    }
+
+    /// A 3×3 free-flow run with vehicles queued, in transit on internal
+    /// roads, and waiting outside a closed entry road.
+    fn loaded() -> (GridNetwork, QueueSim) {
+        let grid = GridNetwork::new(GridSpec::paper());
+        let mut s = sim(&grid);
+        let mut gen = demand(&grid);
+        s.set_road_closed(grid.entries()[0].road, true);
+        for k in 0..200 {
+            s.step(gen.poll(&grid, Tick::new(k)));
+        }
+        assert!(s.queues.iter().any(|q| !q.is_empty()), "a queued vehicle");
+        assert!(s.backlog_len() > 0, "a backlog");
+        (grid, s)
+    }
+
+    /// Saves `s` after `craft` corrupts it, and loads the capture into a
+    /// fresh simulator.
+    fn reload(
+        grid: &GridNetwork,
+        mut s: QueueSim,
+        craft: impl FnOnce(&mut QueueSim),
+    ) -> Result<(), StateError> {
+        craft(&mut s);
+        let bytes = capture(&s);
+        sim(grid).load_state(&mut StateReader::new(&bytes))
+    }
+
+    fn rejects(what: &str, result: Result<(), StateError>) {
+        match result {
+            Err(StateError::Invalid { what: got, .. }) => assert_eq!(got, what),
+            other => panic!("expected an invalid {what}, got {other:?}"),
+        }
+    }
+
+    /// The first vehicle in transit on a road that feeds a junction.
+    fn internal_transit(s: &mut QueueSim) -> &mut TransitVehicle {
+        s.roads
+            .iter_mut()
+            .filter(|r| r.dest_intersection.is_some())
+            .flat_map(|r| r.transit.iter_mut())
+            .next()
+            .expect("a vehicle in transit on an internal road")
+    }
+
+    #[test]
+    fn an_intact_capture_loads() {
+        let (grid, s) = loaded();
+        assert_eq!(reload(&grid, s, |_| {}), Ok(()));
+    }
+
+    #[test]
+    fn transit_hop_past_the_route_end_is_rejected() {
+        let (grid, s) = loaded();
+        let craft = |s: &mut QueueSim| internal_transit(s).hop = 1 << 40;
+        rejects("queueing route hop", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn transit_link_outside_the_destination_layout_is_rejected() {
+        let (grid, s) = loaded();
+        let craft = |s: &mut QueueSim| {
+            let v = internal_transit(s);
+            let mut hops = v.route.hops().to_vec();
+            hops[v.hop].1 = LinkId::new(99);
+            v.route = Arc::new(Route::new(v.route.entry(), hops));
+        };
+        rejects("queueing route link", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn backlogged_route_that_skips_the_entry_junction_is_rejected() {
+        let (grid, s) = loaded();
+        let craft = |s: &mut QueueSim| {
+            let (_, route, _) = s
+                .backlogs
+                .iter_mut()
+                .flat_map(|b| b.iter_mut())
+                .next()
+                .expect("a backlogged vehicle");
+            *route = Arc::new(Route::new(route.entry(), route.hops()[1..].to_vec()));
+        };
+        rejects("queueing route link", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn queued_vehicle_in_another_movement_queue_is_rejected() {
+        let (grid, s) = loaded();
+        let craft = |s: &mut QueueSim| {
+            let g = s.queues.iter().position(|q| !q.is_empty()).expect("queued");
+            let v = s.queues[g].pop_front().expect("non-empty");
+            // Another movement of the same arm: the road's counters
+            // still agree, only the vehicle's route disowns the queue.
+            let other = (0..s.links.len())
+                .find(|&h| h != g && s.links[h].in_road == s.links[g].in_road)
+                .expect("a sibling movement");
+            s.queues[other].push_back(v);
+        };
+        rejects("queueing queued vehicle hop", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn queued_counter_that_disagrees_with_a_rescan_is_rejected() {
+        let (grid, s) = loaded();
+        let craft = |s: &mut QueueSim| {
+            let r = s.links[0].in_road as usize;
+            s.roads[r].queued += 1;
+        };
+        rejects("queueing road queued count", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn occupancy_that_disagrees_with_a_rescan_is_rejected() {
+        let (grid, s) = loaded();
+        // An occupancy one short of the road's vehicles would underflow
+        // when the last of them leaves.
+        let craft = |s: &mut QueueSim| {
+            let r = (0..s.roads.len())
+                .find(|&r| s.roads[r].occupancy > 0)
+                .expect("an occupied road");
+            s.roads[r].occupancy -= 1;
+        };
+        rejects("queueing road occupancy", reload(&grid, s, craft));
+    }
+
+    #[test]
+    #[should_panic(expected = "queued count underflow on road")]
+    fn a_queued_counter_underflow_panics_naming_the_road() {
+        let (_, mut s) = loaded();
+        let g = s.queues.iter().position(|q| !q.is_empty()).expect("queued");
+        let r = s.links[g].in_road as usize;
+        s.roads[r].queued = 0;
+        for _ in 0..200 {
+            s.step(Vec::new());
+        }
+    }
+
+    /// A capture taken mid-run — delay lines holding vehicles due over
+    /// several future ticks, a closed entry road with a backlog — resumes
+    /// in a fresh simulator byte for byte: both write the same state
+    /// every tick, through the reopening and the backlog's drain.
+    #[test]
+    fn free_flow_capture_resumes_byte_identically() {
+        let (grid, mut original) = loaded();
+        let closed = grid.entries()[0].road;
+        let partial = original.roads.iter().any(|r| {
+            r.transit.len() > 1
+                && r.transit.front().map(|v| v.arrives) != r.transit.back().map(|v| v.arrives)
+        });
+        assert!(partial, "a delay line with vehicles due on different ticks");
+
+        let mut resumed = sim(&grid);
+        resumed
+            .load_state(&mut StateReader::new(&capture(&original)))
+            .expect("an intact capture");
+        assert_eq!(resumed.transit_live.words, original.transit_live.words);
+        assert_eq!(resumed.backlog_live.words, original.backlog_live.words);
+
+        let mut gen = demand(&grid);
+        for k in 0..200 {
+            gen.poll(&grid, Tick::new(k));
+        }
+        for k in 200..700 {
+            if k == 300 {
+                original.set_road_closed(closed, false);
+                resumed.set_road_closed(closed, false);
+            }
+            let arrivals = gen.poll(&grid, Tick::new(k));
+            let a = original.step(arrivals.clone());
+            let b = resumed.step(arrivals);
+            assert_eq!(a, b, "step report at k={k}");
+            assert_eq!(capture(&original), capture(&resumed), "state at k={k}");
+            resumed.verify_sensors().expect("resumed bookkeeping");
+        }
+        assert_eq!(original.backlog_len(), 0, "the backlog drained");
+        assert!(original.road_entered(closed) > 0);
     }
 }
