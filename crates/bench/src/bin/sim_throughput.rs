@@ -34,19 +34,12 @@
 //! `BENCH_TICKS=<n>` overrides the measured tick count, `BENCH_REPS=<n>`
 //! the repetition count, `BENCH_OUT=<path>` the output path,
 //! `BENCH_LABEL=<s>` the run label recorded in the protocol.
-//!
-//! Microscopic grid rows are measured under **both** car-following
-//! contracts — the exact sequential Krauss update and the batched kernel
-//! (`+batched` workload suffix) — so every run carries its own
-//! exact/batched speedup pair. `--fidelity exact|batched` additionally
-//! retargets the scenario-driven rows (suffixing their workloads), so any
-//! builtin can be priced under the batched kernel.
 
 use std::time::Instant;
 
 use utilbp_bench::trajectory::{append_run, render_run, Measurement};
 use utilbp_core::{SignalController, Tick, Ticks, UtilBp};
-use utilbp_microsim::{Fidelity, MicroSimConfig, PhaseTimings};
+use utilbp_microsim::{MicroSimConfig, PhaseTimings};
 use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
@@ -77,23 +70,14 @@ fn demand(grid: &GridNetwork) -> DemandGenerator {
 /// Microscopic rows add one instrumented rep for phase attribution
 /// (kept out of the headline measurement so the `Instant` reads cannot
 /// skew it); the queueing substrate has no phase breakdown.
-fn measure_grid(
-    backend: Backend,
-    size: u32,
-    fidelity: Fidelity,
-    ticks: u64,
-    reps: u32,
-) -> Measurement {
+fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measurement {
     let grid = GridNetwork::new(GridSpec::with_size(size, size));
     let n = grid.topology().num_intersections();
     let mut sim = build_substrate(
         backend,
         grid.topology().clone(),
         controllers(n),
-        MicroSimConfig {
-            fidelity,
-            ..MicroSimConfig::default()
-        },
+        MicroSimConfig::default(),
     );
     let mut gen = demand(&grid);
     let mut k = 0u64;
@@ -129,131 +113,27 @@ fn measure_grid(
             Some(phases)
         }
     };
-    let mut workload = format!("{size}x{size}");
-    if fidelity == Fidelity::Batched {
-        workload.push_str("+batched");
-    }
     Measurement {
         substrate: backend.name(),
-        workload,
+        workload: format!("{size}x{size}"),
         ticks,
         seconds: best,
         phases,
     }
 }
 
-/// The microscopic exact/batched pair for one grid row, measured with
-/// the reps *interleaved*: both sims are built and warmed first, then
-/// each rep times an exact window immediately followed by a batched
-/// window, and each side keeps its best. On a shared box, throughput
-/// drifts by tens of percent across a run (see the PR 5 / PR 9 bench
-/// notes) — sequential rows sample different drift windows and the
-/// comparison inherits the drift. Interleaving puts both contracts in
-/// the same windows, so the pairwise ratio is trustworthy even when the
-/// absolute numbers wobble.
-fn measure_grid_fidelity_pair(size: u32, ticks: u64, reps: u32) -> (Measurement, Measurement) {
-    let grid = GridNetwork::new(GridSpec::with_size(size, size));
-    let n = grid.topology().num_intersections();
-    let build = |fidelity| {
-        (
-            build_substrate(
-                Backend::Microscopic,
-                grid.topology().clone(),
-                controllers(n),
-                MicroSimConfig {
-                    fidelity,
-                    ..MicroSimConfig::default()
-                },
-            ),
-            demand(&grid),
-            0u64,
-        )
-    };
-    let mut pair = [build(Fidelity::Exact), build(Fidelity::Batched)];
-    let mut scratch = SubstrateScratch::new();
-    let mut arrivals = Vec::new();
-    for (sim, gen, k) in pair.iter_mut() {
-        for _ in 0..WARMUP_TICKS {
-            arrivals.clear();
-            gen.poll_into(&grid, Tick::new(*k), &mut arrivals);
-            sim.step_into(&mut arrivals, &mut scratch);
-            *k += 1;
-        }
-    }
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..reps.max(1) {
-        for (i, (sim, gen, k)) in pair.iter_mut().enumerate() {
-            let start = Instant::now();
-            for _ in 0..ticks {
-                arrivals.clear();
-                gen.poll_into(&grid, Tick::new(*k), &mut arrivals);
-                sim.step_into(&mut arrivals, &mut scratch);
-                *k += 1;
-            }
-            best[i] = best[i].min(start.elapsed().as_secs_f64());
-        }
-    }
-    let measurements = pair.iter_mut().zip(best).map(|((sim, gen, k), best)| {
-        let mut phases = PhaseTimings::default();
-        for _ in 0..ticks {
-            arrivals.clear();
-            gen.poll_into(&grid, Tick::new(*k), &mut arrivals);
-            sim.step_into_timed(&mut arrivals, &mut scratch, &mut phases);
-            *k += 1;
-        }
-        (best, phases)
-    });
-    let mut out = Vec::new();
-    for (i, (seconds, phases)) in measurements.enumerate() {
-        let mut workload = format!("{size}x{size}");
-        if i == 1 {
-            workload.push_str("+batched");
-        }
-        out.push(Measurement {
-            substrate: Backend::Microscopic.name(),
-            workload,
-            ticks,
-            seconds,
-            phases: Some(phases),
-        });
-    }
-    let batched = out.pop().expect("two rows");
-    let exact = out.pop().expect("two rows");
-    (exact, batched)
-}
-
 /// Scenario-driven row: the whole per-tick path of a scenario run —
 /// event dispatch, schedule-driven demand, stepping, and (for scenarios
 /// that enable it) en-route replanning — measured through
 /// [`ScenarioEngine`].
-fn measure_scenario(
-    name: &str,
-    backend: Backend,
-    fidelity: Fidelity,
-    ticks: u64,
-    reps: u32,
-) -> Measurement {
-    measure_scenario_instrumented(name, backend, fidelity, ticks, reps, false, None)
-}
-
-/// Scenario row with the flight recorder optionally attached, so the
-/// trajectory file documents both sides of the telemetry contract: the
-/// recording-off row is the default engine (`NullRecorder`, every
-/// emission site gated on one cached bool — cost ≈ 0) and the `+recorder`
-/// row runs the same scenario with a live ring-buffer recorder.
-fn measure_scenario_recorded(
-    name: &str,
-    backend: Backend,
-    fidelity: Fidelity,
-    ticks: u64,
-    reps: u32,
-    recording: bool,
-) -> Measurement {
-    measure_scenario_instrumented(name, backend, fidelity, ticks, reps, recording, None)
-}
-
-/// Scenario row with optional recording and an optional periodic
-/// checkpoint policy, so the trajectory file documents the durability
+///
+/// The flight recorder can be attached, so the trajectory file documents
+/// both sides of the telemetry contract: the recording-off row is the
+/// default engine (`NullRecorder`, every emission site gated on one
+/// cached bool — cost ≈ 0) and the `+recorder` row runs the same
+/// scenario with a live ring-buffer recorder.
+///
+/// An optional periodic checkpoint policy documents the durability
 /// plane's price: the `+ckpt<period>` row serializes the engine's full
 /// state (plant, controllers, demand, telemetry watermarks) into a
 /// checksummed snapshot every `period` ticks inside the measured window;
@@ -261,10 +141,9 @@ fn measure_scenario_recorded(
 /// the per-checkpoint cost. Checkpoint-off rows go through the same
 /// engine with the policy `None` — one branch on a `Copy` option per
 /// tick — so their numbers stay comparable with pre-durability runs.
-fn measure_scenario_instrumented(
+fn measure_scenario(
     name: &str,
     backend: Backend,
-    fidelity: Fidelity,
     ticks: u64,
     reps: u32,
     recording: bool,
@@ -277,7 +156,6 @@ fn measure_scenario_instrumented(
         // the new horizon no longer covers are dropped with it (a closure
         // whose reopening is dropped simply stays closed).
         spec.set_horizon(Ticks::new(WARMUP_TICKS + ticks + 1));
-        spec.fidelity = fidelity;
         let mut engine = ScenarioEngine::new(spec, EngineConfig::new(backend), &|_| {
             Box::new(UtilBp::paper())
         })
@@ -298,9 +176,6 @@ fn measure_scenario_instrumented(
         best = best.min(start.elapsed().as_secs_f64());
     }
     let mut workload = name.to_string();
-    if fidelity == Fidelity::Batched {
-        workload.push_str("+batched");
-    }
     if recording {
         workload.push_str("+recorder");
     }
@@ -317,33 +192,9 @@ fn measure_scenario_instrumented(
 }
 
 fn main() {
-    // `--fidelity exact|batched` retargets the *scenario-driven* rows (so
-    // any builtin can be priced under the batched kernel); the grid rows
-    // always emit both fidelities — the exact/batched pair in one run is
-    // the kernel's headline comparison.
-    let mut scenario_fidelity = Fidelity::Exact;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fidelity" => {
-                scenario_fidelity = match args.next().as_deref() {
-                    Some("exact") => Fidelity::Exact,
-                    Some("batched") => Fidelity::Batched,
-                    Some(other) => {
-                        eprintln!("sim_throughput: unknown fidelity `{other}` (exact|batched)");
-                        std::process::exit(1);
-                    }
-                    None => {
-                        eprintln!("sim_throughput: --fidelity needs exact|batched");
-                        std::process::exit(1);
-                    }
-                };
-            }
-            other => {
-                eprintln!("sim_throughput: unknown flag `{other}`");
-                std::process::exit(1);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("sim_throughput: unknown flag `{arg}`");
+        std::process::exit(1);
     }
     let tick_override = std::env::var("BENCH_TICKS")
         .ok()
@@ -370,27 +221,14 @@ fn main() {
 
     let mut results = Vec::new();
     for &(size, q_ticks, m_ticks) in plan {
-        let q = measure_grid(
-            Backend::Queueing,
-            size,
-            Fidelity::Exact,
-            tick_override.unwrap_or(q_ticks),
-            reps,
-        );
-        eprintln!(
-            "queueing    {size:>2}x{size:<2}: {:>10.1} ticks/s",
-            q.ticks_per_sec()
-        );
-        results.push(q);
-        // Both car-following contracts on every microscopic grid row,
-        // reps interleaved across the pair so shared-box drift cancels
-        // out of the exact/batched ratio.
-        let (exact, batched) =
-            measure_grid_fidelity_pair(size, tick_override.unwrap_or(m_ticks), reps);
-        for m in [exact, batched] {
+        for (backend, ticks) in [
+            (Backend::Queueing, q_ticks),
+            (Backend::Microscopic, m_ticks),
+        ] {
+            let m = measure_grid(backend, size, tick_override.unwrap_or(ticks), reps);
             eprintln!(
-                "microscopic {:<13}: {:>10.1} ticks/s",
-                m.workload,
+                "{:<11} {size:>2}x{size:<2}: {:>10.1} ticks/s",
+                m.substrate,
                 m.ticks_per_sec()
             );
             results.push(m);
@@ -412,7 +250,7 @@ fn main() {
                 Backend::Queueing => 2000,
                 Backend::Microscopic => 600,
             });
-            let s = measure_scenario(scenario_name, backend, scenario_fidelity, ticks, reps);
+            let s = measure_scenario(scenario_name, backend, ticks, reps, false, None);
             eprintln!(
                 "{:<11} {scenario_name}: {:>10.1} ticks/s",
                 s.substrate,
@@ -432,13 +270,13 @@ fn main() {
             Backend::Microscopic => 600,
         });
         for recording in [false, true] {
-            let s = measure_scenario_recorded(
+            let s = measure_scenario(
                 "grid-degraded-recovery",
                 backend,
-                scenario_fidelity,
                 ticks,
                 reps,
                 recording,
+                None,
             );
             eprintln!(
                 "{:<11} {}: {:>10.1} ticks/s",
@@ -453,10 +291,9 @@ fn main() {
         // drill's long runs). The delta to the plain off row, divided by
         // the ~ticks/256 captures inside the measured window, is the
         // per-checkpoint price of serializing the full engine snapshot.
-        let s = measure_scenario_instrumented(
+        let s = measure_scenario(
             "grid-degraded-recovery",
             backend,
-            scenario_fidelity,
             ticks,
             reps,
             false,

@@ -1,8 +1,8 @@
 //! The `sim_throughput` perf-trajectory JSON: rendering, run appending,
 //! and the structural invariants CI (and `cargo test`) check.
 //!
-//! The trajectory file is hand-rolled JSON (the workspace's `serde` shim
-//! does not serialize): a `runs` array where each run records the
+//! The trajectory file is hand-rolled JSON (the workspace has no
+//! serialization dependency): a `runs` array where each run records the
 //! measurement protocol and one row per substrate × workload.
 //! [`render_run`] and [`append_run`] produce it; [`verify_trajectory`]
 //! asserts the invariants that used to live as inline Python in the CI
@@ -19,15 +19,13 @@ use utilbp_microsim::PhaseTimings;
 
 /// Workload rows every fresh trajectory run must contain (the largest
 /// grid plus the scenario-driven rows, including both replanning
-/// scenarios on both substrates, and the batched-fidelity microscopic
-/// row the PR 9 kernel is tracked by).
+/// scenarios on both substrates).
 pub const REQUIRED_WORKLOADS: &[&str] = &[
     "20x20",
     "arterial-rush-hour",
     "grid-incident-replan",
     "grid-congestion-replan",
     "grid-degraded-recovery+ckpt256",
-    "10x10+batched",
 ];
 
 /// One throughput measurement: a substrate × workload row.
@@ -240,10 +238,7 @@ mod tests {
 
     /// A full synthetic run satisfying every invariant.
     fn full_run(label: &str) -> String {
-        let mut rows = vec![
-            measurement("microscopic", "20x20", true),
-            measurement("microscopic", "10x10+batched", false),
-        ];
+        let mut rows = vec![measurement("microscopic", "20x20", true)];
         for scenario in [
             "arterial-rush-hour",
             "grid-incident-replan",
@@ -293,7 +288,6 @@ mod tests {
         let lopsided = render_run(
             &[
                 measurement("microscopic", "20x20", true),
-                measurement("microscopic", "10x10+batched", false),
                 measurement("queueing", "arterial-rush-hour", false),
                 measurement("queueing", "grid-incident-replan", false),
                 measurement("microscopic", "grid-incident-replan", false),
@@ -314,10 +308,7 @@ mod tests {
         // No timed row → no phase breakdown → rejected.
         let untimed = render_run(
             &{
-                let mut rows = vec![
-                    measurement("microscopic", "20x20", false),
-                    measurement("microscopic", "10x10+batched", false),
-                ];
+                let mut rows = vec![measurement("microscopic", "20x20", false)];
                 for scenario in [
                     "arterial-rush-hour",
                     "grid-incident-replan",

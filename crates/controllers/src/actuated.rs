@@ -8,11 +8,10 @@
 //! results — actuated control adapts phase *lengths* but has no notion of
 //! downstream pressure or capacity.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
 /// Configuration of [`Actuated`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActuatedConfig {
     /// Minimum green per activation.
     pub min_green: Ticks,
@@ -233,6 +232,18 @@ impl SignalController for Actuated {
             }
         };
         Ok(())
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        match self.state {
+            State::Idle => Ok(()),
+            State::Green(phase, _) | State::Amber(_, phase) => {
+                PhaseDecision::Control(phase).check_in(layout)
+            }
+        }
     }
 }
 

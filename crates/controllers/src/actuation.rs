@@ -32,14 +32,13 @@ use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, SignalController, Tick};
 
 use crate::FaultSwitch;
 
 /// Actuator/comms fault model parameters. Probabilities are per
 /// decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuationFaultConfig {
     /// Probability the actuator jams after executing this mini-slot,
     /// holding its phase and ignoring commands for [`stuck_ticks`]
@@ -284,6 +283,16 @@ impl<C: SignalController> SignalController for FaultyActuation<C> {
             self.pending.push_back((at, decision));
         }
         self.inner.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        for decision in self.applied.iter().chain(self.pending.iter().map(|p| &p.1)) {
+            decision.check_in(layout)?;
+        }
+        self.inner.check_state(layout)
     }
 }
 

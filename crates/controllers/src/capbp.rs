@@ -22,13 +22,12 @@
 //! *within* a slot, the empty-approach/full-exit gain discrimination
 //! (`α`/`β`), and flow on negative pressure differences.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
 use crate::slot::SlotMachine;
 
 /// Which upstream pressure CAP-BP's link weight uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapBpPressure {
     /// The per-movement queue `b_i^{i'}`, as in Gregoire et al.'s own
     /// formulation (their model queues vehicles per movement). This is
@@ -46,7 +45,7 @@ pub enum CapBpPressure {
 }
 
 /// Configuration of [`CapBp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapBpConfig {
     /// The fixed green period (the paper sweeps 10–80 s; its per-pattern
     /// optima are 16–22 s).
@@ -225,6 +224,13 @@ impl SignalController for CapBp {
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         self.slots.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.slots.check_state(layout)
     }
 }
 

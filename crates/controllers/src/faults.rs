@@ -30,11 +30,10 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, QueueObservation, SignalController, Tick};
 
 /// Fault model parameters. Probabilities are per reading per decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorFaultConfig {
     /// Probability a reading drops to zero.
     pub dropout: f64,
@@ -372,6 +371,19 @@ impl<C: SignalController> SignalController for FaultySensors<C> {
             self.latched.push(latch);
         }
         self.inner.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        if let Some(last) = self.last.as_ref().filter(|last| !last.fits(layout)) {
+            return Err(utilbp_core::state::StateError::Invalid {
+                what: "faulty sensor readings",
+                word: last.movements().len() as u64,
+            });
+        }
+        self.inner.check_state(layout)
     }
 }
 

@@ -7,7 +7,6 @@
 //! `UtilBp` vs `FixedLengthUtilBp` vs `CapBp` decomposes the paper's
 //! improvement into its two mechanisms.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{
     pressure, GainPenalties, IntersectionView, PhaseDecision, PhaseId, SignalController, Tick,
     Ticks,
@@ -16,7 +15,7 @@ use utilbp_core::{
 use crate::slot::SlotMachine;
 
 /// Configuration of [`FixedLengthUtilBp`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedLengthUtilBpConfig {
     /// The fixed green period.
     pub period: Ticks,
@@ -125,6 +124,13 @@ impl SignalController for FixedLengthUtilBp {
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         self.slots.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.slots.check_state(layout)
     }
 }
 

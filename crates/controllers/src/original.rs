@@ -2,7 +2,6 @@
 //! [3] of the paper): fixed-length slots, per-road pressures, no capacity
 //! awareness, no work-conservation fix.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{
     pressure, IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks,
 };
@@ -10,7 +9,7 @@ use utilbp_core::{
 use crate::slot::SlotMachine;
 
 /// Configuration of [`OriginalBp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OriginalBpConfig {
     /// The fixed green period.
     pub period: Ticks,
@@ -116,6 +115,13 @@ impl SignalController for OriginalBp {
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         self.slots.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.slots.check_state(layout)
     }
 }
 

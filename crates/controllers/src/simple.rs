@@ -1,7 +1,6 @@
 //! Non-back-pressure reference controllers: fixed-time cycling and greedy
 //! longest-queue-first.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
 use crate::slot::SlotMachine;
@@ -72,10 +71,17 @@ impl SignalController for FixedTime {
     ) -> Result<(), utilbp_core::state::StateError> {
         self.slots.load_state(reader)
     }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.slots.check_state(layout)
+    }
 }
 
 /// Serializable parameters of [`LongestQueueFirst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LongestQueueFirstConfig {
     /// The fixed green period.
     pub period: Ticks,
@@ -159,6 +165,13 @@ impl SignalController for LongestQueueFirst {
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         self.slots.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.slots.check_state(layout)
     }
 }
 

@@ -6,13 +6,12 @@
 //! [`SlotMachine`] implements exactly that timing skeleton; each baseline
 //! plugs in its own phase-selection rule at slot boundaries.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{PhaseDecision, PhaseId, Tick, Ticks};
 
 /// Fixed-slot phase timing: evaluate a selection rule at every slot
 /// boundary, insert an amber of fixed length whenever the selection differs
 /// from the running phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotMachine {
     period: Ticks,
     transition: Ticks,
@@ -168,6 +167,23 @@ impl SlotMachine {
         } else {
             None
         };
+        Ok(())
+    }
+
+    /// Checks the restored phases against `layout`: the current phase
+    /// and a pending one must both be among its phases.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError`](utilbp_core::state::StateError) naming the first
+    /// phase outside the layout.
+    pub fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        for phase in self.current.into_iter().chain(self.pending.map(|p| p.1)) {
+            PhaseDecision::Control(phase).check_in(layout)?;
+        }
         Ok(())
     }
 }

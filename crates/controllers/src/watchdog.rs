@@ -33,11 +33,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IntersectionView, PhaseDecision, SignalController, Tick};
 
 /// Health-monitor parameters for [`Degrading`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Consecutive decisions with a bit-identical, non-empty movement
     /// snapshot before the stream is declared frozen. Must be ≥ 1.
@@ -316,32 +315,33 @@ impl<C: SignalController, F: SignalController> SignalController for Degrading<C,
         for _ in 0..len {
             self.prev.push(reader.take_u32()?);
         }
-        self.same_streak = reader.take()?;
-        self.plausible_streak = reader.take()?;
-        self.episode_ticks = reader.take()?;
+        self.same_streak = reader.take_count("watchdog frozen streak")?;
+        self.plausible_streak = reader.take_count("watchdog plausible streak")?;
+        self.episode_ticks = reader.take_count("watchdog episode ticks")?;
         self.degraded = reader.take_bool()?;
-        self.stats
-            .0
-            .activations
-            .store(reader.take()?, Ordering::Relaxed);
-        self.stats
-            .0
-            .degraded_ticks
-            .store(reader.take()?, Ordering::Relaxed);
-        self.stats
-            .0
-            .recoveries
-            .store(reader.take()?, Ordering::Relaxed);
-        self.stats
-            .0
-            .recovery_ticks_total
-            .store(reader.take()?, Ordering::Relaxed);
+        let stats = &self.stats.0;
+        for (counter, what) in [
+            (&stats.activations, "watchdog activations"),
+            (&stats.degraded_ticks, "watchdog degraded ticks"),
+            (&stats.recoveries, "watchdog recoveries"),
+            (&stats.recovery_ticks_total, "watchdog recovery ticks"),
+        ] {
+            counter.store(reader.take_count(what)?, Ordering::Relaxed);
+        }
         self.stats
             .0
             .degraded_now
             .store(self.degraded, Ordering::Relaxed);
         self.inner.load_state(reader)?;
         self.fallback.load_state(reader)
+    }
+
+    fn check_state(
+        &self,
+        layout: &utilbp_core::IntersectionLayout,
+    ) -> Result<(), utilbp_core::state::StateError> {
+        self.inner.check_state(layout)?;
+        self.fallback.check_state(layout)
     }
 }
 

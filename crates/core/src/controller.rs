@@ -8,16 +8,15 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::PhaseId;
+use crate::layout::IntersectionLayout;
 use crate::observation::IntersectionView;
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::time::Tick;
 
 /// The controller's output at instant `k`: either a control phase `c_j` or
 /// the transition (amber) phase `c0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseDecision {
     /// Apply control phase `c_j`: its links are activated, vehicles may be
     /// served.
@@ -55,6 +54,24 @@ impl PhaseDecision {
     /// checkpoint streams.
     pub const fn state_word(self) -> u64 {
         self.trace_value() as u64
+    }
+
+    /// Checks a restored decision against `layout`: a control phase must
+    /// be one of the layout's phases.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Invalid`] naming the decision's state word.
+    pub fn check_in(self, layout: &IntersectionLayout) -> Result<(), StateError> {
+        match self {
+            PhaseDecision::Control(p) if p.index() >= layout.num_phases() => {
+                Err(StateError::Invalid {
+                    what: "phase decision",
+                    word: self.state_word(),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Decodes a word written by [`state_word`](Self::state_word).
@@ -147,6 +164,22 @@ pub trait SignalController: Send {
     fn load_state(&mut self, _reader: &mut StateReader<'_>) -> Result<(), StateError> {
         Ok(())
     }
+
+    /// Checks state restored by [`load_state`](Self::load_state) against
+    /// the intersection's `layout`, which the stream does not carry:
+    /// every phase the controller holds must be one of the layout's, and
+    /// every reading vector it keeps must have the layout's shape, or a
+    /// later decision would index past them. Plants call it once per
+    /// controller after a restore; decorators forward it to what they
+    /// wrap. The default accepts — correct for controllers that hold
+    /// neither.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Invalid`] naming the first word that does not fit.
+    fn check_state(&self, _layout: &IntersectionLayout) -> Result<(), StateError> {
+        Ok(())
+    }
 }
 
 impl<T: SignalController + ?Sized> SignalController for Box<T> {
@@ -168,6 +201,10 @@ impl<T: SignalController + ?Sized> SignalController for Box<T> {
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         (**self).load_state(reader)
+    }
+
+    fn check_state(&self, layout: &IntersectionLayout) -> Result<(), StateError> {
+        (**self).check_state(layout)
     }
 }
 

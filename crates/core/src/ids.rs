@@ -8,12 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an incoming road (`N_i ∈ N_I`) at one intersection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct IncomingId(u8);
 
 impl IncomingId {
@@ -35,9 +31,7 @@ impl fmt::Display for IncomingId {
 }
 
 /// Identifier of an outgoing road (`N_{i'} ∈ N_O`) at one intersection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OutgoingId(u8);
 
 impl OutgoingId {
@@ -59,9 +53,7 @@ impl fmt::Display for OutgoingId {
 }
 
 /// Identifier of a feasible link `L_i^{i'}` (one turning movement).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(u16);
 
 impl LinkId {
@@ -87,9 +79,7 @@ impl fmt::Display for LinkId {
 /// The transition (amber) phase `c0` is *not* a `PhaseId`; it is represented
 /// by [`PhaseDecision::Transition`](crate::PhaseDecision::Transition) because
 /// it activates no links and carries distinct timing semantics.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhaseId(u8);
 
 impl PhaseId {

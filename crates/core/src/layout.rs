@@ -10,14 +10,12 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{IncomingId, LinkId, OutgoingId, PhaseId};
 
 /// One feasible link `L_i^{i'}`: a turning movement from an incoming road to
 /// an outgoing road, with its maximum service rate `µ_i^{i'}` in vehicles per
 /// mini-slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     from: IncomingId,
     to: OutgoingId,
@@ -48,7 +46,7 @@ impl fmt::Display for Link {
 }
 
 /// One control phase `c_j`: the compatible set of links it activates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
     links: Vec<LinkId>,
 }
@@ -152,7 +150,7 @@ impl Error for LayoutError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntersectionLayout {
     num_incoming: usize,
     /// Capacity `W_{i'}` of each outgoing road, indexed by `OutgoingId`.

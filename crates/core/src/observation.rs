@@ -10,8 +10,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{IncomingId, LinkId, OutgoingId};
 use crate::layout::IntersectionLayout;
 
@@ -49,7 +47,7 @@ impl Error for ObservationShapeError {}
 /// obs.set_movement(utilbp_core::LinkId::new(0), 7);
 /// assert_eq!(obs.movement(utilbp_core::LinkId::new(0)), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueObservation {
     /// `q_i^{i'}(k)` per feasible link, indexed by `LinkId`.
     movement: Vec<u32>,
@@ -161,6 +159,12 @@ impl QueueObservation {
             outgoing.push(reader.take_u32()?);
         }
         Ok(QueueObservation { movement, outgoing })
+    }
+
+    /// Whether the observation has `layout`'s shape: one reading per
+    /// link and per outgoing road.
+    pub fn fits(&self, layout: &IntersectionLayout) -> bool {
+        self.movement.len() == layout.num_links() && self.outgoing.len() == layout.num_outgoing()
     }
 
     /// Raw movement-queue slice, indexed by `LinkId`.

@@ -16,8 +16,6 @@
 //! Phase-level aggregates `g(c_j,k)` (Eq. 10) and `g_max(c_j,k)` (Eq. 11)
 //! are provided by [`phase_gain`] and [`phase_gain_max`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{LinkId, PhaseId};
 use crate::observation::IntersectionView;
 
@@ -37,7 +35,7 @@ pub fn pressure(queue: u32) -> f64 {
 /// negative so they rank below any link that guarantees flow. The paper
 /// defaults to `β < α` but notes the order may be reversed by a traffic
 /// authority's preference, so only negativity is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainPenalties {
     alpha: f64,
     beta: f64,

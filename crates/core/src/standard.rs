@@ -19,14 +19,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{IncomingId, LinkId, OutgoingId, PhaseId};
 use crate::layout::IntersectionLayout;
 
 /// Compass approach of a four-way intersection: the arm a vehicle arrives
 /// from, or the arm it leaves toward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Approach {
     /// The northern arm (paper `N1` incoming / `N5` outgoing).
     North,
@@ -110,7 +108,7 @@ impl fmt::Display for Approach {
 
 /// A turning movement relative to the vehicle's heading (right-hand
 /// traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Turn {
     /// Turn left across opposing traffic.
     Left,

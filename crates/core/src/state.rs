@@ -115,9 +115,15 @@ impl StateWriter {
     }
 }
 
+/// The largest event counter a word stream may restore (2⁵³, the range
+/// in which an `f64` holds every integer). No run gets near it — a
+/// million events per tick for 285 years of one-second ticks — so a
+/// restored counter has room for every increment the step path makes.
+pub const MAX_COUNT: u64 = 1 << 53;
+
 /// A cursor over a word stream produced by [`StateWriter`], decoding
 /// the little-endian words straight from the byte slice.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StateReader<'a> {
     rest: &'a [u8],
     /// Words consumed so far.
@@ -165,6 +171,31 @@ impl<'a> StateReader<'a> {
     pub fn take_u32(&mut self) -> Result<u32, StateError> {
         let word = self.take()?;
         u32::try_from(word).map_err(|_| StateError::Invalid { what: "u32", word })
+    }
+
+    /// Takes a word no larger than `max`: a count or a tick the restored
+    /// state cannot have passed.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
+    /// `what` when the word exceeds `max`.
+    pub fn take_at_most(&mut self, max: u64, what: &'static str) -> Result<u64, StateError> {
+        match self.take()? {
+            word if word > max => Err(StateError::Invalid { what, word }),
+            word => Ok(word),
+        }
+    }
+
+    /// Takes an event counter: at most [`MAX_COUNT`], so the step path
+    /// can keep adding to it without overflow.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
+    /// `what` above [`MAX_COUNT`].
+    pub fn take_count(&mut self, what: &'static str) -> Result<u64, StateError> {
+        self.take_at_most(MAX_COUNT, what)
     }
 
     /// Takes a word as a `usize`.
@@ -404,5 +435,19 @@ mod tests {
         w.push_str("a longer string than one word");
         let mut r = StateReader::new(&w.bytes()[..16]);
         assert!(matches!(r.take_string(), Err(StateError::Exhausted { .. })));
+    }
+
+    #[test]
+    fn bounded_takes_reject_words_past_their_bound() {
+        let mut w = StateWriter::new();
+        [7, 8, MAX_COUNT, MAX_COUNT + 1]
+            .into_iter()
+            .for_each(|word| w.push(word));
+        let mut r = StateReader::new(w.bytes());
+        assert_eq!(r.take_at_most(7, "tick"), Ok(7));
+        let past = |word| Err(StateError::Invalid { what: "tick", word });
+        assert_eq!(r.take_at_most(7, "tick"), past(8));
+        assert_eq!(r.take_count("count"), Ok(MAX_COUNT));
+        assert!(r.take_count("count").is_err());
     }
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete time instant `k` (the paper's mini-slot index).
 ///
 /// # Examples
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(start < amber_end);
 /// assert_eq!(amber_end - start, Ticks::new(4));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(u64);
 
 impl Tick {
@@ -72,9 +68,7 @@ impl fmt::Display for Tick {
 /// assert_eq!(amber.count(), 4);
 /// assert_eq!(amber * 2, Ticks::new(8));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ticks(u64);
 
 impl Ticks {

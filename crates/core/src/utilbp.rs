@@ -16,17 +16,16 @@
 //!    pick the one with the highest single-link gain. A change of phase
 //!    (from a control phase) always passes through an amber of length `∆k`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::controller::{PhaseDecision, SignalController};
 use crate::ids::PhaseId;
+use crate::layout::IntersectionLayout;
 use crate::observation::IntersectionView;
 use crate::pressure::{self, GainPenalties};
 use crate::time::{Tick, Ticks};
 
 /// Policy for the keep-current-phase threshold `g*(k)` of Algorithm 1,
 /// Line 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GStarPolicy {
     /// Eq. 12: if the current phase's best link is `L_i^{i'}`, then
     /// `g*(k) = W*·µ_i^{i'}`. Under the ordinary gain (Eq. 6) this keeps
@@ -45,7 +44,7 @@ pub enum GStarPolicy {
 /// Which link gain Case 3 ranks phases by. [`GainMode::UtilizationAware`]
 /// is the paper's Eq. 8; the others are ablations quantifying its two
 /// ingredients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GainMode {
     /// Eq. 8: per-movement pressure, `W*` offset, `α`/`β` special cases.
     #[default]
@@ -62,7 +61,7 @@ pub enum GainMode {
 /// Configuration of [`UtilBp`]. The defaults reproduce Section V of the
 /// paper: `α = −1`, `β = −2`, `∆k = 4` mini-slots, `g*` per Eq. 12, gain
 /// per Eq. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilBpConfig {
     /// The `α`/`β` penalties of Eq. 8.
     pub penalties: GainPenalties,
@@ -384,6 +383,10 @@ impl SignalController for UtilBp {
         self.previous = PhaseDecision::from_state_word(reader.take()?)?;
         self.transition_until = Tick::new(reader.take()?);
         Ok(())
+    }
+
+    fn check_state(&self, layout: &IntersectionLayout) -> Result<(), crate::state::StateError> {
+        self.previous.check_in(layout)
     }
 
     fn name(&self) -> &'static str {
@@ -809,5 +812,24 @@ mod tests {
         assert_eq!(config.transition, Ticks::new(4));
         assert_eq!(config.g_star, GStarPolicy::MaxLinkCapacityRate);
         assert_eq!(config.gain_mode, GainMode::UtilizationAware);
+    }
+
+    #[test]
+    fn restored_phase_outside_the_layout_fails_the_state_check() {
+        let layout = layout();
+        let mut ctrl = UtilBp::paper();
+        for (phase, ok) in [
+            (layout.num_phases() - 1, true),
+            (layout.num_phases(), false),
+        ] {
+            let decision = PhaseDecision::Control(PhaseId::new(phase as u8));
+            let mut w = crate::state::StateWriter::new();
+            [decision.state_word(), 0]
+                .into_iter()
+                .for_each(|word| w.push(word));
+            ctrl.load_state(&mut crate::state::StateReader::new(w.bytes()))
+                .unwrap();
+            assert_eq!(ctrl.check_state(&layout).is_ok(), ok, "phase {phase}");
+        }
     }
 }

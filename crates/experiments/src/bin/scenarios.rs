@@ -5,7 +5,6 @@
 //! scenarios                    # the whole built-in library, both backends
 //! scenarios --smoke            # one small built-in per backend (CI smoke)
 //! scenarios --builtin NAME ... # selected built-ins by name
-//! scenarios --fidelity batched # batched car-following on the microsim rows
 //! scenarios file.scn ...       # scenario files in the text format
 //! scenarios --trace            # append a flight-recorder trace per spec
 //! scenarios --trace --profile  # …with the tick-section profile table
@@ -22,7 +21,6 @@
 //! bad input.
 
 use utilbp_experiments::{run_trace, scenario_comparison, Backend, ControllerKind, TraceOptions};
-use utilbp_microsim::Fidelity;
 use utilbp_scenario::{builtin, builtin_scenarios, parse_scenario, ScenarioSpec};
 
 fn main() {
@@ -37,7 +35,6 @@ fn run() -> Result<(), String> {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut files: Vec<&String> = Vec::new();
     let mut builtins: Vec<ScenarioSpec> = Vec::new();
-    let mut fidelity = None;
     let mut trace = false;
     let mut profile = false;
     let mut iter = args.iter();
@@ -55,19 +52,6 @@ fn run() -> Result<(), String> {
                     .ok_or_else(|| "--builtin needs a scenario name".to_string())?;
                 builtins
                     .push(builtin(name).ok_or_else(|| format!("no built-in scenario `{name}`"))?);
-            }
-            "--fidelity" => {
-                fidelity = Some(
-                    match iter
-                        .next()
-                        .ok_or_else(|| "--fidelity needs exact|batched".to_string())?
-                        .as_str()
-                    {
-                        "exact" => Fidelity::Exact,
-                        "batched" => Fidelity::Batched,
-                        other => return Err(format!("unknown fidelity `{other}` (exact|batched)")),
-                    },
-                );
             }
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             _ => files.push(arg),
@@ -92,15 +76,6 @@ fn run() -> Result<(), String> {
         }
         specs
     };
-
-    // The flag overrides every spec's own `fidelity` directive; only the
-    // microscopic rows are affected (the queueing substrate has no
-    // car-following phase to batch).
-    if let Some(f) = fidelity {
-        for spec in &mut specs {
-            spec.fidelity = f;
-        }
-    }
 
     let mut horizon_cap = None;
     if std::env::var("UTILBP_QUICK").is_ok_and(|v| v == "1") {

@@ -212,7 +212,6 @@ pub fn chaos_timeline(master_seed: u64, index: usize, horizon: u64) -> ScenarioS
             events: Vec::new(),
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: utilbp_microsim::Fidelity::Exact,
         };
         let network = prototype.build_network();
         let topology = network.topology();
@@ -242,7 +241,6 @@ pub fn chaos_timeline(master_seed: u64, index: usize, horizon: u64) -> ScenarioS
         events,
         replan: ReplanPolicy::Off,
         watchdog: None,
-        fidelity: utilbp_microsim::Fidelity::Exact,
     }
 }
 

@@ -27,7 +27,6 @@
 mod ablation;
 pub mod artifacts;
 mod chaos;
-mod equivalence;
 mod fig2;
 mod inputs;
 mod options;
@@ -43,10 +42,6 @@ mod tradeoff;
 
 pub use ablation::{ablation, variants, AblationResult, AblationRow};
 pub use chaos::{chaos_timeline, run_chaos, ChaosConfig, ChaosReport, TimelineReport};
-pub use equivalence::{
-    equivalence, EquivalenceOptions, EquivalenceReport, EquivalenceTolerances, MetricSamples,
-    ScenarioEquivalence, DEFAULT_SCENARIOS, DEFAULT_TOLERANCES,
-};
 pub use fig2::{fig2, Fig2Result};
 pub use inputs::{render_table1, render_table2};
 pub use options::ExperimentOptions;

@@ -1,6 +1,5 @@
 //! Scenario and controller descriptions (serializable experiment recipes).
 
-use serde::{Deserialize, Serialize};
 use utilbp_baselines::{
     Actuated, ActuatedConfig, CapBp, FixedLengthUtilBp, FixedTime, LongestQueueFirst, OriginalBp,
 };
@@ -15,7 +14,7 @@ pub use utilbp_scenario::Backend;
 
 /// A controller recipe: enough to build one fresh controller instance per
 /// intersection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControllerKind {
     /// The paper's Algorithm 1 with its Section V parameters.
     UtilBp,
@@ -118,7 +117,7 @@ impl ControllerKind {
 }
 
 /// A complete experiment scenario: network, demand, substrate, and seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Grid network parameters.
     pub grid: GridSpec,

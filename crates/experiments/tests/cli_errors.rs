@@ -70,16 +70,26 @@ fn scenarios_rejects_a_missing_flag_value() {
         "scenarios",
         "--builtin needs a scenario name",
     );
+}
+
+#[test]
+fn scenarios_rejects_the_removed_fidelity_option() {
+    // The microscopic plant has one car-following contract, so neither
+    // the flag nor the scenario directive exists.
     assert_clean_failure(
-        &scenarios(&["--fidelity"]),
+        &scenarios(&["--fidelity", "batched"]),
         "scenarios",
-        "--fidelity needs exact|batched",
+        "unknown flag `--fidelity`",
     );
-    assert_clean_failure(
-        &scenarios(&["--fidelity", "osmosis"]),
-        "scenarios",
-        "unknown fidelity `osmosis`",
-    );
+    let path = std::env::temp_dir().join("utilbp-cli-errors-fidelity.scn");
+    std::fs::write(
+        &path,
+        "scenario x\nhorizon 10\ntopology grid\nfidelity batched\n",
+    )
+    .expect("temp file writes");
+    let output = scenarios(&[path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    assert_clean_failure(&output, "scenarios", "line 4: unknown directive `fidelity`");
 }
 
 #[test]

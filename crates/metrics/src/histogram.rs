@@ -1,7 +1,5 @@
 //! Fixed-bin histograms with percentile queries.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over non-negative samples with uniform bin width, plus an
 /// overflow bin. Designed for waiting-time distributions, where means hide
 /// the tail that drivers actually complain about.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.overflow(), 1); // 250 s exceeds 20 × 10 s
 /// assert!(h.percentile(50.0).unwrap() <= 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
     bins: Vec<u64>,
@@ -139,13 +137,13 @@ impl Histogram {
         }
         let mut bins = Vec::with_capacity(len);
         for _ in 0..len {
-            bins.push(reader.take()?);
+            bins.push(reader.take_count("histogram bin")?);
         }
         Ok(Histogram {
             bin_width,
             bins,
-            overflow: reader.take()?,
-            count: reader.take()?,
+            overflow: reader.take_count("histogram overflow")?,
+            count: reader.take_count("histogram count")?,
         })
     }
 

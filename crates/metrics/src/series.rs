@@ -1,6 +1,5 @@
 //! Named time series sampled at discrete ticks.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::Tick;
 
 use crate::SummaryStats;
@@ -20,7 +19,7 @@ use crate::SummaryStats;
 /// assert_eq!(queue_len.len(), 2);
 /// assert_eq!(queue_len.last(), Some((Tick::new(1), 3.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(Tick, f64)>,

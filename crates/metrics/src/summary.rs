@@ -1,7 +1,5 @@
 //! Streaming summary statistics (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass summary statistics over a stream of samples.
 ///
 /// Uses Welford's online algorithm, so it is numerically stable for long
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
     count: u64,
     mean: f64,
@@ -124,7 +122,7 @@ impl SummaryStats {
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
         Ok(SummaryStats {
-            count: reader.take()?,
+            count: reader.take_count("summary count")?,
             mean: reader.take_f64()?,
             m2: reader.take_f64()?,
             min: reader.take_f64()?,

@@ -1,7 +1,6 @@
 //! Run-length-compressed phase traces (the data behind the paper's
 //! Figs. 3–4).
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{PhaseDecision, Tick, Ticks};
 
 /// Records which phase a controller applied at every tick, compressed as
@@ -25,7 +24,7 @@ use utilbp_core::{PhaseDecision, Tick, Ticks};
 /// assert_eq!(trace.value_at(Tick::new(1)), Some(1));
 /// assert_eq!(trace.value_at(Tick::new(2)), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTrace {
     name: String,
     /// `(start_tick, trace_value)` for each run of equal values.

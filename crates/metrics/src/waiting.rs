@@ -11,7 +11,6 @@
 //! accumulators in at query time, so the per-tick step path never touches
 //! the ledger for waiting vehicles.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::Tick;
 
 use crate::{Histogram, SummaryStats};
@@ -22,9 +21,7 @@ const WAIT_HISTOGRAM_BIN: f64 = 10.0;
 const WAIT_HISTOGRAM_BINS: usize = 60;
 
 /// Opaque vehicle identifier, unique within one simulation run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VehicleId(u64);
 
 impl VehicleId {
@@ -69,7 +66,7 @@ impl std::fmt::Display for VehicleId {
 /// assert_eq!(ledger.waiting_stats().mean(), 5.0);
 /// assert_eq!(ledger.journey_stats().mean(), 30.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WaitingLedger {
     /// Entry ticks of active vehicles in a dense slab indexed by the raw
     /// [`VehicleId`]. Ids are handed out sequentially by the demand
@@ -104,9 +101,10 @@ impl WaitingLedger {
 
     /// Registers a vehicle entering the network at `tick`.
     ///
-    /// Ids are expected to be (roughly) sequential — the slab grows to
-    /// the largest raw id seen, so sparse gigantic ids would waste
-    /// memory, not break correctness.
+    /// Ids are expected to be issued densely from 0, as the demand
+    /// generators do — the slab grows to the largest raw id seen, so
+    /// sparse gigantic ids would waste memory, and a checkpoint of such a
+    /// ledger does not restore (see [`load_state`](Self::load_state)).
     ///
     /// # Panics
     ///
@@ -189,8 +187,9 @@ impl WaitingLedger {
     ///
     /// [`StateError`](utilbp_core::state::StateError) when the stream
     /// is truncated or malformed: a live count larger than the slab or
-    /// than the pairs the stream holds, a slab too large to allocate, a
-    /// slot outside the slab, or a slot out of order or repeated.
+    /// than the pairs the stream holds, a slab longer than the vehicles
+    /// the ledger has seen (active plus completed: ids are dense), a slot
+    /// outside the slab, or a slot out of order or repeated.
     pub fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
@@ -201,6 +200,22 @@ impl WaitingLedger {
             return Err(StateError::Invalid {
                 what: "ledger live count",
                 word: active_count as u64,
+            });
+        }
+        // The slab length is only bounded by the completed count, which
+        // follows the live pairs: skip them, read the statistics, and
+        // decode the pairs once the slab is known to be sane to allocate.
+        let mut pairs = reader.clone();
+        for _ in 0..2 * active_count {
+            reader.take()?;
+        }
+        let waiting = SummaryStats::load_state(reader)?;
+        let journey = SummaryStats::load_state(reader)?;
+        let waiting_histogram = Histogram::load_state(reader)?;
+        if len as u64 > (active_count as u64).saturating_add(waiting.count()) {
+            return Err(StateError::Invalid {
+                what: "ledger slab length",
+                word: len as u64,
             });
         }
         let mut active = Vec::new();
@@ -215,7 +230,7 @@ impl WaitingLedger {
         // previous one: this rejects repeats along with out-of-range slots.
         let mut next_free = 0;
         for _ in 0..active_count {
-            let word = reader.take()?;
+            let word = pairs.take()?;
             let slot = usize::try_from(word)
                 .ok()
                 .filter(|slot| (next_free..len).contains(slot))
@@ -223,15 +238,15 @@ impl WaitingLedger {
                     what: "ledger slot",
                     word,
                 })?;
-            active[slot] = Some(Tick::new(reader.take()?));
+            active[slot] = Some(Tick::new(pairs.take()?));
             next_free = slot + 1;
         }
         Ok(WaitingLedger {
             active,
             active_count,
-            waiting: SummaryStats::load_state(reader)?,
-            journey: SummaryStats::load_state(reader)?,
-            waiting_histogram: Histogram::load_state(reader)?,
+            waiting,
+            journey,
+            waiting_histogram,
         })
     }
 
@@ -384,6 +399,14 @@ mod tests {
         assert_eq!(patched(4, 1).map(|_| ()), slot(1), "duplicate slot");
         assert_eq!(patched(2, 3).map(|_| ()), slot(3), "out of order");
         assert_eq!(patched(1, 5).map(|_| ()), count(5), "more live than slab");
+        assert_eq!(
+            patched(0, 5).map(|_| ()),
+            Err(StateError::Invalid {
+                what: "ledger slab length",
+                word: 5,
+            }),
+            "a slab longer than the 4 vehicles seen"
+        );
         for cut in 0..words.len() {
             assert!(load_all(&words[..cut]).is_err(), "truncated to {cut}");
         }

@@ -1,9 +1,7 @@
 //! Microscopic simulation parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// How vehicles are assigned to lanes on a road.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneDiscipline {
     /// One dedicated lane per turning movement (the paper's assumption,
     /// Section II-A): vehicles sort by destination, so a blocked movement
@@ -19,7 +17,7 @@ pub enum LaneDiscipline {
 }
 
 /// What the outgoing-road sensor `q_{i'}` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutgoingSensor {
     /// Halted vehicles over the whole road: free-flowing vehicles exert no
     /// back-pressure, and a fully jammed road reads ≈ `W` (Eq. 8's
@@ -36,38 +34,9 @@ pub enum OutgoingSensor {
     Occupancy,
 }
 
-/// The numerical contract the car-following phase runs under.
-///
-/// `Exact` is the default and the mode every golden, checkpoint, and
-/// cross-backend comparison in the workspace was recorded in. `Batched`
-/// trades bit-compatibility *with exact mode* for throughput: dawdling
-/// noise comes from a counter-based per-vehicle stream keyed on
-/// `(seed, vehicle_id, tick)` instead of the sequential per-road stream,
-/// and the Krauss update runs as a road-granular batch kernel over the
-/// contiguous lane segments — one dispatch per road, loop-invariant
-/// coefficients hoisted once, and (because the counter stream consumes
-/// no generator state) an exact short-circuit for parked queues, whose
-/// update is the identity for every possible draw. Batched mode is
-/// still fully deterministic — bit-identical across repeats *with
-/// itself* and checkpoint-safe — but its trajectories differ from exact
-/// mode's and are validated distributionally (the `equivalence`
-/// harness), not per-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Fidelity {
-    /// Reference semantics: sequential per-road dawdle stream,
-    /// leader-updated-first (Gauss–Seidel) gap reads, the mode all
-    /// fixed-seed goldens pin.
-    #[default]
-    Exact,
-    /// The batched car-following kernel: counter-based per-vehicle RNG,
-    /// road-granular dispatch, queue-quiescence short-circuit. Opt-in;
-    /// statistically equivalent to `Exact`, not bit-equal to it.
-    Batched,
-}
-
 /// Parameters of the microscopic simulator. Defaults follow SUMO's default
 /// Krauss passenger-car model and the paper's Section V setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroSimConfig {
     /// Wall-clock seconds per simulation step (`Δt`, SUMO's default 1 s —
     /// also the controller mini-slot).
@@ -121,9 +90,6 @@ pub struct MicroSimConfig {
     /// road derives its own generator from this seed), so a road's noise
     /// does not depend on which other roads hold traffic.
     pub seed: u64,
-    /// Numerical contract of the car-following phase (see [`Fidelity`]).
-    /// `Exact` by default; `Batched` is strictly opt-in.
-    pub fidelity: Fidelity,
 }
 
 impl Default for MicroSimConfig {
@@ -145,7 +111,6 @@ impl Default for MicroSimConfig {
             lane_discipline: LaneDiscipline::default(),
             insertion_speed_mps: 8.0,
             seed: 0,
-            fidelity: Fidelity::default(),
         }
     }
 }
@@ -228,7 +193,6 @@ mod tests {
     fn defaults_are_valid_and_sumo_like() {
         let c = MicroSimConfig::default();
         c.validate().expect("defaults must validate");
-        assert_eq!(c.fidelity, Fidelity::Exact, "batched is strictly opt-in");
         assert_eq!(c.dt_seconds, 1.0);
         assert_eq!(c.jam_spacing_m(), 7.5);
         // 300 m lane → 40 vehicles → 3 lanes match W = 120.

@@ -56,14 +56,13 @@
 //! **Occupancy-ordered iteration.** The arena keeps a sorted compact
 //! list of *active* roads (live vehicle count > 0), maintained
 //! incrementally at the only points occupancy can change — boundary
-//! insertion, junction landing, head crossing, checkpoint load. Both
-//! car-following phases and the batched kernel dispatch iterate that
-//! list instead of all roads, so empty roads and empty lanes cost zero
-//! cache lines — no metadata probe, no RNG draw, no branch per empty
-//! lane. Skipping an empty road is exact (it mutates nothing and, in
-//! exact mode, its dawdle stream is per-road and therefore undisturbed
-//! by being unseeded for a tick), so the active list changes *which*
-//! memory is touched, never a single trajectory byte. The list's
+//! insertion, junction landing, head crossing, checkpoint load. The head
+//! and follower phases iterate that list instead of all roads, so empty
+//! roads and empty lanes cost zero cache lines — no metadata probe, no
+//! RNG draw, no branch per empty lane. Skipping an empty road is exact
+//! (it mutates nothing, and its dawdle stream is per-road and therefore
+//! undisturbed by being unseeded for a tick), so the active list changes
+//! *which* memory is touched, never a single trajectory byte. The list's
 //! consistency with the spans' live counters is checkable at runtime
 //! via [`MicroSim::verify_sensors`].
 //!
@@ -126,50 +125,26 @@
 //! per-road RNG streams, so the active-road sweep can skip empty roads
 //! without perturbing anyone's draws.
 //!
-//! **Fidelity contract.** The car-following phase runs under one of two
-//! numerical contracts selected by `MicroSimConfig { fidelity, .. }`
-//! (also a `fidelity exact|batched` scenario directive and a
-//! `--fidelity` flag on the operator binaries):
-//!
-//! - [`Fidelity::Exact`] (the default): sequential per-road dawdle
-//!   streams, each road's lanes advanced in order by a sweep that keeps
-//!   several roads in flight (each a dependent chain of followers, so
-//!   interleaving them overlaps the chains without changing a single
-//!   operation or draw), the mode every fixed-seed golden,
-//!   checkpoint, and cross-backend comparison in the workspace pins.
-//!   Its trajectories are part of the repository's bit-level history
-//!   and must never drift — which the occupancy-ordered sweep respects
-//!   by visiting occupied roads in ascending index order (the same
-//!   relative order as a full scan) and never seeding or advancing an
-//!   empty road's stream.
-//! - [`Fidelity::Batched`]: the same Krauss recurrence driven by a
-//!   *stateless counter RNG* keyed on `(seed, vehicle_id, tick)`, run
-//!   as one road-granular kernel per road (coefficients hoisted once,
-//!   short lanes paying no per-lane dispatch) with a queue-quiescence
-//!   short-circuit: a stopped vehicle behind a stationary leader whose
-//!   residual gap is below a half-meter threshold freezes — three
-//!   compares and a waiting-tick increment instead of a hash, a
-//!   divide, and the full bookkeeping — which is possible precisely
-//!   because a skipped counter draw perturbs no other vehicle's noise.
-//!   Batched runs are bit-identical to *themselves* across repeats
-//!   and checkpoint restores, but not to exact mode; the two contracts
-//!   are held together distributionally by the statistical-equivalence
-//!   harness
-//!   (`utilbp-experiments::equivalence`: relative-mean-gap and
-//!   Kolmogorov–Smirnov gates on mean waiting, throughput, and queue
-//!   length across ≥16 seeds × 3 scenarios, pinned as a tier-1
-//!   regression at the workspace root).
+//! **One numerical contract.** Dawdle noise comes from sequential
+//! per-road streams, and each road's lanes are advanced in order by a
+//! sweep that keeps several roads in flight (each a dependent chain of
+//! followers, so interleaving them overlaps the chains without changing
+//! a single operation or draw). Every fixed-seed golden, checkpoint and
+//! cross-backend comparison in the workspace pins these trajectories,
+//! and they must never drift — which the occupancy-ordered sweep
+//! respects by visiting occupied roads in ascending index order (the
+//! same relative order as a full scan) and never seeding or advancing an
+//! empty road's stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
-mod counter_rng;
 mod krauss;
 mod road;
 mod sim;
 
-pub use config::{Fidelity, LaneDiscipline, MicroSimConfig, OutgoingSensor};
+pub use config::{LaneDiscipline, MicroSimConfig, OutgoingSensor};
 pub use krauss::{next_speed, safe_speed, LeaderInfo};
 pub use sim::{MicroSim, PhaseTimings, StepReport};
 
@@ -730,152 +705,5 @@ mod tests {
             sim.step(Vec::new());
         }
         assert_eq!(sim.ledger().completed(), 3);
-    }
-
-    /// Runs 400 ticks of Pattern II demand under `cfg`; returns the
-    /// end-state signature used by the fidelity determinism tests.
-    fn run_signature(cfg: MicroSimConfig) -> (u64, u64, f64, (usize, usize, f64, f64)) {
-        let g = grid();
-        let mut sim = MicroSim::new(g.topology().clone(), util_controllers(9), cfg);
-        let mut demand = DemandGenerator::new(
-            &g,
-            DemandConfig::new(DemandSchedule::constant(Pattern::II, Ticks::new(400))),
-            9,
-        );
-        for k in 0..400 {
-            let arrivals = demand.poll(&g, Tick::new(k));
-            sim.step(arrivals);
-        }
-        (
-            sim.total_crossings(),
-            sim.ledger().completed(),
-            sim.mean_waiting_including_active(),
-            sim.fleet_digest(),
-        )
-    }
-
-    #[test]
-    fn batched_mode_is_bit_identical_with_itself() {
-        // The batched contract: deterministic across repeats (counter
-        // draws are pure functions of the key).
-        let batched = MicroSimConfig {
-            fidelity: Fidelity::Batched,
-            ..MicroSimConfig::default()
-        };
-        let first = run_signature(batched);
-        let repeat = run_signature(batched);
-        assert_eq!(first, repeat, "batched repeat must be bit-identical");
-    }
-
-    #[test]
-    fn batched_mode_diverges_from_exact_but_behaves() {
-        let exact = run_signature(MicroSimConfig::default());
-        let batched = run_signature(MicroSimConfig {
-            fidelity: Fidelity::Batched,
-            ..MicroSimConfig::default()
-        });
-        assert_ne!(
-            exact.3, batched.3,
-            "with σ > 0 the two fidelities draw different noise"
-        );
-        // Same macroscopic ballpark (the equivalence harness gates this
-        // properly across seeds; this is a cheap sanity rail).
-        let (tx, tb) = (exact.0 as f64, batched.0 as f64);
-        assert!(
-            (tx - tb).abs() / tx < 0.25,
-            "crossings diverged wildly: exact {tx}, batched {tb}"
-        );
-    }
-
-    #[test]
-    fn batched_mode_conserves_vehicles_and_sensors() {
-        // SharedMixed exercises the movement counters through the batched
-        // kernel's bookkeeping pass as well.
-        let g = grid();
-        let mut sim = MicroSim::new(
-            g.topology().clone(),
-            util_controllers(9),
-            MicroSimConfig {
-                fidelity: Fidelity::Batched,
-                lane_discipline: LaneDiscipline::SharedMixed,
-                ..MicroSimConfig::default()
-            },
-        );
-        let mut demand = DemandGenerator::new(
-            &g,
-            DemandConfig::new(DemandSchedule::constant(Pattern::I, Ticks::new(400))),
-            11,
-        );
-        let mut injected = 0u64;
-        for k in 0..400 {
-            let arrivals = demand.poll(&g, Tick::new(k));
-            injected += arrivals.len() as u64;
-            sim.step(arrivals);
-            if k % 25 == 0 {
-                sim.verify_sensors()
-                    .unwrap_or_else(|e| panic!("tick {k}: {e}"));
-            }
-        }
-        sim.verify_sensors().expect("counters equal rescan");
-        assert_eq!(
-            injected,
-            sim.vehicles_in_network() as u64 + sim.backlog_len() as u64 + sim.ledger().completed()
-        );
-        assert!(
-            sim.ledger().completed() > 0,
-            "traffic flows in batched mode"
-        );
-    }
-
-    #[test]
-    fn batched_state_roundtrip_resumes_bit_identically() {
-        use utilbp_core::state::{StateReader, StateWriter};
-        let g = grid();
-        let cfg = MicroSimConfig {
-            fidelity: Fidelity::Batched,
-            ..MicroSimConfig::default()
-        };
-        let demand_for = || {
-            DemandGenerator::new(
-                &g,
-                DemandConfig::new(DemandSchedule::constant(Pattern::II, Ticks::new(400))),
-                9,
-            )
-        };
-        // Uninterrupted reference run.
-        let mut sim = MicroSim::new(g.topology().clone(), util_controllers(9), cfg);
-        let mut demand = demand_for();
-        let mut snapshot = StateWriter::new();
-        for k in 0..400 {
-            if k == 200 {
-                sim.save_state(&mut snapshot);
-            }
-            let arrivals = demand.poll(&g, Tick::new(k));
-            sim.step(arrivals);
-        }
-        // Restore at tick 200 into a fresh simulator and replay the rest
-        // (the demand stream is deterministic, so re-polling it re-derives
-        // the same arrivals).
-        let mut resumed = MicroSim::new(g.topology().clone(), util_controllers(9), cfg);
-        let mut reader = StateReader::new(snapshot.bytes());
-        resumed
-            .load_state(&mut reader)
-            .expect("snapshot must restore");
-        let mut demand = demand_for();
-        for k in 0..400 {
-            let arrivals = demand.poll(&g, Tick::new(k));
-            if k < 200 {
-                drop(arrivals); // consumed pre-snapshot by the reference run
-                continue;
-            }
-            resumed.step(arrivals);
-        }
-        assert_eq!(resumed.fleet_digest(), sim.fleet_digest());
-        assert_eq!(resumed.total_crossings(), sim.total_crossings());
-        assert_eq!(
-            resumed.mean_waiting_including_active(),
-            sim.mean_waiting_including_active()
-        );
-        resumed.verify_sensors().expect("restored counters hold");
     }
 }

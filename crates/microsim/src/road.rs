@@ -1,6 +1,6 @@
 //! The data-oriented vehicle arena, the network-wide segmented SoA lane
 //! storage, and the car-following update: the head advance and the
-//! exact roads-in-flight follower sweep.
+//! roads-in-flight follower sweep.
 //!
 //! ## Layout
 //!
@@ -25,9 +25,7 @@
 //! - The movement link a vehicle queues for is fixed while it is on a
 //!   road, so each lane also caches it as a `u16` per vehicle — the
 //!   `SharedMixed` movement counters never chase the `Arc<Route>` in the
-//!   hot loop. The external id is cached alongside (a `u64` per vehicle)
-//!   for the batched fidelity's counter-based dawdle streams, which key
-//!   on `(seed, vehicle_id, tick)`.
+//!   hot loop.
 //!
 //! Lanes are FIFO (single file, no overtaking): index order *is* position
 //! order, head first. Dequeuing a crossed head advances a per-lane `head`
@@ -83,7 +81,6 @@ use utilbp_metrics::VehicleId;
 use utilbp_netgen::{IntersectionId, RoadId, Route};
 
 use crate::config::MicroSimConfig;
-use crate::counter_rng;
 use crate::krauss::{next_speed, LeaderInfo};
 use crate::sim::RoadSim;
 
@@ -340,9 +337,6 @@ pub(crate) struct RoadSpan {
 /// - `link` — cached movement link index at the road's destination
 ///   intersection ([`LINK_NONE`] on exit-road lanes). Never changes
 ///   on-road.
-/// - `id` — cached external [`VehicleId`] per vehicle, the batched
-///   fidelity's dawdle-stream key. Maintained in exact mode too (one
-///   store per admission) so switching fidelity never re-shapes storage.
 ///
 /// The sorted `active` list holds the indices of roads with `live > 0`
 /// and is what the head and follower phases iterate — empty roads cost
@@ -361,7 +355,6 @@ pub(crate) struct NetworkLanes {
     wait: Vec<u32>,
     slot: Vec<u32>,
     link: Vec<u16>,
-    id: Vec<u64>,
     lanes: Vec<LaneMeta>,
     spans: Vec<RoadSpan>,
     /// Sorted indices of roads with at least one on-lane vehicle.
@@ -394,7 +387,6 @@ impl NetworkLanes {
             wait: vec![0; start],
             slot: vec![0; start],
             link: vec![0; start],
-            id: vec![0; start],
             lanes: vec![LaneMeta::default(); lane0],
             spans,
             active: Vec::with_capacity(shapes.len()),
@@ -444,7 +436,6 @@ impl NetworkLanes {
 
     /// Vehicles on road `r`'s lanes (the incrementally maintained count
     /// behind the active-road list).
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn road_len(&self, r: usize) -> usize {
         self.spans[r].live as usize
     }
@@ -507,7 +498,6 @@ impl NetworkLanes {
         wait: u64,
         slot: u32,
         link: u16,
-        id: u64,
     ) {
         if self.meta(r, l).fill == self.spans[r].seg {
             self.make_room(r, l);
@@ -521,7 +511,6 @@ impl NetworkLanes {
         self.wait[j] = wait as u32;
         self.slot[j] = slot;
         self.link[j] = link;
-        self.id[j] = id;
         self.road_live_add(r, 1);
     }
 
@@ -583,10 +572,7 @@ impl NetworkLanes {
     /// The `head` offset, the dequeued prefix, and the segment geometry
     /// (including the arena's road spans) are amortization artifacts,
     /// not state: restoring at `head = 0` yields identical physics, and
-    /// canonicalizing makes save → load → save a fixed point. Cached ids
-    /// are not written — they are derivable from the arena
-    /// ([`refresh_ids_road`](Self::refresh_ids_road)), which keeps the
-    /// wire format identical to the pre-arena per-road layout.
+    /// canonicalizing makes save → load → save a fixed point.
     pub fn save_lane(&self, r: usize, l: usize, writer: &mut StateWriter) {
         let base = self.lane_base(r, l);
         let m = self.meta(r, l);
@@ -603,23 +589,24 @@ impl NetworkLanes {
     /// Restores lane `l` of road `r` from a stream saved by
     /// [`save_lane`](Self::save_lane), replacing the current content.
     /// `head_crossed` is intra-step scratch and resets to `false`
-    /// (checkpoints are taken at tick boundaries). Cached ids are left
-    /// stale — the simulator rebuilds them from the restored arena via
-    /// [`refresh_ids_road`](Self::refresh_ids_road) once both sides are
-    /// loaded. The road's live count and the active list are maintained
-    /// here, so a restore into a non-empty simulator stays consistent.
+    /// (checkpoints are taken at tick boundaries). The road's live count
+    /// and the active list are maintained here, so a restore into a
+    /// non-empty simulator stays consistent.
     ///
     /// # Errors
     ///
     /// Returns a [`StateError`] on a truncated stream, a lane longer
-    /// than the stream could hold, a link word out of `u16` range, or a
-    /// vehicle slot that is not live in the restored arena (`live` is
-    /// [`VehicleArena::live_mask`]).
+    /// than the stream could hold, a waiting count above `max_wait` (the
+    /// ticks simulated so far), a link word out of `u16` range, or a
+    /// vehicle slot that is not a live arena slot still `unplaced` (it
+    /// starts as [`VehicleArena::live_mask`]; each vehicle loaded clears
+    /// its slot, so two vehicles cannot share one).
     pub fn load_lane(
         &mut self,
         r: usize,
         l: usize,
-        live: &[bool],
+        unplaced: &mut [bool],
+        max_wait: u64,
         reader: &mut StateReader<'_>,
     ) -> Result<(), StateError> {
         let len = reader.take_len(5, "lane length")?;
@@ -634,13 +621,14 @@ impl NetworkLanes {
             let pos = reader.take_f64()?;
             let speed = reader.take_f64()?;
             let wait = reader.take_u32()?;
-            let slot = reader.take_u32()?;
-            if !live.get(slot as usize).copied().unwrap_or(false) {
+            if u64::from(wait) > max_wait {
                 return Err(StateError::Invalid {
-                    what: "lane vehicle slot",
-                    word: u64::from(slot),
+                    what: "lane vehicle waiting ticks",
+                    word: u64::from(wait),
                 });
             }
+            let slot = reader.take_u32()?;
+            claim_slot(unplaced, slot, "lane vehicle slot")?;
             let word = reader.take()?;
             let link = u16::try_from(word).map_err(|_| StateError::Invalid {
                 what: "lane link",
@@ -654,20 +642,6 @@ impl NetworkLanes {
         self.lanes[self.spans[r].lane0 + l].fill = len;
         self.road_live_add(r, len as i64 - old_len as i64);
         Ok(())
-    }
-
-    /// Rebuilds road `r`'s cached vehicle ids from the arena (slot →
-    /// external id). Called once per road after a state restore, when
-    /// both the lanes and the arena are loaded.
-    pub fn refresh_ids_road(&mut self, r: usize, arena: &VehicleArena) {
-        let span = self.spans[r];
-        for l in 0..span.num_lanes {
-            let m = self.lanes[span.lane0 + l];
-            let base = span.start + l * span.seg;
-            for j in base + m.head..base + m.fill {
-                self.id[j] = arena.id(self.slot[j]).raw();
-            }
-        }
     }
 
     /// Number of roads currently holding vehicles.
@@ -730,7 +704,6 @@ impl NetworkLanes {
                 pv: &mut self.pv,
                 wait: &mut self.wait,
                 link: &self.link,
-                id: &self.id,
                 lanes: &mut self.lanes,
             },
             &self.spans,
@@ -775,8 +748,7 @@ impl NetworkLanes {
         self.pv.copy_within(src.clone(), base);
         self.wait.copy_within(src.clone(), base);
         self.slot.copy_within(src.clone(), base);
-        self.link.copy_within(src.clone(), base);
-        self.id.copy_within(src, base);
+        self.link.copy_within(src, base);
         self.lanes[li].fill = m.fill - m.head;
         self.lanes[li].head = 0;
     }
@@ -811,7 +783,6 @@ impl NetworkLanes {
         let mut wait = vec![0u32; total];
         let mut slot = vec![0u32; total];
         let mut link = vec![0u16; total];
-        let mut id = vec![0u64; total];
         for (old, new) in self.spans.iter().zip(new_spans.iter()) {
             for l in 0..old.num_lanes {
                 let li = old.lane0 + l;
@@ -822,8 +793,7 @@ impl NetworkLanes {
                 pv[dst..dst + live].copy_from_slice(&self.pv[src.clone()]);
                 wait[dst..dst + live].copy_from_slice(&self.wait[src.clone()]);
                 slot[dst..dst + live].copy_from_slice(&self.slot[src.clone()]);
-                link[dst..dst + live].copy_from_slice(&self.link[src.clone()]);
-                id[dst..dst + live].copy_from_slice(&self.id[src]);
+                link[dst..dst + live].copy_from_slice(&self.link[src]);
                 self.lanes[li].head = 0;
                 self.lanes[li].fill = live;
             }
@@ -832,7 +802,6 @@ impl NetworkLanes {
         self.wait = wait;
         self.slot = slot;
         self.link = link;
-        self.id = id;
         self.spans = new_spans;
     }
 
@@ -853,15 +822,33 @@ impl NetworkLanes {
 
 /// The arena's follower-phase arrays, borrowed apart from the road spans
 /// and the active list: the hot mutable state (`pv`, `wait`, lane
-/// metadata) and the read-only per-vehicle caches (`link`, `id`), indexed
+/// metadata) and the read-only per-vehicle link cache, indexed
 /// by network-wide element and lane-meta indices. The `slot` array is
 /// deliberately absent — the follower phase never touches it.
 pub(crate) struct LaneView<'a> {
     pub(crate) pv: &'a mut [[f64; 2]],
     pub(crate) wait: &'a mut [u32],
     pub(crate) link: &'a [u16],
-    pub(crate) id: &'a [u64],
     pub(crate) lanes: &'a mut [LaneMeta],
+}
+
+/// Marks a restored vehicle's arena `slot` as placed: it must be live and
+/// not yet claimed by another vehicle.
+pub(crate) fn claim_slot(
+    unplaced: &mut [bool],
+    slot: u32,
+    what: &'static str,
+) -> Result<(), StateError> {
+    match unplaced.get_mut(slot as usize) {
+        Some(unplaced) if *unplaced => {
+            *unplaced = false;
+            Ok(())
+        }
+        _ => Err(StateError::Invalid {
+            what,
+            word: u64::from(slot),
+        }),
+    }
 }
 
 /// Per-(road, link) movement counters for mixed-lane roads.
@@ -954,42 +941,6 @@ impl MovementCounters {
     }
 }
 
-/// Where a head vehicle's dawdle sample comes from — the one
-/// fidelity-dependent ingredient of the (cold) head phase, so
-/// the phase itself is shared between modes.
-#[derive(Debug)]
-pub(crate) enum DawdleSource<'a> {
-    /// Exact mode: the road's sequential stream. Draw order is part of
-    /// the bit-level contract.
-    Stream(&'a mut SmallRng),
-    /// Batched mode: stateless counter draws keyed on
-    /// `(seed, vehicle_id, tick)` — see [`crate::counter_rng`].
-    Counter {
-        /// The configured dawdle seed.
-        seed: u64,
-        /// The tick being simulated.
-        tick: u64,
-    },
-}
-
-impl DawdleSource<'_> {
-    /// The dawdle sample for `vehicle_id`, or 0 when dawdling is off.
-    /// In exact mode this consumes one sequential draw (iff `σ > 0`),
-    /// exactly like the pre-fidelity code path; `vehicle_id` is ignored.
-    #[inline]
-    fn draw(&mut self, cfg: &MicroSimConfig, vehicle_id: u64) -> f64 {
-        if cfg.sigma <= 0.0 {
-            return 0.0;
-        }
-        match self {
-            DawdleSource::Stream(rng) => rng.gen::<f64>(),
-            DawdleSource::Counter { seed, tick } => {
-                counter_rng::dawdle_xi(*seed, vehicle_id, *tick)
-            }
-        }
-    }
-}
-
 /// What the head vehicle of a lane faces this step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum HeadMode {
@@ -1018,6 +969,10 @@ pub(crate) struct HeadOutcome {
 /// the follower phase ([`sweep_followers`]) can run later without
 /// re-deriving it.
 ///
+/// The head draws its dawdle sample from `rng`, the road's stream (iff
+/// `σ > 0`), before any follower of the road: draw order is part of the
+/// bit-level contract.
+///
 /// If the head stays on the lane at waiting speed, its wait accumulator
 /// is incremented in place (a crossed head is in the junction box, not
 /// waiting).
@@ -1030,7 +985,7 @@ pub(crate) fn advance_head(
     head_mode: HeadMode,
     cfg: &MicroSimConfig,
     spec: SensorSpec,
-    noise: &mut DawdleSource<'_>,
+    rng: &mut SmallRng,
     mut movements: Option<&mut MovementCounters>,
 ) -> HeadOutcome {
     let span = net.spans[r];
@@ -1052,7 +1007,11 @@ pub(crate) fn advance_head(
             distance_m: length - old_pos,
         },
     };
-    let xi = noise.draw(cfg, net.id[j]);
+    let xi = if cfg.sigma > 0.0 {
+        rng.gen::<f64>()
+    } else {
+        0.0
+    };
     let new_speed = next_speed(old_speed, leader, xi, cfg);
     let new_pos = old_pos + new_speed * cfg.dt_seconds;
     net.pv[j] = [new_pos, new_speed];
@@ -1106,9 +1065,10 @@ impl LaneSensors {
     }
 }
 
-/// Adds a signed delta to a sensor counter. A result outside `u32` means
-/// the counter invariant broke; that panics in every build profile
-/// instead of wrapping, naming the counter via `site`.
+/// Adds a signed delta to a counter (a sensor counter or a road
+/// occupancy). A result outside `u32` means the counter invariant broke;
+/// that panics in every build profile instead of wrapping, naming the
+/// counter via `site`.
 #[inline]
 pub(crate) fn fold_counter(counter: &mut u32, delta: i64, site: impl FnOnce() -> String) {
     match i32::try_from(delta)
@@ -1116,15 +1076,11 @@ pub(crate) fn fold_counter(counter: &mut u32, delta: i64, site: impl FnOnce() ->
         .and_then(|d| counter.checked_add_signed(d))
     {
         Some(value) => *counter = value,
-        None => panic!(
-            "sensor counter {} {delta:+} leaves u32 at {}",
-            *counter,
-            site()
-        ),
+        None => panic!("counter {} {delta:+} leaves u32 at {}", *counter, site()),
     }
 }
 
-/// Roads the exact follower sweep advances side by side. A lane's
+/// Roads the follower sweep advances side by side. A lane's
 /// followers form one dependent chain (each reads its leader's new state
 /// through two divisions), so a road-at-a-time sweep leaves the core
 /// waiting on the divider; interleaving independent roads overlaps their
@@ -1134,7 +1090,7 @@ const IN_FLIGHT: usize = 4;
 /// Marks an idle [`Flight`].
 const IDLE: usize = usize::MAX;
 
-/// The exact kernel's config scalars, hoisted once per sweep. `a_dt` and
+/// The follower kernel's config scalars, hoisted once per sweep. `a_dt` and
 /// `sigma_a_dt` associate exactly as the expressions in [`next_speed`]
 /// (`speed + a·Δt` computes `a·Δt` first; `σ·a·Δt·ξ` associates left), so
 /// results are bit-identical.
@@ -1417,8 +1373,8 @@ impl Flight {
     }
 }
 
-/// The exact follower phase: advances every vehicle that the head phase
-/// left in place, on every active road, under exact fidelity.
+/// The follower phase: advances every vehicle that the head phase
+/// left in place, on every active road.
 ///
 /// Each lane is the sequential front-to-back Krauss update with an
 /// anti-overlap clamp; a follower reacts to its leader's already-advanced
@@ -1474,184 +1430,6 @@ pub(crate) fn sweep_followers(
     }
 }
 
-/// Residual net gap (meters) below which a stopped vehicle behind a
-/// stationary leader freezes in the batched fidelity, instead of
-/// creeping it shut at the exact dynamics\' ever-shrinking
-/// running-minimum pace. Half a meter is well under the 2.5 m
-/// standstill gap, is closed by a single tick of ordinary driving once
-/// the queue discharges, and captures a stopping vehicle within a few
-/// draws (each draw has a ~38% chance of landing at or below it).
-const QUIESCE_GAP: f64 = 0.5;
-
-/// The batched-fidelity counterpart of [`sweep_followers`]: one call
-/// advances every lane of a road under the batched numerical contract.
-///
-/// The recurrence is the *same* sequential front-to-back Krauss update
-/// as exact mode — each follower reads its leader's already-advanced
-/// state — so the car-following dynamics are identical and statistical
-/// equivalence is inherited rather than approximated. What changes is
-/// everything around the formula:
-///
-/// - **Road-granular dispatch.** Urban lanes can be short (mean
-///   occupied length is 3.9 on the `grid5-incident-ops` benchmark
-///   workload, 13.9 on the saturated 10x10), so a per-lane entry point
-///   can pay its call and setup cost once per handful of vehicles.
-///   This kernel hoists every config-derived coefficient once per
-///   *road* and streams all lanes from one frame.
-/// - **Counter-based dawdling.** The draw for vehicle `v` at tick `t`
-///   is a pure hash of `(seed, vehicle_id, tick)`
-///   ([`counter_rng::dawdle_xi`]) — no generator state advances, so the
-///   noise a vehicle sees is independent of visitation order, lane
-///   membership, and (crucially) of *which vehicles were skipped*.
-/// - **Queue freezing.** Exact Krauss queues never truly park: a
-///   stopped follower's residual gap evolves as the running *minimum*
-///   of its dawdle draws (`net_gap ← min(net_gap, ξ)`), so red-phase
-///   queues creep forever at ever-smaller speeds, and every queued
-///   vehicle pays the full update every tick. The batched contract cuts
-///   this tail off: a vehicle at speed exactly `0` behind a stationary
-///   leader with `net_gap ≤` [`QUIESCE_GAP`] *freezes* — speed and
-///   position hold, only the waiting tick accrues — until the leader
-///   moves again. The residual creep this suppresses is below
-///   [`QUIESCE_GAP`] of position (the running minimum is already there
-///   and only shrinks) at speeds almost always below the waiting
-///   threshold, so macroscopic metrics can't see it; what it buys is
-///   that a red-phase queue costs three compares and an increment per
-///   vehicle instead of a hash, a divide, and the full bookkeeping.
-///   Because the counter RNG consumes no stream, skipping the draw
-///   perturbs no other vehicle's noise — the freeze is a local,
-///   deterministic rule, not a source of cross-vehicle divergence.
-///
-/// Exact mode can do none of this: its per-road `SmallRng` must draw
-/// once per vehicle in visitation order to keep its stream (and thus
-/// its goldens) stable, so every vehicle pays the full update.
-///
-/// Per-lane sensor deltas fold into `lane_detected` / `lane_halted`;
-/// the road totals are returned. Bit-identical to itself across repeats
-/// and checkpoint restores; *not* bit-compatible with
-/// [`sweep_followers`] (the dawdle streams differ), which the
-/// statistical-equivalence harness validates distributionally.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_followers_batched_road(
-    view: &mut LaneView<'_>,
-    span: &RoadSpan,
-    length: f64,
-    cfg: &MicroSimConfig,
-    spec: SensorSpec,
-    seed: u64,
-    tick: u64,
-    mut movements: Option<&mut MovementCounters>,
-    lane_detected: &mut [u32],
-    lane_halted: &mut [u32],
-) -> (i64, i64) {
-    let LaneView {
-        pv,
-        wait,
-        link,
-        id,
-        lanes,
-    } = view;
-    let seg = span.seg;
-    let road_base = span.start;
-    let meta = &mut lanes[span.lane0..span.lane0 + span.num_lanes];
-
-    let dt = cfg.dt_seconds;
-    let free_speed = cfg.free_speed_mps;
-    let a_dt = cfg.max_accel * dt;
-    let sigma_a_dt = cfg.sigma * cfg.max_accel * dt;
-    let tau = cfg.reaction_time_s;
-    // Reciprocal-multiply: exact mode's `v_bar = (v + v_l)/2` then
-    // `v_bar/b` become one multiply by `0.5/b`.
-    let half_inv_decel = 0.5 / cfg.max_decel;
-    let gap_off = cfg.vehicle_length_m + cfg.min_gap_m;
-    let inv_dt = 1.0 / dt;
-    let waiting_speed = cfg.waiting_speed_mps;
-    let clamp_off = cfg.vehicle_length_m + 0.05;
-    let (detect_from, halt_speed) = (spec.detect_from, spec.halt_speed);
-    // The `(seed, tick)` half of every draw key is the same for the
-    // whole road-tick; only the per-vehicle fold remains in the loop.
-    let xi_base = counter_rng::base(seed, tick);
-
-    let mut road_detected = 0i64;
-    let mut road_halted = 0i64;
-    for (l, m) in meta.iter_mut().enumerate() {
-        let start = if m.head_crossed { 0 } else { 1 };
-        m.head_crossed = false;
-        let n = m.fill - m.head;
-        if n <= start {
-            continue;
-        }
-        let h = road_base + l * seg + m.head;
-        let f = h + start;
-        let e = road_base + l * seg + m.fill;
-        // The first follower's leader: the head's post-head-phase state,
-        // or the stop line encoded as a standing virtual vehicle at
-        // `length + gap_off` — algebraically identical to the exact
-        // `Wall` branch (`net_gap = length − pos`). A zero-speed leader
-        // is stationary by construction (`p = po + 0·dt`), so its
-        // pre/post positions agree and the quiescence proof below holds
-        // against either.
-        let (mut leader_pos, mut leader_speed) = if start == 0 {
-            (length + gap_off, 0.0)
-        } else {
-            (pv[h][0], pv[h][1])
-        };
-        let mut clamp_pos = if start == 0 { f64::INFINITY } else { pv[h][0] };
-        let mut detected_delta = 0i64;
-        let mut halted_delta = 0i64;
-        for i in f..e {
-            let [po, vo] = pv[i];
-            let net_gap = leader_pos - po - gap_off;
-            // Queue freeze: stopped behind a stationary leader with the
-            // following distance almost used up — hold in place. No
-            // bookkeeping delta is nonzero; only waiting accrues (a
-            // frozen vehicle is below the waiting threshold by
-            // definition).
-            if vo == 0.0 && leader_speed == 0.0 && net_gap <= QUIESCE_GAP {
-                wait[i] += 1;
-                leader_pos = po;
-                clamp_pos = po;
-                continue;
-            }
-            let v_safe = leader_speed
-                + (net_gap - leader_speed * tau) / ((vo + leader_speed) * half_inv_decel + tau);
-            let v_des = free_speed.min(vo + a_dt).min(v_safe);
-            let xi = if sigma_a_dt > 0.0 {
-                sigma_a_dt * counter_rng::uniform01(counter_rng::finish(xi_base, id[i]))
-            } else {
-                0.0
-            };
-            let mut v = (v_des - xi).max(0.0);
-            let mut p = po + v * dt;
-            let max_pos = clamp_pos - clamp_off;
-            if p > max_pos {
-                p = max_pos.max(po);
-                v = ((p - po) * inv_dt).max(0.0);
-            }
-            pv[i] = [p, v];
-            detected_delta += (p >= detect_from) as i64 - (po >= detect_from) as i64;
-            halted_delta += (v < halt_speed) as i64 - (vo < halt_speed) as i64;
-            if let Some(mv) = movements.as_deref_mut() {
-                mv.moved(link[i] as usize, po, p, spec);
-            }
-            if v < waiting_speed {
-                wait[i] += 1;
-            }
-            leader_pos = p;
-            leader_speed = v;
-            clamp_pos = p;
-        }
-        if detected_delta != 0 {
-            lane_detected[l] = (lane_detected[l] as i64 + detected_delta) as u32;
-        }
-        if halted_delta != 0 {
-            lane_halted[l] = (lane_halted[l] as i64 + halted_delta) as u32;
-        }
-        road_detected += detected_delta;
-        road_halted += halted_delta;
-    }
-    (road_detected, road_halted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1666,10 +1444,9 @@ mod tests {
         NetworkLanes::new(&[(1, 1)])
     }
 
-    /// Pushes a vehicle (slot doubles as the test's vehicle id) without
-    /// touching any sensor counter.
+    /// Pushes a vehicle without touching any sensor counter.
     fn push(net: &mut NetworkLanes, slot: u32, pos: f64, speed: f64) {
-        net.push(0, 0, pos, speed, 0, slot, 0, slot as u64);
+        net.push(0, 0, pos, speed, 0, slot, 0);
     }
 
     fn spec300() -> SensorSpec {
@@ -1843,8 +1620,7 @@ mod tests {
             if let Some(mv) = road.move_counts.as_mut() {
                 mv.add(link as usize, pos, road.spec);
             }
-            self.net
-                .push(r, l, pos, speed, 0, slot, link, u64::from(slot));
+            self.net.push(r, l, pos, speed, 0, slot, link);
         }
 
         /// One step: the head phase on every occupied lane (release
@@ -1876,7 +1652,7 @@ mod tests {
                         mode(r, l),
                         &self.cfg,
                         road.spec,
-                        &mut DawdleSource::Stream(&mut road.rng),
+                        &mut road.rng,
                         road.move_counts.as_mut(),
                     );
                     let g = self.net.lane0(r) + l;
@@ -2055,9 +1831,9 @@ mod tests {
     #[test]
     fn detection_counts_only_near_the_stop_line() {
         let mut net = lane();
-        net.push(0, 0, 295.0, 0.0, 0, 0, 0, 0);
-        net.push(0, 0, 287.0, 0.0, 0, 1, 0, 1);
-        net.push(0, 0, 100.0, 10.0, 0, 2, 0, 2); // far upstream
+        net.push(0, 0, 295.0, 0.0, 0, 0, 0);
+        net.push(0, 0, 287.0, 0.0, 0, 1, 0);
+        net.push(0, 0, 100.0, 10.0, 0, 2, 0); // far upstream
         let detected = |range: f64| {
             let spec = SensorSpec {
                 detect_from: 300.0 - range,
@@ -2075,9 +1851,9 @@ mod tests {
         let c = cfg();
         let mut net = lane();
         assert!(net.entry_clear(0, 0, 300.0, &c), "empty lane is clear");
-        net.push(0, 0, 8.0, 0.0, 0, 0, 0, 0);
+        net.push(0, 0, 8.0, 0.0, 0, 0, 0);
         assert!(net.entry_clear(0, 0, 300.0, &c));
-        net.push(0, 0, 6.0, 0.0, 0, 1, 0, 1);
+        net.push(0, 0, 6.0, 0.0, 0, 1, 0);
         assert!(!net.entry_clear(0, 0, 300.0, &c), "tail at 6 m < 7.5 m");
         assert_eq!(net.tail_position(0, 0, 300.0), 6.0);
     }
@@ -2210,19 +1986,27 @@ mod tests {
     #[test]
     fn crafted_lane_slot_must_be_live() {
         // A CRC-valid checkpoint can carry any slot word; a lane must
-        // refuse one that is not a live arena slot before the id refresh
+        // refuse one that is not a live arena slot before anything
         // indexes the slab with it.
         let mut src = NetworkLanes::new(&[(1, 4)]);
-        src.push(0, 0, 120.0, 5.0, 0, 2, 0, 2);
+        src.push(0, 0, 120.0, 5.0, 0, 2, 0);
         let mut w = StateWriter::new();
         src.save_lane(0, 0, &mut w);
-        let load = |live: &[bool]| {
-            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, live, &mut StateReader::new(w.bytes()))
+        let load = |unplaced: &mut [bool]| {
+            NetworkLanes::new(&[(1, 4)]).load_lane(
+                0,
+                0,
+                unplaced,
+                0,
+                &mut StateReader::new(w.bytes()),
+            )
         };
-        assert!(load(&[true, true, true]).is_ok());
-        for live in [&[true, true][..], &[true, true, false][..]] {
+        let mut unplaced = [true, true, true];
+        assert!(load(&mut unplaced).is_ok());
+        assert_eq!(unplaced, [true, true, false], "loading places the slot");
+        for unplaced in [&mut [true, true][..], &mut [true, true, false][..]] {
             assert!(matches!(
-                load(live),
+                load(unplaced),
                 Err(StateError::Invalid {
                     what: "lane vehicle slot",
                     word: 2
@@ -2264,16 +2048,7 @@ mod tests {
         let mut net = NetworkLanes::new(&[(2, 1)]);
         let initial_seg = net.seg(0);
         for i in 0..(2 * initial_seg) as u32 {
-            net.push(
-                0,
-                1,
-                1000.0 - f64::from(i),
-                3.0,
-                u64::from(i),
-                i,
-                2,
-                u64::from(i),
-            );
+            net.push(0, 1, 1000.0 - f64::from(i), 3.0, u64::from(i), i, 2);
         }
         assert!(net.seg(0) > initial_seg, "road must have re-segmented");
         assert_eq!(net.len(0, 1), 2 * initial_seg);
@@ -2294,12 +2069,12 @@ mod tests {
         // 0's stride changes; every road's logical content survives the
         // re-layout (regions shift, content does not).
         let mut net = NetworkLanes::new(&[(1, 1), (2, 1), (1, 1)]);
-        net.push(1, 1, 42.0, 3.0, 9, 100, 4, 100);
-        net.push(2, 0, 77.0, 1.0, 2, 200, 5, 200);
+        net.push(1, 1, 42.0, 3.0, 9, 100, 4);
+        net.push(2, 0, 77.0, 1.0, 2, 200, 5);
         let (seg1, seg2) = (net.seg(1), net.seg(2));
         let overfill = net.seg(0) + 1;
         for i in 0..overfill as u32 {
-            net.push(0, 0, 900.0 - f64::from(i), 2.0, 0, i, 0, u64::from(i));
+            net.push(0, 0, 900.0 - f64::from(i), 2.0, 0, i, 0);
         }
         assert!(net.seg(0) > seg1, "road 0 re-segmented");
         assert_eq!(net.seg(1), seg1, "road 1 stride untouched");
@@ -2323,17 +2098,17 @@ mod tests {
     fn active_list_tracks_occupancy() {
         let mut net = NetworkLanes::new(&[(2, 4), (1, 4), (3, 4)]);
         assert!(net.active_roads().is_empty());
-        net.push(1, 0, 50.0, 0.0, 0, 0, 0, 0);
+        net.push(1, 0, 50.0, 0.0, 0, 0, 0);
         assert_eq!(net.active_roads(), &[1]);
-        net.push(2, 2, 10.0, 1.0, 0, 1, 0, 1);
-        net.push(0, 1, 20.0, 2.0, 0, 2, 0, 2);
+        net.push(2, 2, 10.0, 1.0, 0, 1, 0);
+        net.push(0, 1, 20.0, 2.0, 0, 2, 0);
         assert_eq!(net.active_roads(), &[0, 1, 2], "sorted registration");
         net.verify_active().unwrap();
         net.pop_head(1, 0);
         assert_eq!(net.active_roads(), &[0, 2], "drained road deregisters");
         // A road with several occupied lanes stays active until the last
         // vehicle pops.
-        net.push(0, 0, 30.0, 0.0, 0, 3, 0, 3);
+        net.push(0, 0, 30.0, 0.0, 0, 3, 0);
         net.pop_head(0, 1);
         assert_eq!(net.active_roads(), &[0, 2]);
         net.pop_head(0, 0);
@@ -2351,12 +2126,12 @@ mod tests {
         let mut net = NetworkLanes::new(&[(1, 8)]);
         let seg0 = net.seg(0);
         for i in 0..8u32 {
-            net.push(0, 0, 300.0 - f64::from(i) * 8.0, 0.0, 0, i, 0, u64::from(i));
+            net.push(0, 0, 300.0 - f64::from(i) * 8.0, 0.0, 0, i, 0);
         }
         let ptr = net.pv.as_ptr();
         for i in 8..5000u32 {
             net.pop_head(0, 0);
-            net.push(0, 0, 0.0, 0.0, 0, i, 0, u64::from(i));
+            net.push(0, 0, 0.0, 0.0, 0, i, 0);
         }
         assert_eq!(net.seg(0), seg0, "stride stable under churn");
         assert!(
@@ -2373,8 +2148,8 @@ mod tests {
         // count and the active list, both directions (emptying a road,
         // filling an empty one).
         let mut src = NetworkLanes::new(&[(1, 4), (1, 4)]);
-        src.push(0, 0, 120.0, 5.0, 3, 11, 1, 11);
-        src.push(0, 0, 80.0, 4.0, 0, 12, 1, 12);
+        src.push(0, 0, 120.0, 5.0, 3, 11, 1);
+        src.push(0, 0, 80.0, 4.0, 0, 12, 1);
         let mut w = StateWriter::new();
         src.save_lane(0, 0, &mut w);
         let empty = {
@@ -2384,8 +2159,8 @@ mod tests {
         };
 
         let mut dst = NetworkLanes::new(&[(1, 4), (1, 4)]);
-        dst.push(1, 0, 10.0, 0.0, 0, 99, 0, 99);
-        dst.load_lane(0, 0, &[true; 13], &mut StateReader::new(w.bytes()))
+        dst.push(1, 0, 10.0, 0.0, 0, 99, 0);
+        dst.load_lane(0, 0, &mut [true; 13], 3, &mut StateReader::new(w.bytes()))
             .unwrap();
         assert_eq!(dst.active_roads(), &[0, 1]);
         assert_eq!(dst.len(0, 0), 2);
@@ -2393,7 +2168,7 @@ mod tests {
         dst.verify_active().unwrap();
         // Now overwrite the occupied lane with an empty snapshot: the
         // road must deactivate.
-        dst.load_lane(1, 0, &[], &mut StateReader::new(empty.bytes()))
+        dst.load_lane(1, 0, &mut [], 0, &mut StateReader::new(empty.bytes()))
             .unwrap();
         assert_eq!(dst.active_roads(), &[0]);
         dst.verify_active().unwrap();
@@ -2454,7 +2229,13 @@ mod tests {
         ));
         let lane = huge(&[1 << 40]);
         assert!(matches!(
-            NetworkLanes::new(&[(1, 4)]).load_lane(0, 0, &[], &mut StateReader::new(lane.bytes())),
+            NetworkLanes::new(&[(1, 4)]).load_lane(
+                0,
+                0,
+                &mut [],
+                0,
+                &mut StateReader::new(lane.bytes())
+            ),
             Err(StateError::Invalid {
                 what: "lane length",
                 ..

@@ -55,11 +55,11 @@ use utilbp_core::{
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
 
-use crate::config::{Fidelity, MicroSimConfig};
+use crate::config::MicroSimConfig;
 use crate::krauss::{next_speed, LeaderInfo};
 use crate::road::{
-    advance_followers_batched_road, advance_head, fold_counter, sweep_followers, DawdleSource,
-    HeadMode, LaneSensors, MovementCounters, NetworkLanes, SensorSpec, VehicleArena, LINK_NONE,
+    advance_head, claim_slot, fold_counter, sweep_followers, HeadMode, LaneSensors,
+    MovementCounters, NetworkLanes, SensorSpec, VehicleArena, LINK_NONE,
 };
 
 /// A vehicle traversing the junction box: its arena slot plus the wait
@@ -185,9 +185,10 @@ struct Backlogged {
     since: Tick,
 }
 
-/// A counter that disagrees with the storage it summarizes, found by
-/// `MicroSim::audit_counters`: the offending word for a
-/// [`StateError::Invalid`] and a message for `verify_sensors`.
+/// A counter that disagrees with the storage it summarizes, or a route
+/// that disagrees with where its vehicle is, found by
+/// `MicroSim::audit_counters` or `MicroSim::audit_routes`: the offending
+/// word for a [`StateError::Invalid`] and a message for `verify_sensors`.
 struct CounterMismatch {
     what: &'static str,
     word: u64,
@@ -797,45 +798,147 @@ impl MicroSim {
     /// and halt counters must equal a from-scratch rescan, every lane's
     /// pending-reservation counter must equal the number of junction-box
     /// crossings heading for it, the movement counters must equal a
-    /// rescan of the lanes' cached links, and every cached per-vehicle
-    /// movement link must equal the one derived from the arena's route
-    /// cursor. Debug/test facility backing the regression suite.
+    /// rescan of the lanes' cached links, and every vehicle's route must
+    /// continue from where the vehicle is (see `audit_routes`).
+    /// Debug/test facility backing the regression suite.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first divergent road/lane.
     pub fn verify_sensors(&self) -> Result<(), String> {
         self.net.verify_active()?;
-        self.audit_counters().map_err(|m| m.detail)?;
+        self.audit_routes().map_err(|m| m.detail)?;
+        for (r, backlog) in self.backlogs.iter().enumerate() {
+            for entry in backlog {
+                (self.check_backlog_route(r, &entry.route)).map_err(|m| m.detail)?;
+            }
+        }
+        self.audit_counters().map_err(|m| m.detail)
+    }
+
+    /// Checks the remaining route of every vehicle on a lane or in a
+    /// junction box, without allocating: a lane vehicle's route must
+    /// continue from its road, its next movement being the lane's cached
+    /// link (and, under dedicated lanes, the lane's own movement); a
+    /// junction-box vehicle's from its destination road, into the
+    /// destination lane dedicated to its next movement. Shared by
+    /// [`verify_sensors`](Self::verify_sensors) and
+    /// [`load_state`](Self::load_state), which must refuse a snapshot
+    /// whose routes would otherwise panic at step time; both check
+    /// backlogged routes with [`check_backlog_route`](Self::check_backlog_route).
+    fn audit_routes(&self) -> Result<(), CounterMismatch> {
+        let dedicated = self.config.lane_discipline == crate::LaneDiscipline::DedicatedPerMovement;
         for r in 0..self.roads.len() {
             for l in 0..self.net.num_lanes(r) {
+                let g = self.net.lane0(r) + l;
                 for i in 0..self.net.len(r, l) {
                     let slot = self.net.slot_at(r, l, i);
-                    let derived = self
-                        .arena
-                        .route(slot)
-                        .hop(self.arena.hop(slot))
-                        .map_or(LINK_NONE, |(_, link)| link.index() as u16);
-                    if self.net.link_at(r, l, i) != derived {
-                        return Err(format!(
-                            "road {r} lane {l} vehicle {i}: cached link {} != route-derived \
-                             {derived}",
-                            self.net.link_at(r, l, i)
-                        ));
+                    let next = self.check_route(r, self.arena.route(slot), self.arena.hop(slot))?;
+                    let link = self.net.link_at(r, l, i);
+                    let routed = match (next, self.road_dest[r]) {
+                        (Some(k), Some(j)) => {
+                            usize::from(link) == k - self.link_off[j]
+                                && (!dedicated || self.links[k].in_lane as usize == g)
+                        }
+                        _ => link == LINK_NONE,
+                    };
+                    if !routed {
+                        return Err(CounterMismatch {
+                            what: "lane vehicle route",
+                            word: u64::from(link),
+                            detail: format!(
+                                "road {r} lane {l} vehicle {i}: cached link {link} is not the \
+                                 route's next movement on this lane"
+                            ),
+                        });
                     }
+                }
+            }
+        }
+        for c in self.boxes.iter().flatten() {
+            let next = self.check_route(
+                c.dest_road,
+                self.arena.route(c.slot),
+                self.arena.hop(c.slot),
+            )?;
+            let lane = self.net.lane0(c.dest_road) + c.dest_lane;
+            if let (true, Some(k)) = (dedicated, next) {
+                if self.links[k].in_lane as usize != lane {
+                    return Err(CounterMismatch {
+                        what: "crossing destination lane",
+                        word: c.dest_lane as u64,
+                        detail: format!(
+                            "road {}: crossing lands in lane {}, not its next movement's",
+                            c.dest_road, c.dest_lane
+                        ),
+                    });
                 }
             }
         }
         Ok(())
     }
 
+    /// Checks a backlogged vehicle's route: it must enter at `r`, the
+    /// road whose backlog holds it, and continue from there (see
+    /// [`check_route`](Self::check_route)).
+    fn check_backlog_route(&self, r: usize, route: &Route) -> Result<(), CounterMismatch> {
+        if route.entry().index() != r {
+            return Err(CounterMismatch {
+                what: "backlog route entry",
+                word: route.entry().index() as u64,
+                detail: format!("road {r}: backlogged route enters elsewhere"),
+            });
+        }
+        self.check_route(r, route, 0).map(|_| ())
+    }
+
+    /// Walks `route` from hop `hop` on `road` to the network exit: each
+    /// hop must name a link of its junction's layout, leaving the road
+    /// the previous hop entered (the first, `road`), and the last hop
+    /// must enter an exit road. Returns the first hop's global link index
+    /// (`None` on an exit road). Each hop's lookups are independent of
+    /// the previous hop's, so long backlogs validate at memory speed.
+    fn check_route(
+        &self,
+        road: usize,
+        route: &Route,
+        hop: usize,
+    ) -> Result<Option<usize>, CounterMismatch> {
+        let bad = |what: &'static str, at: usize| CounterMismatch {
+            what,
+            word: at as u64,
+            detail: format!("road {road}: route hop {at} does not continue from hop {hop}"),
+        };
+        let hops = route
+            .hops()
+            .get(hop..)
+            .ok_or_else(|| bad("route hop", hop))?;
+        let mut from = road as u32;
+        for (n, &(i, link)) in hops.iter().enumerate() {
+            let k = match self.link_off.get(i.index()..i.index() + 2) {
+                Some(&[start, end]) if link.index() < end - start => start + link.index(),
+                _ => return Err(bad("route link", hop + n)),
+            };
+            let entry = &self.links[k];
+            if entry.in_road != from {
+                return Err(bad("route link", hop + n));
+            }
+            from = entry.out_road;
+        }
+        if self.road_dest[from as usize].is_some() {
+            return Err(bad("route hop", route.len()));
+        }
+        Ok(hops
+            .first()
+            .map(|&(i, link)| self.link_off[i.index()] + link.index()))
+    }
+
     /// Checks every incrementally maintained counter against the storage
     /// it summarizes: per-lane detector and halt counters and their road
     /// sums against a rescan, pending reservations against the junction
-    /// boxes, movement counters against the lanes' cached links (each of
-    /// which must name a link of the road's destination, or
-    /// [`LINK_NONE`] on exit roads). Shared by
-    /// [`verify_sensors`](Self::verify_sensors) and
+    /// boxes, road occupancies against the lanes and the reservations,
+    /// movement counters against the lanes' cached links (which
+    /// [`audit_routes`](Self::audit_routes), run first, has checked). Shared by [`verify_sensors`](Self::verify_sensors) and
     /// [`load_state`](Self::load_state), which must refuse a snapshot
     /// whose counters would otherwise break at step time.
     fn audit_counters(&self) -> Result<(), CounterMismatch> {
@@ -878,26 +981,26 @@ impl MicroSim {
                         ),
                     });
                 }
-                for i in 0..self.net.len(r, l) {
-                    let link = self.net.link_at(r, l, i);
-                    let valid = if num_links == 0 {
-                        link == LINK_NONE
-                    } else {
-                        usize::from(link) < num_links
-                    };
-                    if !valid {
-                        return Err(CounterMismatch {
-                            what: "lane vehicle link",
-                            word: u64::from(link),
-                            detail: format!(
-                                "road {r} lane {l} vehicle {i}: link {link} out of range"
-                            ),
-                        });
-                    }
-                    if let Some(moves) = moves.as_mut() {
-                        moves.add(usize::from(link), self.net.pos_at(r, l, i), road.spec);
+                if let Some(moves) = moves.as_mut() {
+                    for i in 0..self.net.len(r, l) {
+                        let link = usize::from(self.net.link_at(r, l, i));
+                        moves.add(link, self.net.pos_at(r, l, i), road.spec);
                     }
                 }
+            }
+            let lanes = self.net.lane0(r)..self.net.lane0(r) + self.net.num_lanes(r);
+            let occupancy = self.net.road_len(r) as u64
+                + pending[lanes].iter().map(|&p| u64::from(p)).sum::<u64>();
+            if u64::from(road.occupancy) != occupancy {
+                return Err(CounterMismatch {
+                    what: "road occupancy",
+                    word: u64::from(road.occupancy),
+                    detail: format!(
+                        "road {r}: occupancy {} != vehicles on its lanes plus crossings \
+                         bound for it {occupancy}",
+                        road.occupancy
+                    ),
+                });
             }
             if (road.detected_sum, road.halted_sum) != (detected_sum, halted_sum) {
                 return Err(CounterMismatch {
@@ -1026,13 +1129,9 @@ impl MicroSim {
         //    applied earlier in this loop.
         let mut crossings = 0u32;
         let mut completed = 0u32;
-        // Fidelity decides where dawdle noise comes from: the road's
-        // sequential stream (exact) or stateless counter draws (batched).
-        let (fidelity, dawdle_seed) = (self.config.fidelity, self.config.seed);
-        let tick = now.index();
         // Occupancy-ordered sweep: only roads with vehicles are visited
         // (ascending road index, same per-road order as a full scan, so
-        // exact-mode RNG streams are untouched — empty lanes never drew).
+        // the per-road RNG streams are untouched — empty lanes never drew).
         // During road `r`'s turn the only possible active-list mutation
         // is `r` itself deactivating (pops land in junction boxes, not on
         // other roads' lanes), so the cursor advances only when `r` is
@@ -1093,13 +1192,6 @@ impl MicroSim {
                 };
 
                 let road = &mut self.roads[r];
-                let mut noise = match fidelity {
-                    Fidelity::Exact => DawdleSource::Stream(&mut road.rng),
-                    Fidelity::Batched => DawdleSource::Counter {
-                        seed: dawdle_seed,
-                        tick,
-                    },
-                };
                 let outcome = advance_head(
                     &mut self.net,
                     r,
@@ -1108,7 +1200,7 @@ impl MicroSim {
                     mode,
                     &self.config,
                     spec,
-                    &mut noise,
+                    &mut road.rng,
                     road.move_counts.as_mut(),
                 );
                 // Folded unconditionally: a zero delta is a no-op, and a
@@ -1129,14 +1221,14 @@ impl MicroSim {
                         None => {
                             // Exit road: the vehicle leaves the network,
                             // flushing its accumulated waiting.
-                            road.occupancy = road.occupancy.saturating_sub(1);
+                            fold_counter(&mut road.occupancy, -1, || format!("road {r} occupancy"));
                             let id = self.arena.release(slot);
                             self.ledger.complete(id, now, wait);
                             completed += 1;
                         }
                         Some((j, k, out_r, dest_lane)) => {
                             self.credit[k] -= 1.0;
-                            road.occupancy = road.occupancy.saturating_sub(1);
+                            fold_counter(&mut road.occupancy, -1, || format!("road {r} occupancy"));
                             self.roads[out_r].occupancy += 1;
                             self.pending[self.net.lane0(out_r) + dest_lane] += 1;
                             self.arena.bump_hop(slot);
@@ -1163,44 +1255,14 @@ impl MicroSim {
         // 6. Car-following for the remaining vehicles: per-road work with
         //    no cross-road reads or writes — the expensive phase. It walks
         //    the active-road list over the network arena (a few linear
-        //    sweeps, zero allocation); exact fidelity keeps several roads
-        //    in flight (see `sweep_followers`).
-        match fidelity {
-            Fidelity::Exact => {
-                sweep_followers(
-                    &mut self.net,
-                    &mut self.roads,
-                    &mut self.sensors,
-                    &self.config,
-                );
-            }
-            // The batched kernel advances the whole road in one call and
-            // folds per-lane sensor deltas itself.
-            Fidelity::Batched => {
-                let (mut view, spans, active) = self.net.follower_parts();
-                for &r in active {
-                    let (r, span) = (r as usize, spans[r as usize]);
-                    let road = &mut self.roads[r];
-                    let lanes = span.lane0..span.lane0 + span.num_lanes;
-                    let (dd, hd) = advance_followers_batched_road(
-                        &mut view,
-                        &span,
-                        road.length,
-                        &self.config,
-                        road.spec,
-                        dawdle_seed,
-                        tick,
-                        road.move_counts.as_mut(),
-                        &mut self.sensors.detected[lanes.clone()],
-                        &mut self.sensors.halted[lanes],
-                    );
-                    fold_counter(&mut road.detected_sum, dd, || {
-                        format!("road {r} detected sum")
-                    });
-                    fold_counter(&mut road.halted_sum, hd, || format!("road {r} halted sum"));
-                }
-            }
-        }
+        //    sweeps, zero allocation), keeping several roads in flight
+        //    (see `sweep_followers`).
+        sweep_followers(
+            &mut self.net,
+            &mut self.roads,
+            &mut self.sensors,
+            &self.config,
+        );
         watch.lap(|t| &mut t.car_following);
 
         // 7. Land vehicles whose box traversal finished. Ready crossings
@@ -1263,7 +1325,6 @@ impl MicroSim {
                         wait,
                         crossing.slot,
                         link,
-                        arena.id(crossing.slot).raw(),
                     );
                     pending[g] -= 1;
                     road.entered += 1;
@@ -1416,8 +1477,7 @@ impl MicroSim {
         }
         road.occupancy += 1;
         road.entered += 1;
-        self.net
-            .push(r, lane_idx, 0.0, speed, wait, slot, link, id.raw());
+        self.net.push(r, lane_idx, 0.0, speed, wait, slot, link);
     }
 
     /// Visits every vehicle that still has junction crossings ahead of it
@@ -1565,17 +1625,23 @@ impl MicroSim {
     /// Returns a [`StateError`] on a truncated or corrupt stream; when
     /// the saved shape (road/lane/junction counts) disagrees with this
     /// simulator's topology; on an index that points nowhere (a lane or
-    /// junction-box vehicle slot that is not live in the arena, a
-    /// crossing's destination road or lane out of range, a cached link
-    /// outside the road's junction); or when an incremental counter
-    /// disagrees with a rescan of the restored fleet or with the
-    /// restored junction boxes. Either way the error is typed: a crafted
-    /// snapshot never reaches the step path to panic there.
+    /// junction-box vehicle slot that is not live in the arena or is
+    /// shared, a live slot no vehicle holds, a crossing's destination
+    /// road or lane out of range); on a counter or waiting time past the
+    /// clock; when an incremental counter disagrees with a rescan of the
+    /// restored fleet or with the restored junction boxes; when a
+    /// vehicle's route does not continue from where the vehicle is; or
+    /// when a controller's restored phase is not in its layout. Either
+    /// way the error is typed: a crafted snapshot never reaches the step
+    /// path to panic there.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
-        self.total_crossings = reader.take()?;
+        self.total_crossings = reader.take_count("crossing count")?;
         self.arena.load_state(reader)?;
-        let live = self.arena.live_mask();
+        // Live arena slots not yet claimed by a lane or junction-box
+        // vehicle: each vehicle claims its own, so none is shared, and
+        // none may be left over.
+        let mut unplaced = self.arena.live_mask();
         let num_roads = reader.take_usize()?;
         if num_roads != self.roads.len() {
             return Err(StateError::Invalid {
@@ -1588,7 +1654,7 @@ impl MicroSim {
                 let road = &mut self.roads[r];
                 road.closed = reader.take_bool()?;
                 road.occupancy = reader.take_u32()?;
-                road.entered = reader.take()?;
+                road.entered = reader.take_count("road entered count")?;
             }
             let num_lanes = reader.take_usize()?;
             if num_lanes != self.net.num_lanes(r) {
@@ -1598,11 +1664,9 @@ impl MicroSim {
                 });
             }
             for l in 0..num_lanes {
-                self.net.load_lane(r, l, &live, reader)?;
+                self.net
+                    .load_lane(r, l, &mut unplaced, self.now.index(), reader)?;
             }
-            // The lanes' cached vehicle ids are not on the wire; rebuild
-            // them from the (already restored) arena.
-            self.net.refresh_ids_road(r, &self.arena);
             let lanes = self.net.lane0(r)..self.net.lane0(r) + num_lanes;
             for counters in [
                 &mut self.pending,
@@ -1645,16 +1709,11 @@ impl MicroSim {
             self.boxes[j].clear();
             for _ in 0..in_box {
                 let slot = reader.take_u32()?;
-                let wait = reader.take()?;
+                let wait = reader.take_at_most(self.now.index(), "crossing waiting ticks")?;
                 let remaining = reader.take()?;
                 let dest_road = reader.take_usize()?;
                 let dest_lane = reader.take_usize()?;
-                if !live.get(slot as usize).copied().unwrap_or(false) {
-                    return Err(StateError::Invalid {
-                        what: "crossing vehicle slot",
-                        word: u64::from(slot),
-                    });
-                }
+                claim_slot(&mut unplaced, slot, "crossing vehicle slot")?;
                 if dest_road >= self.roads.len() {
                     return Err(StateError::Invalid {
                         what: "crossing destination road",
@@ -1687,24 +1746,56 @@ impl MicroSim {
                 *credit = reader.take_f64()?;
             }
         }
-        for backlog in &mut self.backlogs {
+        if let Some(slot) = unplaced.iter().position(|&u| u) {
+            return Err(StateError::Invalid {
+                what: "arena slot without a vehicle",
+                word: slot as u64,
+            });
+        }
+        let invalid = |m: CounterMismatch| StateError::Invalid {
+            what: m.what,
+            word: m.word,
+        };
+        for r in 0..self.backlogs.len() {
             let len = reader.take_usize()?;
-            backlog.clear();
+            self.backlogs[r].clear();
+            // A backlog holds many copies of its entry's few routes: the
+            // most recently read distinct ones are matched against the
+            // stream first, and a match shares their allocation and
+            // their check. Routes are immutable, so sharing is invisible.
+            let mut recent: [Option<Arc<Route>>; 4] = Default::default();
             for _ in 0..len {
                 let id = VehicleId::new(reader.take()?);
-                let since = Tick::new(reader.take()?);
-                let route = Arc::new(Route::load_state(reader)?);
-                backlog.push_back(Backlogged { id, route, since });
+                let since = Tick::new(reader.take_at_most(self.now.index(), "backlog entry tick")?);
+                let hit = recent
+                    .iter()
+                    .position(|seen| seen.as_ref().is_some_and(|seen| seen.take_if_next(reader)));
+                let route = match hit {
+                    Some(at) => {
+                        recent[..=at].rotate_right(1);
+                        Arc::clone(recent[0].as_ref().expect("a matched route"))
+                    }
+                    None => {
+                        let route = Route::load_state(reader)?;
+                        self.check_backlog_route(r, &route).map_err(invalid)?;
+                        let route = Arc::new(route);
+                        recent.rotate_right(1);
+                        recent[0] = Some(Arc::clone(&route));
+                        route
+                    }
+                };
+                self.backlogs[r].push_back(Backlogged { id, route, since });
             }
         }
         self.ledger = WaitingLedger::load_state(reader)?;
-        for slot in &mut self.controllers {
+        for (i, slot) in self.controllers.iter_mut().enumerate() {
             slot.controller.load_state(reader)?;
+            let node = self.topology.intersection(IntersectionId::new(i as u32));
+            slot.controller.check_state(node.layout())?;
         }
-        self.audit_counters().map_err(|m| StateError::Invalid {
-            what: m.what,
-            word: m.word,
-        })
+        self.audit_routes()
+            .and_then(|()| self.audit_counters())
+            .map_err(invalid)
     }
 }
 
@@ -1860,79 +1951,6 @@ mod occupancy_probe {
             "reopened road must re-register in the active list"
         );
         sim.verify_sensors().unwrap();
-    }
-
-    /// Manual interleaved exact/batched A/B throughput probe on the
-    /// 10×10 bench workload — alternating short measurement windows so
-    /// shared-box drift hits both fidelities equally:
-    /// `cargo test -p utilbp-microsim --release -- --ignored --nocapture fidelity_ab`.
-    #[test]
-    #[ignore = "manual probe"]
-    fn fidelity_ab_probe() {
-        use std::time::Instant;
-        let run = |fidelity: Fidelity| {
-            let g = GridNetwork::new(GridSpec::with_size(10, 10));
-            let n = g.topology().num_intersections();
-            let controllers = (0..n)
-                .map(|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>)
-                .collect();
-            let sim = MicroSim::new(
-                g.topology().clone(),
-                controllers,
-                MicroSimConfig {
-                    fidelity,
-                    ..MicroSimConfig::default()
-                },
-            );
-            let gen = DemandGenerator::new(
-                &g,
-                DemandConfig::new(DemandSchedule::constant(
-                    Pattern::I,
-                    Ticks::new(u64::MAX / 2),
-                )),
-                7,
-            );
-            let arrivals = Vec::new();
-            let report = crate::StepReport::empty();
-            (sim, gen, g, arrivals, report)
-        };
-        let (mut ex, mut ex_gen, g, mut arrivals, mut report) = run(Fidelity::Exact);
-        let (mut ba, mut ba_gen, ..) = run(Fidelity::Batched);
-        let mut k = 0u64;
-        for _ in 0..300u64 {
-            arrivals.clear();
-            ex_gen.poll_into(&g, utilbp_core::Tick::new(k), &mut arrivals);
-            ex.step_into(&mut arrivals, &mut report);
-            arrivals.clear();
-            ba_gen.poll_into(&g, utilbp_core::Tick::new(k), &mut arrivals);
-            ba.step_into(&mut arrivals, &mut report);
-            k += 1;
-        }
-        let (mut best_ex, mut best_ba) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..6 {
-            let window = 200u64;
-            let t = Instant::now();
-            for i in 0..window {
-                arrivals.clear();
-                ex_gen.poll_into(&g, utilbp_core::Tick::new(k + i), &mut arrivals);
-                ex.step_into(&mut arrivals, &mut report);
-            }
-            best_ex = best_ex.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            for i in 0..window {
-                arrivals.clear();
-                ba_gen.poll_into(&g, utilbp_core::Tick::new(k + i), &mut arrivals);
-                ba.step_into(&mut arrivals, &mut report);
-            }
-            best_ba = best_ba.min(t.elapsed().as_secs_f64());
-            k += window;
-        }
-        eprintln!(
-            "exact {:.0} ticks/s, batched {:.0} ticks/s ({:.2}x)",
-            200.0 / best_ex,
-            200.0 / best_ba,
-            best_ex / best_ba
-        );
     }
 }
 
@@ -2107,5 +2125,67 @@ mod load_validation {
             "movement counter",
             reload(&grid, LaneDiscipline::SharedMixed, s, craft),
         );
+    }
+    /// The slot of a vehicle on an internal road with at least two
+    /// crossings ahead of it.
+    fn lane_vehicle_with_two_hops_left(s: &MicroSim) -> u32 {
+        (0..s.roads.len())
+            .filter(|&r| s.road_dest[r].is_some())
+            .flat_map(|r| (0..s.net.num_lanes(r)).map(move |l| (r, l)))
+            .flat_map(|(r, l)| (0..s.net.len(r, l)).map(move |i| s.net.slot_at(r, l, i)))
+            .find(|&slot| s.arena.route(slot).len() >= s.arena.hop(slot) + 2)
+            .expect("a vehicle two junctions from its exit")
+    }
+
+    #[test]
+    fn fleet_that_disagrees_with_its_routes_or_clock_is_rejected() {
+        type Craft = fn(&mut MicroSim);
+        let cases: [(&str, Craft); 7] = [
+            // A route cursor one junction ahead of the vehicle's road.
+            ("route link", |s| {
+                s.arena.bump_hop(lane_vehicle_with_two_hops_left(s));
+            }),
+            // A crossing bound for a lane of another movement, with the
+            // reservations moved along so only the route check objects.
+            ("crossing destination lane", |s| {
+                let c = (s.boxes.iter_mut().flatten())
+                    .find(|c| s.road_dest[c.dest_road].is_some())
+                    .expect("a crossing bound for an internal road");
+                let (road, lane) = (c.dest_road, c.dest_lane);
+                c.dest_lane = (lane + 1) % s.net.num_lanes(road);
+                let moved = c.dest_lane;
+                s.pending[s.net.lane0(road) + lane] -= 1;
+                s.pending[s.net.lane0(road) + moved] += 1;
+            }),
+            // A backlogged route that enters at another road.
+            ("backlog route entry", |s| {
+                let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
+                let elsewhere = (0..s.backlogs.len())
+                    .find(|&r| r != route.entry().index() && s.road_dest[r].is_some())
+                    .expect("another road");
+                let (id, since) = (VehicleId::new(1 << 30), Tick::ZERO);
+                s.backlogs[elsewhere].push_back(Backlogged { id, route, since });
+            }),
+            // Two vehicles holding one arena slot.
+            ("crossing vehicle slot", |s| {
+                first_crossing(s).slot = lane_vehicle_with_two_hops_left(s);
+            }),
+            // A live arena slot no vehicle holds.
+            ("arena slot without a vehicle", |s| {
+                let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
+                s.arena.insert(VehicleId::new(1 << 30), route);
+            }),
+            ("road occupancy", |s| s.roads[0].occupancy += 1),
+            ("crossing waiting ticks", |s| {
+                first_crossing(s).wait = s.now.index() + 1;
+            }),
+        ];
+        for (what, craft) in cases {
+            let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
+            rejects(
+                what,
+                reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+            );
+        }
     }
 }

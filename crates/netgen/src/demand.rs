@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use utilbp_core::standard::Turn;
 use utilbp_core::Tick;
 use utilbp_metrics::VehicleId;
@@ -33,7 +32,7 @@ pub struct Arrival {
 }
 
 /// Configuration of a [`DemandGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandConfig {
     /// The arrival schedule (Table II pattern(s)).
     pub schedule: DemandSchedule,

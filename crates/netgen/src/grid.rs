@@ -7,7 +7,6 @@
 //! 0 the **western** column, so the paper's "top-right" intersection is
 //! `(0, cols−1)`.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::standard::{self, Approach};
 
 use crate::route::Route;
@@ -15,7 +14,7 @@ use crate::topology::{IntersectionId, NetworkTopology, Road, RoadId};
 
 /// Parameters of a grid network. The defaults reproduce the paper's
 /// Section V setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// Number of intersection rows (3 in the paper).
     pub rows: u32,
@@ -65,7 +64,7 @@ impl GridSpec {
 }
 
 /// A grid cell `(row, col)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GridPos {
     /// Row, 0 = northern row.
     pub row: u32,
@@ -99,7 +98,7 @@ impl std::fmt::Display for GridPos {
 
 /// A boundary entry point: the entry road at one boundary arm, plus where
 /// it is (`side` of the network, `slot` along that side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryPoint {
     /// The entry road.
     pub road: RoadId,
@@ -124,7 +123,7 @@ pub struct EntryPoint {
 /// assert_eq!(grid.topology().num_intersections(), 9);
 /// assert_eq!(grid.entries().len(), 12); // 3 per side
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridNetwork {
     spec: GridSpec,
     topology: NetworkTopology,
@@ -346,7 +345,7 @@ impl GridNetwork {
 
 /// How a vehicle traverses the grid (per the paper's demand model: at most
 /// one turn per journey).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteChoice {
     /// Drive straight through to the opposite boundary.
     Straight,

@@ -1,14 +1,13 @@
 //! The paper's demand inputs: Table I turning probabilities and Table II
 //! arrival patterns.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::standard::{Approach, Turn};
 use utilbp_core::{Tick, Ticks};
 
 /// Turning probabilities of vehicles entering the network, by the side they
 /// enter from (Table I of the paper). The straight probability is the
 /// complement of right + left.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurningProbabilities {
     /// `(P(right), P(left))` indexed by entry side in `Approach::ALL`
     /// order.
@@ -87,7 +86,7 @@ impl Default for TurningProbabilities {
 
 /// The paper's Table II arrival patterns: average inter-arrival time (s) of
 /// vehicles at each entry road, by network side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Pattern I — "adjacent heavy": N 3 s, E 5 s, S 7 s, W 9 s.
     I,
@@ -167,7 +166,7 @@ impl std::fmt::Display for Pattern {
 /// assert_eq!(mixed.pattern_at(Tick::new(3600)), Pattern::II);
 /// assert_eq!(mixed.pattern_at(Tick::new(4 * 3600)), Pattern::IV); // clamps
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DemandSchedule {
     segments: Vec<(Ticks, Pattern)>,
 }

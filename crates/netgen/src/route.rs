@@ -1,6 +1,5 @@
 //! Vehicle routes through a network.
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::LinkId;
 
 use crate::topology::{IntersectionId, RoadId};
@@ -10,7 +9,7 @@ use crate::topology::{IntersectionId, RoadId};
 ///
 /// Simulators advance a cursor through the hops; [`Route::hop`] yields the
 /// movement to queue for at the `n`-th intersection of the journey.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     entry: RoadId,
     hops: Vec<(IntersectionId, LinkId)>,
@@ -65,6 +64,29 @@ impl Route {
             writer.push_u32(i.index() as u32);
             writer.push(l.index() as u64);
         }
+    }
+
+    /// Consumes the next route in `reader` if it is this one — the words
+    /// [`save_state`](Self::save_state) writes for it — and reports
+    /// whether it did; otherwise the reader stays where it was. A reader
+    /// of many copies of a few routes can share one allocation per route
+    /// instead of decoding each copy.
+    pub fn take_if_next(&self, reader: &mut utilbp_core::state::StateReader<'_>) -> bool {
+        let mut ahead = reader.clone();
+        let words = [self.entry.index() as u64, self.hops.len() as u64]
+            .into_iter()
+            .chain(
+                self.hops
+                    .iter()
+                    .flat_map(|&(i, l)| [i.index() as u64, l.index() as u64]),
+            );
+        let same = words
+            .into_iter()
+            .all(|word| ahead.take().ok() == Some(word));
+        if same {
+            *reader = ahead;
+        }
+        same
     }
 
     /// Deserializes a route saved by [`save_state`](Self::save_state).

@@ -10,13 +10,10 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::{IncomingId, IntersectionLayout, OutgoingId};
 
 /// Identifier of an intersection within a [`NetworkTopology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct IntersectionId(u32);
 
 impl IntersectionId {
@@ -38,9 +35,7 @@ impl fmt::Display for IntersectionId {
 }
 
 /// Identifier of a directed road within a [`NetworkTopology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RoadId(u32);
 
 impl RoadId {
@@ -62,7 +57,7 @@ impl fmt::Display for RoadId {
 }
 
 /// One directed road.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Road {
     name: String,
     /// `(intersection, outgoing arm)` feeding this road, or `None` for a
@@ -138,7 +133,7 @@ impl Road {
 
 /// One intersection instance: a junction layout plus the roads wired to its
 /// arms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntersectionNode {
     name: String,
     layout: IntersectionLayout,
@@ -260,7 +255,7 @@ impl fmt::Display for TopologyError {
 impl Error for TopologyError {}
 
 /// A validated network of signalized intersections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTopology {
     intersections: Vec<IntersectionNode>,
     roads: Vec<Road>,

@@ -1282,7 +1282,10 @@ impl QueueSim {
     /// disagrees with a rescan of its queues and delay line.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
-        self.total_served = reader.take()?;
+        self.total_served = reader.take_count("queueing served count")?;
+        // Waiting accumulators and entry ticks cannot exceed the ticks
+        // simulated so far.
+        let now = self.now.index();
 
         let roads = reader.take_usize()?;
         if roads != self.roads.len() {
@@ -1294,7 +1297,7 @@ impl QueueSim {
         for road in &mut self.roads {
             road.closed = reader.take_bool()?;
             road.occupancy = reader.take_u32()?;
-            road.entered = reader.take()?;
+            road.entered = reader.take_count("queueing road entered count")?;
             road.queued = reader.take_u32()?;
             let transit = reader.take_usize()?;
             road.transit.clear();
@@ -1303,7 +1306,7 @@ impl QueueSim {
                 let route = Arc::new(Route::load_state(reader)?);
                 let hop = reader.take_usize()?;
                 let arrives = Tick::new(reader.take()?);
-                let waited = reader.take()?;
+                let waited = reader.take_at_most(now, "queueing waiting ticks")?;
                 road.transit.push_back(TransitVehicle {
                     id,
                     route,
@@ -1337,8 +1340,8 @@ impl QueueSim {
                     let id = VehicleId::new(reader.take()?);
                     let route = Arc::new(Route::load_state(reader)?);
                     let hop = reader.take_usize()?;
-                    let joined = Tick::new(reader.take()?);
-                    let waited = reader.take()?;
+                    let joined = Tick::new(reader.take_at_most(now, "queueing queue entry tick")?);
+                    let waited = reader.take_at_most(now, "queueing waiting ticks")?;
                     queue.push_back(QueuedVehicle {
                         id,
                         route,
@@ -1359,14 +1362,16 @@ impl QueueSim {
             for _ in 0..len {
                 let id = VehicleId::new(reader.take()?);
                 let route = Arc::new(Route::load_state(reader)?);
-                let since = Tick::new(reader.take()?);
+                let since = Tick::new(reader.take_at_most(now, "queueing backlog entry tick")?);
                 backlog.push_back((id, route, since));
             }
         }
 
         self.ledger = WaitingLedger::load_state(reader)?;
-        for slot in &mut self.controllers {
+        for (i, slot) in self.controllers.iter_mut().enumerate() {
             slot.controller.load_state(reader)?;
+            let node = self.topology.intersection(IntersectionId::new(i as u32));
+            slot.controller.check_state(node.layout())?;
         }
 
         self.audit().map_err(|m| StateError::Invalid {

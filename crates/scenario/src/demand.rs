@@ -217,16 +217,21 @@ impl NetworkDemand {
 
     /// Restores the state written by [`save_state`](Self::save_state)
     /// into a generator built over the *same* network and schedule; the
-    /// restored generator continues the arrival stream bit-identically.
+    /// restored generator continues the arrival stream bit-identically
+    /// from tick `now`, the next tick to be polled.
     ///
     /// # Errors
     ///
     /// Returns a [`StateError`](utilbp_core::state::StateError) on a
-    /// truncated stream or an entry/road count that does not match this
-    /// generator's network.
+    /// truncated stream, an entry/road count that does not match this
+    /// generator's network, or an arrival clock that is not finite or
+    /// lies before `now` (every poll leaves each clock at or past the end
+    /// of its window, and a far-past clock would make the next poll
+    /// generate arrivals without bound).
     pub fn load_state(
         &mut self,
         network: &Network,
+        now: Tick,
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
@@ -237,8 +242,15 @@ impl NetworkDemand {
                 word: entries as u64,
             });
         }
+        let polled_until = now.index() as f64 * self.dt_seconds;
         for clock in &mut self.clocks {
             *clock = reader.take_f64()?;
+            if !(clock.is_finite() && *clock >= polled_until) {
+                return Err(StateError::Invalid {
+                    what: "demand arrival clock",
+                    word: clock.to_bits(),
+                });
+            }
         }
         self.surge = reader.take_f64()?;
         let roads = reader.take_usize()?;
@@ -257,7 +269,7 @@ impl NetworkDemand {
         }
         self.rng = SmallRng::from_state(state);
         self.next_vehicle = reader.take()?;
-        self.suppressed = reader.take()?;
+        self.suppressed = reader.take_count("suppressed arrival count")?;
         self.rebuild_open_tables(network);
         Ok(())
     }

@@ -45,7 +45,7 @@ use utilbp_core::{SignalController, Tick, Ticks};
 use utilbp_metrics::{TimeSeries, VehicleId, WaitingLedger};
 use utilbp_microsim::MicroSimConfig;
 use utilbp_microsim::PhaseTimings;
-use utilbp_microsim::{Fidelity, LaneDiscipline, OutgoingSensor};
+use utilbp_microsim::{LaneDiscipline, OutgoingSensor};
 use utilbp_netgen::{Arrival, Network, Replanner, RoadId, TurningProbabilities};
 use utilbp_snapshot::{crc32, SnapshotReader, SnapshotWriter};
 use utilbp_substrate::{
@@ -149,13 +149,11 @@ fn micro_fingerprint(cfg: &MicroSimConfig) -> u64 {
     });
     w.push_f64(cfg.insertion_speed_mps);
     w.push(cfg.seed);
-    // Fidelity shapes every car-following trajectory (batched mode is
-    // not bit-compatible with exact), so a checkpoint must not restore
-    // across fidelities.
-    w.push(match cfg.fidelity {
-        Fidelity::Exact => 0,
-        Fidelity::Batched => 1,
-    });
+    // This word once selected between two car-following contracts; only
+    // one is left, but the fingerprint is written into every checkpoint,
+    // so the word stays (always 0) to keep the checkpoint format, and
+    // therefore every existing capture, unchanged.
+    w.push(0);
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     for &byte in w.bytes() {
         hash ^= u64::from(byte);
@@ -589,7 +587,6 @@ impl ScenarioEngine {
 
         let mut micro = config.micro;
         micro.seed = spec.seed;
-        micro.fidelity = spec.fidelity;
         let substrate = build_substrate(
             config.backend,
             network.topology().clone(),
@@ -1636,9 +1633,18 @@ impl ScenarioEngine {
     }
 
     /// Restores the engine-side dynamic state written by
-    /// [`save_engine_state`](Self::save_engine_state).
+    /// [`save_engine_state`](Self::save_engine_state), rejecting words
+    /// the step path would trust: a tick past the horizon, a demand
+    /// clock behind it, or a surge factor no event of the spec sets.
     fn load_engine_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.now = Tick::new(reader.take()?);
+        let now = reader.take()?;
+        if now > self.spec.horizon.count() {
+            return Err(StateError::Invalid {
+                what: "engine tick",
+                word: now,
+            });
+        }
+        self.now = Tick::new(now);
         let cursor = reader.take_usize()?;
         if cursor > self.actions.len() {
             return Err(StateError::Invalid {
@@ -1649,11 +1655,22 @@ impl ScenarioEngine {
         self.cursor = cursor;
         self.fault_switch.set_active(reader.take_bool()?);
         self.actuation_switch.set_active(reader.take_bool()?);
-        self.demand.load_state(&self.network, reader)?;
-        self.diverted = reader.take()?;
-        self.restored = reader.take()?;
-        self.congestion_reroutes = reader.take()?;
-        self.congestion_restores = reader.take()?;
+        self.demand.load_state(&self.network, self.now, reader)?;
+        let surge = self.demand.surge();
+        let scheduled =
+            self.spec.events.iter().any(
+                |event| matches!(*event, ScenarioEvent::Surge { factor, .. } if factor == surge),
+            );
+        if surge != 1.0 && !scheduled {
+            return Err(StateError::Invalid {
+                what: "demand surge factor",
+                word: surge.to_bits(),
+            });
+        }
+        self.diverted = reader.take_count("diverted vehicle count")?;
+        self.restored = reader.take_count("restored vehicle count")?;
+        self.congestion_reroutes = reader.take_count("congestion reroute count")?;
+        self.congestion_restores = reader.take_count("congestion restore count")?;
         self.congestion_restore_pending = reader.take_bool()?;
         let len = reader.take_usize()?;
         self.diverted_ids.clear();
@@ -1684,7 +1701,7 @@ impl ScenarioEngine {
             for flag in monitor.congested.iter_mut() {
                 *flag = reader.take_bool()?;
             }
-            monitor.transitions = reader.take()?;
+            monitor.transitions = reader.take_count("congestion transition count")?;
         }
         let detours = reader.take_usize()?;
         self.detour_roads.clear();
@@ -1819,9 +1836,54 @@ impl ScenarioEngine {
         engine.substrate.load_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
 
+        // A recording engine brings its watchdog watermarks up to the
+        // counters every tick, and the next step emits one event per unit
+        // of difference: they must agree with the restored controllers.
+        let telemetry = &engine.telemetry;
+        let agree = |marks: &[u64], counter: fn(&WatchdogStats) -> u64| {
+            marks
+                .iter()
+                .copied()
+                .eq(engine.watchdogs.iter().map(counter))
+        };
+        if recorder_capacity.is_some()
+            && !(agree(&telemetry.prev_activations, WatchdogStats::activations)
+                && agree(&telemetry.prev_recoveries, WatchdogStats::recoveries))
+        {
+            return Err(StateError::Invalid {
+                what: "watchdog event watermark",
+                word: telemetry.prev_activations.len() as u64,
+            }
+            .into());
+        }
+
         let mut reader = snapshot.words(TAG_ENGINE)?;
         engine.load_engine_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
+
+        // The plant steps once per engine tick. Its own checks bound the
+        // vehicles' waiting by its clock, which this ties to the horizon.
+        if engine.substrate.now() != engine.now {
+            return Err(StateError::Invalid {
+                what: "plant tick",
+                word: engine.substrate.now().index(),
+            }
+            .into());
+        }
+
+        // Every generated vehicle enters the plant's ledger on its arrival
+        // tick, under ids issued densely from 0, so the next id is the
+        // count of vehicles the ledger has seen. A larger one would size
+        // the ledger's slab at the next arrival.
+        let ledger = engine.substrate.ledger();
+        let seen = ledger.active() as u64 + ledger.completed();
+        if engine.demand.generated() != seen {
+            return Err(StateError::Invalid {
+                what: "demand next vehicle id",
+                word: engine.demand.generated(),
+            }
+            .into());
+        }
 
         Ok(engine)
     }
@@ -1989,7 +2051,6 @@ mod tests {
             }],
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         };
         let mut engine =
             ScenarioEngine::new(spec, EngineConfig::default(), &util_factory()).unwrap();
@@ -2022,7 +2083,6 @@ mod tests {
             }],
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         };
         assert!(ScenarioEngine::new(spec, EngineConfig::default(), &util_factory()).is_err());
     }

@@ -1,9 +1,8 @@
 //! The scenario text format: a line-oriented, diffable description that
 //! round-trips through [`parse_scenario`] / [`ScenarioSpec::to_text`].
 //!
-//! The workspace's `serde` shim does not serialize (it only keeps the
-//! derives compiling until the real crate can be vendored), so scenario
-//! files use a small hand-rolled format instead:
+//! The workspace has no serialization dependency, so scenario files use
+//! a small hand-rolled format:
 //!
 //! ```text
 //! # comments and blank lines are ignored
@@ -25,8 +24,6 @@
 //! fault comms from=100 until=400 drop=0.2 delay=0.1 delay-ticks=4
 //! # per-intersection watchdog fallback (omit for no watchdog):
 //! watchdog freeze-ticks=24 max-delta=16 recovery-ticks=12
-//! # car-following numerical contract (omit for the exact default):
-//! fidelity batched
 //! ```
 //!
 //! Every `key=value` argument is optional unless noted; omitted keys take
@@ -37,7 +34,6 @@ use std::collections::HashMap;
 
 use utilbp_baselines::{ActuationFaultConfig, SensorFaultConfig, WatchdogConfig};
 use utilbp_core::{Tick, Ticks};
-use utilbp_microsim::Fidelity;
 use utilbp_netgen::{
     ArterialSpec, AsymmetricGridSpec, GridSpec, Pattern, RingSpec, RoadId, TurningProbabilities,
 };
@@ -188,7 +184,6 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
     let mut events = Vec::new();
     let mut replan = ReplanPolicy::Off;
     let mut watchdog = None;
-    let mut fidelity = Fidelity::Exact;
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -297,19 +292,6 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
                     .map_err(|e| format!("line {line_no}: {e}"))?;
                 watchdog = Some(config);
             }
-            "fidelity" => {
-                fidelity = match rest.first().copied() {
-                    Some("exact") => Fidelity::Exact,
-                    Some("batched") => Fidelity::Batched,
-                    Some(other) => {
-                        return Err(format!("line {line_no}: unknown fidelity `{other}`"))
-                    }
-                    None => return Err(format!("line {line_no}: fidelity needs a value")),
-                };
-                if rest.len() > 1 {
-                    return Err(format!("line {line_no}: fidelity takes one value"));
-                }
-            }
             other => return Err(format!("line {line_no}: unknown directive `{other}`")),
         }
     }
@@ -323,7 +305,6 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
         events,
         replan,
         watchdog,
-        fidelity,
     })
 }
 
@@ -585,11 +566,6 @@ impl ScenarioSpec {
                 "watchdog freeze-ticks={} max-delta={} recovery-ticks={}\n",
                 w.freeze_ticks, w.max_delta, w.recovery_ticks,
             ));
-        }
-        // Exact is the parse default; only the batched contract needs a
-        // line, which keeps pre-fidelity files and checkpoints valid.
-        if self.fidelity == Fidelity::Batched {
-            out.push_str("fidelity batched\n");
         }
         for event in &self.events {
             match event {
@@ -853,35 +829,14 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_directive_round_trips_and_rejects_unknown_values() {
+    fn fidelity_lines_are_rejected_with_their_line_number() {
+        // The microscopic plant has one car-following contract; a
+        // `fidelity` line, whatever its value, is an unknown directive.
         let base = "scenario x\nhorizon 10\ntopology grid\n";
-        assert_eq!(
-            parse_scenario(base).unwrap().fidelity,
-            Fidelity::Exact,
-            "omitted fidelity defaults to exact"
-        );
-        let exact = parse_scenario(&format!("{base}fidelity exact\n")).unwrap();
-        assert_eq!(exact.fidelity, Fidelity::Exact);
-        // Exact is the default, so rendering omits the line entirely —
-        // pre-fidelity scenario files stay byte-stable through a round
-        // trip.
-        assert!(!exact.to_text().contains("fidelity"));
-        let batched = parse_scenario(&format!("{base}fidelity batched\n")).unwrap();
-        assert_eq!(batched.fidelity, Fidelity::Batched);
-        let text = batched.to_text();
-        assert!(text.contains("fidelity batched"), "{text}");
-        assert_eq!(parse_scenario(&text).unwrap(), batched);
-        // Error paths, all with line numbers: unknown contracts, a bare
-        // directive, and stray extra tokens.
-        let err = parse_scenario(&format!("{base}fidelity fuzzy\n")).unwrap_err();
-        assert!(
-            err.contains("unknown fidelity") && err.contains("line 4"),
-            "{err}"
-        );
-        let err = parse_scenario(&format!("{base}fidelity\n")).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
-        let err = parse_scenario(&format!("{base}fidelity batched exact\n")).unwrap_err();
-        assert!(err.contains("one value"), "{err}");
+        for line in ["fidelity batched", "fidelity exact", "fidelity"] {
+            let err = parse_scenario(&format!("{base}{line}\n")).unwrap_err();
+            assert_eq!(err, "line 4: unknown directive `fidelity`");
+        }
     }
 
     #[test]

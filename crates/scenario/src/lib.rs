@@ -38,8 +38,7 @@
 //!    (`Congestion`).
 //! 5. **Text form** — [`parse_scenario`] / [`ScenarioSpec::to_text`]
 //!    round-trip a line-oriented file format (see [`mod@crate::format`]’s
-//!    docs for the grammar), since the offline `serde` shim does not
-//!    serialize.
+//!    docs for the grammar), the canonical encoding of a scenario.
 //!
 //! ### Event semantics
 //!

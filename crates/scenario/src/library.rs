@@ -3,7 +3,6 @@
 //! fault windows, and watchdog-guarded degradation.
 
 use utilbp_core::{Tick, Ticks};
-use utilbp_microsim::Fidelity;
 use utilbp_netgen::{ArterialSpec, AsymmetricGridSpec, GridSpec, Pattern, RingSpec};
 
 use crate::spec::{DemandProfile, ReplanPolicy, ScenarioEvent, ScenarioSpec, TopologySpec};
@@ -115,7 +114,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             events: Vec::new(),
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "arterial-rush-hour".to_string(),
@@ -130,7 +128,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             events: Vec::new(),
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "ring-pulse".to_string(),
@@ -145,7 +142,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             events: Vec::new(),
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "asym-bottleneck".to_string(),
@@ -156,7 +152,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             events: Vec::new(),
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-incident".to_string(),
@@ -176,7 +171,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             ],
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-incident-replan".to_string(),
@@ -202,7 +196,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             ],
             replan: ReplanPolicy::AtNextJunction,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-incident-recover".to_string(),
@@ -237,7 +230,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             ],
             replan: ReplanPolicy::AtNextJunction,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-congestion-replan".to_string(),
@@ -267,7 +259,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
                 hysteresis: 0.04,
             },
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "arterial-sensor-dropout".to_string(),
@@ -286,7 +277,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             }],
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-actuator-fault".to_string(),
@@ -310,7 +300,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             }],
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         },
         ScenarioSpec {
             name: "grid-degraded-recovery".to_string(),
@@ -336,7 +325,6 @@ pub fn builtin_scenarios() -> Vec<ScenarioSpec> {
             }],
             replan: ReplanPolicy::Off,
             watchdog: Some(utilbp_baselines::WatchdogConfig::default()),
-            fidelity: Fidelity::Exact,
         },
     ]
 }

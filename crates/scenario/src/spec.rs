@@ -1,9 +1,7 @@
 //! Scenario descriptions: topology + demand profile + event timeline.
 
-use serde::{Deserialize, Serialize};
 use utilbp_baselines::{ActuationFaultConfig, SensorFaultConfig, WatchdogConfig};
 use utilbp_core::{Tick, Ticks};
-use utilbp_microsim::Fidelity;
 use utilbp_netgen::{
     ArterialSpec, AsymmetricGridSpec, GridNetwork, GridSpec, Network, Pattern, RingSpec, RoadId,
 };
@@ -15,7 +13,7 @@ pub use utilbp_substrate::{Backend, ReplanPolicy};
 
 /// The network family a scenario runs on. The paper's grid is one variant
 /// among the generators of [`utilbp_netgen`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// The paper's uniform grid; `pattern` supplies the per-side base
     /// arrival rates (Table II).
@@ -74,7 +72,7 @@ impl TopologySpec {
 /// Multiplier `m` at tick `k` scales every entry's base arrival rate: the
 /// mean inter-arrival time becomes `base / m`. Past the last segment the
 /// final multiplier persists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateSchedule {
     segments: Vec<(Ticks, f64)>,
 }
@@ -124,7 +122,7 @@ impl RateSchedule {
 
 /// A named time-varying demand shape, turned into a [`RateSchedule`] for a
 /// given horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DemandProfile {
     /// Stationary demand at the base rates.
     Constant,
@@ -230,7 +228,7 @@ impl DemandProfile {
 }
 
 /// One disruption on the scenario timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// Close a road to entering traffic at `at`.
     CloseRoad {
@@ -287,7 +285,7 @@ pub enum ScenarioEvent {
 /// See the crate docs for the "Scenario model" (file format and event
 /// semantics); [`crate::parse_scenario`] / [`ScenarioSpec::to_text`]
 /// round-trip the text form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The scenario's name (used to select built-ins and label tables).
     pub name: String,
@@ -310,16 +308,7 @@ pub struct ScenarioSpec {
     /// switches the intersection to fixed-time control while its sensor
     /// stream looks implausible (default: no watchdog, controllers are
     /// exactly the pre-fault-plane stack).
-    #[serde(default)]
     pub watchdog: Option<WatchdogConfig>,
-    /// Numerical contract of the microscopic car-following phase:
-    /// `Exact` (default) is the bit-pinned sequential Krauss update;
-    /// `Batched` is the vectorization-friendly kernel with counter-based
-    /// dawdle noise — statistically equivalent, not bit-compatible. The
-    /// queueing substrate ignores this field. Defaults so existing
-    /// scenario files and checkpoints stay valid.
-    #[serde(default)]
-    pub fidelity: Fidelity,
 }
 
 impl ScenarioSpec {
@@ -535,7 +524,6 @@ mod tests {
             events,
             replan: ReplanPolicy::Off,
             watchdog: None,
-            fidelity: Fidelity::Exact,
         }
     }
 

@@ -8,6 +8,9 @@
 //! containers surface typed errors, never panics; and a fork is a fully
 //! independent timeline.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use utilbp_core::state::StateError;
 use utilbp_core::{SignalController, Ticks, UtilBp};
 use utilbp_scenario::{
     builtin, Backend, CheckpointPolicy, EngineConfig, RestoreError, ScenarioEngine,
@@ -310,4 +313,250 @@ fn config_mismatches_are_typed() {
         }) => {}
         other => panic!("expected micro-parameter mismatch, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------
+// Crafted captures: words the checksum cannot vouch for. Each case
+// rewrites one word inside a section and recomputes that section's CRC,
+// so only the restore path's own checks stand between the word and the
+// step path.
+// ---------------------------------------------------------------------
+
+/// Section tags of a capture; all but the spec text are word sections.
+const TAG_SPEC: u32 = 2;
+const TAG_PLANT: u32 = 3;
+const TAG_ENGINE: u32 = 4;
+const TAG_TELEMETRY: u32 = 5;
+
+/// Every section of a capture: its tag, the offset of its CRC field and
+/// its payload's byte range.
+fn sections(bytes: &[u8]) -> Vec<(u32, usize, std::ops::Range<usize>)> {
+    let le = |at: usize, n: usize| {
+        (bytes[at..at + n].iter().rev()).fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
+    };
+    let mut pos = 16;
+    (0..le(12, 4))
+        .map(|_| {
+            let (tag, len) = (le(pos, 4) as u32, le(pos + 4, 8) as usize);
+            pos += 16 + len;
+            (tag, pos - len - 4, pos - len..pos)
+        })
+        .collect()
+}
+
+fn section(bytes: &[u8], tag: u32) -> (usize, std::ops::Range<usize>) {
+    let (_, crc_at, payload) = sections(bytes)
+        .into_iter()
+        .find(|s| s.0 == tag)
+        .expect("section");
+    (crc_at, payload)
+}
+
+fn word_at(bytes: &[u8], tag: u32, index: usize) -> u64 {
+    let at = section(bytes, tag).1.start + 8 * index;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// `bytes` with word `index` of section `tag` set to `word`.
+fn with_word(bytes: &[u8], tag: u32, index: usize, word: u64) -> Vec<u8> {
+    let (crc_at, payload) = section(bytes, tag);
+    let mut out = bytes.to_vec();
+    let at = payload.start + 8 * index;
+    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    let crc = utilbp_snapshot::crc32(&out[payload]);
+    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+fn capture(name: &str, config: EngineConfig, horizon: u64, cut: u64) -> Vec<u8> {
+    let mut engine = engine_for(name, config, horizon);
+    for _ in 0..cut {
+        engine.step();
+    }
+    engine.checkpoint()
+}
+
+fn expect_invalid(bytes: &[u8], config: EngineConfig, what: &str) {
+    match ScenarioEngine::restore(bytes, config, &controller).err() {
+        Some(RestoreError::Snapshot(SnapshotError::State(StateError::Invalid {
+            what: got,
+            ..
+        }))) if got == what => {}
+        other => panic!("expected an invalid {what}, got {other:?}"),
+    }
+}
+
+/// Engine-section words, following `save_engine_state`: the tick, the
+/// event cursor, two fault switches, then the demand generator's entry
+/// count and one arrival clock per entry (the first at word 5), its
+/// surge factor, road count, one closure flag per road, four RNG words
+/// and the next vehicle id. Returns the surge and next-id indices.
+fn demand_words(bytes: &[u8]) -> (usize, usize) {
+    let surge = 5 + word_at(bytes, TAG_ENGINE, 4) as usize;
+    let roads = word_at(bytes, TAG_ENGINE, surge + 1) as usize;
+    (surge, surge + 2 + roads + 4)
+}
+
+/// The incident builtin on the queueing plant, cut mid-closure at 260.
+fn incident_capture() -> (Vec<u8>, EngineConfig) {
+    let config = EngineConfig::new(Backend::Queueing);
+    (capture("grid-incident-replan", config, 460, 260), config)
+}
+
+#[test]
+fn engine_tick_past_the_horizon_is_rejected() {
+    let (bytes, config) = incident_capture();
+    assert_eq!(word_at(&bytes, TAG_ENGINE, 0), 260, "word 0 is the tick");
+    // The horizon itself is a tick a finished run is captured at; here
+    // it trips the next check, the demand clocks left at tick 260.
+    expect_invalid(
+        &with_word(&bytes, TAG_ENGINE, 0, 460),
+        config,
+        "demand arrival clock",
+    );
+    for tick in [461, 11_000_000_000_000_000_000] {
+        expect_invalid(
+            &with_word(&bytes, TAG_ENGINE, 0, tick),
+            config,
+            "engine tick",
+        );
+    }
+}
+
+#[test]
+fn demand_clock_behind_the_engine_tick_or_not_finite_is_rejected() {
+    let (bytes, config) = incident_capture();
+    for seconds in [259.0, -1e300, f64::NAN, f64::INFINITY] {
+        let patched = with_word(&bytes, TAG_ENGINE, 5, seconds.to_bits());
+        expect_invalid(&patched, config, "demand arrival clock");
+    }
+}
+
+#[test]
+fn surge_factor_must_be_one_or_a_spec_event_factor() {
+    // `grid-congestion-replan` surges by 4 over ticks 40..400; cut
+    // before the window, the capture holds the neutral factor.
+    let config = EngineConfig::new(Backend::Queueing);
+    let bytes = capture("grid-congestion-replan", config, 420, 20);
+    let (surge, _) = demand_words(&bytes);
+    assert_eq!(f64::from_bits(word_at(&bytes, TAG_ENGINE, surge)), 1.0);
+    let patched = with_word(&bytes, TAG_ENGINE, surge, 4f64.to_bits());
+    assert!(ScenarioEngine::restore(&patched, config, &controller).is_ok());
+    for factor in [0.0, -2.0, 3.0, f64::NAN, f64::INFINITY] {
+        let patched = with_word(&bytes, TAG_ENGINE, surge, factor.to_bits());
+        expect_invalid(&patched, config, "demand surge factor");
+    }
+}
+
+#[test]
+fn next_vehicle_id_must_match_the_ledger() {
+    // The builtins confirm the invariant the check rests on: every id
+    // the demand generator issued is in the plant's ledger, active or
+    // completed.
+    for backend in [Backend::Queueing, Backend::Microscopic] {
+        for &(name, horizon, cut) in MATRIX {
+            let mut engine = engine_for(name, EngineConfig::new(backend), horizon);
+            for _ in 0..cut {
+                engine.step();
+            }
+            let seen = engine.ledger().active() as u64 + engine.ledger().completed();
+            assert_eq!(engine.demand_generated(), seen, "{name} on {backend:?}");
+        }
+    }
+    let (bytes, config) = incident_capture();
+    let (_, next) = demand_words(&bytes);
+    let issued = word_at(&bytes, TAG_ENGINE, next);
+    for id in [issued + 1, issued - 1, 69_000_000_000] {
+        let patched = with_word(&bytes, TAG_ENGINE, next, id);
+        expect_invalid(&patched, config, "demand next vehicle id");
+    }
+}
+
+#[test]
+fn plant_tick_that_disagrees_with_the_engine_is_rejected() {
+    let (bytes, config) = incident_capture();
+    assert_eq!(
+        word_at(&bytes, TAG_PLANT, 0),
+        260,
+        "plant word 0 is its clock"
+    );
+    for tick in [259, 261, 1 << 40] {
+        expect_invalid(&with_word(&bytes, TAG_PLANT, 0, tick), config, "plant tick");
+    }
+}
+
+#[test]
+fn watchdog_watermark_that_disagrees_with_the_counters_is_rejected() {
+    // The telemetry section ends with the per-intersection recovery
+    // watermarks; the next step would emit one event per unit of gap.
+    let config = EngineConfig::new(Backend::Queueing);
+    let bytes = capture("grid-degraded-recovery", config, 420, 300);
+    let last = section(&bytes, TAG_TELEMETRY).1.len() / 8 - 1;
+    let mark = word_at(&bytes, TAG_TELEMETRY, last) + 1_000_000_000;
+    let patched = with_word(&bytes, TAG_TELEMETRY, last, mark);
+    expect_invalid(&patched, config, "watchdog event watermark");
+}
+
+/// Seeded single-word mutations of every word section of three real
+/// captures, each section's CRC recomputed: every restore must return
+/// `Ok` or a typed [`RestoreError`], and a restored engine must step on
+/// without panicking.
+#[test]
+fn mutated_captures_restore_or_fail_typed() {
+    const MUTATIONS: usize = 600;
+    let mut rng = SmallRng::seed_from_u64(2020);
+    let mut next = move || rng.gen::<u64>();
+    let (mut restored, mut rejected, mut panics) = (0, 0, Vec::new());
+    for (name, backend, horizon, cut) in [
+        ("grid-incident-replan", Backend::Queueing, 460, 260),
+        ("grid-incident-replan", Backend::Microscopic, 460, 260),
+        ("grid-degraded-recovery", Backend::Microscopic, 420, 233),
+    ] {
+        let config = EngineConfig::new(backend);
+        let bytes = capture(name, config, horizon, cut);
+        let words: Vec<(u32, usize)> = (sections(&bytes).into_iter())
+            .filter(|s| s.0 != TAG_SPEC)
+            .flat_map(|(tag, _, payload)| (0..payload.len() / 8).map(move |i| (tag, i)))
+            .collect();
+        for _ in 0..MUTATIONS {
+            let (tag, index) = words[(next() % words.len() as u64) as usize];
+            let old = word_at(&bytes, tag, index);
+            let new = match next() % 6 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => old.wrapping_add(if next() % 2 == 0 { 1 } else { u64::MAX }),
+                3 => old ^ (1 << (next() % 64)),
+                4 => next() % 16,
+                _ => next(),
+            };
+            let mutated = with_word(&bytes, tag, index, new);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let restore = ScenarioEngine::restore(&mutated, config, &controller);
+                restore.map(|mut engine| (0..50).for_each(|_| engine.step()))
+            }));
+            match outcome {
+                Ok(Ok(())) => restored += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(payload) => {
+                    let message = (payload.downcast_ref::<String>().map(String::as_str))
+                        .or(payload.downcast_ref::<&str>().copied())
+                        .unwrap_or_default();
+                    panics.push(format!(
+                        "{name} on {backend:?}: section {tag} word {index} {old:#x} -> {new:#x}: \
+                         {message}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} panics:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
+    assert!(
+        restored > 0 && rejected > 0,
+        "the mutations must exercise both outcomes ({restored} restored, {rejected} rejected)"
+    );
 }

@@ -2,9 +2,9 @@
 //!
 //! The durable snapshot container behind checkpoint/restore: a
 //! versioned, checksummed binary framing for the word-level state
-//! streams of [`utilbp_core::state`]. The `crates/compat/serde` shims
-//! are no-ops, so — like the scenario text format and the telemetry
-//! JSONL — the format is hand-rolled and fully specified here.
+//! streams of [`utilbp_core::state`]. The workspace has no
+//! serialization dependency, so — like the scenario text format and the
+//! telemetry JSONL — the format is hand-rolled and fully specified here.
 //!
 //! ## Wire format (version 3)
 //!

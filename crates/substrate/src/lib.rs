@@ -114,16 +114,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use utilbp_core::state::{StateError, StateReader, StateWriter};
-use utilbp_core::{IncomingId, PhaseDecision, SignalController};
+use utilbp_core::{IncomingId, PhaseDecision, SignalController, Tick};
 use utilbp_metrics::WaitingLedger;
 use utilbp_microsim::{MicroSim, MicroSimConfig, PhaseTimings};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, RouteRewrite};
 use utilbp_queueing::{QueueSim, QueueSimConfig, StepPhaseTimings};
 
 /// Which simulation substrate drives the plant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The mesoscopic queueing-network simulator (`utilbp-queueing`) —
     /// fast, exactly the paper's Section II model.
@@ -157,7 +156,7 @@ impl std::fmt::Display for Backend {
 
 /// How vehicles already en route react to the live state of the network
 /// (closures, reopenings, congestion).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ReplanPolicy {
     /// Routes are fixed at entry: a journey through a road that closes
     /// later queues upstream until the reopening (the congestion
@@ -284,6 +283,9 @@ impl Default for SubstrateScratch {
 pub trait TrafficSubstrate {
     /// Which backend this substrate is.
     fn backend(&self) -> Backend;
+
+    /// The plant clock: the next tick to be simulated.
+    fn now(&self) -> Tick;
 
     /// Simulates one mini-slot, draining `arrivals` (produced for this
     /// tick by a demand generator) and reusing `scratch`'s buffers.
@@ -421,6 +423,10 @@ impl<S: TrafficSubstrate + ?Sized> TrafficSubstrate for Box<S> {
         (**self).backend()
     }
 
+    fn now(&self) -> Tick {
+        (**self).now()
+    }
+
     fn step_into<'a>(
         &mut self,
         arrivals: &mut Vec<Arrival>,
@@ -498,6 +504,10 @@ impl<S: TrafficSubstrate + ?Sized> TrafficSubstrate for Box<S> {
 impl TrafficSubstrate for QueueSim {
     fn backend(&self) -> Backend {
         Backend::Queueing
+    }
+
+    fn now(&self) -> Tick {
+        QueueSim::now(self)
     }
 
     fn step_into<'a>(
@@ -588,6 +598,10 @@ impl TrafficSubstrate for QueueSim {
 impl TrafficSubstrate for MicroSim {
     fn backend(&self) -> Backend {
         Backend::Microscopic
+    }
+
+    fn now(&self) -> Tick {
+        MicroSim::now(self)
     }
 
     fn step_into<'a>(
@@ -914,6 +928,10 @@ impl<S: TrafficSubstrate> InvariantGuard<S> {
 impl<S: TrafficSubstrate> TrafficSubstrate for InvariantGuard<S> {
     fn backend(&self) -> Backend {
         self.inner.backend()
+    }
+
+    fn now(&self) -> Tick {
+        self.inner.now()
     }
 
     fn step_into<'a>(

@@ -503,8 +503,8 @@ impl FlightRecorder {
         &mut self,
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
-        let recorded = reader.take()?;
-        let dropped = reader.take()?;
+        let recorded = reader.take_count("recorded event count")?;
+        let dropped = reader.take_count("dropped event count")?;
         let len = reader.take_usize()?;
         if len > self.capacity {
             return Err(utilbp_core::state::StateError::Invalid {

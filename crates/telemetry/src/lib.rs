@@ -55,8 +55,7 @@
 //! ## Sink formats
 //!
 //! - [`FlightRecorder::to_jsonl`] — one hand-rolled JSON object per
-//!   line (the workspace's offline `serde` shim does not serialize),
-//!   e.g. `{"tick":184,"kind":"watchdog_activated","intersection":4}`.
+//!   line (the workspace has no serialization dependency), e.g. `{"tick":184,"kind":"watchdog_activated","intersection":4}`.
 //!   Keys are emitted in a fixed order; string payloads are escaped.
 //! - [`render_timeline`] — a diffable plain-text timeline: one lane of
 //!   bucketed phase digits per intersection (`x` while degraded, `!` at

@@ -297,13 +297,10 @@ pub mod queueing {
 /// vehicle arena (per-vehicle hot state in one contiguous
 /// struct-of-arrays buffer, roads as index spans), the
 /// occupancy-ordered sweep (an incrementally maintained active-road
-/// list, so empty roads and lanes cost zero cache lines in either
-/// fidelity), incremental sensing, and the
-/// [`microsim::Fidelity`] contract: `Exact` (the default, the mode
-/// every fixed-seed golden pins) vs `Batched` (counter-RNG,
-/// road-granular car-following kernel, validated distributionally by
-/// [`experiments::equivalence`]). `docs/PERFORMANCE.md` tells the
-/// measured story.
+/// list, so empty roads and lanes cost zero cache lines), incremental
+/// sensing, and the one car-following contract every fixed-seed golden
+/// pins (per-road dawdle streams drawn in sequence, as SUMO's Krauss
+/// model does). `docs/PERFORMANCE.md` tells the measured story.
 pub mod microsim {
     pub use utilbp_microsim::*;
 }

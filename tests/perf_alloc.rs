@@ -112,52 +112,6 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
          (budget {BUDGET}) — a per-tick allocation crept back into the hot path"
     );
 
-    // --- Microscopic substrate, batched fidelity. ---
-    // The batched kernel's passes reuse the per-road planar scratch
-    // buffers sized with the segmented lane storage, and the counter RNG
-    // is stateless — batched stepping must be exactly as allocation-free
-    // at steady state as the exact path.
-    let mut sim = MicroSim::new(
-        g.topology().clone(),
-        controllers(n),
-        MicroSimConfig {
-            fidelity: adaptive_backpressure::microsim::Fidelity::Batched,
-            ..MicroSimConfig::default()
-        },
-    );
-    let mut gen = DemandGenerator::new(
-        &g,
-        DemandConfig::new(DemandSchedule::constant(
-            Pattern::II,
-            Ticks::new(WARMUP + MEASURED),
-        )),
-        7,
-    );
-    let mut k = 0u64;
-    for _ in 0..WARMUP {
-        arrivals.clear();
-        gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
-        k += 1;
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED {
-        arrivals.clear();
-        gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
-        k += 1;
-    }
-    let batched_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(
-        sim.vehicles_in_network() > 50,
-        "the run must carry real load"
-    );
-    assert!(
-        batched_allocs <= BUDGET,
-        "microsim batched: {batched_allocs} allocations over {MEASURED} steady-state ticks \
-         (budget {BUDGET}) — the batch kernel must reuse its scratch buffers"
-    );
-
     // --- Queueing substrate. ---
     let mut sim = QueueSim::new(
         g.topology().clone(),

@@ -287,7 +287,6 @@ fn surge_and_fault_scenarios_stay_deterministic_with_events_applied() {
         ],
         replan: ReplanPolicy::Off,
         watchdog: Some(adaptive_backpressure::baselines::WatchdogConfig::default()),
-        fidelity: adaptive_backpressure::microsim::Fidelity::Exact,
     };
     for backend in Backend::ALL {
         let a = run(&spec, backend);
@@ -340,7 +339,6 @@ fn mid_run_fault_switch_toggling_stays_deterministic_across_parallelism() {
         ],
         replan: ReplanPolicy::Off,
         watchdog: None,
-        fidelity: adaptive_backpressure::microsim::Fidelity::Exact,
     };
     let toggled_run = |backend: Backend| -> ScenarioOutcome {
         let config = EngineConfig::new(backend);
@@ -528,7 +526,6 @@ fn congestion_diverted_vehicles_restore_once_the_congested_set_clears() {
             hysteresis: 0.04,
         },
         watchdog: None,
-        fidelity: adaptive_backpressure::microsim::Fidelity::Exact,
     };
     for backend in Backend::ALL {
         let mut engine =
