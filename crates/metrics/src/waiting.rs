@@ -72,8 +72,11 @@ pub struct WaitingLedger {
     /// [`VehicleId`]. Ids are handed out sequentially by the demand
     /// generators, so the slab stays compact and both `enter` and
     /// `complete` are cache-friendly vector indexing instead of hash
-    /// lookups.
+    /// lookups. A restored slab ends at its last live slot; `id_bound`
+    /// keeps the length it had when saved.
     active: Vec<Option<Tick>>,
+    /// One past the largest raw id entered (0 before the first).
+    id_bound: usize,
     /// Number of `Some` entries in `active`.
     active_count: usize,
     waiting: SummaryStats,
@@ -85,6 +88,7 @@ impl Default for WaitingLedger {
     fn default() -> Self {
         WaitingLedger {
             active: Vec::new(),
+            id_bound: 0,
             active_count: 0,
             waiting: SummaryStats::new(),
             journey: SummaryStats::new(),
@@ -101,10 +105,9 @@ impl WaitingLedger {
 
     /// Registers a vehicle entering the network at `tick`.
     ///
-    /// Ids are expected to be issued densely from 0, as the demand
-    /// generators do — the slab grows to the largest raw id seen, so
-    /// sparse gigantic ids would waste memory, and a checkpoint of such a
-    /// ledger does not restore (see [`load_state`](Self::load_state)).
+    /// Ids are expected to be (roughly) sequential — the slab grows to
+    /// the largest raw id seen, so sparse gigantic ids would waste
+    /// memory, not break correctness.
     ///
     /// # Panics
     ///
@@ -114,6 +117,7 @@ impl WaitingLedger {
         let slot = id.raw() as usize;
         if slot >= self.active.len() {
             self.active.resize(slot + 1, None);
+            self.id_bound = self.id_bound.max(slot + 1);
         }
         let previous = self.active[slot].replace(tick);
         if previous.is_none() {
@@ -146,6 +150,12 @@ impl WaitingLedger {
         self.active_count
     }
 
+    /// One past the largest raw vehicle id entered, 0 before the first:
+    /// the number of vehicles seen when ids are issued densely from 0.
+    pub fn id_bound(&self) -> usize {
+        self.id_bound
+    }
+
     /// Waiting-time statistics over completed vehicles (ticks).
     pub fn waiting_stats(&self) -> SummaryStats {
         self.waiting
@@ -168,7 +178,7 @@ impl WaitingLedger {
     /// slots only, in slot order, so the size follows the vehicles on the
     /// network rather than every vehicle ever entered.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
-        writer.push_usize(self.active.len());
+        writer.push_usize(self.id_bound);
         writer.push_usize(self.active_count);
         for (slot, entry) in self.active.iter().enumerate() {
             if let Some(tick) = entry {
@@ -187,66 +197,58 @@ impl WaitingLedger {
     ///
     /// [`StateError`](utilbp_core::state::StateError) when the stream
     /// is truncated or malformed: a live count larger than the slab or
-    /// than the pairs the stream holds, a slab longer than the vehicles
-    /// the ledger has seen (active plus completed: ids are dense), a slot
-    /// outside the slab, or a slot out of order or repeated.
+    /// than the pairs the stream holds, a slot outside the slab, a slot
+    /// out of order or repeated, or a slot too large to allocate. The
+    /// slab is allocated only up to its last live slot, so a corrupt
+    /// length alone never sizes an allocation.
     pub fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
-        let len = reader.take_usize()?;
+        let id_bound = reader.take_usize()?;
         let active_count = reader.take_usize()?;
-        if active_count > len || active_count > reader.remaining() / 2 {
+        if active_count > id_bound || active_count > reader.remaining() / 2 {
             return Err(StateError::Invalid {
                 what: "ledger live count",
                 word: active_count as u64,
             });
         }
-        // The slab length is only bounded by the completed count, which
-        // follows the live pairs: skip them, read the statistics, and
-        // decode the pairs once the slab is known to be sane to allocate.
-        let mut pairs = reader.clone();
-        for _ in 0..2 * active_count {
-            reader.take()?;
-        }
-        let waiting = SummaryStats::load_state(reader)?;
-        let journey = SummaryStats::load_state(reader)?;
-        let waiting_histogram = Histogram::load_state(reader)?;
-        if len as u64 > (active_count as u64).saturating_add(waiting.count()) {
-            return Err(StateError::Invalid {
-                what: "ledger slab length",
-                word: len as u64,
-            });
-        }
-        let mut active = Vec::new();
-        active
-            .try_reserve_exact(len)
-            .map_err(|_| StateError::Invalid {
-                what: "ledger slab length",
-                word: len as u64,
-            })?;
-        active.resize(len, None);
         // Slots are written in ascending order, so each must lie past the
         // previous one: this rejects repeats along with out-of-range slots.
+        // The slab is then allocated up to the last live slot only.
+        let mut pairs = reader.clone();
         let mut next_free = 0;
         for _ in 0..active_count {
-            let word = pairs.take()?;
-            let slot = usize::try_from(word)
+            let word = reader.take()?;
+            next_free = usize::try_from(word)
                 .ok()
-                .filter(|slot| (next_free..len).contains(slot))
+                .filter(|slot| (next_free..id_bound).contains(slot))
                 .ok_or(StateError::Invalid {
                     what: "ledger slot",
                     word,
-                })?;
+                })?
+                + 1;
+            reader.take()?;
+        }
+        let mut active = Vec::new();
+        active
+            .try_reserve_exact(next_free)
+            .map_err(|_| StateError::Invalid {
+                what: "ledger slot",
+                word: next_free as u64 - 1,
+            })?;
+        active.resize(next_free, None);
+        for _ in 0..active_count {
+            let slot = pairs.take()? as usize;
             active[slot] = Some(Tick::new(pairs.take()?));
-            next_free = slot + 1;
         }
         Ok(WaitingLedger {
             active,
+            id_bound,
             active_count,
-            waiting,
-            journey,
-            waiting_histogram,
+            waiting: SummaryStats::load_state(reader)?,
+            journey: SummaryStats::load_state(reader)?,
+            waiting_histogram: Histogram::load_state(reader)?,
         })
     }
 
@@ -369,6 +371,30 @@ mod tests {
     }
 
     #[test]
+    fn sparse_ids_round_trip_and_a_long_slab_is_not_allocated() {
+        // Ids from 1 with a gap, the last vehicle completed: the saved
+        // slab runs past every live slot and past the vehicles seen.
+        let mut l = WaitingLedger::new();
+        for id in [1, 2, 9] {
+            l.enter(VehicleId::new(id), Tick::new(id));
+        }
+        l.complete(VehicleId::new(9), Tick::new(20), 3);
+        let words = saved_words(&l);
+        assert_eq!(words[..6], [10, 2, 1, 1, 2, 2]);
+        let mut back = load_all(&words).unwrap();
+        assert_eq!((back.id_bound(), back.active.len()), (10, 3));
+        assert_eq!(saved_words(&back), words, "save -> load -> save");
+        back.enter(VehicleId::new(5), Tick::new(21));
+        l.enter(VehicleId::new(5), Tick::new(21));
+        assert_eq!(saved_words(&back), saved_words(&l), "entering resumes");
+        // A corrupt length is carried, not allocated.
+        let mut long = words.clone();
+        long[0] = 1 << 60;
+        let back = load_all(&long).unwrap();
+        assert_eq!((back.id_bound(), back.active.len()), (1 << 60, 3));
+    }
+
+    #[test]
     fn malformed_sparse_slabs_are_typed_errors() {
         use utilbp_core::state::StateError;
         let mut l = WaitingLedger::new();
@@ -399,14 +425,6 @@ mod tests {
         assert_eq!(patched(4, 1).map(|_| ()), slot(1), "duplicate slot");
         assert_eq!(patched(2, 3).map(|_| ()), slot(3), "out of order");
         assert_eq!(patched(1, 5).map(|_| ()), count(5), "more live than slab");
-        assert_eq!(
-            patched(0, 5).map(|_| ()),
-            Err(StateError::Invalid {
-                what: "ledger slab length",
-                word: 5,
-            }),
-            "a slab longer than the 4 vehicles seen"
-        );
         for cut in 0..words.len() {
             assert!(load_all(&words[..cut]).is_err(), "truncated to {cut}");
         }

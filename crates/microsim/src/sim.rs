@@ -1756,34 +1756,18 @@ impl MicroSim {
             what: m.what,
             word: m.word,
         };
+        // Audited before the backlog is decoded, while the fleet's routes
+        // are still in cache.
+        self.audit_routes().map_err(invalid)?;
         for r in 0..self.backlogs.len() {
             let len = reader.take_usize()?;
             self.backlogs[r].clear();
-            // A backlog holds many copies of its entry's few routes: the
-            // most recently read distinct ones are matched against the
-            // stream first, and a match shares their allocation and
-            // their check. Routes are immutable, so sharing is invisible.
-            let mut recent: [Option<Arc<Route>>; 4] = Default::default();
             for _ in 0..len {
                 let id = VehicleId::new(reader.take()?);
                 let since = Tick::new(reader.take_at_most(self.now.index(), "backlog entry tick")?);
-                let hit = recent
-                    .iter()
-                    .position(|seen| seen.as_ref().is_some_and(|seen| seen.take_if_next(reader)));
-                let route = match hit {
-                    Some(at) => {
-                        recent[..=at].rotate_right(1);
-                        Arc::clone(recent[0].as_ref().expect("a matched route"))
-                    }
-                    None => {
-                        let route = Route::load_state(reader)?;
-                        self.check_backlog_route(r, &route).map_err(invalid)?;
-                        let route = Arc::new(route);
-                        recent.rotate_right(1);
-                        recent[0] = Some(Arc::clone(&route));
-                        route
-                    }
-                };
+                let route = Route::load_state(reader)?;
+                self.check_backlog_route(r, &route).map_err(invalid)?;
+                let route = Arc::new(route);
                 self.backlogs[r].push_back(Backlogged { id, route, since });
             }
         }
@@ -1793,9 +1777,7 @@ impl MicroSim {
             let node = self.topology.intersection(IntersectionId::new(i as u32));
             slot.controller.check_state(node.layout())?;
         }
-        self.audit_routes()
-            .and_then(|()| self.audit_counters())
-            .map_err(invalid)
+        self.audit_counters().map_err(invalid)
     }
 }
 

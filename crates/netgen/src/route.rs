@@ -66,29 +66,6 @@ impl Route {
         }
     }
 
-    /// Consumes the next route in `reader` if it is this one — the words
-    /// [`save_state`](Self::save_state) writes for it — and reports
-    /// whether it did; otherwise the reader stays where it was. A reader
-    /// of many copies of a few routes can share one allocation per route
-    /// instead of decoding each copy.
-    pub fn take_if_next(&self, reader: &mut utilbp_core::state::StateReader<'_>) -> bool {
-        let mut ahead = reader.clone();
-        let words = [self.entry.index() as u64, self.hops.len() as u64]
-            .into_iter()
-            .chain(
-                self.hops
-                    .iter()
-                    .flat_map(|&(i, l)| [i.index() as u64, l.index() as u64]),
-            );
-        let same = words
-            .into_iter()
-            .all(|word| ahead.take().ok() == Some(word));
-        if same {
-            *reader = ahead;
-        }
-        same
-    }
-
     /// Deserializes a route saved by [`save_state`](Self::save_state).
     ///
     /// # Errors

@@ -977,8 +977,18 @@ impl ScenarioEngine {
     /// due, polls demand, and simulates one mini-slot. The order is fixed
     /// — events, then the congestion check, then demand and the step — so
     /// periodic replans interleave deterministically with the timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the horizon is reached: a run ends there, so every
+    /// capture's tick lies within it, which restore checks.
     pub fn step(&mut self) {
         let now = self.now;
+        assert!(
+            now.index() < self.spec.horizon.count(),
+            "step past the scenario horizon of {} ticks",
+            self.spec.horizon.count()
+        );
         let recording = self.telemetry.active;
         // Periodic checkpoint capture, at the tick boundary before the
         // tick's events apply. The snapshot is taken *before* its own
@@ -1634,8 +1644,9 @@ impl ScenarioEngine {
 
     /// Restores the engine-side dynamic state written by
     /// [`save_engine_state`](Self::save_engine_state), rejecting words
-    /// the step path would trust: a tick past the horizon, a demand
-    /// clock behind it, or a surge factor no event of the spec sets.
+    /// the step path would trust: a tick past the horizon (no step runs
+    /// there), a demand clock behind it, or a surge factor no event of
+    /// the spec sets.
     fn load_engine_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let now = reader.take()?;
         if now > self.spec.horizon.count() {
@@ -1872,15 +1883,23 @@ impl ScenarioEngine {
         }
 
         // Every generated vehicle enters the plant's ledger on its arrival
-        // tick, under ids issued densely from 0, so the next id is the
-        // count of vehicles the ledger has seen. A larger one would size
-        // the ledger's slab at the next arrival.
+        // tick, under ids issued densely from 0, so the next id and the
+        // ledger's id bound both count the vehicles the ledger has seen.
+        // A larger next id would size the ledger's slab at the next
+        // arrival.
         let ledger = engine.substrate.ledger();
         let seen = ledger.active() as u64 + ledger.completed();
         if engine.demand.generated() != seen {
             return Err(StateError::Invalid {
                 what: "demand next vehicle id",
                 word: engine.demand.generated(),
+            }
+            .into());
+        }
+        if ledger.id_bound() as u64 != seen {
+            return Err(StateError::Invalid {
+                what: "ledger id bound",
+                word: ledger.id_bound() as u64,
             }
             .into());
         }

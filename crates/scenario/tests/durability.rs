@@ -424,6 +424,20 @@ fn engine_tick_past_the_horizon_is_rejected() {
 }
 
 #[test]
+fn a_run_ends_at_its_horizon_and_its_last_capture_restores() {
+    let config = EngineConfig::new(Backend::Queueing);
+    let mut engine = engine_for("grid-incident-replan", config, 460);
+    engine.run_to_end();
+    let restored = ScenarioEngine::restore(&engine.checkpoint(), config, &controller)
+        .expect("a capture at the horizon restores");
+    assert_eq!(restored.now().index(), 460);
+    for mut engine in [engine, restored] {
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()));
+        assert!(past.is_err(), "no step runs past the horizon");
+    }
+}
+
+#[test]
 fn demand_clock_behind_the_engine_tick_or_not_finite_is_rejected() {
     let (bytes, config) = incident_capture();
     for seconds in [259.0, -1e300, f64::NAN, f64::INFINITY] {
@@ -469,6 +483,28 @@ fn next_vehicle_id_must_match_the_ledger() {
     for id in [issued + 1, issued - 1, 69_000_000_000] {
         let patched = with_word(&bytes, TAG_ENGINE, next, id);
         expect_invalid(&patched, config, "demand next vehicle id");
+    }
+}
+
+#[test]
+fn ledger_id_bound_must_match_the_vehicles_seen() {
+    let (bytes, config) = incident_capture();
+    let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
+    let (seen, live) = (engine.demand_generated(), engine.ledger().active() as u64);
+    // The ledger's words start with its id bound and its live count.
+    let words = section(&bytes, TAG_PLANT).1.len() / 8;
+    let at: Vec<usize> = (0..words - 1)
+        .filter(|&i| {
+            (
+                word_at(&bytes, TAG_PLANT, i),
+                word_at(&bytes, TAG_PLANT, i + 1),
+            ) == (seen, live)
+        })
+        .collect();
+    assert_eq!(at.len(), 1, "one ledger header");
+    for bound in [seen + 1, 1 << 60] {
+        let patched = with_word(&bytes, TAG_PLANT, at[0], bound);
+        expect_invalid(&patched, config, "ledger id bound");
     }
 }
 
