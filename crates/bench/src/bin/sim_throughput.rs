@@ -26,11 +26,10 @@
 //! Each invocation **appends** a run object to the JSON's `runs` array —
 //! the perf trajectory across PRs is preserved, never overwritten (a
 //! pre-existing single-run file from the old flat format is migrated to
-//! `runs[0]`). Unlike the Criterion `sim_throughput` bench target, this
-//! runner has no harness dependency, uses a fixed warm-up +
-//! measured-tick protocol (best of `BENCH_REPS` repetitions, default 3,
-//! to shrug off scheduler noise), and always emits JSON, which makes its
-//! numbers directly comparable between commits. Scale knobs:
+//! `runs[0]`). The runner uses a fixed warm-up + measured-tick protocol
+//! (best of `BENCH_REPS` repetitions, default 3, to shrug off scheduler
+//! noise) and always emits JSON, which makes its numbers directly
+//! comparable between commits. Scale knobs:
 //! `BENCH_TICKS=<n>` overrides the measured tick count, `BENCH_REPS=<n>`
 //! the repetition count, `BENCH_OUT=<path>` the output path,
 //! `BENCH_LABEL=<s>` the run label recorded in the protocol.

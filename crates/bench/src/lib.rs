@@ -1,65 +1,23 @@
 //! # utilbp-bench
 //!
-//! Benchmark support for the adaptive back-pressure workspace. The actual
-//! targets live under `benches/`:
+//! The simulator throughput harness for the adaptive back-pressure
+//! workspace. It has two binaries:
 //!
-//! - `controller_decide`, `sim_throughput` — Criterion micro-benchmarks
-//!   (controller decision latency, simulator step throughput, grid-size
-//!   scaling);
-//! - `fig2_period_sweep`, `table3_patterns`, `fig3_fig4_phase_traces`,
-//!   `fig5_queue_lengths` — regenerate the paper's evaluation artifacts
-//!   (`cargo bench -p utilbp-bench --bench fig2_period_sweep` prints the
-//!   same rows/series the paper reports);
-//! - `ablation_mechanisms`, `ablation_sensors` — extension studies from
-//!   DESIGN.md (which UTIL-BP mechanism buys what; detector-range
-//!   sensitivity).
+//! - `sim_throughput` steps both substrates over fixed workloads under
+//!   UTIL-BP and appends one run to the machine-readable perf trajectory
+//!   (`BENCH_sim_throughput.json`);
+//! - `verify_bench` checks a trajectory file's structural invariants.
 //!
-//! By default the regeneration targets run at a reduced scale (15-minute
-//! pattern hours) so `cargo bench` finishes in minutes; set `UTILBP_FULL=1`
-//! for the paper's full 1-hour/4-hour horizons, and see
-//! [`bench_options`] for the exact policy.
+//! The JSON rendering and those invariants live in [`trajectory`], shared
+//! by both binaries and unit-tested, so the checks also run locally via
+//! `cargo test -p utilbp-bench`.
 //!
-//! The plain `sim_throughput` *binary* (no Criterion) writes the
-//! machine-readable perf trajectory; its JSON rendering and the
-//! structural invariants CI checks on it live in [`trajectory`] (shared
-//! with the `verify_bench` binary, and unit-tested so the invariants run
-//! locally via `cargo test -p utilbp-bench`).
+//! The paper's tables and figures and the extension studies are
+//! regenerated by the `utilbp-experiments` binaries (`fig2`, `table3`,
+//! `fig3_fig4`, `fig5`, `ablations`); the engine-level benchmark with
+//! per-layer metrics is the separate `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod trajectory;
-
-use utilbp_core::Ticks;
-use utilbp_experiments::ExperimentOptions;
-
-/// Options used by the table/figure regeneration bench targets: the
-/// paper's setup, scaled down unless `UTILBP_FULL=1` is set.
-///
-/// The scaled version keeps the microscopic backend and the full trace
-/// horizon (Figs. 3–5 are cheap) but shortens the pattern hour to 900 s
-/// and coarsens the period sweep.
-pub fn bench_options() -> ExperimentOptions {
-    let mut opts = ExperimentOptions::paper();
-    if std::env::var("UTILBP_FULL").is_ok_and(|v| v == "1") {
-        return opts;
-    }
-    opts.hour = Ticks::new(900);
-    opts.periods = vec![10, 14, 18, 22, 28, 40, 60, 80];
-    opts
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_options_are_scaled_by_default() {
-        // The test environment does not set UTILBP_FULL.
-        if std::env::var("UTILBP_FULL").is_err() {
-            let opts = bench_options();
-            assert_eq!(opts.hour, Ticks::new(900));
-            assert!(opts.periods.len() >= 6);
-        }
-    }
-}

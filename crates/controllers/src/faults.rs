@@ -4,7 +4,8 @@
 //! The paper's CPS framing makes the sensor path explicit — queue lengths
 //! are *measured*, not known. This decorator models the three classic
 //! detector failure modes so any controller's sensitivity to imperfect
-//! sensing can be quantified (see the `robustness_sensor_faults` bench):
+//! sensing can be quantified (see the sensor-dropout study in
+//! the `ablations` binary):
 //!
 //! - **dropout**: a reading is lost and reported as zero (stuck-off loop
 //!   detector);

@@ -4,15 +4,17 @@
 //! per-movement pressure (Eq. 6 change (i)), the `α`/`β` special cases
 //! (Eq. 8), the `g*` keep-phase hysteresis (Eq. 12), and varying-length
 //! phases themselves. This module compares the full controller against one
-//! variant per mechanism, on identical demand.
+//! variant per mechanism, on identical demand, and varies the plant's
+//! lanes and detectors under the same demand ([`plant_studies`]).
 
 use utilbp_core::{GStarPolicy, GainMode, UtilBpConfig};
 use utilbp_metrics::TextTable;
+use utilbp_microsim::LaneDiscipline;
 use utilbp_netgen::{DemandSchedule, Pattern};
 
 use crate::options::ExperimentOptions;
-use crate::runner::{run_many, Probe};
-use crate::scenario::{ControllerKind, Scenario};
+use crate::runner::{run, run_many, Probe};
+use crate::scenario::{Backend, ControllerKind, Scenario};
 
 /// One ablation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +113,70 @@ pub fn ablation(opts: &ExperimentOptions, pattern: Pattern) -> AblationResult {
     }
 }
 
+/// Two extension studies of the plant's physical setup, run on the
+/// microscopic plant whatever `opts.backend` says (the queueing plant has
+/// neither lanes nor detectors):
+///
+/// - UTIL-BP with the paper's dedicated per-movement lanes against mixed
+///   lanes with head-of-line blocking (Section IV, Q4);
+/// - UTIL-BP and CAP-BP (T=16) with queue detectors of 30–200 m.
+///
+/// Returns both tables, rendered.
+pub fn plant_studies(opts: &ExperimentOptions, pattern: Pattern) -> String {
+    let paper = Scenario::paper(
+        DemandSchedule::constant(pattern, opts.hour),
+        Backend::Microscopic,
+        opts.seed,
+    );
+
+    let mut lanes = TextTable::new([
+        "Lane discipline",
+        "Avg queuing [s]",
+        "Completed",
+        "Generated",
+    ]);
+    for (label, discipline) in [
+        (
+            "dedicated per movement (paper)",
+            LaneDiscipline::DedicatedPerMovement,
+        ),
+        ("mixed lanes (HOL blocking)", LaneDiscipline::SharedMixed),
+    ] {
+        let mut scenario = paper.clone();
+        scenario.micro.lane_discipline = discipline;
+        let r = run(&scenario, &ControllerKind::UtilBp, &Probe::none());
+        lanes.push_row([
+            label.to_string(),
+            format!("{:.2}", r.avg_queuing_time_s),
+            r.completed.to_string(),
+            r.generated.to_string(),
+        ]);
+    }
+
+    let mut ranges = TextTable::new([
+        "Detector range [m]",
+        "UTIL-BP avg queuing [s]",
+        "CAP-BP (T=16) avg queuing [s]",
+    ]);
+    let kinds = [ControllerKind::UtilBp, ControllerKind::CapBp { period: 16 }];
+    for range in [30.0, 50.0, 100.0, 200.0] {
+        let mut scenario = paper.clone();
+        scenario.micro.detection_range_m = range;
+        let mut row = vec![format!("{range}")];
+        for r in run_many(&scenario, &kinds, &Probe::none()) {
+            row.push(format!("{:.2}", r.avg_queuing_time_s));
+        }
+        ranges.push_row(row);
+    }
+
+    format!(
+        "Head-of-line blocking study (UTIL-BP, Pattern {pattern})\n\n{}\n\
+         Detector-range sensitivity (Pattern {pattern})\n\n{}",
+        lanes.render(),
+        ranges.render()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +200,19 @@ mod tests {
         let rendered = result.render();
         assert!(rendered.contains("Ablation"));
         assert!(rendered.contains("no hysteresis"));
+    }
+
+    #[test]
+    fn plant_studies_run_quick() {
+        let mut opts = ExperimentOptions::quick();
+        opts.hour = utilbp_core::Ticks::new(120);
+        let rendered = plant_studies(&opts, Pattern::I);
+        assert!(rendered.contains("Head-of-line blocking study"));
+        assert!(rendered.contains("mixed lanes (HOL blocking)"));
+        assert!(rendered.contains("Detector-range sensitivity"));
+        assert!(
+            rendered.contains("| 200 "),
+            "one row per range:\n{rendered}"
+        );
     }
 }

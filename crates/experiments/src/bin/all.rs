@@ -2,7 +2,10 @@
 //! one run, plus the input tables and the ablation extension.
 
 fn main() {
-    let opts = utilbp_experiments::ExperimentOptions::from_env();
+    let opts = utilbp_experiments::ExperimentOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("all: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "regenerating all artifacts on the {} backend (hour = {} ticks)…",
         opts.backend,

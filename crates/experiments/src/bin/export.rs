@@ -3,7 +3,10 @@
 //! Output directory: `UTILBP_OUT` (default `target/experiments`).
 
 fn main() {
-    let opts = utilbp_experiments::ExperimentOptions::from_env();
+    let opts = utilbp_experiments::ExperimentOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("export: {e}");
+        std::process::exit(1);
+    });
     let dir = std::env::var("UTILBP_OUT").unwrap_or_else(|_| "target/experiments".to_string());
     let dir = std::path::PathBuf::from(dir);
     eprintln!(

@@ -2,7 +2,10 @@
 //! intersection under CAP-BP (optimal period) and UTIL-BP.
 
 fn main() {
-    let opts = utilbp_experiments::ExperimentOptions::from_env();
+    let opts = utilbp_experiments::ExperimentOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("fig3_fig4: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "running Figs. 3–4 on the {} backend ({} ticks)…",
         opts.backend,

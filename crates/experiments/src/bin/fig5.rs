@@ -2,7 +2,10 @@
 //! intersection, Pattern I, CAP-BP vs UTIL-BP.
 
 fn main() {
-    let opts = utilbp_experiments::ExperimentOptions::from_env();
+    let opts = utilbp_experiments::ExperimentOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("fig5: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "running Fig. 5 on the {} backend ({} ticks)…",
         opts.backend,

@@ -3,7 +3,10 @@
 //! Env: `UTILBP_QUICK=1` for a scaled run, `UTILBP_BACKEND=queueing|micro`.
 
 fn main() {
-    let opts = utilbp_experiments::ExperimentOptions::from_env();
+    let opts = utilbp_experiments::ExperimentOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("table3: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "running Table III on the {} backend (hour = {} ticks)…",
         opts.backend,

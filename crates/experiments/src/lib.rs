@@ -12,6 +12,7 @@
 //! | Figs. 3–4 | [`pattern1_detail`] → `render_fig3_fig4` | `fig3_fig4` |
 //! | Fig. 5 | [`pattern1_detail`] → `render_fig5` | `fig5` |
 //! | Ablations (extension) | [`ablation`] | `ablations` |
+//! | Extension studies: α/β trade-off, seed robustness, lane discipline, detector range, sensor dropout | [`tradeoff`], [`robustness`], [`plant_studies`], [`scenario_comparison`] | `ablations` |
 //!
 //! All experiments run on either substrate ([`Backend::Microscopic`] — the
 //! SUMO substitute, used for headline numbers — or [`Backend::Queueing`]
@@ -40,7 +41,7 @@ mod trace;
 mod traces;
 mod tradeoff;
 
-pub use ablation::{ablation, variants, AblationResult, AblationRow};
+pub use ablation::{ablation, plant_studies, variants, AblationResult, AblationRow};
 pub use chaos::{chaos_timeline, run_chaos, ChaosConfig, ChaosReport, TimelineReport};
 pub use fig2::{fig2, Fig2Result};
 pub use inputs::{render_table1, render_table2};

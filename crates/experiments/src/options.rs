@@ -56,28 +56,45 @@ impl ExperimentOptions {
     /// [`quick`](Self::quick), `UTILBP_BACKEND=queueing|micro` overrides
     /// the substrate, `UTILBP_HOUR=<secs>` the hour length, and
     /// `UTILBP_SEED=<n>` the seed.
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable when a set value is not
+    /// understood: an unknown backend, or an hour or seed that is not a
+    /// whole number (the hour must also be at least 1).
+    pub fn from_env() -> Result<Self, String> {
         let mut opts = if std::env::var("UTILBP_QUICK").is_ok_and(|v| v == "1") {
             ExperimentOptions::quick()
         } else {
             ExperimentOptions::paper()
         };
-        match std::env::var("UTILBP_BACKEND").as_deref() {
-            Ok("queueing") => opts.backend = Backend::Queueing,
-            Ok("micro") | Ok("microscopic") => opts.backend = Backend::Microscopic,
-            _ => {}
+        if let Ok(backend) = std::env::var("UTILBP_BACKEND") {
+            opts.backend = match backend.as_str() {
+                "queueing" => Backend::Queueing,
+                "micro" | "microscopic" => Backend::Microscopic,
+                other => {
+                    return Err(format!(
+                        "UTILBP_BACKEND: unknown backend `{other}` (queueing|micro|microscopic)"
+                    ))
+                }
+            };
         }
         if let Ok(hour) = std::env::var("UTILBP_HOUR") {
-            if let Ok(secs) = hour.parse::<u64>() {
-                opts.hour = Ticks::new(secs.max(1));
-            }
+            opts.hour = match hour.parse::<u64>() {
+                Ok(secs) if secs > 0 => Ticks::new(secs),
+                _ => {
+                    return Err(format!(
+                        "UTILBP_HOUR: expected a positive number of seconds, got `{hour}`"
+                    ))
+                }
+            };
         }
         if let Ok(seed) = std::env::var("UTILBP_SEED") {
-            if let Ok(s) = seed.parse::<u64>() {
-                opts.seed = s;
-            }
+            opts.seed = seed.parse().map_err(|_| {
+                format!("UTILBP_SEED: expected a non-negative integer, got `{seed}`")
+            })?;
         }
-        opts
+        Ok(opts)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Operator-facing error paths of the `scenarios`, `chaos`, and `trace`
-//! binaries: bad input gets a one-line stderr diagnostic and a non-zero
-//! exit, never a panic (no `RUST_BACKTRACE` noise, no abort).
+//! binaries and of the `UTILBP_*` environment the paper binaries read:
+//! bad input gets a one-line stderr diagnostic and a non-zero exit, never
+//! a panic (no `RUST_BACKTRACE` noise, no abort).
 
 use std::process::{Command, Output};
 
@@ -21,6 +22,14 @@ fn chaos(args: &[&str]) -> Output {
 fn trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace"))
         .args(args)
+        .output()
+        .expect("binary spawns")
+}
+
+/// A paper binary run with one `UTILBP_*` variable set.
+fn with_env(binary: &str, var: &str, value: &str) -> Output {
+    Command::new(binary)
+        .env(var, value)
         .output()
         .expect("binary spawns")
 }
@@ -184,5 +193,29 @@ fn chaos_rejects_bad_arguments() {
         &chaos(&["--backend", "imaginary"]),
         "chaos",
         "unknown backend `imaginary`",
+    );
+}
+
+#[test]
+fn experiment_binaries_reject_malformed_environment_values() {
+    assert_clean_failure(
+        &with_env(env!("CARGO_BIN_EXE_table3"), "UTILBP_BACKEND", "queuing"),
+        "table3",
+        "UTILBP_BACKEND: unknown backend `queuing`",
+    );
+    assert_clean_failure(
+        &with_env(env!("CARGO_BIN_EXE_fig2"), "UTILBP_HOUR", "abc"),
+        "fig2",
+        "UTILBP_HOUR: expected a positive number of seconds, got `abc`",
+    );
+    assert_clean_failure(
+        &with_env(env!("CARGO_BIN_EXE_ablations"), "UTILBP_HOUR", "0"),
+        "ablations",
+        "UTILBP_HOUR: expected a positive number of seconds, got `0`",
+    );
+    assert_clean_failure(
+        &with_env(env!("CARGO_BIN_EXE_all"), "UTILBP_SEED", "-1"),
+        "all",
+        "UTILBP_SEED: expected a non-negative integer, got `-1`",
     );
 }

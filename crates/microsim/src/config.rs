@@ -11,8 +11,9 @@ pub enum LaneDiscipline {
     DedicatedPerMovement,
     /// Mixed lanes (the paper's future-work scenario): vehicles pick the
     /// shortest lane regardless of destination, and a head vehicle whose
-    /// movement is red blocks everyone behind it. Used by the
-    /// `ablation_lanes` bench to quantify what dedicated lanes buy.
+    /// movement is red blocks everyone behind it. The `ablations`
+    /// binary's lane-discipline study uses it to quantify what dedicated
+    /// lanes buy.
     SharedMixed,
 }
 
