@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
-    PhaseId, QueueObservation, SignalController, Tick, Ticks,
+    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
+    PhaseDecision, PhaseId, QueueObservation, SignalController, Tick, Ticks,
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
@@ -130,6 +130,10 @@ struct RoadState {
     capacity: u32,
     /// Destination intersection index, if the road feeds one.
     dest_intersection: Option<usize>,
+    /// The intersection arm feeding the road, if any: its observation
+    /// reads the road's `queued` counter as that arm's outgoing
+    /// occupancy.
+    source: Option<(IntersectionId, OutgoingId)>,
 }
 
 /// One feasible link of one intersection, in the flat per-link table
@@ -215,18 +219,21 @@ fn decrement(counter: &mut u32, what: &str, road: usize, link: Option<usize>) {
 /// Cumulative wall-clock seconds attributed to each section of the
 /// queueing step pipeline by [`QueueSim::step_into_timed`]. Fields are
 /// **added onto** across ticks, so one instance accumulates a whole
-/// run's profile. Every section's cost scales with the work it finds
-/// except `decide` and `serve`, which visit every intersection.
+/// run's profile. Every section's cost scales with the work it finds,
+/// apart from one call per controller in `decide` and one decision read
+/// per intersection in `serve`. Sensing has no section of its own:
+/// `transit` and `serve` update the readings of the queues they change.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepPhaseTimings {
     /// Transit arrivals landing on queues + boundary backlog drains,
     /// visiting only roads with a non-empty delay line or backlog.
     pub transit: f64,
-    /// Sensing ([`QueueSim::observe_into`] per intersection) +
-    /// controller decisions (every controller, every tick).
+    /// Controller decisions (every controller, every tick) on the
+    /// observation buffer, which is already current.
     pub decide: f64,
     /// Serving activated links: every link of an active phase earns
-    /// credit; only non-empty queues go on to serve.
+    /// credit; only non-empty queues go on to serve. An intersection
+    /// whose phase is settled (empty queues, capped credit) is skipped.
     pub serve: f64,
     /// Exogenous arrival injection + report bookkeeping.
     pub inject: f64,
@@ -331,7 +338,12 @@ pub struct QueueSim {
     config: QueueSimConfig,
     controllers: Vec<ControllerSlot>,
     roads: Vec<RoadState>,
-    /// Reusable per-step observation scratch (no steady-state allocation).
+    /// Every intersection's readings, updated in place where they
+    /// change: a transit arrival joining a movement queue and a serve
+    /// popping one each update the queue's movement reading at its
+    /// intersection and the road's outgoing reading at its source.
+    /// Derived state, never checkpointed: `load_state` rebuilds it with
+    /// `observe_into`.
     obs_buf: ObservationBuffer,
     // Flat lookup tables, built once (plain integer indices for
     // borrow-free hot loops).
@@ -360,6 +372,12 @@ pub struct QueueSim {
     transit_live: RoadSet,
     /// Roads whose boundary backlog is non-empty.
     backlog_live: RoadSet,
+    /// Per intersection, the phase whose last serve left every one of
+    /// its links with an empty queue and capped credit, so serving it
+    /// again is a no-op, until a vehicle joins one of the intersection's
+    /// queues. A cache of the step path, never checkpointed:
+    /// `load_state` clears it.
+    settled: Vec<Option<PhaseId>>,
     /// Vehicles waiting outside full boundary entry roads, FIFO.
     backlogs: Vec<VecDeque<(VehicleId, Arc<Route>, Tick)>>,
     ledger: WaitingLedger,
@@ -476,10 +494,12 @@ impl QueueSim {
                     travel,
                     capacity: road.capacity(),
                     dest_intersection: road.dest().map(|(i, _)| i.index()),
+                    source: road.source(),
                 }
             })
             .collect();
         let num_roads = topology.num_roads();
+        let num_intersections = phase_base.len();
         let backlogs = vec![VecDeque::new(); num_roads];
 
         let mut obs_buf = ObservationBuffer::new();
@@ -507,6 +527,7 @@ impl QueueSim {
             transit_by_link: vec![0; num_links],
             transit_live: RoadSet::new(num_roads),
             backlog_live: RoadSet::new(num_roads),
+            settled: vec![None; num_intersections],
             backlogs,
             ledger: WaitingLedger::new(),
             now: Tick::ZERO,
@@ -698,11 +719,13 @@ impl QueueSim {
     }
 
     /// Writes the observation for `intersection` into `obs` (shaped for
-    /// the intersection's layout) without allocating. This is the step's
-    /// own sense phase: a gather over the intersection's slice of the
-    /// flat movement queues (their lengths) and of the outgoing-road
-    /// table (each road's incrementally maintained `queued` counter),
-    /// with no topology or layout walk.
+    /// the intersection's layout) without allocating. This is the plant's
+    /// only sense gather: `load_state` runs it on every intersection to
+    /// rebuild the observation buffer, which steps then keep current, and
+    /// `verify_sensors` checks the buffer against it. It gathers the
+    /// intersection's slice of the flat movement queues (their lengths)
+    /// and of the outgoing-road table (each road's incrementally
+    /// maintained `queued` counter), with no topology or layout walk.
     ///
     /// # Panics
     ///
@@ -729,11 +752,16 @@ impl QueueSim {
     /// downstream arm, its occupancy the queued vehicles plus its delay
     /// line, and the per-movement in-transit counters and the sets of
     /// roads with a non-empty delay line or backlog must match a rescan.
-    /// Debug/test facility backing the regression suite.
+    /// It also validates what the step derives from that state: every
+    /// intersection's buffered observation must equal a fresh
+    /// [`observe_into`](Self::observe_into), and every settled phase's
+    /// links must have empty queues and capped credit. Debug/test
+    /// facility backing the regression suite.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first divergent road.
+    /// Returns a message naming the first divergent road, link or
+    /// intersection.
     pub fn verify_sensors(&self) -> Result<(), String> {
         self.audit().map_err(|m| m.detail)?;
         for (r, road) in self.roads.iter().enumerate() {
@@ -760,6 +788,32 @@ impl QueueSim {
                 "link {g}: incremental in-transit count {} != rescan {}",
                 self.transit_by_link[g], transit_by_link[g]
             ));
+        }
+        for (i, buffered) in self.obs_buf.as_slice().iter().enumerate() {
+            let mut fresh = buffered.clone();
+            self.observe_into(IntersectionId::new(i as u32), &mut fresh);
+            if fresh != *buffered {
+                return Err(format!(
+                    "intersection {i}: buffered observation {buffered:?} != a fresh sense \
+                     {fresh:?}"
+                ));
+            }
+            let Some(phase) = self.settled[i] else {
+                continue;
+            };
+            let (start, end) = self.phases[self.phase_base[i] + phase.index()];
+            for &g in &self.phase_links[start..end] {
+                let g = g as usize;
+                let cap = self.links[g].mu_dt.max(1.0);
+                if !self.queues[g].is_empty() || self.credit[g] != cap {
+                    return Err(format!(
+                        "intersection {i}: settled on phase {phase} but link {g} holds {} \
+                         queued at credit {} (cap {cap})",
+                        self.queues[g].len(),
+                        self.credit[g]
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -920,32 +974,26 @@ impl QueueSim {
         self.drain_backlogs(now);
         watch.lap(|t| &mut t.transit);
 
-        // Sense: rewrite the reusable observation buffer, one flat gather
-        // per intersection (queue lengths and the incremental road
-        // counters).
-        let mut obs_buf = std::mem::take(&mut self.obs_buf);
-        for (i, obs) in obs_buf.as_mut_slice().iter_mut().enumerate() {
-            self.observe_into(IntersectionId::new(i as u32), obs);
-        }
-
-        // Decide, per intersection, from purely local observations — one
-        // controller per slot.
+        // Sense is already done: the two sites that change a reading keep
+        // the observation buffer current. Decide, per intersection, from
+        // purely local observations — one controller per slot.
         {
             let topology = &self.topology;
-            parallel::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
+            parallel::decide_all(&mut self.controllers, &self.obs_buf, now, |idx| {
                 topology
                     .intersection(IntersectionId::new(idx as u32))
                     .layout()
             });
         }
-        self.obs_buf = obs_buf;
         watch.lap(|t| &mut t.decide);
 
-        // Serve activated links.
+        // Serve activated links, skipping settled phases (a no-op).
         let mut served = 0u32;
         for i in 0..self.controllers.len() {
             if let PhaseDecision::Control(phase) = self.controllers[i].decision {
-                served += self.serve_phase(i, phase, now);
+                if self.settled[i] != Some(phase) {
+                    served += self.serve_phase(i, phase, now);
+                }
             }
         }
         watch.lap(|t| &mut t.serve);
@@ -989,6 +1037,7 @@ impl QueueSim {
         let mut next = self.transit_live.next_from(0);
         while let Some(r) = next {
             let dest = self.roads[r].dest_intersection;
+            let source = self.roads[r].source;
             loop {
                 match self.roads[r].transit.front() {
                     Some(front) if front.arrives <= now => {}
@@ -1016,8 +1065,14 @@ impl QueueSim {
                             waited: v.waited,
                         });
                         // Occupancy unchanged: the queue is the head of the
-                        // same road. The queued counter tracks the join.
+                        // same road. The queued counter tracks the join,
+                        // and so do the readings that show it.
                         self.roads[r].queued += 1;
+                        self.obs_buf.get_mut(intersection).movements_mut()[link.index()] += 1;
+                        if let Some((u, arm)) = source {
+                            self.obs_buf.get_mut(u.index()).outgoings_mut()[arm.index()] += 1;
+                        }
+                        self.settled[intersection] = None;
                     }
                     None => {
                         // Boundary exit: the vehicle leaves the network,
@@ -1060,9 +1115,12 @@ impl QueueSim {
     }
 
     /// Serves every link of `phase` at intersection index `i`; returns the
-    /// number of vehicles served.
+    /// number of vehicles served. Records whether the phase is now
+    /// settled: every link's queue was empty and its credit is at the
+    /// cap, so serving the phase again changes nothing.
     fn serve_phase(&mut self, i: usize, phase: PhaseId, now: Tick) -> u32 {
         let mut served = 0u32;
+        let mut settled = true;
         let (start, end) = self.phases[self.phase_base[i] + phase.index()];
         for k in start..end {
             let g = self.phase_links[k] as usize;
@@ -1075,12 +1133,16 @@ impl QueueSim {
             // the per-slot budget at the service rate: a link cannot bank
             // green time it could not use (no queue or no space) to serve
             // a burst above µ later.
+            let cap = mu_dt.max(1.0);
             let credit = &mut self.credit[g];
-            *credit = (*credit + mu_dt).min(mu_dt.max(1.0));
+            *credit = (*credit + mu_dt).min(cap);
             let mut budget = credit.floor() as u32;
             if self.queues[g].is_empty() {
+                settled &= *credit == cap;
                 continue;
             }
+            // A queued vehicle either leaves, spending credit, or stays.
+            settled = false;
 
             while budget > 0 {
                 let out = &self.roads[out_road as usize];
@@ -1102,6 +1164,12 @@ impl QueueSim {
                 let in_state = &mut self.roads[r];
                 decrement(&mut in_state.occupancy, "occupancy", r, link);
                 decrement(&mut in_state.queued, "queued count", r, link);
+                // …and its queue's readings, here and upstream…
+                let source = in_state.source;
+                self.obs_buf.get_mut(i).movements_mut()[g - self.link_off[i]] -= 1;
+                if let Some((u, arm)) = source {
+                    self.obs_buf.get_mut(u.index()).outgoings_mut()[arm.index()] -= 1;
+                }
                 // …and enter the outgoing one toward the next hop.
                 self.enter_road(
                     RoadId::new(out_road),
@@ -1113,6 +1181,7 @@ impl QueueSim {
                 );
             }
         }
+        self.settled[i] = settled.then_some(phase);
         served
     }
 
@@ -1281,6 +1350,8 @@ impl QueueSim {
     /// another movement, or a road's `queued` or `occupancy` counter
     /// disagrees with a rescan of its queues and delay line.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        // The settled marks describe the state being replaced.
+        self.settled.fill(None);
         self.now = Tick::new(reader.take()?);
         self.total_served = reader.take_count("queueing served count")?;
         // Waiting accumulators and entry ticks cannot exceed the ticks
@@ -1392,6 +1463,12 @@ impl QueueSim {
                 self.backlog_live.insert(r);
             }
         }
+        // The observation buffer is derived from the same state.
+        let mut obs_buf = std::mem::take(&mut self.obs_buf);
+        for (i, obs) in obs_buf.as_mut_slice().iter_mut().enumerate() {
+            self.observe_into(IntersectionId::new(i as u32), obs);
+        }
+        self.obs_buf = obs_buf;
         Ok(())
     }
 
@@ -1621,5 +1698,150 @@ mod tests {
         }
         assert_eq!(original.backlog_len(), 0, "the backlog drained");
         assert!(original.road_entered(closed) > 0);
+    }
+
+    /// A join whose upstream reading update went missing: the buffered
+    /// outgoing reading of a queued road's source falls one short.
+    #[test]
+    fn a_missed_reading_update_is_named_by_verify_sensors() {
+        let (_, mut s) = loaded();
+        s.verify_sensors().expect("a current buffer");
+        let (u, arm) = s
+            .roads
+            .iter()
+            .filter(|road| road.queued > 0)
+            .find_map(|road| road.source)
+            .expect("a queued internal road");
+        s.obs_buf.get_mut(u.index()).outgoings_mut()[arm.index()] -= 1;
+        let err = s.verify_sensors().expect_err("a stale reading");
+        assert!(
+            err.starts_with(&format!("intersection {}: buffered", u.index())),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_false_settled_mark_is_named_by_verify_sensors() {
+        let (grid, mut s) = loaded();
+        // A phase with a vehicle queued on one of its links.
+        let (i, phase) = (0..s.phase_base.len())
+            .flat_map(|i| {
+                let node = grid.topology().intersection(IntersectionId::new(i as u32));
+                node.layout().phase_ids().map(move |p| (i, p))
+            })
+            .find(|&(i, p)| {
+                let (start, end) = s.phases[s.phase_base[i] + p.index()];
+                s.phase_links[start..end]
+                    .iter()
+                    .any(|&g| !s.queues[g as usize].is_empty())
+            })
+            .expect("a phase with a queue");
+        s.settled[i] = Some(phase);
+        let err = s
+            .verify_sensors()
+            .expect_err("a settled phase with a queue");
+        assert!(
+            err.starts_with(&format!("intersection {i}: settled on phase {phase}")),
+            "{err}"
+        );
+    }
+
+    /// Once the network drains, a step serves nothing: every control
+    /// phase is settled.
+    #[test]
+    fn a_drained_network_serves_nothing() {
+        let (grid, mut s) = loaded();
+        s.set_road_closed(grid.entries()[0].road, false);
+        s.run_empty(Ticks::new(2_000));
+        assert_eq!(s.ledger().active(), 0, "the network drained");
+        s.step(Vec::new());
+        for (i, slot) in s.controllers.iter().enumerate() {
+            assert_eq!(
+                s.settled[i],
+                slot.decision.phase(),
+                "intersection {i} serves a settled phase"
+            );
+        }
+        s.verify_sensors().expect("settled marks hold");
+    }
+
+    /// Under a fractional service rate (`µ·Δt < 1`) an empty phase banks
+    /// credit over several serves, so it settles only once its credit is
+    /// capped; the oracle holds every tick through load and drain.
+    #[test]
+    fn a_fractional_service_rate_settles_only_at_capped_credit() {
+        let grid = GridNetwork::new(GridSpec {
+            service_rate: 0.5,
+            ..GridSpec::paper()
+        });
+        let mut s = sim(&grid);
+        let mut gen = demand(&grid);
+        for k in 0..1_500 {
+            let arrivals = if k < 200 {
+                gen.poll(&grid, Tick::new(k))
+            } else {
+                Vec::new()
+            };
+            s.step(arrivals);
+            s.verify_sensors().unwrap_or_else(|e| panic!("k={k}: {e}"));
+        }
+        assert!(s.settled.iter().any(Option::is_some), "a settled phase");
+    }
+
+    /// The observation buffer and the settled marks are derived, not
+    /// state: a capture loaded over a plant that has been running another
+    /// demand — both describing that other run, busy or drained since —
+    /// continues capture for capture like the capture's own run, and so
+    /// does a fresh plant.
+    #[test]
+    fn a_capture_loaded_over_a_running_plant_continues_like_its_source() {
+        let grid = GridNetwork::new(GridSpec::paper());
+        let mut source = sim(&grid);
+        let mut gen = demand(&grid);
+        for k in 0..300 {
+            source.step(gen.poll(&grid, Tick::new(k)));
+        }
+        // A lull drains part of the network, so that the capture has idle
+        // junctions next to queued ones.
+        for k in 300..340 {
+            gen.poll(&grid, Tick::new(k));
+            source.step(Vec::new());
+        }
+        let bytes = capture(&source);
+
+        let other_run = |drain: u64| {
+            let mut plant = sim(&grid);
+            let mut other = DemandGenerator::new(
+                &grid,
+                DemandConfig::new(DemandSchedule::constant(Pattern::III, Ticks::new(10_000))),
+                9,
+            );
+            for k in 0..250 {
+                plant.step(other.poll(&grid, Tick::new(k)));
+            }
+            plant.run_empty(Ticks::new(drain));
+            plant
+        };
+        let mut plants = [
+            ("busy", other_run(0)),
+            ("drained", other_run(1_500)),
+            ("fresh", sim(&grid)),
+        ];
+        for (_, plant) in &mut plants {
+            plant
+                .load_state(&mut StateReader::new(&bytes))
+                .expect("an intact capture");
+        }
+
+        for k in 340..840 {
+            let arrivals = gen.poll(&grid, Tick::new(k));
+            let want = source.step(arrivals.clone());
+            let want_bytes = capture(&source);
+            for (name, plant) in &mut plants {
+                assert_eq!(plant.step(arrivals.clone()), want, "{name} report at k={k}");
+                assert_eq!(capture(plant), want_bytes, "{name} state at k={k}");
+                plant.verify_sensors().expect("restored caches");
+            }
+        }
     }
 }
