@@ -18,10 +18,10 @@
 //! Every simulator is built through `utilbp-substrate`'s shared
 //! constructor
 //! and stepped through the `TrafficSubstrate` trait, exactly like the
-//! production drivers. Microscopic grid rows also record a per-phase
-//! wall-clock breakdown (decide / car-following / landings / waiting,
-//! via the trait's timed step on a separate rep) so future optimization
-//! PRs can attribute their wins.
+//! production callers. Grid rows also record a per-phase wall-clock
+//! breakdown (decide / car-following / landings / waiting, via the
+//! trait's step with a `PhaseTimings` attached, on a separate rep) so
+//! future optimization PRs can attribute their wins.
 //!
 //! Each invocation **appends** a run object to the JSON's `runs` array —
 //! the perf trajectory across PRs is preserved, never overwritten (a
@@ -38,12 +38,12 @@ use std::time::Instant;
 
 use utilbp_bench::trajectory::{append_run, render_run, Measurement};
 use utilbp_core::{SignalController, Tick, Ticks, UtilBp};
-use utilbp_microsim::{MicroSimConfig, PhaseTimings};
+use utilbp_microsim::MicroSimConfig;
 use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
 use utilbp_scenario::{builtin, Backend, CheckpointPolicy, EngineConfig, ScenarioEngine};
-use utilbp_substrate::{build_substrate, SubstrateScratch};
+use utilbp_substrate::{build_substrate, PhaseTimings, SubstrateScratch};
 
 const WARMUP_TICKS: u64 = 300;
 
@@ -65,10 +65,9 @@ fn demand(grid: &GridNetwork) -> DemandGenerator {
 }
 
 /// Grid workload on either backend, built through the shared substrate
-/// constructor and stepped through the `TrafficSubstrate` trait.
-/// Microscopic rows add one instrumented rep for phase attribution
-/// (kept out of the headline measurement so the `Instant` reads cannot
-/// skew it); the queueing substrate has no phase breakdown.
+/// constructor and stepped through the `TrafficSubstrate` trait. One
+/// extra instrumented rep attributes time to the step's phases (kept out
+/// of the headline measurement so the `Instant` reads cannot skew it).
 fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measurement {
     let grid = GridNetwork::new(GridSpec::with_size(size, size));
     let n = grid.topology().num_intersections();
@@ -85,7 +84,7 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
     for _ in 0..WARMUP_TICKS {
         arrivals.clear();
         gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut scratch);
+        sim.step_into(&mut arrivals, &mut scratch, None);
         k += 1;
     }
     let mut best = f64::INFINITY;
@@ -94,30 +93,24 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
         for _ in 0..ticks {
             arrivals.clear();
             gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-            sim.step_into(&mut arrivals, &mut scratch);
+            sim.step_into(&mut arrivals, &mut scratch, None);
             k += 1;
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
-    let phases = match backend {
-        Backend::Queueing => None,
-        Backend::Microscopic => {
-            let mut phases = PhaseTimings::default();
-            for _ in 0..ticks {
-                arrivals.clear();
-                gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-                sim.step_into_timed(&mut arrivals, &mut scratch, &mut phases);
-                k += 1;
-            }
-            Some(phases)
-        }
-    };
+    let mut phases = PhaseTimings::default();
+    for _ in 0..ticks {
+        arrivals.clear();
+        gen.poll_into(&grid, Tick::new(k), &mut arrivals);
+        sim.step_into(&mut arrivals, &mut scratch, Some(&mut phases));
+        k += 1;
+    }
     Measurement {
         substrate: backend.name(),
         workload: format!("{size}x{size}"),
         ticks,
         seconds: best,
-        phases,
+        phases: Some(phases),
     }
 }
 

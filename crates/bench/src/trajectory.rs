@@ -15,7 +15,7 @@
 //! in `docs/PERFORMANCE.md`; keep the two in sync when the schema
 //! changes.
 
-use utilbp_microsim::PhaseTimings;
+use utilbp_substrate::PhaseTimings;
 
 /// Workload rows every fresh trajectory run must contain (the largest
 /// grid plus the scenario-driven rows, including both replanning
@@ -38,8 +38,8 @@ pub struct Measurement {
     pub ticks: u64,
     /// Best-of-reps wall-clock seconds for the measured ticks.
     pub seconds: f64,
-    /// Per-phase breakdown (microscopic rows only), from one extra timed
-    /// rep — fractions of that rep's step time.
+    /// Per-phase breakdown (grid rows only), from one extra timed rep —
+    /// fractions of that rep's step time.
     pub phases: Option<PhaseTimings>,
 }
 

@@ -56,11 +56,11 @@
 #![warn(missing_docs)]
 
 mod controller;
+pub mod decide;
 mod ids;
 mod layout;
 pub mod notation;
 mod observation;
-pub mod parallel;
 pub mod pressure;
 pub mod standard;
 pub mod state;

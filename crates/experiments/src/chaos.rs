@@ -9,10 +9,11 @@
 //! a one-line repro.
 //!
 //! For every timeline × backend the harness runs the scenario three
-//! times, always with the [`InvariantGuard`] installed (so vehicle
+//! times, always under `EngineConfig::guarded()`, so the engine runs an
+//! [`InvariantGuard`] against the plant after every tick (vehicle
 //! conservation, sensor consistency, and closed-road emptiness are
-//! re-proved after every tick — any violation panics with a tick-stamped
-//! diagnostic), then runs a recovery round:
+//! re-proved; any violation panics with a tick-stamped diagnostic),
+//! then runs a recovery round:
 //!
 //! 1. watchdog installed — the reference outcome;
 //! 2. watchdog installed again — must equal the reference bit for bit

@@ -128,7 +128,7 @@ pub fn run(scenario: &Scenario, controller: &ControllerKind, probe: &Probe) -> R
         let tick = Tick::new(k);
         arrivals.clear();
         demand.poll_into(&grid, tick, &mut arrivals);
-        let decisions = substrate.step_into(&mut arrivals, &mut scratch);
+        let decisions = substrate.step_into(&mut arrivals, &mut scratch, None);
         for (slot, &i) in probe.phase_traces.iter().enumerate() {
             traces[slot].record(tick, decisions[i.index()]);
         }

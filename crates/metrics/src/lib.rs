@@ -11,7 +11,9 @@
 //! - [`WaitingLedger`] / [`VehicleId`] — per-vehicle queuing-time
 //!   accounting (Fig. 2, Table III);
 //! - [`TextTable`] and [`ascii_chart`] — diffable plain-text rendering of
-//!   tables and figure shapes.
+//!   tables and figure shapes;
+//! - [`PhaseTimings`] / [`PhaseStopwatch`] — the one per-phase step
+//!   timing both simulators lap into.
 //!
 //! ```
 //! use utilbp_core::Tick;
@@ -35,6 +37,7 @@ mod histogram;
 mod render;
 mod series;
 mod summary;
+mod timing;
 mod trace;
 mod waiting;
 
@@ -42,5 +45,6 @@ pub use histogram::Histogram;
 pub use render::{ascii_chart, TextTable};
 pub use series::TimeSeries;
 pub use summary::SummaryStats;
+pub use timing::{PhaseStopwatch, PhaseTimings};
 pub use trace::PhaseTrace;
 pub use waiting::{VehicleId, WaitingLedger};

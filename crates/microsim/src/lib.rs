@@ -114,9 +114,10 @@
 //! every tick via [`MicroSim::step_into`] /
 //! [`MicroSim::observe_into`], so the steady-state step path performs no
 //! heap allocation (bounded by a counting-allocator regression test).
-//! The allocating `step`/`observe` remain as thin convenience wrappers,
-//! and [`MicroSim::step_into_timed`] attributes wall-clock time to the
-//! pipeline's phase groups for the perf harness.
+//! The allocating `step`/`observe` remain as thin convenience wrappers.
+//! Handed a `PhaseTimings`, the same `step_into` attributes wall-clock
+//! time to the pipeline's phase groups for the profiler and the perf
+//! harness.
 //!
 //! **One serial step path.** Every phase runs on the calling thread.
 //! UTIL-BP is decentralized because each controller reads only its own
@@ -146,7 +147,7 @@ mod sim;
 
 pub use config::{LaneDiscipline, MicroSimConfig, OutgoingSensor};
 pub use krauss::{next_speed, safe_speed, LeaderInfo};
-pub use sim::{MicroSim, PhaseTimings, StepReport};
+pub use sim::{MicroSim, StepReport};
 
 #[cfg(test)]
 mod tests {

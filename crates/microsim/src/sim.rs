@@ -43,16 +43,15 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
+    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
     PhaseDecision, QueueObservation, SignalController, Tick,
 };
-use utilbp_metrics::{VehicleId, WaitingLedger};
+use utilbp_metrics::{PhaseStopwatch, PhaseTimings, VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
 
 use crate::config::MicroSimConfig;
@@ -222,51 +221,6 @@ impl StepReport {
             crossings: 0,
             completed: 0,
             injected: 0,
-        }
-    }
-}
-
-/// Cumulative wall-clock seconds spent in each phase group of the step
-/// pipeline, filled by [`MicroSim::step_into_timed`]. Lets the perf
-/// harness attribute throughput wins to phases instead of guessing.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTimings {
-    /// Sense + controller decide + signal refresh.
-    pub decide: f64,
-    /// Box countdown + head release + follower car-following (the
-    /// physics).
-    pub car_following: f64,
-    /// Junction-box landings.
-    pub landings: f64,
-    /// Insertions, backlog drain, and waiting/report bookkeeping.
-    pub waiting: f64,
-}
-
-impl PhaseTimings {
-    /// Total time across all phases.
-    pub fn total(&self) -> f64 {
-        self.decide + self.car_following + self.landings + self.waiting
-    }
-}
-
-/// Accumulates phase laps into a [`PhaseTimings`]; a no-op when detached
-/// (the untimed step path takes no `Instant` readings at all).
-struct PhaseStopwatch<'a> {
-    timings: Option<&'a mut PhaseTimings>,
-    last: Option<Instant>,
-}
-
-impl<'a> PhaseStopwatch<'a> {
-    fn new(timings: Option<&'a mut PhaseTimings>) -> Self {
-        let last = timings.as_ref().map(|_| Instant::now());
-        PhaseStopwatch { timings, last }
-    }
-
-    fn lap(&mut self, pick: fn(&mut PhaseTimings) -> &mut f64) {
-        if let (Some(t), Some(last)) = (self.timings.as_deref_mut(), self.last) {
-            let now = Instant::now();
-            *pick(t) += now.duration_since(last).as_secs_f64();
-            self.last = Some(now);
         }
     }
 }
@@ -1034,7 +988,7 @@ impl MicroSim {
     pub fn step(&mut self, arrivals: Vec<Arrival>) -> StepReport {
         let mut arrivals = arrivals;
         let mut report = StepReport::empty();
-        self.step_into(&mut arrivals, &mut report);
+        self.step_into(&mut arrivals, &mut report, None);
         report
     }
 
@@ -1042,24 +996,11 @@ impl MicroSim {
     /// and overwrites `report` in place, reusing its buffers. This is the
     /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
     /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from observations or decision vectors.
-    pub fn step_into(&mut self, arrivals: &mut Vec<Arrival>, report: &mut StepReport) {
-        self.step_phases(arrivals, report, None);
-    }
-
-    /// [`step_into`](Self::step_into) with per-phase wall-clock
-    /// attribution: each phase group's elapsed time is *added* to
-    /// `timings`, so one accumulator can span a whole measured run.
-    pub fn step_into_timed(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        report: &mut StepReport,
-        timings: &mut PhaseTimings,
-    ) {
-        self.step_phases(arrivals, report, Some(timings));
-    }
-
-    fn step_phases(
+    /// from observations or decision vectors. With `timings` attached,
+    /// each phase group's wall-clock time is *added* onto it (see
+    /// [`PhaseTimings`] for what each lap covers); without, the step
+    /// takes no clock readings.
+    pub fn step_into(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         report: &mut StepReport,
@@ -1080,7 +1021,7 @@ impl MicroSim {
         //    observation.
         {
             let topology = &self.topology;
-            parallel::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
+            decide::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
                 topology
                     .intersection(IntersectionId::new(idx as u32))
                     .layout()
@@ -1833,7 +1774,7 @@ mod occupancy_probe {
         for k in 0..500u64 {
             arrivals.clear();
             gen.poll_into(&g, utilbp_core::Tick::new(k), &mut arrivals);
-            sim.step_into(&mut arrivals, &mut report);
+            sim.step_into(&mut arrivals, &mut report, None);
         }
         let mut hist = [0usize; 64];
         let (mut lanes_total, mut lanes_occupied, mut vehicles) = (0usize, 0usize, 0usize);
@@ -1887,7 +1828,7 @@ mod occupancy_probe {
         let mut step = |sim: &mut MicroSim, gen: &mut DemandGenerator, k: &mut u64| {
             arrivals.clear();
             gen.poll_into(&g, utilbp_core::Tick::new(*k), &mut arrivals);
-            sim.step_into(&mut arrivals, &mut report);
+            sim.step_into(&mut arrivals, &mut report, None);
             *k += 1;
         };
         for _ in 0..200 {

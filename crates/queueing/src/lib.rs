@@ -25,7 +25,7 @@
 
 mod sim;
 
-pub use sim::{QueueSim, QueueSimConfig, StepPhaseTimings, StepReport, TransitModel};
+pub use sim::{QueueSim, QueueSimConfig, StepReport, TransitModel};
 
 #[cfg(test)]
 mod tests {

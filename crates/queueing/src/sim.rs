@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
+    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
     PhaseDecision, PhaseId, QueueObservation, SignalController, Tick, Ticks,
 };
-use utilbp_metrics::{VehicleId, WaitingLedger};
+use utilbp_metrics::{PhaseStopwatch, PhaseTimings, VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
 
 /// How vehicles travel between a junction's exit and the next queue.
@@ -214,60 +214,6 @@ fn decrement(counter: &mut u32, what: &str, road: usize, link: Option<usize>) {
         Some(link) => panic!("{what} underflow on road {road} (link {link})"),
         None => panic!("{what} underflow on road {road}"),
     });
-}
-
-/// Cumulative wall-clock seconds attributed to each section of the
-/// queueing step pipeline by [`QueueSim::step_into_timed`]. Fields are
-/// **added onto** across ticks, so one instance accumulates a whole
-/// run's profile. Every section's cost scales with the work it finds,
-/// apart from one call per controller in `decide` and one decision read
-/// per intersection in `serve`. Sensing has no section of its own:
-/// `transit` and `serve` update the readings of the queues they change.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StepPhaseTimings {
-    /// Transit arrivals landing on queues + boundary backlog drains,
-    /// visiting only roads with a non-empty delay line or backlog.
-    pub transit: f64,
-    /// Controller decisions (every controller, every tick) on the
-    /// observation buffer, which is already current.
-    pub decide: f64,
-    /// Serving activated links: every link of an active phase earns
-    /// credit; only non-empty queues go on to serve. An intersection
-    /// whose phase is settled (empty queues, capped credit) is skipped.
-    pub serve: f64,
-    /// Exogenous arrival injection + report bookkeeping.
-    pub inject: f64,
-}
-
-impl StepPhaseTimings {
-    /// Total attributed seconds.
-    pub fn total(&self) -> f64 {
-        self.transit + self.decide + self.serve + self.inject
-    }
-}
-
-/// Lap timer for [`QueueSim::step_into_timed`]: when disabled (`None`
-/// timings) every call is a no-op the optimizer removes, so the untimed
-/// hot path pays nothing.
-struct SlotStopwatch<'a> {
-    timings: Option<&'a mut StepPhaseTimings>,
-    last: Option<std::time::Instant>,
-}
-
-impl<'a> SlotStopwatch<'a> {
-    fn new(timings: Option<&'a mut StepPhaseTimings>) -> Self {
-        let last = timings.as_ref().map(|_| std::time::Instant::now());
-        SlotStopwatch { timings, last }
-    }
-
-    /// Adds the time since the previous lap onto the picked field.
-    fn lap(&mut self, pick: fn(&mut StepPhaseTimings) -> &mut f64) {
-        if let (Some(timings), Some(last)) = (self.timings.as_deref_mut(), self.last.as_mut()) {
-            let now = std::time::Instant::now();
-            *pick(timings) += now.duration_since(*last).as_secs_f64();
-            *last = now;
-        }
-    }
 }
 
 /// What happened during one simulation step.
@@ -934,7 +880,7 @@ impl QueueSim {
     pub fn step(&mut self, arrivals: Vec<Arrival>) -> StepReport {
         let mut arrivals = arrivals;
         let mut report = StepReport::empty();
-        self.step_into(&mut arrivals, &mut report);
+        self.step_into(&mut arrivals, &mut report, None);
         report
     }
 
@@ -942,44 +888,31 @@ impl QueueSim {
     /// and overwrites `report` in place, reusing its buffers. This is the
     /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
     /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from the stepping machinery.
-    pub fn step_into(&mut self, arrivals: &mut Vec<Arrival>, report: &mut StepReport) {
-        self.step_impl(arrivals, report, None);
-    }
-
-    /// [`step_into`](Self::step_into) with per-section wall-clock
-    /// attribution: each pipeline section's elapsed time is **added**
-    /// onto the matching [`StepPhaseTimings`] field. Timing reads are
-    /// measurements, not inputs — the simulated outcome is identical to
-    /// the untimed path.
-    pub fn step_into_timed(
+    /// from the stepping machinery. With `timings` attached, each
+    /// pipeline section's wall-clock time is **added** onto it: transit
+    /// and backlog drains to `landings`, decide to `decide`, serve to
+    /// `car_following` and injection to `waiting` (see [`PhaseTimings`]).
+    /// Timing reads are measurements, not inputs — the simulated outcome
+    /// is identical either way.
+    pub fn step_into(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         report: &mut StepReport,
-        timings: &mut StepPhaseTimings,
+        timings: Option<&mut PhaseTimings>,
     ) {
-        self.step_impl(arrivals, report, Some(timings));
-    }
-
-    fn step_impl(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        report: &mut StepReport,
-        timings: Option<&mut StepPhaseTimings>,
-    ) {
-        let mut watch = SlotStopwatch::new(timings);
+        let mut watch = PhaseStopwatch::new(timings);
         let now = self.now;
 
         let completed = self.move_transit_arrivals(now);
         self.drain_backlogs(now);
-        watch.lap(|t| &mut t.transit);
+        watch.lap(|t| &mut t.landings);
 
         // Sense is already done: the two sites that change a reading keep
         // the observation buffer current. Decide, per intersection, from
         // purely local observations — one controller per slot.
         {
             let topology = &self.topology;
-            parallel::decide_all(&mut self.controllers, &self.obs_buf, now, |idx| {
+            decide::decide_all(&mut self.controllers, &self.obs_buf, now, |idx| {
                 topology
                     .intersection(IntersectionId::new(idx as u32))
                     .layout()
@@ -996,7 +929,7 @@ impl QueueSim {
                 }
             }
         }
-        watch.lap(|t| &mut t.serve);
+        watch.lap(|t| &mut t.car_following);
 
         // Inject this slot's exogenous arrivals.
         let mut injected = 0u32;
@@ -1016,7 +949,7 @@ impl QueueSim {
         report.served = served;
         report.completed = completed;
         report.injected = injected;
-        watch.lap(|t| &mut t.inject);
+        watch.lap(|t| &mut t.waiting);
     }
 
     /// Runs `horizon` steps with no exogenous demand (useful to drain the

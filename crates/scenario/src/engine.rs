@@ -22,8 +22,8 @@
 //! monitor (fixed-time fallback) on the inside — so the watchdog judges
 //! exactly the sensor stream the controller sees, and the actuator fault
 //! distorts whatever the (possibly degraded) controller commands. An
-//! [`EngineConfig::guard`] flag wraps the substrate in an
-//! [`InvariantGuard`] that re-proves conservation every tick.
+//! [`EngineConfig::guard`] mode installs an [`InvariantGuard`] next to
+//! the substrate, which re-proves conservation after every tick.
 //!
 //! The engine is also the attachment point of the `utilbp-telemetry`
 //! flight recorder: [`ScenarioEngine::enable_recording`] installs a
@@ -42,14 +42,13 @@ use utilbp_baselines::{
 };
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{SignalController, Tick, Ticks};
-use utilbp_metrics::{TimeSeries, VehicleId, WaitingLedger};
+use utilbp_metrics::{PhaseTimings, TimeSeries, VehicleId, WaitingLedger};
 use utilbp_microsim::MicroSimConfig;
-use utilbp_microsim::PhaseTimings;
 use utilbp_microsim::{LaneDiscipline, OutgoingSensor};
 use utilbp_netgen::{Arrival, Network, Replanner, RoadId, TurningProbabilities};
 use utilbp_snapshot::{crc32, SnapshotReader, SnapshotWriter};
 use utilbp_substrate::{
-    build_substrate, GuardLog, GuardViolation, InvariantGuard, SubstrateScratch, TrafficSubstrate,
+    build_substrate, GuardMode, InvariantGuard, SubstrateScratch, TrafficSubstrate,
 };
 use utilbp_telemetry::{
     Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, NullRecorder, Recorder,
@@ -72,19 +71,16 @@ pub struct EngineConfig {
     pub backend: Backend,
     /// Microscopic parameters.
     pub micro: MicroSimConfig,
-    /// When set, the substrate is wrapped in an [`InvariantGuard`] that
+    /// When set, the engine installs an [`InvariantGuard`] that
     /// re-proves vehicle conservation, sensor consistency, and
-    /// closed-road emptiness after every tick, panicking with a
-    /// tick-stamped diagnostic on the first violation. Off by default:
-    /// the guard costs a per-tick occupancy sweep, and production runs
-    /// pay nothing for it when disabled.
-    pub guard: bool,
-    /// With [`guard`](Self::guard) set, switches the guard to
-    /// **observe** mode: violations are logged (and surfaced as
-    /// `guard_violation` events when a recorder is installed) instead of
-    /// aborting the run. Ignored when the guard is off. Chaos harnesses
-    /// keep the default panicking mode; the `trace` replay uses this.
-    pub guard_observe: bool,
+    /// closed-road emptiness after every tick. [`GuardMode::Panic`]
+    /// aborts the run with a tick-stamped diagnostic on the first
+    /// violation (chaos harnesses use it); [`GuardMode::Observe`] keeps
+    /// stepping and surfaces violations as `guard_violation` events when
+    /// a recorder is installed (the `trace` replay uses it). Off by
+    /// default: the guard costs a per-tick occupancy sweep, and
+    /// production runs pay nothing for it when disabled.
+    pub guard: Option<GuardMode>,
 }
 
 impl EngineConfig {
@@ -93,22 +89,20 @@ impl EngineConfig {
         EngineConfig {
             backend,
             micro: MicroSimConfig::default(),
-            guard: false,
-            guard_observe: false,
+            guard: None,
         }
     }
 
     /// The same config with the invariant guard enabled.
     pub fn guarded(mut self) -> Self {
-        self.guard = true;
+        self.guard = Some(GuardMode::Panic);
         self
     }
 
     /// The same config with the invariant guard enabled in observe
     /// (non-panicking, event-emitting) mode.
     pub fn observed(mut self) -> Self {
-        self.guard = true;
-        self.guard_observe = true;
+        self.guard = Some(GuardMode::Observe);
         self
     }
 }
@@ -350,8 +344,6 @@ struct Telemetry {
     /// Watchdog counter watermarks, for activation/recovery deltas.
     prev_activations: Vec<u64>,
     prev_recoveries: Vec<u64>,
-    /// Reusable buffer for draining the observe-mode guard log.
-    violations: Vec<GuardViolation>,
 }
 
 impl Telemetry {
@@ -364,7 +356,6 @@ impl Telemetry {
             prev_trace: Vec::new(),
             prev_activations: Vec::new(),
             prev_recoveries: Vec::new(),
-            violations: Vec::new(),
         }
     }
 
@@ -451,6 +442,9 @@ pub struct ScenarioEngine {
     network: Network,
     demand: NetworkDemand,
     substrate: Box<dyn TrafficSubstrate>,
+    /// The invariant checker run after every step (see
+    /// [`EngineConfig::guard`]).
+    guard: Option<InvariantGuard>,
     dt_seconds: f64,
     actions: Vec<(Tick, Action)>,
     cursor: usize,
@@ -501,9 +495,6 @@ pub struct ScenarioEngine {
     weight_scratch: Vec<f64>,
     /// The flight-recorder / gauge / profiler plane (off by default).
     telemetry: Telemetry,
-    /// The observe-mode guard's violation log (only under
-    /// [`EngineConfig::guard_observe`]).
-    guard_log: Option<GuardLog>,
     /// The configuration the engine was built under — embedded in
     /// checkpoints so restore can reject a mismatched offer, and reused
     /// by [`fork`](Self::fork).
@@ -593,18 +584,6 @@ impl ScenarioEngine {
             controllers,
             micro,
         );
-        let mut guard_log = None;
-        let substrate: Box<dyn TrafficSubstrate> = if config.guard {
-            if config.guard_observe {
-                let log = GuardLog::new();
-                guard_log = Some(log.clone());
-                Box::new(InvariantGuard::observing(substrate, log))
-            } else {
-                Box::new(InvariantGuard::new(substrate))
-            }
-        } else {
-            substrate
-        };
 
         let mut actions: Vec<(Tick, Action)> = Vec::new();
         for event in &spec.events {
@@ -660,6 +639,7 @@ impl ScenarioEngine {
             network,
             demand,
             substrate,
+            guard: config.guard.map(InvariantGuard::new),
             dt_seconds: micro.dt_seconds,
             actions,
             cursor: 0,
@@ -684,7 +664,6 @@ impl ScenarioEngine {
             closed_scratch: Vec::new(),
             weight_scratch: Vec::new(),
             telemetry: Telemetry::off(),
-            guard_log,
             config,
             ckpt_policy: None,
             checkpoints: Vec::new(),
@@ -923,8 +902,8 @@ impl ScenarioEngine {
             .unwrap_or(&[])
     }
 
-    /// Turns on the tick-section profiler: subsequent steps run through
-    /// the substrate's timed path and attribute wall-clock to
+    /// Turns on the tick-section profiler: subsequent steps hand the
+    /// substrate a [`PhaseTimings`] and attribute wall-clock to
     /// [`Section`]s. Profiling measures the run without influencing it.
     pub fn enable_profiling(&mut self) {
         self.telemetry.profiler = Some(TickProfiler::new());
@@ -1023,6 +1002,9 @@ impl ScenarioEngine {
             match action {
                 Action::Closed(road, closed) => {
                     self.substrate.set_road_closed(road, closed);
+                    if let Some(guard) = self.guard.as_mut() {
+                        guard.road_toggled(road);
+                    }
                     self.demand.set_road_closed(&self.network, road, closed);
                     if recording {
                         let road = road.index() as u32;
@@ -1140,38 +1122,28 @@ impl ScenarioEngine {
         self.arrivals.clear();
         self.demand
             .poll_into(&self.network, now, &mut self.arrivals);
-        if self.telemetry.profiler.is_some() {
-            let mut timings = PhaseTimings::default();
-            {
-                let decisions = self.substrate.step_into_timed(
-                    &mut self.arrivals,
-                    &mut self.scratch,
-                    &mut timings,
-                );
-                if recording {
-                    self.telemetry.record_phases(now, decisions);
-                }
-            }
-            let profiler = self
-                .telemetry
-                .profiler
-                .as_mut()
-                .expect("profiler installed");
+        let mut timings = PhaseTimings::default();
+        let profiling = self.telemetry.profiler.is_some();
+        let decisions = self.substrate.step_into(
+            &mut self.arrivals,
+            &mut self.scratch,
+            profiling.then_some(&mut timings),
+        );
+        if recording {
+            self.telemetry.record_phases(now, decisions);
+        }
+        if let Some(profiler) = self.telemetry.profiler.as_mut() {
             profiler.record(Section::Decide, timings.decide);
             profiler.record(Section::CarFollowing, timings.car_following);
             profiler.record(Section::Landings, timings.landings);
             profiler.record(Section::Waiting, timings.waiting);
-        } else {
-            let decisions = self
-                .substrate
-                .step_into(&mut self.arrivals, &mut self.scratch);
-            if recording {
-                self.telemetry.record_phases(now, decisions);
-            }
+        }
+        if let Some(guard) = self.guard.as_mut() {
+            guard.check(&*self.substrate);
         }
         if recording {
             self.telemetry.record_watchdogs(now, &self.watchdogs);
-            self.drain_guard_log();
+            self.record_guard_violations();
         }
         self.sample_gauges(now);
         self.now = now.next();
@@ -1179,13 +1151,11 @@ impl ScenarioEngine {
 
     /// Moves observe-mode guard violations into the recorder as
     /// tick-stamped `guard_violation` events.
-    fn drain_guard_log(&mut self) {
-        let Some(log) = &self.guard_log else {
+    fn record_guard_violations(&mut self) {
+        let Some(guard) = self.guard.as_mut() else {
             return;
         };
-        self.telemetry.violations.clear();
-        log.drain_into(&mut self.telemetry.violations);
-        for violation in self.telemetry.violations.drain(..) {
+        for violation in guard.drain_violations() {
             self.telemetry.recorder.record(Event {
                 tick: Tick::new(violation.tick),
                 kind: EventKind::GuardViolation {
@@ -1549,8 +1519,8 @@ impl ScenarioEngine {
                 Backend::Queueing => 0,
                 Backend::Microscopic => 1,
             });
-            meta.push_bool(self.config.guard);
-            meta.push_bool(self.config.guard_observe);
+            meta.push_bool(self.config.guard.is_some());
+            meta.push_bool(self.config.guard == Some(GuardMode::Observe));
             meta.push(micro_fingerprint(&self.config.micro));
             match self.ckpt_policy {
                 Some(policy) => {
@@ -1569,7 +1539,11 @@ impl ScenarioEngine {
         });
 
         snapshot.section_bytes(TAG_SPEC, self.spec.to_text().as_bytes());
-        snapshot.section_state(TAG_PLANT, |plant| self.substrate.save_state(plant));
+        // Inside the plant section, a guard's words precede the plant's.
+        snapshot.section_state(TAG_PLANT, |plant| match &self.guard {
+            Some(guard) => guard.save_state(plant, &*self.substrate),
+            None => self.substrate.save_state(plant),
+        });
         snapshot.section_state(TAG_ENGINE, |engine| self.save_engine_state(engine));
 
         if let Some(recorder) = self.recorder() {
@@ -1729,7 +1703,7 @@ impl ScenarioEngine {
     /// to the uninterrupted run — same [`ScenarioOutcome`], same
     /// telemetry JSONL.
     ///
-    /// `config.backend`, the guard flags and the microscopic parameters
+    /// `config.backend`, the guard mode and the microscopic parameters
     /// must match the capturing engine's (the plant state is
     /// substrate-shaped).
     ///
@@ -1767,10 +1741,10 @@ impl ScenarioEngine {
         if backend != config.backend {
             return Err(RestoreError::Mismatch { what: "backend" });
         }
-        if meta.take_bool()? != config.guard {
+        if meta.take_bool()? != config.guard.is_some() {
             return Err(RestoreError::Mismatch { what: "guard" });
         }
-        if meta.take_bool()? != config.guard_observe {
+        if meta.take_bool()? != (config.guard == Some(GuardMode::Observe)) {
             return Err(RestoreError::Mismatch {
                 what: "guard_observe",
             });
@@ -1844,7 +1818,10 @@ impl ScenarioEngine {
         }
 
         let mut reader = snapshot.words(TAG_PLANT)?;
-        engine.substrate.load_state(&mut reader)?;
+        match engine.guard.as_mut() {
+            Some(guard) => guard.load_state(&mut reader, &mut *engine.substrate)?,
+            None => engine.substrate.load_state(&mut reader)?,
+        }
         reader.finish().map_err(RestoreError::from)?;
 
         // A recording engine brings its watchdog watermarks up to the

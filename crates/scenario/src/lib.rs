@@ -151,5 +151,7 @@ pub use spec::{
 };
 
 // Re-exported so downstream crates can name the network type scenarios
-// are built on without depending on utilbp-netgen directly.
+// are built on, and the guard mode `EngineConfig` holds, without
+// depending on utilbp-netgen or utilbp-substrate directly.
 pub use utilbp_netgen::Network;
+pub use utilbp_substrate::GuardMode;

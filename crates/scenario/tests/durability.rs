@@ -521,6 +521,75 @@ fn plant_tick_that_disagrees_with_the_engine_is_rejected() {
     }
 }
 
+/// The incident builtin on the queueing plant under the guard, cut
+/// mid-closure at 260. The plant section opens with the guard's words:
+/// its checked-tick count, the closure watermark count and one flag
+/// (plus a level when set) per road, then the entered watermark count.
+fn guarded_incident_capture() -> (Vec<u8>, EngineConfig) {
+    let config = EngineConfig::new(Backend::Queueing).guarded();
+    (capture("grid-incident-replan", config, 460, 260), config)
+}
+
+#[test]
+fn guard_tick_count_that_disagrees_with_the_plant_is_rejected() {
+    let (bytes, config) = guarded_incident_capture();
+    assert_eq!(
+        word_at(&bytes, TAG_PLANT, 0),
+        260,
+        "word 0 is the tick count"
+    );
+    for ticks in [259, 261, 1 << 40] {
+        let patched = with_word(&bytes, TAG_PLANT, 0, ticks);
+        expect_invalid(&patched, config, "guard tick count");
+    }
+    // Tick 0 comes before the first check, whose watermarks are empty.
+    let patched = with_word(&bytes, TAG_PLANT, 0, 0);
+    expect_invalid(&patched, config, "guard closure watermark count");
+}
+
+/// The guarded capture, its road count and the index of its entered
+/// watermark count (after one flag, plus a level when set, per road).
+fn guarded_watermark_words() -> (Vec<u8>, EngineConfig, u64, usize) {
+    let (bytes, config) = guarded_incident_capture();
+    let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
+    let roads = engine.network().topology().num_roads() as u64;
+    assert_eq!(word_at(&bytes, TAG_PLANT, 1), roads);
+    let mut entered = 2;
+    for _ in 0..roads {
+        entered += 1 + word_at(&bytes, TAG_PLANT, entered) as usize;
+    }
+    assert_eq!(word_at(&bytes, TAG_PLANT, entered), roads);
+    (bytes, config, roads, entered)
+}
+
+#[test]
+fn guard_watermark_count_that_is_not_the_road_count_is_rejected() {
+    let (bytes, config, roads, entered) = guarded_watermark_words();
+    for count in [0, 1, roads - 1, roads + 1, 1 << 40] {
+        let patched = with_word(&bytes, TAG_PLANT, 1, count);
+        expect_invalid(&patched, config, "guard closure watermark count");
+        let patched = with_word(&bytes, TAG_PLANT, entered, count);
+        expect_invalid(&patched, config, "guard entered watermark count");
+    }
+    // A capture before the first check holds empty watermarks.
+    let early = capture("grid-incident-replan", config, 460, 0);
+    assert_eq!(word_at(&early, TAG_PLANT, 1), 0);
+    let mut resumed = ScenarioEngine::restore(&early, config, &controller).expect("tick 0");
+    (0..50).for_each(|_| resumed.step());
+}
+
+#[test]
+fn guard_watermark_that_disagrees_with_the_plant_is_rejected() {
+    // After a check the watermarks are the plant's own levels: a
+    // different one would trip the restored guard on its next check.
+    let (bytes, config, _, entered) = guarded_watermark_words();
+    let level = word_at(&bytes, TAG_PLANT, entered + 1);
+    for word in [level + 1, level.wrapping_sub(1), u64::MAX] {
+        let patched = with_word(&bytes, TAG_PLANT, entered + 1, word);
+        expect_invalid(&patched, config, "guard watermark");
+    }
+}
+
 #[test]
 fn watchdog_watermark_that_disagrees_with_the_counters_is_rejected() {
     // The telemetry section ends with the per-intersection recovery

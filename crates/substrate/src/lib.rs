@@ -79,9 +79,10 @@
 //!
 //! ## The invariant guard
 //!
-//! [`InvariantGuard`] is an **opt-in** wrapper over any substrate that
-//! re-derives the contract's bookkeeping invariants after every step and
-//! panics with a tick-stamped diagnostic on the first violation:
+//! [`InvariantGuard`] is an **opt-in** checker that sits next to a
+//! substrate rather than inside it: its owner (the scenario engine)
+//! calls [`InvariantGuard::check`] after every step, and it re-derives
+//! the contract's bookkeeping invariants from the plant's query surface:
 //!
 //! - **Vehicle conservation** — every vehicle the demand layer injected
 //!   is exactly one of *completed*, *on the network* (road occupancy,
@@ -96,30 +97,30 @@
 //!   occupancy never increases while it stays closed, and no road's
 //!   cumulative `entered` counter ever decreases.
 //!
-//! The guard is a plain wrapper: when it is not installed nothing in the
-//! step path changes (zero cost), and because every check is read-only
-//! the guarded run produces bit-identical metrics to the unguarded one —
-//! fixed-seed goldens are unchanged. The checks rescan the network, so
-//! install the guard in tests, chaos harnesses, and debugging sessions
-//! rather than benchmark loops.
+//! Every check is read-only, so a guarded run produces bit-identical
+//! metrics to the unguarded one — fixed-seed goldens are unchanged —
+//! and without a guard nothing in the step path changes. The checks
+//! rescan the network, so install the guard in tests, chaos harnesses,
+//! and debugging sessions rather than benchmark loops.
 //!
-//! Besides the default abort-on-violation mode
-//! ([`InvariantGuard::new`]), the guard has a non-panicking **observe**
-//! mode ([`InvariantGuard::observing`]) that appends every violation to
-//! a shared [`GuardLog`] and keeps stepping — the `utilbp-telemetry`
-//! flight recorder drains that log into tick-stamped `guard_violation`
-//! events so traces can show near-misses without killing the run. Chaos
-//! harnesses keep the panicking mode.
+//! In [`GuardMode::Panic`] the first violation aborts the run with a
+//! tick-stamped diagnostic. In [`GuardMode::Observe`] the guard keeps
+//! its violations (up to a cap) for its owner to
+//! [drain](InvariantGuard::drain_violations) and keeps stepping — the
+//! scenario engine turns them into tick-stamped `guard_violation`
+//! flight-recorder events, so traces can show near-misses without
+//! killing the run. Chaos harnesses keep the panicking mode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{IncomingId, PhaseDecision, SignalController, Tick};
+pub use utilbp_metrics::PhaseTimings;
 use utilbp_metrics::WaitingLedger;
-use utilbp_microsim::{MicroSim, MicroSimConfig, PhaseTimings};
+use utilbp_microsim::{MicroSim, MicroSimConfig};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, RouteRewrite};
-use utilbp_queueing::{QueueSim, QueueSimConfig, StepPhaseTimings};
+use utilbp_queueing::{QueueSim, QueueSimConfig};
 
 /// Which simulation substrate drives the plant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,22 +291,15 @@ pub trait TrafficSubstrate {
     /// Simulates one mini-slot, draining `arrivals` (produced for this
     /// tick by a demand generator) and reusing `scratch`'s buffers.
     /// Returns the per-intersection decisions of the tick, borrowed from
-    /// the scratch.
+    /// the scratch. With `timings` attached, each of the step's four
+    /// phases adds one lap of wall-clock time onto it (see
+    /// [`PhaseTimings`] for what each lap covers on each plant); without,
+    /// the step takes no clock readings.
     fn step_into<'a>(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
-    ) -> &'a [PhaseDecision];
-
-    /// [`step_into`](Self::step_into) with per-phase wall-clock
-    /// attribution added to `timings`. Substrates without phase
-    /// instrumentation (the queueing model's step is a single phase)
-    /// leave `timings` untouched.
-    fn step_into_timed<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-        timings: &mut PhaseTimings,
+        timings: Option<&mut PhaseTimings>,
     ) -> &'a [PhaseDecision];
 
     /// Closes or reopens a road (a disruption event); see the crate docs
@@ -418,89 +412,6 @@ pub trait TrafficSubstrate {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError>;
 }
 
-impl<S: TrafficSubstrate + ?Sized> TrafficSubstrate for Box<S> {
-    fn backend(&self) -> Backend {
-        (**self).backend()
-    }
-
-    fn now(&self) -> Tick {
-        (**self).now()
-    }
-
-    fn step_into<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-    ) -> &'a [PhaseDecision] {
-        (**self).step_into(arrivals, scratch)
-    }
-
-    fn step_into_timed<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-        timings: &mut PhaseTimings,
-    ) -> &'a [PhaseDecision] {
-        (**self).step_into_timed(arrivals, scratch, timings)
-    }
-
-    fn set_road_closed(&mut self, road: RoadId, closed: bool) {
-        (**self).set_road_closed(road, closed);
-    }
-
-    fn road_closed(&self, road: RoadId) -> bool {
-        (**self).road_closed(road)
-    }
-
-    fn road_occupancy(&self, road: RoadId) -> u32 {
-        (**self).road_occupancy(road)
-    }
-
-    fn road_entered(&self, road: RoadId) -> u64 {
-        (**self).road_entered(road)
-    }
-
-    fn movement_queue_len(&self, intersection: IntersectionId, link: utilbp_core::LinkId) -> u32 {
-        (**self).movement_queue_len(intersection, link)
-    }
-
-    fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
-        (**self).incoming_queue_len(intersection, arm)
-    }
-
-    fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
-        (**self).occupancy_snapshot(out);
-    }
-
-    fn backlog_len(&self) -> usize {
-        (**self).backlog_len()
-    }
-
-    fn ledger(&self) -> &WaitingLedger {
-        (**self).ledger()
-    }
-
-    fn mean_waiting_including_active(&self) -> f64 {
-        (**self).mean_waiting_including_active()
-    }
-
-    fn replan_routes(&mut self, replan: &mut RouteRewrite<'_>) -> u64 {
-        (**self).replan_routes(replan)
-    }
-
-    fn verify_sensors(&self) -> Result<(), String> {
-        (**self).verify_sensors()
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        (**self).save_state(writer);
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        (**self).load_state(reader)
-    }
-}
-
 impl TrafficSubstrate for QueueSim {
     fn backend(&self) -> Backend {
         Backend::Queueing
@@ -514,27 +425,9 @@ impl TrafficSubstrate for QueueSim {
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
+        timings: Option<&mut PhaseTimings>,
     ) -> &'a [PhaseDecision] {
-        QueueSim::step_into(self, arrivals, &mut scratch.queueing);
-        &scratch.queueing.decisions
-    }
-
-    fn step_into_timed<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-        timings: &mut PhaseTimings,
-    ) -> &'a [PhaseDecision] {
-        // The queueing pipeline has its own section names; map them onto
-        // the shared axes: sensing+deciding -> decide, serving activated
-        // links -> car_following (vehicle advancement), transit arrivals
-        // landing -> landings, injection+bookkeeping -> waiting.
-        let mut slot = StepPhaseTimings::default();
-        QueueSim::step_into_timed(self, arrivals, &mut scratch.queueing, &mut slot);
-        timings.decide += slot.decide;
-        timings.car_following += slot.serve;
-        timings.landings += slot.transit;
-        timings.waiting += slot.inject;
+        QueueSim::step_into(self, arrivals, &mut scratch.queueing, timings);
         &scratch.queueing.decisions
     }
 
@@ -608,18 +501,9 @@ impl TrafficSubstrate for MicroSim {
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
+        timings: Option<&mut PhaseTimings>,
     ) -> &'a [PhaseDecision] {
-        MicroSim::step_into(self, arrivals, &mut scratch.micro);
-        &scratch.micro.decisions
-    }
-
-    fn step_into_timed<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-        timings: &mut PhaseTimings,
-    ) -> &'a [PhaseDecision] {
-        MicroSim::step_into_timed(self, arrivals, &mut scratch.micro, timings);
+        MicroSim::step_into(self, arrivals, &mut scratch.micro, timings);
         &scratch.micro.decisions
     }
 
@@ -680,16 +564,26 @@ impl TrafficSubstrate for MicroSim {
     }
 }
 
-/// An opt-in runtime checker over any substrate: after every step it
-/// re-derives the plant's bookkeeping invariants — vehicle conservation,
-/// sensor-counter consistency, closure monotonicity — and panics with a
-/// tick-stamped diagnostic on the first violation (see the crate docs
-/// for the exact invariant statements).
+/// What an [`InvariantGuard`] does with a violation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuardMode {
+    /// Abort the run with a tick-stamped diagnostic.
+    Panic,
+    /// Keep the violation for the owner to drain and keep stepping.
+    Observe,
+}
+
+/// An opt-in runtime checker for a substrate: called after every step,
+/// it re-derives the plant's bookkeeping invariants — vehicle
+/// conservation, sensor-counter consistency, closure monotonicity — from
+/// the plant's query surface (see the crate docs for the exact
+/// invariant statements).
 ///
-/// The guard is a plain wrapper: it draws no randomness, mutates nothing
-/// in the wrapped substrate, and reads only query-side state, so a
-/// guarded run produces bit-identical metrics to an unguarded one. When
-/// the guard is not installed, nothing in the step path changes.
+/// The guard draws no randomness and reads only query-side state, so a
+/// guarded run produces bit-identical metrics to an unguarded one. Its
+/// owner keeps it next to the plant: it calls [`check`](Self::check)
+/// after each step and [`road_toggled`](Self::road_toggled) whenever it
+/// closes or reopens a road.
 ///
 /// # Examples
 ///
@@ -697,26 +591,27 @@ impl TrafficSubstrate for MicroSim {
 /// use utilbp_core::{SignalController, UtilBp};
 /// use utilbp_microsim::MicroSimConfig;
 /// use utilbp_netgen::{GridNetwork, GridSpec};
-/// use utilbp_substrate::{build_substrate, Backend, InvariantGuard};
+/// use utilbp_substrate::{build_substrate, Backend, GuardMode, InvariantGuard, SubstrateScratch};
 ///
 /// let grid = GridNetwork::new(GridSpec::paper());
 /// let controllers = (0..9)
 ///     .map(|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>)
 ///     .collect();
-/// let plant = build_substrate(
+/// let mut plant = build_substrate(
 ///     Backend::Queueing,
 ///     grid.topology().clone(),
 ///     controllers,
 ///     MicroSimConfig::default(),
 /// );
-/// let mut guarded = InvariantGuard::new(plant);
-/// // step `guarded` exactly like the unguarded substrate…
-/// # let _ = &mut guarded;
+/// let mut guard = InvariantGuard::new(GuardMode::Panic);
+/// let mut scratch = SubstrateScratch::new();
+/// plant.step_into(&mut Vec::new(), &mut scratch, None);
+/// guard.check(&*plant);
 /// ```
 #[derive(Debug)]
-pub struct InvariantGuard<S> {
-    inner: S,
-    /// Steps taken so far (the tick stamp of the *next* diagnostic).
+pub struct InvariantGuard {
+    mode: GuardMode,
+    /// Steps checked so far (the tick stamp of the *next* diagnostic).
     ticks: u64,
     /// Reusable occupancy snapshot buffer.
     occ: Vec<u32>,
@@ -725,8 +620,8 @@ pub struct InvariantGuard<S> {
     closed_occ: Vec<Option<u32>>,
     /// Last observed cumulative `entered` counter per road.
     prev_entered: Vec<u64>,
-    /// Where violations go: abort the run, or log and keep stepping.
-    sink: GuardSink,
+    /// Observe mode's undrained violations, at most [`VIOLATIONS_CAP`].
+    violations: Vec<GuardViolation>,
 }
 
 /// One invariant violation recorded by an observe-mode guard.
@@ -741,134 +636,60 @@ pub struct GuardViolation {
     pub message: String,
 }
 
-/// How many violations an observe-mode [`GuardLog`] retains verbatim;
-/// later ones still count toward [`GuardLog::total`] but their messages
-/// are discarded (a broken invariant tends to re-fire every tick).
-const GUARD_LOG_CAP: usize = 256;
+/// How many undrained violations an observe-mode guard keeps; later
+/// ones are discarded until the owner drains (a broken invariant tends
+/// to re-fire every tick).
+const VIOLATIONS_CAP: usize = 256;
 
-#[derive(Debug, Default)]
-struct GuardLogInner {
-    violations: Vec<GuardViolation>,
-    total: u64,
-}
-
-/// A shared, cloneable sink for observe-mode guard violations. The
-/// driver keeps one clone and hands the other to
-/// [`InvariantGuard::observing`]; after each step it drains newly
-/// recorded violations with [`drain_into`](Self::drain_into).
-#[derive(Debug, Clone, Default)]
-pub struct GuardLog(std::sync::Arc<std::sync::Mutex<GuardLogInner>>);
-
-impl GuardLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Violations recorded over the log's lifetime (drained or not,
-    /// including any beyond the retention cap).
-    pub fn total(&self) -> u64 {
-        self.0.lock().expect("guard log poisoned").total
-    }
-
-    /// Moves all retained violations into `out` (appending), oldest
-    /// first, leaving the log empty.
-    pub fn drain_into(&self, out: &mut Vec<GuardViolation>) {
-        let mut inner = self.0.lock().expect("guard log poisoned");
-        out.append(&mut inner.violations);
-    }
-
-    fn record(&self, violation: GuardViolation) {
-        let mut inner = self.0.lock().expect("guard log poisoned");
-        inner.total += 1;
-        if inner.violations.len() < GUARD_LOG_CAP {
-            inner.violations.push(violation);
-        }
-    }
-}
-
-#[derive(Debug)]
-enum GuardSink {
-    /// Abort the run with a tick-stamped diagnostic (the default).
-    Panic,
-    /// Append to the shared log and keep stepping.
-    Observe(GuardLog),
-}
-
-impl GuardSink {
-    fn fail(&self, tick: u64, check: &'static str, message: String) {
-        match self {
-            GuardSink::Panic => panic!("invariant violated at tick {tick}: {message}"),
-            GuardSink::Observe(log) => log.record(GuardViolation {
-                tick,
-                check,
-                message,
-            }),
-        }
-    }
-}
-
-impl<S: TrafficSubstrate> InvariantGuard<S> {
-    /// Wraps `inner`; checks run after every step from now on and panic
-    /// on the first violation.
-    pub fn new(inner: S) -> Self {
-        Self::with_sink(inner, GuardSink::Panic)
-    }
-
-    /// Wraps `inner` in **observe** mode: checks still run after every
-    /// step, but violations are appended to `log` instead of aborting
-    /// the run. A violated invariant does not stop later checks, so one
-    /// step can log several violations.
-    pub fn observing(inner: S, log: GuardLog) -> Self {
-        Self::with_sink(inner, GuardSink::Observe(log))
-    }
-
-    fn with_sink(inner: S, sink: GuardSink) -> Self {
+impl InvariantGuard {
+    /// A guard that has checked nothing yet.
+    pub fn new(mode: GuardMode) -> Self {
         InvariantGuard {
-            inner,
+            mode,
             ticks: 0,
             occ: Vec::new(),
             closed_occ: Vec::new(),
             prev_entered: Vec::new(),
-            sink,
+            violations: Vec::new(),
         }
     }
 
-    /// The wrapped substrate.
-    pub fn inner(&self) -> &S {
-        &self.inner
+    fn fail(&mut self, tick: u64, check: &'static str, message: String) {
+        match self.mode {
+            GuardMode::Panic => panic!("invariant violated at tick {tick}: {message}"),
+            GuardMode::Observe => {
+                if self.violations.len() < VIOLATIONS_CAP {
+                    self.violations.push(GuardViolation {
+                        tick,
+                        check,
+                        message,
+                    });
+                }
+            }
+        }
     }
 
-    /// Unwraps the guard, returning the substrate.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// How many steps the guard has checked.
-    pub fn ticks_checked(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Runs every invariant check against the current state.
+    /// Runs every invariant check against `plant`, which has just
+    /// stepped.
     ///
     /// # Panics
     ///
-    /// In the default mode, panics with a tick-stamped diagnostic on
-    /// the first violation; in observe mode, logs every violation and
-    /// returns normally.
-    fn check(&mut self) {
+    /// In [`GuardMode::Panic`], panics with a tick-stamped diagnostic on
+    /// the first violation; in [`GuardMode::Observe`], keeps every
+    /// violation and returns normally.
+    pub fn check(&mut self, plant: &dyn TrafficSubstrate) {
         let tick = self.ticks;
         self.ticks += 1;
         // Vehicle conservation: each injected vehicle is exactly one of
         // completed, on the network, or backlogged. The ledger enters
         // every injection (backlogged included) and retires completions,
         // so its active count must equal on-network plus backlog.
-        self.inner.occupancy_snapshot(&mut self.occ);
+        plant.occupancy_snapshot(&mut self.occ);
         let on_network: u64 = self.occ.iter().map(|&o| u64::from(o)).sum();
-        let backlog = self.inner.backlog_len() as u64;
-        let active = self.inner.ledger().active() as u64;
+        let backlog = plant.backlog_len() as u64;
+        let active = plant.ledger().active() as u64;
         if active != on_network + backlog {
-            self.sink.fail(
+            self.fail(
                 tick,
                 "conservation",
                 format!(
@@ -880,141 +701,67 @@ impl<S: TrafficSubstrate> InvariantGuard<S> {
         // Sensor consistency (also proves every queue length is a
         // well-formed non-negative count): incremental counters must
         // equal a from-scratch rescan.
-        if let Err(msg) = self.inner.verify_sensors() {
-            self.sink
-                .fail(tick, "sensors", format!("sensor consistency: {msg}"));
+        if let Err(msg) = plant.verify_sensors() {
+            self.fail(tick, "sensors", format!("sensor consistency: {msg}"));
         }
         // Closure monotonicity: a closed road only drains, and entered
-        // counters never run backwards.
-        if self.closed_occ.len() != self.occ.len() {
-            self.closed_occ.resize(self.occ.len(), None);
-            self.prev_entered.resize(self.occ.len(), 0);
-        }
-        for r in 0..self.occ.len() {
+        // counters never run backwards. The watermarks are empty until
+        // the first check.
+        let roads = self.occ.len();
+        self.closed_occ.resize(roads, None);
+        self.prev_entered.resize(roads, 0);
+        for r in 0..roads {
             let road = RoadId::new(r as u32);
-            let entered = self.inner.road_entered(road);
-            if entered < self.prev_entered[r] {
-                self.sink.fail(
+            let entered = plant.road_entered(road);
+            let before = self.prev_entered[r];
+            if entered < before {
+                self.fail(
                     tick,
                     "entered_monotonic",
-                    format!(
-                        "road {road} entered counter went backwards ({} -> {entered})",
-                        self.prev_entered[r]
-                    ),
+                    format!("road {road} entered counter went backwards ({before} -> {entered})"),
                 );
             }
             self.prev_entered[r] = entered;
-            if self.inner.road_closed(road) {
-                if let Some(before) = self.closed_occ[r] {
-                    if self.occ[r] > before {
-                        self.sink.fail(
-                            tick,
-                            "closure_drain",
-                            format!(
-                                "closed road {road} admitted traffic (occupancy {before} -> {})",
-                                self.occ[r]
-                            ),
-                        );
-                    }
+            let occ = self.occ[r];
+            self.closed_occ[r] = if plant.road_closed(road) {
+                if let Some(before) = self.closed_occ[r].filter(|&before| occ > before) {
+                    self.fail(
+                        tick,
+                        "closure_drain",
+                        format!(
+                            "closed road {road} admitted traffic (occupancy {before} -> {occ})"
+                        ),
+                    );
                 }
-                self.closed_occ[r] = Some(self.occ[r]);
+                Some(occ)
             } else {
-                self.closed_occ[r] = None;
-            }
+                None
+            };
         }
     }
-}
 
-impl<S: TrafficSubstrate> TrafficSubstrate for InvariantGuard<S> {
-    fn backend(&self) -> Backend {
-        self.inner.backend()
-    }
-
-    fn now(&self) -> Tick {
-        self.inner.now()
-    }
-
-    fn step_into<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-    ) -> &'a [PhaseDecision] {
-        let decisions = self.inner.step_into(arrivals, scratch);
-        self.check();
-        decisions
-    }
-
-    fn step_into_timed<'a>(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        scratch: &'a mut SubstrateScratch,
-        timings: &mut PhaseTimings,
-    ) -> &'a [PhaseDecision] {
-        let decisions = self.inner.step_into_timed(arrivals, scratch, timings);
-        self.check();
-        decisions
-    }
-
-    fn set_road_closed(&mut self, road: RoadId, closed: bool) {
-        self.inner.set_road_closed(road, closed);
-        // Restart the drain watermark on any closure transition so a
-        // close→reopen→close sequence is not compared across windows.
+    /// Restarts `road`'s drain watermark. The owner calls this on every
+    /// closure transition, so a close→reopen→close sequence is not
+    /// compared across windows.
+    pub fn road_toggled(&mut self, road: RoadId) {
         if let Some(slot) = self.closed_occ.get_mut(road.index()) {
             *slot = None;
         }
     }
 
-    fn road_closed(&self, road: RoadId) -> bool {
-        self.inner.road_closed(road)
+    /// Moves out the violations an observe-mode guard kept since the
+    /// last drain, oldest first.
+    pub fn drain_violations(&mut self) -> std::vec::Drain<'_, GuardViolation> {
+        self.violations.drain(..)
     }
 
-    fn road_occupancy(&self, road: RoadId) -> u32 {
-        self.inner.road_occupancy(road)
-    }
-
-    fn road_entered(&self, road: RoadId) -> u64 {
-        self.inner.road_entered(road)
-    }
-
-    fn movement_queue_len(&self, intersection: IntersectionId, link: utilbp_core::LinkId) -> u32 {
-        self.inner.movement_queue_len(intersection, link)
-    }
-
-    fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
-        self.inner.incoming_queue_len(intersection, arm)
-    }
-
-    fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
-        self.inner.occupancy_snapshot(out);
-    }
-
-    fn backlog_len(&self) -> usize {
-        self.inner.backlog_len()
-    }
-
-    fn ledger(&self) -> &WaitingLedger {
-        self.inner.ledger()
-    }
-
-    fn mean_waiting_including_active(&self) -> f64 {
-        self.inner.mean_waiting_including_active()
-    }
-
-    fn replan_routes(&mut self, replan: &mut RouteRewrite<'_>) -> u64 {
-        self.inner.replan_routes(replan)
-    }
-
-    fn verify_sensors(&self) -> Result<(), String> {
-        self.inner.verify_sensors()
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        // The guard's own watermarks (checked-tick count, per-road
-        // closure-drain and entered watermarks) are durable: a restored
-        // guarded run must keep enforcing monotonicity across the
-        // checkpoint boundary exactly as the uninterrupted run does. The
-        // occupancy scratch buffer is rewritten every check and is not
-        // state.
+    /// Serializes the guard's durable words — checked-tick count, then
+    /// the per-road closure-drain and entered watermarks — followed by
+    /// `plant`'s state. A restored guarded run must keep enforcing
+    /// monotonicity across the checkpoint boundary exactly as the
+    /// uninterrupted run does. The occupancy scratch buffer is rewritten
+    /// every check and is not state; neither are undrained violations.
+    pub fn save_state(&self, writer: &mut StateWriter, plant: &dyn TrafficSubstrate) {
         writer.push(self.ticks);
         writer.push_usize(self.closed_occ.len());
         for slot in &self.closed_occ {
@@ -1030,14 +777,41 @@ impl<S: TrafficSubstrate> TrafficSubstrate for InvariantGuard<S> {
         for &entered in &self.prev_entered {
             writer.push(entered);
         }
-        self.inner.save_state(writer);
+        plant.save_state(writer);
     }
 
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.ticks = reader.take()?;
-        let closed = reader.take_usize()?;
+    /// Restores what [`save_state`](Self::save_state) wrote: the guard's
+    /// words into `self` and the rest into `plant`, a freshly built twin
+    /// of the capturing plant.
+    ///
+    /// Nothing moves between a step's check and the next capture, so the
+    /// watermarks are empty before the first check and, after it,
+    /// exactly the plant's closed-road occupancies and entered counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the plant's [`StateError`], or [`StateError::Invalid`]
+    /// for a checked tick count that differs from the restored plant's
+    /// clock (the guard checks every step), a watermark vector whose
+    /// length is not 0 at tick 0 and the plant's road count after it, or
+    /// a watermark that differs from the restored plant's level.
+    pub fn load_state(
+        &mut self,
+        reader: &mut StateReader<'_>,
+        plant: &mut dyn TrafficSubstrate,
+    ) -> Result<(), StateError> {
+        let ticks = reader.take()?;
+        plant.occupancy_snapshot(&mut self.occ);
+        let roads = if ticks == 0 { 0 } else { self.occ.len() };
+        let count = |reader: &mut StateReader<'_>, what| match reader.take_usize()? {
+            len if len == roads => Ok(len),
+            len => Err(StateError::Invalid {
+                what,
+                word: len as u64,
+            }),
+        };
         self.closed_occ.clear();
-        for _ in 0..closed {
+        for _ in 0..count(reader, "guard closure watermark count")? {
             let watermark = if reader.take_bool()? {
                 Some(reader.take_u32()?)
             } else {
@@ -1045,12 +819,31 @@ impl<S: TrafficSubstrate> TrafficSubstrate for InvariantGuard<S> {
             };
             self.closed_occ.push(watermark);
         }
-        let entered = reader.take_usize()?;
         self.prev_entered.clear();
-        for _ in 0..entered {
+        for _ in 0..count(reader, "guard entered watermark count")? {
             self.prev_entered.push(reader.take()?);
         }
-        self.inner.load_state(reader)
+        plant.load_state(reader)?;
+        if ticks != plant.now().index() {
+            return Err(StateError::Invalid {
+                what: "guard tick count",
+                word: ticks,
+            });
+        }
+        plant.occupancy_snapshot(&mut self.occ);
+        for r in 0..roads {
+            let road = RoadId::new(r as u32);
+            if self.closed_occ[r] != plant.road_closed(road).then_some(self.occ[r])
+                || self.prev_entered[r] != plant.road_entered(road)
+            {
+                return Err(StateError::Invalid {
+                    what: "guard watermark",
+                    word: r as u64,
+                });
+            }
+        }
+        self.ticks = ticks;
+        Ok(())
     }
 }
 
@@ -1127,7 +920,7 @@ mod tests {
             for k in 0..200u64 {
                 arrivals.clear();
                 demand.poll_into(&grid, Tick::new(k), &mut arrivals);
-                let decisions = substrate.step_into(&mut arrivals, &mut scratch);
+                let decisions = substrate.step_into(&mut arrivals, &mut scratch, None);
                 assert_eq!(decisions.len(), n);
                 assert!(arrivals.is_empty(), "step must drain the arrivals");
             }
@@ -1155,8 +948,8 @@ mod tests {
 
     #[test]
     fn guarded_runs_match_unguarded_runs_on_both_backends() {
-        // The guard reads, never writes: stepping the same seed through
-        // a guarded and an unguarded substrate (with a mid-run closure
+        // The guard reads, never writes: stepping the same seed with and
+        // without a checker after every step (with a mid-run closure
         // and reopen) must produce identical ledgers and metrics, and no
         // check may fire on a healthy plant.
         let grid = GridNetwork::new(GridSpec::paper());
@@ -1168,22 +961,13 @@ mod tests {
             .unwrap();
         for backend in Backend::ALL {
             let n = grid.topology().num_intersections();
-            let run = |guard: bool| -> (u64, f64, usize) {
-                let plant = build_substrate(
+            let run = |mut guard: Option<InvariantGuard>| -> (u64, f64, usize) {
+                let mut substrate = build_substrate(
                     backend,
                     grid.topology().clone(),
                     controllers(n),
                     MicroSimConfig::default(),
                 );
-                let mut plain;
-                let mut guarded;
-                let substrate: &mut dyn TrafficSubstrate = if guard {
-                    guarded = InvariantGuard::new(plant);
-                    &mut guarded
-                } else {
-                    plain = plant;
-                    &mut plain
-                };
                 let mut demand = utilbp_netgen::DemandGenerator::new(
                     &grid,
                     utilbp_netgen::DemandConfig::new(utilbp_netgen::DemandSchedule::constant(
@@ -1195,15 +979,18 @@ mod tests {
                 let mut arrivals = Vec::new();
                 let mut scratch = SubstrateScratch::new();
                 for k in 0..300u64 {
-                    if k == 80 {
-                        substrate.set_road_closed(closed, true);
-                    }
-                    if k == 200 {
-                        substrate.set_road_closed(closed, false);
+                    if k == 80 || k == 200 {
+                        substrate.set_road_closed(closed, k == 80);
+                        if let Some(guard) = guard.as_mut() {
+                            guard.road_toggled(closed);
+                        }
                     }
                     arrivals.clear();
                     demand.poll_into(&grid, Tick::new(k), &mut arrivals);
-                    substrate.step_into(&mut arrivals, &mut scratch);
+                    substrate.step_into(&mut arrivals, &mut scratch, None);
+                    if let Some(guard) = guard.as_mut() {
+                        guard.check(&*substrate);
+                    }
                 }
                 (
                     substrate.ledger().completed(),
@@ -1211,8 +998,201 @@ mod tests {
                     substrate.backlog_len(),
                 )
             };
-            assert_eq!(run(true), run(false), "{backend}");
+            assert_eq!(
+                run(Some(InvariantGuard::new(GuardMode::Panic))),
+                run(None),
+                "{backend}"
+            );
         }
+    }
+
+    /// A plant whose query surface the tests set directly, so each
+    /// invariant can be broken on its own. Road 1 is closed.
+    struct FakePlant {
+        occupancy: Vec<u32>,
+        entered: Vec<u64>,
+        closed: Vec<bool>,
+        ledger: WaitingLedger,
+        sensors: Result<(), String>,
+    }
+
+    impl FakePlant {
+        /// One vehicle on open road 0; closed road 1 empty.
+        fn healthy() -> Self {
+            let mut ledger = WaitingLedger::new();
+            ledger.enter(utilbp_metrics::VehicleId::new(0), Tick::ZERO);
+            FakePlant {
+                occupancy: vec![1, 0],
+                entered: vec![1, 0],
+                closed: vec![false, true],
+                ledger,
+                sensors: Ok(()),
+            }
+        }
+
+        /// A vehicle that entered road `r` and is still on it.
+        fn admit(&mut self, r: usize) {
+            let id = self.ledger.id_bound() as u64;
+            self.ledger
+                .enter(utilbp_metrics::VehicleId::new(id), Tick::ZERO);
+            self.occupancy[r] += 1;
+            self.entered[r] += 1;
+        }
+    }
+
+    impl TrafficSubstrate for FakePlant {
+        fn backend(&self) -> Backend {
+            Backend::Queueing
+        }
+        fn now(&self) -> Tick {
+            unreachable!("the guard reads no clock")
+        }
+        fn step_into<'a>(
+            &mut self,
+            _: &mut Vec<Arrival>,
+            _: &'a mut SubstrateScratch,
+            _: Option<&mut PhaseTimings>,
+        ) -> &'a [PhaseDecision] {
+            unreachable!("the tests step the fake by hand")
+        }
+        fn set_road_closed(&mut self, road: RoadId, closed: bool) {
+            self.closed[road.index()] = closed;
+        }
+        fn road_closed(&self, road: RoadId) -> bool {
+            self.closed[road.index()]
+        }
+        fn road_occupancy(&self, road: RoadId) -> u32 {
+            self.occupancy[road.index()]
+        }
+        fn road_entered(&self, road: RoadId) -> u64 {
+            self.entered[road.index()]
+        }
+        fn movement_queue_len(&self, _: IntersectionId, _: utilbp_core::LinkId) -> u32 {
+            unreachable!("the guard reads no sensor")
+        }
+        fn incoming_queue_len(&self, _: IntersectionId, _: IncomingId) -> u32 {
+            unreachable!("the guard reads no sensor")
+        }
+        fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
+            out.clone_from(&self.occupancy);
+        }
+        fn backlog_len(&self) -> usize {
+            0
+        }
+        fn ledger(&self) -> &WaitingLedger {
+            &self.ledger
+        }
+        fn mean_waiting_including_active(&self) -> f64 {
+            unreachable!("the guard reads no waiting")
+        }
+        fn replan_routes(&mut self, _: &mut RouteRewrite<'_>) -> u64 {
+            unreachable!("the guard rewrites no route")
+        }
+        fn verify_sensors(&self) -> Result<(), String> {
+            self.sensors.clone()
+        }
+        fn save_state(&self, _: &mut StateWriter) {
+            unreachable!("the tests capture nothing")
+        }
+        fn load_state(&mut self, _: &mut StateReader<'_>) -> Result<(), StateError> {
+            unreachable!("the tests restore nothing")
+        }
+    }
+
+    /// A check, a way to break it on the healthy fake after one clean
+    /// check, and a phrase of its diagnostic.
+    type Break = (&'static str, fn(&mut FakePlant), &'static str);
+
+    const BREAKS: [Break; 4] = [
+        (
+            "conservation",
+            |plant| plant.occupancy[0] = 0,
+            "ledger holds 1 uncompleted vehicles but the plant accounts for 0 on-network",
+        ),
+        (
+            "sensors",
+            |plant| plant.sensors = Err("queue 3 reads 2, rescan 1".to_string()),
+            "sensor consistency: queue 3 reads 2, rescan 1",
+        ),
+        (
+            "entered_monotonic",
+            |plant| {
+                plant.admit(0);
+                plant.entered[0] = 0;
+            },
+            "road R0 entered counter went backwards (1 -> 0)",
+        ),
+        (
+            "closure_drain",
+            |plant| plant.admit(1),
+            "closed road R1 admitted traffic (occupancy 0 -> 1)",
+        ),
+    ];
+
+    #[test]
+    fn a_healthy_fake_passes_every_check() {
+        let mut plant = FakePlant::healthy();
+        let mut guard = InvariantGuard::new(GuardMode::Observe);
+        for _ in 0..3 {
+            guard.check(&plant);
+            plant.admit(0);
+        }
+        guard.check(&plant);
+        assert_eq!(guard.drain_violations().count(), 0);
+    }
+
+    #[test]
+    fn each_check_panics_tick_stamped_in_panic_mode() {
+        for (check, break_it, phrase) in BREAKS {
+            let mut plant = FakePlant::healthy();
+            let mut guard = InvariantGuard::new(GuardMode::Panic);
+            guard.check(&plant);
+            break_it(&mut plant);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                guard.check(&plant);
+            }))
+            .expect_err(check);
+            let message = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.starts_with("invariant violated at tick 1: ") && message.contains(phrase),
+                "{check}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_check_logs_its_violation_in_observe_mode() {
+        for (check, break_it, phrase) in BREAKS {
+            let mut plant = FakePlant::healthy();
+            let mut guard = InvariantGuard::new(GuardMode::Observe);
+            guard.check(&plant);
+            break_it(&mut plant);
+            guard.check(&plant);
+            let logged: Vec<GuardViolation> = guard.drain_violations().collect();
+            assert_eq!(logged.len(), 1, "{check}: {logged:?}");
+            assert_eq!((logged[0].tick, logged[0].check), (1, check));
+            assert!(logged[0].message.contains(phrase), "{check}: {logged:?}");
+            assert_eq!(guard.drain_violations().count(), 0, "drained once");
+        }
+    }
+
+    #[test]
+    fn a_closure_transition_restarts_the_drain_watermark() {
+        // Traffic admitted just before a road closes is the new window's
+        // starting level, not a breach of the old one.
+        let mut plant = FakePlant::healthy();
+        let mut guard = InvariantGuard::new(GuardMode::Observe);
+        guard.check(&plant);
+        plant.set_road_closed(RoadId::new(1), false);
+        guard.road_toggled(RoadId::new(1));
+        plant.admit(1);
+        plant.set_road_closed(RoadId::new(1), true);
+        guard.road_toggled(RoadId::new(1));
+        guard.check(&plant);
+        assert_eq!(guard.drain_violations().count(), 0);
+        plant.admit(1);
+        guard.check(&plant);
+        assert_eq!(guard.drain_violations().count(), 1);
     }
 
     #[test]
@@ -1243,7 +1223,7 @@ mod tests {
             for k in 0..150u64 {
                 arrivals.clear();
                 demand.poll_into(&grid, Tick::new(k), &mut arrivals);
-                substrate.step_into(&mut arrivals, &mut scratch);
+                substrate.step_into(&mut arrivals, &mut scratch, None);
             }
             let mut visited = 0u64;
             let mut last_id = None;

@@ -12,25 +12,36 @@ const BINS: usize = 256;
 
 /// One attributable section of a simulated tick.
 ///
-/// The first four mirror the microscopic substrate's
-/// `PhaseTimings` phases; `Replan` and `Monitor` cover the scenario
-/// engine's routing-response and congestion-monitor work around the
-/// plant step. The queueing substrate maps its own pipeline onto the
-/// same axes (see `utilbp-substrate`).
+/// The first four are the plant step's laps: each takes one lap per
+/// profiled tick from the matching [`PhaseTimings`] field, which both
+/// substrates fill through the same step path. `Replan` and `Monitor`
+/// cover the scenario engine's routing-response and congestion-monitor
+/// work around the plant step. Nothing else the engine does — events,
+/// demand, checkpoints, guard checks, telemetry — is timed.
+///
+/// [`PhaseTimings`]: utilbp_metrics::PhaseTimings
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Section {
-    /// Controller decisions (sense + decide across intersections).
+    /// Controller decisions. On the microscopic plant the lap also
+    /// covers sense (gathering every observation from the detector
+    /// counters) and the signal refresh; the queueing plant has no sense
+    /// pass (its observations are kept current where queues change).
     Decide,
-    /// Vehicle advancement: car-following (microscopic) or phase
-    /// service (queueing).
+    /// Vehicle advancement: box countdown, head release and the
+    /// follower sweep (microscopic) or serving the active phases
+    /// (queueing).
     CarFollowing,
-    /// Arrivals landing on the network: transfers and backlog drains.
+    /// Vehicles landing on roads: junction-box landings (microscopic)
+    /// or transit arrivals joining queues plus boundary backlog drains
+    /// (queueing).
     Landings,
-    /// Waiting-time bookkeeping and demand injection.
+    /// Entering this tick's arrivals and writing the step report; on
+    /// the microscopic plant also the boundary backlog drain.
     Waiting,
     /// Routing-response passes (closure / reopen / congestion).
     Replan,
-    /// Congestion-monitor scans and invariant-guard checks.
+    /// Periodic congestion-monitor checks (the scan and any diversions
+    /// or restores it triggers).
     Monitor,
 }
 

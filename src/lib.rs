@@ -20,7 +20,7 @@
 //! | [`microsim`] | `utilbp-microsim` | Microscopic simulator: Krauss car-following, dedicated lanes, ambers |
 //! | [`netgen`] | `utilbp-netgen` | 3×3 grid builder, Table I/II demand, routes, en-route replanning |
 //! | [`metrics`] | `utilbp-metrics` | Waiting ledgers, time series, phase traces, rendering |
-//! | [`substrate`] | `utilbp-substrate` | The unified plant layer: one `TrafficSubstrate` trait over both simulators, plus the opt-in `InvariantGuard` |
+//! | [`substrate`] | `utilbp-substrate` | The unified plant layer: one `TrafficSubstrate` trait over both simulators, plus the opt-in `InvariantGuard` checker that runs next to it |
 //! | [`scenario`] | `utilbp-scenario` | Scenario files: topologies × demand profiles × disruption events (closures, sensor/actuator/comms faults) |
 //! | [`telemetry`] | `utilbp-telemetry` | Flight recorder: typed event stream, gauge registry, tick-section profiler, timeline rendering |
 //! | [`snapshot`] | `utilbp-snapshot` | Durable snapshot container: versioned format, per-section checksums, typed corruption errors |
@@ -122,11 +122,12 @@
 //!   Activation counts, degraded ticks, and mean recovery time surface
 //!   in [`scenario::ScenarioOutcome`].
 //! - **Runtime invariant guard** ([`substrate::InvariantGuard`]): an
-//!   opt-in substrate wrapper (engine: `EngineConfig::guarded()`)
-//!   checking vehicle conservation, queue non-negativity, and
-//!   closed-road admission every tick, panicking with a tick-stamped
-//!   diagnostic on the first violation. When absent it costs nothing —
-//!   the unguarded path is untouched.
+//!   opt-in checker the scenario engine owns next to the plant
+//!   (`EngineConfig::guarded()`, or `observed()` to log instead of
+//!   panic) and runs after every step, checking vehicle conservation,
+//!   queue non-negativity, and closed-road admission, panicking with a
+//!   tick-stamped diagnostic on the first violation. When absent it
+//!   costs nothing — the unguarded path is untouched.
 //!
 //! All fault draws come from per-intersection streams split from the
 //! scenario seed by fault domain, and every mode's draw is gated on its

@@ -91,14 +91,14 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
     for _ in 0..WARMUP {
         arrivals.clear();
         gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
+        sim.step_into(&mut arrivals, &mut report, None);
         k += 1;
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..MEASURED {
         arrivals.clear();
         gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
+        sim.step_into(&mut arrivals, &mut report, None);
         k += 1;
     }
     let micro_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -131,14 +131,14 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
     for _ in 0..WARMUP {
         arrivals.clear();
         gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
+        sim.step_into(&mut arrivals, &mut report, None);
         k += 1;
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..MEASURED {
         arrivals.clear();
         gen.poll_into(&g, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
+        sim.step_into(&mut arrivals, &mut report, None);
         k += 1;
     }
     let queueing_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;

@@ -178,7 +178,7 @@ fn step_into_reuses_buffers_and_matches_step() {
         let wrapped = a.step(tick_arrivals(&mut demand_a, &g, k));
         arrivals.clear();
         demand_b.poll_into(&g, Tick::new(k), &mut arrivals);
-        b.step_into(&mut arrivals, &mut report);
+        b.step_into(&mut arrivals, &mut report, None);
         assert_eq!(wrapped, report, "reports diverged at tick {k}");
         assert!(arrivals.is_empty(), "step_into must drain the arrivals");
     }
@@ -316,7 +316,7 @@ fn disruption_run() -> (u64, u64, usize, (usize, usize, f64, f64), f64) {
         }
         arrivals.clear();
         demand.poll_into(&net, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut report);
+        sim.step_into(&mut arrivals, &mut report, None);
         if k % 50 == 0 {
             sim.verify_sensors()
                 .unwrap_or_else(|msg| panic!("tick {k}: {msg}"));

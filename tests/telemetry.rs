@@ -1,13 +1,15 @@
 //! The observability-plane acceptance gates: recording is strictly
 //! passive (instrumented outcomes are bit-identical to uninstrumented
 //! ones), the event stream itself is byte-deterministic across
-//! repeats, watchdog telemetry surfaces per-intersection, and the
-//! observe-mode guard stays silent on a healthy plant.
+//! repeats, watchdog telemetry surfaces per-intersection, the
+//! observe-mode guard stays silent on a healthy plant, and the profiler
+//! times every plant section of every profiled tick on both plants.
 
 use adaptive_backpressure::core::{SignalController, Ticks, UtilBp};
 use adaptive_backpressure::scenario::{
     builtin, run_scenario, Backend, EngineConfig, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
 };
+use adaptive_backpressure::telemetry::Section;
 
 fn util_factory() -> impl Fn(usize) -> Box<dyn SignalController> {
     |_| Box::new(UtilBp::paper()) as Box<dyn SignalController>
@@ -137,5 +139,37 @@ fn observe_mode_guard_is_silent_on_a_healthy_plant() {
             "{}: a healthy plant emits no guard violations",
             spec.name
         );
+    }
+}
+
+#[test]
+fn profiler_laps_each_plant_section_once_per_profiled_tick_on_both_backends() {
+    // Both plants step through one path and lap into the same four
+    // sections: every profiled tick adds exactly one lap to each, and
+    // ticks stepped before profiling was enabled add none.
+    let spec = trimmed("grid-incident-replan", 120);
+    for backend in [Backend::Queueing, Backend::Microscopic] {
+        let mut engine =
+            ScenarioEngine::new(spec.clone(), EngineConfig::new(backend), &util_factory())
+                .expect("spec validates");
+        for _ in 0..20 {
+            engine.step();
+        }
+        engine.enable_profiling();
+        engine.run_to_end();
+        let profiler = engine.profiler().expect("profiling enabled");
+        for section in [
+            Section::Decide,
+            Section::CarFollowing,
+            Section::Landings,
+            Section::Waiting,
+        ] {
+            let stats = profiler.stats(section);
+            assert_eq!(stats.count(), 100, "{backend:?}: {section:?} laps");
+            assert!(
+                stats.max().is_some_and(|max| max > 0.0),
+                "{backend:?}: {section:?} measured time"
+            );
+        }
     }
 }
