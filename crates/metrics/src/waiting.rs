@@ -172,12 +172,17 @@ impl WaitingLedger {
         &self.waiting_histogram
     }
 
-    /// Appends the full ledger — the active slab and all completed-run
-    /// statistics — to a checkpoint stream. The slab is written sparsely:
-    /// its length, the live count, then `(slot, entry tick)` for live
-    /// slots only, in slot order, so the size follows the vehicles on the
-    /// network rather than every vehicle ever entered.
+    /// Appends the full ledger — the completed-run statistics and the
+    /// active slab — to a checkpoint stream. The statistics come first,
+    /// so a reader knows the completed count before the slab. The slab
+    /// is written sparsely: its id bound, the live count, then `(slot,
+    /// entry tick)` for live slots only, in slot order, so the size
+    /// follows the vehicles on the network rather than every vehicle ever
+    /// entered.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
+        self.waiting.save_state(writer);
+        self.journey.save_state(writer);
+        self.waiting_histogram.save_state(writer);
         writer.push_usize(self.id_bound);
         writer.push_usize(self.active_count);
         for (slot, entry) in self.active.iter().enumerate() {
@@ -186,31 +191,42 @@ impl WaitingLedger {
                 writer.push(tick.index());
             }
         }
-        self.waiting.save_state(writer);
-        self.journey.save_state(writer);
-        self.waiting_histogram.save_state(writer);
     }
 
     /// Reads a ledger written by [`save_state`](Self::save_state).
     ///
+    /// A capture holds vehicles whose ids were issued densely from 0, as
+    /// both demand generators issue them, so its id bound is the number
+    /// of vehicles it has seen: the live count plus the completed count.
+    /// The bound is checked against them before the slab is allocated,
+    /// and the slab only up to its last live slot, so no crafted length
+    /// or slot sizes an allocation on its own.
+    ///
     /// # Errors
     ///
     /// [`StateError`](utilbp_core::state::StateError) when the stream
-    /// is truncated or malformed: a live count larger than the slab or
-    /// than the pairs the stream holds, a slot outside the slab, a slot
-    /// out of order or repeated, or a slot too large to allocate. The
-    /// slab is allocated only up to its last live slot, so a corrupt
-    /// length alone never sizes an allocation.
+    /// is truncated or malformed: a live count larger than the pairs the
+    /// stream holds, an id bound other than the vehicles seen, a slot
+    /// outside the slab, or a slot out of order or repeated.
     pub fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
+        let waiting = SummaryStats::load_state(reader)?;
+        let journey = SummaryStats::load_state(reader)?;
+        let waiting_histogram = Histogram::load_state(reader)?;
         let id_bound = reader.take_usize()?;
         let active_count = reader.take_usize()?;
-        if active_count > id_bound || active_count > reader.remaining() / 2 {
+        if active_count > reader.remaining() / 2 {
             return Err(StateError::Invalid {
                 what: "ledger live count",
                 word: active_count as u64,
+            });
+        }
+        if id_bound as u64 != active_count as u64 + waiting.count() {
+            return Err(StateError::Invalid {
+                what: "ledger id bound",
+                word: id_bound as u64,
             });
         }
         // Slots are written in ascending order, so each must lie past the
@@ -246,9 +262,9 @@ impl WaitingLedger {
             active,
             id_bound,
             active_count,
-            waiting: SummaryStats::load_state(reader)?,
-            journey: SummaryStats::load_state(reader)?,
-            waiting_histogram: Histogram::load_state(reader)?,
+            waiting,
+            journey,
+            waiting_histogram,
         })
     }
 
@@ -354,6 +370,12 @@ mod tests {
             .collect()
     }
 
+    /// Where the slab's words start: after the statistics, `live` pairs
+    /// from the end.
+    fn slab_at(words: &[u64], live: usize) -> usize {
+        words.len() - 2 - 2 * live
+    }
+
     #[test]
     fn state_is_sparse_and_a_fixed_point() {
         let mut l = WaitingLedger::new();
@@ -363,8 +385,9 @@ mod tests {
         l.complete(VehicleId::new(0), Tick::new(50), 7);
         l.complete(VehicleId::new(2), Tick::new(60), 9);
         let words = saved_words(&l);
-        // Slab length, live count, then (slot, entry tick) per live slot.
-        assert_eq!(words[..6], [4, 2, 1, 11, 3, 13]);
+        // After the statistics: id bound, live count, then (slot, entry
+        // tick) per live slot.
+        assert_eq!(words[slab_at(&words, 2)..], [4, 2, 1, 11, 3, 13]);
         let back = load_all(&words).unwrap();
         assert_eq!(back.active(), 2);
         assert_eq!(saved_words(&back), words, "save -> load -> save");
@@ -372,26 +395,36 @@ mod tests {
 
     #[test]
     fn sparse_ids_round_trip_and_a_long_slab_is_not_allocated() {
-        // Ids from 1 with a gap, the last vehicle completed: the saved
-        // slab runs past every live slot and past the vehicles seen.
+        // The last vehicle entered completed: the saved slab runs past
+        // every live slot, and a restored one ends at the last of them.
         let mut l = WaitingLedger::new();
-        for id in [1, 2, 9] {
+        for id in 0..10 {
             l.enter(VehicleId::new(id), Tick::new(id));
         }
-        l.complete(VehicleId::new(9), Tick::new(20), 3);
+        for id in [0, 3, 4, 5, 6, 7, 8, 9] {
+            l.complete(VehicleId::new(id), Tick::new(20), 3);
+        }
         let words = saved_words(&l);
-        assert_eq!(words[..6], [10, 2, 1, 1, 2, 2]);
+        let at = slab_at(&words, 2);
+        assert_eq!(words[at..], [10, 2, 1, 1, 2, 2]);
         let mut back = load_all(&words).unwrap();
         assert_eq!((back.id_bound(), back.active.len()), (10, 3));
         assert_eq!(saved_words(&back), words, "save -> load -> save");
-        back.enter(VehicleId::new(5), Tick::new(21));
-        l.enter(VehicleId::new(5), Tick::new(21));
+        back.enter(VehicleId::new(10), Tick::new(21));
+        l.enter(VehicleId::new(10), Tick::new(21));
         assert_eq!(saved_words(&back), saved_words(&l), "entering resumes");
-        // A corrupt length is carried, not allocated.
+        // A bound other than the vehicles seen is rejected before the
+        // slab is sized, even with the last live slot raised under it.
         let mut long = words.clone();
-        long[0] = 1 << 60;
-        let back = load_all(&long).unwrap();
-        assert_eq!((back.id_bound(), back.active.len()), (1 << 60, 3));
+        long[at] = 1 << 40;
+        long[at + 4] = (1 << 40) - 1;
+        assert_eq!(
+            load_all(&long).map(|_| ()),
+            Err(utilbp_core::state::StateError::Invalid {
+                what: "ledger id bound",
+                word: 1 << 40,
+            })
+        );
     }
 
     #[test]
@@ -404,27 +437,38 @@ mod tests {
         l.complete(VehicleId::new(0), Tick::new(50), 7);
         l.complete(VehicleId::new(2), Tick::new(60), 9);
         let words = saved_words(&l);
-        let patched = |at: usize, word: u64| {
+        let at = slab_at(&words, 2);
+        let patched = |i: usize, word: u64| {
             let mut w = words.clone();
-            w[at] = word;
+            w[at + i] = word;
             load_all(&w)
         };
-        let slot = |word| {
-            Err(StateError::Invalid {
-                what: "ledger slot",
-                word,
-            })
-        };
-        let count = |word| {
-            Err(StateError::Invalid {
-                what: "ledger live count",
-                word,
-            })
-        };
-        assert_eq!(patched(4, 4).map(|_| ()), slot(4), "outside the slab");
-        assert_eq!(patched(4, 1).map(|_| ()), slot(1), "duplicate slot");
-        assert_eq!(patched(2, 3).map(|_| ()), slot(3), "out of order");
-        assert_eq!(patched(1, 5).map(|_| ()), count(5), "more live than slab");
+        let invalid = |what, word| Err(StateError::Invalid { what, word });
+        assert_eq!(
+            patched(4, 4).map(|_| ()),
+            invalid("ledger slot", 4),
+            "outside the slab"
+        );
+        assert_eq!(
+            patched(4, 1).map(|_| ()),
+            invalid("ledger slot", 1),
+            "duplicate slot"
+        );
+        assert_eq!(
+            patched(2, 3).map(|_| ()),
+            invalid("ledger slot", 3),
+            "out of order"
+        );
+        assert_eq!(
+            patched(1, 5).map(|_| ()),
+            invalid("ledger live count", 5),
+            "more live than pairs"
+        );
+        assert_eq!(
+            patched(1, 1).map(|_| ()),
+            invalid("ledger id bound", 4),
+            "bound past the vehicles seen"
+        );
         for cut in 0..words.len() {
             assert!(load_all(&words[..cut]).is_err(), "truncated to {cut}");
         }

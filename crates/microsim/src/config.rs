@@ -17,24 +17,6 @@ pub enum LaneDiscipline {
     SharedMixed,
 }
 
-/// What the outgoing-road sensor `q_{i'}` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutgoingSensor {
-    /// Halted vehicles over the whole road: free-flowing vehicles exert no
-    /// back-pressure, and a fully jammed road reads ≈ `W` (Eq. 8's
-    /// full-road case stays reachable).
-    #[default]
-    HaltedWholeRoad,
-    /// Vehicles present within the detector range of the road's *own*
-    /// downstream junction — the mirror image of the upstream movement
-    /// sensor.
-    PresenceNearJunction,
-    /// Every vehicle on the road (occupancy) — the literal store-and-
-    /// forward reading; includes free-flowing vehicles, which couples the
-    /// pressure to the road's travel time.
-    Occupancy,
-}
-
 /// Parameters of the microscopic simulator. Defaults follow SUMO's default
 /// Krauss passenger-car model and the paper's Section V setup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,10 +60,11 @@ pub struct MicroSimConfig {
     /// definition uses 0.1 m/s).
     pub waiting_speed_mps: f64,
     /// Speed below which a vehicle counts as *queued* for the outgoing
-    /// sensor (SUMO's lane-area jam threshold, 1.39 m/s = 5 km/h).
+    /// sensor `q_{i'}`, which reads the halted vehicles over the whole
+    /// road: free-flowing vehicles exert no back-pressure, and a fully
+    /// jammed road reads ≈ `W` (Eq. 8's full-road case stays reachable).
+    /// SUMO's lane-area jam threshold, 1.39 m/s = 5 km/h.
     pub halt_speed_mps: f64,
-    /// What the outgoing-road sensor reports (see [`OutgoingSensor`]).
-    pub outgoing_sensor: OutgoingSensor,
     /// Lane assignment discipline (see [`LaneDiscipline`]).
     pub lane_discipline: LaneDiscipline,
     /// Speed at which vehicles are inserted at boundary entries and leave
@@ -108,7 +91,6 @@ impl Default for MicroSimConfig {
             detection_range_m: 50.0,
             waiting_speed_mps: 0.1,
             halt_speed_mps: 1.39,
-            outgoing_sensor: OutgoingSensor::default(),
             lane_discipline: LaneDiscipline::default(),
             insertion_speed_mps: 8.0,
             seed: 0,

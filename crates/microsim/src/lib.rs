@@ -80,19 +80,20 @@
 //!
 //! **Incremental sensing.** Detector reads never rescan lanes. Every
 //! lane has dense counters — vehicles inside the configured detection
-//! window, halted vehicles over the whole lane — and each road their
-//! sums, maintained from deltas the car-following advance folds once per
-//! lane (checked: a counter leaving `u32` panics in release too, naming
-//! its road and lane) and updated at the only other points where a vehicle's
-//! position or speed can change (stop-line crossings, junction-box
-//! landings, boundary insertions). `movement_queue_len` and
-//! `road_sensor` are therefore O(1) reads of dense arrays — the sense
+//! window, halted vehicles over the whole lane — and each road its
+//! halted sum, maintained from deltas the car-following advance folds
+//! once per lane (checked: a counter leaving `u32` panics in release too,
+//! naming its road and lane) and updated at the only other points where
+//! a vehicle's position or speed can change (stop-line crossings,
+//! junction-box landings, boundary insertions). `movement_queue_len` and
+//! `road_halted` are therefore O(1) reads of dense arrays — the sense
 //! phase never touches lane storage. The invariant (*counter ≡
 //! from-scratch rescan under the same sensor spec*) is checkable at
 //! runtime via [`MicroSim::verify_sensors`] and enforced tick-by-tick in
-//! the regression suite; [`MicroSim::load_state`] applies the same audit
-//! to a restored checkpoint and refuses one that fails it with a typed
-//! error, so a crafted snapshot cannot reach a step-time panic. The same idea gives `dest_lane_has_room` an
+//! the regression suite. A checkpoint stores none of these counters:
+//! [`MicroSim::load_state`] rebuilds them from the same rescan, so a
+//! crafted snapshot cannot carry a counter that disagrees with its
+//! fleet into the step path. The same idea gives `dest_lane_has_room` an
 //! O(1) per-lane pending-reservation counter and the head phase a
 //! per-lane green-with-credit flag precomputed in the signal-refresh
 //! pass. The `SharedMixed` lane discipline keeps per-(road, link)
@@ -145,7 +146,7 @@ mod krauss;
 mod road;
 mod sim;
 
-pub use config::{LaneDiscipline, MicroSimConfig, OutgoingSensor};
+pub use config::{LaneDiscipline, MicroSimConfig};
 pub use krauss::{next_speed, safe_speed, LeaderInfo};
 pub use sim::{MicroSim, StepReport};
 
@@ -405,7 +406,7 @@ mod tests {
             }
             for out in node.layout().outgoing_ids() {
                 let road = node.outgoing_road(out);
-                assert_eq!(obs.outgoing(out), sim.road_sensor(road));
+                assert_eq!(obs.outgoing(out), sim.road_halted(road));
                 assert!(
                     sim.road_halted(road) <= sim.road_occupancy(road),
                     "halted is a subset of occupancy"

@@ -56,7 +56,7 @@
 //! from one contiguous array instead of walking lane storage. The advance
 //! functions here compute per-step counter deltas — at the *only* points
 //! where a vehicle's position or speed can change — and fold them once
-//! per lane into those arrays and once per road into the road's sums,
+//! per lane into those arrays and once per road into the road's halt sum,
 //! with checked arithmetic ([`fold_counter`]); crossings, landings, and
 //! insertions adjust them directly. The invariant (counter ≡ rescan
 //! under the same [`SensorSpec`], via [`NetworkLanes::rescan_sensors`])
@@ -905,40 +905,6 @@ impl MovementCounters {
             _ => {}
         }
     }
-
-    /// Serializes both counter arrays.
-    pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.push_usize(self.total.len());
-        for &v in &self.total {
-            writer.push_u32(v);
-        }
-        for &v in &self.detected {
-            writer.push_u32(v);
-        }
-    }
-
-    /// Restores counters saved by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StateError`] on a truncated stream or a link count
-    /// that disagrees with this road's layout.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        let len = reader.take_usize()?;
-        if len != self.total.len() {
-            return Err(StateError::Invalid {
-                what: "movement counter width",
-                word: len as u64,
-            });
-        }
-        for v in &mut self.total {
-            *v = reader.take_u32()?;
-        }
-        for v in &mut self.detected {
-            *v = reader.take_u32()?;
-        }
-        Ok(())
-    }
 }
 
 /// What the head vehicle of a lane faces this step.
@@ -1145,10 +1111,10 @@ struct Flight {
     end: usize,
     leader_pos: f64,
     leader_speed: f64,
-    /// Sensor deltas of the open lane, and of the road's folded lanes.
+    /// Sensor deltas of the open lane, and the halt delta of the road's
+    /// folded lanes.
     lane_detected: i64,
     lane_halted: i64,
-    road_detected: i64,
     road_halted: i64,
 }
 
@@ -1189,7 +1155,6 @@ impl Flight {
             leader_speed: 0.0,
             lane_detected: 0,
             lane_halted: 0,
-            road_detected: 0,
             road_halted: 0,
         }
     }
@@ -1229,19 +1194,15 @@ impl Flight {
     }
 
     /// Writes the road's state back: its stream position, movement
-    /// counters and folded sensor sums.
+    /// counters and folded halt sum.
     fn land(&mut self, sweep: &mut Sweep<'_, '_>) {
         let r = self.road;
         let road = &mut sweep.roads[r];
         road.rng = self.rng.clone();
         road.move_counts = self.moves.take();
-        fold_counter(&mut road.detected_sum, self.road_detected, || {
-            format!("road {r} detected sum")
-        });
         fold_counter(&mut road.halted_sum, self.road_halted, || {
             format!("road {r} halted sum")
         });
-        self.road_detected = 0;
         self.road_halted = 0;
     }
 
@@ -1300,8 +1261,9 @@ impl Flight {
     }
 
     /// Folds the open lane's sensor deltas into its counters and the
-    /// road's running totals (unconditionally: a zero delta is a no-op,
-    /// and a data-dependent skip would be one more mispredicted branch).
+    /// road's running halt total (unconditionally: a zero delta is a
+    /// no-op, and a data-dependent skip would be one more mispredicted
+    /// branch).
     fn fold_lane(&mut self, sensors: &mut LaneSensors) {
         let g = self.span.lane0 + self.open;
         let (r, l) = (self.road, self.open);
@@ -1311,7 +1273,6 @@ impl Flight {
         fold_counter(&mut sensors.halted[g], self.lane_halted, || {
             format!("road {r} lane {l} halted")
         });
-        self.road_detected += self.lane_detected;
         self.road_halted += self.lane_halted;
         self.lane_detected = 0;
         self.lane_halted = 0;
@@ -1388,7 +1349,7 @@ impl Flight {
 ///
 /// Vehicles ending the step at waiting speed accumulate a waiting tick in
 /// place. Per-lane sensor deltas fold into `sensors` once per lane and
-/// into the road sums once per road.
+/// into the road's halt sum once per road.
 pub(crate) fn sweep_followers(
     net: &mut NetworkLanes,
     roads: &mut [RoadSim],
@@ -1662,7 +1623,6 @@ mod tests {
                         outcome.detected_delta.into(),
                         site,
                     );
-                    fold_counter(&mut road.detected_sum, outcome.detected_delta.into(), site);
                     fold_counter(
                         &mut self.sensors.halted[g],
                         outcome.halted_delta.into(),
@@ -1696,7 +1656,6 @@ mod tests {
                         let g = span.lane0 + l;
                         let site = || String::new();
                         fold_counter(&mut self.sensors.detected[g], dd, site);
-                        fold_counter(&mut road.detected_sum, dd, site);
                         fold_counter(&mut self.sensors.halted[g], hd, site);
                         fold_counter(&mut road.halted_sum, hd, site);
                     }
@@ -1708,7 +1667,7 @@ mod tests {
         /// Every counter equals a from-scratch rescan.
         fn assert_counters(&self) {
             for (r, road) in self.roads.iter().enumerate() {
-                let (mut detected, mut halted) = (0, 0);
+                let mut halted = 0;
                 for l in 0..self.net.num_lanes(r) {
                     let g = self.net.lane0(r) + l;
                     let rescan = self.net.rescan_sensors(r, l, road.spec);
@@ -1717,14 +1676,9 @@ mod tests {
                         rescan,
                         "road {r} lane {l}"
                     );
-                    detected += rescan.0;
                     halted += rescan.1;
                 }
-                assert_eq!(
-                    (road.detected_sum, road.halted_sum),
-                    (detected, halted),
-                    "road {r}"
-                );
+                assert_eq!(road.halted_sum, halted, "road {r}");
             }
         }
 
@@ -1741,10 +1695,9 @@ mod tests {
                 .iter()
                 .map(|road| {
                     format!(
-                        "{:?} {:?} {} {}",
+                        "{:?} {:?} {}",
                         road.rng.state(),
                         road.move_counts,
-                        road.detected_sum,
                         road.halted_sum
                     )
                 })

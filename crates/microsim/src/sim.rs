@@ -97,11 +97,8 @@ pub(crate) struct RoadSim {
     entered: u64,
     /// Detector geometry shared by this road's lanes.
     pub(crate) spec: SensorSpec,
-    /// Σ of the road's per-lane detected counters — the
-    /// `PresenceNearJunction` outgoing sensor in O(1).
-    pub(crate) detected_sum: u32,
-    /// Σ of the road's per-lane halted counters — the `HaltedWholeRoad`
-    /// outgoing sensor in O(1).
+    /// Σ of the road's per-lane halted counters — the outgoing sensor
+    /// `q_{i'}` in O(1).
     pub(crate) halted_sum: u32,
     /// Per-(road, link) movement counters, maintained only under
     /// [`LaneDiscipline::SharedMixed`](crate::LaneDiscipline) for roads
@@ -132,7 +129,6 @@ impl RoadSim {
             occupancy: 0,
             entered: 0,
             spec: SensorSpec::for_road(length, cfg),
-            detected_sum: 0,
             halted_sum: 0,
             move_counts,
             rng,
@@ -150,7 +146,6 @@ impl RoadSim {
     ) {
         if pos >= self.spec.detect_from {
             sensors.detected[lane] += 1;
-            self.detected_sum += 1;
         }
         if speed < self.spec.halt_speed {
             sensors.halted[lane] += 1;
@@ -192,6 +187,16 @@ struct CounterMismatch {
     what: &'static str,
     word: u64,
     detail: String,
+}
+
+/// The counters a step maintains incrementally, as
+/// `MicroSim::rescan_counters` recomputes them: per global lane, pending
+/// reservations and detector counters; per road, occupancy, halt sum and
+/// (under SharedMixed) movement counters.
+struct Counters {
+    pending: Vec<u32>,
+    sensors: LaneSensors,
+    roads: Vec<(u32, u32, Option<MovementCounters>)>,
 }
 
 /// What happened during one microscopic step.
@@ -646,31 +651,15 @@ impl MicroSim {
             .map_or(0, |mv| mv.detected[link])
     }
 
-    /// Halted vehicles across all lanes of a road (whole length) — an
-    /// O(lanes) read of the incremental halt counters.
+    /// Halted vehicles across all lanes of a road (whole length) — the
+    /// outgoing-road sensor reading `q_{i'}`, an O(1) read of the road's
+    /// incremental halt sum.
     ///
     /// # Panics
     ///
     /// Panics if `road` is out of range.
     pub fn road_halted(&self, road: RoadId) -> u32 {
         self.roads[road.index()].halted_sum
-    }
-
-    /// The outgoing-road sensor reading `q_{i'}` per the configured
-    /// [`OutgoingSensor`](crate::OutgoingSensor) — O(1) from the dense
-    /// incremental counters, whatever the variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_sensor(&self, road: RoadId) -> u32 {
-        use crate::config::OutgoingSensor;
-        let road = &self.roads[road.index()];
-        match self.config.outgoing_sensor {
-            OutgoingSensor::HaltedWholeRoad => road.halted_sum,
-            OutgoingSensor::PresenceNearJunction => road.detected_sum,
-            OutgoingSensor::Occupancy => road.occupancy,
-        }
     }
 
     /// Detected total queue `q_i` (Eq. 1) at an incoming arm — the paper's
@@ -743,7 +732,7 @@ impl MicroSim {
         for (o, &road) in outs.iter().enumerate() {
             obs.set_outgoing(
                 OutgoingId::new(o as u8),
-                self.road_sensor(RoadId::new(road)),
+                self.roads[road as usize].halted_sum,
             );
         }
     }
@@ -887,18 +876,23 @@ impl MicroSim {
             .map(|&(i, link)| self.link_off[i.index()] + link.index()))
     }
 
-    /// Checks every incrementally maintained counter against the storage
-    /// it summarizes: per-lane detector and halt counters and their road
-    /// sums against a rescan, pending reservations against the junction
-    /// boxes, road occupancies against the lanes and the reservations,
-    /// movement counters against the lanes' cached links (which
-    /// [`audit_routes`](Self::audit_routes), run first, has checked). Shared by [`verify_sensors`](Self::verify_sensors) and
-    /// [`load_state`](Self::load_state), which must refuse a snapshot
-    /// whose counters would otherwise break at step time.
-    fn audit_counters(&self) -> Result<(), CounterMismatch> {
-        let mut pending = vec![0u32; self.pending.len()];
+    /// Every incrementally maintained counter, recomputed from the
+    /// storage it summarizes: per-lane detector and halt counters and the
+    /// roads' halt sums from a rescan of the lanes, pending reservations
+    /// from the junction boxes, road occupancies from the lanes and the
+    /// reservations, movement counters from the lanes' cached links
+    /// (which [`audit_routes`](Self::audit_routes), run first, has
+    /// checked). [`audit_counters`](Self::audit_counters) compares the
+    /// live counters with it; [`load_state`](Self::load_state) installs
+    /// it, since a capture stores no counter.
+    fn rescan_counters(&self) -> Counters {
+        let mut fresh = Counters {
+            pending: vec![0; self.pending.len()],
+            sensors: LaneSensors::new(self.pending.len()),
+            roads: Vec::with_capacity(self.roads.len()),
+        };
         for c in self.boxes.iter().flatten() {
-            pending[self.net.lane0(c.dest_road) + c.dest_lane] += 1;
+            fresh.pending[self.net.lane0(c.dest_road) + c.dest_lane] += 1;
         }
         for (r, road) in self.roads.iter().enumerate() {
             let num_links =
@@ -907,34 +901,12 @@ impl MicroSim {
                 .move_counts
                 .as_ref()
                 .map(|_| MovementCounters::new(num_links));
-            let (mut detected_sum, mut halted_sum) = (0u32, 0u32);
+            let mut halted_sum = 0;
             for l in 0..self.net.num_lanes(r) {
                 let g = self.net.lane0(r) + l;
                 let (detected, halted) = self.net.rescan_sensors(r, l, road.spec);
-                detected_sum += detected;
+                (fresh.sensors.detected[g], fresh.sensors.halted[g]) = (detected, halted);
                 halted_sum += halted;
-                let counters = (self.sensors.detected[g], self.sensors.halted[g]);
-                if counters != (detected, halted) {
-                    return Err(CounterMismatch {
-                        what: "lane sensor counter",
-                        word: u64::from(counters.0),
-                        detail: format!(
-                            "road {r} lane {l}: incremental (detected {}, halted {}) != rescan \
-                             (detected {detected}, halted {halted})",
-                            counters.0, counters.1
-                        ),
-                    });
-                }
-                if self.pending[g] != pending[g] {
-                    return Err(CounterMismatch {
-                        what: "lane pending reservations",
-                        word: u64::from(self.pending[g]),
-                        detail: format!(
-                            "road {r} lane {l}: pending reservations {} != in-box scan {}",
-                            self.pending[g], pending[g]
-                        ),
-                    });
-                }
                 if let Some(moves) = moves.as_mut() {
                     for i in 0..self.net.len(r, l) {
                         let link = usize::from(self.net.link_at(r, l, i));
@@ -943,9 +915,47 @@ impl MicroSim {
                 }
             }
             let lanes = self.net.lane0(r)..self.net.lane0(r) + self.net.num_lanes(r);
-            let occupancy = self.net.road_len(r) as u64
-                + pending[lanes].iter().map(|&p| u64::from(p)).sum::<u64>();
-            if u64::from(road.occupancy) != occupancy {
+            let reserved: u32 = fresh.pending[lanes].iter().sum();
+            let occupancy = self.net.road_len(r) as u32 + reserved;
+            fresh.roads.push((occupancy, halted_sum, moves));
+        }
+        fresh
+    }
+
+    /// Checks every incrementally maintained counter against
+    /// [`rescan_counters`](Self::rescan_counters). Backs
+    /// [`verify_sensors`](Self::verify_sensors).
+    fn audit_counters(&self) -> Result<(), CounterMismatch> {
+        let fresh = self.rescan_counters();
+        for (r, road) in self.roads.iter().enumerate() {
+            for l in 0..self.net.num_lanes(r) {
+                let g = self.net.lane0(r) + l;
+                let counters = (self.sensors.detected[g], self.sensors.halted[g]);
+                let rescan = (fresh.sensors.detected[g], fresh.sensors.halted[g]);
+                if counters != rescan {
+                    return Err(CounterMismatch {
+                        what: "lane sensor counter",
+                        word: u64::from(counters.0),
+                        detail: format!(
+                            "road {r} lane {l}: incremental (detected {}, halted {}) != rescan \
+                             (detected {}, halted {})",
+                            counters.0, counters.1, rescan.0, rescan.1
+                        ),
+                    });
+                }
+                if self.pending[g] != fresh.pending[g] {
+                    return Err(CounterMismatch {
+                        what: "lane pending reservations",
+                        word: u64::from(self.pending[g]),
+                        detail: format!(
+                            "road {r} lane {l}: pending reservations {} != in-box scan {}",
+                            self.pending[g], fresh.pending[g]
+                        ),
+                    });
+                }
+            }
+            let (occupancy, halted_sum, moves) = &fresh.roads[r];
+            if road.occupancy != *occupancy {
                 return Err(CounterMismatch {
                     what: "road occupancy",
                     word: u64::from(road.occupancy),
@@ -956,18 +966,17 @@ impl MicroSim {
                     ),
                 });
             }
-            if (road.detected_sum, road.halted_sum) != (detected_sum, halted_sum) {
+            if road.halted_sum != *halted_sum {
                 return Err(CounterMismatch {
                     what: "road sensor sum",
-                    word: u64::from(road.detected_sum),
+                    word: u64::from(road.halted_sum),
                     detail: format!(
-                        "road {r}: sums (detected {}, halted {}) != rescan (detected \
-                         {detected_sum}, halted {halted_sum})",
-                        road.detected_sum, road.halted_sum,
+                        "road {r}: halted sum {} != rescan {halted_sum}",
+                        road.halted_sum
                     ),
                 });
             }
-            if let (Some(mv), Some(moves)) = (&road.move_counts, &moves) {
+            if let (Some(mv), Some(moves)) = (&road.move_counts, moves) {
                 if (&mv.total, &mv.detected) != (&moves.total, &moves.detected) {
                     return Err(CounterMismatch {
                         what: "movement counter",
@@ -1149,9 +1158,6 @@ impl MicroSim {
                 let (dd, hd) = (outcome.detected_delta.into(), outcome.halted_delta.into());
                 fold_counter(&mut self.sensors.detected[g], dd, || {
                     format!("road {r} lane {lane_idx} detected")
-                });
-                fold_counter(&mut road.detected_sum, dd, || {
-                    format!("road {r} detected sum")
                 });
                 fold_counter(&mut self.sensors.halted[g], hd, || {
                     format!("road {r} lane {lane_idx} halted")
@@ -1482,17 +1488,20 @@ impl MicroSim {
     }
 
     /// Serializes the whole plant state — fleet (arena + lanes), per-road
-    /// RNG stream positions, incremental sensor/movement counters,
-    /// junction boxes and credits, closure flags, backlogs, the waiting
-    /// ledger, and every controller's state — such that
-    /// [`load_state`](Self::load_state) into a freshly built simulator
-    /// (same topology, config, and controller composition) continues
-    /// bit-identically to the uninterrupted run.
+    /// RNG stream positions, junction boxes and credits, closure flags,
+    /// backlogs, the waiting ledger, and every controller's state — such
+    /// that [`load_state`](Self::load_state) into a freshly built
+    /// simulator (same topology, config, and controller composition)
+    /// continues bit-identically to the uninterrupted run.
     ///
     /// Intra-step scratch (observation buffers, per-step green flags,
     /// landing drains, the lanes' dequeue offsets) is *not* state: it is
     /// rebuilt by the next step's earlier phases, and canonicalizing it
-    /// away makes save → load → save a byte-level fixed point.
+    /// away makes save → load → save a byte-level fixed point. Nor are
+    /// the incremental counters (road occupancies, halt sums, per-lane
+    /// detector counters and pending reservations, movement counters):
+    /// they summarize the fleet and the junction boxes, and load
+    /// rebuilds them from those.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_crossings);
@@ -1500,28 +1509,10 @@ impl MicroSim {
         writer.push_usize(self.roads.len());
         for (r, road) in self.roads.iter().enumerate() {
             writer.push_bool(road.closed);
-            writer.push_u32(road.occupancy);
             writer.push(road.entered);
             writer.push_usize(self.net.num_lanes(r));
             for l in 0..self.net.num_lanes(r) {
                 self.net.save_lane(r, l, writer);
-            }
-            // Per-lane arrays are network-wide; the road's lanes are a
-            // contiguous run, written in lane order as before.
-            let lanes = self.net.lane0(r)..self.net.lane0(r) + self.net.num_lanes(r);
-            for counters in [&self.pending, &self.sensors.detected, &self.sensors.halted] {
-                for &c in &counters[lanes.clone()] {
-                    writer.push_u32(c);
-                }
-            }
-            writer.push_u32(road.detected_sum);
-            writer.push_u32(road.halted_sum);
-            match &road.move_counts {
-                None => writer.push_bool(false),
-                Some(mv) => {
-                    writer.push_bool(true);
-                    mv.save_state(writer);
-                }
             }
             for word in road.rng.state() {
                 writer.push(word);
@@ -1569,12 +1560,12 @@ impl MicroSim {
     /// junction-box vehicle slot that is not live in the arena or is
     /// shared, a live slot no vehicle holds, a crossing's destination
     /// road or lane out of range); on a counter or waiting time past the
-    /// clock; when an incremental counter disagrees with a rescan of the
-    /// restored fleet or with the restored junction boxes; when a
-    /// vehicle's route does not continue from where the vehicle is; or
-    /// when a controller's restored phase is not in its layout. Either
-    /// way the error is typed: a crafted snapshot never reaches the step
-    /// path to panic there.
+    /// clock; when a vehicle's route does not continue from where the
+    /// vehicle is; or when a controller's restored phase is not in its
+    /// layout. Either way the error is typed: a crafted snapshot never
+    /// reaches the step path to panic there. The incremental counters are
+    /// not read but rebuilt from the restored fleet and junction boxes,
+    /// so they agree with them by construction.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
         self.total_crossings = reader.take_count("crossing count")?;
@@ -1594,7 +1585,6 @@ impl MicroSim {
             {
                 let road = &mut self.roads[r];
                 road.closed = reader.take_bool()?;
-                road.occupancy = reader.take_u32()?;
                 road.entered = reader.take_count("road entered count")?;
             }
             let num_lanes = reader.take_usize()?;
@@ -1608,35 +1598,11 @@ impl MicroSim {
                 self.net
                     .load_lane(r, l, &mut unplaced, self.now.index(), reader)?;
             }
-            let lanes = self.net.lane0(r)..self.net.lane0(r) + num_lanes;
-            for counters in [
-                &mut self.pending,
-                &mut self.sensors.detected,
-                &mut self.sensors.halted,
-            ] {
-                for c in &mut counters[lanes.clone()] {
-                    *c = reader.take_u32()?;
-                }
-            }
-            let road = &mut self.roads[r];
-            road.detected_sum = reader.take_u32()?;
-            road.halted_sum = reader.take_u32()?;
-            let has_moves = reader.take_bool()?;
-            match (&mut road.move_counts, has_moves) {
-                (Some(mv), true) => mv.load_state(reader)?,
-                (None, false) => {}
-                (_, word) => {
-                    return Err(StateError::Invalid {
-                        what: "movement counter presence",
-                        word: word as u64,
-                    })
-                }
-            }
             let mut rng_state = [0u64; 4];
             for word in &mut rng_state {
                 *word = reader.take()?;
             }
-            road.rng = SmallRng::from_state(rng_state);
+            self.roads[r].rng = SmallRng::from_state(rng_state);
         }
         let num_junctions = reader.take_usize()?;
         if num_junctions != self.boxes.len() {
@@ -1718,7 +1684,13 @@ impl MicroSim {
             let node = self.topology.intersection(IntersectionId::new(i as u32));
             slot.controller.check_state(node.layout())?;
         }
-        self.audit_counters().map_err(invalid)
+        let fresh = self.rescan_counters();
+        self.pending = fresh.pending;
+        self.sensors = fresh.sensors;
+        for (road, (occupancy, halted_sum, moves)) in self.roads.iter_mut().zip(fresh.roads) {
+            (road.occupancy, road.halted_sum, road.move_counts) = (occupancy, halted_sum, moves);
+        }
+        Ok(())
     }
 }
 
@@ -1987,44 +1959,73 @@ mod load_validation {
         );
     }
 
+    /// Corrupts a live counter with `craft`: the live audit behind
+    /// `verify_sensors` names it as `what`, and the corruption never
+    /// reaches a capture, which equals the pristine run's and loads with
+    /// every counter rebuilt from the fleet.
+    fn audited_not_captured(what: &str, discipline: LaneDiscipline, craft: fn(&mut MicroSim)) {
+        let (grid, pristine) = loaded(discipline);
+        let (_, mut s) = loaded(discipline);
+        craft(&mut s);
+        match s.audit_counters() {
+            Err(m) => assert_eq!(m.what, what),
+            Ok(()) => panic!("the audit missed a corrupted {what}"),
+        }
+        assert!(s.verify_sensors().is_err(), "{what}");
+        let capture = |s: &MicroSim| {
+            let mut w = StateWriter::new();
+            s.save_state(&mut w);
+            w.bytes().to_vec()
+        };
+        let bytes = capture(&s);
+        assert_eq!(bytes, capture(&pristine), "{what} is not captured");
+        let mut back = sim(&grid, discipline);
+        back.load_state(&mut StateReader::new(&bytes))
+            .expect("an intact capture");
+        back.verify_sensors()
+            .expect("counters rebuilt from the fleet");
+    }
+
     #[test]
     fn sensor_counter_that_disagrees_with_a_rescan_is_rejected() {
-        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
         // An empty lane claiming a halted vehicle would wrap in release
-        // at its first fold; load must refuse it instead.
-        let craft = |s: &mut MicroSim| {
-            let g = (0..s.sensors.halted.len())
-                .find(|&g| s.sensors.halted[g] == 0)
-                .expect("an unhalted lane");
-            s.sensors.halted[g] = u32::MAX;
-        };
-        rejects(
+        // at its first fold.
+        audited_not_captured(
             "lane sensor counter",
-            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+            LaneDiscipline::DedicatedPerMovement,
+            |s| {
+                let g = (0..s.sensors.halted.len())
+                    .find(|&g| s.sensors.halted[g] == 0)
+                    .expect("an unhalted lane");
+                s.sensors.halted[g] = u32::MAX;
+            },
         );
     }
 
     #[test]
     fn road_sum_that_disagrees_with_its_lanes_is_rejected() {
-        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
-        let craft = |s: &mut MicroSim| s.roads[0].detected_sum += 1;
-        rejects(
+        audited_not_captured(
             "road sensor sum",
-            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+            LaneDiscipline::DedicatedPerMovement,
+            |s| s.roads[0].halted_sum += 1,
+        );
+        audited_not_captured(
+            "road occupancy",
+            LaneDiscipline::DedicatedPerMovement,
+            |s| s.roads[0].occupancy += 1,
         );
     }
 
     #[test]
     fn pending_count_that_disagrees_with_the_boxes_is_rejected() {
-        let (grid, s) = loaded(LaneDiscipline::DedicatedPerMovement);
-        let craft = |s: &mut MicroSim| {
-            let c = first_crossing(s).clone();
-            let g = s.net.lane0(c.dest_road) + c.dest_lane;
-            s.pending[g] -= 1;
-        };
-        rejects(
+        audited_not_captured(
             "lane pending reservations",
-            reload(&grid, LaneDiscipline::DedicatedPerMovement, s, craft),
+            LaneDiscipline::DedicatedPerMovement,
+            |s| {
+                let c = first_crossing(s).clone();
+                let g = s.net.lane0(c.dest_road) + c.dest_lane;
+                s.pending[g] -= 1;
+            },
         );
     }
 
@@ -2035,20 +2036,16 @@ mod load_validation {
             reload(&grid, LaneDiscipline::SharedMixed, s, |_| {}),
             Ok(())
         );
-        let (grid, s) = loaded(LaneDiscipline::SharedMixed);
-        let craft = |s: &mut MicroSim| {
+        audited_not_captured("movement counter", LaneDiscipline::SharedMixed, |s| {
             let mv = s
                 .roads
                 .iter_mut()
                 .find_map(|r| r.move_counts.as_mut())
                 .expect("mixed roads keep movement counters");
             mv.detected[0] += 1;
-        };
-        rejects(
-            "movement counter",
-            reload(&grid, LaneDiscipline::SharedMixed, s, craft),
-        );
+        });
     }
+
     /// The slot of a vehicle on an internal road with at least two
     /// crossings ahead of it.
     fn lane_vehicle_with_two_hops_left(s: &MicroSim) -> u32 {
@@ -2063,22 +2060,17 @@ mod load_validation {
     #[test]
     fn fleet_that_disagrees_with_its_routes_or_clock_is_rejected() {
         type Craft = fn(&mut MicroSim);
-        let cases: [(&str, Craft); 7] = [
+        let cases: [(&str, Craft); 6] = [
             // A route cursor one junction ahead of the vehicle's road.
             ("route link", |s| {
                 s.arena.bump_hop(lane_vehicle_with_two_hops_left(s));
             }),
-            // A crossing bound for a lane of another movement, with the
-            // reservations moved along so only the route check objects.
+            // A crossing bound for a lane of another movement.
             ("crossing destination lane", |s| {
                 let c = (s.boxes.iter_mut().flatten())
                     .find(|c| s.road_dest[c.dest_road].is_some())
                     .expect("a crossing bound for an internal road");
-                let (road, lane) = (c.dest_road, c.dest_lane);
-                c.dest_lane = (lane + 1) % s.net.num_lanes(road);
-                let moved = c.dest_lane;
-                s.pending[s.net.lane0(road) + lane] -= 1;
-                s.pending[s.net.lane0(road) + moved] += 1;
+                c.dest_lane = (c.dest_lane + 1) % s.net.num_lanes(c.dest_road);
             }),
             // A backlogged route that enters at another road.
             ("backlog route entry", |s| {
@@ -2098,7 +2090,6 @@ mod load_validation {
                 let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
                 s.arena.insert(VehicleId::new(1 << 30), route);
             }),
-            ("road occupancy", |s| s.roads[0].occupancy += 1),
             ("crossing waiting ticks", |s| {
                 first_crossing(s).wait = s.now.index() + 1;
             }),

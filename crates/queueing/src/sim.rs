@@ -36,9 +36,10 @@ pub enum TransitModel {
     /// (Eq. 2): `q(k+1) = q(k) + A(k,k+1) − S(k,k+1)`.
     Instant,
     /// Served vehicles spend the road's free-flow travel time in a delay
-    /// line before joining the downstream queue (a realism refinement; the
-    /// in-transit vehicles still count toward road occupancy and toward
-    /// the movement counts controllers observe).
+    /// line before joining the downstream queue (a realism refinement).
+    /// In-transit vehicles count toward road occupancy, but not toward
+    /// what controllers observe: [`QueueSim::observe_into`] reads only
+    /// the movement queues' lengths and the roads' queued counts.
     #[default]
     FreeFlow,
 }
@@ -764,18 +765,29 @@ impl QueueSim {
         Ok(())
     }
 
+    /// Every road's queued count, rescanned from the movement queues at
+    /// its downstream arm. [`audit`](Self::audit) compares the
+    /// incremental counters with it; [`load_state`](Self::load_state)
+    /// installs it, since a capture stores no counter.
+    fn rescan_queued(&self) -> Vec<u32> {
+        let mut queued = vec![0u32; self.roads.len()];
+        for (g, queue) in self.queues.iter().enumerate() {
+            queued[self.links[g].in_road as usize] += queue.len() as u32;
+        }
+        queued
+    }
+
     /// Checks the state a step relies on: every road's `queued` and
-    /// `occupancy` counters against a rescan of its movement queues and
-    /// delay line, and every vehicle's remaining route (see
+    /// `occupancy` counters against [`rescan_queued`](Self::rescan_queued)
+    /// plus its delay line, and every vehicle's remaining route (see
     /// [`check_route`](Self::check_route)). Shared by
     /// [`verify_sensors`](Self::verify_sensors) and
     /// [`load_state`](Self::load_state), which must refuse a snapshot
-    /// that would otherwise panic or miscount at step time.
+    /// that would otherwise panic at step time.
     fn audit(&self) -> Result<(), AuditFailure> {
-        let mut queued = vec![0u32; self.roads.len()];
+        let queued = self.rescan_queued();
         for (g, queue) in self.queues.iter().enumerate() {
             let in_road = self.links[g].in_road as usize;
-            queued[in_road] += queue.len() as u32;
             for v in queue {
                 if self.check_route(in_road, &v.route, v.hop)? != Some(g) {
                     return Err(AuditFailure {
@@ -1205,27 +1217,27 @@ impl QueueSim {
     }
 
     /// Serializes the full dynamic state into a durable word stream:
-    /// clock, counters, per-road flags/counters/transit lines, movement
-    /// queues with fractional credits, boundary backlogs, the waiting
-    /// ledger, and every controller's state (in intersection order).
+    /// clock, counters, per-road flags/entered counters/transit lines,
+    /// movement queues with fractional credits, boundary backlogs, the
+    /// waiting ledger, and every controller's state (in intersection
+    /// order).
     ///
     /// Construction-time shape (topology, service lookups, phase→link
     /// tables, transit delays) and intra-step scratch (the observation
     /// buffer, per-slot decisions — rewritten by the next step's decide
-    /// phase) are *not* state and are not written. The incremental
-    /// `transit_by_link` counters and the sets of roads with a non-empty
-    /// delay line or backlog are derived from the transit lines and
-    /// backlogs and are rebuilt on load. Queues and credits are written
-    /// per intersection in `LinkId` order.
+    /// phase) are *not* state and are not written. The roads' `queued`
+    /// and `occupancy` counters, the incremental `transit_by_link`
+    /// counters and the sets of roads with a non-empty delay line or
+    /// backlog are derived from the queues, transit lines and backlogs
+    /// and are rebuilt on load. Queues and credits are written per
+    /// intersection in `LinkId` order.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_served);
         writer.push_usize(self.roads.len());
         for road in &self.roads {
             writer.push_bool(road.closed);
-            writer.push_u32(road.occupancy);
             writer.push(road.entered);
-            writer.push_u32(road.queued);
             writer.push_usize(road.transit.len());
             for v in &road.transit {
                 writer.push(v.id.raw());
@@ -1279,9 +1291,9 @@ impl QueueSim {
     /// this simulator's topology, or — as [`StateError::Invalid`] — if a
     /// restored vehicle's remaining route leaves the topology (a hop
     /// past the route's end, or a link outside the destination layout or
-    /// not leaving the vehicle's road), a queued vehicle's route names
-    /// another movement, or a road's `queued` or `occupancy` counter
-    /// disagrees with a rescan of its queues and delay line.
+    /// not leaving the vehicle's road) or a queued vehicle's route names
+    /// another movement. The roads' `queued` and `occupancy` counters are
+    /// not read but rebuilt from the restored queues and delay lines.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         // The settled marks describe the state being replaced.
         self.settled.fill(None);
@@ -1300,9 +1312,7 @@ impl QueueSim {
         }
         for road in &mut self.roads {
             road.closed = reader.take_bool()?;
-            road.occupancy = reader.take_u32()?;
             road.entered = reader.take_count("queueing road entered count")?;
-            road.queued = reader.take_u32()?;
             let transit = reader.take_usize()?;
             road.transit.clear();
             for _ in 0..transit {
@@ -1378,13 +1388,18 @@ impl QueueSim {
             slot.controller.check_state(node.layout())?;
         }
 
+        let queued = self.rescan_queued();
+        for (road, queued) in self.roads.iter_mut().zip(queued) {
+            road.queued = queued;
+            road.occupancy = queued + road.transit.len() as u32;
+        }
         self.audit().map_err(|m| StateError::Invalid {
             what: m.what,
             word: m.word,
         })?;
-        // Rebuild the derived state from the restored (and now audited)
-        // delay lines and backlogs: the in-transit movement counters and
-        // the sets of roads a step visits.
+        // Rebuild the rest of the derived state from the restored (and
+        // now audited) delay lines and backlogs: the in-transit movement
+        // counters and the sets of roads a step visits.
         self.transit_by_link = self.rescan_transit_by_link();
         self.transit_live.clear();
         self.backlog_live.clear();
@@ -1556,28 +1571,46 @@ mod tests {
         rejects("queueing queued vehicle hop", reload(&grid, s, craft));
     }
 
+    /// Corrupts a live counter with `craft`: the live audit behind
+    /// `verify_sensors` names it as `what`, and the corruption never
+    /// reaches a capture, which equals the pristine run's and loads with
+    /// the counters rebuilt from the queues and delay lines.
+    fn audited_not_captured(what: &str, craft: fn(&mut QueueSim)) {
+        let (grid, pristine) = loaded();
+        let (_, mut s) = loaded();
+        craft(&mut s);
+        match s.audit() {
+            Err(m) => assert_eq!(m.what, what),
+            Ok(()) => panic!("the audit missed a corrupted {what}"),
+        }
+        assert!(s.verify_sensors().is_err(), "{what}");
+        let bytes = capture(&s);
+        assert_eq!(bytes, capture(&pristine), "{what} is not captured");
+        let mut back = sim(&grid);
+        back.load_state(&mut StateReader::new(&bytes))
+            .expect("an intact capture");
+        back.verify_sensors()
+            .expect("counters rebuilt from the queues");
+    }
+
     #[test]
     fn queued_counter_that_disagrees_with_a_rescan_is_rejected() {
-        let (grid, s) = loaded();
-        let craft = |s: &mut QueueSim| {
+        audited_not_captured("queueing road queued count", |s| {
             let r = s.links[0].in_road as usize;
             s.roads[r].queued += 1;
-        };
-        rejects("queueing road queued count", reload(&grid, s, craft));
+        });
     }
 
     #[test]
     fn occupancy_that_disagrees_with_a_rescan_is_rejected() {
-        let (grid, s) = loaded();
         // An occupancy one short of the road's vehicles would underflow
         // when the last of them leaves.
-        let craft = |s: &mut QueueSim| {
+        audited_not_captured("queueing road occupancy", |s| {
             let r = (0..s.roads.len())
                 .find(|&r| s.roads[r].occupancy > 0)
                 .expect("an occupied road");
             s.roads[r].occupancy -= 1;
-        };
-        rejects("queueing road occupancy", reload(&grid, s, craft));
+        });
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! Checkpoint/restore types for the scenario engine.
 //!
-//! A checkpoint is a `utilbp-snapshot` container holding four sections:
-//! the engine's structural metadata (backend, guard flags, checkpoint
-//! policy, recorder shape), the scenario spec in its text form, the
-//! plant's full dynamic state, and the engine's own dynamic state (demand cursors, event-timeline position, fault
-//! switches, replanning trackers, congestion monitor, telemetry
-//! watermarks). [`ScenarioEngine::restore`] rebuilds a fresh engine from
-//! the embedded spec and overwrites its dynamic state, after which the
-//! restored run continues **bit-identically** to the uninterrupted one —
-//! same `ScenarioOutcome`, same telemetry JSONL — on either substrate.
+//! A checkpoint is a `utilbp-snapshot` container holding four sections,
+//! plus a fifth when a flight recorder is installed: the engine's
+//! structural metadata (backend, guard mode, microscopic-parameter
+//! fingerprint, checkpoint policy, recorder shape), the scenario spec in
+//! its text form, the plant's dynamic state (its clock is the engine's
+//! tick), the engine's own dynamic state (demand clocks and RNG,
+//! event-timeline position, fault switches, replanning trackers,
+//! congestion monitor), and the recorder's buffer with its phase-trace
+//! watermarks. A capture holds only words restore cannot recompute from
+//! other words: the guard's watermarks, the plants' occupancy and sensor
+//! counters, the demand's next vehicle id and the watchdog event
+//! watermarks are rebuilt from the restored state.
+//! [`ScenarioEngine::restore`] rebuilds a fresh engine from the embedded
+//! spec and overwrites its dynamic state, after which the restored run
+//! continues **bit-identically** to the uninterrupted one — same
+//! `ScenarioOutcome`, same telemetry JSONL — on either substrate.
 //!
 //! [`ScenarioEngine::restore`]: crate::ScenarioEngine::restore
 
@@ -26,7 +33,7 @@ pub(crate) const TAG_SPEC: u32 = 2;
 pub(crate) const TAG_PLANT: u32 = 3;
 /// Section tag of the engine-side dynamic state words.
 pub(crate) const TAG_ENGINE: u32 = 4;
-/// Section tag of the telemetry (recorder + watermark) state words;
+/// Section tag of the telemetry (recorder + phase-trace watermark) words;
 /// present only when a flight recorder is installed.
 pub(crate) const TAG_TELEMETRY: u32 = 5;
 

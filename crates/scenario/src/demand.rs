@@ -195,9 +195,10 @@ impl NetworkDemand {
 
     /// Serializes the generator's dynamic state — per-entry arrival
     /// clocks, the surge multiplier, the closure mask, the RNG stream
-    /// position, and the id/suppression counters — into a durable word
+    /// position, and the suppression counter — into a durable word
     /// stream. The cached cumulative-weight tables are derived from the
-    /// closure mask and are rebuilt on load.
+    /// closure mask and are rebuilt on load; the next vehicle id is the
+    /// plant ledger's id bound, which load takes from there.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         writer.push_usize(self.clocks.len());
         for &clock in &self.clocks {
@@ -211,14 +212,15 @@ impl NetworkDemand {
         for &word in &self.rng.state() {
             writer.push(word);
         }
-        writer.push(self.next_vehicle);
         writer.push(self.suppressed);
     }
 
     /// Restores the state written by [`save_state`](Self::save_state)
     /// into a generator built over the *same* network and schedule; the
     /// restored generator continues the arrival stream bit-identically
-    /// from tick `now`, the next tick to be polled.
+    /// from tick `now`, the next tick to be polled, issuing ids from
+    /// `next_vehicle` on (every id issued so far is in the plant's
+    /// ledger, so that is the ledger's id bound).
     ///
     /// # Errors
     ///
@@ -232,6 +234,7 @@ impl NetworkDemand {
         &mut self,
         network: &Network,
         now: Tick,
+        next_vehicle: u64,
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
@@ -268,7 +271,7 @@ impl NetworkDemand {
             *word = reader.take()?;
         }
         self.rng = SmallRng::from_state(state);
-        self.next_vehicle = reader.take()?;
+        self.next_vehicle = next_vehicle;
         self.suppressed = reader.take_count("suppressed arrival count")?;
         self.rebuild_open_tables(network);
         Ok(())

@@ -43,8 +43,7 @@ use utilbp_baselines::{
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{SignalController, Tick, Ticks};
 use utilbp_metrics::{PhaseTimings, TimeSeries, VehicleId, WaitingLedger};
-use utilbp_microsim::MicroSimConfig;
-use utilbp_microsim::{LaneDiscipline, OutgoingSensor};
+use utilbp_microsim::{LaneDiscipline, MicroSimConfig};
 use utilbp_netgen::{Arrival, Network, Replanner, RoadId, TurningProbabilities};
 use utilbp_snapshot::{crc32, SnapshotReader, SnapshotWriter};
 use utilbp_substrate::{
@@ -132,28 +131,27 @@ fn micro_fingerprint(cfg: &MicroSimConfig) -> u64 {
     w.push_f64(cfg.detection_range_m);
     w.push_f64(cfg.waiting_speed_mps);
     w.push_f64(cfg.halt_speed_mps);
-    w.push(match cfg.outgoing_sensor {
-        OutgoingSensor::HaltedWholeRoad => 0,
-        OutgoingSensor::PresenceNearJunction => 1,
-        OutgoingSensor::Occupancy => 2,
-    });
     w.push(match cfg.lane_discipline {
         LaneDiscipline::DedicatedPerMovement => 0,
         LaneDiscipline::SharedMixed => 1,
     });
     w.push_f64(cfg.insertion_speed_mps);
     w.push(cfg.seed);
-    // This word once selected between two car-following contracts; only
-    // one is left, but the fingerprint is written into every checkpoint,
-    // so the word stays (always 0) to keep the checkpoint format, and
-    // therefore every existing capture, unchanged.
-    w.push(0);
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     for &byte in w.bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+/// META's guard word: one value per [`EngineConfig::guard`] setting.
+fn guard_word(guard: Option<GuardMode>) -> u64 {
+    match guard {
+        None => 0,
+        Some(GuardMode::Panic) => 1,
+        Some(GuardMode::Observe) => 2,
+    }
 }
 
 /// Domain-separation tag for the fault-injection RNG streams: without
@@ -453,7 +451,6 @@ pub struct ScenarioEngine {
     /// One stats handle per intersection watchdog (empty unless the spec
     /// installs one).
     watchdogs: Vec<WatchdogStats>,
-    now: Tick,
     arrivals: Vec<Arrival>,
     scratch: SubstrateScratch,
     /// Turning probabilities of the scenario's topology (detour weights).
@@ -646,7 +643,6 @@ impl ScenarioEngine {
             fault_switch,
             actuation_switch,
             watchdogs,
-            now: Tick::ZERO,
             arrivals: Vec::new(),
             scratch: SubstrateScratch::new(),
             turning,
@@ -680,9 +676,10 @@ impl ScenarioEngine {
         &self.network
     }
 
-    /// The next tick to be simulated.
+    /// The next tick to be simulated: the plant clock, which advances
+    /// once per [`step`](Self::step).
     pub fn now(&self) -> Tick {
-        self.now
+        self.substrate.now()
     }
 
     /// Vehicles generated by the demand process so far.
@@ -827,6 +824,11 @@ impl ScenarioEngine {
         self.telemetry.active = recorder.enabled();
         self.telemetry.recorder = recorder;
         self.telemetry.prev_trace.clear();
+        self.mark_watchdogs();
+    }
+
+    /// Brings the watchdog event watermarks up to the counters.
+    fn mark_watchdogs(&mut self) {
         self.telemetry.prev_activations.clear();
         self.telemetry
             .prev_activations
@@ -962,7 +964,7 @@ impl ScenarioEngine {
     /// Panics once the horizon is reached: a run ends there, so every
     /// capture's tick lies within it, which restore checks.
     pub fn step(&mut self) {
-        let now = self.now;
+        let now = self.now();
         assert!(
             now.index() < self.spec.horizon.count(),
             "step past the scenario horizon of {} ticks",
@@ -1146,7 +1148,6 @@ impl ScenarioEngine {
             self.record_guard_violations();
         }
         self.sample_gauges(now);
-        self.now = now.next();
     }
 
     /// Moves observe-mode guard violations into the recorder as
@@ -1415,7 +1416,7 @@ impl ScenarioEngine {
 
     /// Steps until the scenario horizon is reached.
     pub fn run_to_end(&mut self) {
-        while self.now.index() < self.spec.horizon.count() {
+        while self.now().index() < self.spec.horizon.count() {
             self.step();
         }
     }
@@ -1485,7 +1486,7 @@ impl ScenarioEngine {
     pub fn mark_restored(&mut self, fallback: bool) {
         if self.telemetry.active {
             self.telemetry.recorder.record(Event {
-                tick: self.now,
+                tick: self.now(),
                 kind: EventKind::Restore { fallback },
             });
         }
@@ -1495,8 +1496,11 @@ impl ScenarioEngine {
     /// `utilbp-snapshot` container): structural metadata, the scenario
     /// spec in text form, the plant's dynamic state, the engine's own
     /// dynamic state, and — when a flight recorder is installed — the
-    /// recorder buffer and event watermarks. Gauge series and profiler
-    /// accumulations are measurements, not state, and are not captured.
+    /// recorder buffer and phase-trace watermarks. Gauge series and
+    /// profiler accumulations are measurements, not state, and are not
+    /// captured; nor is anything restore derives from the rest (the
+    /// guard, the demand's next vehicle id, the watchdog event
+    /// watermarks).
     ///
     /// [`restore`](Self::restore) rebuilds an engine that continues
     /// bit-identically; capturing the restored engine at the same tick
@@ -1519,8 +1523,7 @@ impl ScenarioEngine {
                 Backend::Queueing => 0,
                 Backend::Microscopic => 1,
             });
-            meta.push_bool(self.config.guard.is_some());
-            meta.push_bool(self.config.guard == Some(GuardMode::Observe));
+            meta.push(guard_word(self.config.guard));
             meta.push(micro_fingerprint(&self.config.micro));
             match self.ckpt_policy {
                 Some(policy) => {
@@ -1539,11 +1542,8 @@ impl ScenarioEngine {
         });
 
         snapshot.section_bytes(TAG_SPEC, self.spec.to_text().as_bytes());
-        // Inside the plant section, a guard's words precede the plant's.
-        snapshot.section_state(TAG_PLANT, |plant| match &self.guard {
-            Some(guard) => guard.save_state(plant, &*self.substrate),
-            None => self.substrate.save_state(plant),
-        });
+        // The guard stores nothing: restore rebuilds it from the plant.
+        snapshot.section_state(TAG_PLANT, |plant| self.substrate.save_state(plant));
         snapshot.section_state(TAG_ENGINE, |engine| self.save_engine_state(engine));
 
         if let Some(recorder) = self.recorder() {
@@ -1553,14 +1553,6 @@ impl ScenarioEngine {
                 for &value in &self.telemetry.prev_trace {
                     telemetry.push(u64::from(value));
                 }
-                telemetry.push_usize(self.telemetry.prev_activations.len());
-                for &value in &self.telemetry.prev_activations {
-                    telemetry.push(value);
-                }
-                telemetry.push_usize(self.telemetry.prev_recoveries.len());
-                for &value in &self.telemetry.prev_recoveries {
-                    telemetry.push(value);
-                }
             });
         }
 
@@ -1568,9 +1560,9 @@ impl ScenarioEngine {
     }
 
     /// Serializes the engine-side dynamic state (everything outside the
-    /// plant and the telemetry plane).
+    /// plant and the telemetry plane). The engine's tick is the plant
+    /// clock, saved with the plant.
     fn save_engine_state(&self, writer: &mut StateWriter) {
-        writer.push(self.now.index());
         writer.push_usize(self.cursor);
         writer.push_bool(self.fault_switch.is_active());
         writer.push_bool(self.actuation_switch.is_active());
@@ -1617,19 +1609,11 @@ impl ScenarioEngine {
     }
 
     /// Restores the engine-side dynamic state written by
-    /// [`save_engine_state`](Self::save_engine_state), rejecting words
-    /// the step path would trust: a tick past the horizon (no step runs
-    /// there), a demand clock behind it, or a surge factor no event of
-    /// the spec sets.
+    /// [`save_engine_state`](Self::save_engine_state) over the restored
+    /// plant, rejecting words the step path would trust: a demand clock
+    /// behind the plant clock, or a surge factor no event of the spec
+    /// sets. The demand issues ids on from the plant ledger's id bound.
     fn load_engine_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        let now = reader.take()?;
-        if now > self.spec.horizon.count() {
-            return Err(StateError::Invalid {
-                what: "engine tick",
-                word: now,
-            });
-        }
-        self.now = Tick::new(now);
         let cursor = reader.take_usize()?;
         if cursor > self.actions.len() {
             return Err(StateError::Invalid {
@@ -1640,7 +1624,9 @@ impl ScenarioEngine {
         self.cursor = cursor;
         self.fault_switch.set_active(reader.take_bool()?);
         self.actuation_switch.set_active(reader.take_bool()?);
-        self.demand.load_state(&self.network, self.now, reader)?;
+        let (now, next_vehicle) = (self.now(), self.substrate.ledger().id_bound() as u64);
+        self.demand
+            .load_state(&self.network, now, next_vehicle, reader)?;
         let surge = self.demand.surge();
         let scheduled =
             self.spec.events.iter().any(
@@ -1741,13 +1727,8 @@ impl ScenarioEngine {
         if backend != config.backend {
             return Err(RestoreError::Mismatch { what: "backend" });
         }
-        if meta.take_bool()? != config.guard.is_some() {
+        if meta.take()? != guard_word(config.guard) {
             return Err(RestoreError::Mismatch { what: "guard" });
-        }
-        if meta.take_bool()? != (config.guard == Some(GuardMode::Observe)) {
-            return Err(RestoreError::Mismatch {
-                what: "guard_observe",
-            });
         }
         if meta.take()? != micro_fingerprint(&config.micro) {
             return Err(RestoreError::Mismatch {
@@ -1795,7 +1776,6 @@ impl ScenarioEngine {
             recorder.load_state(&mut reader)?;
             engine.set_recorder(Box::new(recorder));
             let len = reader.take_usize()?;
-            engine.telemetry.prev_trace.clear();
             for _ in 0..len {
                 let word = reader.take()?;
                 let value = u16::try_from(word).map_err(|_| StateError::Invalid {
@@ -1804,82 +1784,33 @@ impl ScenarioEngine {
                 })?;
                 engine.telemetry.prev_trace.push(value);
             }
-            let len = reader.take_usize()?;
-            engine.telemetry.prev_activations.clear();
-            for _ in 0..len {
-                engine.telemetry.prev_activations.push(reader.take()?);
-            }
-            let len = reader.take_usize()?;
-            engine.telemetry.prev_recoveries.clear();
-            for _ in 0..len {
-                engine.telemetry.prev_recoveries.push(reader.take()?);
-            }
             reader.finish().map_err(RestoreError::from)?;
         }
 
         let mut reader = snapshot.words(TAG_PLANT)?;
-        match engine.guard.as_mut() {
-            Some(guard) => guard.load_state(&mut reader, &mut *engine.substrate)?,
-            None => engine.substrate.load_state(&mut reader)?,
-        }
+        engine.substrate.load_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
-
-        // A recording engine brings its watchdog watermarks up to the
-        // counters every tick, and the next step emits one event per unit
-        // of difference: they must agree with the restored controllers.
-        let telemetry = &engine.telemetry;
-        let agree = |marks: &[u64], counter: fn(&WatchdogStats) -> u64| {
-            marks
-                .iter()
-                .copied()
-                .eq(engine.watchdogs.iter().map(counter))
-        };
-        if recorder_capacity.is_some()
-            && !(agree(&telemetry.prev_activations, WatchdogStats::activations)
-                && agree(&telemetry.prev_recoveries, WatchdogStats::recoveries))
-        {
+        // The plant clock is the engine's tick, and no step runs past the
+        // horizon. The plant's own checks bound the vehicles' waiting by
+        // that clock, which this ties to the horizon.
+        let now = engine.now().index();
+        if now > engine.spec.horizon.count() {
             return Err(StateError::Invalid {
-                what: "watchdog event watermark",
-                word: telemetry.prev_activations.len() as u64,
+                what: "plant tick",
+                word: now,
             }
             .into());
         }
+        if let Some(guard) = engine.guard.as_mut() {
+            guard.resume(&*engine.substrate);
+        }
+        // Every recorded step leaves the watchdog event watermarks at the
+        // counters, which the plant has just restored.
+        engine.mark_watchdogs();
 
         let mut reader = snapshot.words(TAG_ENGINE)?;
         engine.load_engine_state(&mut reader)?;
         reader.finish().map_err(RestoreError::from)?;
-
-        // The plant steps once per engine tick. Its own checks bound the
-        // vehicles' waiting by its clock, which this ties to the horizon.
-        if engine.substrate.now() != engine.now {
-            return Err(StateError::Invalid {
-                what: "plant tick",
-                word: engine.substrate.now().index(),
-            }
-            .into());
-        }
-
-        // Every generated vehicle enters the plant's ledger on its arrival
-        // tick, under ids issued densely from 0, so the next id and the
-        // ledger's id bound both count the vehicles the ledger has seen.
-        // A larger next id would size the ledger's slab at the next
-        // arrival.
-        let ledger = engine.substrate.ledger();
-        let seen = ledger.active() as u64 + ledger.completed();
-        if engine.demand.generated() != seen {
-            return Err(StateError::Invalid {
-                what: "demand next vehicle id",
-                word: engine.demand.generated(),
-            }
-            .into());
-        }
-        if ledger.id_bound() as u64 != seen {
-            return Err(StateError::Invalid {
-                what: "ledger id bound",
-                word: ledger.id_bound() as u64,
-            }
-            .into());
-        }
 
         Ok(engine)
     }

@@ -107,9 +107,9 @@ fn resume_is_bit_identical_microscopic() {
 
 #[test]
 fn resume_is_bit_identical_under_guard() {
-    // The guard's own watermarks (closure drain levels, entered-counter
-    // floor) are durable state: a restored guarded run must keep
-    // enforcing invariants across the seam without tripping.
+    // The guard's watermarks (closure drain levels, entered-counter
+    // floor) are rebuilt from the restored plant: a restored guarded run
+    // must keep enforcing invariants across the seam without tripping.
     let config = EngineConfig::new(Backend::Queueing).guarded();
     assert_bit_identical("grid-incident-replan", config, 460, 260);
 }
@@ -117,18 +117,22 @@ fn resume_is_bit_identical_under_guard() {
 #[test]
 fn snapshot_restore_snapshot_is_a_fixed_point() {
     for backend in [Backend::Queueing, Backend::Microscopic] {
-        let config = EngineConfig::new(backend);
-        let mut engine = engine_for("grid-degraded-recovery", config, 420);
-        for _ in 0..233 {
-            engine.step();
+        for config in [
+            EngineConfig::new(backend),
+            EngineConfig::new(backend).observed(),
+        ] {
+            let mut engine = engine_for("grid-degraded-recovery", config, 420);
+            for _ in 0..233 {
+                engine.step();
+            }
+            let first = engine.checkpoint();
+            let restored = ScenarioEngine::restore(&first, config, &controller).expect("restore");
+            let second = restored.checkpoint();
+            assert_eq!(
+                first, second,
+                "{config:?}: save→load→save must be byte-stable"
+            );
         }
-        let first = engine.checkpoint();
-        let restored = ScenarioEngine::restore(&first, config, &controller).expect("restore");
-        let second = restored.checkpoint();
-        assert_eq!(
-            first, second,
-            "{backend:?}: save→load→save must be byte-stable"
-        );
     }
 }
 
@@ -247,8 +251,9 @@ fn bad_magic_is_rejected() {
 fn version_skew_is_rejected() {
     let (mut bytes, config) = sample_checkpoint();
     // The format version is the little-endian u32 right after the magic.
-    // Version 2 captures still carried the execution-mode META word.
-    for version in [2u8, 0x7F] {
+    // Version 2 captures still carried the execution-mode META word,
+    // version 3 captures the words restore now derives.
+    for version in [2u8, 3, 0x7F] {
         bytes[8] = version;
         match ScenarioEngine::restore(&bytes, config, &controller).err() {
             Some(RestoreError::Snapshot(SnapshotError::UnsupportedVersion { found })) => {
@@ -304,6 +309,13 @@ fn config_mismatches_are_typed() {
         Some(RestoreError::Mismatch { what: "guard" }) => {}
         other => panic!("expected guard mismatch, got {other:?}"),
     }
+    // The guard's mode is one META word: a panicking guard's capture is
+    // not an observing guard's.
+    let panicking = capture("paper-grid", guarded, 120, 60);
+    match ScenarioEngine::restore(&panicking, config.observed(), &controller).err() {
+        Some(RestoreError::Mismatch { what: "guard" }) => {}
+        other => panic!("expected guard mismatch, got {other:?}"),
+    }
 
     let mut wrong_micro = config;
     wrong_micro.micro.sigma = 0.25;
@@ -323,10 +335,10 @@ fn config_mismatches_are_typed() {
 // ---------------------------------------------------------------------
 
 /// Section tags of a capture; all but the spec text are word sections.
+const TAG_META: u32 = 1;
 const TAG_SPEC: u32 = 2;
 const TAG_PLANT: u32 = 3;
 const TAG_ENGINE: u32 = 4;
-const TAG_TELEMETRY: u32 = 5;
 
 /// Every section of a capture: its tag, the offset of its CRC field and
 /// its payload's byte range.
@@ -386,15 +398,13 @@ fn expect_invalid(bytes: &[u8], config: EngineConfig, what: &str) {
     }
 }
 
-/// Engine-section words, following `save_engine_state`: the tick, the
-/// event cursor, two fault switches, then the demand generator's entry
-/// count and one arrival clock per entry (the first at word 5), its
-/// surge factor, road count, one closure flag per road, four RNG words
-/// and the next vehicle id. Returns the surge and next-id indices.
-fn demand_words(bytes: &[u8]) -> (usize, usize) {
-    let surge = 5 + word_at(bytes, TAG_ENGINE, 4) as usize;
-    let roads = word_at(bytes, TAG_ENGINE, surge + 1) as usize;
-    (surge, surge + 2 + roads + 4)
+/// Engine-section words, following `save_engine_state`: the event
+/// cursor, two fault switches, then the demand generator's entry count
+/// and one arrival clock per entry (the first at word 4), its surge
+/// factor, road count, one closure flag per road, four RNG words and the
+/// suppressed count. Returns the surge factor's index.
+fn surge_word(bytes: &[u8]) -> usize {
+    4 + word_at(bytes, TAG_ENGINE, 3) as usize
 }
 
 /// The incident builtin on the queueing plant, cut mid-closure at 260.
@@ -403,24 +413,37 @@ fn incident_capture() -> (Vec<u8>, EngineConfig) {
     (capture("grid-incident-replan", config, 460, 260), config)
 }
 
+/// Rejections of a plant clock past the horizon: plant word 0 is the
+/// clock, the engine's only tick.
+fn clock_past_the_horizon_is_rejected(bytes: &[u8], config: EngineConfig) {
+    assert_eq!(
+        word_at(bytes, TAG_PLANT, 0),
+        260,
+        "plant word 0 is its clock"
+    );
+    let engine = ScenarioEngine::restore(bytes, config, &controller).expect("intact");
+    assert_eq!(
+        engine.now().index(),
+        260,
+        "the plant clock is the engine tick"
+    );
+    for tick in [461, 1 << 40, 11_000_000_000_000_000_000] {
+        let patched = with_word(bytes, TAG_PLANT, 0, tick);
+        expect_invalid(&patched, config, "plant tick");
+    }
+}
+
 #[test]
 fn engine_tick_past_the_horizon_is_rejected() {
     let (bytes, config) = incident_capture();
-    assert_eq!(word_at(&bytes, TAG_ENGINE, 0), 260, "word 0 is the tick");
+    clock_past_the_horizon_is_rejected(&bytes, config);
     // The horizon itself is a tick a finished run is captured at; here
     // it trips the next check, the demand clocks left at tick 260.
     expect_invalid(
-        &with_word(&bytes, TAG_ENGINE, 0, 460),
+        &with_word(&bytes, TAG_PLANT, 0, 460),
         config,
         "demand arrival clock",
     );
-    for tick in [461, 11_000_000_000_000_000_000] {
-        expect_invalid(
-            &with_word(&bytes, TAG_ENGINE, 0, tick),
-            config,
-            "engine tick",
-        );
-    }
 }
 
 #[test]
@@ -441,7 +464,7 @@ fn a_run_ends_at_its_horizon_and_its_last_capture_restores() {
 fn demand_clock_behind_the_engine_tick_or_not_finite_is_rejected() {
     let (bytes, config) = incident_capture();
     for seconds in [259.0, -1e300, f64::NAN, f64::INFINITY] {
-        let patched = with_word(&bytes, TAG_ENGINE, 5, seconds.to_bits());
+        let patched = with_word(&bytes, TAG_ENGINE, 4, seconds.to_bits());
         expect_invalid(&patched, config, "demand arrival clock");
     }
 }
@@ -452,7 +475,7 @@ fn surge_factor_must_be_one_or_a_spec_event_factor() {
     // before the window, the capture holds the neutral factor.
     let config = EngineConfig::new(Backend::Queueing);
     let bytes = capture("grid-congestion-replan", config, 420, 20);
-    let (surge, _) = demand_words(&bytes);
+    let surge = surge_word(&bytes);
     assert_eq!(f64::from_bits(word_at(&bytes, TAG_ENGINE, surge)), 1.0);
     let patched = with_word(&bytes, TAG_ENGINE, surge, 4f64.to_bits());
     assert!(ScenarioEngine::restore(&patched, config, &controller).is_ok());
@@ -464,25 +487,23 @@ fn surge_factor_must_be_one_or_a_spec_event_factor() {
 
 #[test]
 fn next_vehicle_id_must_match_the_ledger() {
-    // The builtins confirm the invariant the check rests on: every id
-    // the demand generator issued is in the plant's ledger, active or
-    // completed.
+    // The builtins confirm the invariant restore rests on: every id the
+    // demand generator issued is in the plant's ledger, active or
+    // completed. The capture stores no next id: a restored engine issues
+    // ids from the ledger's bound on.
     for backend in [Backend::Queueing, Backend::Microscopic] {
         for &(name, horizon, cut) in MATRIX {
-            let mut engine = engine_for(name, EngineConfig::new(backend), horizon);
+            let config = EngineConfig::new(backend);
+            let mut engine = engine_for(name, config, horizon);
             for _ in 0..cut {
                 engine.step();
             }
             let seen = engine.ledger().active() as u64 + engine.ledger().completed();
             assert_eq!(engine.demand_generated(), seen, "{name} on {backend:?}");
+            let restored = ScenarioEngine::restore(&engine.checkpoint(), config, &controller)
+                .expect("an intact capture");
+            assert_eq!(restored.demand_generated(), seen, "{name} on {backend:?}");
         }
-    }
-    let (bytes, config) = incident_capture();
-    let (_, next) = demand_words(&bytes);
-    let issued = word_at(&bytes, TAG_ENGINE, next);
-    for id in [issued + 1, issued - 1, 69_000_000_000] {
-        let patched = with_word(&bytes, TAG_ENGINE, next, id);
-        expect_invalid(&patched, config, "demand next vehicle id");
     }
 }
 
@@ -491,7 +512,8 @@ fn ledger_id_bound_must_match_the_vehicles_seen() {
     let (bytes, config) = incident_capture();
     let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
     let (seen, live) = (engine.demand_generated(), engine.ledger().active() as u64);
-    // The ledger's words start with its id bound and its live count.
+    // The ledger's slab words start with its id bound and its live
+    // count, then a (slot, entry tick) pair per live vehicle.
     let words = section(&bytes, TAG_PLANT).1.len() / 8;
     let at: Vec<usize> = (0..words - 1)
         .filter(|&i| {
@@ -502,29 +524,32 @@ fn ledger_id_bound_must_match_the_vehicles_seen() {
         })
         .collect();
     assert_eq!(at.len(), 1, "one ledger header");
-    for bound in [seen + 1, 1 << 60] {
-        let patched = with_word(&bytes, TAG_PLANT, at[0], bound);
+    let (bound, last_slot) = (at[0], at[0] + 2 * live as usize);
+    assert!(
+        word_at(&bytes, TAG_PLANT, last_slot) < seen,
+        "the last live slot"
+    );
+    for raised in [seen + 1, 1 << 60] {
+        let patched = with_word(&bytes, TAG_PLANT, bound, raised);
+        expect_invalid(&patched, config, "ledger id bound");
+        // The bound raised with the last live slot under it: the slab
+        // would be sized to that slot; the bound is refused first.
+        let patched = with_word(&patched, TAG_PLANT, last_slot, raised - 1);
         expect_invalid(&patched, config, "ledger id bound");
     }
 }
 
 #[test]
 fn plant_tick_that_disagrees_with_the_engine_is_rejected() {
-    let (bytes, config) = incident_capture();
-    assert_eq!(
-        word_at(&bytes, TAG_PLANT, 0),
-        260,
-        "plant word 0 is its clock"
-    );
-    for tick in [259, 261, 1 << 40] {
-        expect_invalid(&with_word(&bytes, TAG_PLANT, 0, tick), config, "plant tick");
-    }
+    // On the microscopic plant as on the queueing one, the engine keeps
+    // no tick of its own: its clock is the plant's, bound by the horizon.
+    let config = EngineConfig::new(Backend::Microscopic);
+    let bytes = capture("grid-incident-replan", config, 460, 260);
+    clock_past_the_horizon_is_rejected(&bytes, config);
 }
 
 /// The incident builtin on the queueing plant under the guard, cut
-/// mid-closure at 260. The plant section opens with the guard's words:
-/// its checked-tick count, the closure watermark count and one flag
-/// (plus a level when set) per road, then the entered watermark count.
+/// mid-closure at 260. The guard writes no word into the capture.
 fn guarded_incident_capture() -> (Vec<u8>, EngineConfig) {
     let config = EngineConfig::new(Backend::Queueing).guarded();
     (capture("grid-incident-replan", config, 460, 260), config)
@@ -532,124 +557,175 @@ fn guarded_incident_capture() -> (Vec<u8>, EngineConfig) {
 
 #[test]
 fn guard_tick_count_that_disagrees_with_the_plant_is_rejected() {
+    // The rebuilt guard counts its checks from the plant clock: plant
+    // word 0 of a guarded capture is that clock, bound by the horizon,
+    // and a restored panicking guard runs to the horizon untripped.
     let (bytes, config) = guarded_incident_capture();
-    assert_eq!(
-        word_at(&bytes, TAG_PLANT, 0),
-        260,
-        "word 0 is the tick count"
-    );
-    for ticks in [259, 261, 1 << 40] {
-        let patched = with_word(&bytes, TAG_PLANT, 0, ticks);
-        expect_invalid(&patched, config, "guard tick count");
-    }
-    // Tick 0 comes before the first check, whose watermarks are empty.
-    let patched = with_word(&bytes, TAG_PLANT, 0, 0);
-    expect_invalid(&patched, config, "guard closure watermark count");
-}
-
-/// The guarded capture, its road count and the index of its entered
-/// watermark count (after one flag, plus a level when set, per road).
-fn guarded_watermark_words() -> (Vec<u8>, EngineConfig, u64, usize) {
-    let (bytes, config) = guarded_incident_capture();
-    let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
-    let roads = engine.network().topology().num_roads() as u64;
-    assert_eq!(word_at(&bytes, TAG_PLANT, 1), roads);
-    let mut entered = 2;
-    for _ in 0..roads {
-        entered += 1 + word_at(&bytes, TAG_PLANT, entered) as usize;
-    }
-    assert_eq!(word_at(&bytes, TAG_PLANT, entered), roads);
-    (bytes, config, roads, entered)
+    clock_past_the_horizon_is_rejected(&bytes, config);
+    let mut resumed = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
+    resumed.run_to_end();
 }
 
 #[test]
 fn guard_watermark_count_that_is_not_the_road_count_is_rejected() {
-    let (bytes, config, roads, entered) = guarded_watermark_words();
-    for count in [0, 1, roads - 1, roads + 1, 1 << 40] {
-        let patched = with_word(&bytes, TAG_PLANT, 1, count);
-        expect_invalid(&patched, config, "guard closure watermark count");
-        let patched = with_word(&bytes, TAG_PLANT, entered, count);
-        expect_invalid(&patched, config, "guard entered watermark count");
-    }
-    // A capture before the first check holds empty watermarks.
+    // The rebuilt watermarks are the plant's own levels, at any tick: a
+    // capture before the first check restores as one after it.
+    let (_, config) = guarded_incident_capture();
     let early = capture("grid-incident-replan", config, 460, 0);
-    assert_eq!(word_at(&early, TAG_PLANT, 1), 0);
     let mut resumed = ScenarioEngine::restore(&early, config, &controller).expect("tick 0");
     (0..50).for_each(|_| resumed.step());
 }
 
 #[test]
 fn guard_watermark_that_disagrees_with_the_plant_is_rejected() {
-    // After a check the watermarks are the plant's own levels: a
-    // different one would trip the restored guard on its next check.
-    let (bytes, config, _, entered) = guarded_watermark_words();
-    let level = word_at(&bytes, TAG_PLANT, entered + 1);
-    for word in [level + 1, level.wrapping_sub(1), u64::MAX] {
-        let patched = with_word(&bytes, TAG_PLANT, entered + 1, word);
-        expect_invalid(&patched, config, "guard watermark");
-    }
+    // Mid-closure, the closed road's drain watermark matters: the guard
+    // rebuilt from the restored plant records exactly the uninterrupted
+    // observing guard's events (none, on a healthy plant). The guard's
+    // unit tests break a fake plant after such a seam and see both
+    // guards fire alike.
+    let config = EngineConfig::new(Backend::Queueing).observed();
+    let (gold, gold_jsonl) = golden("grid-incident-replan", config, 460);
+    let (resumed, resumed_jsonl) = interrupted("grid-incident-replan", config, 460, 260);
+    assert_eq!(resumed.outcome(), gold.outcome());
+    assert_eq!(resumed_jsonl, gold_jsonl);
+    assert!(!gold_jsonl.contains("guard_violation"), "a healthy plant");
 }
 
 #[test]
 fn watchdog_watermark_that_disagrees_with_the_counters_is_rejected() {
-    // The telemetry section ends with the per-intersection recovery
-    // watermarks; the next step would emit one event per unit of gap.
+    // The capture holds no watchdog event watermarks: restore brings
+    // them up to the restored controllers' counters, and the resumed run
+    // records exactly the uninterrupted run's watchdog events. The
+    // recorder keeps every event of the run.
     let config = EngineConfig::new(Backend::Queueing);
-    let bytes = capture("grid-degraded-recovery", config, 420, 300);
-    let last = section(&bytes, TAG_TELEMETRY).1.len() / 8 - 1;
-    let mark = word_at(&bytes, TAG_TELEMETRY, last) + 1_000_000_000;
-    let patched = with_word(&bytes, TAG_TELEMETRY, last, mark);
-    expect_invalid(&patched, config, "watchdog event watermark");
+    let (horizon, cut) = (420, 150);
+    let run = |bytes: Option<&[u8]>| {
+        let mut engine = match bytes {
+            Some(bytes) => ScenarioEngine::restore(bytes, config, &controller).expect("restore"),
+            None => {
+                let mut engine = engine_for("grid-degraded-recovery", config, horizon);
+                engine.enable_recording(1 << 16);
+                engine
+            }
+        };
+        let capture = (bytes.is_none()).then(|| {
+            (0..cut).for_each(|_| engine.step());
+            engine.checkpoint()
+        });
+        engine.run_to_end();
+        (engine.outcome(), engine.events_jsonl(), capture)
+    };
+    let (outcome, jsonl, capture) = run(None);
+    let (resumed, resumed_jsonl, _) = run(capture.as_deref());
+    assert_eq!(resumed, outcome);
+    assert_eq!(resumed_jsonl, jsonl);
+    let ticks: Vec<u64> = (jsonl.lines())
+        .filter(|line| line.contains("\"kind\":\"watchdog_"))
+        .map(|line| {
+            let tick = line.trim_start_matches("{\"tick\":").split(',').next();
+            tick.and_then(|t| t.parse().ok())
+                .expect("a tick-stamped event")
+        })
+        .collect();
+    assert!(
+        ticks.iter().any(|&t| t < cut) && ticks.iter().any(|&t| t >= cut),
+        "watchdog events on both sides of the seam: {ticks:?}"
+    );
 }
 
-/// Seeded single-word mutations of every word section of three real
-/// captures, each section's CRC recomputed: every restore must return
-/// `Ok` or a typed [`RestoreError`], and a restored engine must step on
-/// without panicking.
+#[test]
+fn the_guard_adds_nothing_to_a_capture() {
+    // The same run at the same tick, captured unguarded, under the
+    // panicking guard and under the observing guard: the bytes differ in
+    // META's guard word alone.
+    for backend in [Backend::Queueing, Backend::Microscopic] {
+        let plain = EngineConfig::new(backend);
+        let bytes = capture("grid-incident-replan", plain, 460, 260);
+        for guarded in [plain.guarded(), plain.observed()] {
+            let mut other = capture("grid-incident-replan", guarded, 460, 260);
+            assert_ne!(other, bytes, "{guarded:?}: META names the guard");
+            other = with_word(&other, TAG_META, 1, word_at(&bytes, TAG_META, 1));
+            assert_eq!(other, bytes, "{guarded:?}");
+        }
+    }
+}
+
+/// Seeded mutations of every word section of four real captures, one of
+/// them under the observing guard, each section's CRC recomputed: single
+/// words, then pairs of words in one section (half of them near each
+/// other, where a count and the words it counts sit). Every restore must
+/// return `Ok` or a typed [`RestoreError`], and a restored engine must
+/// step on without panicking.
 #[test]
 fn mutated_captures_restore_or_fail_typed() {
     const MUTATIONS: usize = 600;
     let mut rng = SmallRng::seed_from_u64(2020);
     let mut next = move || rng.gen::<u64>();
     let (mut restored, mut rejected, mut panics) = (0, 0, Vec::new());
-    for (name, backend, horizon, cut) in [
-        ("grid-incident-replan", Backend::Queueing, 460, 260),
-        ("grid-incident-replan", Backend::Microscopic, 460, 260),
-        ("grid-degraded-recovery", Backend::Microscopic, 420, 233),
+    let micro = EngineConfig::new(Backend::Microscopic);
+    for (name, config, horizon, cut) in [
+        (
+            "grid-incident-replan",
+            EngineConfig::new(Backend::Queueing),
+            460,
+            260,
+        ),
+        ("grid-incident-replan", micro, 460, 260),
+        ("grid-degraded-recovery", micro, 420, 233),
+        ("grid-incident-replan", micro.observed(), 460, 260),
     ] {
-        let config = EngineConfig::new(backend);
         let bytes = capture(name, config, horizon, cut);
-        let words: Vec<(u32, usize)> = (sections(&bytes).into_iter())
+        let lens: Vec<(u32, usize)> = (sections(&bytes).into_iter())
             .filter(|s| s.0 != TAG_SPEC)
-            .flat_map(|(tag, _, payload)| (0..payload.len() / 8).map(move |i| (tag, i)))
+            .map(|(tag, _, payload)| (tag, payload.len() / 8))
             .collect();
-        for _ in 0..MUTATIONS {
-            let (tag, index) = words[(next() % words.len() as u64) as usize];
-            let old = word_at(&bytes, tag, index);
-            let new = match next() % 6 {
-                0 => 0,
-                1 => u64::MAX,
-                2 => old.wrapping_add(if next() % 2 == 0 { 1 } else { u64::MAX }),
-                3 => old ^ (1 << (next() % 64)),
-                4 => next() % 16,
-                _ => next(),
-            };
-            let mutated = with_word(&bytes, tag, index, new);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let restore = ScenarioEngine::restore(&mutated, config, &controller);
-                restore.map(|mut engine| (0..50).for_each(|_| engine.step()))
-            }));
-            match outcome {
-                Ok(Ok(())) => restored += 1,
-                Ok(Err(_)) => rejected += 1,
-                Err(payload) => {
-                    let message = (payload.downcast_ref::<String>().map(String::as_str))
-                        .or(payload.downcast_ref::<&str>().copied())
-                        .unwrap_or_default();
-                    panics.push(format!(
-                        "{name} on {backend:?}: section {tag} word {index} {old:#x} -> {new:#x}: \
-                         {message}"
-                    ));
+        let words: Vec<(u32, usize)> = (lens.iter())
+            .flat_map(|&(tag, len)| (0..len).map(move |i| (tag, i)))
+            .collect();
+        for pairwise in [false, true] {
+            for _ in 0..MUTATIONS {
+                let (tag, index) = words[(next() % words.len() as u64) as usize];
+                let len = lens.iter().find(|l| l.0 == tag).expect("a word section").1;
+                let mut targets = vec![index];
+                if pairwise && len > 1 {
+                    let other = if next() % 2 == 0 {
+                        index.saturating_sub(8) + (next() % 17) as usize
+                    } else {
+                        (next() % len as u64) as usize
+                    };
+                    targets.push(other.min(len - 1));
+                }
+                let mut mutated = bytes.clone();
+                let mut what = Vec::new();
+                for index in targets {
+                    let old = word_at(&bytes, tag, index);
+                    let new = match next() % 6 {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => old.wrapping_add(if next() % 2 == 0 { 1 } else { u64::MAX }),
+                        3 => old ^ (1 << (next() % 64)),
+                        4 => next() % 16,
+                        _ => next(),
+                    };
+                    mutated = with_word(&mutated, tag, index, new);
+                    what.push(format!("word {index} {old:#x} -> {new:#x}"));
+                }
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let restore = ScenarioEngine::restore(&mutated, config, &controller);
+                    restore.map(|mut engine| (0..50).for_each(|_| engine.step()))
+                }));
+                match outcome {
+                    Ok(Ok(())) => restored += 1,
+                    Ok(Err(_)) => rejected += 1,
+                    Err(payload) => {
+                        let message = (payload.downcast_ref::<String>().map(String::as_str))
+                            .or(payload.downcast_ref::<&str>().copied())
+                            .unwrap_or_default();
+                        panics.push(format!(
+                            "{name} under {config:?}: section {tag} {}: {message}",
+                            what.join(", ")
+                        ));
+                    }
                 }
             }
         }

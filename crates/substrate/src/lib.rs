@@ -99,9 +99,12 @@
 //!
 //! Every check is read-only, so a guarded run produces bit-identical
 //! metrics to the unguarded one — fixed-seed goldens are unchanged —
-//! and without a guard nothing in the step path changes. The checks
-//! rescan the network, so install the guard in tests, chaos harnesses,
-//! and debugging sessions rather than benchmark loops.
+//! and without a guard nothing in the step path changes. The guard
+//! stores nothing in a checkpoint either: its watermarks are the
+//! plant's own levels at every capture, so
+//! [`resume`](InvariantGuard::resume) rebuilds them from the restored
+//! plant. The checks rescan the network, so install the guard in tests,
+//! chaos harnesses, and debugging sessions rather than benchmark loops.
 //!
 //! In [`GuardMode::Panic`] the first violation aborts the run with a
 //! tick-stamped diagnostic. In [`GuardMode::Observe`] the guard keeps
@@ -755,95 +758,26 @@ impl InvariantGuard {
         self.violations.drain(..)
     }
 
-    /// Serializes the guard's durable words — checked-tick count, then
-    /// the per-road closure-drain and entered watermarks — followed by
-    /// `plant`'s state. A restored guarded run must keep enforcing
-    /// monotonicity across the checkpoint boundary exactly as the
-    /// uninterrupted run does. The occupancy scratch buffer is rewritten
-    /// every check and is not state; neither are undrained violations.
-    pub fn save_state(&self, writer: &mut StateWriter, plant: &dyn TrafficSubstrate) {
-        writer.push(self.ticks);
-        writer.push_usize(self.closed_occ.len());
-        for slot in &self.closed_occ {
-            match slot {
-                Some(occ) => {
-                    writer.push_bool(true);
-                    writer.push_u32(*occ);
-                }
-                None => writer.push_bool(false),
-            }
-        }
-        writer.push_usize(self.prev_entered.len());
-        for &entered in &self.prev_entered {
-            writer.push(entered);
-        }
-        plant.save_state(writer);
-    }
-
-    /// Restores what [`save_state`](Self::save_state) wrote: the guard's
-    /// words into `self` and the rest into `plant`, a freshly built twin
-    /// of the capturing plant.
-    ///
-    /// Nothing moves between a step's check and the next capture, so the
-    /// watermarks are empty before the first check and, after it,
-    /// exactly the plant's closed-road occupancies and entered counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the plant's [`StateError`], or [`StateError::Invalid`]
-    /// for a checked tick count that differs from the restored plant's
-    /// clock (the guard checks every step), a watermark vector whose
-    /// length is not 0 at tick 0 and the plant's road count after it, or
-    /// a watermark that differs from the restored plant's level.
-    pub fn load_state(
-        &mut self,
-        reader: &mut StateReader<'_>,
-        plant: &mut dyn TrafficSubstrate,
-    ) -> Result<(), StateError> {
-        let ticks = reader.take()?;
+    /// Rebuilds the guard's watermarks for `plant`, a plant just
+    /// restored from a checkpoint: the guard writes nothing into a
+    /// capture. Nothing moves between a step's check and the next
+    /// capture, so the uninterrupted run's guard holds exactly this at
+    /// the capture: one check per tick of the plant clock, each closed
+    /// road's occupancy as its drain watermark and every road's entered
+    /// counter. (Before the first check the watermarks are empty, which
+    /// a fresh plant's open, unentered roads cannot tell apart.) A
+    /// restored guarded run therefore keeps enforcing monotonicity across
+    /// the checkpoint boundary exactly as the uninterrupted run does.
+    pub fn resume(&mut self, plant: &dyn TrafficSubstrate) {
+        self.ticks = plant.now().index();
         plant.occupancy_snapshot(&mut self.occ);
-        let roads = if ticks == 0 { 0 } else { self.occ.len() };
-        let count = |reader: &mut StateReader<'_>, what| match reader.take_usize()? {
-            len if len == roads => Ok(len),
-            len => Err(StateError::Invalid {
-                what,
-                word: len as u64,
-            }),
-        };
         self.closed_occ.clear();
-        for _ in 0..count(reader, "guard closure watermark count")? {
-            let watermark = if reader.take_bool()? {
-                Some(reader.take_u32()?)
-            } else {
-                None
-            };
-            self.closed_occ.push(watermark);
-        }
         self.prev_entered.clear();
-        for _ in 0..count(reader, "guard entered watermark count")? {
-            self.prev_entered.push(reader.take()?);
-        }
-        plant.load_state(reader)?;
-        if ticks != plant.now().index() {
-            return Err(StateError::Invalid {
-                what: "guard tick count",
-                word: ticks,
-            });
-        }
-        plant.occupancy_snapshot(&mut self.occ);
-        for r in 0..roads {
+        for (r, &occ) in self.occ.iter().enumerate() {
             let road = RoadId::new(r as u32);
-            if self.closed_occ[r] != plant.road_closed(road).then_some(self.occ[r])
-                || self.prev_entered[r] != plant.road_entered(road)
-            {
-                return Err(StateError::Invalid {
-                    what: "guard watermark",
-                    word: r as u64,
-                });
-            }
+            self.closed_occ.push(plant.road_closed(road).then_some(occ));
+            self.prev_entered.push(plant.road_entered(road));
         }
-        self.ticks = ticks;
-        Ok(())
     }
 }
 
@@ -1009,6 +943,7 @@ mod tests {
     /// A plant whose query surface the tests set directly, so each
     /// invariant can be broken on its own. Road 1 is closed.
     struct FakePlant {
+        now: Tick,
         occupancy: Vec<u32>,
         entered: Vec<u64>,
         closed: Vec<bool>,
@@ -1022,6 +957,7 @@ mod tests {
             let mut ledger = WaitingLedger::new();
             ledger.enter(utilbp_metrics::VehicleId::new(0), Tick::ZERO);
             FakePlant {
+                now: Tick::ZERO,
                 occupancy: vec![1, 0],
                 entered: vec![1, 0],
                 closed: vec![false, true],
@@ -1045,7 +981,7 @@ mod tests {
             Backend::Queueing
         }
         fn now(&self) -> Tick {
-            unreachable!("the guard reads no clock")
+            self.now
         }
         fn step_into<'a>(
             &mut self,
@@ -1193,6 +1129,36 @@ mod tests {
         plant.admit(1);
         guard.check(&plant);
         assert_eq!(guard.drain_violations().count(), 1);
+    }
+
+    #[test]
+    fn a_resumed_guard_fires_like_the_uninterrupted_one() {
+        // A guard that checked each of three steps, and one rebuilt from
+        // the plant alone at the capture after them (road 1 closed and
+        // drained, road 0 entered): each breach after the seam fires in
+        // both, stamped alike.
+        let run = |break_it: fn(&mut FakePlant)| {
+            let mut plant = FakePlant::healthy();
+            let mut checked = InvariantGuard::new(GuardMode::Observe);
+            for _ in 0..3 {
+                plant.admit(0);
+                plant.now = plant.now.next();
+                checked.check(&plant);
+            }
+            let mut resumed = InvariantGuard::new(GuardMode::Observe);
+            resumed.resume(&plant);
+            break_it(&mut plant);
+            [checked, resumed].map(|mut guard| {
+                guard.check(&plant);
+                guard.drain_violations().collect::<Vec<_>>()
+            })
+        };
+        for (check, break_it, _) in BREAKS {
+            let [checked, resumed] = run(break_it);
+            assert_eq!(checked.len(), 1, "{check}: {checked:?}");
+            assert_eq!((checked[0].tick, checked[0].check), (3, check));
+            assert_eq!(resumed, checked, "{check}");
+        }
     }
 
     #[test]
