@@ -187,6 +187,20 @@ impl<'a> StateReader<'a> {
         }
     }
 
+    /// Takes a word below `bound`: an id the restored state has not
+    /// issued, or a tick its clock has not reached.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
+    /// `what` when the word is `bound` or more.
+    pub fn take_below(&mut self, bound: u64, what: &'static str) -> Result<u64, StateError> {
+        match self.take()? {
+            word if word >= bound => Err(StateError::Invalid { what, word }),
+            word => Ok(word),
+        }
+    }
+
     /// Takes an event counter: at most [`MAX_COUNT`], so the step path
     /// can keep adding to it without overflow.
     ///

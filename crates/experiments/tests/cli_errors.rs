@@ -179,6 +179,21 @@ fn trace_rejects_bad_arguments() {
 }
 
 #[test]
+fn trace_rejects_a_degenerate_topology_instead_of_panicking() {
+    // The parameter is checked before any network is built.
+    let path = std::env::temp_dir().join("utilbp-cli-errors-zero-rows.scn");
+    std::fs::write(&path, "scenario empty\nhorizon 50\ntopology grid rows=0\n")
+        .expect("temp file writes");
+    let output = trace(&[path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    assert_clean_failure(
+        &output,
+        "trace",
+        "line 3: topology grid: rows must be at least 1",
+    );
+}
+
+#[test]
 fn chaos_rejects_bad_arguments() {
     assert_clean_failure(&chaos(&["--frobnicate"]), "chaos", "unknown flag");
     assert_clean_failure(

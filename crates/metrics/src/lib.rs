@@ -8,8 +8,10 @@
 //!   Fig. 5);
 //! - [`PhaseTrace`] — run-length-compressed controller decisions
 //!   (Figs. 3–4);
-//! - [`WaitingLedger`] / [`VehicleId`] — per-vehicle queuing-time
-//!   accounting (Fig. 2, Table III);
+//! - [`WaitingLedger`] / [`VehicleId`] — queuing-time accounting
+//!   (Fig. 2, Table III): completed-run statistics and the count of
+//!   vehicles that entered; the ledger tracks no live vehicle, each
+//!   carries its entry tick and wait on the simulator's record;
 //! - [`TextTable`] and [`ascii_chart`] — diffable plain-text rendering of
 //!   tables and figure shapes;
 //! - [`PhaseTimings`] / [`PhaseStopwatch`] — the one per-phase step

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use utilbp_core::{PhaseDecision, PhaseId, Tick};
-use utilbp_metrics::{PhaseTrace, SummaryStats, TimeSeries, VehicleId, WaitingLedger};
+use utilbp_metrics::{PhaseTrace, SummaryStats, TimeSeries, WaitingLedger};
 
 proptest! {
     /// Merging partial accumulators equals sequential accumulation, for
@@ -115,18 +115,14 @@ proptest! {
         active_waits in proptest::collection::vec(0u64..1000, 0..50),
     ) {
         let mut ledger = WaitingLedger::new();
-        let mut id = 0u64;
         for &w in &completed_waits {
-            let v = VehicleId::new(id);
-            id += 1;
-            ledger.enter(v, Tick::ZERO);
-            ledger.complete(v, Tick::new(1000), w);
+            ledger.enter();
+            ledger.complete(Tick::ZERO, Tick::new(1000), w);
         }
         // Active vehicles carry their accumulators outside the ledger and
         // are folded in at query time.
         for _ in &active_waits {
-            ledger.enter(VehicleId::new(id), Tick::ZERO);
-            id += 1;
+            ledger.enter();
         }
         let n = completed_waits.len() + active_waits.len();
         if n == 0 {

@@ -44,14 +44,14 @@
 //! is an index span into the same contiguous buffers, laid out
 //! road-major then lane-major, so the car-following phase is a linear
 //! sweep over packed storage instead of a pointer-chase across per-road
-//! heap boxes. Per-journey cold state (external id, `Arc<Route>`, route
-//! cursor) lives in a slab `VehicleArena` keyed by a compact `u32` slot
-//! that car-following never dereferences. Lanes dequeue crossed heads
-//! by advancing a head offset inside their span (amortized compaction,
-//! per-road strides pre-reserved at the geometric plateau; a road that
-//! outgrows its stride triggers a one-off whole-arena re-layout), so
-//! the steady-state fleet churns with no allocation and no element
-//! shifts.
+//! heap boxes. Per-journey cold state (external id, entry tick,
+//! `Arc<Route>`, route cursor) lives in a slab `VehicleArena` keyed by a
+//! compact `u32` slot that car-following never dereferences. Lanes
+//! dequeue crossed heads by advancing a head offset inside their span
+//! (amortized compaction, per-road strides pre-reserved at the geometric
+//! plateau; a road that outgrows its stride triggers a one-off
+//! whole-arena re-layout), so the steady-state fleet churns with no
+//! allocation and no element shifts.
 //!
 //! **Occupancy-ordered iteration.** The arena keeps a sorted compact
 //! list of *active* roads (live vehicle count > 0), maintained
@@ -103,7 +103,8 @@
 //! **Accumulator-based waiting.** Waiting time (SUMO definition: ticks
 //! below the waiting-speed threshold) accumulates per vehicle, in the
 //! same pass that moves it; the accumulator rides through junction boxes
-//! and is flushed to the `WaitingLedger` once, at journey completion.
+//! and is flushed to the `WaitingLedger` once, at journey completion,
+//! with the entry tick the vehicle's arena slot carries.
 //! Vehicles queued outside a full boundary entry are credited their
 //! whole backlog dwell when they insert. Nothing scans the fleet or the
 //! backlogs per tick;

@@ -18,10 +18,10 @@
 //!   allocations (the pre-arena layout paid ~5× its hot-cache cost in
 //!   situ to exactly that pointer-chase).
 //! - **Cold, per-journey state** — the external [`VehicleId`], the
-//!   `Arc<Route>`, and the route cursor (`hop`) — lives in the
-//!   [`VehicleArena`], a slab keyed by a compact `u32` slot carried in the
-//!   lane arrays. Only head release, landings, insertions and
-//!   completions dereference it; car-following never does.
+//!   entry tick, the `Arc<Route>`, and the route cursor (`hop`) — lives
+//!   in the [`VehicleArena`], a slab keyed by a compact `u32` slot
+//!   carried in the lane arrays. Only head release, landings, insertions
+//!   and completions dereference it; car-following never does.
 //! - The movement link a vehicle queues for is fixed while it is on a
 //!   road, so each lane also caches it as a `u16` per vehicle — the
 //!   `SharedMixed` movement counters never chase the `Arc<Route>` in the
@@ -68,15 +68,16 @@
 //! A vehicle's waiting ticks (speed below the SUMO threshold) accumulate
 //! in the lane's `wait` array in the same pass that moves the vehicle,
 //! ride along through junction boxes, and are flushed to the
-//! `WaitingLedger` exactly once, at journey completion. Nothing scans the
-//! fleet per tick to account waiting.
+//! `WaitingLedger` exactly once, at journey completion, with the entry
+//! tick the vehicle's arena slot carries. Nothing scans the fleet per
+//! tick to account waiting.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
-use utilbp_core::LinkId;
+use utilbp_core::{LinkId, Tick};
 use utilbp_metrics::VehicleId;
 use utilbp_netgen::{IntersectionId, RoadId, Route};
 
@@ -98,6 +99,9 @@ pub(crate) const LINK_NONE: u16 = u16::MAX;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VehicleArena {
     id: Vec<VehicleId>,
+    /// The tick the vehicle entered the network (its arrival, before any
+    /// backlog dwell): journey times run from here.
+    entered: Vec<Tick>,
     route: Vec<Arc<Route>>,
     hop: Vec<u32>,
     free: Vec<u32>,
@@ -109,18 +113,21 @@ impl VehicleArena {
         VehicleArena::default()
     }
 
-    /// Admits a vehicle starting its route; returns its slot.
-    pub fn insert(&mut self, id: VehicleId, route: Arc<Route>) -> u32 {
+    /// Admits a vehicle that entered the network at `entered`, starting
+    /// its route; returns its slot.
+    pub fn insert(&mut self, id: VehicleId, entered: Tick, route: Arc<Route>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
                 self.id[i] = id;
+                self.entered[i] = entered;
                 self.route[i] = route;
                 self.hop[i] = 0;
                 slot
             }
             None => {
                 self.id.push(id);
+                self.entered.push(entered);
                 self.route.push(route);
                 self.hop.push(0);
                 (self.id.len() - 1) as u32
@@ -128,10 +135,11 @@ impl VehicleArena {
         }
     }
 
-    /// Retires a slot (journey complete); returns the external id.
-    pub fn release(&mut self, slot: u32) -> VehicleId {
+    /// Retires a slot (journey complete); returns the vehicle's entry
+    /// tick.
+    pub fn release(&mut self, slot: u32) -> Tick {
         self.free.push(slot);
-        self.id[slot as usize]
+        self.entered[slot as usize]
     }
 
     /// The external id of a live slot.
@@ -194,6 +202,7 @@ impl VehicleArena {
                 continue;
             }
             writer.push(self.id[i].raw());
+            writer.push(self.entered[i].index());
             writer.push_u32(self.hop[i]);
             self.route[i].save_state(writer);
         }
@@ -201,13 +210,21 @@ impl VehicleArena {
 
     /// Restores a slab saved by [`save_state`](Self::save_state). Freed
     /// slots come back holding a shared placeholder route until reuse.
+    /// Every live vehicle's id must be below `ids`, the number of ids
+    /// issued, and its entry tick below `now`, the plant clock.
     ///
     /// # Errors
     ///
     /// Returns a [`StateError`] on a truncated stream, a slab or free
-    /// list longer than the stream could hold, or a free-list entry out
-    /// of range.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+    /// list longer than the stream could hold, a free-list entry out of
+    /// range, or a live vehicle's id or entry tick out of range
+    /// (`"vehicle id"`, `"vehicle entry tick"`).
+    pub fn load_state(
+        &mut self,
+        reader: &mut StateReader<'_>,
+        ids: u64,
+        now: Tick,
+    ) -> Result<(), StateError> {
         // Every slot is followed by at least one word: its free-list
         // entry or its live data.
         let len = reader.take_len(1, "arena slab length")?;
@@ -232,16 +249,19 @@ impl VehicleArena {
             is_free[slot as usize] = true;
         }
         self.id.clear();
+        self.entered.clear();
         self.route.clear();
         self.hop.clear();
         self.id.resize(len, VehicleId::new(0));
+        self.entered.resize(len, Tick::ZERO);
         self.route.resize(len, Arc::clone(&placeholder));
         self.hop.resize(len, 0);
         for (i, &freed) in is_free.iter().enumerate() {
             if freed {
                 continue;
             }
-            self.id[i] = VehicleId::new(reader.take()?);
+            self.id[i] = VehicleId::new(reader.take_below(ids, "vehicle id")?);
+            self.entered[i] = Tick::new(reader.take_below(now.index(), "vehicle entry tick")?);
             self.hop[i] = reader.take_u32()?;
             self.route[i] = Arc::new(Route::load_state(reader)?);
         }
@@ -2136,15 +2156,15 @@ mod tests {
             vec![(IntersectionId::new(0), LinkId::new(0))],
         ));
         let mut arena = VehicleArena::new();
-        let a = arena.insert(VehicleId::new(10), Arc::clone(&route));
-        let b = arena.insert(VehicleId::new(11), Arc::clone(&route));
+        let a = arena.insert(VehicleId::new(10), Tick::new(3), Arc::clone(&route));
+        let b = arena.insert(VehicleId::new(11), Tick::new(4), Arc::clone(&route));
         assert_ne!(a, b);
         assert_eq!(arena.id(a), VehicleId::new(10));
         arena.bump_hop(a);
         assert_eq!(arena.hop(a), 1);
-        assert_eq!(arena.release(a), VehicleId::new(10));
+        assert_eq!(arena.release(a), Tick::new(3));
         // The freed slot is reused (LIFO) and starts a fresh cursor.
-        let c = arena.insert(VehicleId::new(12), route);
+        let c = arena.insert(VehicleId::new(12), Tick::new(5), route);
         assert_eq!(c, a);
         assert_eq!(arena.hop(c), 0);
         assert_eq!(arena.id(c), VehicleId::new(12));
@@ -2166,7 +2186,7 @@ mod tests {
         };
         let slab = huge(&[1 << 50]);
         assert!(matches!(
-            VehicleArena::new().load_state(&mut StateReader::new(slab.bytes())),
+            VehicleArena::new().load_state(&mut StateReader::new(slab.bytes()), 1, Tick::new(1)),
             Err(StateError::Invalid {
                 what: "arena slab length",
                 ..
@@ -2174,7 +2194,7 @@ mod tests {
         ));
         let free = huge(&[1, 1 << 50]);
         assert!(matches!(
-            VehicleArena::new().load_state(&mut StateReader::new(free.bytes())),
+            VehicleArena::new().load_state(&mut StateReader::new(free.bytes()), 1, Tick::new(1)),
             Err(StateError::Invalid {
                 what: "arena free list length",
                 ..

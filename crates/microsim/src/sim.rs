@@ -273,7 +273,8 @@ pub struct MicroSim {
     net: NetworkLanes,
     /// Per junction: the vehicles traversing its box.
     boxes: Vec<Vec<Crossing>>,
-    /// Per-journey vehicle state (id, route, cursor), slab-allocated.
+    /// Per-journey vehicle state (id, entry tick, route, cursor),
+    /// slab-allocated.
     arena: VehicleArena,
     backlogs: Vec<VecDeque<Backlogged>>,
     ledger: WaitingLedger,
@@ -1169,8 +1170,8 @@ impl MicroSim {
                             // Exit road: the vehicle leaves the network,
                             // flushing its accumulated waiting.
                             fold_counter(&mut road.occupancy, -1, || format!("road {r} occupancy"));
-                            let id = self.arena.release(slot);
-                            self.ledger.complete(id, now, wait);
+                            let entered = self.arena.release(slot);
+                            self.ledger.complete(entered, now, wait);
                             completed += 1;
                         }
                         Some((j, k, out_r, dest_lane)) => {
@@ -1293,16 +1294,16 @@ impl MicroSim {
                 };
                 let entry = self.backlogs[r].pop_front().expect("checked front");
                 let dwell = now.saturating_since(entry.since).count();
-                self.place_vehicle(r, lane_idx, entry.id, entry.route, dwell);
+                self.place_vehicle(r, lane_idx, entry.id, entry.since, entry.route, dwell);
             }
         }
         for arrival in arrivals.drain(..) {
             let Arrival { vehicle, route, .. } = arrival;
             let r = route.entry().index();
-            self.ledger.enter(vehicle, now);
+            self.ledger.enter();
             if self.backlogs[r].is_empty() {
                 if let Some(lane_idx) = self.insert_slot(r, &route) {
-                    self.place_vehicle(r, lane_idx, vehicle, route, 0);
+                    self.place_vehicle(r, lane_idx, vehicle, now, route, 0);
                     injected += 1;
                     continue;
                 }
@@ -1394,21 +1395,23 @@ impl MicroSim {
         Some(lane_idx)
     }
 
-    /// Inserts a vehicle at the start of lane `lane_idx` of road `r`
-    /// (which [`insert_slot`](Self::insert_slot) must have cleared),
-    /// seeding its wait accumulator with `wait` already-accrued ticks
-    /// (backlog dwell).
+    /// Inserts a vehicle that entered the network at `entered` at the
+    /// start of lane `lane_idx` of road `r` (which
+    /// [`insert_slot`](Self::insert_slot) must have cleared), seeding its
+    /// wait accumulator with `wait` already-accrued ticks (backlog
+    /// dwell).
     fn place_vehicle(
         &mut self,
         r: usize,
         lane_idx: usize,
         id: VehicleId,
+        entered: Tick,
         route: Arc<Route>,
         mut wait: u64,
     ) {
         let (_, link) = route.hop(0).expect("routes have at least one hop");
         let link = link.index() as u16;
-        let slot = self.arena.insert(id, route);
+        let slot = self.arena.insert(id, entered, route);
         let length = self.roads[r].length;
         let leader = lane_entry_leader(&self.net, r, lane_idx, length, &self.config);
         let speed = next_speed(self.config.insertion_speed_mps, leader, 0.0, &self.config);
@@ -1487,9 +1490,9 @@ impl MicroSim {
         out.extend(self.roads.iter().map(|r| r.occupancy));
     }
 
-    /// Serializes the whole plant state — fleet (arena + lanes), per-road
-    /// RNG stream positions, junction boxes and credits, closure flags,
-    /// backlogs, the waiting ledger, and every controller's state — such
+    /// Serializes the whole plant state — the waiting ledger, the fleet
+    /// (arena + lanes), per-road RNG stream positions, junction boxes and
+    /// credits, closure flags, backlogs, and every controller's state — such
     /// that [`load_state`](Self::load_state) into a freshly built
     /// simulator (same topology, config, and controller composition)
     /// continues bit-identically to the uninterrupted run.
@@ -1505,6 +1508,7 @@ impl MicroSim {
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_crossings);
+        self.ledger.save_state(writer);
         self.arena.save_state(writer);
         writer.push_usize(self.roads.len());
         for (r, road) in self.roads.iter().enumerate() {
@@ -1542,7 +1546,6 @@ impl MicroSim {
                 entry.route.save_state(writer);
             }
         }
-        self.ledger.save_state(writer);
         for slot in &self.controllers {
             slot.controller.save_state(writer);
         }
@@ -1560,16 +1563,21 @@ impl MicroSim {
     /// junction-box vehicle slot that is not live in the arena or is
     /// shared, a live slot no vehicle holds, a crossing's destination
     /// road or lane out of range); on a counter or waiting time past the
-    /// clock; when a vehicle's route does not continue from where the
-    /// vehicle is; or when a controller's restored phase is not in its
-    /// layout. Either way the error is typed: a crafted snapshot never
+    /// clock; on a vehicle id the ledger has not counted in or an entry
+    /// tick at or past the clock; when the ledger's live count is not the
+    /// vehicles on the network plus the backlog; when a vehicle's route
+    /// does not continue from where the vehicle is; or when a
+    /// controller's restored phase is not in its layout. Either way the
+    /// error is typed: a crafted snapshot never
     /// reaches the step path to panic there. The incremental counters are
     /// not read but rebuilt from the restored fleet and junction boxes,
     /// so they agree with them by construction.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
         self.total_crossings = reader.take_count("crossing count")?;
-        self.arena.load_state(reader)?;
+        self.ledger = WaitingLedger::load_state(reader)?;
+        let ids = self.ledger.entered();
+        self.arena.load_state(reader, ids, self.now)?;
         // Live arena slots not yet claimed by a lane or junction-box
         // vehicle: each vehicle claims its own, so none is shared, and
         // none may be left over.
@@ -1670,7 +1678,7 @@ impl MicroSim {
             let len = reader.take_usize()?;
             self.backlogs[r].clear();
             for _ in 0..len {
-                let id = VehicleId::new(reader.take()?);
+                let id = VehicleId::new(reader.take_below(ids, "vehicle id")?);
                 let since = Tick::new(reader.take_at_most(self.now.index(), "backlog entry tick")?);
                 let route = Route::load_state(reader)?;
                 self.check_backlog_route(r, &route).map_err(invalid)?;
@@ -1678,7 +1686,9 @@ impl MicroSim {
                 self.backlogs[r].push_back(Backlogged { id, route, since });
             }
         }
-        self.ledger = WaitingLedger::load_state(reader)?;
+        // The guard's conservation check, once.
+        self.ledger
+            .check_live(self.vehicles_in_network() + self.backlog_len())?;
         for (i, slot) in self.controllers.iter_mut().enumerate() {
             slot.controller.load_state(reader)?;
             let node = self.topology.intersection(IntersectionId::new(i as u32));
@@ -2060,7 +2070,7 @@ mod load_validation {
     #[test]
     fn fleet_that_disagrees_with_its_routes_or_clock_is_rejected() {
         type Craft = fn(&mut MicroSim);
-        let cases: [(&str, Craft); 6] = [
+        let cases: [(&str, Craft); 10] = [
             // A route cursor one junction ahead of the vehicle's road.
             ("route link", |s| {
                 s.arena.bump_hop(lane_vehicle_with_two_hops_left(s));
@@ -2078,7 +2088,7 @@ mod load_validation {
                 let elsewhere = (0..s.backlogs.len())
                     .find(|&r| r != route.entry().index() && s.road_dest[r].is_some())
                     .expect("another road");
-                let (id, since) = (VehicleId::new(1 << 30), Tick::ZERO);
+                let (id, since) = (VehicleId::new(0), Tick::ZERO);
                 s.backlogs[elsewhere].push_back(Backlogged { id, route, since });
             }),
             // Two vehicles holding one arena slot.
@@ -2088,8 +2098,26 @@ mod load_validation {
             // A live arena slot no vehicle holds.
             ("arena slot without a vehicle", |s| {
                 let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
-                s.arena.insert(VehicleId::new(1 << 30), route);
+                s.arena.insert(VehicleId::new(0), Tick::ZERO, route);
             }),
+            // A vehicle id the ledger never counted in.
+            ("vehicle id", |s| {
+                let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
+                let id = VehicleId::new(s.ledger.entered());
+                s.arena.insert(id, Tick::ZERO, route);
+            }),
+            ("vehicle id", |s| {
+                let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
+                let (id, since) = (VehicleId::new(s.ledger.entered()), Tick::ZERO);
+                s.backlogs[route.entry().index()].push_back(Backlogged { id, route, since });
+            }),
+            // A vehicle that entered at the clock, which no step has run.
+            ("vehicle entry tick", |s| {
+                let route = Arc::clone(s.arena.route(lane_vehicle_with_two_hops_left(s)));
+                s.arena.insert(VehicleId::new(0), s.now, route);
+            }),
+            // One vehicle more in the ledger than on the network.
+            ("ledger live count", |s| s.ledger.enter()),
             ("crossing waiting ticks", |s| {
                 first_crossing(s).wait = s.now.index() + 1;
             }),

@@ -81,6 +81,9 @@ impl QueueSimConfig {
 #[derive(Debug, Clone)]
 struct QueuedVehicle {
     id: VehicleId,
+    /// The tick the vehicle entered the network (its arrival, before any
+    /// backlog dwell): its journey time runs from here.
+    entered: Tick,
     route: Arc<Route>,
     /// Index of the *current* hop (the intersection this queue belongs to).
     hop: usize,
@@ -95,6 +98,8 @@ struct QueuedVehicle {
 #[derive(Debug, Clone)]
 struct TransitVehicle {
     id: VehicleId,
+    /// The tick the vehicle entered the network.
+    entered: Tick,
     route: Arc<Route>,
     /// Index of the hop at the road's downstream end (meaningless for
     /// boundary exit roads).
@@ -1004,6 +1009,7 @@ impl QueueSim {
                         );
                         self.queues[g].push_back(QueuedVehicle {
                             id: v.id,
+                            entered: v.entered,
                             route: v.route,
                             hop: v.hop,
                             joined: now,
@@ -1023,7 +1029,7 @@ impl QueueSim {
                         // Boundary exit: the vehicle leaves the network,
                         // flushing its accumulated waiting to the ledger.
                         decrement(&mut self.roads[r].occupancy, "occupancy", r, None);
-                        self.ledger.complete(v.id, now, v.waited);
+                        self.ledger.complete(v.entered, now, v.waited);
                         completed += 1;
                     }
                 }
@@ -1045,12 +1051,11 @@ impl QueueSim {
                 && !self.roads[r].closed
                 && self.roads[r].occupancy < self.roads[r].capacity
             {
-                let (id, route, queued_since) =
-                    self.backlogs[r].pop_front().expect("checked non-empty");
+                let (id, route, since) = self.backlogs[r].pop_front().expect("checked non-empty");
                 // The whole backlog dwell counts as waiting, credited to
                 // the vehicle's accumulator in one shot.
-                let waited = now.saturating_since(queued_since).count();
-                self.enter_road(RoadId::new(r as u32), id, route, 0, now, waited);
+                let waited = now.saturating_since(since).count();
+                self.enter_road(RoadId::new(r as u32), (id, since), route, 0, now, waited);
             }
             if self.backlogs[r].is_empty() {
                 self.backlog_live.remove(r);
@@ -1118,7 +1123,7 @@ impl QueueSim {
                 // …and enter the outgoing one toward the next hop.
                 self.enter_road(
                     RoadId::new(out_road),
-                    vehicle.id,
+                    (vehicle.id, vehicle.entered),
                     vehicle.route,
                     vehicle.hop + 1,
                     now,
@@ -1130,12 +1135,12 @@ impl QueueSim {
         served
     }
 
-    /// Puts a vehicle onto `road` with `waited` accumulated waiting ticks,
-    /// scheduling its transit arrival.
+    /// Puts a vehicle, given by its id and entry tick, onto `road` with
+    /// `waited` accumulated waiting ticks, scheduling its transit arrival.
     fn enter_road(
         &mut self,
         road: RoadId,
-        id: VehicleId,
+        (id, entered): (VehicleId, Tick),
         route: Arc<Route>,
         hop: usize,
         now: Tick,
@@ -1152,6 +1157,7 @@ impl QueueSim {
         }
         state.transit.push_back(TransitVehicle {
             id,
+            entered,
             route,
             hop,
             arrives,
@@ -1217,9 +1223,9 @@ impl QueueSim {
     }
 
     /// Serializes the full dynamic state into a durable word stream:
-    /// clock, counters, per-road flags/entered counters/transit lines,
-    /// movement queues with fractional credits, boundary backlogs, the
-    /// waiting ledger, and every controller's state (in intersection
+    /// clock, served count, the waiting ledger, per-road flags/entered
+    /// counters/transit lines, movement queues with fractional credits,
+    /// boundary backlogs, and every controller's state (in intersection
     /// order).
     ///
     /// Construction-time shape (topology, service lookups, phase→link
@@ -1234,6 +1240,7 @@ impl QueueSim {
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_served);
+        self.ledger.save_state(writer);
         writer.push_usize(self.roads.len());
         for road in &self.roads {
             writer.push_bool(road.closed);
@@ -1241,6 +1248,7 @@ impl QueueSim {
             writer.push_usize(road.transit.len());
             for v in &road.transit {
                 writer.push(v.id.raw());
+                writer.push(v.entered.index());
                 v.route.save_state(writer);
                 writer.push_usize(v.hop);
                 writer.push(v.arrives.index());
@@ -1255,6 +1263,7 @@ impl QueueSim {
                 writer.push_usize(queue.len());
                 for v in queue {
                     writer.push(v.id.raw());
+                    writer.push(v.entered.index());
                     v.route.save_state(writer);
                     writer.push_usize(v.hop);
                     writer.push(v.joined.index());
@@ -1273,7 +1282,6 @@ impl QueueSim {
                 writer.push(since.index());
             }
         }
-        self.ledger.save_state(writer);
         for slot in &self.controllers {
             slot.controller.save_state(writer);
         }
@@ -1292,16 +1300,21 @@ impl QueueSim {
     /// restored vehicle's remaining route leaves the topology (a hop
     /// past the route's end, or a link outside the destination layout or
     /// not leaving the vehicle's road) or a queued vehicle's route names
-    /// another movement. The roads' `queued` and `occupancy` counters are
-    /// not read but rebuilt from the restored queues and delay lines.
+    /// another movement, if a vehicle's id is one the ledger has not
+    /// counted in or its entry tick is at or past the clock, or if the
+    /// ledger's live count is not the vehicles on the roads plus the
+    /// backlog. The roads' `queued` and `occupancy` counters are not read
+    /// but rebuilt from the restored queues and delay lines.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         // The settled marks describe the state being replaced.
         self.settled.fill(None);
         self.now = Tick::new(reader.take()?);
         self.total_served = reader.take_count("queueing served count")?;
+        self.ledger = WaitingLedger::load_state(reader)?;
         // Waiting accumulators and entry ticks cannot exceed the ticks
-        // simulated so far.
+        // simulated so far, and ids the ledger has not counted in.
         let now = self.now.index();
+        let ids = self.ledger.entered();
 
         let roads = reader.take_usize()?;
         if roads != self.roads.len() {
@@ -1316,13 +1329,15 @@ impl QueueSim {
             let transit = reader.take_usize()?;
             road.transit.clear();
             for _ in 0..transit {
-                let id = VehicleId::new(reader.take()?);
+                let id = VehicleId::new(reader.take_below(ids, "vehicle id")?);
+                let entered = Tick::new(reader.take_below(now, "vehicle entry tick")?);
                 let route = Arc::new(Route::load_state(reader)?);
                 let hop = reader.take_usize()?;
                 let arrives = Tick::new(reader.take()?);
                 let waited = reader.take_at_most(now, "queueing waiting ticks")?;
                 road.transit.push_back(TransitVehicle {
                     id,
+                    entered,
                     route,
                     hop,
                     arrives,
@@ -1351,13 +1366,15 @@ impl QueueSim {
                 let len = reader.take_usize()?;
                 queue.clear();
                 for _ in 0..len {
-                    let id = VehicleId::new(reader.take()?);
+                    let id = VehicleId::new(reader.take_below(ids, "vehicle id")?);
+                    let entered = Tick::new(reader.take_below(now, "vehicle entry tick")?);
                     let route = Arc::new(Route::load_state(reader)?);
                     let hop = reader.take_usize()?;
                     let joined = Tick::new(reader.take_at_most(now, "queueing queue entry tick")?);
                     let waited = reader.take_at_most(now, "queueing waiting ticks")?;
                     queue.push_back(QueuedVehicle {
                         id,
+                        entered,
                         route,
                         hop,
                         joined,
@@ -1374,14 +1391,13 @@ impl QueueSim {
             let len = reader.take_usize()?;
             backlog.clear();
             for _ in 0..len {
-                let id = VehicleId::new(reader.take()?);
+                let id = VehicleId::new(reader.take_below(ids, "vehicle id")?);
                 let route = Arc::new(Route::load_state(reader)?);
                 let since = Tick::new(reader.take_at_most(now, "queueing backlog entry tick")?);
                 backlog.push_back((id, route, since));
             }
         }
 
-        self.ledger = WaitingLedger::load_state(reader)?;
         for (i, slot) in self.controllers.iter_mut().enumerate() {
             slot.controller.load_state(reader)?;
             let node = self.topology.intersection(IntersectionId::new(i as u32));
@@ -1397,6 +1413,9 @@ impl QueueSim {
             what: m.what,
             word: m.word,
         })?;
+        // The guard's conservation check, once.
+        let on_roads: usize = self.roads.iter().map(|r| r.occupancy as usize).sum();
+        self.ledger.check_live(on_roads + self.backlog_len())?;
         // Rebuild the rest of the derived state from the restored (and
         // now audited) delay lines and backlogs: the in-transit movement
         // counters and the sets of roads a step visits.
@@ -1424,11 +1443,11 @@ impl QueueSim {
     fn inject(&mut self, arrival: Arrival, now: Tick) -> bool {
         let road = arrival.route.entry();
         let route = arrival.route;
-        self.ledger.enter(arrival.vehicle, now);
+        self.ledger.enter();
         if !self.roads[road.index()].closed
             && self.roads[road.index()].occupancy < self.roads[road.index()].capacity
         {
-            self.enter_road(road, arrival.vehicle, route, 0, now, 0);
+            self.enter_road(road, (arrival.vehicle, now), route, 0, now, 0);
             true
         } else {
             self.backlogs[road.index()].push_back((arrival.vehicle, route, now));
@@ -1553,6 +1572,35 @@ mod tests {
             *route = Arc::new(Route::new(route.entry(), route.hops()[1..].to_vec()));
         };
         rejects("queueing route link", reload(&grid, s, craft));
+    }
+
+    #[test]
+    fn vehicle_records_outside_the_ledger_or_the_clock_are_rejected() {
+        type Craft = fn(&mut QueueSim);
+        let cases: [(&str, Craft); 5] = [
+            ("vehicle id", |s| {
+                internal_transit(s).id = VehicleId::new(s.ledger.entered());
+            }),
+            ("vehicle id", |s| {
+                let ids = s.ledger.entered();
+                let backlogged = s.backlogs.iter_mut().flat_map(|b| b.iter_mut()).next();
+                backlogged.expect("a backlogged vehicle").0 = VehicleId::new(ids);
+            }),
+            ("vehicle entry tick", |s| {
+                internal_transit(s).entered = s.now
+            }),
+            ("vehicle entry tick", |s| {
+                let now = s.now;
+                let queued = s.queues.iter_mut().flat_map(|q| q.iter_mut()).next();
+                queued.expect("a queued vehicle").entered = now;
+            }),
+            // One vehicle more in the ledger than on the roads.
+            ("ledger live count", |s| s.ledger.enter()),
+        ];
+        for (what, craft) in cases {
+            let (grid, s) = loaded();
+            rejects(what, reload(&grid, s, craft));
+        }
     }
 
     #[test]

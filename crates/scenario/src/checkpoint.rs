@@ -10,8 +10,10 @@
 //! congestion monitor), and the recorder's buffer with its phase-trace
 //! watermarks. A capture holds only words restore cannot recompute from
 //! other words: the guard's watermarks, the plants' occupancy and sensor
-//! counters, the demand's next vehicle id and the watchdog event
-//! watermarks are rebuilt from the restored state.
+//! counters, the demand's next vehicle id (the ledger's entered count)
+//! and the watchdog event watermarks are rebuilt from the restored
+//! state. The plant owns the live fleet: each vehicle record carries
+//! its own entry tick, and the waiting ledger holds only totals.
 //! [`ScenarioEngine::restore`] rebuilds a fresh engine from the embedded
 //! spec and overwrites its dynamic state, after which the restored run
 //! continues **bit-identically** to the uninterrupted one — same

@@ -198,7 +198,7 @@ impl NetworkDemand {
     /// position, and the suppression counter — into a durable word
     /// stream. The cached cumulative-weight tables are derived from the
     /// closure mask and are rebuilt on load; the next vehicle id is the
-    /// plant ledger's id bound, which load takes from there.
+    /// plant ledger's entered count, which load takes from there.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         writer.push_usize(self.clocks.len());
         for &clock in &self.clocks {
@@ -219,8 +219,8 @@ impl NetworkDemand {
     /// into a generator built over the *same* network and schedule; the
     /// restored generator continues the arrival stream bit-identically
     /// from tick `now`, the next tick to be polled, issuing ids from
-    /// `next_vehicle` on (every id issued so far is in the plant's
-    /// ledger, so that is the ledger's id bound).
+    /// `next_vehicle` on (every vehicle issued so far entered the plant,
+    /// so that is the ledger's entered count).
     ///
     /// # Errors
     ///

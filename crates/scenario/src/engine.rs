@@ -502,6 +502,31 @@ pub struct ScenarioEngine {
     checkpoints: Vec<(Tick, Vec<u8>)>,
 }
 
+/// Reads a diverted-vehicle id set written sorted by
+/// `save_engine_state`: strictly ascending ids, each below `ids`, the
+/// number of ids the demand has issued.
+fn load_id_set(
+    set: &mut HashSet<VehicleId>,
+    ids: u64,
+    reader: &mut StateReader<'_>,
+) -> Result<(), StateError> {
+    let len = reader.take_usize()?;
+    set.clear();
+    let mut floor = 0;
+    for _ in 0..len {
+        let id = reader.take()?;
+        if id < floor || id >= ids {
+            return Err(StateError::Invalid {
+                what: "diverted vehicle id",
+                word: id,
+            });
+        }
+        floor = id + 1;
+        set.insert(VehicleId::new(id));
+    }
+    Ok(())
+}
+
 /// How many policy-captured checkpoints the engine retains; corrupting
 /// the newest must still leave fallbacks.
 const CHECKPOINT_RETAIN: usize = 4;
@@ -512,15 +537,15 @@ impl ScenarioEngine {
     ///
     /// # Errors
     ///
-    /// Returns the validation message if the spec is inconsistent with
-    /// its own network.
+    /// Returns the validation message if the spec fails
+    /// [`ScenarioSpec::validate`]; it is checked before its network is
+    /// built, so no spec panics here.
     pub fn new(
         spec: ScenarioSpec,
         config: EngineConfig,
         make_controller: &dyn Fn(usize) -> Box<dyn SignalController>,
     ) -> Result<Self, String> {
-        let network = spec.build_network();
-        spec.validate_against(&network)?;
+        let network = spec.validated_network()?;
 
         let fault_switch = FaultSwitch::new(false);
         let actuation_switch = FaultSwitch::new(false);
@@ -1612,7 +1637,8 @@ impl ScenarioEngine {
     /// [`save_engine_state`](Self::save_engine_state) over the restored
     /// plant, rejecting words the step path would trust: a demand clock
     /// behind the plant clock, or a surge factor no event of the spec
-    /// sets. The demand issues ids on from the plant ledger's id bound.
+    /// sets, or a diverted vehicle id out of order or never issued. The
+    /// demand issues ids on from the plant ledger's entered count.
     fn load_engine_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let cursor = reader.take_usize()?;
         if cursor > self.actions.len() {
@@ -1624,9 +1650,8 @@ impl ScenarioEngine {
         self.cursor = cursor;
         self.fault_switch.set_active(reader.take_bool()?);
         self.actuation_switch.set_active(reader.take_bool()?);
-        let (now, next_vehicle) = (self.now(), self.substrate.ledger().id_bound() as u64);
-        self.demand
-            .load_state(&self.network, now, next_vehicle, reader)?;
+        let (now, ids) = (self.now(), self.substrate.ledger().entered());
+        self.demand.load_state(&self.network, now, ids, reader)?;
         let surge = self.demand.surge();
         let scheduled =
             self.spec.events.iter().any(
@@ -1643,17 +1668,8 @@ impl ScenarioEngine {
         self.congestion_reroutes = reader.take_count("congestion reroute count")?;
         self.congestion_restores = reader.take_count("congestion restore count")?;
         self.congestion_restore_pending = reader.take_bool()?;
-        let len = reader.take_usize()?;
-        self.diverted_ids.clear();
-        for _ in 0..len {
-            self.diverted_ids.insert(VehicleId::new(reader.take()?));
-        }
-        let len = reader.take_usize()?;
-        self.congestion_diverted_ids.clear();
-        for _ in 0..len {
-            self.congestion_diverted_ids
-                .insert(VehicleId::new(reader.take()?));
-        }
+        load_id_set(&mut self.diverted_ids, ids, reader)?;
+        load_id_set(&mut self.congestion_diverted_ids, ids, reader)?;
         let has_monitor = reader.take_bool()?;
         if has_monitor != self.monitor.is_some() {
             return Err(StateError::Invalid {

@@ -218,8 +218,11 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
                     .first()
                     .ok_or_else(|| format!("line {line_no}: topology needs a kind"))?;
                 let mut args = Args::parse(line_no, &rest[1..])?;
-                topology = Some(parse_topology(line_no, kind, &mut args)?);
+                let spec = parse_topology(line_no, kind, &mut args)?;
                 args.finish()?;
+                spec.validate()
+                    .map_err(|e| format!("line {line_no}: {e}"))?;
+                topology = Some(spec);
             }
             "demand" => {
                 let kind = *rest
@@ -228,6 +231,9 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, String> {
                 let mut args = Args::parse(line_no, &rest[1..])?;
                 demand = parse_demand(line_no, kind, &mut args)?;
                 args.finish()?;
+                demand
+                    .validate()
+                    .map_err(|e| format!("line {line_no}: {e}"))?;
             }
             "replan" => {
                 replan = match rest.first().copied() {
@@ -876,6 +882,62 @@ event reopen road=0 at=200
         assert!(bad.unwrap_err().contains("line 2"));
         let bad = parse_scenario("scenario x\nhorizon 10\ntopology grid\nevent close road=1\n");
         assert!(bad.unwrap_err().contains("at="));
+    }
+
+    #[test]
+    fn degenerate_topology_and_demand_parameters_are_errors_not_panics() {
+        // Each parameter would reach an assert in a network builder or
+        // the demand schedule inside `ScenarioEngine::new`, which restore
+        // also runs on the spec text a capture embeds. Parsing names the
+        // line; an engine built from an unvalidated spec refuses it too.
+        let cases = [
+            ("demand pulse len=0 factor=2", "len"),
+            ("demand rush-hour ramp=2", "ramp"),
+            ("demand rush-hour factor=nan", "factor"),
+            ("demand day factor=0", "factor"),
+            ("topology grid rows=0", "rows"),
+            ("topology grid length=0", "length"),
+            ("topology grid length=-5", "length"),
+            ("topology grid capacity=0", "capacity"),
+            ("topology grid service-rate=0", "service-rate"),
+            ("topology asym-grid rows=0", "rows"),
+            ("topology asym-grid north-gap=0", "north-gap"),
+            ("topology arterial intersections=0", "intersections"),
+            ("topology arterial arterial-gap=0", "arterial-gap"),
+            ("topology arterial side-capacity=0", "side-capacity"),
+            ("topology ring intersections=1", "intersections"),
+        ];
+        let template = "scenario x\nhorizon 50\ntopology grid\n";
+        for (line, key) in cases {
+            let no_panic = |result: std::thread::Result<Result<(), String>>| {
+                let err = result.unwrap_or_else(|_| panic!("{line} panicked"));
+                err.expect_err(line)
+            };
+            let text = format!("{template}{line}\n").replace("topology grid\ntopology", "topology");
+            let line_no = text.lines().count();
+            let err = no_panic(std::panic::catch_unwind(|| parse_scenario(&text).map(drop)));
+            assert!(
+                err.starts_with(&format!("line {line_no}: ")),
+                "{line}: {err}"
+            );
+            assert!(err.contains(key), "{line}: {err}");
+
+            let mut spec = parse_scenario(template).expect("the template parses");
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let mut args = Args::parse(line_no, &words[2..]).expect("arguments parse");
+            match words[0] {
+                "topology" => spec.topology = parse_topology(line_no, words[1], &mut args).unwrap(),
+                _ => spec.demand = parse_demand(line_no, words[1], &mut args).unwrap(),
+            }
+            let controller = |_: usize| -> Box<dyn utilbp_core::SignalController> {
+                Box::new(utilbp_core::UtilBp::paper())
+            };
+            let config = crate::EngineConfig::new(crate::Backend::Queueing);
+            let err = no_panic(std::panic::catch_unwind(|| {
+                crate::ScenarioEngine::new(spec, config, &controller).map(drop)
+            }));
+            assert!(err.contains(key), "{line}: {err}");
+        }
     }
 
     #[test]

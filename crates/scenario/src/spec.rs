@@ -44,6 +44,53 @@ impl TopologySpec {
         }
     }
 
+    /// Checks every parameter the network builders assume: at least one
+    /// intersection (three on a ring), positive capacities, and positive,
+    /// finite lengths, service rates, speeds and inter-arrival gaps.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first parameter out of range by its
+    /// scenario-text key.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            TopologySpec::Grid { spec: s, .. } => at_least("rows", s.rows, 1)
+                .and(at_least("cols", s.cols, 1))
+                .and(at_least("capacity", s.capacity, 1))
+                .and(positive("length", s.road_length_m))
+                .and(positive("service-rate", s.service_rate))
+                .and(positive("free-speed", s.free_speed_mps)),
+            TopologySpec::Arterial(s) => at_least("intersections", s.intersections, 1)
+                .and(at_least("arterial-capacity", s.arterial_capacity, 1))
+                .and(at_least("side-capacity", s.side_capacity, 1))
+                .and(positive("arterial-length", s.arterial_length_m))
+                .and(positive("side-length", s.side_length_m))
+                .and(positive("service-rate", s.service_rate))
+                .and(positive("arterial-gap", s.arterial_inter_arrival_s))
+                .and(positive("side-gap", s.side_inter_arrival_s)),
+            TopologySpec::Ring(s) => at_least("intersections", s.intersections, 3)
+                .and(at_least("ring-capacity", s.ring_capacity, 1))
+                .and(at_least("spoke-capacity", s.spoke_capacity, 1))
+                .and(positive("ring-length", s.ring_length_m))
+                .and(positive("spoke-length", s.spoke_length_m))
+                .and(positive("service-rate", s.service_rate))
+                .and(positive("outer-gap", s.outer_inter_arrival_s))
+                .and(positive("inner-gap", s.inner_inter_arrival_s)),
+            TopologySpec::AsymmetricGrid(s) => at_least("rows", s.rows, 1)
+                .and(at_least("cols", s.cols, 1))
+                .and(at_least("ew-capacity", s.ew_capacity, 1))
+                .and(at_least("ns-capacity", s.ns_capacity, 1))
+                .and(positive("ew-length", s.ew_length_m))
+                .and(positive("ns-length", s.ns_length_m))
+                .and(positive("service-rate", s.service_rate))
+                .and(positive("north-gap", s.inter_arrival_s[0]))
+                .and(positive("east-gap", s.inter_arrival_s[1]))
+                .and(positive("south-gap", s.inter_arrival_s[2]))
+                .and(positive("west-gap", s.inter_arrival_s[3])),
+        }
+        .map_err(|e| format!("topology {}: {e}", self.family()))
+    }
+
     /// A short family label for tables.
     pub fn family(&self) -> &'static str {
         match self {
@@ -64,6 +111,25 @@ impl TopologySpec {
             TopologySpec::Ring(s) => s.turning,
             TopologySpec::AsymmetricGrid(s) => s.turning,
         }
+    }
+}
+
+/// `Ok` if parameter `key` is at least `min`.
+fn at_least(key: &str, value: impl Into<u64>, min: u64) -> Result<(), String> {
+    let value = value.into();
+    if value >= min {
+        Ok(())
+    } else {
+        Err(format!("{key} must be at least {min}, not {value}"))
+    }
+}
+
+/// `Ok` if parameter `key` is positive and finite.
+fn positive(key: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{key} must be positive and finite, not {value}"))
     }
 }
 
@@ -110,7 +176,7 @@ impl RateSchedule {
     pub fn multiplier_at(&self, tick: Tick) -> f64 {
         let mut start = 0u64;
         for &(d, m) in &self.segments {
-            let end = start + d.count();
+            let end = start.saturating_add(d.count());
             if tick.index() < end {
                 return m;
             }
@@ -156,13 +222,38 @@ pub enum DemandProfile {
 }
 
 impl DemandProfile {
+    /// Checks the parameters [`schedule`](Self::schedule) assumes: a
+    /// rush-hour ramp of at least 4 ticks and a peak of at least 1, a
+    /// pulse of at least 1 tick, and positive, finite factors.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first parameter out of range by its
+    /// scenario-text key.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            DemandProfile::Constant => Ok(()),
+            DemandProfile::RushHour {
+                ramp,
+                peak,
+                peak_factor,
+            } => at_least("ramp", ramp, 4)
+                .and(at_least("peak", peak, 1))
+                .and(positive("factor", peak_factor)),
+            DemandProfile::Pulse { len, factor, .. } => {
+                at_least("len", len, 1).and(positive("factor", factor))
+            }
+            DemandProfile::Day { peak_factor } => positive("factor", peak_factor),
+        }
+        .map_err(|e| format!("demand {}: {e}", self.label()))
+    }
+
     /// Materializes the multiplier schedule for a run of `horizon` ticks.
     ///
     /// # Panics
     ///
-    /// Panics if the profile parameters are degenerate (zero durations
-    /// where a phase is required, non-positive factors) or the horizon is
-    /// zero for [`DemandProfile::Day`].
+    /// Panics if the profile fails [`validate`](Self::validate) or the
+    /// horizon is zero for [`DemandProfile::Day`].
     pub fn schedule(&self, horizon: Ticks) -> RateSchedule {
         match *self {
             DemandProfile::Constant => RateSchedule::flat(),
@@ -313,12 +404,50 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Builds the scenario's network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology fails [`TopologySpec::validate`]; use
+    /// [`validated_network`](Self::validated_network) on untrusted specs.
     pub fn build_network(&self) -> Network {
         self.topology.build()
     }
 
-    /// Validates the spec against its own network: horizon positive,
-    /// event ticks within the horizon, event roads existing and internal
+    /// Validates the spec and builds its network: the parameters first
+    /// (horizon positive, [`TopologySpec::validate`],
+    /// [`DemandProfile::validate`], the replanning policy), so no builder
+    /// sees one it would panic on, then the events against the built
+    /// network ([`validate_against`](Self::validate_against)).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the first problem found.
+    pub fn validated_network(&self) -> Result<Network, String> {
+        if self.horizon.is_zero() {
+            return Err(format!("scenario {}: horizon must be positive", self.name));
+        }
+        self.topology
+            .validate()
+            .and_then(|()| self.demand.validate())
+            .and_then(|()| self.replan.validate())
+            .map_err(|e| format!("scenario {}: {e}", self.name))?;
+        let network = self.build_network();
+        self.validate_against(&network)?;
+        Ok(network)
+    }
+
+    /// Validates the spec ([`validated_network`](Self::validated_network)
+    /// without keeping the network).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        self.validated_network().map(drop)
+    }
+
+    /// Validates the spec's events against its own network: event ticks
+    /// within the horizon, event roads existing and internal
     /// or entry (closing an exit road would strand vehicles in the
     /// network forever), surge factors positive, surge windows
     /// non-overlapping (the engine holds one surge multiplier at a time,
@@ -328,22 +457,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a message describing the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        self.validate_against(&self.build_network())
-    }
-
-    /// [`validate`](Self::validate) against an already-built network.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first problem found.
     pub fn validate_against(&self, network: &Network) -> Result<(), String> {
-        if self.horizon.is_zero() {
-            return Err(format!("scenario {}: horizon must be positive", self.name));
-        }
-        self.replan
-            .validate()
-            .map_err(|e| format!("scenario {}: {e}", self.name))?;
         let mut fault_windows = 0usize;
         let mut actuation_windows = 0usize;
         for event in &self.events {

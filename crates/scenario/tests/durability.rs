@@ -252,8 +252,9 @@ fn version_skew_is_rejected() {
     let (mut bytes, config) = sample_checkpoint();
     // The format version is the little-endian u32 right after the magic.
     // Version 2 captures still carried the execution-mode META word,
-    // version 3 captures the words restore now derives.
-    for version in [2u8, 3, 0x7F] {
+    // version 3 captures the words restore now derives, version 4
+    // captures the ledger's per-vehicle entry ticks.
+    for version in [2u8, 3, 4, 0x7F] {
         bytes[8] = version;
         match ScenarioEngine::restore(&bytes, config, &controller).err() {
             Some(RestoreError::Snapshot(SnapshotError::UnsupportedVersion { found })) => {
@@ -488,9 +489,9 @@ fn surge_factor_must_be_one_or_a_spec_event_factor() {
 #[test]
 fn next_vehicle_id_must_match_the_ledger() {
     // The builtins confirm the invariant restore rests on: every id the
-    // demand generator issued is in the plant's ledger, active or
+    // demand generator issued entered the plant, and is active or
     // completed. The capture stores no next id: a restored engine issues
-    // ids from the ledger's bound on.
+    // ids from the ledger's entered count on.
     for backend in [Backend::Queueing, Backend::Microscopic] {
         for &(name, horizon, cut) in MATRIX {
             let config = EngineConfig::new(backend);
@@ -500,6 +501,7 @@ fn next_vehicle_id_must_match_the_ledger() {
             }
             let seen = engine.ledger().active() as u64 + engine.ledger().completed();
             assert_eq!(engine.demand_generated(), seen, "{name} on {backend:?}");
+            assert_eq!(engine.ledger().entered(), seen, "{name} on {backend:?}");
             let restored = ScenarioEngine::restore(&engine.checkpoint(), config, &controller)
                 .expect("an intact capture");
             assert_eq!(restored.demand_generated(), seen, "{name} on {backend:?}");
@@ -507,35 +509,149 @@ fn next_vehicle_id_must_match_the_ledger() {
     }
 }
 
+/// Plant words of the waiting ledger, following the plants'
+/// `save_state`: after the clock and one counter come the waiting
+/// statistics (count first), the journey statistics, the waiting
+/// histogram (bin width, bin count, the bins, overflow, count) and the
+/// entered count. Returns the completed count's and the entered count's
+/// indices.
+fn ledger_words(bytes: &[u8]) -> (usize, usize) {
+    let bins = word_at(bytes, TAG_PLANT, 13) as usize;
+    (2, 16 + bins)
+}
+
+/// Vehicle conservation, the guard's check: every vehicle the ledger
+/// counts as live is on a road or in the entry backlog.
+fn conserved(engine: &ScenarioEngine) -> bool {
+    let topology = engine.network().topology();
+    let on_roads: u64 = (topology.road_ids())
+        .map(|road| u64::from(engine.road_occupancy(road)))
+        .sum();
+    engine.ledger().active() as u64 == on_roads + engine.backlog_len() as u64
+}
+
 #[test]
-fn ledger_id_bound_must_match_the_vehicles_seen() {
+fn ledger_live_count_must_match_the_fleet() {
     let (bytes, config) = incident_capture();
     let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
-    let (seen, live) = (engine.demand_generated(), engine.ledger().active() as u64);
-    // The ledger's slab words start with its id bound and its live
-    // count, then a (slot, entry tick) pair per live vehicle.
-    let words = section(&bytes, TAG_PLANT).1.len() / 8;
-    let at: Vec<usize> = (0..words - 1)
-        .filter(|&i| {
-            (
-                word_at(&bytes, TAG_PLANT, i),
-                word_at(&bytes, TAG_PLANT, i + 1),
-            ) == (seen, live)
-        })
-        .collect();
-    assert_eq!(at.len(), 1, "one ledger header");
-    let (bound, last_slot) = (at[0], at[0] + 2 * live as usize);
-    assert!(
-        word_at(&bytes, TAG_PLANT, last_slot) < seen,
-        "the last live slot"
+    let (completed, entered) = ledger_words(&bytes);
+    let seen = engine.demand_generated();
+    assert_eq!(
+        word_at(&bytes, TAG_PLANT, entered),
+        seen,
+        "the entered count"
     );
-    for raised in [seen + 1, 1 << 60] {
-        let patched = with_word(&bytes, TAG_PLANT, bound, raised);
-        expect_invalid(&patched, config, "ledger id bound");
-        // The bound raised with the last live slot under it: the slab
-        // would be sized to that slot; the bound is refused first.
-        let patched = with_word(&patched, TAG_PLANT, last_slot, raised - 1);
-        expect_invalid(&patched, config, "ledger id bound");
+    let done = engine.ledger().completed();
+    assert_eq!(word_at(&bytes, TAG_PLANT, completed), done);
+    // More live vehicles than the fleet holds, or fewer entered than
+    // completed.
+    for word in [seen + 1, 1 << 40, done - 1] {
+        let patched = with_word(&bytes, TAG_PLANT, entered, word);
+        expect_invalid(&patched, config, "ledger live count");
+    }
+    let patched = with_word(&bytes, TAG_PLANT, completed, done + 1);
+    expect_invalid(&patched, config, "ledger live count");
+}
+
+#[test]
+fn vehicle_records_must_lie_within_the_ledger_and_the_clock() {
+    let config = EngineConfig::new(Backend::Microscopic);
+    let bytes = capture("grid-incident-replan", config, 460, 260);
+    let (_, entered) = ledger_words(&bytes);
+    let ids = word_at(&bytes, TAG_PLANT, entered);
+    // The vehicle arena follows the ledger: its slab length, its free
+    // list (length, then slots), then per live slot the vehicle's id,
+    // entry tick, route cursor and route.
+    let first = entered + 3 + word_at(&bytes, TAG_PLANT, entered + 2) as usize;
+    assert!(word_at(&bytes, TAG_PLANT, first) < ids, "a live id");
+    assert!(
+        word_at(&bytes, TAG_PLANT, first + 1) < 260,
+        "its entry tick"
+    );
+    for id in [ids, u64::MAX] {
+        let patched = with_word(&bytes, TAG_PLANT, first, id);
+        expect_invalid(&patched, config, "vehicle id");
+    }
+    for tick in [260, 1 << 40] {
+        let patched = with_word(&bytes, TAG_PLANT, first + 1, tick);
+        expect_invalid(&patched, config, "vehicle entry tick");
+    }
+    // An earlier entry only lengthens the vehicle's journey.
+    let patched = with_word(&bytes, TAG_PLANT, first + 1, 0);
+    assert!(ScenarioEngine::restore(&patched, config, &controller).is_ok());
+}
+
+#[test]
+fn a_consistently_raised_entered_count_restores_and_runs_clean() {
+    // Raising the entered and completed counts together keeps the live
+    // count: the capture restores, and since nothing is sized by a
+    // vehicle id, ids simply resume from the raised count.
+    const RAISE: u64 = 1 << 40;
+    for backend in [Backend::Queueing, Backend::Microscopic] {
+        let config = EngineConfig::new(backend).observed();
+        let bytes = capture("grid-incident-replan", config, 460, 260);
+        let (completed, entered) = ledger_words(&bytes);
+        let mut patched = bytes.clone();
+        for index in [completed, entered] {
+            let word = word_at(&bytes, TAG_PLANT, index) + RAISE;
+            patched = with_word(&patched, TAG_PLANT, index, word);
+        }
+        let mut engine =
+            ScenarioEngine::restore(&patched, config, &controller).expect("consistent counts");
+        let seen = engine.demand_generated();
+        assert!(
+            seen > RAISE,
+            "{backend:?}: ids resume from the raised count"
+        );
+        for _ in 0..20 {
+            engine.step();
+            assert!(conserved(&engine), "{backend:?} at {}", engine.now());
+        }
+        assert!(
+            engine.demand_generated() > seen,
+            "{backend:?}: new arrivals"
+        );
+        assert_eq!(engine.ledger().entered(), engine.demand_generated());
+        assert!(
+            !engine.events_jsonl().contains("guard_violation"),
+            "{backend:?}: the observing guard saw no violation"
+        );
+        engine.outcome();
+    }
+}
+
+/// Engine-section index of the closure-diverted id set's length,
+/// following `save_engine_state`: after the demand generator (its surge
+/// factor, road count, one closure flag per road, four RNG words and the
+/// suppressed count) come five counters, then the set.
+fn diverted_set_word(bytes: &[u8]) -> usize {
+    let surge = surge_word(bytes);
+    surge + 2 + word_at(bytes, TAG_ENGINE, surge + 1) as usize + 5 + 5
+}
+
+#[test]
+fn diverted_vehicle_ids_must_ascend_below_the_entered_count() {
+    let (bytes, config) = incident_capture();
+    let at = diverted_set_word(&bytes);
+    let len = word_at(&bytes, TAG_ENGINE, at) as usize;
+    assert!(len >= 2, "mid-closure, vehicles are on detours");
+    let ids: Vec<u64> = (1..=len)
+        .map(|i| word_at(&bytes, TAG_ENGINE, at + i))
+        .collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "written sorted");
+    let seen = ScenarioEngine::restore(&bytes, config, &controller)
+        .expect("intact")
+        .demand_generated();
+    assert!(ids[len - 1] < seen, "issued ids");
+    // Out of order, repeated, and never issued.
+    let swapped = with_word(&bytes, TAG_ENGINE, at + 1, ids[1]);
+    let swapped = with_word(&swapped, TAG_ENGINE, at + 2, ids[0]);
+    expect_invalid(&swapped, config, "diverted vehicle id");
+    let repeated = with_word(&bytes, TAG_ENGINE, at + 2, ids[0]);
+    expect_invalid(&repeated, config, "diverted vehicle id");
+    for id in [seen, u64::MAX] {
+        let unissued = with_word(&bytes, TAG_ENGINE, at + len, id);
+        expect_invalid(&unissued, config, "diverted vehicle id");
     }
 }
 
@@ -655,7 +771,8 @@ fn the_guard_adds_nothing_to_a_capture() {
 /// words, then pairs of words in one section (half of them near each
 /// other, where a count and the words it counts sit). Every restore must
 /// return `Ok` or a typed [`RestoreError`], and a restored engine must
-/// step on without panicking.
+/// step on without panicking, conserve its vehicles and report an
+/// outcome.
 #[test]
 fn mutated_captures_restore_or_fail_typed() {
     const MUTATIONS: usize = 600;
@@ -712,7 +829,11 @@ fn mutated_captures_restore_or_fail_typed() {
                 }
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let restore = ScenarioEngine::restore(&mutated, config, &controller);
-                    restore.map(|mut engine| (0..50).for_each(|_| engine.step()))
+                    restore.map(|mut engine| {
+                        (0..50).for_each(|_| engine.step());
+                        assert!(conserved(&engine), "vehicle conservation");
+                        engine.outcome();
+                    })
                 }));
                 match outcome {
                     Ok(Ok(())) => restored += 1,

@@ -6,9 +6,9 @@
 //! serialization dependency, so — like the scenario text format and the
 //! telemetry JSONL — the format is hand-rolled and fully specified here.
 //!
-//! ## Wire format (version 4)
+//! ## Wire format (version 5)
 //!
-//! Versions 2 to 4 keep version 1's framing. Version 2 marks the sparse
+//! Versions 2 to 5 keep version 1's framing. Version 2 marks the sparse
 //! waiting ledger (slab length, live count, then `(slot, entry tick)`
 //! for live vehicles only). Version 3 marks the scenario engine's META
 //! section without its former execution-mode word. Version 4 marks
@@ -17,10 +17,16 @@
 //! the plant clock, the demand's copy of the ledger's id bound, the
 //! telemetry's watchdog watermarks, both plants' occupancy and sensor
 //! counters, and the microscopic fingerprint's constant word; META's two
-//! guard booleans became one guard-mode word, and the ledger writes its
-//! statistics before its slab. Restore rebuilds each dropped word from
-//! the words it derives from. Captures of an older version fail as
-//! `UnsupportedVersion` instead of being misread.
+//! guard booleans became one guard-mode word. Version 5 moves each live
+//! vehicle's entry tick onto its own record: the ledger's slab (id
+//! bound, live count, `(slot, entry tick)` pairs) is gone, the ledger
+//! writes its statistics and one entered count right after the plant's
+//! clock and counters, and each on-network vehicle record (microscopic
+//! arena slot, queueing transit or queue entry) gains an entry-tick word
+//! after its id; backlog entries already carried their arrival tick.
+//! Restore rebuilds each dropped word from the words it derives from.
+//! Captures of an older version fail as `UnsupportedVersion` instead of
+//! being misread.
 //!
 //! ```text
 //! header   := magic "UBPSNAP\0" (8 bytes) · version u32 LE · section_count u32 LE
@@ -104,12 +110,13 @@ use utilbp_core::state::{StateError, StateReader, StateWriter};
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 
-/// The current wire-format version. Versions 2 to 4 changed no framing:
+/// The current wire-format version. Versions 2 to 5 changed no framing:
 /// version 2 marks the waiting ledger's sparse word layout, version 3 the
 /// engine metadata without its execution-mode word, version 4 captures
-/// without derived words (see the crate docs), so an older capture is
+/// without derived words, version 5 entry ticks on the vehicle records
+/// instead of in the ledger (see the crate docs), so an older capture is
 /// rejected instead of misread.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
 /// `0xEDB88320`) tables at compile time. `table[0]` is the classic
@@ -551,7 +558,7 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut bytes = sample();
-        for found in [2u32, 3, 99] {
+        for found in [2u32, 3, 4, 99] {
             bytes[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
                 SnapshotReader::parse(&bytes).unwrap_err(),

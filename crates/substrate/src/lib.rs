@@ -29,8 +29,9 @@
 //!   closed at its upstream end). Reopening restores normal admission.
 //! - **Waiting accounting.** Waiting time accumulates per vehicle inside
 //!   the step path (simulator-side accumulators that ride through
-//!   junctions) and is flushed to the [`WaitingLedger`] once, at journey
-//!   completion;
+//!   junctions, next to the vehicle's entry tick) and is flushed to the
+//!   [`WaitingLedger`] once, at journey completion; the ledger keeps
+//!   only totals and tracks no live vehicle;
 //!   [`mean_waiting_including_active`](TrafficSubstrate::mean_waiting_including_active)
 //!   folds the live accumulators — including backlog dwell — into the
 //!   completed statistics at query time. Nothing scans the fleet per tick.
@@ -88,7 +89,10 @@
 //!   is exactly one of *completed*, *on the network* (road occupancy,
 //!   which includes junction-box reservations on the microscopic
 //!   substrate), or *backlogged* outside an entry:
-//!   `ledger.active() == Σ occupancy + backlog`.
+//!   `ledger.active() == Σ occupancy + backlog`, where `active()` is
+//!   the ledger's entered count minus its completed count, a count kept
+//!   apart from the fleet it is checked against. Both plants also run
+//!   this check once when they load a capture.
 //! - **Sensor consistency** — the incrementally maintained queue/sensor
 //!   counters equal a from-scratch rescan
 //!   ([`verify_sensors`](TrafficSubstrate::verify_sensors)), which also
@@ -362,7 +366,8 @@ pub trait TrafficSubstrate {
     /// Vehicles waiting outside full or closed boundary entries.
     fn backlog_len(&self) -> usize;
 
-    /// Per-vehicle journey accounting over completed vehicles.
+    /// Journey and waiting statistics over completed vehicles, and the
+    /// count of vehicles that entered.
     fn ledger(&self) -> &WaitingLedger;
 
     /// Mean waiting ticks per vehicle including vehicles still in the
@@ -394,9 +399,9 @@ pub trait TrafficSubstrate {
     /// Returns a message naming the first divergent counter.
     fn verify_sensors(&self) -> Result<(), String>;
 
-    /// Serializes the substrate's full dynamic state — clock, vehicles,
-    /// queues, RNG stream positions, incremental counters, ledger, and
-    /// every controller's state — into a durable word stream. Together
+    /// Serializes the substrate's full dynamic state — clock, ledger,
+    /// vehicles (each with its entry tick), queues, RNG stream positions,
+    /// and every controller's state — into a durable word stream. Together
     /// with [`load_state`](Self::load_state) this is the plant half of
     /// the checkpoint/restore contract: a substrate restored into a
     /// freshly built twin (same topology, configuration, controllers)
@@ -409,9 +414,10 @@ pub trait TrafficSubstrate {
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] on a truncated stream or a shape mismatch
-    /// with this substrate's topology; on error the substrate may be left
-    /// partially overwritten and must be discarded.
+    /// Returns a [`StateError`] on a truncated stream, a shape mismatch
+    /// with this substrate's topology, or a fleet the ledger does not
+    /// account for; on error the substrate may be left partially
+    /// overwritten and must be discarded.
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError>;
 }
 
@@ -955,7 +961,7 @@ mod tests {
         /// One vehicle on open road 0; closed road 1 empty.
         fn healthy() -> Self {
             let mut ledger = WaitingLedger::new();
-            ledger.enter(utilbp_metrics::VehicleId::new(0), Tick::ZERO);
+            ledger.enter();
             FakePlant {
                 now: Tick::ZERO,
                 occupancy: vec![1, 0],
@@ -968,9 +974,7 @@ mod tests {
 
         /// A vehicle that entered road `r` and is still on it.
         fn admit(&mut self, r: usize) {
-            let id = self.ledger.id_bound() as u64;
-            self.ledger
-                .enter(utilbp_metrics::VehicleId::new(id), Tick::ZERO);
+            self.ledger.enter();
             self.occupancy[r] += 1;
             self.entered[r] += 1;
         }

@@ -7,9 +7,9 @@
 //! lanes and the vehicle arena recycle storage, observation/report
 //! buffers are reused, waiting is accumulated in place, and backlog
 //! entries move (the `Arc<Route>` is never re-cloned on requeue). The
-//! only permitted residue is amortized slab growth (the waiting ledger
-//! and arena grow to the peak fleet / largest vehicle id), which doubles
-//! capacity and therefore vanishes relative to tick count.
+//! only permitted residue is amortized growth (the arena and the
+//! backlogs grow to the peak fleet), which doubles capacity and therefore
+//! vanishes relative to tick count.
 //!
 //! Periodic checkpoint capture is held to a byte budget instead: once
 //! the retention ring is full, each capture reuses the buffer of the one
@@ -55,7 +55,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const WARMUP: u64 = 600;
 const MEASURED: u64 = 300;
-/// Amortized slab/backlog growth allowance over the measured window —
+/// Amortized arena/backlog growth allowance over the measured window —
 /// far below one allocation per tick (a regression to per-tick
 /// allocation costs hundreds).
 const BUDGET: u64 = 40;
