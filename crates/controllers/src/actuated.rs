@@ -10,6 +10,8 @@
 
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
+use crate::slot::AMBER;
+
 /// Configuration of [`Actuated`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActuatedConfig {
@@ -26,7 +28,7 @@ impl Default for ActuatedConfig {
         ActuatedConfig {
             min_green: Ticks::new(5),
             max_green: Ticks::new(40),
-            transition: Ticks::new(4),
+            transition: AMBER,
         }
     }
 }

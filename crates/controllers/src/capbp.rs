@@ -24,54 +24,12 @@
 
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
-use crate::slot::SlotMachine;
+use crate::slot::{SlotMachine, AMBER};
 
-/// Which upstream pressure CAP-BP's link weight uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CapBpPressure {
-    /// The per-movement queue `b_i^{i'}`, as in Gregoire et al.'s own
-    /// formulation (their model queues vehicles per movement). This is
-    /// the default: it gives the functional baseline whose best-period
-    /// results the paper's Table III reports.
-    #[default]
-    PerMovement,
-    /// The whole-road queue `b_i` of Eq. 1/5 — how the DATE paper
-    /// characterizes the *original* back-pressure policy (UTIL-BP's
-    /// change (i) is replacing exactly this with the per-movement queue).
-    /// A long queue on one movement inflates the gains of its *sibling*
-    /// links, misdirecting green time; kept as an ablation. On this
-    /// workspace's networks it starves right-turn phases badly.
-    PerRoad,
-}
-
-/// Configuration of [`CapBp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapBpConfig {
-    /// The fixed green period (the paper sweeps 10–80 s; its per-pattern
-    /// optima are 16–22 s).
-    pub period: Ticks,
-    /// Amber duration appended to every slot (4 s in the paper).
-    pub transition: Ticks,
-    /// Storage capacity assumed for one movement queue (used to normalize
-    /// upstream occupancy). The paper's network has 3 dedicated lanes per
-    /// 300 m road at 7.5 m jam spacing → 40 vehicles per movement.
-    pub upstream_storage: u32,
-    /// Upstream pressure definition.
-    pub pressure: CapBpPressure,
-}
-
-impl CapBpConfig {
-    /// A config with the paper's 4-tick amber, 40-vehicle movement
-    /// storage, per-movement pressure, and the given period.
-    pub fn with_period(period: Ticks) -> Self {
-        CapBpConfig {
-            period,
-            transition: Ticks::new(4),
-            upstream_storage: 40,
-            pressure: CapBpPressure::PerMovement,
-        }
-    }
-}
+/// Storage assumed for one movement queue, used to normalize upstream
+/// occupancy: the paper's network has 3 dedicated lanes per 300 m road
+/// at 7.5 m jam spacing, so 40 vehicles per movement.
+pub const MOVEMENT_STORAGE: u32 = 40;
 
 /// The capacity-aware fixed-length back-pressure controller.
 ///
@@ -97,71 +55,32 @@ impl CapBpConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CapBp {
-    config: CapBpConfig,
     slots: SlotMachine,
 }
 
 impl CapBp {
-    /// Creates a controller with the paper's amber and the given period.
+    /// Creates a controller with the given green period; every slot ends
+    /// with the paper's [`AMBER`].
     pub fn new(period: Ticks) -> Self {
-        CapBp::with_config(CapBpConfig::with_period(period))
-    }
-
-    /// Creates a controller from an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `upstream_storage` is zero.
-    pub fn with_config(config: CapBpConfig) -> Self {
-        assert!(
-            config.upstream_storage > 0,
-            "upstream_storage must be positive"
-        );
         CapBp {
-            config,
-            slots: SlotMachine::with_always_transition(config.period, config.transition),
+            slots: SlotMachine::with_always_transition(period, AMBER),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CapBpConfig {
-        &self.config
     }
 }
 
 /// The capacity-aware weight of one link:
-/// `max(0, (b_up/S_up − q_out/W_out))·µ`, with `b_up` per-road or
-/// per-movement depending on the configured [`CapBpPressure`].
-fn link_weight(
-    config: &CapBpConfig,
-    view: &IntersectionView<'_>,
-    link: utilbp_core::LinkId,
-) -> f64 {
+/// `max(0, (b_mov/S − q_out/W_out))·µ`, with `S` the
+/// [`MOVEMENT_STORAGE`].
+fn link_weight(view: &IntersectionView<'_>, link: utilbp_core::LinkId) -> f64 {
     let layout = view.layout();
     let l = layout.link(link);
-    let (up_queue, up_storage) = match config.pressure {
-        CapBpPressure::PerRoad => {
-            // The whole road's queue, normalized by the whole road's
-            // storage (one movement's share × the number of movements).
-            let movements = layout.links_from(l.from()).len() as u32;
-            (
-                view.incoming_total(l.from()),
-                config.upstream_storage * movements.max(1),
-            )
-        }
-        CapBpPressure::PerMovement => (view.movement_queue(link), config.upstream_storage),
-    };
-    let up = up_queue as f64 / up_storage as f64;
+    let up = view.movement_queue(link) as f64 / MOVEMENT_STORAGE as f64;
     let down = view.outgoing_occupancy(l.to()) as f64 / layout.capacity(l.to()) as f64;
     ((up - down) * l.service_rate()).max(0.0)
 }
 
 /// Phase selection at a slot boundary.
-fn select_with(
-    config: &CapBpConfig,
-    view: &IntersectionView<'_>,
-    current: Option<PhaseId>,
-) -> PhaseId {
+fn select(view: &IntersectionView<'_>, current: Option<PhaseId>) -> PhaseId {
     let layout = view.layout();
     let mut best: Option<(PhaseId, f64, u32)> = None;
     let mut best_serving: Option<(PhaseId, f64, u32)> = None;
@@ -170,7 +89,7 @@ fn select_with(
         let mut score = 0.0;
         let mut servable = 0u32;
         for &l in layout.phase(phase).links() {
-            score += link_weight(config, view, l);
+            score += link_weight(view, l);
             servable += view.link_service_bound(l);
         }
         let better = |incumbent: &Option<(PhaseId, f64, u32)>| -> bool {
@@ -202,9 +121,7 @@ fn select_with(
 
 impl SignalController for CapBp {
     fn decide(&mut self, view: &IntersectionView<'_>, now: Tick) -> PhaseDecision {
-        let config = self.config;
-        self.slots
-            .decide(now, |current| select_with(&config, view, current))
+        self.slots.decide(now, |current| select(view, current))
     }
 
     fn reset(&mut self) {
@@ -316,13 +233,6 @@ mod tests {
         assert_eq!(d.phase(), Some(standard::phase_id(3)));
     }
 
-    fn per_movement(period: u64) -> CapBp {
-        CapBp::with_config(CapBpConfig {
-            pressure: CapBpPressure::PerMovement,
-            ..CapBpConfig::with_period(Ticks::new(period))
-        })
-    }
-
     #[test]
     fn per_movement_pressure_routes_green_to_the_loaded_movement() {
         // Under Gregoire-faithful per-movement pressure, a right-turn
@@ -331,31 +241,9 @@ mod tests {
         let mut obs = QueueObservation::zeros(&layout);
         let nr = standard::link_id(Approach::North, Turn::Right);
         obs.set_movement(nr, 40);
-        let mut ctrl = per_movement(16);
+        let mut ctrl = CapBp::new(Ticks::new(16));
         let d = decide(&mut ctrl, &layout, &obs, 0);
         assert_eq!(d.phase(), Some(standard::phase_id(2)));
-    }
-
-    #[test]
-    fn per_road_pressure_inflates_sibling_links() {
-        // The DATE paper's change (i): with per-road pressure, the same
-        // right-turn queue raises the gains of the straight/left links
-        // from the north road too, so c1 out-scores c2 — only the relaxed
-        // work-conservation rule redirects green to the servable phase.
-        let layout = layout();
-        let mut obs = QueueObservation::zeros(&layout);
-        let nr = standard::link_id(Approach::North, Turn::Right);
-        obs.set_movement(nr, 40);
-        // Give c1 one servable vehicle so work conservation does NOT kick
-        // in — now c1 wins on inflated pressure while 40 right-turners
-        // wait.
-        obs.set_movement(standard::link_id(Approach::North, Turn::Straight), 1);
-        let mut ctrl = CapBp::with_config(CapBpConfig {
-            pressure: CapBpPressure::PerRoad,
-            ..CapBpConfig::with_period(Ticks::new(16))
-        });
-        let d = decide(&mut ctrl, &layout, &obs, 0);
-        assert_eq!(d.phase(), Some(standard::phase_id(1)));
     }
 
     #[test]
@@ -370,7 +258,7 @@ mod tests {
         obs.set_outgoing(layout.link(ns).to(), 36);
         obs.set_movement(es, 10);
         obs.set_outgoing(layout.link(es).to(), 24);
-        let mut ctrl = per_movement(16);
+        let mut ctrl = CapBp::new(Ticks::new(16));
         let d = decide(&mut ctrl, &layout, &obs, 0);
         assert_eq!(d.phase(), Some(standard::phase_id(3)));
     }
@@ -400,15 +288,5 @@ mod tests {
         ctrl.reset();
         assert_eq!(decide(&mut ctrl, &layout, &obs, 100), first);
         assert_eq!(ctrl.name(), "cap-bp");
-        assert_eq!(ctrl.config().period, Ticks::new(16));
-        assert_eq!(ctrl.config().upstream_storage, 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "upstream_storage")]
-    fn rejects_zero_storage() {
-        let mut config = CapBpConfig::with_period(Ticks::new(16));
-        config.upstream_storage = 0;
-        let _ = CapBp::with_config(config);
     }
 }

@@ -12,61 +12,31 @@ use utilbp_core::{
     Ticks,
 };
 
-use crate::slot::SlotMachine;
-
-/// Configuration of [`FixedLengthUtilBp`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedLengthUtilBpConfig {
-    /// The fixed green period.
-    pub period: Ticks,
-    /// Amber duration between differing slots.
-    pub transition: Ticks,
-    /// The `α`/`β` penalties of Eq. 8.
-    pub penalties: GainPenalties,
-}
+use crate::slot::{SlotMachine, AMBER};
 
 /// UTIL-BP's utilization-aware phase selection on a fixed-length slot
 /// schedule (ablation).
 #[derive(Debug, Clone)]
 pub struct FixedLengthUtilBp {
-    config: FixedLengthUtilBpConfig,
     slots: SlotMachine,
 }
 
 impl FixedLengthUtilBp {
-    /// Creates a controller with the paper's amber and penalties and the
-    /// given period.
+    /// Creates a controller with the given period, ranking phases with the
+    /// paper's penalties. Every slot ends with the paper's [`AMBER`], so
+    /// the comparison against the adaptive `UtilBp` isolates exactly the
+    /// paper's varying-length-phase mechanism.
     pub fn new(period: Ticks) -> Self {
-        FixedLengthUtilBp::with_config(FixedLengthUtilBpConfig {
-            period,
-            transition: Ticks::new(4),
-            penalties: GainPenalties::PAPER,
-        })
-    }
-
-    /// Creates a controller from an explicit configuration.
-    pub fn with_config(config: FixedLengthUtilBpConfig) -> Self {
         FixedLengthUtilBp {
-            config,
-            // Conventional fixed-length timing: every slot ends with an
-            // amber, so the comparison against the adaptive UtilBp isolates
-            // exactly the paper's varying-length-phase mechanism.
-            slots: SlotMachine::with_always_transition(config.period, config.transition),
+            slots: SlotMachine::with_always_transition(period, AMBER),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FixedLengthUtilBpConfig {
-        &self.config
-    }
-
-    /// UTIL-BP Case 3 selection (Lines 6–11 of Algorithm 1).
-    fn select(
-        view: &IntersectionView<'_>,
-        penalties: GainPenalties,
-        current: Option<PhaseId>,
-    ) -> PhaseId {
+    /// UTIL-BP Case 3 selection (Lines 6–11 of Algorithm 1) under the
+    /// paper's penalties.
+    fn select(view: &IntersectionView<'_>, current: Option<PhaseId>) -> PhaseId {
         let layout = view.layout();
+        let penalties = GainPenalties::PAPER;
         let alpha = penalties.alpha();
 
         let mut scores = Vec::with_capacity(layout.num_phases());
@@ -102,9 +72,8 @@ impl FixedLengthUtilBp {
 
 impl SignalController for FixedLengthUtilBp {
     fn decide(&mut self, view: &IntersectionView<'_>, now: Tick) -> PhaseDecision {
-        let penalties = self.config.penalties;
         self.slots
-            .decide(now, |current| Self::select(view, penalties, current))
+            .decide(now, |current| Self::select(view, current))
     }
 
     fn reset(&mut self) {
@@ -193,10 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn config_and_name() {
+    fn name() {
         let ctrl = FixedLengthUtilBp::new(Ticks::new(8));
-        assert_eq!(ctrl.config().period, Ticks::new(8));
-        assert_eq!(ctrl.config().transition, Ticks::new(4));
         assert_eq!(ctrl.name(), "util-bp/fixed-length");
     }
 }

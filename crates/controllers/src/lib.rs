@@ -16,7 +16,14 @@
 //! - [`SlotMachine`] — the fixed-slot timing skeleton they share.
 //!
 //! All of them implement [`SignalController`](utilbp_core::SignalController)
-//! and can drive either simulation substrate.
+//! and can drive either simulation substrate. The slot controllers are
+//! built from their green period alone: each is a [`SlotMachine`] (which
+//! holds the period and the paper's [`AMBER`]) plus a selection rule,
+//! and the values the paper fixes are named constants here
+//! ([`AMBER`], CAP-BP's [`MOVEMENT_STORAGE`]; the fixed-length UTIL-BP
+//! ranks with `GainPenalties::PAPER`). Choosing a controller and its
+//! parameters for an experiment is `utilbp-experiments`'
+//! `ControllerKind`, the one recipe.
 //!
 //! ## Fault model
 //!
@@ -72,10 +79,10 @@ mod watchdog;
 
 pub use actuated::{Actuated, ActuatedConfig};
 pub use actuation::{ActuationFaultConfig, FaultyActuation};
-pub use capbp::{CapBp, CapBpConfig, CapBpPressure};
+pub use capbp::{CapBp, MOVEMENT_STORAGE};
 pub use faults::{FaultSwitch, FaultySensors, SensorFaultConfig};
-pub use fixed_util::{FixedLengthUtilBp, FixedLengthUtilBpConfig};
-pub use original::{OriginalBp, OriginalBpConfig};
-pub use simple::{FixedTime, LongestQueueFirst, LongestQueueFirstConfig};
-pub use slot::SlotMachine;
+pub use fixed_util::FixedLengthUtilBp;
+pub use original::OriginalBp;
+pub use simple::{FixedTime, LongestQueueFirst};
+pub use slot::{SlotMachine, AMBER};
 pub use watchdog::{Degrading, WatchdogConfig, WatchdogStats};

@@ -6,16 +6,7 @@ use utilbp_core::{
     pressure, IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks,
 };
 
-use crate::slot::SlotMachine;
-
-/// Configuration of [`OriginalBp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OriginalBpConfig {
-    /// The fixed green period.
-    pub period: Ticks,
-    /// Amber duration between differing slots.
-    pub transition: Ticks,
-}
+use crate::slot::{SlotMachine, AMBER};
 
 /// The original back-pressure controller.
 ///
@@ -27,33 +18,17 @@ pub struct OriginalBpConfig {
 /// because capacities are ignored (assumed infinite).
 #[derive(Debug, Clone)]
 pub struct OriginalBp {
-    config: OriginalBpConfig,
     slots: SlotMachine,
 }
 
 impl OriginalBp {
-    /// Creates a controller with the paper's 4-tick amber and the given
-    /// period.
+    /// Creates a controller with the given green period. Timing is the
+    /// conventional fixed-length kind: every slot ends with the paper's
+    /// [`AMBER`] (see the paper's Section III-A description).
     pub fn new(period: Ticks) -> Self {
-        OriginalBp::with_config(OriginalBpConfig {
-            period,
-            transition: Ticks::new(4),
-        })
-    }
-
-    /// Creates a controller from an explicit configuration.
-    pub fn with_config(config: OriginalBpConfig) -> Self {
         OriginalBp {
-            config,
-            // Conventional fixed-length timing: every slot ends with an
-            // amber (see the paper's Section III-A description).
-            slots: SlotMachine::with_always_transition(config.period, config.transition),
+            slots: SlotMachine::with_always_transition(period, AMBER),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &OriginalBpConfig {
-        &self.config
     }
 
     fn select(view: &IntersectionView<'_>, current: Option<PhaseId>) -> PhaseId {
@@ -207,7 +182,6 @@ mod tests {
     fn name_and_reset() {
         let mut ctrl = OriginalBp::new(Ticks::new(10));
         assert_eq!(ctrl.name(), "original-bp");
-        assert_eq!(ctrl.config().period, Ticks::new(10));
         ctrl.reset();
     }
 }

@@ -3,7 +3,7 @@
 
 use utilbp_core::{IntersectionView, PhaseDecision, PhaseId, SignalController, Tick, Ticks};
 
-use crate::slot::SlotMachine;
+use crate::slot::{SlotMachine, AMBER};
 
 /// A pre-timed signal: cycles through all phases in table order, giving
 /// each the same green period, with an amber between consecutive phases.
@@ -80,15 +80,6 @@ impl SignalController for FixedTime {
     }
 }
 
-/// Serializable parameters of [`LongestQueueFirst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LongestQueueFirstConfig {
-    /// The fixed green period.
-    pub period: Ticks,
-    /// Amber duration between differing slots.
-    pub transition: Ticks,
-}
-
 /// Greedy controller: at each slot boundary, activate the phase whose
 /// links could serve the most vehicles right now
 /// (`Σ min(µ, q_movement, residual downstream capacity)`).
@@ -98,27 +89,16 @@ pub struct LongestQueueFirstConfig {
 /// back-pressure family in ablation studies.
 #[derive(Debug, Clone)]
 pub struct LongestQueueFirst {
-    config: LongestQueueFirstConfig,
     slots: SlotMachine,
 }
 
 impl LongestQueueFirst {
-    /// Creates a controller with the paper's 4-tick amber and the given
-    /// period.
+    /// Creates a controller with the given period and the paper's
+    /// [`AMBER`] between differing slots.
     pub fn new(period: Ticks) -> Self {
-        let config = LongestQueueFirstConfig {
-            period,
-            transition: Ticks::new(4),
-        };
         LongestQueueFirst {
-            config,
-            slots: SlotMachine::new(config.period, config.transition),
+            slots: SlotMachine::new(period, AMBER),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &LongestQueueFirstConfig {
-        &self.config
     }
 }
 
@@ -247,7 +227,6 @@ mod tests {
             Some(standard::phase_id(4))
         );
         assert_eq!(ctrl.name(), "longest-queue-first");
-        assert_eq!(ctrl.config().period, Ticks::new(10));
     }
 
     #[test]

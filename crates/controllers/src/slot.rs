@@ -8,6 +8,10 @@
 
 use utilbp_core::{PhaseDecision, PhaseId, Tick, Ticks};
 
+/// The paper's amber: 4 one-second mini-slots between control phases
+/// (Section V's `∆k`), which every slot controller here appends.
+pub const AMBER: Ticks = Ticks::new(4);
+
 /// Fixed-slot phase timing: evaluate a selection rule at every slot
 /// boundary, insert an amber of fixed length whenever the selection differs
 /// from the running phase.

@@ -25,16 +25,13 @@ use crate::time::{Tick, Ticks};
 
 /// Policy for the keep-current-phase threshold `g*(k)` of Algorithm 1,
 /// Line 3.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GStarPolicy {
     /// Eq. 12: if the current phase's best link is `L_i^{i'}`, then
     /// `g*(k) = W*·µ_i^{i'}`. Under the ordinary gain (Eq. 6) this keeps
     /// the phase exactly while that link's pressure difference is positive.
     #[default]
     MaxLinkCapacityRate,
-    /// A fixed threshold. Must be non-negative for the work-conservation
-    /// property of Section IV to hold.
-    Constant(f64),
     /// `g* = +∞`: Case 2 never holds and the phase choice is re-evaluated
     /// every mini-slot. This is the *no-hysteresis* ablation; it maximizes
     /// responsiveness but pays an amber on every change of preference.
@@ -267,7 +264,6 @@ impl UtilBp {
                 // Eq. 12: g* = W*·µ of the current phase's best link.
                 view.layout().max_capacity() as f64 * view.layout().link(argmax).service_rate()
             }
-            GStarPolicy::Constant(v) => v,
             GStarPolicy::AlwaysReevaluate => f64::INFINITY,
         }
     }
@@ -736,8 +732,6 @@ mod tests {
         ];
         let policies = [
             GStarPolicy::MaxLinkCapacityRate,
-            GStarPolicy::Constant(0.0),
-            GStarPolicy::Constant(14.0),
             GStarPolicy::AlwaysReevaluate,
         ];
         for gain_mode in modes {

@@ -5,12 +5,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::fig2::Fig2Result;
+use crate::comparison::Comparison;
 use crate::table3::Table3Result;
 use crate::traces::Pattern1Detail;
 
 /// Renders Fig. 2's sweep as CSV (`period,capbp,utilbp`).
-pub fn fig2_csv(result: &Fig2Result) -> String {
+pub fn fig2_csv(result: &Comparison) -> String {
     let mut out = String::from("period_s,capbp_avg_queuing_s,utilbp_avg_queuing_s\n");
     for &(period, capbp) in &result.capbp {
         out.push_str(&format!("{period},{capbp},{}\n", result.utilbp));
@@ -58,21 +58,20 @@ pub fn fig5_csv(detail: &Pattern1Detail) -> String {
 }
 
 /// Writes every artifact to `dir` (created if missing) and returns the
-/// paths written: `fig2.csv`, `table3.csv`, `fig3_fig4_traces.csv`,
-/// `fig5.csv`.
+/// paths written: `fig2.csv` (from Table III's Mixed row),
+/// `table3.csv`, `fig3_fig4_traces.csv`, `fig5.csv`.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from creating the directory or writing files.
 pub fn export_all(
     dir: &Path,
-    fig2: &Fig2Result,
     table3: &Table3Result,
     detail: &Pattern1Detail,
 ) -> io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let files = [
-        ("fig2.csv", fig2_csv(fig2)),
+        ("fig2.csv", fig2_csv(&table3.fig2)),
         ("table3.csv", table3_csv(table3)),
         ("fig3_fig4_traces.csv", traces_csv(detail)),
         ("fig5.csv", fig5_csv(detail)),
@@ -91,7 +90,7 @@ mod tests {
     use super::*;
     use crate::options::ExperimentOptions;
     use crate::scenario::Backend;
-    use crate::{fig2, pattern1_detail, table3};
+    use crate::{pattern1_detail, table3};
     use utilbp_core::Ticks;
 
     fn tiny() -> ExperimentOptions {
@@ -106,13 +105,12 @@ mod tests {
     #[test]
     fn csv_payloads_are_well_formed() {
         let opts = tiny();
-        let f2 = fig2(&opts);
         let t3 = table3(&opts);
         let detail = pattern1_detail(&opts);
 
-        let f2_csv = fig2_csv(&f2);
+        let f2_csv = fig2_csv(&t3.fig2);
         assert!(f2_csv.starts_with("period_s,"));
-        assert_eq!(f2_csv.lines().count(), 1 + f2.capbp.len());
+        assert_eq!(f2_csv.lines().count(), 1 + opts.periods.len());
 
         let t3_csv = table3_csv(&t3);
         assert_eq!(t3_csv.lines().count(), 1 + 5);
@@ -127,13 +125,12 @@ mod tests {
     #[test]
     fn export_writes_all_files() {
         let opts = tiny();
-        let f2 = fig2(&opts);
         let t3 = table3(&opts);
         let detail = pattern1_detail(&opts);
 
         let dir =
             std::env::temp_dir().join(format!("utilbp-artifacts-test-{}", std::process::id()));
-        let written = export_all(&dir, &f2, &t3, &detail).expect("export succeeds");
+        let written = export_all(&dir, &t3, &detail).expect("export succeeds");
         assert_eq!(written.len(), 4);
         for path in &written {
             let metadata = std::fs::metadata(path).expect("file exists");

@@ -18,10 +18,9 @@ fn main() {
     );
     println!("{}", utilbp_experiments::render_table2());
 
-    let fig2 = utilbp_experiments::fig2(&opts);
-    println!("{}", fig2.render());
-
+    // Fig. 2 is Table III's Mixed row, so one sweep prints both.
     let table3 = utilbp_experiments::table3(&opts);
+    println!("{}", table3.fig2.render());
     println!("{}", table3.render());
 
     let detail = utilbp_experiments::pattern1_detail(&opts);

@@ -15,10 +15,9 @@ fn main() {
         opts.backend,
         opts.hour.count()
     );
-    let fig2 = utilbp_experiments::fig2(&opts);
     let table3 = utilbp_experiments::table3(&opts);
     let detail = utilbp_experiments::pattern1_detail(&opts);
-    match utilbp_experiments::artifacts::export_all(&dir, &fig2, &table3, &detail) {
+    match utilbp_experiments::artifacts::export_all(&dir, &table3, &detail) {
         Ok(paths) => {
             for p in paths {
                 println!("wrote {}", p.display());

@@ -17,8 +17,8 @@
 //! uninterrupted one** — same outcome, byte-equal telemetry JSONL. With
 //! `--artifacts` the compared artifacts are written out for CI upload.
 
-use utilbp_experiments::{run_recovery, Corruption, RecoveryConfig};
-use utilbp_scenario::Backend;
+use utilbp_experiments::{render_outcome, run_recovery, Corruption, RecoveryConfig};
+use utilbp_scenario::{builtin, Backend, EngineConfig};
 
 fn main() {
     if let Err(message) = run() {
@@ -28,6 +28,8 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
+    let mut scenario = "grid-degraded-recovery".to_string();
+    let mut backend = Backend::Queueing;
     let mut config = RecoveryConfig::default();
     let mut artifacts: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,9 +41,9 @@ fn run() -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
-            "--scenario" => config.scenario = value("--scenario")?,
+            "--scenario" => scenario = value("--scenario")?,
             "--backend" => {
-                config.backend = match value("--backend")?.as_str() {
+                backend = match value("--backend")?.as_str() {
                     "queueing" => Backend::Queueing,
                     "microscopic" => Backend::Microscopic,
                     other => {
@@ -66,9 +68,7 @@ fn run() -> Result<(), String> {
     }
 
     eprintln!(
-        "drilling {} on {}: kill at {}, period {}, damage {:?}…",
-        config.scenario,
-        config.backend,
+        "drilling {scenario} on {backend}: kill at {}, period {}, damage {:?}…",
         if config.kill_tick == 0 {
             "5/8 horizon".to_string()
         } else {
@@ -77,10 +77,12 @@ fn run() -> Result<(), String> {
         config.period,
         config.corruption
     );
-    let report = run_recovery(&config)?;
+    let spec = builtin(&scenario).ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
+    let report = run_recovery(spec, EngineConfig::new(backend), &config)?;
+    let outcome_table = render_outcome(&report.outcome);
     println!("{}", report.render());
     println!();
-    println!("{}", report.outcome_table);
+    println!("{outcome_table}");
 
     if let Some(dir) = artifacts {
         let dir = std::path::Path::new(&dir);
@@ -89,7 +91,7 @@ fn run() -> Result<(), String> {
             std::fs::write(dir.join(name), contents).map_err(|e| format!("writing {name}: {e}"))
         };
         write("recovery_report.txt", &report.render())?;
-        write("outcome_resumed.txt", &report.outcome_table)?;
+        write("outcome_resumed.txt", &outcome_table)?;
         write("events_golden.jsonl", &report.golden_jsonl)?;
         write("events_resumed.jsonl", &report.jsonl)?;
         eprintln!("artifacts written to {}", dir.display());

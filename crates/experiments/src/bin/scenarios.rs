@@ -6,9 +6,10 @@
 //! scenarios --smoke            # one small built-in per backend (CI smoke)
 //! scenarios --builtin NAME ... # selected built-ins by name
 //! scenarios file.scn ...       # scenario files in the text format
-//! scenarios --trace            # append a flight-recorder trace per spec
-//! scenarios --trace --profile  # …with the tick-section profile table
 //! ```
+//!
+//! To replay one of them with the flight recorder on, run the `trace`
+//! binary on the same built-in name or file.
 //!
 //! Env: `UTILBP_QUICK=1` caps every horizon at 300 ticks.
 //!
@@ -20,7 +21,7 @@
 //! diagnostic to stderr and exits non-zero; the binary never panics on
 //! bad input.
 
-use utilbp_experiments::{run_trace, scenario_comparison, Backend, ControllerKind, TraceOptions};
+use utilbp_experiments::{scenario_comparison, Backend, ControllerKind};
 use utilbp_scenario::{builtin, builtin_scenarios, parse_scenario, ScenarioSpec};
 
 fn main() {
@@ -35,17 +36,10 @@ fn run() -> Result<(), String> {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut files: Vec<&String> = Vec::new();
     let mut builtins: Vec<ScenarioSpec> = Vec::new();
-    let mut trace = false;
-    let mut profile = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--smoke" => {}
-            "--trace" => trace = true,
-            "--profile" => {
-                trace = true;
-                profile = true;
-            }
             "--builtin" => {
                 let name = iter
                     .next()
@@ -117,22 +111,5 @@ fn run() -> Result<(), String> {
     println!("Scenario comparison — mean queuing time (completed/generated)");
     println!();
     println!("{}", comparison.render());
-
-    if trace {
-        // Opt-in appendix: replay each spec once on the queueing
-        // substrate with the flight recorder (and optionally the
-        // profiler) on. The replayed outcomes are bit-identical to the
-        // comparison runs above — recording is strictly passive.
-        let options = TraceOptions {
-            profile,
-            horizon_cap,
-            ..TraceOptions::default()
-        };
-        for spec in &specs {
-            let report = run_trace(spec.clone(), &options, &|_| ControllerKind::UtilBp.build())?;
-            println!();
-            println!("{}", report.render());
-        }
-    }
     Ok(())
 }

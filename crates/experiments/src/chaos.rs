@@ -13,20 +13,23 @@
 //! [`InvariantGuard`] against the plant after every tick (vehicle
 //! conservation, sensor consistency, and closed-road emptiness are
 //! re-proved; any violation panics with a tick-stamped diagnostic),
-//! then runs a recovery round:
+//! and drills a crash recovery:
 //!
-//! 1. watchdog installed — the reference outcome;
-//! 2. watchdog installed again — must equal the reference bit for bit
-//!    (repeat determinism under active faults);
+//! 1. watchdog installed — the reference outcome, recorded with
+//!    periodic checkpointing as the recovery drill's golden;
+//! 2. watchdog installed again, unrecorded — must equal the reference
+//!    bit for bit (repeat determinism under active faults, and
+//!    passive recording and checkpointing);
 //! 3. watchdog absent — the degradation baseline;
-//! 4. a **crash-recovery round**: the reference run is repeated with
-//!    periodic checkpointing, killed at 5/8 of the horizon (inside the
+//! 4. the **crash-recovery drill** of [`run_recovery`]: the reference
+//!    run is repeated, killed at 5/8 of the horizon (inside the
 //!    actuation-fault window), its newest checkpoint suffers a torn
 //!    write, and recovery must reject the damage on checksum/structure
 //!    grounds, fall back to the previous capture, fast-forward, and
-//!    land on the reference outcome exactly — checkpoint durability
-//!    re-proved under active sensor faults, actuation faults, and
-//!    closures, with the guard watching every replayed tick.
+//!    land on the reference outcome and event stream exactly —
+//!    checkpoint durability re-proved under active sensor faults,
+//!    actuation faults, and closures, with the guard watching every
+//!    replayed tick.
 //!
 //! The report's aggregate check bounds degradation: summed over the
 //! timelines of one backend, mean waiting with the watchdog fallback
@@ -40,11 +43,11 @@
 use utilbp_core::{Tick, Ticks};
 use utilbp_metrics::TextTable;
 use utilbp_scenario::{
-    run_scenario, Backend, CheckpointPolicy, DemandProfile, EngineConfig, ReplanPolicy,
-    ScenarioEngine, ScenarioEvent, ScenarioOutcome, ScenarioSpec, TopologySpec,
+    run_scenario, Backend, DemandProfile, EngineConfig, ReplanPolicy, ScenarioEvent,
+    ScenarioOutcome, ScenarioSpec, TopologySpec,
 };
 
-use crate::recovery::recover_newest_valid;
+use crate::recovery::{run_recovery, RecoveryConfig};
 use crate::scenario::ControllerKind;
 
 /// Headroom the aggregate degradation bound allows for watchdog false
@@ -284,51 +287,23 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                     with.watchdog = Some(utilbp_baselines::WatchdogConfig::default());
 
                     let guarded = EngineConfig::new(backend).guarded();
-                    let reference = run_scenario(with.clone(), guarded, &factory)
-                        .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    let repeat = run_scenario(with.clone(), guarded, &factory)
+                    // The recovery drill is runs 1 and 4 (see the module
+                    // docs): its uninterrupted golden is the reference.
+                    // Period horizon/6 guarantees at least two captures
+                    // exist by the 5/8-horizon kill, so there is a valid
+                    // fallback behind the torn newest.
+                    let drill = RecoveryConfig {
+                        period: config.horizon / 6,
+                        ..RecoveryConfig::default()
+                    };
+                    let reference = run_recovery(with.clone(), guarded, &drill)
+                        .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?
+                        .outcome;
+                    let repeat = run_scenario(with, guarded, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     if repeat != reference {
                         return Err(format!(
                             "timeline seed {seed} on {backend}: repeat run diverges"
-                        ));
-                    }
-
-                    // Run 4: the crash-recovery round (see the module
-                    // docs). Period horizon/6 guarantees at least two
-                    // captures exist by the 5/8-horizon kill, so there
-                    // is a valid fallback behind the torn newest.
-                    let mut doomed = ScenarioEngine::new(with, guarded, &factory)
-                        .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    doomed.enable_checkpoints(CheckpointPolicy::every(config.horizon / 6));
-                    for _ in 0..5 * config.horizon / 8 {
-                        doomed.step();
-                    }
-                    let mut store = doomed.checkpoints().to_vec();
-                    drop(doomed);
-                    let newest = store.last_mut().expect("two captures by the kill tick");
-                    let keep = newest.1.len() * 2 / 3;
-                    newest.1.truncate(keep);
-                    let (mut recovered, resumed_at, rejected) =
-                        recover_newest_valid(&store, guarded, &factory)
-                            .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    if rejected.len() != 1 {
-                        return Err(format!(
-                            "timeline seed {seed} on {backend}: torn checkpoint was not \
-                             rejected exactly once ({rejected:?})"
-                        ));
-                    }
-                    if resumed_at.index() >= 5 * config.horizon / 8 {
-                        return Err(format!(
-                            "timeline seed {seed} on {backend}: recovery resumed at \
-                             tick {resumed_at:?}, past the kill"
-                        ));
-                    }
-                    recovered.run_to_end();
-                    if recovered.outcome() != reference {
-                        return Err(format!(
-                            "timeline seed {seed} on {backend}: recovered run diverges \
-                             from the uninterrupted reference"
                         ));
                     }
 

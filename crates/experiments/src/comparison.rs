@@ -1,24 +1,26 @@
-//! Fig. 2 — average queuing time vs CAP-BP control period on the mixed
-//! traffic pattern, against UTIL-BP's (period-free) result.
+//! The paper's one comparison: UTIL-BP against CAP-BP's control-period
+//! sweep on identical demand. Every Table III row is one [`Comparison`],
+//! Fig. 2 is the Mixed row's (queuing time vs period, UTIL-BP as a flat
+//! reference line), and the seed-robustness study repeats one per seed.
 
 use utilbp_core::Tick;
 use utilbp_metrics::{ascii_chart, TextTable, TimeSeries};
 use utilbp_netgen::DemandSchedule;
 
 use crate::options::ExperimentOptions;
-use crate::runner::{run, run_many, Probe};
+use crate::runner::{run_many, Probe};
 use crate::scenario::{ControllerKind, Scenario};
 
-/// The data behind Fig. 2.
-#[derive(Debug, Clone)]
-pub struct Fig2Result {
+/// UTIL-BP's result and CAP-BP's whole period sweep on one scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Comparison {
     /// `(period, avg queuing time)` for CAP-BP, in sweep order.
     pub capbp: Vec<(u64, f64)>,
     /// UTIL-BP's average queuing time (no period parameter).
     pub utilbp: f64,
 }
 
-impl Fig2Result {
+impl Comparison {
     /// The sweep's best (minimum) CAP-BP point.
     pub fn best_capbp(&self) -> (u64, f64) {
         self.capbp
@@ -30,13 +32,12 @@ impl Fig2Result {
 
     /// UTIL-BP's improvement over the best CAP-BP point, in percent.
     pub fn improvement_pct(&self) -> f64 {
-        let (_, best) = self.best_capbp();
-        (best - self.utilbp) / best * 100.0
+        improvement_pct(self.best_capbp().1, self.utilbp)
     }
 
-    /// Renders the figure as a table plus an ASCII chart (period on the
-    /// x-axis, queuing time on the y-axis, UTIL-BP as a flat reference
-    /// line).
+    /// Renders the comparison as Fig. 2: a table plus an ASCII chart
+    /// (period on the x-axis, queuing time on the y-axis, UTIL-BP as a
+    /// flat reference line).
     pub fn render(&self) -> String {
         let mut curve = TimeSeries::new("CAP-BP (capacity-aware, fixed-length)");
         for &(p, avg) in &self.capbp {
@@ -68,24 +69,35 @@ impl Fig2Result {
     }
 }
 
-/// Computes Fig. 2: sweeps the CAP-BP period over the mixed pattern and
-/// runs UTIL-BP once on the same demand.
-pub fn fig2(opts: &ExperimentOptions) -> Fig2Result {
-    let scenario = Scenario::paper(DemandSchedule::mixed(opts.hour), opts.backend, opts.seed);
-    let kinds: Vec<ControllerKind> = opts
-        .periods
+/// UTIL-BP's improvement over CAP-BP's `capbp` seconds, in percent.
+pub(crate) fn improvement_pct(capbp: f64, utilbp: f64) -> f64 {
+    (capbp - utilbp) / capbp * 100.0
+}
+
+/// Runs CAP-BP at every period of `periods`, and UTIL-BP, on `scenario`
+/// (so every controller sees the same demand), and returns the whole
+/// sweep.
+pub fn compare(scenario: &Scenario, periods: &[u64]) -> Comparison {
+    let mut kinds: Vec<ControllerKind> = periods
         .iter()
         .map(|&period| ControllerKind::CapBp { period })
         .collect();
-    let sweep = run_many(&scenario, &kinds, &Probe::none());
-    let capbp = opts
-        .periods
+    kinds.push(ControllerKind::UtilBp);
+    let mut runs = run_many(scenario, &kinds, &Probe::none());
+    let utilbp = runs.pop().expect("UTIL-BP ran").avg_queuing_time_s;
+    let capbp = periods
         .iter()
-        .zip(&sweep)
+        .zip(&runs)
         .map(|(&p, r)| (p, r.avg_queuing_time_s))
         .collect();
-    let utilbp = run(&scenario, &ControllerKind::UtilBp, &Probe::none()).avg_queuing_time_s;
-    Fig2Result { capbp, utilbp }
+    Comparison { capbp, utilbp }
+}
+
+/// Computes Fig. 2: the comparison on the mixed pattern (Table III's
+/// Mixed row).
+pub fn fig2(opts: &ExperimentOptions) -> Comparison {
+    let scenario = Scenario::paper(DemandSchedule::mixed(opts.hour), opts.backend, opts.seed);
+    compare(&scenario, &opts.periods)
 }
 
 #[cfg(test)]
@@ -108,7 +120,7 @@ mod tests {
 
     #[test]
     fn best_capbp_is_the_minimum() {
-        let r = Fig2Result {
+        let r = Comparison {
             capbp: vec![(10, 120.0), (20, 90.0), (30, 150.0)],
             utilbp: 80.0,
         };

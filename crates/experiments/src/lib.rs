@@ -7,12 +7,20 @@
 //! |---|---|---|
 //! | Table I (input) | [`render_table1`] | `all` |
 //! | Table II (input) | [`render_table2`] | `all` |
-//! | Fig. 2 | [`fig2`] | `fig2` |
-//! | Table III | [`table3`] | `table3` |
+//! | Table III | [`table3`]: one [`compare`] per pattern | `table3`, `all`, `export` |
+//! | Fig. 2 | [`fig2`]: Table III's Mixed [`compare`] (`all` and `export` print [`Table3Result::fig2`]) | `fig2`, `all`, `export` |
 //! | Figs. 3–4 | [`pattern1_detail`] → `render_fig3_fig4` | `fig3_fig4` |
 //! | Fig. 5 | [`pattern1_detail`] → `render_fig5` | `fig5` |
 //! | Ablations (extension) | [`ablation`] | `ablations` |
-//! | Extension studies: α/β trade-off, seed robustness, lane discipline, detector range, sensor dropout | [`tradeoff`], [`robustness`], [`plant_studies`], [`scenario_comparison`] | `ablations` |
+//! | Extension studies: α/β trade-off, seed robustness (one [`compare`] per seed), lane discipline, detector range, sensor dropout | [`tradeoff`], [`robustness`], [`plant_studies`], [`scenario_comparison`] | `ablations` |
+//!
+//! [`compare`] is the paper's one comparison — UTIL-BP against CAP-BP's
+//! whole period sweep on identical demand — so the sweep is written
+//! once. Every paper run, and every extension study but the
+//! sensor-dropout one (which runs on the scenario engine), goes through
+//! [`run`], which checks the invariant guard (vehicle conservation,
+//! sensor consistency, closure drain) after every step and panics on a
+//! violation.
 //!
 //! All experiments run on either substrate ([`Backend::Microscopic`] — the
 //! SUMO substitute, used for headline numbers — or [`Backend::Queueing`]
@@ -28,7 +36,7 @@
 mod ablation;
 pub mod artifacts;
 mod chaos;
-mod fig2;
+mod comparison;
 mod inputs;
 mod options;
 mod recovery;
@@ -43,12 +51,10 @@ mod tradeoff;
 
 pub use ablation::{ablation, plant_studies, variants, AblationResult, AblationRow};
 pub use chaos::{chaos_timeline, run_chaos, ChaosConfig, ChaosReport, TimelineReport};
-pub use fig2::{fig2, Fig2Result};
+pub use comparison::{compare, fig2, Comparison};
 pub use inputs::{render_table1, render_table2};
 pub use options::ExperimentOptions;
-pub use recovery::{
-    recover_newest_valid, render_outcome, run_recovery, Corruption, RecoveryConfig, RecoveryReport,
-};
+pub use recovery::{render_outcome, run_recovery, Corruption, RecoveryConfig, RecoveryReport};
 pub use robustness::{robustness, RobustnessResult};
 pub use runner::{run, run_many, Probe, RunResult};
 pub use scenario::{Backend, ControllerKind, Scenario};

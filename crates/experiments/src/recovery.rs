@@ -18,15 +18,18 @@
 //!    write (prefix only) or a flipped bit. Checksum/structure validation
 //!    must reject it with a typed error — never a panic, never a silent
 //!    acceptance.
-//! 4. **Recover** — [`recover_newest_valid`] walks the store newest
-//!    first, restores the first checkpoint that passes validation, and
-//!    reports how many damaged candidates were rejected on the way.
+//! 4. **Recover** — the drill walks the store newest first, restores
+//!    the first checkpoint that passes validation, and reports how many
+//!    damaged candidates were rejected on the way.
 //! 5. **Fast-forward & verify** — the restored engine runs to the
 //!    horizon. Anything short of byte-identity with the golden is a
 //!    harness failure, not a warning.
 //!
 //! Everything is deterministic: the same config produces the same drill,
-//! the same damage, and the same verdict.
+//! the same damage, and the same verdict. [`run_recovery`] takes any
+//! [`ScenarioSpec`] and [`EngineConfig`]: the `recover` binary drills a
+//! built-in, and the chaos harness drills each of its fault timelines
+//! under the panicking invariant guard.
 //!
 //! [`ScenarioOutcome`]: utilbp_scenario::ScenarioOutcome
 
@@ -34,7 +37,7 @@ use utilbp_core::SignalController;
 use utilbp_core::Tick;
 use utilbp_metrics::TextTable;
 use utilbp_scenario::{
-    builtin, Backend, CheckpointPolicy, EngineConfig, ScenarioEngine, ScenarioOutcome,
+    CheckpointPolicy, EngineConfig, ScenarioEngine, ScenarioOutcome, ScenarioSpec,
 };
 
 use crate::scenario::ControllerKind;
@@ -74,13 +77,10 @@ impl Corruption {
     }
 }
 
-/// Configuration of one recovery drill.
+/// What one recovery drill does to a run: the checkpoint cadence, the
+/// crash tick and the damage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
-    /// The built-in scenario to drill (see `utilbp_scenario::builtin`).
-    pub scenario: String,
-    /// The substrate to run on.
-    pub backend: Backend,
     /// Checkpoint cadence in ticks.
     pub period: u64,
     /// The crash tick; `0` picks 5/8 of the scenario's horizon.
@@ -92,8 +92,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            scenario: "grid-degraded-recovery".to_string(),
-            backend: Backend::Queueing,
             period: 64,
             kill_tick: 0,
             corruption: Corruption::Torn,
@@ -120,8 +118,9 @@ pub struct RecoveryReport {
     pub resumed_from: u64,
     /// Ticks replayed between the resume point and the horizon.
     pub fast_forwarded: u64,
-    /// The (verified byte-identical) outcome table of the resumed run.
-    pub outcome_table: String,
+    /// The resumed run's outcome (verified equal to the uninterrupted
+    /// run's), which names the scenario and the backend.
+    pub outcome: ScenarioOutcome,
     /// The resumed run's telemetry JSONL (verified byte-equal to the
     /// golden's).
     pub jsonl: String,
@@ -133,8 +132,11 @@ impl RecoveryReport {
     /// Renders the drill as a two-column fact table plus the verdict.
     pub fn render(&self) -> String {
         let mut table = TextTable::new(vec!["Recovery drill".to_string(), String::new()]);
-        table.push_row(vec!["scenario".to_string(), self.config.scenario.clone()]);
-        table.push_row(vec!["backend".to_string(), self.config.backend.to_string()]);
+        table.push_row(vec!["scenario".to_string(), self.outcome.scenario.clone()]);
+        table.push_row(vec![
+            "backend".to_string(),
+            self.outcome.backend.to_string(),
+        ]);
         table.push_row(vec![
             "horizon".to_string(),
             format!("{} ticks", self.horizon),
@@ -214,13 +216,10 @@ pub fn render_outcome(outcome: &ScenarioOutcome) -> String {
 /// Walks a checkpoint store newest first, restoring the first checkpoint
 /// that passes integrity validation. Returns the restored engine, the
 /// tick it resumed at, and the typed rejection messages of every damaged
-/// candidate skipped on the way (newest first).
-///
-/// # Errors
-///
-/// An error naming the last rejection when *no* checkpoint in the store
-/// restores, or when the store is empty.
-pub fn recover_newest_valid(
+/// candidate skipped on the way (newest first); an error naming the last
+/// rejection when *no* checkpoint in the store restores, or when the
+/// store is empty.
+fn recover_newest_valid(
     store: &[(Tick, Vec<u8>)],
     config: EngineConfig,
     factory: &dyn Fn(usize) -> Box<dyn SignalController>,
@@ -256,18 +255,22 @@ fn damage_newest(store: &mut [(Tick, Vec<u8>)], corruption: Corruption) {
     }
 }
 
-/// Runs one recovery drill end to end (see the module docs for the five
-/// stages).
+/// Runs one recovery drill of `spec` under `engine` end to end (see the
+/// module docs for the five stages), with UTIL-BP at every intersection.
+/// Every engine of the drill runs under `engine`, so a guarded config
+/// watches every golden, crashed and replayed tick.
 ///
 /// # Errors
 ///
-/// A one-line diagnostic on the first violated gate: unknown scenario, a
+/// A one-line diagnostic on the first violated gate: an invalid spec, a
 /// kill tick before the first capture, damage that validation *failed*
 /// to reject, an unrecoverable store, or — the headline gate — a resumed
 /// run that is not byte-identical to the uninterrupted golden.
-pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
-    let spec = builtin(&config.scenario)
-        .ok_or_else(|| format!("unknown scenario `{}`", config.scenario))?;
+pub fn run_recovery(
+    spec: ScenarioSpec,
+    engine: EngineConfig,
+    config: &RecoveryConfig,
+) -> Result<RecoveryReport, String> {
     let horizon = spec.horizon.count();
     let kill_tick = if config.kill_tick == 0 {
         5 * horizon / 8
@@ -282,12 +285,11 @@ pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
     if config.period == 0 {
         return Err("checkpoint period must be at least 1".to_string());
     }
-    let engine_config = EngineConfig::new(config.backend);
     let factory = |_: usize| ControllerKind::UtilBp.build();
     let policy = CheckpointPolicy::every(config.period);
 
     // Stage 1: the golden oracle.
-    let mut golden_run = ScenarioEngine::new(spec.clone(), engine_config, &factory)?;
+    let mut golden_run = ScenarioEngine::new(spec.clone(), engine, &factory)?;
     golden_run.enable_recording(512);
     golden_run.enable_checkpoints(policy);
     golden_run.run_to_end();
@@ -297,7 +299,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
     // Stage 2: the crashed run. Its retained checkpoint ring is the
     // simulated on-disk store; the engine is dropped at the kill tick.
     let mut store: Vec<(Tick, Vec<u8>)> = {
-        let mut doomed = ScenarioEngine::new(spec, engine_config, &factory)?;
+        let mut doomed = ScenarioEngine::new(spec, engine, &factory)?;
         doomed.enable_recording(512);
         doomed.enable_checkpoints(policy);
         for _ in 0..kill_tick {
@@ -317,8 +319,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
     damage_newest(&mut store, config.corruption);
 
     // Stage 4: recover from the newest valid checkpoint.
-    let (mut resumed, resumed_tick, rejected) =
-        recover_newest_valid(&store, engine_config, &factory)?;
+    let (mut resumed, resumed_tick, rejected) = recover_newest_valid(&store, engine, &factory)?;
     match config.corruption {
         Corruption::None => {
             if !rejected.is_empty() {
@@ -376,7 +377,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
         rejected,
         resumed_from: resumed_tick.index(),
         fast_forwarded,
-        outcome_table: render_outcome(&outcome),
+        outcome,
         jsonl,
         golden_jsonl,
     })
@@ -385,10 +386,16 @@ pub fn run_recovery(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use utilbp_scenario::{builtin, Backend};
+
+    fn drill(config: &RecoveryConfig) -> Result<RecoveryReport, String> {
+        let spec = builtin("grid-degraded-recovery").expect("built-in exists");
+        run_recovery(spec, EngineConfig::new(Backend::Queueing), config)
+    }
 
     #[test]
     fn a_torn_write_drill_passes() {
-        let report = run_recovery(&RecoveryConfig::default()).expect("drill passes");
+        let report = drill(&RecoveryConfig::default()).expect("drill passes");
         assert_eq!(report.rejected.len(), 1, "the torn newest must be rejected");
         assert!(report.resumed_from < report.killed_at);
         assert_eq!(report.jsonl, report.golden_jsonl);
@@ -402,7 +409,7 @@ mod tests {
             corruption: Corruption::BitFlip,
             ..RecoveryConfig::default()
         };
-        let report = run_recovery(&config).expect("drill passes");
+        let report = drill(&config).expect("drill passes");
         assert_eq!(report.rejected.len(), 1);
         assert!(
             report.rejected[0].contains("checksum") || report.rejected[0].contains("snapshot"),
@@ -417,7 +424,7 @@ mod tests {
             corruption: Corruption::None,
             ..RecoveryConfig::default()
         };
-        let report = run_recovery(&config).expect("drill passes");
+        let report = drill(&config).expect("drill passes");
         assert!(report.rejected.is_empty());
         // The newest capture is the last period boundary before the kill.
         let expected = report.killed_at / config.period * config.period;

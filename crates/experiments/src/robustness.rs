@@ -9,9 +9,9 @@
 use utilbp_metrics::{SummaryStats, TextTable};
 use utilbp_netgen::{DemandSchedule, Pattern};
 
+use crate::comparison::compare;
 use crate::options::ExperimentOptions;
-use crate::runner::{run, run_many, Probe};
-use crate::scenario::{ControllerKind, Scenario};
+use crate::scenario::Scenario;
 
 /// Robustness outcome for one pattern.
 #[derive(Debug, Clone)]
@@ -57,18 +57,7 @@ pub fn robustness(opts: &ExperimentOptions, pattern: Pattern, seeds: &[u64]) -> 
             opts.backend,
             seed,
         );
-        let kinds: Vec<ControllerKind> = opts
-            .periods
-            .iter()
-            .map(|&period| ControllerKind::CapBp { period })
-            .collect();
-        let sweep = run_many(&scenario, &kinds, &Probe::none());
-        let best = sweep
-            .iter()
-            .map(|r| r.avg_queuing_time_s)
-            .fold(f64::INFINITY, f64::min);
-        let util = run(&scenario, &ControllerKind::UtilBp, &Probe::none()).avg_queuing_time_s;
-        let improvement = (best - util) / best * 100.0;
+        let improvement = compare(&scenario, &opts.periods).improvement_pct();
         improvements.push(improvement);
         stats.record(improvement);
     }

@@ -1,12 +1,15 @@
 //! Substrate-agnostic scenario runner with probes. Both backends are
 //! built through `utilbp-substrate`'s shared constructor and driven
 //! through the [`utilbp_substrate::TrafficSubstrate`] trait — the runner
-//! never dispatches on the backend.
+//! never dispatches on the backend. Every run is guarded: an
+//! [`InvariantGuard`] in panic mode re-proves vehicle conservation,
+//! sensor consistency and closure drain after every step, so each paper
+//! table and figure re-checks the plant invariants in release builds.
 
 use utilbp_core::{IncomingId, Tick};
-use utilbp_metrics::{Histogram, PhaseTrace, SummaryStats, TimeSeries};
+use utilbp_metrics::{PhaseTrace, TimeSeries};
 use utilbp_netgen::{Arrival, DemandConfig, DemandGenerator, GridNetwork, IntersectionId};
-use utilbp_substrate::{build_substrate, SubstrateScratch};
+use utilbp_substrate::{build_substrate, GuardMode, InvariantGuard, SubstrateScratch};
 
 use crate::scenario::{ControllerKind, Scenario};
 
@@ -44,22 +47,10 @@ pub struct RunResult {
     pub completed: u64,
     /// Vehicles generated by the demand process.
     pub generated: u64,
-    /// Waiting-time statistics over completed vehicles (ticks).
-    pub waiting_stats: SummaryStats,
-    /// Waiting-time distribution over completed vehicles (10-tick bins).
-    pub waiting_histogram: Histogram,
     /// Phase traces, in the order requested by the probe.
     pub phase_traces: Vec<PhaseTrace>,
     /// Queue-length series, in the order requested by the probe.
     pub queue_series: Vec<TimeSeries>,
-}
-
-impl RunResult {
-    /// The `p`-th percentile of completed-vehicle waiting, in seconds
-    /// (upper bin edge), or `None` when it falls past the histogram range.
-    pub fn waiting_percentile_s(&self, p: f64) -> Option<f64> {
-        self.waiting_histogram.percentile(p)
-    }
 }
 
 /// Runs `controller` on `scenario`, recording `probe`.
@@ -68,6 +59,11 @@ impl RunResult {
 /// (decentralized control); the demand stream is identical for identical
 /// `(scenario.seed, schedule, grid)`, so controllers are compared on the
 /// same traffic.
+///
+/// # Panics
+///
+/// Panics with the guard's tick-stamped diagnostic when a plant
+/// invariant fails after a step.
 ///
 /// # Examples
 ///
@@ -124,11 +120,13 @@ pub fn run(scenario: &Scenario, controller: &ControllerKind, probe: &Probe) -> R
     let horizon = scenario.horizon().count();
     let mut arrivals: Vec<Arrival> = Vec::new();
     let mut scratch = SubstrateScratch::new();
+    let mut guard = InvariantGuard::new(GuardMode::Panic);
     for k in 0..horizon {
         let tick = Tick::new(k);
         arrivals.clear();
         demand.poll_into(&grid, tick, &mut arrivals);
         let decisions = substrate.step_into(&mut arrivals, &mut scratch, None);
+        guard.check(&*substrate);
         for (slot, &i) in probe.phase_traces.iter().enumerate() {
             traces[slot].record(tick, decisions[i.index()]);
         }
@@ -146,8 +144,6 @@ pub fn run(scenario: &Scenario, controller: &ControllerKind, probe: &Probe) -> R
         mean_journey_s: ledger.journey_stats().mean() * scenario.micro.dt_seconds,
         completed: ledger.completed(),
         generated: demand.generated(),
-        waiting_stats: ledger.waiting_stats(),
-        waiting_histogram: ledger.waiting_histogram().clone(),
         phase_traces: traces,
         queue_series: series,
     }

@@ -2,6 +2,7 @@
 
 use utilbp_baselines::{
     Actuated, ActuatedConfig, CapBp, FixedLengthUtilBp, FixedTime, LongestQueueFirst, OriginalBp,
+    AMBER,
 };
 use utilbp_core::{GStarPolicy, GainMode, SignalController, Ticks, UtilBp, UtilBpConfig};
 use utilbp_microsim::MicroSimConfig;
@@ -13,7 +14,9 @@ use utilbp_netgen::{DemandSchedule, GridSpec, TurningProbabilities};
 pub use utilbp_scenario::Backend;
 
 /// A controller recipe: enough to build one fresh controller instance per
-/// intersection.
+/// intersection. This is the one place a controller's parameters are
+/// chosen: the baselines take only their period (every slot controller
+/// uses the paper's [`AMBER`]), UTIL-BP its [`UtilBpConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControllerKind {
     /// The paper's Algorithm 1 with its Section V parameters.
@@ -65,7 +68,7 @@ impl ControllerKind {
             ControllerKind::CapBp { period } => Box::new(CapBp::new(Ticks::new(period))),
             ControllerKind::OriginalBp { period } => Box::new(OriginalBp::new(Ticks::new(period))),
             ControllerKind::FixedTime { period } => {
-                Box::new(FixedTime::new(Ticks::new(period), Ticks::new(4)))
+                Box::new(FixedTime::new(Ticks::new(period), AMBER))
             }
             ControllerKind::LongestQueueFirst { period } => {
                 Box::new(LongestQueueFirst::new(Ticks::new(period)))
@@ -79,7 +82,7 @@ impl ControllerKind {
             } => Box::new(Actuated::with_config(ActuatedConfig {
                 min_green: Ticks::new(min_green),
                 max_green: Ticks::new(max_green),
-                transition: Ticks::new(4),
+                transition: AMBER,
             })),
         }
     }

@@ -3,9 +3,9 @@
 use utilbp_metrics::TextTable;
 use utilbp_netgen::{DemandSchedule, Pattern};
 
+use crate::comparison::{compare, fig2, improvement_pct, Comparison};
 use crate::options::ExperimentOptions;
-use crate::runner::{run, run_many, Probe};
-use crate::scenario::{ControllerKind, Scenario};
+use crate::scenario::Scenario;
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,9 +21,21 @@ pub struct Table3Row {
 }
 
 impl Table3Row {
+    /// The row for `pattern` summarizing one comparison: CAP-BP at its
+    /// best period against UTIL-BP.
+    pub fn new(pattern: &str, comparison: &Comparison) -> Self {
+        let (best_period, capbp_s) = comparison.best_capbp();
+        Table3Row {
+            pattern: pattern.to_string(),
+            best_period,
+            capbp_s,
+            utilbp_s: comparison.utilbp,
+        }
+    }
+
     /// UTIL-BP's improvement over best-period CAP-BP, percent.
     pub fn improvement_pct(&self) -> f64 {
-        (self.capbp_s - self.utilbp_s) / self.capbp_s * 100.0
+        improvement_pct(self.capbp_s, self.utilbp_s)
     }
 }
 
@@ -32,6 +44,8 @@ impl Table3Row {
 pub struct Table3Result {
     /// Rows for patterns I–IV and Mixed, in paper order.
     pub rows: Vec<Table3Row>,
+    /// The Mixed row's whole comparison, which is Fig. 2.
+    pub fig2: Comparison,
 }
 
 impl Table3Result {
@@ -70,42 +84,21 @@ impl Table3Result {
     }
 }
 
-/// Computes one Table III row for the given schedule.
-fn row(opts: &ExperimentOptions, label: &str, schedule: DemandSchedule) -> Table3Row {
-    let scenario = Scenario::paper(schedule, opts.backend, opts.seed);
-    let kinds: Vec<ControllerKind> = opts
-        .periods
-        .iter()
-        .map(|&period| ControllerKind::CapBp { period })
-        .collect();
-    let sweep = run_many(&scenario, &kinds, &Probe::none());
-    let (best_idx, best) = sweep
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.avg_queuing_time_s.total_cmp(&b.1.avg_queuing_time_s))
-        .expect("non-empty sweep");
-    let utilbp = run(&scenario, &ControllerKind::UtilBp, &Probe::none());
-    Table3Row {
-        pattern: label.to_string(),
-        best_period: opts.periods[best_idx],
-        capbp_s: best.avg_queuing_time_s,
-        utilbp_s: utilbp.avg_queuing_time_s,
-    }
-}
-
 /// Computes Table III: patterns I–IV (one hour each) and the 4-hour mixed
-/// pattern, each with a full CAP-BP period sweep.
+/// pattern, each with a full CAP-BP period sweep. The mixed pattern's
+/// sweep is kept whole as Fig. 2.
 pub fn table3(opts: &ExperimentOptions) -> Table3Result {
-    let mut rows = Vec::with_capacity(5);
-    for pattern in Pattern::ALL {
-        rows.push(row(
-            opts,
-            &pattern.to_string(),
-            DemandSchedule::constant(pattern, opts.hour),
-        ));
-    }
-    rows.push(row(opts, "Mixed", DemandSchedule::mixed(opts.hour)));
-    Table3Result { rows }
+    let mut rows: Vec<Table3Row> = Pattern::ALL
+        .into_iter()
+        .map(|pattern| {
+            let schedule = DemandSchedule::constant(pattern, opts.hour);
+            let scenario = Scenario::paper(schedule, opts.backend, opts.seed);
+            Table3Row::new(&pattern.to_string(), &compare(&scenario, &opts.periods))
+        })
+        .collect();
+    let fig2 = fig2(opts);
+    rows.push(Table3Row::new("Mixed", &fig2));
+    Table3Result { rows, fig2 }
 }
 
 #[cfg(test)]
@@ -125,6 +118,10 @@ mod tests {
 
     #[test]
     fn render_contains_all_patterns() {
+        let fig2 = Comparison {
+            capbp: vec![(10, 131.0), (20, 120.71)],
+            utilbp: 95.56,
+        };
         let result = Table3Result {
             rows: vec![
                 Table3Row {
@@ -133,13 +130,9 @@ mod tests {
                     capbp_s: 102.87,
                     utilbp_s: 97.97,
                 },
-                Table3Row {
-                    pattern: "Mixed".into(),
-                    best_period: 20,
-                    capbp_s: 120.71,
-                    utilbp_s: 95.56,
-                },
+                Table3Row::new("Mixed", &fig2),
             ],
+            fig2,
         };
         let rendered = result.render();
         assert!(rendered.contains("Mixed"));
@@ -152,7 +145,9 @@ mod tests {
         let mut opts = ExperimentOptions::quick();
         opts.hour = utilbp_core::Ticks::new(300);
         opts.periods = vec![14, 24];
-        let r = row(&opts, "I", DemandSchedule::constant(Pattern::I, opts.hour));
+        let schedule = DemandSchedule::constant(Pattern::I, opts.hour);
+        let scenario = Scenario::paper(schedule, opts.backend, opts.seed);
+        let r = Table3Row::new("I", &compare(&scenario, &opts.periods));
         assert!(opts.periods.contains(&r.best_period));
         assert!(r.capbp_s > 0.0);
         assert!(r.utilbp_s > 0.0);

@@ -1,6 +1,6 @@
 //! Scenario replay with the flight recorder on: the observability
 //! report behind the `trace` binary and the `--trace`/`--profile` flags
-//! of `scenarios`/`chaos`.
+//! of `chaos`.
 //!
 //! [`run_trace`] replays one [`ScenarioSpec`] with every telemetry
 //! instrument installed — a `utilbp-telemetry` flight recorder, the

@@ -194,6 +194,42 @@ fn trace_rejects_a_degenerate_topology_instead_of_panicking() {
 }
 
 #[test]
+fn trace_rejects_unbounded_demand_and_oversized_grids_instead_of_aborting() {
+    // The first three spin the demand clock until allocation fails; the
+    // grids panic, or overflow the stack, while the network is built.
+    let cases = [
+        (
+            "topology grid\ndemand pulse len=5 factor=1e300",
+            "demand pulse factor=1e300",
+        ),
+        (
+            "topology grid\nevent surge factor=1e300 from=0 until=5",
+            "event surge factor=1e300",
+        ),
+        (
+            "topology arterial intersections=2 side-gap=1e-300",
+            "side-gap=1e-300",
+        ),
+        (
+            "topology grid rows=2000 cols=1",
+            "line 3: topology grid: rows + cols",
+        ),
+        (
+            "topology grid rows=70000 cols=1",
+            "line 3: topology grid: rows + cols",
+        ),
+    ];
+    for (k, (lines, why)) in cases.into_iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("utilbp-cli-errors-unbounded-{k}.scn"));
+        std::fs::write(&path, format!("scenario huge\nhorizon 50\n{lines}\n"))
+            .expect("temp file writes");
+        let output = trace(&[path.to_str().expect("utf-8 temp path")]);
+        std::fs::remove_file(&path).ok();
+        assert_clean_failure(&output, "trace", why);
+    }
+}
+
+#[test]
 fn chaos_rejects_bad_arguments() {
     assert_clean_failure(&chaos(&["--frobnicate"]), "chaos", "unknown flag");
     assert_clean_failure(

@@ -72,7 +72,10 @@ pub struct WaitingLedger {
     entered: u64,
     waiting: SummaryStats,
     journey: SummaryStats,
-    waiting_histogram: Histogram,
+    /// Waiting-time distribution over completed vehicles (10-tick bins
+    /// up to 600 ticks, then overflow). Captures carry it; nothing in the
+    /// program reads it.
+    histogram: Histogram,
 }
 
 impl Default for WaitingLedger {
@@ -81,7 +84,7 @@ impl Default for WaitingLedger {
             entered: 0,
             waiting: SummaryStats::new(),
             journey: SummaryStats::new(),
-            waiting_histogram: Histogram::new(WAIT_HISTOGRAM_BIN, WAIT_HISTOGRAM_BINS),
+            histogram: Histogram::new(WAIT_HISTOGRAM_BIN, WAIT_HISTOGRAM_BINS),
         }
     }
 }
@@ -103,7 +106,7 @@ impl WaitingLedger {
     /// accumulated `waited` ticks into the run statistics.
     pub fn complete(&mut self, entered: Tick, now: Tick, waited: u64) {
         self.waiting.record(waited as f64);
-        self.waiting_histogram.record(waited as f64);
+        self.histogram.record(waited as f64);
         self.journey
             .record(now.saturating_since(entered).count() as f64);
     }
@@ -153,18 +156,12 @@ impl WaitingLedger {
         self.journey
     }
 
-    /// Waiting-time distribution over completed vehicles (10-tick bins up
-    /// to 600 ticks, then overflow) — means hide the tail that matters.
-    pub fn waiting_histogram(&self) -> &Histogram {
-        &self.waiting_histogram
-    }
-
     /// Appends the ledger to a checkpoint stream: the completed-run
     /// statistics, then the entered count.
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         self.waiting.save_state(writer);
         self.journey.save_state(writer);
-        self.waiting_histogram.save_state(writer);
+        self.histogram.save_state(writer);
         writer.push(self.entered);
     }
 
@@ -181,7 +178,7 @@ impl WaitingLedger {
     ) -> Result<Self, utilbp_core::state::StateError> {
         let waiting = SummaryStats::load_state(reader)?;
         let journey = SummaryStats::load_state(reader)?;
-        let waiting_histogram = Histogram::load_state(reader)?;
+        let histogram = Histogram::load_state(reader)?;
         let entered = reader.take_count("ledger entered count")?;
         if entered < waiting.count() {
             return Err(utilbp_core::state::StateError::Invalid {
@@ -193,7 +190,7 @@ impl WaitingLedger {
             entered,
             waiting,
             journey,
-            waiting_histogram,
+            histogram,
         })
     }
 
@@ -334,7 +331,7 @@ mod tests {
             l.enter();
             l.complete(Tick::ZERO, Tick::new(1000), wait);
         }
-        let h = l.waiting_histogram();
+        let h = &l.histogram;
         assert_eq!(h.count(), 4);
         assert_eq!(h.overflow(), 1, "700 ticks exceeds the last bin");
         assert_eq!(h.percentile(50.0), Some(20.0));

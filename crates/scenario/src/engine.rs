@@ -38,7 +38,7 @@
 use std::collections::HashSet;
 
 use utilbp_baselines::{
-    Degrading, FaultSwitch, FaultyActuation, FaultySensors, FixedTime, WatchdogStats,
+    Degrading, FaultSwitch, FaultyActuation, FaultySensors, FixedTime, WatchdogStats, AMBER,
 };
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{SignalController, Tick, Ticks};
@@ -572,7 +572,7 @@ impl ScenarioEngine {
                 if let Some(watchdog_config) = spec.watchdog {
                     let monitored = Degrading::new(
                         ctrl,
-                        FixedTime::new(Ticks::new(15), Ticks::new(4)),
+                        FixedTime::new(Ticks::new(15), AMBER),
                         watchdog_config,
                     );
                     watchdogs.push(monitored.stats());

@@ -896,6 +896,7 @@ event reopen road=0 at=200
             ("demand rush-hour factor=nan", "factor"),
             ("demand day factor=0", "factor"),
             ("topology grid rows=0", "rows"),
+            ("topology grid rows=0 cols=0", "rows"),
             ("topology grid length=0", "length"),
             ("topology grid length=-5", "length"),
             ("topology grid capacity=0", "capacity"),
@@ -906,6 +907,13 @@ event reopen road=0 at=200
             ("topology arterial arterial-gap=0", "arterial-gap"),
             ("topology arterial side-capacity=0", "side-capacity"),
             ("topology ring intersections=1", "intersections"),
+            // Past the longest route a weight can represent; these
+            // panicked, or overflowed the stack, while the network was
+            // built.
+            ("topology grid rows=2000 cols=1", "rows + cols"),
+            ("topology grid rows=70000 cols=1", "rows + cols"),
+            ("topology asym-grid rows=700 cols=1", "rows + cols"),
+            ("topology arterial intersections=2000", "intersections"),
         ];
         let template = "scenario x\nhorizon 50\ntopology grid\n";
         for (line, key) in cases {

@@ -1,9 +1,11 @@
 //! Scenario descriptions: topology + demand profile + event timeline.
 
 use utilbp_baselines::{ActuationFaultConfig, SensorFaultConfig, WatchdogConfig};
+use utilbp_core::standard::Approach;
 use utilbp_core::{Tick, Ticks};
 use utilbp_netgen::{
     ArterialSpec, AsymmetricGridSpec, GridNetwork, GridSpec, Network, Pattern, RingSpec, RoadId,
+    TurningProbabilities,
 };
 
 // The substrate selector and the replanning policy live in
@@ -45,8 +47,12 @@ impl TopologySpec {
     }
 
     /// Checks every parameter the network builders assume: at least one
-    /// intersection (three on a ring), positive capacities, and positive,
-    /// finite lengths, service rates, speeds and inter-arrival gaps.
+    /// intersection (three on a ring), positive capacities, positive,
+    /// finite lengths, service rates, speeds and inter-arrival gaps, and
+    /// grids and arterials no longer than a route's weight can span: a
+    /// weight is one turning probability per junction crossed, and must
+    /// stay a positive normal `f64` (440 junctions under the paper's
+    /// Table I).
     ///
     /// # Errors
     ///
@@ -56,11 +62,21 @@ impl TopologySpec {
         match self {
             TopologySpec::Grid { spec: s, .. } => at_least("rows", s.rows, 1)
                 .and(at_least("cols", s.cols, 1))
+                .and(route_fits(
+                    "rows + cols",
+                    (u64::from(s.rows) + u64::from(s.cols)).saturating_sub(1),
+                    &TurningProbabilities::PAPER,
+                ))
                 .and(at_least("capacity", s.capacity, 1))
                 .and(positive("length", s.road_length_m))
                 .and(positive("service-rate", s.service_rate))
                 .and(positive("free-speed", s.free_speed_mps)),
             TopologySpec::Arterial(s) => at_least("intersections", s.intersections, 1)
+                .and(route_fits(
+                    "intersections",
+                    u64::from(s.intersections),
+                    &s.turning,
+                ))
                 .and(at_least("arterial-capacity", s.arterial_capacity, 1))
                 .and(at_least("side-capacity", s.side_capacity, 1))
                 .and(positive("arterial-length", s.arterial_length_m))
@@ -78,6 +94,11 @@ impl TopologySpec {
                 .and(positive("inner-gap", s.inner_inter_arrival_s)),
             TopologySpec::AsymmetricGrid(s) => at_least("rows", s.rows, 1)
                 .and(at_least("cols", s.cols, 1))
+                .and(route_fits(
+                    "rows + cols",
+                    (u64::from(s.rows) + u64::from(s.cols)).saturating_sub(1),
+                    &s.turning,
+                ))
                 .and(at_least("ew-capacity", s.ew_capacity, 1))
                 .and(at_least("ns-capacity", s.ns_capacity, 1))
                 .and(positive("ew-length", s.ew_length_m))
@@ -89,6 +110,37 @@ impl TopologySpec {
                 .and(positive("west-gap", s.inter_arrival_s[3])),
         }
         .map_err(|e| format!("topology {}: {e}", self.family()))
+    }
+
+    /// The scenario-text key and value of the shortest base
+    /// inter-arrival gap of any entry, in seconds: the entry whose base
+    /// arrival rate is the highest.
+    fn shortest_gap(&self) -> (&'static str, f64) {
+        let shortest = |gaps: &[(&'static str, f64)]| {
+            gaps.iter()
+                .copied()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("every family has entries")
+        };
+        match self {
+            TopologySpec::Grid { pattern, .. } => {
+                shortest(&Approach::ALL.map(|side| ("pattern gap", pattern.inter_arrival_s(side))))
+            }
+            TopologySpec::Arterial(s) => shortest(&[
+                ("arterial-gap", s.arterial_inter_arrival_s),
+                ("side-gap", s.side_inter_arrival_s),
+            ]),
+            TopologySpec::Ring(s) => shortest(&[
+                ("outer-gap", s.outer_inter_arrival_s),
+                ("inner-gap", s.inner_inter_arrival_s),
+            ]),
+            TopologySpec::AsymmetricGrid(s) => shortest(&[
+                ("north-gap", s.inter_arrival_s[0]),
+                ("east-gap", s.inter_arrival_s[1]),
+                ("south-gap", s.inter_arrival_s[2]),
+                ("west-gap", s.inter_arrival_s[3]),
+            ]),
+        }
     }
 
     /// A short family label for tables.
@@ -123,6 +175,67 @@ fn at_least(key: &str, value: impl Into<u64>, min: u64) -> Result<(), String> {
         Err(format!("{key} must be at least {min}, not {value}"))
     }
 }
+
+/// `Ok` if the longest route parameter `key` allows, across `junctions`
+/// junctions, fits [`max_route_junctions`]. A grid's longest route runs
+/// straight along one axis, turns once and runs along the other:
+/// `rows + cols − 1` junctions.
+fn route_fits(key: &str, junctions: u64, turning: &TurningProbabilities) -> Result<(), String> {
+    let max = max_route_junctions(turning);
+    if junctions <= max {
+        Ok(())
+    } else {
+        Err(format!(
+            "{key} allows a route across {junctions} junctions, more than the {max} \
+             a route weight can span"
+        ))
+    }
+}
+
+/// The smallest turning probability the route bound assumes: the
+/// paper's rarest movement (Table I, a left turn from the north).
+const RAREST_PAPER_MOVEMENT: f64 = 0.2;
+
+/// The most junctions one route may cross under `turning`.
+///
+/// The network builders weigh each route by the product of one turning
+/// probability per junction it crosses, and need every weight to be a
+/// positive normal `f64`: `p^n ≥ f64::MIN_POSITIVE`, with `p` the
+/// table's rarest movement. Under the paper's table that is 440
+/// junctions (0.2^440 ≈ 2.8e-308), so the paper grid's `rows + cols`
+/// may reach 441 and a one-column grid 440 rows; a longer route's weight
+/// underflows to 0 and the builder panics. A table whose rarest movement
+/// is likelier than the paper's keeps the paper's bound, which also
+/// bounds the depth of the builders' recursive route walk.
+fn max_route_junctions(turning: &TurningProbabilities) -> u64 {
+    let rarest = Approach::ALL
+        .into_iter()
+        .flat_map(|side| {
+            [
+                turning.right(side),
+                turning.left(side),
+                turning.straight(side),
+            ]
+        })
+        .filter(|&p| p > 0.0)
+        .fold(RAREST_PAPER_MOVEMENT, f64::min);
+    (f64::MIN_POSITIVE.ln() / rarest.ln()) as u64
+}
+
+/// The fastest arrival stream one entry may carry, in vehicles per
+/// second: its base rate (the inverse of its inter-arrival gap) times
+/// the demand profile's largest factor times the largest surge factor.
+///
+/// An entry road feeds three movements, each served at up to its
+/// service rate (one vehicle per second in the paper), so no plant
+/// admits more than a few vehicles per second at one entry; faster
+/// demand only lengthens the entry backlog, by one vehicle record per
+/// arrival. A rate whose mean gap falls below the float resolution of
+/// the demand clock never advances it, and the generator then allocates
+/// arrivals until memory runs out. Ten per second is 7.5 times the
+/// fastest stream of any built-in scenario or benchmark workload
+/// (`grid-congestion-replan`'s 4× pulse on Pattern I's 3 s gap).
+const MAX_ENTRY_RATE: f64 = 10.0;
 
 /// `Ok` if parameter `key` is positive and finite.
 fn positive(key: &str, value: f64) -> Result<(), String> {
@@ -307,6 +420,19 @@ impl DemandProfile {
         !matches!(self, DemandProfile::Constant)
     }
 
+    /// The largest rate multiplier the profile's schedule reaches (1 for
+    /// constant demand; ramps, lulls and the evening peak stay at or
+    /// below the named factor).
+    fn peak_factor(&self) -> f64 {
+        match *self {
+            DemandProfile::Constant => 1.0,
+            DemandProfile::RushHour { peak_factor, .. } | DemandProfile::Day { peak_factor } => {
+                peak_factor.max(1.0)
+            }
+            DemandProfile::Pulse { factor, .. } => factor.max(1.0),
+        }
+    }
+
     /// A short label for tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -415,9 +541,12 @@ impl ScenarioSpec {
 
     /// Validates the spec and builds its network: the parameters first
     /// (horizon positive, [`TopologySpec::validate`],
-    /// [`DemandProfile::validate`], the replanning policy), so no builder
-    /// sees one it would panic on, then the events against the built
-    /// network ([`validate_against`](Self::validate_against)).
+    /// [`DemandProfile::validate`], the replanning policy, and a peak
+    /// arrival rate of at most 10 vehicles per second at any entry: the
+    /// entry's base rate × the profile's largest factor × the largest
+    /// surge factor), so no builder or demand clock sees one it would
+    /// panic or spin on, then the events against the built network
+    /// ([`validate_against`](Self::validate_against)).
     ///
     /// # Errors
     ///
@@ -430,10 +559,39 @@ impl ScenarioSpec {
             .validate()
             .and_then(|()| self.demand.validate())
             .and_then(|()| self.replan.validate())
+            .and_then(|()| self.check_peak_rate())
             .map_err(|e| format!("scenario {}: {e}", self.name))?;
         let network = self.build_network();
         self.validate_against(&network)?;
         Ok(network)
+    }
+
+    /// `Ok` if no entry's peak arrival rate exceeds [`MAX_ENTRY_RATE`].
+    /// Surge factors that are not positive and finite are left to
+    /// [`validate_against`](Self::validate_against), which rejects them.
+    fn check_peak_rate(&self) -> Result<(), String> {
+        let (gap_key, gap) = self.topology.shortest_gap();
+        let demand = self.demand.peak_factor();
+        let surge = self
+            .events
+            .iter()
+            .filter_map(|event| match *event {
+                ScenarioEvent::Surge { factor, .. } if factor.is_finite() && factor > 0.0 => {
+                    Some(factor)
+                }
+                _ => None,
+            })
+            .fold(1.0, f64::max);
+        let rate = demand * surge / gap;
+        if rate <= MAX_ENTRY_RATE {
+            Ok(())
+        } else {
+            Err(format!(
+                "peak arrival rate {rate:e}/s at one entry exceeds {MAX_ENTRY_RATE}/s: \
+                 {gap_key}={gap:e} s, demand {} factor={demand:e}, event surge factor={surge:e}",
+                self.demand.label()
+            ))
+        }
     }
 
     /// Validates the spec ([`validated_network`](Self::validated_network)
@@ -836,5 +994,97 @@ mod tests {
             let net = spec.build();
             assert!(net.num_entries() >= min_entries, "{family}");
         }
+    }
+
+    #[test]
+    fn the_longest_accepted_one_column_grid_builds_and_one_more_row_is_an_error() {
+        let longest = max_route_junctions(&TurningProbabilities::PAPER);
+        assert_eq!(longest, 440, "0.2^440 is the last normal power");
+        let column = |rows: u64| TopologySpec::Grid {
+            spec: GridSpec {
+                rows: rows as u32,
+                cols: 1,
+                ..GridSpec::paper()
+            },
+            pattern: Pattern::I,
+        };
+        column(longest).validate().expect("the longest route fits");
+        let network = column(longest).build();
+        assert_eq!(network.topology().num_intersections(), 440);
+        let err = column(longest + 1).validate().unwrap_err();
+        assert!(
+            err.contains("rows + cols allows a route across 441 junctions, more than the 440"),
+            "{err}"
+        );
+        // The same bound holds for the other grid family and, along the
+        // corridor, for arterials.
+        let asym = TopologySpec::AsymmetricGrid(AsymmetricGridSpec {
+            rows: 441,
+            cols: 1,
+            ..AsymmetricGridSpec::default()
+        });
+        assert!(asym.validate().unwrap_err().contains("rows + cols"));
+        let arterial = TopologySpec::Arterial(ArterialSpec {
+            intersections: 441,
+            ..ArterialSpec::default()
+        });
+        assert!(arterial.validate().unwrap_err().contains("intersections"));
+        // A table with a rarer movement than the paper's crosses fewer
+        // junctions before its weights underflow.
+        let rare = TurningProbabilities::new([(0.01, 0.01); 4]).unwrap();
+        assert_eq!(max_route_junctions(&rare), 153);
+    }
+
+    #[test]
+    fn peak_arrival_rate_is_bounded_in_every_spelling() {
+        // Each spelling once made the demand clock stall below its float
+        // resolution and allocate arrivals until memory ran out.
+        let controller = |_: usize| -> Box<dyn utilbp_core::SignalController> {
+            Box::new(utilbp_core::UtilBp::paper())
+        };
+        let config = crate::EngineConfig::new(crate::Backend::Queueing);
+        let cases = [
+            (
+                "topology grid\ndemand pulse len=5 factor=1e300",
+                "demand pulse factor=1e300",
+            ),
+            (
+                "topology grid\nevent surge factor=1e300 from=0 until=5",
+                "event surge factor=1e300",
+            ),
+            (
+                "topology arterial intersections=2 side-gap=1e-300",
+                "side-gap=1e-300",
+            ),
+            // Each part is in range; their product is not.
+            (
+                "topology arterial intersections=2 arterial-gap=4 side-gap=0.5\n\
+                 demand pulse len=5 factor=4\nevent surge factor=1.5 from=0 until=5",
+                "exceeds 10/s",
+            ),
+        ];
+        for (lines, key) in cases {
+            let text = format!("scenario x\nhorizon 50\n{lines}\n");
+            let spec = crate::parse_scenario(&text).expect("each line is in range alone");
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("peak arrival rate"), "{lines}: {err}");
+            assert!(err.contains(key), "{lines}: {err}");
+            let built = std::panic::catch_unwind(|| {
+                crate::ScenarioEngine::new(spec, config, &controller).map(drop)
+            });
+            let err = built
+                .unwrap_or_else(|_| panic!("{lines} panicked"))
+                .unwrap_err();
+            assert!(err.contains(key), "{lines}: {err}");
+        }
+        // The bound is inclusive: 2/s at the side entries × 5 = 10/s.
+        let at_bound = crate::parse_scenario(
+            "scenario x\nhorizon 50\ntopology arterial intersections=2 arterial-gap=4 \
+             side-gap=0.5\ndemand pulse len=5 factor=5\n",
+        )
+        .unwrap();
+        at_bound
+            .validate()
+            .expect("a rate at the bound is accepted");
     }
 }

@@ -81,8 +81,10 @@
 //! ## The invariant guard
 //!
 //! [`InvariantGuard`] is an **opt-in** checker that sits next to a
-//! substrate rather than inside it: its owner (the scenario engine)
-//! calls [`InvariantGuard::check`] after every step, and it re-derives
+//! substrate rather than inside it: its owner (the scenario engine,
+//! under `EngineConfig::guard`, or the paper-experiment runner, which
+//! always installs one in panic mode) calls [`InvariantGuard::check`]
+//! after every step, and it re-derives
 //! the contract's bookkeeping invariants from the plant's query surface:
 //!
 //! - **Vehicle conservation** — every vehicle the demand layer injected
@@ -108,7 +110,8 @@
 //! plant's own levels at every capture, so
 //! [`resume`](InvariantGuard::resume) rebuilds them from the restored
 //! plant. The checks rescan the network, so install the guard in tests,
-//! chaos harnesses, and debugging sessions rather than benchmark loops.
+//! chaos harnesses, paper-table runs and debugging sessions rather than
+//! benchmark loops.
 //!
 //! In [`GuardMode::Panic`] the first violation aborts the run with a
 //! tick-stamped diagnostic. In [`GuardMode::Observe`] the guard keeps

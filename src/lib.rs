@@ -167,10 +167,9 @@
 //!   never feeds back into simulation state.
 //! - **Sinks**: JSONL export, the per-intersection ASCII timeline
 //!   ([`telemetry::render_timeline`]: phases × faults × fallbacks),
-//!   and the `trace` binary (plus `scenarios --trace` / `chaos
-//!   --trace`), which replays a scenario with recording on — under the
-//!   guard's non-panicking *observe* mode — and renders the full
-//!   report.
+//!   and the `trace` binary (plus `chaos --trace`), which replays any
+//!   built-in or scenario file with recording on — under the guard's
+//!   non-panicking *observe* mode — and renders the full report.
 //!
 //! The contract (stated in full in the `utilbp-telemetry` crate docs):
 //! recording is *passive* — attaching any recorder, gauge cadence, or
@@ -217,12 +216,13 @@
 //!   restored into an *independent* engine — a what-if timeline
 //!   (closures, surges, controller swaps) explored without disturbing
 //!   the primary run.
-//! - **Crash-recovery drill** (`experiments::run_recovery`, the
-//!   `recover` binary, and one round per `chaos` timeline): kill a run
-//!   at an adversarial tick, tear or bit-flip the newest checkpoint,
-//!   verify integrity validation rejects the damage, fall back to the
-//!   newest valid capture, fast-forward, and gate on byte-identity with
-//!   an uninterrupted golden run. `crates/scenario/tests/durability.rs`
+//! - **Crash-recovery drill** (`experiments::run_recovery`, which the
+//!   `recover` binary runs on a built-in and the `chaos` harness on
+//!   every timeline): kill a run at an adversarial tick, tear or
+//!   bit-flip the newest checkpoint, verify integrity validation
+//!   rejects the damage, fall back to the newest valid capture,
+//!   fast-forward, and gate on byte-identity with an uninterrupted
+//!   golden run. `crates/scenario/tests/durability.rs`
 //!   holds the full resume/fixed-point/corruption test matrix.
 //!
 //! ## Quickstart
