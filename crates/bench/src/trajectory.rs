@@ -232,6 +232,7 @@ mod tests {
                 car_following: 0.3,
                 landings: 0.05,
                 waiting: 0.05,
+                decide_calls: 900,
             }),
         }
     }

@@ -180,6 +180,21 @@ pub trait SignalController: Send {
     fn check_state(&self, _layout: &IntersectionLayout) -> Result<(), StateError> {
         Ok(())
     }
+
+    /// Whether the controller is at rest: a [`decide`](Self::decide) on
+    /// the readings of its previous call would return its previous
+    /// decision and change no state, whatever `now` it is given.
+    ///
+    /// The decide phase skips a controller at rest until its
+    /// intersection's readings change (see
+    /// [`decide_all`](crate::decide::decide_all)). The default `false`
+    /// is always correct: the controller is then called every tick.
+    /// Decorators keep it, because they see every tick (a fault window,
+    /// a watchdog's timers), unless they forward it with the same
+    /// guarantee.
+    fn holds_on_unchanged(&self) -> bool {
+        false
+    }
 }
 
 impl<T: SignalController + ?Sized> SignalController for Box<T> {
@@ -205,6 +220,10 @@ impl<T: SignalController + ?Sized> SignalController for Box<T> {
 
     fn check_state(&self, layout: &IntersectionLayout) -> Result<(), StateError> {
         (**self).check_state(layout)
+    }
+
+    fn holds_on_unchanged(&self) -> bool {
+        (**self).holds_on_unchanged()
     }
 }
 

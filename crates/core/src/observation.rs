@@ -215,9 +215,18 @@ impl QueueObservation {
 /// decouples the *sense* phase (write, `&mut self`) from the *decide*
 /// phase (read-only views), so every controller decides from the same
 /// tick's sensing.
+///
+/// Each intersection carries a changed flag: every mutable access marks
+/// it ([`get_mut`](Self::get_mut), [`as_mut_slice`](Self::as_mut_slice),
+/// or [`sense`](Self::sense) when its gather reports a difference), and
+/// the decide phase clears it when it calls the intersection's
+/// controller (see [`decide_all`](crate::decide::decide_all)).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationBuffer {
     observations: Vec<QueueObservation>,
+    /// Per intersection: whether a reading may have changed since the
+    /// controller's last call.
+    changed: Vec<bool>,
 }
 
 impl ObservationBuffer {
@@ -226,9 +235,10 @@ impl ObservationBuffer {
         ObservationBuffer::default()
     }
 
-    /// Shapes one observation per layout, reusing allocations. Call once
-    /// at construction (or whenever the network changes); calling again
-    /// with the same layouts is allocation-free after the first time.
+    /// Shapes one observation per layout, reusing allocations, and marks
+    /// every one changed. Call once at construction (or whenever the
+    /// network changes); calling again with the same layouts is
+    /// allocation-free after the first time.
     pub fn shape_for<'a>(&mut self, layouts: impl Iterator<Item = &'a IntersectionLayout>) {
         let mut n = 0;
         for layout in layouts {
@@ -240,6 +250,8 @@ impl ObservationBuffer {
             n += 1;
         }
         self.observations.truncate(n);
+        self.changed.clear();
+        self.changed.resize(n, true);
     }
 
     /// Number of observations in the buffer.
@@ -261,13 +273,37 @@ impl ObservationBuffer {
         &self.observations[i]
     }
 
-    /// Mutable observation for intersection index `i`.
+    /// Mutable observation for intersection index `i`; marks it changed.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn get_mut(&mut self, i: usize) -> &mut QueueObservation {
+        self.changed[i] = true;
         &mut self.observations[i]
+    }
+
+    /// Rewrites intersection `i`'s readings with `gather`, which returns
+    /// whether any reading differs from the one it overwrote; marks the
+    /// intersection changed only then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn sense(&mut self, i: usize, gather: impl FnOnce(&mut QueueObservation) -> bool) {
+        if gather(&mut self.observations[i]) {
+            self.changed[i] = true;
+        }
+    }
+
+    /// Marks every intersection changed.
+    pub(crate) fn mark_all_changed(&mut self) {
+        self.changed.fill(true);
+    }
+
+    /// Whether intersection `i` was marked changed; clears the mark.
+    pub(crate) fn take_changed(&mut self, i: usize) -> bool {
+        std::mem::take(&mut self.changed[i])
     }
 
     /// All observations, indexed by intersection.
@@ -275,8 +311,9 @@ impl ObservationBuffer {
         &self.observations
     }
 
-    /// All observations, mutably.
+    /// All observations, mutably; marks every one changed.
     pub fn as_mut_slice(&mut self) -> &mut [QueueObservation] {
+        self.mark_all_changed();
         &mut self.observations
     }
 }

@@ -61,7 +61,8 @@ pub struct TraceReport {
     pub timeline: String,
     /// The retained event stream as JSON Lines (byte-deterministic).
     pub events_jsonl: String,
-    /// The rendered profile table, when profiling was requested.
+    /// The rendered profile table and the decide calls per tick, when
+    /// profiling was requested.
     pub profile_table: Option<String>,
     /// An ascii chart of the backlog / congested-set gauges.
     pub gauge_chart: String,
@@ -119,7 +120,13 @@ pub fn run_trace(
         outcome: engine.outcome(),
         timeline,
         events_jsonl: engine.events_jsonl(),
-        profile_table: engine.profiler().map(|p| p.table().render()),
+        profile_table: engine.profiler().map(|p| {
+            let calls = p.decide_calls_per_tick().unwrap_or(0.0);
+            format!(
+                "{}decide calls per tick: {calls:.1} of {intersections} controllers\n",
+                p.table().render()
+            )
+        }),
         gauge_chart,
         recorded,
         dropped,

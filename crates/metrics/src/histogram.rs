@@ -1,8 +1,8 @@
 //! Fixed-bin histograms with percentile queries.
 
 /// A histogram over non-negative samples with uniform bin width, plus an
-/// overflow bin. Designed for waiting-time distributions, where means hide
-/// the tail that drivers actually complain about.
+/// overflow bin. The tick profiler keeps one per section, for lap-time
+/// percentiles: means hide the tail.
 ///
 /// # Examples
 ///
@@ -98,53 +98,6 @@ impl Histogram {
             }
         }
         None // falls in the overflow bin
-    }
-
-    /// Appends the histogram (geometry and counts) to a checkpoint
-    /// stream.
-    pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
-        writer.push_f64(self.bin_width);
-        writer.push_usize(self.bins.len());
-        for &n in &self.bins {
-            writer.push(n);
-        }
-        writer.push(self.overflow);
-        writer.push(self.count);
-    }
-
-    /// Reads a histogram written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`StateError`](utilbp_core::state::StateError) when the stream
-    /// is truncated or encodes an invalid geometry.
-    pub fn load_state(
-        reader: &mut utilbp_core::state::StateReader<'_>,
-    ) -> Result<Self, utilbp_core::state::StateError> {
-        let bin_width = reader.take_f64()?;
-        if !(bin_width.is_finite() && bin_width > 0.0) {
-            return Err(utilbp_core::state::StateError::Invalid {
-                what: "histogram bin width",
-                word: bin_width.to_bits(),
-            });
-        }
-        let len = reader.take_len(1, "histogram bin count")?;
-        if len == 0 {
-            return Err(utilbp_core::state::StateError::Invalid {
-                what: "histogram bin count",
-                word: 0,
-            });
-        }
-        let mut bins = Vec::with_capacity(len);
-        for _ in 0..len {
-            bins.push(reader.take_count("histogram bin")?);
-        }
-        Ok(Histogram {
-            bin_width,
-            bins,
-            overflow: reader.take_count("histogram overflow")?,
-            count: reader.take_count("histogram count")?,
-        })
     }
 
     /// Merges another histogram with identical geometry.
@@ -259,21 +212,5 @@ mod tests {
     #[should_panic(expected = "bin_width")]
     fn rejects_bad_bin_width() {
         let _ = Histogram::new(0.0, 3);
-    }
-
-    #[test]
-    fn crafted_huge_bin_count_is_an_error_not_an_abort() {
-        use utilbp_core::state::{StateError, StateReader, StateWriter};
-        let mut w = StateWriter::new();
-        w.push_f64(10.0);
-        w.push(u64::MAX / 2);
-        w.push(0);
-        assert!(matches!(
-            Histogram::load_state(&mut StateReader::new(w.bytes())),
-            Err(StateError::Invalid {
-                what: "histogram bin count",
-                ..
-            })
-        ));
     }
 }

@@ -3,14 +3,15 @@
 
 use std::time::Instant;
 
-/// Cumulative wall-clock seconds spent in each phase of a plant step.
-/// Fields are **added onto** across ticks, so one instance can span a
-/// whole measured run. Both substrates lap into the same four fields;
-/// what each lap covers depends on the plant:
+/// Cumulative wall-clock seconds spent in each phase of a plant step,
+/// and the number of controllers the decide phase called. Fields are
+/// **added onto** across ticks, so one instance can span a whole
+/// measured run. Both substrates lap into the same four fields; what
+/// each lap covers depends on the plant:
 ///
 /// | field | microscopic | queueing |
 /// |---|---|---|
-/// | `decide` | sense (a gather over the detector counters), every controller's decide, and the signal refresh (green flags, service credits) | every controller's decide; there is no sense pass, because the observation buffer is kept current where queues change |
+/// | `decide` | sense (a gather over the detector counters), the decide phase, and the signal refresh (green flags, service credits) | the decide phase; there is no sense pass, because the observation buffer is kept current where queues change |
 /// | `car_following` | box countdown, head release and the follower sweep | serving the active phases (settled intersections skipped) |
 /// | `landings` | junction-box landings | transit arrivals joining queues + boundary backlog drains |
 /// | `waiting` | backlog drain, insertions of this tick's arrivals and the step report | injection of this tick's arrivals and the step report |
@@ -27,6 +28,9 @@ pub struct PhaseTimings {
     pub landings: f64,
     /// Insertions of new arrivals and the step report.
     pub waiting: f64,
+    /// Controllers called by the decide phase: those not at rest, or
+    /// whose readings changed (see `utilbp_core::decide::decide_all`).
+    pub decide_calls: u64,
 }
 
 impl PhaseTimings {
@@ -63,6 +67,14 @@ impl<'a> PhaseStopwatch<'a> {
             *last = now;
         }
     }
+
+    /// Adds `calls` onto [`PhaseTimings::decide_calls`], when attached.
+    #[inline]
+    pub fn count_decide_calls(&mut self, calls: usize) {
+        if let Some(timings) = self.timings.as_deref_mut() {
+            timings.decide_calls += calls as u64;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -76,12 +88,15 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         watch.lap(|t| &mut t.landings);
         watch.lap(|t| &mut t.decide);
+        watch.count_decide_calls(3);
         assert!(timings.landings >= 0.002);
+        assert_eq!(timings.decide_calls, 3);
         assert_eq!(timings.car_following, 0.0);
         assert_eq!(timings.total(), timings.landings + timings.decide);
 
         let mut detached = PhaseStopwatch::new(None);
         detached.lap(|t| &mut t.waiting);
+        detached.count_decide_calls(3);
         assert!(detached.last.is_none());
     }
 }

@@ -13,12 +13,7 @@
 
 use utilbp_core::Tick;
 
-use crate::{Histogram, SummaryStats};
-
-/// Bin width of the waiting-time histogram, in ticks.
-const WAIT_HISTOGRAM_BIN: f64 = 10.0;
-/// Number of bins (covers 0–600 ticks; longer waits land in overflow).
-const WAIT_HISTOGRAM_BINS: usize = 60;
+use crate::SummaryStats;
 
 /// Opaque vehicle identifier, unique within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -72,10 +67,6 @@ pub struct WaitingLedger {
     entered: u64,
     waiting: SummaryStats,
     journey: SummaryStats,
-    /// Waiting-time distribution over completed vehicles (10-tick bins
-    /// up to 600 ticks, then overflow). Captures carry it; nothing in the
-    /// program reads it.
-    histogram: Histogram,
 }
 
 impl Default for WaitingLedger {
@@ -84,7 +75,6 @@ impl Default for WaitingLedger {
             entered: 0,
             waiting: SummaryStats::new(),
             journey: SummaryStats::new(),
-            histogram: Histogram::new(WAIT_HISTOGRAM_BIN, WAIT_HISTOGRAM_BINS),
         }
     }
 }
@@ -106,7 +96,6 @@ impl WaitingLedger {
     /// accumulated `waited` ticks into the run statistics.
     pub fn complete(&mut self, entered: Tick, now: Tick, waited: u64) {
         self.waiting.record(waited as f64);
-        self.histogram.record(waited as f64);
         self.journey
             .record(now.saturating_since(entered).count() as f64);
     }
@@ -161,7 +150,6 @@ impl WaitingLedger {
     pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         self.waiting.save_state(writer);
         self.journey.save_state(writer);
-        self.histogram.save_state(writer);
         writer.push(self.entered);
     }
 
@@ -178,7 +166,6 @@ impl WaitingLedger {
     ) -> Result<Self, utilbp_core::state::StateError> {
         let waiting = SummaryStats::load_state(reader)?;
         let journey = SummaryStats::load_state(reader)?;
-        let histogram = Histogram::load_state(reader)?;
         let entered = reader.take_count("ledger entered count")?;
         if entered < waiting.count() {
             return Err(utilbp_core::state::StateError::Invalid {
@@ -190,7 +177,6 @@ impl WaitingLedger {
             entered,
             waiting,
             journey,
-            histogram,
         })
     }
 
@@ -322,18 +308,5 @@ mod tests {
     #[test]
     fn vehicle_id_display() {
         assert_eq!(VehicleId::new(3).to_string(), "veh3");
-    }
-
-    #[test]
-    fn histogram_tracks_completed_waits() {
-        let mut l = WaitingLedger::new();
-        for wait in [5u64, 15, 15, 700] {
-            l.enter();
-            l.complete(Tick::ZERO, Tick::new(1000), wait);
-        }
-        let h = &l.histogram;
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.overflow(), 1, "700 ticks exceeds the last bin");
-        assert_eq!(h.percentile(50.0), Some(20.0));
     }
 }

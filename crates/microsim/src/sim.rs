@@ -48,8 +48,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
-    PhaseDecision, QueueObservation, SignalController, Tick,
+    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
+    QueueObservation, SignalController, Tick,
 };
 use utilbp_metrics::{PhaseStopwatch, PhaseTimings, VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
@@ -715,27 +715,36 @@ impl MicroSim {
     }
 
     /// Writes the observation for `intersection` into `obs` (shaped for
-    /// the intersection's layout) without allocating.
+    /// the intersection's layout) without allocating. Returns whether any
+    /// reading differs from the one it overwrote, which is how the sense
+    /// pass marks the intersections whose controllers must decide again.
     ///
     /// # Panics
     ///
     /// Panics if `intersection` is out of range or `obs` has the wrong
     /// shape.
-    pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) {
+    pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) -> bool {
         // A gather over the flat link and outgoing-road tables: no
         // topology or layout walk.
         let i = intersection.index();
+        let mut changed = false;
         let links = &self.links[self.link_off[i]..self.link_off[i + 1]];
-        for (l, entry) in links.iter().enumerate() {
-            obs.set_movement(LinkId::new(l as u16), self.link_queue(entry, l));
+        let movements = obs.movements_mut();
+        assert_eq!(movements.len(), links.len(), "observation shape");
+        for (l, (q, entry)) in movements.iter_mut().zip(links).enumerate() {
+            let reading = self.link_queue(entry, l);
+            changed |= *q != reading;
+            *q = reading;
         }
         let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
-        for (o, &road) in outs.iter().enumerate() {
-            obs.set_outgoing(
-                OutgoingId::new(o as u8),
-                self.roads[road as usize].halted_sum,
-            );
+        let outgoings = obs.outgoings_mut();
+        assert_eq!(outgoings.len(), outs.len(), "observation shape");
+        for (q, &road) in outgoings.iter_mut().zip(outs) {
+            let reading = self.roads[road as usize].halted_sum;
+            changed |= *q != reading;
+            *q = reading;
         }
+        changed
     }
 
     /// Validates the incremental-sensing invariants: every lane's detector
@@ -1021,22 +1030,25 @@ impl MicroSim {
 
         // 1. Sense: rewrite the per-intersection observation buffer from
         //    the incremental detector counters, gathered through the flat
-        //    link tables (O(links) per junction).
+        //    link tables (O(links) per junction), marking the junctions
+        //    whose readings differ.
         let mut obs_buf = std::mem::take(&mut self.obs_buf);
-        for (i, obs) in obs_buf.as_mut_slice().iter_mut().enumerate() {
-            self.observe_into(IntersectionId::new(i as u32), obs);
+        for i in 0..obs_buf.len() {
+            obs_buf.sense(i, |obs| {
+                self.observe_into(IntersectionId::new(i as u32), obs)
+            });
         }
 
         // 2. Decide: one controller per intersection, reading only its own
-        //    observation.
-        {
-            let topology = &self.topology;
-            decide::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
-                topology
-                    .intersection(IntersectionId::new(idx as u32))
-                    .layout()
-            });
-        }
+        //    observation, called where readings changed or where it is
+        //    not at rest.
+        let topology = &self.topology;
+        let calls = decide::decide_all(&mut self.controllers, &mut obs_buf, now, |idx| {
+            topology
+                .intersection(IntersectionId::new(idx as u32))
+                .layout()
+        });
+        watch.count_decide_calls(calls);
         self.obs_buf = obs_buf;
 
         // 3. Refresh per-link green flags and service credits, and each
@@ -1689,11 +1701,12 @@ impl MicroSim {
         // The guard's conservation check, once.
         self.ledger
             .check_live(self.vehicles_in_network() + self.backlog_len())?;
-        for (i, slot) in self.controllers.iter_mut().enumerate() {
-            slot.controller.load_state(reader)?;
-            let node = self.topology.intersection(IntersectionId::new(i as u32));
-            slot.controller.check_state(node.layout())?;
-        }
+        let topology = &self.topology;
+        decide::load_all(&mut self.controllers, &mut self.obs_buf, reader, |i| {
+            topology
+                .intersection(IntersectionId::new(i as u32))
+                .layout()
+        })?;
         let fresh = self.rescan_counters();
         self.pending = fresh.pending;
         self.sensors = fresh.sensors;

@@ -674,10 +674,11 @@ impl QueueSim {
     /// the intersection's layout) without allocating. This is the plant's
     /// only sense gather: `load_state` runs it on every intersection to
     /// rebuild the observation buffer, which steps then keep current, and
-    /// `verify_sensors` checks the buffer against it. It gathers the
-    /// intersection's slice of the flat movement queues (their lengths)
-    /// and of the outgoing-road table (each road's incrementally
-    /// maintained `queued` counter), with no topology or layout walk.
+    /// `verify_sensors` checks the buffer against the same readings. It
+    /// gathers the intersection's slice of the flat movement queues
+    /// (their lengths) and of the outgoing-road table (each road's
+    /// incrementally maintained `queued` counter), with no topology or
+    /// layout walk.
     ///
     /// # Panics
     ///
@@ -742,12 +743,28 @@ impl QueueSim {
             ));
         }
         for (i, buffered) in self.obs_buf.as_slice().iter().enumerate() {
-            let mut fresh = buffered.clone();
-            self.observe_into(IntersectionId::new(i as u32), &mut fresh);
-            if fresh != *buffered {
+            // The buffered readings against the gather `observe_into`
+            // would make, compared in place.
+            let queues = &self.queues[self.link_off[i]..self.link_off[i + 1]];
+            let movements = buffered.movements().iter().zip(queues);
+            if let Some((l, (q, queue))) = movements
+                .enumerate()
+                .find(|(_, (&q, queue))| q as usize != queue.len())
+            {
                 return Err(format!(
-                    "intersection {i}: buffered observation {buffered:?} != a fresh sense \
-                     {fresh:?}"
+                    "intersection {i}: buffered movement reading {l} is {q}, a fresh sense {}",
+                    queue.len()
+                ));
+            }
+            let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
+            let outgoings = buffered.outgoings().iter().zip(outs);
+            if let Some((o, (q, &road))) = outgoings
+                .enumerate()
+                .find(|(_, (&q, &road))| q != self.roads[road as usize].queued)
+            {
+                return Err(format!(
+                    "intersection {i}: buffered outgoing reading {o} is {q}, a fresh sense {}",
+                    self.roads[road as usize].queued
                 ));
             }
             let Some(phase) = self.settled[i] else {
@@ -925,17 +942,18 @@ impl QueueSim {
         watch.lap(|t| &mut t.landings);
 
         // Sense is already done: the two sites that change a reading keep
-        // the observation buffer current. Decide, per intersection, from
-        // purely local observations — one controller per slot.
-        {
-            let topology = &self.topology;
-            decide::decide_all(&mut self.controllers, &self.obs_buf, now, |idx| {
-                topology
-                    .intersection(IntersectionId::new(idx as u32))
-                    .layout()
-            });
-        }
+        // the observation buffer current, marking what they touch. Decide,
+        // per intersection, from purely local observations — one
+        // controller per slot, called where readings changed or where it
+        // is not at rest.
+        let topology = &self.topology;
+        let calls = decide::decide_all(&mut self.controllers, &mut self.obs_buf, now, |idx| {
+            topology
+                .intersection(IntersectionId::new(idx as u32))
+                .layout()
+        });
         watch.lap(|t| &mut t.decide);
+        watch.count_decide_calls(calls);
 
         // Serve activated links, skipping settled phases (a no-op).
         let mut served = 0u32;
@@ -1398,11 +1416,12 @@ impl QueueSim {
             }
         }
 
-        for (i, slot) in self.controllers.iter_mut().enumerate() {
-            slot.controller.load_state(reader)?;
-            let node = self.topology.intersection(IntersectionId::new(i as u32));
-            slot.controller.check_state(node.layout())?;
-        }
+        let topology = &self.topology;
+        decide::load_all(&mut self.controllers, &mut self.obs_buf, reader, |i| {
+            topology
+                .intersection(IntersectionId::new(i as u32))
+                .layout()
+        })?;
 
         let queued = self.rescan_queued();
         for (road, queued) in self.roads.iter_mut().zip(queued) {

@@ -1164,6 +1164,7 @@ impl ScenarioEngine {
             profiler.record(Section::CarFollowing, timings.car_following);
             profiler.record(Section::Landings, timings.landings);
             profiler.record(Section::Waiting, timings.waiting);
+            profiler.record_decide_calls(timings.decide_calls);
         }
         if let Some(guard) = self.guard.as_mut() {
             guard.check(&*self.substrate);

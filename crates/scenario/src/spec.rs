@@ -47,12 +47,13 @@ impl TopologySpec {
     }
 
     /// Checks every parameter the network builders assume: at least one
-    /// intersection (three on a ring), positive capacities, positive,
-    /// finite lengths, service rates, speeds and inter-arrival gaps, and
-    /// grids and arterials no longer than a route's weight can span: a
-    /// weight is one turning probability per junction crossed, and must
-    /// stay a positive normal `f64` (440 junctions under the paper's
-    /// Table I).
+    /// intersection (three on a ring, and at most 100, since a ring's
+    /// route set grows with the cube of its size), positive capacities,
+    /// positive, finite lengths, service rates, speeds and inter-arrival
+    /// gaps, and grids and arterials no longer than a route's weight can
+    /// span: a weight is one turning probability per junction crossed,
+    /// and must stay a positive normal `f64` (440 junctions under the
+    /// paper's Table I).
     ///
     /// # Errors
     ///
@@ -85,6 +86,11 @@ impl TopologySpec {
                 .and(positive("arterial-gap", s.arterial_inter_arrival_s))
                 .and(positive("side-gap", s.side_inter_arrival_s)),
             TopologySpec::Ring(s) => at_least("intersections", s.intersections, 3)
+                .and(at_most(
+                    "intersections",
+                    s.intersections,
+                    MAX_RING_INTERSECTIONS,
+                ))
                 .and(at_least("ring-capacity", s.ring_capacity, 1))
                 .and(at_least("spoke-capacity", s.spoke_capacity, 1))
                 .and(positive("ring-length", s.ring_length_m))
@@ -175,6 +181,26 @@ fn at_least(key: &str, value: impl Into<u64>, min: u64) -> Result<(), String> {
         Err(format!("{key} must be at least {min}, not {value}"))
     }
 }
+
+/// `Ok` if parameter `key` is at most `max`.
+fn at_most(key: &str, value: impl Into<u64>, max: u64) -> Result<(), String> {
+    let value = value.into();
+    if value <= max {
+        Ok(())
+    } else {
+        Err(format!("{key} must be at most {max}, not {value}"))
+    }
+}
+
+/// The most junctions a ring may have.
+///
+/// A ring's route set grows with the cube of its size: each of its
+/// `2n` spoke entries has `O(n)` routes (onto the ring either way, off
+/// it at any junction within the `n + 1`-hop budget), each `O(n)` hops
+/// long. A 100-junction ring builds in a fifth of a second and under
+/// 200 MiB; 200 junctions take over a gigabyte, and 400 (the size of the
+/// 20×20 benchmark grid) abort on allocation. The built-in ring has 6.
+const MAX_RING_INTERSECTIONS: u64 = 100;
 
 /// `Ok` if the longest route parameter `key` allows, across `junctions`
 /// junctions, fits [`max_route_junctions`]. A grid's longest route runs
@@ -1033,6 +1059,36 @@ mod tests {
         // junctions before its weights underflow.
         let rare = TurningProbabilities::new([(0.01, 0.01); 4]).unwrap();
         assert_eq!(max_route_junctions(&rare), 153);
+    }
+
+    #[test]
+    fn the_largest_accepted_ring_builds_and_a_ring_of_400_is_an_error() {
+        let ring = |intersections: u64| {
+            TopologySpec::Ring(RingSpec {
+                intersections: intersections as u32,
+                ..RingSpec::default()
+            })
+        };
+        let largest = ring(MAX_RING_INTERSECTIONS);
+        largest.validate().expect("the largest ring is accepted");
+        let network = largest.build();
+        assert_eq!(
+            network.topology().num_intersections() as u64,
+            MAX_RING_INTERSECTIONS
+        );
+        for intersections in [MAX_RING_INTERSECTIONS + 1, 400] {
+            let err = ring(intersections).validate().unwrap_err();
+            assert_eq!(
+                err,
+                format!("topology ring: intersections must be at most 100, not {intersections}")
+            );
+        }
+        // And through the scenario text, as a typed parse error naming
+        // the key, before any network is built.
+        let err =
+            crate::parse_scenario("scenario big\nhorizon 10\ntopology ring intersections=400")
+                .unwrap_err();
+        assert!(err.contains("intersections must be at most 100"), "{err}");
     }
 
     #[test]

@@ -253,8 +253,9 @@ fn version_skew_is_rejected() {
     // The format version is the little-endian u32 right after the magic.
     // Version 2 captures still carried the execution-mode META word,
     // version 3 captures the words restore now derives, version 4
-    // captures the ledger's per-vehicle entry ticks.
-    for version in [2u8, 3, 4, 0x7F] {
+    // captures the ledger's per-vehicle entry ticks, version 5 captures
+    // the ledger's waiting-time histogram.
+    for version in [2u8, 3, 4, 5, 0x7F] {
         bytes[8] = version;
         match ScenarioEngine::restore(&bytes, config, &controller).err() {
             Some(RestoreError::Snapshot(SnapshotError::UnsupportedVersion { found })) => {
@@ -509,16 +510,12 @@ fn next_vehicle_id_must_match_the_ledger() {
     }
 }
 
-/// Plant words of the waiting ledger, following the plants'
+/// Plant word indices of the waiting ledger, following the plants'
 /// `save_state`: after the clock and one counter come the waiting
-/// statistics (count first), the journey statistics, the waiting
-/// histogram (bin width, bin count, the bins, overflow, count) and the
-/// entered count. Returns the completed count's and the entered count's
-/// indices.
-fn ledger_words(bytes: &[u8]) -> (usize, usize) {
-    let bins = word_at(bytes, TAG_PLANT, 13) as usize;
-    (2, 16 + bins)
-}
+/// statistics (count first, five words), the journey statistics (five
+/// words) and the entered count. The completed count's and the entered
+/// count's indices.
+const LEDGER_WORDS: (usize, usize) = (2, 12);
 
 /// Vehicle conservation, the guard's check: every vehicle the ledger
 /// counts as live is on a road or in the entry backlog.
@@ -534,7 +531,7 @@ fn conserved(engine: &ScenarioEngine) -> bool {
 fn ledger_live_count_must_match_the_fleet() {
     let (bytes, config) = incident_capture();
     let engine = ScenarioEngine::restore(&bytes, config, &controller).expect("intact");
-    let (completed, entered) = ledger_words(&bytes);
+    let (completed, entered) = LEDGER_WORDS;
     let seen = engine.demand_generated();
     assert_eq!(
         word_at(&bytes, TAG_PLANT, entered),
@@ -557,7 +554,7 @@ fn ledger_live_count_must_match_the_fleet() {
 fn vehicle_records_must_lie_within_the_ledger_and_the_clock() {
     let config = EngineConfig::new(Backend::Microscopic);
     let bytes = capture("grid-incident-replan", config, 460, 260);
-    let (_, entered) = ledger_words(&bytes);
+    let (_, entered) = LEDGER_WORDS;
     let ids = word_at(&bytes, TAG_PLANT, entered);
     // The vehicle arena follows the ledger: its slab length, its free
     // list (length, then slots), then per live slot the vehicle's id,
@@ -590,7 +587,7 @@ fn a_consistently_raised_entered_count_restores_and_runs_clean() {
     for backend in [Backend::Queueing, Backend::Microscopic] {
         let config = EngineConfig::new(backend).observed();
         let bytes = capture("grid-incident-replan", config, 460, 260);
-        let (completed, entered) = ledger_words(&bytes);
+        let (completed, entered) = LEDGER_WORDS;
         let mut patched = bytes.clone();
         for index in [completed, entered] {
             let word = word_at(&bytes, TAG_PLANT, index) + RAISE;

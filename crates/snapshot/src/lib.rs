@@ -6,9 +6,9 @@
 //! serialization dependency, so — like the scenario text format and the
 //! telemetry JSONL — the format is hand-rolled and fully specified here.
 //!
-//! ## Wire format (version 5)
+//! ## Wire format (version 6)
 //!
-//! Versions 2 to 5 keep version 1's framing. Version 2 marks the sparse
+//! Versions 2 to 6 keep version 1's framing. Version 2 marks the sparse
 //! waiting ledger (slab length, live count, then `(slot, entry tick)`
 //! for live vehicles only). Version 3 marks the scenario engine's META
 //! section without its former execution-mode word. Version 4 marks
@@ -24,6 +24,8 @@
 //! clock and counters, and each on-network vehicle record (microscopic
 //! arena slot, queueing transit or queue entry) gains an entry-tick word
 //! after its id; backlog entries already carried their arrival tick.
+//! Version 6 drops the ledger's waiting-time histogram (bin width, bin
+//! count, 60 bins, overflow and count: 64 words), which nothing read.
 //! Restore rebuilds each dropped word from the words it derives from.
 //! Captures of an older version fail as `UnsupportedVersion` instead of
 //! being misread.
@@ -110,13 +112,14 @@ use utilbp_core::state::{StateError, StateReader, StateWriter};
 /// The 8-byte magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 
-/// The current wire-format version. Versions 2 to 5 changed no framing:
+/// The current wire-format version. Versions 2 to 6 changed no framing:
 /// version 2 marks the waiting ledger's sparse word layout, version 3 the
 /// engine metadata without its execution-mode word, version 4 captures
-/// without derived words, version 5 entry ticks on the vehicle records
+/// without derived words, version 5 entry ticks on the vehicle records,
+/// version 6 a ledger without its waiting-time histogram
 /// instead of in the ledger (see the crate docs), so an older capture is
 /// rejected instead of misread.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
 /// `0xEDB88320`) tables at compile time. `table[0]` is the classic
@@ -558,7 +561,7 @@ mod tests {
     #[test]
     fn version_skew_is_rejected() {
         let mut bytes = sample();
-        for found in [2u32, 3, 4, 99] {
+        for found in [2u32, 3, 4, 5, 99] {
             bytes[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
                 SnapshotReader::parse(&bytes).unwrap_err(),

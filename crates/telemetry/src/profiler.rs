@@ -22,10 +22,12 @@ const BINS: usize = 256;
 /// [`PhaseTimings`]: utilbp_metrics::PhaseTimings
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Section {
-    /// Controller decisions. On the microscopic plant the lap also
-    /// covers sense (gathering every observation from the detector
-    /// counters) and the signal refresh; the queueing plant has no sense
-    /// pass (its observations are kept current where queues change).
+    /// Controller decisions (the controllers the decide phase called;
+    /// see [`TickProfiler::decide_calls_per_tick`]). On the microscopic
+    /// plant the lap also covers sense (gathering every observation from
+    /// the detector counters) and the signal refresh; the queueing plant
+    /// has no sense pass (its observations are kept current where queues
+    /// change).
     Decide,
     /// Vehicle advancement: box countdown, head release and the
     /// follower sweep (microscopic) or serving the active phases
@@ -92,6 +94,8 @@ impl Section {
 pub struct TickProfiler {
     stats: [SummaryStats; 6],
     histograms: Vec<Histogram>,
+    /// Controllers the profiled ticks' decide phases called.
+    decide_calls: u64,
 }
 
 impl Default for TickProfiler {
@@ -106,7 +110,22 @@ impl TickProfiler {
         TickProfiler {
             stats: [SummaryStats::new(); 6],
             histograms: (0..6).map(|_| Histogram::new(BIN_WIDTH_US, BINS)).collect(),
+            decide_calls: 0,
         }
+    }
+
+    /// Adds the controllers one profiled tick's decide phase called
+    /// (`PhaseTimings::decide_calls`).
+    pub fn record_decide_calls(&mut self, calls: u64) {
+        self.decide_calls += calls;
+    }
+
+    /// Controllers called per profiled tick: the decide phase skips
+    /// those at rest on unchanged readings, so this shows where its
+    /// saving is. `None` before the first [`Section::Decide`] lap.
+    pub fn decide_calls_per_tick(&self) -> Option<f64> {
+        let ticks = self.stats(Section::Decide).count();
+        (ticks > 0).then(|| self.decide_calls as f64 / ticks as f64)
     }
 
     /// Records one lap of `seconds` wall-clock spent in `section`.
@@ -204,6 +223,17 @@ mod tests {
         assert!(!rendered.contains("car-following"));
         assert!(rendered.contains("75.0%"));
         assert!(rendered.contains("25.0%"));
+    }
+
+    #[test]
+    fn decide_calls_are_averaged_over_the_decide_laps() {
+        let mut profiler = TickProfiler::new();
+        assert_eq!(profiler.decide_calls_per_tick(), None);
+        for calls in [3, 5] {
+            profiler.record(Section::Decide, 1e-6);
+            profiler.record_decide_calls(calls);
+        }
+        assert_eq!(profiler.decide_calls_per_tick(), Some(4.0));
     }
 
     #[test]

@@ -1,17 +1,26 @@
 //! Integration tests of the performance architecture: twin runs must be
 //! bit-identical step for step, the incrementally maintained sensor
-//! counters must never diverge from a from-scratch rescan, and the SoA vehicle-arena hot loop must reproduce the legacy
-//! array-of-structs implementation bit for bit (golden oracle below).
+//! counters must never diverge from a from-scratch rescan, the decide
+//! phase's skip of controllers at rest must change nothing, and the SoA
+//! vehicle-arena hot loop must reproduce the legacy array-of-structs
+//! implementation bit for bit (golden oracle below).
 //! The steady-state allocation bound lives in `tests/perf_alloc.rs`,
 //! which needs a process-exclusive counting allocator.
 
-use adaptive_backpressure::core::{SignalController, Tick, Ticks, UtilBp};
+use adaptive_backpressure::core::state::{StateError, StateReader, StateWriter};
+use adaptive_backpressure::core::{
+    IntersectionLayout, IntersectionView, PhaseDecision, SignalController, Tick, Ticks, UtilBp,
+};
 use adaptive_backpressure::microsim::{MicroSim, MicroSimConfig};
 use adaptive_backpressure::netgen::{
     Arrival, DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Network, Pattern,
 };
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
-use adaptive_backpressure::scenario::{NetworkDemand, RateSchedule};
+use adaptive_backpressure::scenario::{
+    builtin_scenarios, Backend, CheckpointPolicy, EngineConfig, NetworkDemand, RateSchedule,
+    ScenarioEngine, ScenarioOutcome,
+};
+use adaptive_backpressure::substrate::{build_substrate, SubstrateScratch, TrafficSubstrate};
 
 fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
     (0..n)
@@ -150,6 +159,150 @@ fn queueing_incremental_sensors_match_rescan_every_tick() {
             .unwrap_or_else(|msg| panic!("tick {k}: {msg}"));
     }
     assert!(sim.total_served() > 0);
+}
+
+/// Forwards everything to the controller it wraps except the at-rest
+/// opt-in, which keeps the default `false`: the decide phase calls it
+/// every tick.
+struct NeverAtRest(Box<dyn SignalController>);
+
+impl SignalController for NeverAtRest {
+    fn decide(&mut self, view: &IntersectionView<'_>, now: Tick) -> PhaseDecision {
+        self.0.decide(view, now)
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn save_state(&self, writer: &mut StateWriter) {
+        self.0.save_state(writer);
+    }
+    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.0.load_state(reader)
+    }
+    fn check_state(&self, layout: &IntersectionLayout) -> Result<(), StateError> {
+        self.0.check_state(layout)
+    }
+}
+
+/// A built-in run under the observe guard, recording and profiling,
+/// with a checkpoint (and its size and CRC in the event stream) every 32
+/// ticks: the outcome, the event stream, the final capture and the
+/// decide calls per tick.
+fn recorded_run(
+    spec: &adaptive_backpressure::scenario::ScenarioSpec,
+    backend: Backend,
+    skip: bool,
+) -> (ScenarioOutcome, String, Vec<u8>, f64) {
+    let factory = |_: usize| -> Box<dyn SignalController> {
+        let controller = Box::new(UtilBp::paper());
+        if skip {
+            controller
+        } else {
+            Box::new(NeverAtRest(controller))
+        }
+    };
+    let config = EngineConfig::new(backend).observed();
+    let mut engine = ScenarioEngine::new(spec.clone(), config, &factory).expect("a builtin");
+    engine.enable_recording(1 << 16);
+    engine.enable_checkpoints(CheckpointPolicy::every(32));
+    engine.enable_profiling();
+    engine.run_to_end();
+    let calls = engine.profiler().and_then(|p| p.decide_calls_per_tick());
+    (
+        engine.outcome(),
+        engine.events_jsonl(),
+        engine.checkpoint(),
+        calls.expect("profiled ticks"),
+    )
+}
+
+#[test]
+fn skipping_controllers_at_rest_changes_no_bit_on_any_builtin() {
+    // Every built-in scenario on both plants, once with bare UTIL-BP
+    // controllers (skipped while at rest on unchanged readings) and
+    // once with each behind a decorator that never opts in (called every
+    // tick): outcomes, event streams and checkpoint bytes agree.
+    let mut calls = (0.0, 0.0);
+    for spec in builtin_scenarios() {
+        for backend in [Backend::Queueing, Backend::Microscopic] {
+            let skipped = recorded_run(&spec, backend, true);
+            let called = recorded_run(&spec, backend, false);
+            calls.0 += skipped.3;
+            calls.1 += called.3;
+            assert_eq!(skipped.0, called.0, "{} on {backend:?}: outcome", spec.name);
+            assert!(
+                skipped.1 == called.1,
+                "{} on {backend:?}: event stream",
+                spec.name
+            );
+            assert!(skipped.1.contains("\"kind\":\"checkpoint\""));
+            assert!(
+                skipped.2 == called.2,
+                "{} on {backend:?}: final capture",
+                spec.name
+            );
+        }
+    }
+    assert!(calls.0 < 0.95 * calls.1, "the skip took effect: {calls:?}");
+}
+
+#[test]
+fn a_restore_over_a_running_plant_decides_afresh() {
+    // Two empty plants rest on different phases: one never saw a
+    // vehicle, the other drained after a loaded run. The first loads the
+    // second's capture. Its readings are unchanged (all zero), but a
+    // slot's decision is not state, so every controller must decide
+    // again, and the plant then steps exactly as the drained run.
+    let grid = grid();
+    for backend in [Backend::Queueing, Backend::Microscopic] {
+        let build = || {
+            build_substrate(
+                backend,
+                grid.topology().clone(),
+                controllers(9),
+                MicroSimConfig::default(),
+            )
+        };
+        let (mut drained, mut idle) = (build(), build());
+        let (mut scratch_a, mut scratch_b) = (SubstrateScratch::new(), SubstrateScratch::new());
+        let mut gen = demand(&grid, 2000);
+        let mut held = (Vec::new(), Vec::new());
+        for k in 0..1000 {
+            let mut arrivals = if k < 200 {
+                tick_arrivals(&mut gen, &grid, k)
+            } else {
+                Vec::new()
+            };
+            held.0 = drained
+                .step_into(&mut arrivals, &mut scratch_a, None)
+                .to_vec();
+            held.1 = idle
+                .step_into(&mut Vec::new(), &mut scratch_b, None)
+                .to_vec();
+        }
+        assert_eq!(drained.ledger().active(), 0, "{backend:?}: drained");
+        assert_ne!(held.0, held.1, "{backend:?}: different phases held");
+        let capture = |plant: &dyn TrafficSubstrate| {
+            let mut writer = StateWriter::new();
+            plant.save_state(&mut writer);
+            writer.bytes().to_vec()
+        };
+        idle.load_state(&mut StateReader::new(&capture(&*drained)))
+            .expect("an intact capture");
+        for k in 1000..1200 {
+            let arrivals = tick_arrivals(&mut gen, &grid, k);
+            let a = drained.step_into(&mut arrivals.clone(), &mut scratch_a, None);
+            let b = idle.step_into(&mut arrivals.clone(), &mut scratch_b, None);
+            assert_eq!(a, b, "{backend:?}: decisions at k={k}");
+        }
+        assert!(
+            capture(&*drained) == capture(&*idle),
+            "{backend:?}: state after the resumed run"
+        );
+    }
 }
 
 #[test]

@@ -146,7 +146,8 @@ fn observe_mode_guard_is_silent_on_a_healthy_plant() {
 fn profiler_laps_each_plant_section_once_per_profiled_tick_on_both_backends() {
     // Both plants step through one path and lap into the same four
     // sections: every profiled tick adds exactly one lap to each, and
-    // ticks stepped before profiling was enabled add none.
+    // ticks stepped before profiling was enabled add none. The decide
+    // calls are counted over the same ticks.
     let spec = trimmed("grid-incident-replan", 120);
     for backend in [Backend::Queueing, Backend::Microscopic] {
         let mut engine =
@@ -171,5 +172,12 @@ fn profiler_laps_each_plant_section_once_per_profiled_tick_on_both_backends() {
                 "{backend:?}: {section:?} measured time"
             );
         }
+        // The decide phase calls at most every controller each tick.
+        let controllers = engine.network().topology().num_intersections() as f64;
+        let calls = profiler.decide_calls_per_tick().expect("decide laps");
+        assert!(
+            calls > 0.0 && calls <= controllers,
+            "{backend:?}: {calls} decide calls per tick"
+        );
     }
 }
