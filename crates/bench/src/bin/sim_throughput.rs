@@ -20,13 +20,12 @@
 //! and stepped through the `TrafficSubstrate` trait, exactly like the
 //! production callers. Grid rows also record a per-phase wall-clock
 //! breakdown (decide / car-following / landings / waiting, via the
-//! trait's step with a `PhaseTimings` attached, on a separate rep) so
+//! trait's step with a `TickProfiler` attached, on a separate rep) so
 //! future optimization PRs can attribute their wins.
 //!
 //! Each invocation **appends** a run object to the JSON's `runs` array —
-//! the perf trajectory across PRs is preserved, never overwritten (a
-//! pre-existing single-run file from the old flat format is migrated to
-//! `runs[0]`). The runner uses a fixed warm-up + measured-tick protocol
+//! the perf trajectory across PRs is preserved, never overwritten. The
+//! runner uses a fixed warm-up + measured-tick protocol
 //! (best of `BENCH_REPS` repetitions, default 3, to shrug off scheduler
 //! noise) and always emits JSON, which makes its numbers directly
 //! comparable between commits. Scale knobs:
@@ -43,7 +42,8 @@ use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
 use utilbp_scenario::{builtin, Backend, CheckpointPolicy, EngineConfig, ScenarioEngine};
-use utilbp_substrate::{build_substrate, PhaseTimings, SubstrateScratch};
+use utilbp_substrate::{build_substrate, SubstrateScratch};
+use utilbp_telemetry::TickProfiler;
 
 const WARMUP_TICKS: u64 = 300;
 
@@ -98,7 +98,7 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
-    let mut phases = PhaseTimings::default();
+    let mut phases = TickProfiler::new();
     for _ in 0..ticks {
         arrivals.clear();
         gen.poll_into(&grid, Tick::new(k), &mut arrivals);

@@ -15,7 +15,7 @@
 //! in `docs/PERFORMANCE.md`; keep the two in sync when the schema
 //! changes.
 
-use utilbp_substrate::PhaseTimings;
+use utilbp_telemetry::{Section, TickProfiler};
 
 /// Workload rows every fresh trajectory run must contain (the largest
 /// grid plus the scenario-driven rows, including both replanning
@@ -38,9 +38,9 @@ pub struct Measurement {
     pub ticks: u64,
     /// Best-of-reps wall-clock seconds for the measured ticks.
     pub seconds: f64,
-    /// Per-phase breakdown (grid rows only), from one extra timed rep —
-    /// fractions of that rep's step time.
-    pub phases: Option<PhaseTimings>,
+    /// Per-phase breakdown (grid rows only): the profile of one extra
+    /// timed rep, rendered as fractions of its four plant sections.
+    pub phases: Option<TickProfiler>,
 }
 
 impl Measurement {
@@ -78,14 +78,24 @@ pub fn render_run(results: &[Measurement], warmup_ticks: u64, reps: u32, label: 
             m.seconds,
             m.ticks_per_sec(),
         ));
-        if let Some(p) = m.phases {
-            let total = p.total().max(f64::MIN_POSITIVE);
+        if let Some(p) = &m.phases {
+            let [decide, car_following, landings, waiting] = [
+                Section::Decide,
+                Section::CarFollowing,
+                Section::Landings,
+                Section::Waiting,
+            ]
+            .map(|section| {
+                let stats = p.stats(section);
+                stats.mean() * stats.count() as f64
+            });
+            let total = (decide + car_following + landings + waiting).max(f64::MIN_POSITIVE);
             s.push_str(&format!(
                 ", \"phase_fractions\": {{\"decide\": {:.3}, \"car_following\": {:.3}, \"landings\": {:.3}, \"waiting\": {:.3}}}",
-                p.decide / total,
-                p.car_following / total,
-                p.landings / total,
-                p.waiting / total,
+                decide / total,
+                car_following / total,
+                landings / total,
+                waiting / total,
             ));
         }
         s.push_str(if i + 1 == results.len() {
@@ -98,39 +108,17 @@ pub fn render_run(results: &[Measurement], warmup_ticks: u64, reps: u32, label: 
     s
 }
 
-/// Appends `new_run` to the `runs` array of an existing benchmark file,
-/// migrating the pre-`runs` flat format (a single `protocol`/`results`
-/// object) to `runs[0]`. Returns the full new file contents.
+/// Appends `new_run` to the `runs` array of an existing benchmark file
+/// (a file that is not in the runs format starts a fresh trajectory).
+/// Returns the full new file contents.
 pub fn append_run(existing: Option<String>, new_run: &str) -> String {
     let header = "{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"runs\": [\n";
     let footer = "\n  ]\n}\n";
     if let Some(text) = existing {
         if let Some(end) = text.rfind("\n  ]\n}") {
             if text.contains("\"runs\": [") {
-                // Already the runs format: splice before the closing `]`.
+                // Splice before the closing `]`.
                 return format!("{},\n{new_run}{footer}", &text[..end]);
-            }
-        }
-        if let (Some(proto_start), Some(res_start)) =
-            (text.find("\"protocol\": "), text.find("\"results\": [\n"))
-        {
-            // Flat single-run format: lift protocol + rows into runs[0].
-            let proto_end = text[proto_start..].find('\n').map(|o| proto_start + o);
-            let res_body_start = res_start + "\"results\": [\n".len();
-            let res_end = text[res_body_start..]
-                .find("\n  ]")
-                .map(|o| res_body_start + o);
-            if let (Some(proto_end), Some(res_end)) = (proto_end, res_end) {
-                let protocol = text[proto_start..proto_end].trim_end_matches(',');
-                let rows: String = text[res_body_start..res_end]
-                    .lines()
-                    .map(|l| format!("    {l}\n"))
-                    .collect();
-                let migrated = format!(
-                    "    {{\n      {protocol},\n      \"results\": [\n{}      ]\n    }}",
-                    rows
-                );
-                return format!("{header}{migrated},\n{new_run}{footer}");
             }
         }
         eprintln!("warning: could not parse existing benchmark file; starting a fresh trajectory");
@@ -227,12 +215,13 @@ mod tests {
             workload: workload.to_string(),
             ticks: 100,
             seconds: 0.5,
-            phases: timed.then_some(PhaseTimings {
-                decide: 0.1,
-                car_following: 0.3,
-                landings: 0.05,
-                waiting: 0.05,
-                decide_calls: 900,
+            phases: timed.then(|| {
+                let mut profiler = TickProfiler::new();
+                profiler.record(Section::Decide, 0.1);
+                profiler.record(Section::CarFollowing, 0.3);
+                profiler.record(Section::Landings, 0.05);
+                profiler.record(Section::Waiting, 0.05);
+                profiler
             }),
         }
     }
@@ -329,14 +318,6 @@ mod tests {
         let text = append_run(None, &untimed);
         let err = verify_trajectory(&text, &["untimed"]).unwrap_err();
         assert!(err.contains("phase_fractions"), "{err}");
-    }
-
-    #[test]
-    fn flat_format_files_migrate_to_runs_zero() {
-        let flat = "{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"protocol\": {\"label\": \"legacy\", \"warmup_ticks\": 300, \"controller\": \"util-bp\", \"pattern\": \"I\", \"seed\": 7, \"best_of_reps\": 3},\n  \"results\": [\n    {\"substrate\": \"queueing\", \"grid\": \"3x3\", \"mode\": \"serial\", \"measured_ticks\": 100, \"seconds\": 0.1, \"ticks_per_sec\": 1000.0}\n  ]\n}\n";
-        let migrated = append_run(Some(flat.to_string()), &full_run("fresh"));
-        assert_eq!(run_labels(&migrated), ["legacy", "fresh"]);
-        verify_trajectory(&migrated, &["legacy", "fresh"]).expect("migrated file verifies");
     }
 
     #[test]

@@ -99,41 +99,6 @@ impl Histogram {
         }
         None // falls in the overflow bin
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bin widths or counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-    }
-
-    /// Renders a compact ASCII bar chart of the distribution.
-    pub fn render(&self, width: usize) -> String {
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &n) in self.bins.iter().enumerate() {
-            let bar = "#".repeat((n as usize * width).div_ceil(max as usize).min(width));
-            out.push_str(&format!(
-                "{:>8.0}-{:<8.0} {:>7} |{}\n",
-                i as f64 * self.bin_width,
-                (i + 1) as f64 * self.bin_width,
-                n,
-                bar
-            ));
-        }
-        if self.overflow > 0 {
-            out.push_str(&format!("{:>17} {:>7} |(overflow)\n", ">", self.overflow));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -174,38 +139,6 @@ mod tests {
         let mut h = Histogram::new(10.0, 2);
         h.record(500.0);
         assert_eq!(h.percentile(50.0), None, "overflow has no upper edge");
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(5.0, 4);
-        a.record(2.0);
-        a.record(7.0);
-        let mut b = Histogram::new(5.0, 4);
-        b.record(7.0);
-        b.record(100.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.bins(), &[1, 2, 0, 0]);
-        assert_eq!(a.overflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width mismatch")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = Histogram::new(5.0, 4);
-        let b = Histogram::new(10.0, 4);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn render_is_nonempty_and_marks_overflow() {
-        let mut h = Histogram::new(10.0, 3);
-        h.record(5.0);
-        h.record(500.0);
-        let s = h.render(20);
-        assert!(s.contains('#'));
-        assert!(s.contains("overflow"));
     }
 
     #[test]

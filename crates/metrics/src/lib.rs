@@ -14,8 +14,8 @@
 //!   carries its entry tick and wait on the simulator's record;
 //! - [`TextTable`] and [`ascii_chart`] — diffable plain-text rendering of
 //!   tables and figure shapes;
-//! - [`PhaseTimings`] / [`PhaseStopwatch`] — the one per-phase step
-//!   timing both simulators lap into.
+//! - [`Histogram`] — fixed-bin percentiles (the tick profiler's lap-time
+//!   tails; step timing itself lives in `utilbp-telemetry`).
 //!
 //! ```
 //! use utilbp_core::Tick;
@@ -39,7 +39,6 @@ mod histogram;
 mod render;
 mod series;
 mod summary;
-mod timing;
 mod trace;
 mod waiting;
 
@@ -47,6 +46,5 @@ pub use histogram::Histogram;
 pub use render::{ascii_chart, TextTable};
 pub use series::TimeSeries;
 pub use summary::SummaryStats;
-pub use timing::{PhaseStopwatch, PhaseTimings};
 pub use trace::PhaseTrace;
 pub use waiting::{VehicleId, WaitingLedger};

@@ -117,9 +117,9 @@
 //! [`MicroSim::observe_into`], so the steady-state step path performs no
 //! heap allocation (bounded by a counting-allocator regression test).
 //! The allocating `step`/`observe` remain as thin convenience wrappers.
-//! Handed a `PhaseTimings`, the same `step_into` attributes wall-clock
-//! time to the pipeline's phase groups for the profiler and the perf
-//! harness.
+//! Handed a `utilbp_telemetry::TickProfiler`, the same `step_into` laps
+//! its four phase groups into the profiler's `Section`s for `trace
+//! --profile`, the scenario engine and the perf harness.
 //!
 //! **One serial step path.** Every phase runs on the calling thread.
 //! UTIL-BP is decentralized because each controller reads only its own

@@ -51,8 +51,9 @@ use utilbp_core::{
     decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
     QueueObservation, SignalController, Tick,
 };
-use utilbp_metrics::{PhaseStopwatch, PhaseTimings, VehicleId, WaitingLedger};
+use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
+use utilbp_telemetry::{PhaseStopwatch, Section, TickProfiler};
 
 use crate::config::MicroSimConfig;
 use crate::krauss::{next_speed, LeaderInfo};
@@ -1015,18 +1016,18 @@ impl MicroSim {
     /// and overwrites `report` in place, reusing its buffers. This is the
     /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
     /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from observations or decision vectors. With `timings` attached,
-    /// each phase group's wall-clock time is *added* onto it (see
-    /// [`PhaseTimings`] for what each lap covers); without, the step
-    /// takes no clock readings.
+    /// from observations or decision vectors. With a `profiler`
+    /// attached, the step laps each of its four phase groups into it
+    /// once (see [`Section`] for what each lap covers); without, the
+    /// step takes no clock readings.
     pub fn step_into(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         report: &mut StepReport,
-        timings: Option<&mut PhaseTimings>,
+        profiler: Option<&mut TickProfiler>,
     ) {
         let now = self.now;
-        let mut watch = PhaseStopwatch::new(timings);
+        let mut watch = PhaseStopwatch::new(profiler);
 
         // 1. Sense: rewrite the per-intersection observation buffer from
         //    the incremental detector counters, gathered through the flat
@@ -1076,7 +1077,7 @@ impl MicroSim {
                 self.lane_green[in_lane as usize] = green && *credit >= 1.0;
             }
         }
-        watch.lap(|t| &mut t.decide);
+        watch.lap(Section::Decide);
 
         // 4. Box countdown.
         for c in self.boxes.iter_mut().flatten() {
@@ -1223,7 +1224,7 @@ impl MicroSim {
             &mut self.sensors,
             &self.config,
         );
-        watch.lap(|t| &mut t.car_following);
+        watch.lap(Section::CarFollowing);
 
         // 7. Land vehicles whose box traversal finished. Ready crossings
         //    are drained through a reused scratch vector so box order is
@@ -1291,7 +1292,7 @@ impl MicroSim {
                 }
             }
         }
-        watch.lap(|t| &mut t.landings);
+        watch.lap(Section::Landings);
 
         // 8. Insertions: backlog first, then this tick's arrivals. The
         //    slot is probed before popping, so nothing is cloned and a
@@ -1336,7 +1337,7 @@ impl MicroSim {
         report.crossings = crossings;
         report.completed = completed;
         report.injected = injected;
-        watch.lap(|t| &mut t.waiting);
+        watch.lap(Section::Waiting);
     }
 
     /// The destination lane on `out_road` for a vehicle whose next hop is

@@ -25,8 +25,9 @@ use utilbp_core::{
     decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, OutgoingId,
     PhaseDecision, PhaseId, QueueObservation, SignalController, Tick, Ticks,
 };
-use utilbp_metrics::{PhaseStopwatch, PhaseTimings, VehicleId, WaitingLedger};
+use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
+use utilbp_telemetry::{PhaseStopwatch, Section, TickProfiler};
 
 /// How vehicles travel between a junction's exit and the next queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -922,24 +923,24 @@ impl QueueSim {
     /// and overwrites `report` in place, reusing its buffers. This is the
     /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
     /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from the stepping machinery. With `timings` attached, each
-    /// pipeline section's wall-clock time is **added** onto it: transit
-    /// and backlog drains to `landings`, decide to `decide`, serve to
-    /// `car_following` and injection to `waiting` (see [`PhaseTimings`]).
+    /// from the stepping machinery. With a `profiler` attached, each
+    /// pipeline section takes one lap of it: transit and backlog drains
+    /// as [`Section::Landings`], decide as [`Section::Decide`], serve as
+    /// [`Section::CarFollowing`] and injection as [`Section::Waiting`].
     /// Timing reads are measurements, not inputs — the simulated outcome
     /// is identical either way.
     pub fn step_into(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         report: &mut StepReport,
-        timings: Option<&mut PhaseTimings>,
+        profiler: Option<&mut TickProfiler>,
     ) {
-        let mut watch = PhaseStopwatch::new(timings);
+        let mut watch = PhaseStopwatch::new(profiler);
         let now = self.now;
 
         let completed = self.move_transit_arrivals(now);
         self.drain_backlogs(now);
-        watch.lap(|t| &mut t.landings);
+        watch.lap(Section::Landings);
 
         // Sense is already done: the two sites that change a reading keep
         // the observation buffer current, marking what they touch. Decide,
@@ -952,7 +953,7 @@ impl QueueSim {
                 .intersection(IntersectionId::new(idx as u32))
                 .layout()
         });
-        watch.lap(|t| &mut t.decide);
+        watch.lap(Section::Decide);
         watch.count_decide_calls(calls);
 
         // Serve activated links, skipping settled phases (a no-op).
@@ -964,7 +965,7 @@ impl QueueSim {
                 }
             }
         }
-        watch.lap(|t| &mut t.car_following);
+        watch.lap(Section::CarFollowing);
 
         // Inject this slot's exogenous arrivals.
         let mut injected = 0u32;
@@ -984,7 +985,7 @@ impl QueueSim {
         report.served = served;
         report.completed = completed;
         report.injected = injected;
-        watch.lap(|t| &mut t.waiting);
+        watch.lap(Section::Waiting);
     }
 
     /// Runs `horizon` steps with no exogenous demand (useful to drain the

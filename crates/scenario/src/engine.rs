@@ -42,7 +42,7 @@ use utilbp_baselines::{
 };
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{SignalController, Tick, Ticks};
-use utilbp_metrics::{PhaseTimings, TimeSeries, VehicleId, WaitingLedger};
+use utilbp_metrics::{TimeSeries, VehicleId, WaitingLedger};
 use utilbp_microsim::{LaneDiscipline, MicroSimConfig};
 use utilbp_netgen::{Arrival, Network, Replanner, RoadId, TurningProbabilities};
 use utilbp_snapshot::{crc32, SnapshotReader, SnapshotWriter};
@@ -50,8 +50,8 @@ use utilbp_substrate::{
     build_substrate, GuardMode, InvariantGuard, SubstrateScratch, TrafficSubstrate,
 };
 use utilbp_telemetry::{
-    Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, NullRecorder, Recorder,
-    ReplanTrigger, Section, TickProfiler,
+    Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, NullRecorder, PhaseStopwatch,
+    Recorder, ReplanTrigger, Section, TickProfiler,
 };
 
 use crate::checkpoint::{
@@ -929,9 +929,10 @@ impl ScenarioEngine {
             .unwrap_or(&[])
     }
 
-    /// Turns on the tick-section profiler: subsequent steps hand the
-    /// substrate a [`PhaseTimings`] and attribute wall-clock to
-    /// [`Section`]s. Profiling measures the run without influencing it.
+    /// Turns on the tick-section profiler: subsequent steps hand it to
+    /// the substrate, whose step laps the four plant [`Section`]s into
+    /// it, and lap the replan and monitor passes into it too. Profiling
+    /// measures the run without influencing it.
     pub fn enable_profiling(&mut self) {
         self.telemetry.profiler = Some(TickProfiler::new());
     }
@@ -1044,21 +1045,13 @@ impl ScenarioEngine {
                     }
                     if self.spec.replan.responds_to_closures() {
                         let before = (self.diverted, self.restored);
-                        let start = self
-                            .telemetry
-                            .profiler
-                            .as_ref()
-                            .map(|_| std::time::Instant::now());
-                        if closed {
-                            self.divert_after_closure();
-                        } else {
-                            self.restore_after_reopen();
-                        }
-                        if let (Some(profiler), Some(start)) =
-                            (self.telemetry.profiler.as_mut(), start)
-                        {
-                            profiler.record(Section::Replan, start.elapsed().as_secs_f64());
-                        }
+                        self.lap_pass(Section::Replan, |engine| {
+                            if closed {
+                                engine.divert_after_closure();
+                            } else {
+                                engine.restore_after_reopen();
+                            }
+                        });
                         if recording {
                             self.telemetry.recorder.record(Event {
                                 tick: now,
@@ -1109,15 +1102,7 @@ impl ScenarioEngine {
             if now.index() > 0 && now.index().is_multiple_of(period) {
                 let before_reroutes = self.congestion_reroutes;
                 let before_restores = self.congestion_restores;
-                let start = self
-                    .telemetry
-                    .profiler
-                    .as_ref()
-                    .map(|_| std::time::Instant::now());
-                self.congestion_check();
-                if let (Some(profiler), Some(start)) = (self.telemetry.profiler.as_mut(), start) {
-                    profiler.record(Section::Monitor, start.elapsed().as_secs_f64());
-                }
+                self.lap_pass(Section::Monitor, Self::congestion_check);
                 if recording {
                     // Periodic checks mostly find nothing; only record
                     // the passes that actually rewrote a route.
@@ -1149,22 +1134,13 @@ impl ScenarioEngine {
         self.arrivals.clear();
         self.demand
             .poll_into(&self.network, now, &mut self.arrivals);
-        let mut timings = PhaseTimings::default();
-        let profiling = self.telemetry.profiler.is_some();
         let decisions = self.substrate.step_into(
             &mut self.arrivals,
             &mut self.scratch,
-            profiling.then_some(&mut timings),
+            self.telemetry.profiler.as_mut(),
         );
         if recording {
             self.telemetry.record_phases(now, decisions);
-        }
-        if let Some(profiler) = self.telemetry.profiler.as_mut() {
-            profiler.record(Section::Decide, timings.decide);
-            profiler.record(Section::CarFollowing, timings.car_following);
-            profiler.record(Section::Landings, timings.landings);
-            profiler.record(Section::Waiting, timings.waiting);
-            profiler.record_decide_calls(timings.decide_calls);
         }
         if let Some(guard) = self.guard.as_mut() {
             guard.check(&*self.substrate);
@@ -1174,6 +1150,17 @@ impl ScenarioEngine {
             self.record_guard_violations();
         }
         self.sample_gauges(now);
+    }
+
+    /// Runs an engine pass, lapping its wall-clock into `section` when
+    /// profiling. The profiler is lifted out for the pass, which never
+    /// reads it.
+    fn lap_pass(&mut self, section: Section, pass: impl FnOnce(&mut Self)) {
+        let mut profiler = self.telemetry.profiler.take();
+        let mut watch = PhaseStopwatch::new(profiler.as_mut());
+        pass(self);
+        watch.lap(section);
+        self.telemetry.profiler = profiler;
     }
 
     /// Moves observe-mode guard violations into the recorder as

@@ -126,11 +126,11 @@
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{IncomingId, PhaseDecision, SignalController, Tick};
-pub use utilbp_metrics::PhaseTimings;
 use utilbp_metrics::WaitingLedger;
 use utilbp_microsim::{MicroSim, MicroSimConfig};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, RouteRewrite};
 use utilbp_queueing::{QueueSim, QueueSimConfig};
+use utilbp_telemetry::TickProfiler;
 
 /// Which simulation substrate drives the plant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,15 +301,15 @@ pub trait TrafficSubstrate {
     /// Simulates one mini-slot, draining `arrivals` (produced for this
     /// tick by a demand generator) and reusing `scratch`'s buffers.
     /// Returns the per-intersection decisions of the tick, borrowed from
-    /// the scratch. With `timings` attached, each of the step's four
-    /// phases adds one lap of wall-clock time onto it (see
-    /// [`PhaseTimings`] for what each lap covers on each plant); without,
-    /// the step takes no clock readings.
+    /// the scratch. With a `profiler` attached, each of the step's four
+    /// plant sections takes one lap of it (see
+    /// [`Section`](utilbp_telemetry::Section) for what each lap covers
+    /// on each plant); without, the step takes no clock readings.
     fn step_into<'a>(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
-        timings: Option<&mut PhaseTimings>,
+        profiler: Option<&mut TickProfiler>,
     ) -> &'a [PhaseDecision];
 
     /// Closes or reopens a road (a disruption event); see the crate docs
@@ -437,9 +437,9 @@ impl TrafficSubstrate for QueueSim {
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
-        timings: Option<&mut PhaseTimings>,
+        profiler: Option<&mut TickProfiler>,
     ) -> &'a [PhaseDecision] {
-        QueueSim::step_into(self, arrivals, &mut scratch.queueing, timings);
+        QueueSim::step_into(self, arrivals, &mut scratch.queueing, profiler);
         &scratch.queueing.decisions
     }
 
@@ -513,9 +513,9 @@ impl TrafficSubstrate for MicroSim {
         &mut self,
         arrivals: &mut Vec<Arrival>,
         scratch: &'a mut SubstrateScratch,
-        timings: Option<&mut PhaseTimings>,
+        profiler: Option<&mut TickProfiler>,
     ) -> &'a [PhaseDecision] {
-        MicroSim::step_into(self, arrivals, &mut scratch.micro, timings);
+        MicroSim::step_into(self, arrivals, &mut scratch.micro, profiler);
         &scratch.micro.decisions
     }
 
@@ -830,6 +830,7 @@ mod tests {
     use super::*;
     use utilbp_core::{Tick, UtilBp};
     use utilbp_netgen::{GridNetwork, GridSpec, Network, Pattern};
+    use utilbp_telemetry::Section;
 
     fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
         (0..n)
@@ -891,10 +892,11 @@ mod tests {
 
     #[test]
     fn guarded_runs_match_unguarded_runs_on_both_backends() {
-        // The guard reads, never writes: stepping the same seed with and
-        // without a checker after every step (with a mid-run closure
-        // and reopen) must produce identical ledgers and metrics, and no
-        // check may fire on a healthy plant.
+        // The guard and the profiler read, never write: stepping the
+        // same seed with and without a checker after every step and a
+        // profiler attached (with a mid-run closure and reopen) must
+        // produce identical ledgers and metrics, no check may fire on a
+        // healthy plant, and each plant section takes one lap per step.
         let grid = GridNetwork::new(GridSpec::paper());
         let net = Network::from_grid(&grid, Pattern::II);
         let closed = net
@@ -904,7 +906,9 @@ mod tests {
             .unwrap();
         for backend in Backend::ALL {
             let n = grid.topology().num_intersections();
-            let run = |mut guard: Option<InvariantGuard>| -> (u64, f64, usize) {
+            let run = |mut guard: Option<InvariantGuard>,
+                       mut profiler: Option<&mut TickProfiler>|
+             -> (u64, f64, usize) {
                 let mut substrate = build_substrate(
                     backend,
                     grid.topology().clone(),
@@ -930,7 +934,7 @@ mod tests {
                     }
                     arrivals.clear();
                     demand.poll_into(&grid, Tick::new(k), &mut arrivals);
-                    substrate.step_into(&mut arrivals, &mut scratch, None);
+                    substrate.step_into(&mut arrivals, &mut scratch, profiler.as_deref_mut());
                     if let Some(guard) = guard.as_mut() {
                         guard.check(&*substrate);
                     }
@@ -941,11 +945,26 @@ mod tests {
                     substrate.backlog_len(),
                 )
             };
+            let mut profiler = TickProfiler::new();
             assert_eq!(
-                run(Some(InvariantGuard::new(GuardMode::Panic))),
-                run(None),
+                run(
+                    Some(InvariantGuard::new(GuardMode::Panic)),
+                    Some(&mut profiler)
+                ),
+                run(None, None),
                 "{backend}"
             );
+            for section in Section::ALL {
+                let engine_only = matches!(section, Section::Replan | Section::Monitor);
+                let laps = if engine_only { 0 } else { 300 };
+                assert_eq!(
+                    profiler.stats(section).count(),
+                    laps,
+                    "{backend} {section:?}"
+                );
+            }
+            let calls = profiler.decide_calls_per_tick().unwrap();
+            assert!(calls > 0.0 && calls <= n as f64, "{backend}: {calls}");
         }
     }
 
@@ -994,7 +1013,7 @@ mod tests {
             &mut self,
             _: &mut Vec<Arrival>,
             _: &'a mut SubstrateScratch,
-            _: Option<&mut PhaseTimings>,
+            _: Option<&mut TickProfiler>,
         ) -> &'a [PhaseDecision] {
             unreachable!("the tests step the fake by hand")
         }

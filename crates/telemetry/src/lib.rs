@@ -17,7 +17,10 @@
 //!   wall-clock laps for the step pipeline's [`Section`]s (decide,
 //!   car-following, landings, waiting, replan, monitor) into streaming
 //!   [`SummaryStats`](utilbp_metrics::SummaryStats) and
-//!   [`Histogram`](utilbp_metrics::Histogram) percentiles.
+//!   [`Histogram`](utilbp_metrics::Histogram) percentiles. It is the
+//!   workspace's one timing schema: both plants' `step_into` and the
+//!   scenario engine lap into it through a [`PhaseStopwatch`], which
+//!   takes no clock reading when no profiler is attached.
 //!
 //! ## Event taxonomy
 //!
@@ -79,7 +82,7 @@ mod timeline;
 
 pub use event::{Event, EventKind, FlightRecorder, NullRecorder, Recorder, ReplanTrigger};
 pub use gauges::{GaugeId, GaugeRegistry};
-pub use profiler::{Section, TickProfiler};
+pub use profiler::{PhaseStopwatch, Section, TickProfiler};
 pub use timeline::render_timeline;
 
 pub use utilbp_core::Tick;

@@ -1,5 +1,7 @@
 //! A tick-section profiler: streaming wall-clock statistics for the
-//! step pipeline's sections.
+//! step pipeline's sections, and the stopwatch that laps into it.
+
+use std::time::Instant;
 
 use utilbp_metrics::{Histogram, SummaryStats, TextTable};
 
@@ -12,14 +14,18 @@ const BINS: usize = 256;
 
 /// One attributable section of a simulated tick.
 ///
-/// The first four are the plant step's laps: each takes one lap per
-/// profiled tick from the matching [`PhaseTimings`] field, which both
-/// substrates fill through the same step path. `Replan` and `Monitor`
-/// cover the scenario engine's routing-response and congestion-monitor
-/// work around the plant step. Nothing else the engine does — events,
-/// demand, checkpoints, guard checks, telemetry — is timed.
+/// The first four are the plant step's laps: both plants lap each of
+/// them once per profiled step through a [`PhaseStopwatch`], in step
+/// order (microscopic: decide, car-following, landings, waiting;
+/// queueing: landings, decide, car-following, waiting). `Replan` and
+/// `Monitor` are laps the scenario engine takes around its
+/// routing-response and congestion-monitor work. Nothing else the
+/// engine does — events, demand, checkpoints, guard checks, telemetry —
+/// is timed.
 ///
-/// [`PhaseTimings`]: utilbp_metrics::PhaseTimings
+/// A lap is the time between two clock readings, so the few
+/// nanoseconds it takes to record one lap fall inside the next lap of
+/// the same stopwatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Section {
     /// Controller decisions (the controllers the decide phase called;
@@ -94,7 +100,8 @@ impl Section {
 pub struct TickProfiler {
     stats: [SummaryStats; 6],
     histograms: Vec<Histogram>,
-    /// Controllers the profiled ticks' decide phases called.
+    /// Controllers the profiled ticks' decide phases called (added by
+    /// [`PhaseStopwatch::count_decide_calls`]).
     decide_calls: u64,
 }
 
@@ -112,12 +119,6 @@ impl TickProfiler {
             histograms: (0..6).map(|_| Histogram::new(BIN_WIDTH_US, BINS)).collect(),
             decide_calls: 0,
         }
-    }
-
-    /// Adds the controllers one profiled tick's decide phase called
-    /// (`PhaseTimings::decide_calls`).
-    pub fn record_decide_calls(&mut self, calls: u64) {
-        self.decide_calls += calls;
     }
 
     /// Controllers called per profiled tick: the decide phase skips
@@ -157,24 +158,26 @@ impl TickProfiler {
 
     /// The profile as a table: one row per section with laps, mean,
     /// p50/p90/p99, max (all µs) and share of total recorded time.
-    /// Sections with no laps are omitted.
+    /// Sections with no laps are omitted. A percentile is the upper edge
+    /// of its 2 µs bin clamped to the section's observed `[min, max]`,
+    /// so a section faster than one bin never reads a percentile above
+    /// its own maximum, and one that falls in the overflow bin reads as
+    /// the maximum.
     pub fn table(&self) -> TextTable {
         let total_us: f64 = self.stats.iter().map(|s| s.mean() * s.count() as f64).sum();
         let mut table = TextTable::new([
             "section", "laps", "mean µs", "p50 µs", "p90 µs", "p99 µs", "max µs", "share",
         ]);
-        let pct = |h: &Histogram, p: f64| -> String {
-            match h.percentile(p) {
-                Some(v) => format!("{v:.1}"),
-                None => "-".to_string(),
-            }
-        };
         for section in Section::ALL {
             let stats = self.stats(section);
-            if stats.count() == 0 {
+            let (Some(min), Some(max)) = (stats.min(), stats.max()) else {
                 continue;
-            }
+            };
             let hist = self.histogram(section);
+            let pct = |p: f64| {
+                let edge = hist.percentile(p).unwrap_or(f64::INFINITY);
+                format!("{:.1}", edge.clamp(min, max))
+            };
             let sum = stats.mean() * stats.count() as f64;
             let share = if total_us > 0.0 {
                 100.0 * sum / total_us
@@ -185,14 +188,55 @@ impl TickProfiler {
                 section.name().to_string(),
                 stats.count().to_string(),
                 format!("{:.1}", stats.mean()),
-                pct(hist, 50.0),
-                pct(hist, 90.0),
-                pct(hist, 99.0),
-                format!("{:.1}", stats.max().unwrap_or(0.0)),
+                pct(50.0),
+                pct(90.0),
+                pct(99.0),
+                format!("{max:.1}"),
                 format!("{share:.1}%"),
             ]);
         }
         table
+    }
+}
+
+/// Laps a step's wall-clock into a [`TickProfiler`]: each
+/// [`lap`](Self::lap) records the time since the previous lap (or since
+/// [`new`](Self::new)) as one lap of a [`Section`], taking one clock
+/// reading. Detached (`None`), it takes no clock readings at all, so the
+/// untimed step path pays nothing. Timing reads are measurements, never
+/// inputs: a timed step simulates exactly what an untimed one does.
+#[derive(Debug)]
+pub struct PhaseStopwatch<'a> {
+    attached: Option<(&'a mut TickProfiler, Instant)>,
+}
+
+impl<'a> PhaseStopwatch<'a> {
+    /// Starts the first lap now, when `profiler` is attached.
+    #[inline]
+    pub fn new(profiler: Option<&'a mut TickProfiler>) -> Self {
+        PhaseStopwatch {
+            attached: profiler.map(|p| (p, Instant::now())),
+        }
+    }
+
+    /// Records the time since the previous lap as one lap of `section`
+    /// and starts the next lap.
+    #[inline]
+    pub fn lap(&mut self, section: Section) {
+        if let Some((profiler, last)) = self.attached.as_mut() {
+            let now = Instant::now();
+            profiler.record(section, now.duration_since(*last).as_secs_f64());
+            *last = now;
+        }
+    }
+
+    /// Adds `calls` controllers called by a decide phase onto the
+    /// profiler's count (see [`TickProfiler::decide_calls_per_tick`]).
+    #[inline]
+    pub fn count_decide_calls(&mut self, calls: usize) {
+        if let Some((profiler, _)) = self.attached.as_mut() {
+            profiler.decide_calls += calls as u64;
+        }
     }
 }
 
@@ -230,10 +274,54 @@ mod tests {
         let mut profiler = TickProfiler::new();
         assert_eq!(profiler.decide_calls_per_tick(), None);
         for calls in [3, 5] {
-            profiler.record(Section::Decide, 1e-6);
-            profiler.record_decide_calls(calls);
+            let mut watch = PhaseStopwatch::new(Some(&mut profiler));
+            watch.count_decide_calls(calls);
+            watch.lap(Section::Decide);
         }
         assert_eq!(profiler.decide_calls_per_tick(), Some(4.0));
+    }
+
+    #[test]
+    fn laps_record_one_lap_per_call_and_a_detached_watch_is_inert() {
+        let mut profiler = TickProfiler::new();
+        let mut watch = PhaseStopwatch::new(Some(&mut profiler));
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        watch.lap(Section::Landings);
+        watch.lap(Section::Decide);
+        assert!(profiler.stats(Section::Landings).min().unwrap() >= 2000.0);
+        assert_eq!(profiler.stats(Section::Decide).count(), 1);
+        assert_eq!(profiler.stats(Section::CarFollowing).count(), 0);
+
+        let mut detached = PhaseStopwatch::new(None);
+        detached.lap(Section::Waiting);
+        detached.count_decide_calls(3);
+        assert!(detached.attached.is_none());
+    }
+
+    #[test]
+    fn printed_percentiles_never_exceed_the_section_maximum() {
+        let mut profiler = TickProfiler::new();
+        for us in [0.3, 0.5, 0.8] {
+            profiler.record(Section::Landings, us * 1e-6);
+        }
+        profiler.record(Section::Replan, 900e-6); // overflow bin
+        let rendered = profiler.table().render();
+        for name in ["landings", "replan"] {
+            let row = rendered
+                .lines()
+                .find(|l| l.contains(name))
+                .expect("section row");
+            let cells: Vec<f64> = row
+                .split('|')
+                .map(str::trim)
+                .filter_map(|c| c.parse().ok())
+                .collect();
+            // laps, mean, p50, p90, p99, max
+            let [_, _, p50, p90, p99, max] = cells[..] else {
+                panic!("unexpected row {row:?}");
+            };
+            assert!(p50 <= p90 && p90 <= p99 && p99 <= max, "{row}");
+        }
     }
 
     #[test]

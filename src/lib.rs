@@ -162,8 +162,10 @@
 //!   cadence into [`metrics::TimeSeries`].
 //! - **Profiler** ([`telemetry::TickProfiler`]): wall-clock laps per
 //!   tick section (decide / car-following / landings / waiting /
-//!   replan / monitor) through the substrates' timed step hooks,
-//!   rendered as a percentile table. Timing is observational only — it
+//!   replan / monitor), rendered as a percentile table. It is the one
+//!   timing schema: both substrates' `step_into` and the scenario
+//!   engine lap straight into it through a
+//!   [`telemetry::PhaseStopwatch`]. Timing is observational only — it
 //!   never feeds back into simulation state.
 //! - **Sinks**: JSONL export, the per-intersection ASCII timeline
 //!   ([`telemetry::render_timeline`]: phases × faults × fallbacks),
