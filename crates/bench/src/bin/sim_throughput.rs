@@ -121,8 +121,8 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
 ///
 /// The flight recorder can be attached, so the trajectory file documents
 /// both sides of the telemetry contract: the recording-off row is the
-/// default engine (`NullRecorder`, every emission site gated on one
-/// cached bool — cost ≈ 0) and the `+recorder` row runs the same
+/// default engine (no recorder, every emission site gated on one
+/// `None` test — cost ≈ 0) and the `+recorder` row runs the same
 /// scenario with a live ring-buffer recorder.
 ///
 /// An optional periodic checkpoint policy documents the durability

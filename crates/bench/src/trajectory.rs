@@ -20,7 +20,7 @@ use utilbp_telemetry::{Section, TickProfiler};
 /// Workload rows every fresh trajectory run must contain (the largest
 /// grid plus the scenario-driven rows, including both replanning
 /// scenarios on both substrates).
-pub const REQUIRED_WORKLOADS: &[&str] = &[
+pub(crate) const REQUIRED_WORKLOADS: &[&str] = &[
     "20x20",
     "arterial-rush-hour",
     "grid-incident-replan",
@@ -53,7 +53,7 @@ impl Measurement {
 /// Keeps an operator-supplied string JSON-safe inside the hand-rolled
 /// output (quotes, backslashes, and control characters would corrupt the
 /// whole trajectory file).
-pub fn sanitize(label: &str) -> String {
+pub(crate) fn sanitize(label: &str) -> String {
     label
         .chars()
         .filter(|c| !c.is_control() && *c != '"' && *c != '\\')
@@ -147,7 +147,7 @@ fn string_values<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
 }
 
 /// The run labels of a trajectory file, in order.
-pub fn run_labels(text: &str) -> Vec<&str> {
+pub(crate) fn run_labels(text: &str) -> Vec<&str> {
     string_values(text, "label")
 }
 
@@ -155,9 +155,8 @@ pub fn run_labels(text: &str) -> Vec<&str> {
 ///
 /// - The file is the `runs` format and its run labels are exactly
 ///   `expected_labels`, in order.
-/// - The newest run's results contain every workload in
-///   [`REQUIRED_WORKLOADS`] — and each replanning scenario row on *both*
-///   substrates.
+/// - The newest run's results contain every required workload — and
+///   each replanning scenario row on *both* substrates.
 /// - At least one row of the newest run carries a `phase_fractions`
 ///   breakdown (the microscopic phase attribution stays wired up).
 ///

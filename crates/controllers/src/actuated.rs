@@ -48,7 +48,7 @@ enum State {
 /// # Examples
 ///
 /// ```
-/// use utilbp_baselines::Actuated;
+/// use utilbp_baselines::{Actuated, ActuatedConfig};
 /// use utilbp_core::{
 ///     standard, IntersectionView, QueueObservation, SignalController, Tick,
 /// };
@@ -59,7 +59,7 @@ enum State {
 ///     standard::link_id(standard::Approach::North, standard::Turn::Straight),
 ///     4,
 /// );
-/// let mut ctrl = Actuated::new();
+/// let mut ctrl = Actuated::with_config(ActuatedConfig::default());
 /// let view = IntersectionView::new(&layout, &obs).unwrap();
 /// assert_eq!(
 ///     ctrl.decide(&view, Tick::ZERO).phase(),
@@ -75,7 +75,7 @@ pub struct Actuated {
 impl Actuated {
     /// Creates a controller with the default timings (5 s min green,
     /// 40 s max green, 4 s amber).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Actuated::with_config(ActuatedConfig::default())
     }
 
@@ -94,11 +94,6 @@ impl Actuated {
             config,
             state: State::Idle,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ActuatedConfig {
-        &self.config
     }
 
     /// Whether the running phase still presents demand (no gap).
@@ -359,7 +354,7 @@ mod tests {
     fn reset_and_accessors() {
         let mut ctrl = Actuated::new();
         assert_eq!(ctrl.name(), "actuated");
-        assert_eq!(ctrl.config().min_green, Ticks::new(5));
+        assert_eq!(ctrl.config.min_green, Ticks::new(5));
         ctrl.reset();
     }
 

@@ -103,13 +103,14 @@ impl ActuationFaultConfig {
 /// # Examples
 ///
 /// ```
-/// use utilbp_baselines::{ActuationFaultConfig, FaultyActuation};
+/// use utilbp_baselines::{ActuationFaultConfig, FaultSwitch, FaultyActuation};
 /// use utilbp_core::{standard, IntersectionView, QueueObservation, SignalController, Tick, UtilBp};
 ///
-/// let mut ctrl = FaultyActuation::new(
+/// let mut ctrl = FaultyActuation::gated(
 ///     UtilBp::paper(),
 ///     ActuationFaultConfig { drop: 0.2, ..ActuationFaultConfig::NONE },
 ///     42,
+///     FaultSwitch::new(true),
 /// );
 /// let layout = standard::four_way(120, 1.0);
 /// let obs = QueueObservation::zeros(&layout);
@@ -133,20 +134,11 @@ pub struct FaultyActuation<C> {
     /// order (delays are constant, so this stays sorted).
     pending: VecDeque<(u64, PhaseDecision)>,
     /// Scenario-driven gate: faults apply only while the switch is
-    /// active. [`FaultyActuation::new`] installs an always-on switch.
+    /// active.
     switch: FaultSwitch,
 }
 
 impl<C: SignalController> FaultyActuation<C> {
-    /// Wraps `inner` with the given fault model and RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`ActuationFaultConfig::validate`].
-    pub fn new(inner: C, config: ActuationFaultConfig, seed: u64) -> Self {
-        FaultyActuation::gated(inner, config, seed, FaultSwitch::new(true))
-    }
-
     /// Wraps `inner` with a fault model gated by `switch`: faults apply
     /// only while the switch is active, which is how scenario
     /// actuation-fault windows turn the model on and off mid-run
@@ -168,16 +160,6 @@ impl<C: SignalController> FaultyActuation<C> {
             pending: VecDeque::new(),
             switch,
         }
-    }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// The fault model.
-    pub fn config(&self) -> &ActuationFaultConfig {
-        &self.config
     }
 }
 
@@ -324,7 +306,12 @@ mod tests {
     #[test]
     fn no_faults_is_transparent() {
         let mut clean = fixed();
-        let mut wrapped = FaultyActuation::new(fixed(), ActuationFaultConfig::NONE, 1);
+        let mut wrapped = FaultyActuation::gated(
+            fixed(),
+            ActuationFaultConfig::NONE,
+            1,
+            FaultSwitch::new(true),
+        );
         assert_eq!(run(&mut clean, 60), run(&mut wrapped, 60));
     }
 
@@ -333,13 +320,14 @@ mod tests {
         // drop = 1.0: the actuator boots into the first command, then
         // every subsequent command is lost — the phase never changes
         // even though the inner fixed-time plan cycles.
-        let mut wrapped = FaultyActuation::new(
+        let mut wrapped = FaultyActuation::gated(
             fixed(),
             ActuationFaultConfig {
                 drop: 1.0,
                 ..ActuationFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let out = run(&mut wrapped, 40);
         assert!(
@@ -356,7 +344,7 @@ mod tests {
         // ticks late, so the executed stream is the clean stream
         // shifted right by three.
         let delay_ticks = 3usize;
-        let mut wrapped = FaultyActuation::new(
+        let mut wrapped = FaultyActuation::gated(
             fixed(),
             ActuationFaultConfig {
                 delay: 1.0,
@@ -364,6 +352,7 @@ mod tests {
                 ..ActuationFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let out = run(&mut wrapped, 40);
         let clean = run(&mut fixed(), 40);
@@ -381,7 +370,7 @@ mod tests {
     fn stuck_actuator_ignores_commands_for_the_jam_window() {
         // stuck = 1.0 with a jam longer than the run: the actuator
         // executes the first command, jams, and never moves again.
-        let mut wrapped = FaultyActuation::new(
+        let mut wrapped = FaultyActuation::gated(
             fixed(),
             ActuationFaultConfig {
                 stuck: 1.0,
@@ -389,6 +378,7 @@ mod tests {
                 ..ActuationFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let out = run(&mut wrapped, 40);
         assert!(
@@ -407,7 +397,7 @@ mod tests {
             delay_ticks: 2,
         };
         let once = |seed: u64| {
-            let mut c = FaultyActuation::new(UtilBp::paper(), cfg, seed);
+            let mut c = FaultyActuation::gated(UtilBp::paper(), cfg, seed, FaultSwitch::new(true));
             run(&mut c, 80)
         };
         assert_eq!(once(9), once(9));
@@ -454,7 +444,7 @@ mod tests {
 
     #[test]
     fn reset_clears_actuator_state() {
-        let mut wrapped = FaultyActuation::new(
+        let mut wrapped = FaultyActuation::gated(
             fixed(),
             ActuationFaultConfig {
                 stuck: 1.0,
@@ -462,11 +452,12 @@ mod tests {
                 ..ActuationFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let _ = run(&mut wrapped, 10);
         wrapped.reset();
         assert_eq!(wrapped.name(), "faulty-actuation");
-        assert_eq!(wrapped.config().stuck_ticks, 1000);
+        assert_eq!(wrapped.config.stuck_ticks, 1000);
         // After reset the jam is gone: the wrapper tracks the plan
         // until the (deterministic) jam re-latches on the first active
         // decide — i.e. the first post-reset decision is executed.
@@ -478,7 +469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid actuation fault config")]
     fn rejects_bad_durations() {
-        let _ = FaultyActuation::new(
+        let _ = FaultyActuation::gated(
             fixed(),
             ActuationFaultConfig {
                 stuck: 0.5,
@@ -486,6 +477,7 @@ mod tests {
                 ..ActuationFaultConfig::NONE
             },
             0,
+            FaultSwitch::new(true),
         );
     }
 }

@@ -29,7 +29,7 @@ use crate::slot::{SlotMachine, AMBER};
 /// Storage assumed for one movement queue, used to normalize upstream
 /// occupancy: the paper's network has 3 dedicated lanes per 300 m road
 /// at 7.5 m jam spacing, so 40 vehicles per movement.
-pub const MOVEMENT_STORAGE: u32 = 40;
+pub(crate) const MOVEMENT_STORAGE: u32 = 40;
 
 /// The capacity-aware fixed-length back-pressure controller.
 ///

@@ -138,13 +138,14 @@ impl FaultSwitch {
 /// # Examples
 ///
 /// ```
-/// use utilbp_baselines::{FaultySensors, SensorFaultConfig};
+/// use utilbp_baselines::{FaultSwitch, FaultySensors, SensorFaultConfig};
 /// use utilbp_core::{standard, QueueObservation, IntersectionView, SignalController, Tick, UtilBp};
 ///
-/// let mut ctrl = FaultySensors::new(
+/// let mut ctrl = FaultySensors::gated(
 ///     UtilBp::paper(),
 ///     SensorFaultConfig { dropout: 0.1, ..SensorFaultConfig::NONE },
 ///     42,
+///     FaultSwitch::new(true),
 /// );
 /// let layout = standard::four_way(120, 1.0);
 /// let obs = QueueObservation::zeros(&layout);
@@ -164,20 +165,11 @@ pub struct FaultySensors<C> {
     /// inactive — latches do not survive deactivation.
     latched: Vec<Option<u32>>,
     /// Scenario-driven gate: faults apply only while the switch is
-    /// active. [`FaultySensors::new`] installs an always-on switch.
+    /// active.
     switch: FaultSwitch,
 }
 
 impl<C: SignalController> FaultySensors<C> {
-    /// Wraps `inner` with the given fault model and RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`SensorFaultConfig::validate`].
-    pub fn new(inner: C, config: SensorFaultConfig, seed: u64) -> Self {
-        FaultySensors::gated(inner, config, seed, FaultSwitch::new(true))
-    }
-
     /// Wraps `inner` with a fault model gated by `switch`: corruption
     /// applies only while the switch is active, which is how scenario
     /// sensor-degradation windows turn the fault model on and off
@@ -198,16 +190,6 @@ impl<C: SignalController> FaultySensors<C> {
             latched: Vec::new(),
             switch,
         }
-    }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// The fault model.
-    pub fn config(&self) -> &SensorFaultConfig {
-        &self.config
     }
 
     fn corrupt(
@@ -404,7 +386,12 @@ mod tests {
         let mut obs = QueueObservation::zeros(&layout);
         obs.set_movement(standard::link_id(Approach::East, Turn::Straight), 9);
         let mut clean = UtilBp::paper();
-        let mut wrapped = FaultySensors::new(UtilBp::paper(), SensorFaultConfig::NONE, 1);
+        let mut wrapped = FaultySensors::gated(
+            UtilBp::paper(),
+            SensorFaultConfig::NONE,
+            1,
+            FaultSwitch::new(true),
+        );
         for k in 0..50 {
             let view = IntersectionView::new(&layout, &obs).unwrap();
             let view2 = IntersectionView::new(&layout, &obs).unwrap();
@@ -421,13 +408,14 @@ mod tests {
         let layout = layout();
         let mut obs = QueueObservation::zeros(&layout);
         obs.set_movement(standard::link_id(Approach::East, Turn::Straight), 30);
-        let mut wrapped = FaultySensors::new(
+        let mut wrapped = FaultySensors::gated(
             UtilBp::paper(),
             SensorFaultConfig {
                 dropout: 1.0,
                 ..SensorFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let view = IntersectionView::new(&layout, &obs).unwrap();
         let d = wrapped.decide(&view, Tick::ZERO);
@@ -449,13 +437,14 @@ mod tests {
         obs.set_movement(link, 10);
         // freeze = 1.0: after the first reading every subsequent one is a
         // copy, so emptying the physical queue must not change decisions.
-        let mut wrapped = FaultySensors::new(
+        let mut wrapped = FaultySensors::gated(
             UtilBp::paper(),
             SensorFaultConfig {
                 freeze: 1.0,
                 ..SensorFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let view = IntersectionView::new(&layout, &obs).unwrap();
         let first = wrapped.decide(&view, Tick::ZERO);
@@ -487,7 +476,7 @@ mod tests {
             frozen: 0.05,
         };
         let run = |seed: u64| -> Vec<PhaseDecision> {
-            let mut c = FaultySensors::new(UtilBp::paper(), cfg, seed);
+            let mut c = FaultySensors::gated(UtilBp::paper(), cfg, seed, FaultSwitch::new(true));
             (0..30)
                 .map(|k| {
                     let view = IntersectionView::new(&layout, &obs).unwrap();
@@ -502,20 +491,21 @@ mod tests {
     fn reset_clears_frozen_state() {
         let layout = layout();
         let obs = QueueObservation::zeros(&layout);
-        let mut wrapped = FaultySensors::new(
+        let mut wrapped = FaultySensors::gated(
             UtilBp::paper(),
             SensorFaultConfig {
                 freeze: 1.0,
                 ..SensorFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let view = IntersectionView::new(&layout, &obs).unwrap();
         let _ = wrapped.decide(&view, Tick::ZERO);
         wrapped.reset();
-        assert!(wrapped.inner().previous_decision().is_transition());
+        assert!(wrapped.inner.previous_decision().is_transition());
         assert_eq!(wrapped.name(), "faulty-sensors");
-        assert_eq!(wrapped.config().freeze, 1.0);
+        assert_eq!(wrapped.config.freeze, 1.0);
     }
 
     #[test]
@@ -574,7 +564,7 @@ mod tests {
         // stuck_at = 1.0 with value 0: every detector latches dark on
         // its first in-window reading, so the controller is blind and
         // pinned regardless of how the physical queues evolve.
-        let mut wrapped = FaultySensors::new(
+        let mut wrapped = FaultySensors::gated(
             UtilBp::paper(),
             SensorFaultConfig {
                 stuck_at: 1.0,
@@ -582,6 +572,7 @@ mod tests {
                 ..SensorFaultConfig::NONE
             },
             1,
+            FaultSwitch::new(true),
         );
         let view = IntersectionView::new(&layout, &obs).unwrap();
         let first = wrapped.decide(&view, Tick::ZERO);
@@ -616,7 +607,7 @@ mod tests {
             };
             let mut obs = QueueObservation::zeros(&layout);
             obs.set_movement(link, 30);
-            let mut c = FaultySensors::new(UtilBp::paper(), cfg, 7);
+            let mut c = FaultySensors::gated(UtilBp::paper(), cfg, 7, FaultSwitch::new(true));
             (0..40)
                 .map(|k| {
                     if k == 1 && empty_after_first {
@@ -670,13 +661,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid sensor fault config")]
     fn rejects_bad_probabilities() {
-        let _ = FaultySensors::new(
+        let _ = FaultySensors::gated(
             UtilBp::paper(),
             SensorFaultConfig {
                 dropout: 1.5,
                 ..SensorFaultConfig::NONE
             },
             0,
+            FaultSwitch::new(true),
         );
     }
 }

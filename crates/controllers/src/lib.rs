@@ -20,7 +20,7 @@
 //! built from their green period alone: each is a [`SlotMachine`] (which
 //! holds the period and the paper's [`AMBER`]) plus a selection rule,
 //! and the values the paper fixes are named constants here
-//! ([`AMBER`], CAP-BP's [`MOVEMENT_STORAGE`]; the fixed-length UTIL-BP
+//! ([`AMBER`], CAP-BP's `MOVEMENT_STORAGE`; the fixed-length UTIL-BP
 //! ranks with `GainPenalties::PAPER`). Choosing a controller and its
 //! parameters for an experiment is `utilbp-experiments`'
 //! `ControllerKind`, the one recipe.
@@ -66,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod actuated;
 mod actuation;
@@ -79,7 +80,7 @@ mod watchdog;
 
 pub use actuated::{Actuated, ActuatedConfig};
 pub use actuation::{ActuationFaultConfig, FaultyActuation};
-pub use capbp::{CapBp, MOVEMENT_STORAGE};
+pub use capbp::CapBp;
 pub use faults::{FaultSwitch, FaultySensors, SensorFaultConfig};
 pub use fixed_util::FixedLengthUtilBp;
 pub use original::OriginalBp;

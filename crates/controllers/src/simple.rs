@@ -37,11 +37,6 @@ impl FixedTime {
             slots: SlotMachine::new(period, transition),
         }
     }
-
-    /// The green period.
-    pub fn period(&self) -> Ticks {
-        self.slots.period()
-    }
 }
 
 impl SignalController for FixedTime {
@@ -191,7 +186,6 @@ mod tests {
                 standard::phase_id(1),
             ]
         );
-        assert_eq!(ctrl.period(), Ticks::new(3));
         assert_eq!(ctrl.name(), "fixed-time");
     }
 

@@ -39,7 +39,7 @@ impl SlotMachine {
     ///
     /// Panics if `period` is zero (a zero-length slot would re-select every
     /// tick, which is the adaptive controllers' job, not this one's).
-    pub fn new(period: Ticks, transition: Ticks) -> Self {
+    pub(crate) fn new(period: Ticks, transition: Ticks) -> Self {
         assert!(!period.is_zero(), "slot period must be positive");
         SlotMachine {
             period,
@@ -62,21 +62,6 @@ impl SlotMachine {
         let mut machine = SlotMachine::new(period, transition);
         machine.always_transition = true;
         machine
-    }
-
-    /// The green period.
-    pub fn period(&self) -> Ticks {
-        self.period
-    }
-
-    /// The amber duration.
-    pub fn transition(&self) -> Ticks {
-        self.transition
-    }
-
-    /// The running phase, if any.
-    pub fn current(&self) -> Option<PhaseId> {
-        self.current
     }
 
     /// Advances to `now` and returns the decision, invoking `select` only
@@ -118,7 +103,7 @@ impl SlotMachine {
     }
 
     /// Returns the machine to its initial state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.current = None;
         self.slot_end = Tick::ZERO;
         self.pending = None;
@@ -153,7 +138,7 @@ impl SlotMachine {
     ///
     /// [`StateError`](utilbp_core::state::StateError) when the stream
     /// is truncated or malformed.
-    pub fn load_state(
+    pub(crate) fn load_state(
         &mut self,
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<(), utilbp_core::state::StateError> {
@@ -181,7 +166,7 @@ impl SlotMachine {
     ///
     /// [`StateError`](utilbp_core::state::StateError) naming the first
     /// phase outside the layout.
-    pub fn check_state(
+    pub(crate) fn check_state(
         &self,
         layout: &utilbp_core::IntersectionLayout,
     ) -> Result<(), utilbp_core::state::StateError> {
@@ -208,7 +193,7 @@ mod tests {
             PhaseId::new(1)
         });
         assert_eq!(d, PhaseDecision::Control(PhaseId::new(1)));
-        assert_eq!(m.current(), Some(PhaseId::new(1)));
+        assert_eq!(m.current, Some(PhaseId::new(1)));
     }
 
     #[test]
@@ -276,7 +261,7 @@ mod tests {
         let mut m = machine();
         let _ = m.decide(Tick::ZERO, |_| PhaseId::new(3));
         m.reset();
-        assert_eq!(m.current(), None);
+        assert_eq!(m.current, None);
         let d = m.decide(Tick::new(50), |prev| {
             assert_eq!(prev, None);
             PhaseId::new(0)
@@ -325,12 +310,5 @@ mod tests {
         }
         let share = green as f64 / horizon as f64;
         assert!((share - 6.0 / 8.0).abs() < 0.02, "green share {share}");
-    }
-
-    #[test]
-    fn accessors() {
-        let m = machine();
-        assert_eq!(m.period(), Ticks::new(5));
-        assert_eq!(m.transition(), Ticks::new(2));
     }
 }

@@ -187,16 +187,6 @@ impl<C: SignalController, F: SignalController> Degrading<C, F> {
         }
     }
 
-    /// The wrapped adaptive controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// The monitor thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
-    }
-
     /// A clonable handle onto this wrapper's counters.
     pub fn stats(&self) -> WatchdogStats {
         self.stats.clone()

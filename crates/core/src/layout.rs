@@ -56,11 +56,6 @@ impl Phase {
     pub fn links(&self) -> &[LinkId] {
         &self.links
     }
-
-    /// Returns `true` if the phase activates `link`.
-    pub fn activates(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
-    }
 }
 
 /// Errors produced while building or validating an [`IntersectionLayout`].
@@ -146,7 +141,6 @@ impl Error for LayoutError {}
 /// b.add_phase(&[l]);
 /// let layout = b.build()?;
 /// assert_eq!(layout.num_links(), 1);
-/// assert_eq!(layout.max_capacity(), 120); // W*
 /// # Ok(())
 /// # }
 /// ```
@@ -217,7 +211,7 @@ impl IntersectionLayout {
     }
 
     /// `W* = max_{i'} W_{i'}` (Eq. 7 of the paper).
-    pub fn max_capacity(&self) -> u32 {
+    pub(crate) fn max_capacity(&self) -> u32 {
         self.max_capacity
     }
 
@@ -249,14 +243,6 @@ impl IntersectionLayout {
     /// Panics if `id` is out of range for this layout.
     pub fn links_from(&self, id: IncomingId) -> &[LinkId] {
         &self.links_by_incoming[id.index()]
-    }
-
-    /// Finds the link from `from` to `to`, if it is feasible.
-    pub fn find_link(&self, from: IncomingId, to: OutgoingId) -> Option<LinkId> {
-        self.links
-            .iter()
-            .position(|l| l.from == from && l.to == to)
-            .map(|i| LinkId::new(i as u16))
     }
 }
 
@@ -407,17 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn find_link_locates_feasible_movements() {
-        let layout = two_by_two().build().unwrap();
-        let found = layout.find_link(IncomingId::new(1), OutgoingId::new(0));
-        assert_eq!(found, Some(LinkId::new(2)));
-        assert_eq!(
-            layout.find_link(IncomingId::new(1), OutgoingId::new(1)),
-            None
-        );
-    }
-
-    #[test]
     fn rejects_empty_structures() {
         assert_eq!(
             IntersectionLayout::builder().build().unwrap_err(),
@@ -522,15 +497,5 @@ mod tests {
         assert!(err.to_string().contains("duplicate link"));
         let err = LayoutError::InvalidServiceRate(-1.0);
         assert!(err.to_string().contains("-1"));
-    }
-
-    #[test]
-    fn phase_activation_queries() {
-        let layout = two_by_two().build().unwrap();
-        let p0 = layout.phase(PhaseId::new(0));
-        assert!(p0.activates(LinkId::new(0)));
-        assert!(p0.activates(LinkId::new(1)));
-        assert!(!p0.activates(LinkId::new(2)));
-        assert_eq!(p0.links().len(), 2);
     }
 }

@@ -64,31 +64,6 @@ impl QueueObservation {
         }
     }
 
-    /// Builds an observation from raw vectors.
-    ///
-    /// `movement[l]` is `q_i^{i'}(k)` for link `l`; `outgoing[o]` is
-    /// `q_{i'}(k)` for outgoing road `o`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObservationShapeError`] if the vector lengths do not match
-    /// the layout's link and outgoing-road counts.
-    pub fn from_vecs(
-        layout: &IntersectionLayout,
-        movement: Vec<u32>,
-        outgoing: Vec<u32>,
-    ) -> Result<Self, ObservationShapeError> {
-        if movement.len() != layout.num_links() || outgoing.len() != layout.num_outgoing() {
-            return Err(ObservationShapeError {
-                expected_links: layout.num_links(),
-                got_links: movement.len(),
-                expected_outgoing: layout.num_outgoing(),
-                got_outgoing: outgoing.len(),
-            });
-        }
-        Ok(QueueObservation { movement, outgoing })
-    }
-
     /// The movement queue length `q_i^{i'}(k)` for `link`.
     ///
     /// # Panics
@@ -190,16 +165,10 @@ impl QueueObservation {
         &mut self.outgoing
     }
 
-    /// Resets every reading to zero, keeping the shape (and allocation).
-    pub fn fill_zero(&mut self) {
-        self.movement.fill(0);
-        self.outgoing.fill(0);
-    }
-
     /// Reshapes this observation for `layout`, zeroing all readings. The
     /// existing allocations are reused when large enough, so reshaping to
     /// the same layout every tick never allocates.
-    pub fn reshape_for(&mut self, layout: &IntersectionLayout) {
+    pub(crate) fn reshape_for(&mut self, layout: &IntersectionLayout) {
         self.movement.clear();
         self.movement.resize(layout.num_links(), 0);
         self.outgoing.clear();
@@ -269,7 +238,7 @@ impl ObservationBuffer {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn get(&self, i: usize) -> &QueueObservation {
+    pub(crate) fn get(&self, i: usize) -> &QueueObservation {
         &self.observations[i]
     }
 
@@ -359,11 +328,6 @@ impl<'a> IntersectionView<'a> {
         self.layout
     }
 
-    /// The raw observation.
-    pub fn queues(&self) -> &'a QueueObservation {
-        self.queues
-    }
-
     /// `q_i^{i'}(k)` for `link`.
     pub fn movement_queue(&self, link: LinkId) -> u32 {
         self.queues.movement(link)
@@ -386,13 +350,13 @@ impl<'a> IntersectionView<'a> {
 
     /// Whether outgoing road `out` has reached its capacity
     /// (`q_{i'}(k) = W_{i'}`).
-    pub fn is_full(&self, out: OutgoingId) -> bool {
+    pub(crate) fn is_full(&self, out: OutgoingId) -> bool {
         self.queues.outgoing(out) >= self.layout.capacity(out)
     }
 
     /// Remaining storage on outgoing road `out`
     /// (`W_{i'} − q_{i'}(k)`, saturating at zero).
-    pub fn residual_capacity(&self, out: OutgoingId) -> u32 {
+    pub(crate) fn residual_capacity(&self, out: OutgoingId) -> u32 {
         self.layout
             .capacity(out)
             .saturating_sub(self.queues.outgoing(out))
@@ -427,19 +391,6 @@ mod tests {
         let obs = QueueObservation::zeros(&layout);
         assert_eq!(obs.movements().len(), layout.num_links());
         assert_eq!(obs.outgoings().len(), layout.num_outgoing());
-    }
-
-    #[test]
-    fn from_vecs_validates_shape() {
-        let layout = standard::four_way(120, 1.0);
-        let err = QueueObservation::from_vecs(&layout, vec![0; 3], vec![0; 4]).unwrap_err();
-        assert!(err.to_string().contains("shape mismatch"));
-        let ok = QueueObservation::from_vecs(
-            &layout,
-            vec![1; layout.num_links()],
-            vec![2; layout.num_outgoing()],
-        );
-        assert!(ok.is_ok());
     }
 
     #[test]

@@ -6,24 +6,25 @@
 //! - [`original_link_gain`] — Eq. 5, the classic gain
 //!   `g_o = max(0, (b_i − b_{i'})·µ)` with the *whole-road* incoming
 //!   pressure `b_i`;
-//! - [`modified_link_gain`] — Eq. 6, the paper's per-movement gain
+//! - `modified_link_gain` — Eq. 6, the paper's per-movement gain
 //!   `g = (b_i^{i'} − b_{i'} + W*)·µ`, always positive in the ordinary
 //!   case so negative pressure differences still permit flow;
 //! - [`util_link_gain`] — Eq. 8, Eq. 6 refined with the two special
 //!   scenarios: gain `β` when the outgoing road is full and `α` when the
 //!   movement queue is empty (with `β < α < 0` by default, Eq. 9).
 //!
-//! Phase-level aggregates `g(c_j,k)` (Eq. 10) and `g_max(c_j,k)` (Eq. 11)
-//! are provided by [`phase_gain`] and [`phase_gain_max`].
+//! The phase-level aggregates `g(c_j,k)` (Eq. 10) and `g_max(c_j,k)`
+//! (Eq. 11) are computed where [`UtilBp`](crate::UtilBp) ranks phases,
+//! under its configured gain mode.
 
-use crate::ids::{LinkId, PhaseId};
+use crate::ids::LinkId;
 use crate::observation::IntersectionView;
 
 /// The pressure mapping `b = f(q)` (Eq. 4). The paper takes `f` to be the
 /// identity; the indirection is kept so alternative mappings stay one edit
 /// away.
 #[inline]
-pub fn pressure(queue: u32) -> f64 {
+pub(crate) fn pressure(queue: u32) -> f64 {
     queue as f64
 }
 
@@ -125,7 +126,7 @@ pub fn original_link_gain(q_in_road: u32, q_out: u32, mu: f64) -> f64 {
 /// parenthesized term positive so links with negative pressure difference
 /// can still be ranked (and served).
 #[inline]
-pub fn modified_link_gain(q_in_movement: u32, q_out: u32, w_star: u32, mu: f64) -> f64 {
+pub(crate) fn modified_link_gain(q_in_movement: u32, q_out: u32, w_star: u32, mu: f64) -> f64 {
     (pressure(q_in_movement) - pressure(q_out) + w_star as f64) * mu
 }
 
@@ -167,56 +168,9 @@ pub fn link_gain(view: &IntersectionView<'_>, link: LinkId, penalties: GainPenal
     )
 }
 
-/// Eq. 10 — the phase gain `g(c_j,k) = Σ_{L ∈ c_j} g(L,k)` under the
-/// utilization-aware link gain.
-pub fn phase_gain(view: &IntersectionView<'_>, phase: PhaseId, penalties: GainPenalties) -> f64 {
-    view.layout()
-        .phase(phase)
-        .links()
-        .iter()
-        .map(|&l| link_gain(view, l, penalties))
-        .sum()
-}
-
-/// Eq. 11 — the maximum link gain within a phase,
-/// `g_max(c_j,k) = max_{L ∈ c_j} g(L,k)`, together with the link attaining
-/// it (the paper's `L_max(c_j,k)`, needed by the `g*` threshold of Eq. 12).
-///
-/// Ties resolve to the first link in the phase's declaration order.
-///
-/// # Panics
-///
-/// Never panics for layouts built through
-/// [`IntersectionLayout::builder`](crate::IntersectionLayout::builder),
-/// which rejects empty phases.
-pub fn phase_gain_max(
-    view: &IntersectionView<'_>,
-    phase: PhaseId,
-    penalties: GainPenalties,
-) -> (f64, LinkId) {
-    let links = view.layout().phase(phase).links();
-    let mut best = (f64::NEG_INFINITY, links[0]);
-    for &l in links {
-        let g = link_gain(view, l, penalties);
-        if g > best.0 {
-            best = (g, l);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::QueueObservation;
-    use crate::standard::{self, Approach, Turn};
-
-    fn view_with<'a>(
-        layout: &'a crate::IntersectionLayout,
-        obs: &'a QueueObservation,
-    ) -> IntersectionView<'a> {
-        IntersectionView::new(layout, obs).unwrap()
-    }
 
     #[test]
     fn penalties_enforce_negativity() {
@@ -306,39 +260,6 @@ mod tests {
                 assert!(g > 0.0, "q_in={q_in} q_out={q_out} gave {g}");
             }
         }
-    }
-
-    #[test]
-    fn phase_aggregates_sum_and_max() {
-        let layout = standard::four_way(120, 1.0);
-        let mut obs = QueueObservation::zeros(&layout);
-        let ns = standard::phase_id(1);
-        let n_straight = standard::link_id(Approach::North, Turn::Straight);
-        let n_left = standard::link_id(Approach::North, Turn::Left);
-        obs.set_movement(n_straight, 10);
-        obs.set_movement(n_left, 4);
-        let view = view_with(&layout, &obs);
-
-        let p = GainPenalties::PAPER;
-        let expected_straight = modified_link_gain(10, 0, 120, 1.0);
-        let expected_left = modified_link_gain(4, 0, 120, 1.0);
-        // The other two c1 links (south straight/left) are empty → α each.
-        let expected_sum = expected_straight + expected_left + 2.0 * p.alpha();
-        assert!((phase_gain(&view, ns, p) - expected_sum).abs() < 1e-12);
-
-        let (gmax, lmax) = phase_gain_max(&view, ns, p);
-        assert_eq!(lmax, n_straight);
-        assert!((gmax - expected_straight).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_gain_max_breaks_ties_by_declaration_order() {
-        let layout = standard::four_way(120, 1.0);
-        let obs = QueueObservation::zeros(&layout);
-        let view = view_with(&layout, &obs);
-        // All links at α: the first declared link of c1 wins.
-        let (_, lmax) = phase_gain_max(&view, standard::phase_id(1), GainPenalties::PAPER);
-        assert_eq!(lmax, standard::link_id(Approach::North, Turn::Left));
     }
 
     #[test]

@@ -66,20 +66,8 @@ impl Approach {
         }
     }
 
-    /// The heading of a vehicle that entered *from* this arm (e.g. a vehicle
-    /// arriving from the north heads south).
-    #[must_use]
-    pub const fn heading(self) -> Approach {
-        self.opposite()
-    }
-
     /// Recovers an approach from an incoming-road index.
     pub const fn from_incoming(id: IncomingId) -> Option<Approach> {
-        Self::from_index(id.index())
-    }
-
-    /// Recovers an approach from an outgoing-road index.
-    pub const fn from_outgoing(id: OutgoingId) -> Option<Approach> {
         Self::from_index(id.index())
     }
 
@@ -315,30 +303,38 @@ mod tests {
         // c1 = {L1^6, L1^7, L3^5, L3^8}: N straight/left + S straight/left.
         let c1 = layout.phase(phase_id(1));
         assert_eq!(c1.links().len(), 4);
-        assert!(c1.activates(link_id(Approach::North, Turn::Straight)));
-        assert!(c1.activates(link_id(Approach::North, Turn::Left)));
-        assert!(c1.activates(link_id(Approach::South, Turn::Straight)));
-        assert!(c1.activates(link_id(Approach::South, Turn::Left)));
+        assert!(c1
+            .links()
+            .contains(&link_id(Approach::North, Turn::Straight)));
+        assert!(c1.links().contains(&link_id(Approach::North, Turn::Left)));
+        assert!(c1
+            .links()
+            .contains(&link_id(Approach::South, Turn::Straight)));
+        assert!(c1.links().contains(&link_id(Approach::South, Turn::Left)));
 
         // c2 = {L1^8, L3^6}: N/S right turns.
         let c2 = layout.phase(phase_id(2));
         assert_eq!(c2.links().len(), 2);
-        assert!(c2.activates(link_id(Approach::North, Turn::Right)));
-        assert!(c2.activates(link_id(Approach::South, Turn::Right)));
+        assert!(c2.links().contains(&link_id(Approach::North, Turn::Right)));
+        assert!(c2.links().contains(&link_id(Approach::South, Turn::Right)));
 
         // c3 = {L2^7, L2^8, L4^5, L4^6}: E/W straight + left.
         let c3 = layout.phase(phase_id(3));
         assert_eq!(c3.links().len(), 4);
-        assert!(c3.activates(link_id(Approach::East, Turn::Straight)));
-        assert!(c3.activates(link_id(Approach::East, Turn::Left)));
-        assert!(c3.activates(link_id(Approach::West, Turn::Straight)));
-        assert!(c3.activates(link_id(Approach::West, Turn::Left)));
+        assert!(c3
+            .links()
+            .contains(&link_id(Approach::East, Turn::Straight)));
+        assert!(c3.links().contains(&link_id(Approach::East, Turn::Left)));
+        assert!(c3
+            .links()
+            .contains(&link_id(Approach::West, Turn::Straight)));
+        assert!(c3.links().contains(&link_id(Approach::West, Turn::Left)));
 
         // c4 = {L2^5, L4^7}: E/W right turns.
         let c4 = layout.phase(phase_id(4));
         assert_eq!(c4.links().len(), 2);
-        assert!(c4.activates(link_id(Approach::East, Turn::Right)));
-        assert!(c4.activates(link_id(Approach::West, Turn::Right)));
+        assert!(c4.links().contains(&link_id(Approach::East, Turn::Right)));
+        assert!(c4.links().contains(&link_id(Approach::West, Turn::Right)));
     }
 
     #[test]
@@ -347,7 +343,7 @@ mod tests {
         for link in layout.link_ids() {
             let count = layout
                 .phase_ids()
-                .filter(|&p| layout.phase(p).activates(link))
+                .filter(|&p| layout.phase(p).links().contains(&link))
                 .count();
             assert_eq!(count, 1, "link {link} must appear in exactly one phase");
         }
@@ -381,7 +377,6 @@ mod tests {
     fn approach_round_trips_through_ids() {
         for a in Approach::ALL {
             assert_eq!(Approach::from_incoming(a.incoming()), Some(a));
-            assert_eq!(Approach::from_outgoing(a.outgoing()), Some(a));
         }
         assert_eq!(Approach::from_incoming(IncomingId::new(9)), None);
     }
@@ -410,8 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn heading_is_opposite() {
-        assert_eq!(Approach::North.heading(), Approach::South);
+    fn opposite_flips_the_compass() {
+        assert_eq!(Approach::North.opposite(), Approach::South);
         assert_eq!(Approach::East.opposite(), Approach::West);
     }
 }

@@ -119,7 +119,7 @@ impl StateWriter {
 /// in which an `f64` holds every integer). No run gets near it — a
 /// million events per tick for 285 years of one-second ticks — so a
 /// restored counter has room for every increment the step path makes.
-pub const MAX_COUNT: u64 = 1 << 53;
+pub(crate) const MAX_COUNT: u64 = 1 << 53;
 
 /// A cursor over a word stream produced by [`StateWriter`], decoding
 /// the little-endian words straight from the byte slice.
@@ -143,7 +143,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Whole words not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.rest.len() / 8
     }
 
@@ -201,13 +201,13 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    /// Takes an event counter: at most [`MAX_COUNT`], so the step path
-    /// can keep adding to it without overflow.
+    /// Takes an event counter: at most 2^53, so the step path can keep
+    /// adding to it without overflow.
     ///
     /// # Errors
     ///
     /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
-    /// `what` above [`MAX_COUNT`].
+    /// `what` above 2^53.
     pub fn take_count(&mut self, what: &'static str) -> Result<u64, StateError> {
         self.take_at_most(MAX_COUNT, what)
     }
@@ -234,8 +234,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// [`StateError::Exhausted`], or [`StateError::Invalid`] naming
-    /// `what` when that many items cannot fit in the
-    /// [`remaining`](Self::remaining) words.
+    /// `what` when that many items cannot fit in the remaining words.
     pub fn take_len(&mut self, words_each: usize, what: &'static str) -> Result<usize, StateError> {
         let word = self.take()?;
         let remaining = self.remaining();

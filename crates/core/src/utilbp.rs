@@ -143,11 +143,6 @@ impl UtilBp {
         UtilBp::new(UtilBpConfig::default())
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &UtilBpConfig {
-        &self.config
-    }
-
     /// The previous decision `c(k−1)` (initially `Transition` with an
     /// already-expired timer, so the first invocation selects a phase).
     pub fn previous_decision(&self) -> PhaseDecision {

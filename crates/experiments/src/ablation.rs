@@ -22,16 +22,16 @@ pub struct AblationRow {
     /// Variant label.
     pub variant: String,
     /// Average queuing time, seconds.
-    pub avg_queuing_time_s: f64,
+    pub(crate) avg_queuing_time_s: f64,
     /// Completed journeys.
-    pub completed: u64,
+    pub(crate) completed: u64,
 }
 
 /// The ablation comparison on one pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
     /// The demand pattern used.
-    pub pattern: Pattern,
+    pub(crate) pattern: Pattern,
     /// One row per variant, full UTIL-BP first.
     pub rows: Vec<AblationRow>,
 }
@@ -71,7 +71,7 @@ impl AblationResult {
 }
 
 /// The standard set of ablation variants.
-pub fn variants() -> Vec<ControllerKind> {
+pub(crate) fn variants() -> Vec<ControllerKind> {
     vec![
         ControllerKind::UtilBp,
         ControllerKind::UtilBpWith(UtilBpConfig {

@@ -10,7 +10,7 @@ use crate::table3::Table3Result;
 use crate::traces::Pattern1Detail;
 
 /// Renders Fig. 2's sweep as CSV (`period,capbp,utilbp`).
-pub fn fig2_csv(result: &Comparison) -> String {
+pub(crate) fn fig2_csv(result: &Comparison) -> String {
     let mut out = String::from("period_s,capbp_avg_queuing_s,utilbp_avg_queuing_s\n");
     for &(period, capbp) in &result.capbp {
         out.push_str(&format!("{period},{capbp},{}\n", result.utilbp));
@@ -19,7 +19,7 @@ pub fn fig2_csv(result: &Comparison) -> String {
 }
 
 /// Renders Table III as CSV.
-pub fn table3_csv(result: &Table3Result) -> String {
+pub(crate) fn table3_csv(result: &Table3Result) -> String {
     let mut out = String::from(
         "pattern,capbp_best_period_s,capbp_avg_queuing_s,utilbp_avg_queuing_s,improvement_pct\n",
     );
@@ -38,7 +38,7 @@ pub fn table3_csv(result: &Table3Result) -> String {
 
 /// Renders the Fig. 3/4 phase traces as CSV
 /// (`tick,capbp_phase,utilbp_phase`; 0 = amber).
-pub fn traces_csv(detail: &Pattern1Detail) -> String {
+pub(crate) fn traces_csv(detail: &Pattern1Detail) -> String {
     let cap = detail.capbp_trace.expand();
     let util = detail.utilbp_trace.expand();
     let mut out = String::from("tick,capbp_phase,utilbp_phase\n");
@@ -49,7 +49,7 @@ pub fn traces_csv(detail: &Pattern1Detail) -> String {
 }
 
 /// Renders the Fig. 5 queue series as CSV (`tick,capbp_queue,utilbp_queue`).
-pub fn fig5_csv(detail: &Pattern1Detail) -> String {
+pub(crate) fn fig5_csv(detail: &Pattern1Detail) -> String {
     let mut out = String::from("tick,capbp_queue,utilbp_queue\n");
     for ((t, c), (_, u)) in detail.capbp_queue.iter().zip(detail.utilbp_queue.iter()) {
         out.push_str(&format!("{},{c},{u}\n", t.index()));

@@ -83,16 +83,16 @@ impl Default for ChaosConfig {
 #[derive(Debug, Clone)]
 pub struct TimelineReport {
     /// The timeline's index in the run.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The timeline's derived seed (reproduces it alone).
     pub seed: u64,
     /// The substrate it ran on.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// The guarded reference outcome (watchdog installed).
-    pub with_fallback: ScenarioOutcome,
+    pub(crate) with_fallback: ScenarioOutcome,
     /// The same timeline without the watchdog — the degradation
     /// baseline.
-    pub without_fallback: ScenarioOutcome,
+    pub(crate) without_fallback: ScenarioOutcome,
 }
 
 /// The rendered result of one chaos run.

@@ -22,7 +22,7 @@ pub struct Comparison {
 
 impl Comparison {
     /// The sweep's best (minimum) CAP-BP point.
-    pub fn best_capbp(&self) -> (u64, f64) {
+    pub(crate) fn best_capbp(&self) -> (u64, f64) {
         self.capbp
             .iter()
             .copied()
@@ -31,7 +31,7 @@ impl Comparison {
     }
 
     /// UTIL-BP's improvement over the best CAP-BP point, in percent.
-    pub fn improvement_pct(&self) -> f64 {
+    pub(crate) fn improvement_pct(&self) -> f64 {
         improvement_pct(self.best_capbp().1, self.utilbp)
     }
 
@@ -77,7 +77,7 @@ pub(crate) fn improvement_pct(capbp: f64, utilbp: f64) -> f64 {
 /// Runs CAP-BP at every period of `periods`, and UTIL-BP, on `scenario`
 /// (so every controller sees the same demand), and returns the whole
 /// sweep.
-pub fn compare(scenario: &Scenario, periods: &[u64]) -> Comparison {
+pub(crate) fn compare(scenario: &Scenario, periods: &[u64]) -> Comparison {
     let mut kinds: Vec<ControllerKind> = periods
         .iter()
         .map(|&period| ControllerKind::CapBp { period })

@@ -4,9 +4,9 @@ use utilbp_core::Ticks;
 
 use crate::scenario::Backend;
 
-/// Knobs shared by all experiments. [`ExperimentOptions::paper`] reproduces
-/// the paper's Section V setup; [`ExperimentOptions::quick`] is a scaled
-/// version for CI and debug runs.
+/// Knobs shared by all experiments. `ExperimentOptions::paper()`
+/// reproduces the paper's Section V setup; [`ExperimentOptions::quick`] is
+/// a scaled version for CI and debug runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOptions {
     /// Simulation substrate (the paper used SUMO → our microscopic
@@ -23,12 +23,12 @@ pub struct ExperimentOptions {
     pub periods: Vec<u64>,
     /// CAP-BP period used for the Figs. 3/5 trace comparison (the paper
     /// uses Pattern I's optimal period, 18 s per Table III).
-    pub trace_capbp_period: u64,
+    pub(crate) trace_capbp_period: u64,
 }
 
 impl ExperimentOptions {
     /// The paper's full-scale setup.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         ExperimentOptions {
             backend: Backend::Microscopic,
             seed: 2020,

@@ -104,20 +104,20 @@ impl Default for RecoveryConfig {
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// The drill that ran.
-    pub config: RecoveryConfig,
+    pub(crate) config: RecoveryConfig,
     /// The scenario horizon in ticks.
-    pub horizon: u64,
+    pub(crate) horizon: u64,
     /// The tick the crashed run was killed at.
-    pub killed_at: u64,
+    pub(crate) killed_at: u64,
     /// Checkpoints in the simulated on-disk store at the crash.
-    pub store_len: usize,
+    pub(crate) store_len: usize,
     /// Damaged checkpoints rejected by integrity validation during
     /// recovery (with their typed errors, newest first).
-    pub rejected: Vec<String>,
+    pub(crate) rejected: Vec<String>,
     /// The tick of the checkpoint recovery resumed from.
-    pub resumed_from: u64,
+    pub(crate) resumed_from: u64,
     /// Ticks replayed between the resume point and the horizon.
-    pub fast_forwarded: u64,
+    pub(crate) fast_forwarded: u64,
     /// The resumed run's outcome (verified equal to the uninterrupted
     /// run's), which names the scenario and the backend.
     pub outcome: ScenarioOutcome,

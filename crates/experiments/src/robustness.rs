@@ -17,13 +17,13 @@ use crate::scenario::Scenario;
 #[derive(Debug, Clone)]
 pub struct RobustnessResult {
     /// The pattern studied.
-    pub pattern: Pattern,
+    pub(crate) pattern: Pattern,
     /// The seeds used.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// Improvement (%) of UTIL-BP over best-period CAP-BP, one per seed.
-    pub improvements_pct: Vec<f64>,
+    pub(crate) improvements_pct: Vec<f64>,
     /// Aggregate statistics over the improvements.
-    pub stats: SummaryStats,
+    pub(crate) stats: SummaryStats,
 }
 
 impl RobustnessResult {

@@ -88,12 +88,12 @@ impl ControllerKind {
     }
 
     /// Builds `n` controller instances (one per intersection).
-    pub fn build_n(&self, n: usize) -> Vec<Box<dyn SignalController>> {
+    pub(crate) fn build_n(&self, n: usize) -> Vec<Box<dyn SignalController>> {
         (0..n).map(|_| self.build()).collect()
     }
 
     /// A display label including the period where applicable.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match *self {
             ControllerKind::UtilBp => "UTIL-BP".to_string(),
             ControllerKind::UtilBpWith(config) => match (config.gain_mode, config.g_star) {
@@ -123,18 +123,18 @@ impl ControllerKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Grid network parameters.
-    pub grid: GridSpec,
+    pub(crate) grid: GridSpec,
     /// Arrival schedule (Table II pattern or the mixed sequence).
-    pub schedule: DemandSchedule,
+    pub(crate) schedule: DemandSchedule,
     /// Turning probabilities (Table I).
-    pub turning: TurningProbabilities,
+    pub(crate) turning: TurningProbabilities,
     /// Demand RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Simulation substrate.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// Microscopic parameters (used when `backend` is
     /// [`Backend::Microscopic`]).
-    pub micro: MicroSimConfig,
+    pub(crate) micro: MicroSimConfig,
 }
 
 impl Scenario {
@@ -151,7 +151,7 @@ impl Scenario {
     }
 
     /// The scheduled horizon in ticks.
-    pub fn horizon(&self) -> Ticks {
+    pub(crate) fn horizon(&self) -> Ticks {
         self.schedule.total_duration()
     }
 }

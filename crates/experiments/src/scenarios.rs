@@ -23,7 +23,7 @@ pub struct ScenarioRow {
 #[derive(Debug, Clone)]
 pub struct ScenarioComparison {
     /// Controller labels, column order.
-    pub controllers: Vec<String>,
+    pub(crate) controllers: Vec<String>,
     /// One row per scenario × backend.
     pub rows: Vec<ScenarioRow>,
 }

@@ -23,7 +23,7 @@ pub struct Table3Row {
 impl Table3Row {
     /// The row for `pattern` summarizing one comparison: CAP-BP at its
     /// best period against UTIL-BP.
-    pub fn new(pattern: &str, comparison: &Comparison) -> Self {
+    pub(crate) fn new(pattern: &str, comparison: &Comparison) -> Self {
         let (best_period, capbp_s) = comparison.best_capbp();
         Table3Row {
             pattern: pattern.to_string(),
@@ -34,7 +34,7 @@ impl Table3Row {
     }
 
     /// UTIL-BP's improvement over best-period CAP-BP, percent.
-    pub fn improvement_pct(&self) -> f64 {
+    pub(crate) fn improvement_pct(&self) -> f64 {
         improvement_pct(self.capbp_s, self.utilbp_s)
     }
 }
@@ -51,7 +51,7 @@ pub struct Table3Result {
 impl Table3Result {
     /// Mean improvement across all rows (the paper reports ~13 % on
     /// average).
-    pub fn mean_improvement_pct(&self) -> f64 {
+    pub(crate) fn mean_improvement_pct(&self) -> f64 {
         self.rows.iter().map(|r| r.improvement_pct()).sum::<f64>() / self.rows.len() as f64
     }
 

@@ -56,21 +56,21 @@ impl Default for TraceOptions {
 pub struct TraceReport {
     /// The replayed scenario's aggregate outcome (bit-identical to an
     /// uninstrumented run).
-    pub outcome: ScenarioOutcome,
+    pub(crate) outcome: ScenarioOutcome,
     /// The per-intersection phases × faults × fallbacks timeline.
-    pub timeline: String,
+    pub(crate) timeline: String,
     /// The retained event stream as JSON Lines (byte-deterministic).
-    pub events_jsonl: String,
+    pub(crate) events_jsonl: String,
     /// The rendered profile table and the decide calls per tick, when
     /// profiling was requested.
-    pub profile_table: Option<String>,
+    pub(crate) profile_table: Option<String>,
     /// An ascii chart of the backlog / congested-set gauges.
-    pub gauge_chart: String,
+    pub(crate) gauge_chart: String,
     /// Events accepted by the recorder over the replay.
-    pub recorded: u64,
+    pub(crate) recorded: u64,
     /// Events evicted from the ring buffer (0 when `capacity` held
     /// the whole stream).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// Replays `spec` with recording on and renders the observability

@@ -27,7 +27,7 @@ pub struct Pattern1Detail {
     /// Fig. 5 (dashed): queue at the east approach under UTIL-BP.
     pub utilbp_queue: TimeSeries,
     /// The CAP-BP period used (the paper's Pattern I optimum).
-    pub capbp_period: u64,
+    pub(crate) capbp_period: u64,
 }
 
 impl Pattern1Detail {
@@ -68,31 +68,6 @@ impl Pattern1Detail {
             self.utilbp_queue.max().unwrap_or(0.0),
         ));
         out
-    }
-
-    /// Mean green dwell (ticks) per activation, per controller — the
-    /// variable-length-phase evidence (Fig. 4's long phases 1–2).
-    pub fn mean_green_dwell(&self) -> (f64, f64) {
-        (
-            mean_green(&self.capbp_trace),
-            mean_green(&self.utilbp_trace),
-        )
-    }
-}
-
-fn mean_green(trace: &PhaseTrace) -> f64 {
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for phase in 1..=4u8 {
-        for d in trace.run_lengths(phase) {
-            total += d.count();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
     }
 }
 
@@ -222,9 +197,6 @@ mod tests {
         let f5 = d.render_fig5();
         assert!(f5.contains("Fig. 5"));
         assert!(f5.contains("CAP-BP"));
-        let (cap_dwell, util_dwell) = d.mean_green_dwell();
-        assert!(cap_dwell > 0.0);
-        assert!(util_dwell > 0.0);
     }
 
     #[test]

@@ -24,20 +24,20 @@ pub struct TradeoffRow {
     /// The `β` penalty used.
     pub beta: f64,
     /// Average queuing time, seconds.
-    pub avg_queuing_time_s: f64,
+    pub(crate) avg_queuing_time_s: f64,
     /// Completed journeys.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Amber activations at the probed (top-right) intersection.
-    pub ambers: usize,
+    pub(crate) ambers: usize,
 }
 
 /// The trade-off sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeoffResult {
     /// The pattern used.
-    pub pattern: Pattern,
+    pub(crate) pattern: Pattern,
     /// One row per penalty combination.
-    pub rows: Vec<TradeoffRow>,
+    pub(crate) rows: Vec<TradeoffRow>,
 }
 
 impl TradeoffResult {
@@ -77,7 +77,7 @@ impl TradeoffResult {
 
 /// The penalty combinations swept: the paper's default, magnitude
 /// variations, and the reversed ordering the paper mentions.
-pub fn penalty_grid() -> Vec<(f64, f64)> {
+pub(crate) fn penalty_grid() -> Vec<(f64, f64)> {
     vec![
         (-1.0, -2.0), // the paper's choice: full exits rank worst
         (-2.0, -1.0), // reversed: empty approaches rank worst

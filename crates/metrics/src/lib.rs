@@ -13,9 +13,7 @@
 //!   vehicles that entered; the ledger tracks no live vehicle, each
 //!   carries its entry tick and wait on the simulator's record;
 //! - [`TextTable`] and [`ascii_chart`] — diffable plain-text rendering of
-//!   tables and figure shapes;
-//! - [`Histogram`] — fixed-bin percentiles (the tick profiler's lap-time
-//!   tails; step timing itself lives in `utilbp-telemetry`).
+//!   tables and figure shapes.
 //!
 //! ```
 //! use utilbp_core::Tick;
@@ -34,15 +32,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-mod histogram;
 mod render;
 mod series;
 mod summary;
 mod trace;
 mod waiting;
 
-pub use histogram::Histogram;
 pub use render::{ascii_chart, TextTable};
 pub use series::TimeSeries;
 pub use summary::SummaryStats;

@@ -50,11 +50,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned pipes and a separator row.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -82,32 +77,6 @@ impl TextTable {
         out.push_str(&sep);
         for row in &self.rows {
             out.push_str(&render_row(row, &widths));
-        }
-        out
-    }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &str| -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
         }
         out
     }
@@ -230,18 +199,9 @@ mod tests {
         let mut t = TextTable::new(["a", "b"]);
         t.push_row(["only-one"]);
         t.push_row(["1", "2", "3-dropped"]);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
         let s = t.render();
         assert!(!s.contains("3-dropped"));
-    }
-
-    #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = TextTable::new(["name", "value"]);
-        t.push_row(["with,comma", "with\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\""));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::SummaryStats;
 /// queue_len.push(Tick::new(0), 0.0);
 /// queue_len.push(Tick::new(1), 3.0);
 /// assert_eq!(queue_len.len(), 2);
-/// assert_eq!(queue_len.last(), Some((Tick::new(1), 3.0)));
+/// assert_eq!(queue_len.points()[1], (Tick::new(1), 3.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -74,13 +74,8 @@ impl TimeSeries {
         &self.points
     }
 
-    /// The most recent sample.
-    pub fn last(&self) -> Option<(Tick, f64)> {
-        self.points.last().copied()
-    }
-
     /// Summary statistics over the values.
-    pub fn stats(&self) -> SummaryStats {
+    pub(crate) fn stats(&self) -> SummaryStats {
         let mut s = SummaryStats::new();
         for &(_, v) in &self.points {
             s.record(v);
@@ -112,15 +107,6 @@ impl TimeSeries {
             points: self.points.iter().step_by(stride).copied().collect(),
         }
     }
-
-    /// Renders the series as two-column CSV (`tick,value`) with a header.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("tick,value\n");
-        for &(t, v) in &self.points {
-            out.push_str(&format!("{},{}\n", t.index(), v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +121,7 @@ mod tests {
         s.push(Tick::new(2), 5.0);
         s.push(Tick::new(2), 6.0); // equal ticks allowed
         assert_eq!(s.len(), 3);
-        assert_eq!(s.last(), Some((Tick::new(2), 6.0)));
+        assert_eq!(s.points().last(), Some(&(Tick::new(2), 6.0)));
         assert_eq!(s.points()[1], (Tick::new(2), 5.0));
         assert_eq!(s.name(), "s");
     }
@@ -169,16 +155,5 @@ mod tests {
         let ticks: Vec<u64> = d.iter().map(|(t, _)| t.index()).collect();
         assert_eq!(ticks, vec![0, 4, 8]);
         assert_eq!(d.name(), "s");
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut s = TimeSeries::new("s");
-        s.push(Tick::new(1), 2.5);
-        let csv = s.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("tick,value"));
-        assert_eq!(lines.next(), Some("1,2.5"));
-        assert_eq!(lines.next(), None);
     }
 }

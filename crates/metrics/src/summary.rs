@@ -16,7 +16,7 @@
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
@@ -82,13 +82,8 @@ impl SummaryStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample variance (Bessel-corrected), or 0 for fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -118,7 +113,7 @@ impl SummaryStats {
     ///
     /// [`StateError`](utilbp_core::state::StateError) on a truncated
     /// stream.
-    pub fn load_state(
+    pub(crate) fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
         Ok(SummaryStats {

@@ -21,8 +21,7 @@ use utilbp_core::{PhaseDecision, Tick, Ticks};
 /// trace.record(Tick::new(1), PhaseDecision::Control(PhaseId::new(0)));
 /// trace.record(Tick::new(2), PhaseDecision::Transition);
 /// assert_eq!(trace.num_switches(), 1);
-/// assert_eq!(trace.value_at(Tick::new(1)), Some(1));
-/// assert_eq!(trace.value_at(Tick::new(2)), Some(0));
+/// assert_eq!(trace.expand(), [1, 1, 0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTrace {
@@ -77,18 +76,6 @@ impl PhaseTrace {
         self.end
     }
 
-    /// The trace value applied at `tick`, if within the recorded range.
-    pub fn value_at(&self, tick: Tick) -> Option<u8> {
-        if tick >= self.end {
-            return None;
-        }
-        match self.runs.binary_search_by(|&(start, _)| start.cmp(&tick)) {
-            Ok(i) => Some(self.runs[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.runs[i - 1].1),
-        }
-    }
-
     /// Number of value changes (each paid transition *and* each phase
     /// activation counts as one change).
     pub fn num_switches(&self) -> usize {
@@ -138,19 +125,6 @@ impl PhaseTrace {
         }
         out
     }
-
-    /// Renders the trace as CSV (`tick,phase`) using the run-length
-    /// boundaries (one row per change, plus the final end row).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("tick,phase\n");
-        for &(t, v) in &self.runs {
-            out.push_str(&format!("{},{}\n", t.index(), v));
-        }
-        if let Some(&(_, last)) = self.runs.last() {
-            out.push_str(&format!("{},{}\n", self.end.index(), last));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -195,10 +169,7 @@ mod tests {
         for k in 6..9 {
             t.record(Tick::new(k), control(1));
         }
-        assert_eq!(t.value_at(Tick::new(0)), Some(2));
-        assert_eq!(t.value_at(Tick::new(5)), Some(0));
-        assert_eq!(t.value_at(Tick::new(8)), Some(2));
-        assert_eq!(t.value_at(Tick::new(9)), None, "past the end");
+        assert_eq!(t.expand(), [2, 2, 2, 2, 0, 0, 2, 2, 2]);
         assert_eq!(t.time_at(2), Ticks::new(7));
         assert_eq!(t.time_at(0), Ticks::new(2));
         assert_eq!(t.run_lengths(2), vec![Ticks::new(4), Ticks::new(3)]);
@@ -218,17 +189,6 @@ mod tests {
         let t = PhaseTrace::new("x");
         assert_eq!(t.segments().len(), 0);
         assert_eq!(t.num_switches(), 0);
-        assert_eq!(t.value_at(Tick::ZERO), None);
         assert_eq!(t.expand(), Vec::<u8>::new());
-        assert_eq!(t.to_csv(), "tick,phase\n");
-    }
-
-    #[test]
-    fn csv_includes_boundaries() {
-        let mut t = PhaseTrace::new("x");
-        t.record(Tick::new(0), control(0));
-        t.record(Tick::new(1), PhaseDecision::Transition);
-        let csv = t.to_csv();
-        assert_eq!(csv, "tick,phase\n0,1\n1,0\n2,0\n");
     }
 }

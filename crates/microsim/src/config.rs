@@ -109,7 +109,7 @@ impl MicroSimConfig {
     }
 
     /// Jam spacing: road length consumed per stopped vehicle.
-    pub fn jam_spacing_m(&self) -> f64 {
+    pub(crate) fn jam_spacing_m(&self) -> f64 {
         self.vehicle_length_m + self.min_gap_m
     }
 
@@ -118,7 +118,7 @@ impl MicroSimConfig {
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let positive = [
             ("dt_seconds", self.dt_seconds),
             ("free_speed_mps", self.free_speed_mps),

@@ -41,7 +41,7 @@ pub enum LeaderInfo {
 }
 
 /// Krauss safe speed for a follower at `speed` facing `leader`.
-pub fn safe_speed(speed: f64, leader: LeaderInfo, cfg: &MicroSimConfig) -> f64 {
+pub(crate) fn safe_speed(speed: f64, leader: LeaderInfo, cfg: &MicroSimConfig) -> f64 {
     let (gap, v_l) = match leader {
         LeaderInfo::Free => return f64::INFINITY,
         LeaderInfo::Wall { distance_m } => (distance_m, 0.0),

@@ -113,10 +113,10 @@
 //!
 //! **Reusable scratch.** One `ObservationBuffer` (one observation per
 //! intersection) and the caller's `StepReport` are rewritten in place
-//! every tick via [`MicroSim::step_into`] /
-//! [`MicroSim::observe_into`], so the steady-state step path performs no
-//! heap allocation (bounded by a counting-allocator regression test).
-//! The allocating `step`/`observe` remain as thin convenience wrappers.
+//! every tick via [`MicroSim::step_into`], so the steady-state step path
+//! performs no heap allocation (bounded by a counting-allocator
+//! regression test). The allocating `step` remains as a thin convenience
+//! wrapper.
 //! Handed a `utilbp_telemetry::TickProfiler`, the same `step_into` laps
 //! its four phase groups into the profiler's `Section`s for `trace
 //! --profile`, the scenario engine and the perf harness.
@@ -141,6 +141,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod krauss;
@@ -148,7 +149,7 @@ mod road;
 mod sim;
 
 pub use config::{LaneDiscipline, MicroSimConfig};
-pub use krauss::{next_speed, safe_speed, LeaderInfo};
+pub use krauss::{next_speed, LeaderInfo};
 pub use sim::{MicroSim, StepReport};
 
 #[cfg(test)]
@@ -396,8 +397,9 @@ mod tests {
             sim.step(arrivals);
         }
         for i in g.topology().intersection_ids() {
-            let obs = sim.observe(i);
             let node = g.topology().intersection(i);
+            let mut obs = utilbp_core::QueueObservation::zeros(node.layout());
+            sim.observe_into(i, &mut obs);
             for link in node.layout().link_ids() {
                 assert_eq!(obs.movement(link), sim.movement_queue_len(i, link));
                 assert!(

@@ -109,13 +109,13 @@ pub(crate) struct VehicleArena {
 
 impl VehicleArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VehicleArena::default()
     }
 
     /// Admits a vehicle that entered the network at `entered`, starting
     /// its route; returns its slot.
-    pub fn insert(&mut self, id: VehicleId, entered: Tick, route: Arc<Route>) -> u32 {
+    pub(crate) fn insert(&mut self, id: VehicleId, entered: Tick, route: Arc<Route>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
@@ -137,29 +137,29 @@ impl VehicleArena {
 
     /// Retires a slot (journey complete); returns the vehicle's entry
     /// tick.
-    pub fn release(&mut self, slot: u32) -> Tick {
+    pub(crate) fn release(&mut self, slot: u32) -> Tick {
         self.free.push(slot);
         self.entered[slot as usize]
     }
 
     /// The external id of a live slot.
-    pub fn id(&self, slot: u32) -> VehicleId {
+    pub(crate) fn id(&self, slot: u32) -> VehicleId {
         self.id[slot as usize]
     }
 
     /// The route of a live slot.
-    pub fn route(&self, slot: u32) -> &Arc<Route> {
+    pub(crate) fn route(&self, slot: u32) -> &Arc<Route> {
         &self.route[slot as usize]
     }
 
     /// The route cursor: index of the next intersection to cross
     /// (== route length once on a boundary exit road).
-    pub fn hop(&self, slot: u32) -> usize {
+    pub(crate) fn hop(&self, slot: u32) -> usize {
         self.hop[slot as usize] as usize
     }
 
     /// Advances the route cursor past a crossed intersection.
-    pub fn bump_hop(&mut self, slot: u32) {
+    pub(crate) fn bump_hop(&mut self, slot: u32) {
         self.hop[slot as usize] += 1;
     }
 
@@ -167,7 +167,7 @@ impl VehicleArena {
     /// must preserve every hop up to and including the current cursor —
     /// the vehicle's lane (and, while crossing, its destination lane) is
     /// bound to that movement, and the lanes cache its link index.
-    pub fn set_route(&mut self, slot: u32, route: Arc<Route>) {
+    pub(crate) fn set_route(&mut self, slot: u32, route: Arc<Route>) {
         let i = slot as usize;
         debug_assert!(
             route.hops()[..=self.hop[i] as usize] == self.route[i].hops()[..=self.hop[i] as usize],
@@ -178,7 +178,7 @@ impl VehicleArena {
 
     /// Which slots hold a live vehicle (`mask[slot]`), for validating
     /// slot words read from a checkpoint before they index the slab.
-    pub fn live_mask(&self) -> Vec<bool> {
+    pub(crate) fn live_mask(&self) -> Vec<bool> {
         let mut mask = vec![true; self.id.len()];
         for &slot in &self.free {
             mask[slot as usize] = false;
@@ -191,7 +191,7 @@ impl VehicleArena {
     /// and freed slots not at all — their stale ids and routes are
     /// allocator residue, so normalizing them away makes
     /// save → load → save a byte-level fixed point.
-    pub fn save_state(&self, writer: &mut StateWriter) {
+    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
         writer.push_usize(self.id.len());
         writer.push_usize(self.free.len());
         for &slot in &self.free {
@@ -219,7 +219,7 @@ impl VehicleArena {
     /// list longer than the stream could hold, a free-list entry out of
     /// range, or a live vehicle's id or entry tick out of range
     /// (`"vehicle id"`, `"vehicle entry tick"`).
-    pub fn load_state(
+    pub(crate) fn load_state(
         &mut self,
         reader: &mut StateReader<'_>,
         ids: u64,
@@ -277,14 +277,14 @@ pub(crate) struct SensorSpec {
     /// Stop-line-relative detector start: a vehicle at `pos >=
     /// detect_from` is inside the detection window. `NEG_INFINITY` for an
     /// infinite detector range.
-    pub detect_from: f64,
+    pub(crate) detect_from: f64,
     /// Speed below which a vehicle counts as halted.
-    pub halt_speed: f64,
+    pub(crate) halt_speed: f64,
 }
 
 impl SensorSpec {
     /// The spec for a road of `length` under `cfg`.
-    pub fn for_road(length: f64, cfg: &MicroSimConfig) -> Self {
+    pub(crate) fn for_road(length: f64, cfg: &MicroSimConfig) -> Self {
         SensorSpec {
             detect_from: if cfg.detection_range_m.is_finite() {
                 length - cfg.detection_range_m
@@ -387,7 +387,7 @@ impl NetworkLanes {
     /// the offset-dequeue plateau so pushes never reallocate: a segment
     /// is compacted before `head` exceeds `max(32, fill - head)`,
     /// bounding occupancy at twice that (plus the entry in flight).
-    pub fn new(shapes: &[(usize, usize)]) -> Self {
+    pub(crate) fn new(shapes: &[(usize, usize)]) -> Self {
         let mut spans = Vec::with_capacity(shapes.len());
         let (mut start, mut lane0) = (0usize, 0usize);
         for &(num_lanes, capacity) in shapes {
@@ -428,71 +428,71 @@ impl NetworkLanes {
 
     /// Global index of road `r`'s first lane: lane `l` of road `r` is
     /// lane `lane0(r) + l` of every network-wide per-lane array.
-    pub fn lane0(&self, r: usize) -> usize {
+    pub(crate) fn lane0(&self, r: usize) -> usize {
         self.spans[r].lane0
     }
 
     /// Total lanes across the network.
-    pub fn total_lanes(&self) -> usize {
+    pub(crate) fn total_lanes(&self) -> usize {
         self.lanes.len()
     }
 
     /// Number of lanes of road `r`.
-    pub fn num_lanes(&self, r: usize) -> usize {
+    pub(crate) fn num_lanes(&self, r: usize) -> usize {
         self.spans[r].num_lanes
     }
 
     /// Number of vehicles on lane `l` of road `r`.
-    pub fn len(&self, r: usize, l: usize) -> usize {
+    pub(crate) fn len(&self, r: usize, l: usize) -> usize {
         let m = self.meta(r, l);
         m.fill - m.head
     }
 
     /// Whether lane `l` of road `r` is empty.
-    pub fn is_empty(&self, r: usize, l: usize) -> bool {
+    pub(crate) fn is_empty(&self, r: usize, l: usize) -> bool {
         let m = self.meta(r, l);
         m.head == m.fill
     }
 
     /// Vehicles on road `r`'s lanes (the incrementally maintained count
     /// behind the active-road list).
-    pub fn road_len(&self, r: usize) -> usize {
+    pub(crate) fn road_len(&self, r: usize) -> usize {
         self.spans[r].live as usize
     }
 
     /// Total vehicles on lanes across the whole network.
-    pub fn total_vehicles(&self) -> usize {
+    pub(crate) fn total_vehicles(&self) -> usize {
         self.spans.iter().map(|s| s.live as usize).sum()
     }
 
     /// Position of the `i`-th vehicle from the head of lane `l` of road
     /// `r`.
-    pub fn pos_at(&self, r: usize, l: usize, i: usize) -> f64 {
+    pub(crate) fn pos_at(&self, r: usize, l: usize, i: usize) -> f64 {
         self.pv[self.lane_base(r, l) + self.meta(r, l).head + i][0]
     }
 
     /// Speed of the `i`-th vehicle from the head of lane `l` of road
     /// `r`.
-    pub fn speed_at(&self, r: usize, l: usize, i: usize) -> f64 {
+    pub(crate) fn speed_at(&self, r: usize, l: usize, i: usize) -> f64 {
         self.pv[self.lane_base(r, l) + self.meta(r, l).head + i][1]
     }
 
     /// Arena slot of the `i`-th vehicle from the head of lane `l` of
     /// road `r`.
-    pub fn slot_at(&self, r: usize, l: usize, i: usize) -> u32 {
+    pub(crate) fn slot_at(&self, r: usize, l: usize, i: usize) -> u32 {
         self.slot[self.lane_base(r, l) + self.meta(r, l).head + i]
     }
 
     /// Cached movement link index of the `i`-th vehicle from the head of
     /// lane `l` of road `r`.
-    pub fn link_at(&self, r: usize, l: usize, i: usize) -> u16 {
+    pub(crate) fn link_at(&self, r: usize, l: usize, i: usize) -> u16 {
         self.link[self.lane_base(r, l) + self.meta(r, l).head + i]
     }
 
     /// The active waiting accumulators of every vehicle in the network —
     /// roads in index order, lanes in order, head first (the canonical
     /// fleet-walk order shared with `fleet_digest` and `replan_routes`).
-    pub fn all_waits(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn all_waits(&self) -> impl Iterator<Item = u64> + '_ {
         self.spans.iter().flat_map(move |span| {
             (0..span.num_lanes).flat_map(move |l| {
                 let m = self.lanes[span.lane0 + l];
@@ -509,7 +509,7 @@ impl NetworkLanes {
     /// road's `sensor_add`. Maintains the road's live count and the
     /// active-road list.
     #[allow(clippy::too_many_arguments)]
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         r: usize,
         l: usize,
@@ -538,7 +538,7 @@ impl NetworkLanes {
     /// crossing); returns its arena slot and accumulated waiting.
     /// Segments are compacted amortizedly, so popping is O(1) and
     /// allocation-free. Maintains the live count / active-road list.
-    pub fn pop_head(&mut self, r: usize, l: usize) -> (u32, u64) {
+    pub(crate) fn pop_head(&mut self, r: usize, l: usize) -> (u32, u64) {
         let span = self.spans[r];
         let base = span.start + l * span.seg;
         let li = span.lane0 + l;
@@ -563,7 +563,7 @@ impl NetworkLanes {
     /// Position of the last vehicle of lane `l` of road `r` (smallest
     /// `pos`), or `length` if empty — the space available at the lane
     /// entry.
-    pub fn tail_position(&self, r: usize, l: usize, length: f64) -> f64 {
+    pub(crate) fn tail_position(&self, r: usize, l: usize, length: f64) -> f64 {
         let m = self.meta(r, l);
         if m.head == m.fill {
             length
@@ -574,14 +574,20 @@ impl NetworkLanes {
 
     /// Whether a new vehicle can be placed at `pos = 0` on lane `l` of
     /// road `r` while keeping jam spacing to the current tail.
-    pub fn entry_clear(&self, r: usize, l: usize, length: f64, cfg: &MicroSimConfig) -> bool {
+    pub(crate) fn entry_clear(
+        &self,
+        r: usize,
+        l: usize,
+        length: f64,
+        cfg: &MicroSimConfig,
+    ) -> bool {
         self.tail_position(r, l, length) >= cfg.jam_spacing_m()
     }
 
     /// Recomputes lane `l` of road `r`'s sensor counters by rescanning
     /// (used when validating the incremental-sensing invariant kept in
     /// the road's dense counter arrays).
-    pub fn rescan_sensors(&self, r: usize, l: usize, spec: SensorSpec) -> (u32, u32) {
+    pub(crate) fn rescan_sensors(&self, r: usize, l: usize, spec: SensorSpec) -> (u32, u32) {
         let live = self.live(r, l);
         let detected = live.iter().filter(|pv| pv[0] >= spec.detect_from).count() as u32;
         let halted = live.iter().filter(|pv| pv[1] < spec.halt_speed).count() as u32;
@@ -593,7 +599,7 @@ impl NetworkLanes {
     /// (including the arena's road spans) are amortization artifacts,
     /// not state: restoring at `head = 0` yields identical physics, and
     /// canonicalizing makes save → load → save a fixed point.
-    pub fn save_lane(&self, r: usize, l: usize, writer: &mut StateWriter) {
+    pub(crate) fn save_lane(&self, r: usize, l: usize, writer: &mut StateWriter) {
         let base = self.lane_base(r, l);
         let m = self.meta(r, l);
         writer.push_usize(m.fill - m.head);
@@ -621,7 +627,7 @@ impl NetworkLanes {
     /// vehicle slot that is not a live arena slot still `unplaced` (it
     /// starts as [`VehicleArena::live_mask`]; each vehicle loaded clears
     /// its slot, so two vehicles cannot share one).
-    pub fn load_lane(
+    pub(crate) fn load_lane(
         &mut self,
         r: usize,
         l: usize,
@@ -665,18 +671,18 @@ impl NetworkLanes {
     }
 
     /// Number of roads currently holding vehicles.
-    pub fn num_active(&self) -> usize {
+    pub(crate) fn num_active(&self) -> usize {
         self.active.len()
     }
 
     /// The `ai`-th active road (ascending road-index order).
-    pub fn active_road(&self, ai: usize) -> usize {
+    pub(crate) fn active_road(&self, ai: usize) -> usize {
         self.active[ai] as usize
     }
 
     /// The sorted active-road list (diagnostics and tests).
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn active_roads(&self) -> &[u32] {
+    pub(crate) fn active_roads(&self) -> &[u32] {
         &self.active
     }
 
@@ -687,7 +693,7 @@ impl NetworkLanes {
     /// # Errors
     ///
     /// Returns a message naming the first divergent road.
-    pub fn verify_active(&self) -> Result<(), String> {
+    pub(crate) fn verify_active(&self) -> Result<(), String> {
         for (r, span) in self.spans.iter().enumerate() {
             let count: usize = (0..span.num_lanes)
                 .map(|l| {
@@ -718,7 +724,7 @@ impl NetworkLanes {
     /// The follower phase's entry: a view over the hot arrays plus the
     /// road spans and the active list — everything the sweep needs,
     /// borrowed disjointly and allocation-free.
-    pub fn follower_parts(&mut self) -> (LaneView<'_>, &[RoadSpan], &[u32]) {
+    pub(crate) fn follower_parts(&mut self) -> (LaneView<'_>, &[RoadSpan], &[u32]) {
         (
             LaneView {
                 pv: &mut self.pv,
@@ -885,14 +891,14 @@ pub(crate) fn claim_slot(
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MovementCounters {
     /// Vehicles on the road bound for each link (any position).
-    pub total: Vec<u32>,
+    pub(crate) total: Vec<u32>,
     /// Vehicles bound for each link within the detection window.
-    pub detected: Vec<u32>,
+    pub(crate) detected: Vec<u32>,
 }
 
 impl MovementCounters {
     /// Counters for a destination layout with `num_links` links.
-    pub fn new(num_links: usize) -> Self {
+    pub(crate) fn new(num_links: usize) -> Self {
         MovementCounters {
             total: vec![0; num_links],
             detected: vec![0; num_links],
@@ -900,7 +906,7 @@ impl MovementCounters {
     }
 
     /// Registers a vehicle bound for `link` appearing on the road.
-    pub fn add(&mut self, link: usize, pos: f64, spec: SensorSpec) {
+    pub(crate) fn add(&mut self, link: usize, pos: f64, spec: SensorSpec) {
         self.total[link] += 1;
         if pos >= spec.detect_from {
             self.detected[link] += 1;
@@ -942,11 +948,11 @@ pub(crate) enum HeadMode {
 /// for the caller to fold into the road's dense counter arrays.
 pub(crate) struct HeadOutcome {
     /// `Some((slot, wait))` if the head crossed the stop line.
-    pub crossed: Option<(u32, u64)>,
+    pub(crate) crossed: Option<(u32, u64)>,
     /// Detection-window occupancy delta.
-    pub detected_delta: i32,
+    pub(crate) detected_delta: i32,
     /// Halted-count delta.
-    pub halted_delta: i32,
+    pub(crate) halted_delta: i32,
 }
 
 /// Advances only the head vehicle of lane `l` of road `r` by one step,
@@ -1036,14 +1042,14 @@ pub(crate) fn advance_head(
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct LaneSensors {
     /// Vehicles inside the detection window, per lane.
-    pub detected: Vec<u32>,
+    pub(crate) detected: Vec<u32>,
     /// Halted vehicles, per lane.
-    pub halted: Vec<u32>,
+    pub(crate) halted: Vec<u32>,
 }
 
 impl LaneSensors {
     /// Zeroed counters for `lanes` lanes.
-    pub fn new(lanes: usize) -> Self {
+    pub(crate) fn new(lanes: usize) -> Self {
         LaneSensors {
             detected: vec![0; lanes],
             halted: vec![0; lanes],

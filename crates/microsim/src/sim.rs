@@ -204,17 +204,17 @@ struct Counters {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// The instant that was simulated.
-    pub tick: Tick,
+    pub(crate) tick: Tick,
     /// The decision applied at each intersection, indexed by
     /// `IntersectionId`.
     pub decisions: Vec<PhaseDecision>,
     /// Stop-line crossings started this step.
-    pub crossings: u32,
+    pub(crate) crossings: u32,
     /// Vehicles that left the network this step.
-    pub completed: u32,
+    pub(crate) completed: u32,
     /// Vehicles inserted at boundary entries this step (excluding those
     /// pushed to a backlog).
-    pub injected: u32,
+    pub(crate) injected: u32,
 }
 
 impl StepReport {
@@ -346,7 +346,8 @@ impl MicroSim {
     /// # Panics
     ///
     /// Panics if the controller count does not match the intersection
-    /// count or if `config` fails [`MicroSimConfig::validate`].
+    /// count or if a `config` field is out of range (see each field of
+    /// [`MicroSimConfig`]).
     pub fn new(
         topology: NetworkTopology,
         controllers: Vec<Box<dyn SignalController>>,
@@ -498,16 +499,6 @@ impl MicroSim {
             pending: vec![0; num_lanes],
             lane_green: vec![false; num_lanes],
         }
-    }
-
-    /// The simulated network.
-    pub fn topology(&self) -> &NetworkTopology {
-        &self.topology
-    }
-
-    /// The simulator configuration.
-    pub fn config(&self) -> &MicroSimConfig {
-        &self.config
     }
 
     /// The current instant (the next tick to be simulated).
@@ -699,32 +690,21 @@ impl MicroSim {
         self.roads[road.index()].entered
     }
 
-    /// The queue observation the controller at `intersection` sees.
-    ///
-    /// Allocates a fresh observation; the step pipeline itself uses
-    /// [`observe_into`](Self::observe_into) over a reused
-    /// [`ObservationBuffer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intersection` is out of range.
-    pub fn observe(&self, intersection: IntersectionId) -> QueueObservation {
-        let layout = self.topology.intersection(intersection).layout();
-        let mut obs = QueueObservation::zeros(layout);
-        self.observe_into(intersection, &mut obs);
-        obs
-    }
-
-    /// Writes the observation for `intersection` into `obs` (shaped for
-    /// the intersection's layout) without allocating. Returns whether any
-    /// reading differs from the one it overwrote, which is how the sense
-    /// pass marks the intersections whose controllers must decide again.
+    /// Writes the observation the controller at `intersection` sees into
+    /// `obs` (shaped for the intersection's layout) without allocating.
+    /// Returns whether any reading differs from the one it overwrote,
+    /// which is how the sense pass marks the intersections whose
+    /// controllers must decide again.
     ///
     /// # Panics
     ///
     /// Panics if `intersection` is out of range or `obs` has the wrong
     /// shape.
-    pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) -> bool {
+    pub(crate) fn observe_into(
+        &self,
+        intersection: IntersectionId,
+        obs: &mut QueueObservation,
+    ) -> bool {
         // A gather over the flat link and outgoing-road tables: no
         // topology or layout walk.
         let i = intersection.index();

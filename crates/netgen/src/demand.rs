@@ -169,11 +169,6 @@ impl DemandGenerator {
         }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &DemandConfig {
-        &self.config
-    }
-
     /// Number of vehicles generated so far.
     pub fn generated(&self) -> u64 {
         self.next_vehicle

@@ -4,7 +4,7 @@
 //! Each generator assembles a validated [`NetworkTopology`] out of standard
 //! four-way junctions ([`standard::four_way_with`] allows per-arm
 //! capacities, so main roads and side streets can differ) and enumerates
-//! its route sets with [`enumerate_routes`](crate::enumerate_routes),
+//! its route sets with [`enumerate_routes`],
 //! producing a ready-to-drive [`Network`]. The paper's grid becomes one
 //! instance among several topology families:
 //!
@@ -20,6 +20,7 @@
 
 use utilbp_core::standard::{self, Approach};
 
+use crate::grid::wire_grid;
 use crate::network::{enumerate_routes, NetEntry, Network};
 use crate::patterns::TurningProbabilities;
 use crate::topology::{IntersectionId, NetworkTopology, Road, RoadId};
@@ -376,14 +377,6 @@ impl Default for AsymmetricGridSpec {
 }
 
 impl AsymmetricGridSpec {
-    /// Road length and capacity for a road leaving toward `dir`.
-    fn road_params(&self, dir: Approach) -> (f64, u32) {
-        match dir {
-            Approach::North | Approach::South => (self.ns_length_m, self.ns_capacity),
-            Approach::East | Approach::West => (self.ew_length_m, self.ew_capacity),
-        }
-    }
-
     /// Builds the asymmetric grid network.
     ///
     /// # Panics
@@ -391,100 +384,23 @@ impl AsymmetricGridSpec {
     /// Panics if `rows == 0 || cols == 0` or any length/capacity/rate is
     /// not positive.
     pub fn build(&self) -> Network {
-        assert!(self.rows > 0 && self.cols > 0, "grid must be non-empty");
-        let rows = self.rows;
-        let cols = self.cols;
-        // Outgoing-arm capacities in N, E, S, W order.
-        let layout = standard::four_way_with(
-            [
-                self.ns_capacity,
-                self.ew_capacity,
-                self.ns_capacity,
-                self.ew_capacity,
-            ],
+        let (topology, grid_entries) = wire_grid(
+            self.rows,
+            self.cols,
+            (self.ns_length_m, self.ns_capacity),
+            (self.ew_length_m, self.ew_capacity),
             self.service_rate,
         );
-
-        let mut b = NetworkTopology::builder();
-        let iid = |row: u32, col: u32| IntersectionId::new(row * cols + col);
-        let cells = (rows * cols) as usize;
-        let mut incoming = vec![[RoadId::new(0); 4]; cells];
-        let mut outgoing = vec![[RoadId::new(0); 4]; cells];
-        let mut entries: Vec<NetEntry> = Vec::new();
-
-        for row in 0..rows {
-            for col in 0..cols {
-                let here = iid(row, col);
-                for dir in Approach::ALL {
-                    let (length, capacity) = self.road_params(dir);
-                    let neighbor = match dir {
-                        Approach::North => row.checked_sub(1).map(|r| (r, col)),
-                        Approach::South => (row + 1 < rows).then_some((row + 1, col)),
-                        Approach::West => col.checked_sub(1).map(|c| (row, c)),
-                        Approach::East => (col + 1 < cols).then_some((row, col + 1)),
-                    };
-                    match neighbor {
-                        Some((nr, nc)) => {
-                            // Internal roads are created when scanning the
-                            // source cell; each direction once.
-                            let there = iid(nr, nc);
-                            let in_arm = dir.opposite().incoming();
-                            let rid = b.add_road(Road::new(
-                                format!("I({row},{col}):{dir}->I({nr},{nc})"),
-                                Some((here, dir.outgoing())),
-                                Some((there, in_arm)),
-                                length,
-                                capacity,
-                            ));
-                            outgoing[here.index()][dir as usize] = rid;
-                            incoming[there.index()][in_arm.index()] = rid;
-                        }
-                        None => {
-                            let exit = b.add_road(Road::new(
-                                format!("I({row},{col}):{dir}->boundary"),
-                                Some((here, dir.outgoing())),
-                                None,
-                                length,
-                                capacity,
-                            ));
-                            outgoing[here.index()][dir as usize] = exit;
-                            let entry = b.add_road(Road::new(
-                                format!("boundary:{dir}->I({row},{col})"),
-                                None,
-                                Some((here, dir.incoming())),
-                                length,
-                                capacity,
-                            ));
-                            incoming[here.index()][dir as usize] = entry;
-                            let slot = match dir {
-                                Approach::North | Approach::South => col,
-                                Approach::East | Approach::West => row,
-                            };
-                            entries.push(NetEntry {
-                                road: entry,
-                                intersection: here,
-                                base_inter_arrival_s: self.inter_arrival_s[dir as usize],
-                                name: format!("{dir}-{slot}"),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        for (cell, (inc, out)) in incoming.iter().zip(&outgoing).enumerate() {
-            let (row, col) = (cell as u32 / cols, cell as u32 % cols);
-            b.add_intersection(
-                format!("I({row},{col})"),
-                layout.clone(),
-                inc.to_vec(),
-                out.to_vec(),
-            );
-        }
-        let topology = b
-            .build()
-            .expect("asymmetric grid wiring satisfies the invariants");
-        let max_hops = (rows + cols) as usize + 2;
+        let entries = grid_entries
+            .into_iter()
+            .map(|e| NetEntry {
+                road: e.road,
+                intersection: e.intersection,
+                base_inter_arrival_s: self.inter_arrival_s[e.side as usize],
+                name: format!("{}-{}", e.side, e.slot),
+            })
+            .collect();
+        let max_hops = (self.rows + self.cols) as usize + 2;
         finish(topology, entries, &self.turning, 1, max_hops)
     }
 }
@@ -599,6 +515,26 @@ mod tests {
             .find(|e| e.name.starts_with("north"))
             .unwrap();
         assert_eq!(north.base_inter_arrival_s, spec.inter_arrival_s[0]);
+    }
+
+    #[test]
+    fn uniform_asymmetric_grid_is_wired_like_the_grid() {
+        for (rows, cols) in [(1, 1), (2, 3), (3, 3), (5, 4)] {
+            let grid = crate::GridNetwork::new(crate::GridSpec::with_size(rows, cols));
+            let spec = crate::GridSpec::paper();
+            let uniform = AsymmetricGridSpec {
+                rows,
+                cols,
+                ew_length_m: spec.road_length_m,
+                ew_capacity: spec.capacity,
+                ns_length_m: spec.road_length_m,
+                ns_capacity: spec.capacity,
+                service_rate: spec.service_rate,
+                ..AsymmetricGridSpec::default()
+            }
+            .build();
+            assert_eq!(uniform.topology(), grid.topology(), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -67,9 +67,9 @@ impl GridSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GridPos {
     /// Row, 0 = northern row.
-    pub row: u32,
+    pub(crate) row: u32,
     /// Column, 0 = western column.
-    pub col: u32,
+    pub(crate) col: u32,
 }
 
 impl GridPos {
@@ -80,7 +80,7 @@ impl GridPos {
 
     /// The neighboring cell in compass direction `dir`, if inside a
     /// `rows × cols` grid.
-    pub fn neighbor(self, dir: Approach, rows: u32, cols: u32) -> Option<GridPos> {
+    pub(crate) fn neighbor(self, dir: Approach, rows: u32, cols: u32) -> Option<GridPos> {
         match dir {
             Approach::North => self.row.checked_sub(1).map(|r| GridPos::new(r, self.col)),
             Approach::South => (self.row + 1 < rows).then(|| GridPos::new(self.row + 1, self.col)),
@@ -127,8 +127,6 @@ pub struct EntryPoint {
 pub struct GridNetwork {
     spec: GridSpec,
     topology: NetworkTopology,
-    /// Intersection id by `row * cols + col`.
-    ids: Vec<IntersectionId>,
     entries: Vec<EntryPoint>,
 }
 
@@ -139,118 +137,20 @@ impl GridNetwork {
     ///
     /// Panics if `spec.rows == 0 || spec.cols == 0`.
     pub fn new(spec: GridSpec) -> Self {
-        assert!(spec.rows > 0 && spec.cols > 0, "grid must be non-empty");
-        let rows = spec.rows;
-        let cols = spec.cols;
-        let layout = standard::four_way(spec.capacity, spec.service_rate);
-
-        let mut builder = NetworkTopology::builder();
-        let iid = |pos: GridPos| IntersectionId::new(pos.row * cols + pos.col);
-
-        // First pass: create all roads, remembering per-intersection arms.
-        // Internal roads are created once, when scanning their *source*
-        // intersection; the incoming slot of the destination is filled from
-        // the same id.
-        let cells = (rows * cols) as usize;
-        let mut incoming: Vec<Vec<Option<RoadId>>> = vec![vec![None; 4]; cells];
-        let mut outgoing: Vec<Vec<Option<RoadId>>> = vec![vec![None; 4]; cells];
-        let mut entries = Vec::new();
-
-        for row in 0..rows {
-            for col in 0..cols {
-                let pos = GridPos::new(row, col);
-                let here = iid(pos);
-                for dir in Approach::ALL {
-                    let out_arm = dir.outgoing();
-                    if outgoing[here.index()][out_arm.index()].is_none() {
-                        match pos.neighbor(dir, rows, cols) {
-                            Some(npos) => {
-                                // Internal road: leaves `here` toward `dir`,
-                                // arrives at the neighbor from the opposite
-                                // arm.
-                                let there = iid(npos);
-                                let in_arm = dir.opposite().incoming();
-                                let rid = builder.add_road(Road::new(
-                                    format!("I{pos}:{dir}->I{npos}"),
-                                    Some((here, out_arm)),
-                                    Some((there, in_arm)),
-                                    spec.road_length_m,
-                                    spec.capacity,
-                                ));
-                                outgoing[here.index()][out_arm.index()] = Some(rid);
-                                incoming[there.index()][in_arm.index()] = Some(rid);
-                            }
-                            None => {
-                                // Boundary: one exit road out, one entry in.
-                                let exit = builder.add_road(Road::new(
-                                    format!("I{pos}:{dir}->boundary"),
-                                    Some((here, out_arm)),
-                                    None,
-                                    spec.road_length_m,
-                                    spec.capacity,
-                                ));
-                                outgoing[here.index()][out_arm.index()] = Some(exit);
-                                let in_arm = dir.incoming();
-                                let entry = builder.add_road(Road::new(
-                                    format!("boundary:{dir}->I{pos}"),
-                                    None,
-                                    Some((here, in_arm)),
-                                    spec.road_length_m,
-                                    spec.capacity,
-                                ));
-                                incoming[here.index()][in_arm.index()] = Some(entry);
-                                let slot = match dir {
-                                    Approach::North | Approach::South => col,
-                                    Approach::East | Approach::West => row,
-                                };
-                                entries.push(EntryPoint {
-                                    road: entry,
-                                    side: dir,
-                                    slot,
-                                    intersection: here,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Second pass: register intersections with their wiring.
-        let mut ids = Vec::with_capacity(cells);
-        for row in 0..rows {
-            for col in 0..cols {
-                let pos = GridPos::new(row, col);
-                let cell = (row * cols + col) as usize;
-                let inc: Vec<RoadId> = incoming[cell]
-                    .iter()
-                    .map(|r| r.expect("every arm is wired by the first pass"))
-                    .collect();
-                let out: Vec<RoadId> = outgoing[cell]
-                    .iter()
-                    .map(|r| r.expect("every arm is wired by the first pass"))
-                    .collect();
-                let id = builder.add_intersection(format!("I{pos}"), layout.clone(), inc, out);
-                ids.push(id);
-            }
-        }
-
-        let topology = builder
-            .build()
-            .expect("grid construction satisfies all topology invariants");
+        let roads = (spec.road_length_m, spec.capacity);
+        let (topology, mut entries) =
+            wire_grid(spec.rows, spec.cols, roads, roads, spec.service_rate);
         // Deterministic entry order: by side (N,E,S,W), then slot.
         entries.sort_by_key(|e| (e.side as u8, e.slot));
-
         GridNetwork {
             spec,
             topology,
-            ids,
             entries,
         }
     }
 
     /// The grid parameters.
-    pub fn spec(&self) -> &GridSpec {
+    pub(crate) fn spec(&self) -> &GridSpec {
         &self.spec
     }
 
@@ -271,7 +171,7 @@ impl GridNetwork {
             self.spec.rows,
             self.spec.cols
         );
-        self.ids[(pos.row * self.spec.cols + pos.col) as usize]
+        IntersectionId::new(pos.row * self.spec.cols + pos.col)
     }
 
     /// The paper's "top-right" (north-eastern) intersection.
@@ -359,6 +259,111 @@ pub enum RouteChoice {
     },
 }
 
+/// Wires a `rows × cols` grid of four-way junctions: an internal road
+/// each way between neighbours, and an exit and an entry road on every
+/// boundary arm. North–south roads get `ns` and east–west roads `ew`
+/// (length in meters, capacity in vehicles). Ids follow one row-major
+/// scan of the cells, each cell's arms in [`Approach::ALL`] order, so
+/// every grid of the same size numbers its roads and intersections
+/// alike. Returns the topology and the boundary entries in creation
+/// order.
+///
+/// # Panics
+///
+/// Panics if `rows == 0 || cols == 0`.
+pub(crate) fn wire_grid(
+    rows: u32,
+    cols: u32,
+    ns: (f64, u32),
+    ew: (f64, u32),
+    service_rate: f64,
+) -> (NetworkTopology, Vec<EntryPoint>) {
+    assert!(rows > 0 && cols > 0, "grid must be non-empty");
+    // Outgoing-arm capacities in N, E, S, W order.
+    let layout = standard::four_way_with([ns.1, ew.1, ns.1, ew.1], service_rate);
+    let mut builder = NetworkTopology::builder();
+    let iid = |pos: GridPos| IntersectionId::new(pos.row * cols + pos.col);
+    let cells = (rows * cols) as usize;
+    let mut incoming = vec![[RoadId::new(0); 4]; cells];
+    let mut outgoing = vec![[RoadId::new(0); 4]; cells];
+    let mut entries = Vec::new();
+
+    for row in 0..rows {
+        for col in 0..cols {
+            let pos = GridPos::new(row, col);
+            let here = iid(pos);
+            for dir in Approach::ALL {
+                let (length, capacity) = match dir {
+                    Approach::North | Approach::South => ns,
+                    Approach::East | Approach::West => ew,
+                };
+                let out_arm = dir.outgoing();
+                match pos.neighbor(dir, rows, cols) {
+                    Some(npos) => {
+                        // Internal road, created when scanning its source
+                        // cell: leaves `here` toward `dir`, arrives at the
+                        // neighbour from the opposite arm.
+                        let there = iid(npos);
+                        let in_arm = dir.opposite().incoming();
+                        let rid = builder.add_road(Road::new(
+                            format!("I({row},{col}):{dir}->I({},{})", npos.row, npos.col),
+                            Some((here, out_arm)),
+                            Some((there, in_arm)),
+                            length,
+                            capacity,
+                        ));
+                        outgoing[here.index()][out_arm.index()] = rid;
+                        incoming[there.index()][in_arm.index()] = rid;
+                    }
+                    None => {
+                        // Boundary: one exit road out, one entry in.
+                        outgoing[here.index()][out_arm.index()] = builder.add_road(Road::new(
+                            format!("I({row},{col}):{dir}->boundary"),
+                            Some((here, out_arm)),
+                            None,
+                            length,
+                            capacity,
+                        ));
+                        let in_arm = dir.incoming();
+                        let entry = builder.add_road(Road::new(
+                            format!("boundary:{dir}->I({row},{col})"),
+                            None,
+                            Some((here, in_arm)),
+                            length,
+                            capacity,
+                        ));
+                        incoming[here.index()][in_arm.index()] = entry;
+                        let slot = match dir {
+                            Approach::North | Approach::South => col,
+                            Approach::East | Approach::West => row,
+                        };
+                        entries.push(EntryPoint {
+                            road: entry,
+                            side: dir,
+                            slot,
+                            intersection: here,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    for (cell, (inc, out)) in incoming.iter().zip(&outgoing).enumerate() {
+        let (row, col) = (cell as u32 / cols, cell as u32 % cols);
+        builder.add_intersection(
+            format!("I({row},{col})"),
+            layout.clone(),
+            inc.to_vec(),
+            out.to_vec(),
+        );
+    }
+    let topology = builder
+        .build()
+        .expect("grid construction satisfies all topology invariants");
+    (topology, entries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,8 +380,9 @@ mod tests {
         assert_eq!(net.num_intersections(), 9);
         // Internal: 2·(3·2 + 2·3) = 24; boundary: 12 arms × 2 = 24.
         assert_eq!(net.num_roads(), 48);
-        assert_eq!(net.entry_roads().len(), 12);
-        assert_eq!(net.exit_roads().len(), 12);
+        let count = |pick: fn(&Road) -> bool| net.road_ids().filter(|&r| pick(net.road(r))).count();
+        assert_eq!(count(Road::is_entry), 12);
+        assert_eq!(count(Road::is_exit), 12);
         assert_eq!(g.entries().len(), 12);
     }
 
@@ -406,8 +412,6 @@ mod tests {
     fn top_right_is_northeast_corner() {
         let g = grid();
         assert_eq!(g.top_right(), g.intersection_at(GridPos::new(0, 2)));
-        let name = g.topology().intersection(g.top_right()).name().to_string();
-        assert_eq!(name, "I(0,2)");
     }
 
     #[test]
@@ -550,8 +554,7 @@ mod tests {
                 // every intermediate hop must stay inside it.
                 assert!(
                     final_road.is_exit(),
-                    "route {choice:?} from {entry:?} ends on {}",
-                    final_road.name()
+                    "route {choice:?} from {entry:?} ends on {final_road:?}"
                 );
                 for window in route.hops().windows(2) {
                     let (i, l) = window[0];

@@ -10,7 +10,7 @@
 //! - [`ArterialSpec`] / [`RingSpec`] / [`AsymmetricGridSpec`] — non-grid
 //!   generators (corridors, ring roads, per-axis asymmetric grids) with
 //!   per-arm road capacities;
-//! - [`Network`] / [`enumerate_routes`] — topology-agnostic routable
+//! - [`Network`] — topology-agnostic routable
 //!   networks: any topology of standard four-way junctions plus
 //!   pre-enumerated weighted route sets per boundary entry;
 //! - [`TurningProbabilities`] (Table I) and [`Pattern`] /
@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod demand;
 mod generators;
@@ -57,7 +58,7 @@ mod topology;
 pub use demand::{Arrival, DemandConfig, DemandGenerator};
 pub use generators::{ArterialSpec, AsymmetricGridSpec, RingSpec};
 pub use grid::{EntryPoint, GridNetwork, GridPos, GridSpec, RouteChoice};
-pub use network::{enumerate_routes, NetEntry, Network, RouteOption};
+pub use network::{NetEntry, Network, RouteOption};
 pub use patterns::{DemandSchedule, Pattern, TurningProbabilities};
 pub use replan::{Replanner, RouteRewrite};
 pub use route::Route;

@@ -32,12 +32,12 @@ pub struct NetEntry {
     /// The boundary entry road vehicles appear on.
     pub road: RoadId,
     /// The intersection the entry road feeds.
-    pub intersection: IntersectionId,
+    pub(crate) intersection: IntersectionId,
     /// Base mean inter-arrival time at this entry, in seconds (before any
     /// scenario-level rate scaling).
     pub base_inter_arrival_s: f64,
     /// Human-readable label (e.g. `"west-arterial"`).
-    pub name: String,
+    pub(crate) name: String,
 }
 
 /// One candidate journey from an entry, with its sampling weight and the
@@ -83,7 +83,7 @@ impl Network {
     /// # Errors
     ///
     /// Returns a message describing the first inconsistency found.
-    pub fn new(
+    pub(crate) fn new(
         topology: NetworkTopology,
         entries: Vec<NetEntry>,
         routes: Vec<Vec<RouteOption>>,
@@ -157,8 +157,8 @@ impl Network {
         &self.routes[idx]
     }
 
-    /// Builds a network from a grid, with every route set enumerated via
-    /// [`enumerate_routes`] at `max_turns = 1` (the paper's "straight or
+    /// Builds a network from a grid, with every route set enumerated by
+    /// bounded-turn search at `max_turns = 1` (the paper's "straight or
     /// one turn" demand model) and per-side base inter-arrival times from
     /// `pattern` (Table II).
     ///
@@ -211,7 +211,7 @@ impl Network {
 ///
 /// Panics if `entry` is a boundary exit road (it feeds no intersection)
 /// or a traversed intersection is not a standard four-way junction.
-pub fn enumerate_routes(
+pub(crate) fn enumerate_routes(
     topology: &NetworkTopology,
     entry: RoadId,
     turning: &TurningProbabilities,

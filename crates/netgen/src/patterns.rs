@@ -65,7 +65,7 @@ impl TurningProbabilities {
 
     /// Maps a uniform sample `u ∈ [0, 1)` to a turn for a vehicle entering
     /// from `side` (right, then left, then straight bands).
-    pub fn turn_for(&self, side: Approach, u: f64) -> Turn {
+    pub(crate) fn turn_for(&self, side: Approach, u: f64) -> Turn {
         let r = self.right(side);
         let l = self.left(side);
         if u < r {
@@ -128,12 +128,6 @@ impl Pattern {
             (Pattern::IV, Approach::North) => 3.0,
             (Pattern::IV, _) => 9.0,
         }
-    }
-
-    /// Arrival rate `λ` in vehicles per second at each entry road on
-    /// `side`.
-    pub fn rate_per_s(self, side: Approach) -> f64 {
-        1.0 / self.inter_arrival_s(side)
     }
 }
 
@@ -209,11 +203,6 @@ impl DemandSchedule {
             "segment durations must be positive"
         );
         DemandSchedule { segments }
-    }
-
-    /// The segments in order.
-    pub fn segments(&self) -> &[(Ticks, Pattern)] {
-        &self.segments
     }
 
     /// Total scheduled duration.
@@ -296,12 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn rates_are_reciprocal_inter_arrivals() {
-        assert!((Pattern::I.rate_per_s(Approach::North) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((Pattern::II.rate_per_s(Approach::East) - 1.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn schedule_segment_lookup() {
         let s = DemandSchedule::from_segments(vec![
             (Ticks::new(10), Pattern::I),
@@ -319,7 +302,7 @@ mod tests {
     fn mixed_schedule_matches_paper() {
         let hour = Ticks::new(3600);
         let s = DemandSchedule::mixed(hour);
-        assert_eq!(s.segments().len(), 4);
+        assert_eq!(s.segments.len(), 4);
         assert_eq!(s.total_duration(), Ticks::new(14_400));
         assert_eq!(s.pattern_at(Tick::new(7200)), Pattern::III);
     }

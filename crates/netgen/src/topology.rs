@@ -89,11 +89,6 @@ impl Road {
         }
     }
 
-    /// Human-readable name (e.g. `"I0:east->I1:west"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The intersection arm feeding this road, or `None` for entry roads.
     pub fn source(&self) -> Option<(IntersectionId, OutgoingId)> {
         self.source
@@ -144,11 +139,6 @@ pub struct IntersectionNode {
 }
 
 impl IntersectionNode {
-    /// Human-readable name (e.g. `"I(0,2)"` for grid networks).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The junction layout.
     pub fn layout(&self) -> &IntersectionLayout {
         &self.layout
@@ -170,16 +160,6 @@ impl IntersectionNode {
     /// Panics if `id` is out of range for the layout.
     pub fn outgoing_road(&self, id: OutgoingId) -> RoadId {
         self.outgoing_roads[id.index()]
-    }
-
-    /// All roads feeding this intersection, indexed by `IncomingId`.
-    pub fn incoming_roads(&self) -> &[RoadId] {
-        &self.incoming_roads
-    }
-
-    /// All roads fed by this intersection, indexed by `OutgoingId`.
-    pub fn outgoing_roads(&self) -> &[RoadId] {
-        &self.outgoing_roads
     }
 }
 
@@ -304,20 +284,6 @@ impl NetworkTopology {
     pub fn road_ids(&self) -> impl Iterator<Item = RoadId> + '_ {
         (0..self.roads.len()).map(|i| RoadId::new(i as u32))
     }
-
-    /// All boundary entry roads.
-    pub fn entry_roads(&self) -> Vec<RoadId> {
-        self.road_ids()
-            .filter(|&r| self.road(r).is_entry())
-            .collect()
-    }
-
-    /// All boundary exit roads.
-    pub fn exit_roads(&self) -> Vec<RoadId> {
-        self.road_ids()
-            .filter(|&r| self.road(r).is_exit())
-            .collect()
-    }
 }
 
 /// Incremental builder for [`NetworkTopology`].
@@ -354,11 +320,6 @@ impl NetworkTopologyBuilder {
         let id = RoadId::new(self.roads.len() as u32);
         self.roads.push(road);
         id
-    }
-
-    /// Number of roads added so far (the next road id).
-    pub fn next_road_id(&self) -> RoadId {
-        RoadId::new(self.roads.len() as u32)
     }
 
     /// Validates cross-references and produces the topology.
@@ -486,12 +447,12 @@ mod tests {
         let net = single();
         assert_eq!(net.num_intersections(), 1);
         assert_eq!(net.num_roads(), 8);
-        assert_eq!(net.entry_roads().len(), 4);
-        assert_eq!(net.exit_roads().len(), 4);
+        let count = |pick: fn(&Road) -> bool| net.road_ids().filter(|&r| pick(net.road(r))).count();
+        assert_eq!(count(Road::is_entry), 4);
+        assert_eq!(count(Road::is_exit), 4);
         let node = net.intersection(IntersectionId::new(0));
-        assert_eq!(node.incoming_roads().len(), 4);
-        assert_eq!(node.outgoing_roads().len(), 4);
-        assert_eq!(node.name(), "I0");
+        assert_eq!(node.incoming_roads.len(), 4);
+        assert_eq!(node.outgoing_roads.len(), 4);
         let r = net.road(node.incoming_road(IncomingId::new(2)));
         assert!(r.is_entry());
         assert!(!r.is_internal());

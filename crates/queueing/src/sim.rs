@@ -39,8 +39,8 @@ pub enum TransitModel {
     /// Served vehicles spend the road's free-flow travel time in a delay
     /// line before joining the downstream queue (a realism refinement).
     /// In-transit vehicles count toward road occupancy, but not toward
-    /// what controllers observe: [`QueueSim::observe_into`] reads only
-    /// the movement queues' lengths and the roads' queued counts.
+    /// what controllers observe: [`QueueSim::observe`] reads only the
+    /// movement queues' lengths and the roads' queued counts.
     #[default]
     FreeFlow,
 }
@@ -227,17 +227,17 @@ fn decrement(counter: &mut u32, what: &str, road: usize, link: Option<usize>) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepReport {
     /// The instant that was simulated.
-    pub tick: Tick,
+    pub(crate) tick: Tick,
     /// The decision applied at each intersection, indexed by
     /// `IntersectionId`.
     pub decisions: Vec<PhaseDecision>,
     /// Vehicles served (moved through a junction) this step.
     pub served: u32,
     /// Vehicles that completed their journey this step.
-    pub completed: u32,
+    pub(crate) completed: u32,
     /// Vehicles injected into the network this step (excluding those pushed
     /// to a boundary backlog).
-    pub injected: u32,
+    pub(crate) injected: u32,
 }
 
 impl StepReport {
@@ -288,7 +288,6 @@ impl StepReport {
 /// ```
 pub struct QueueSim {
     topology: NetworkTopology,
-    config: QueueSimConfig,
     controllers: Vec<ControllerSlot>,
     roads: Vec<RoadState>,
     /// Every intersection's readings, updated in place where they
@@ -318,9 +317,6 @@ pub struct QueueSim {
     queues: Vec<VecDeque<QueuedVehicle>>,
     /// Fractional service credit (supports non-integer `µ·Δt`).
     credit: Vec<f64>,
-    /// Vehicles in transit on the link's incoming road destined for this
-    /// movement.
-    transit_by_link: Vec<u32>,
     /// Roads whose delay line is non-empty.
     transit_live: RoadSet,
     /// Roads whose boundary backlog is non-empty.
@@ -464,7 +460,6 @@ impl QueueSim {
 
         QueueSim {
             topology,
-            config,
             controllers: ControllerSlot::wrap_all(controllers),
             roads,
             obs_buf,
@@ -477,7 +472,6 @@ impl QueueSim {
             phase_base,
             queues: vec![VecDeque::new(); num_links],
             credit: vec![0.0; num_links],
-            transit_by_link: vec![0; num_links],
             transit_live: RoadSet::new(num_roads),
             backlog_live: RoadSet::new(num_roads),
             settled: vec![None; num_intersections],
@@ -486,16 +480,6 @@ impl QueueSim {
             now: Tick::ZERO,
             total_served: 0,
         }
-    }
-
-    /// The simulated network.
-    pub fn topology(&self) -> &NetworkTopology {
-        &self.topology
-    }
-
-    /// The simulator configuration.
-    pub fn config(&self) -> &QueueSimConfig {
-        &self.config
     }
 
     /// The current instant (the next tick to be simulated).
@@ -564,21 +548,6 @@ impl QueueSim {
             "link {link} out of range at intersection {intersection}"
         );
         g
-    }
-
-    /// The full movement count `q_i^{i'}` a controller observes: queued
-    /// vehicles plus those still in transit on the incoming road but
-    /// destined for this movement. In the paper's store-and-forward model
-    /// every vehicle on a road is queued; under
-    /// [`TransitModel::Instant`] this equals [`Self::movement_queue_len`]
-    /// at decision time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    pub fn movement_count(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        let g = self.link_index(intersection, link);
-        self.queues[g].len() as u32 + self.transit_by_link[g]
     }
 
     /// Total queue `q_i` (Eq. 1) at an incoming arm of an intersection —
@@ -657,9 +626,8 @@ impl QueueSim {
 
     /// The queue observation a controller at `intersection` would see now.
     ///
-    /// Allocates a fresh observation; the step pipeline itself uses
-    /// [`observe_into`](Self::observe_into) over a reused
-    /// [`ObservationBuffer`].
+    /// Allocates a fresh observation; the step pipeline itself writes
+    /// observations into a reused [`ObservationBuffer`].
     ///
     /// # Panics
     ///
@@ -685,7 +653,7 @@ impl QueueSim {
     ///
     /// Panics if `intersection` is out of range or `obs` has the wrong
     /// shape.
-    pub fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) {
+    pub(crate) fn observe_into(&self, intersection: IntersectionId, obs: &mut QueueObservation) {
         let i = intersection.index();
         let queues = &self.queues[self.link_off[i]..self.link_off[i + 1]];
         let movements = obs.movements_mut();
@@ -704,11 +672,11 @@ impl QueueSim {
     /// Validates the incremental bookkeeping: every road's `queued`
     /// counter must equal the sum of the movement queues at its
     /// downstream arm, its occupancy the queued vehicles plus its delay
-    /// line, and the per-movement in-transit counters and the sets of
-    /// roads with a non-empty delay line or backlog must match a rescan.
+    /// line, and the sets of roads with a non-empty delay line or
+    /// backlog must match a rescan.
     /// It also validates what the step derives from that state: every
     /// intersection's buffered observation must equal a fresh
-    /// [`observe_into`](Self::observe_into), and every settled phase's
+    /// [`observe`](Self::observe), and every settled phase's
     /// links must have empty queues and capped credit. Debug/test
     /// facility backing the regression suite.
     ///
@@ -733,15 +701,6 @@ impl QueueSim {
                     !self.backlogs[r].is_empty()
                 ));
             }
-        }
-        let transit_by_link = self.rescan_transit_by_link();
-        if let Some(g) =
-            (0..self.links.len()).find(|&g| transit_by_link[g] != self.transit_by_link[g])
-        {
-            return Err(format!(
-                "link {g}: incremental in-transit count {} != rescan {}",
-                self.transit_by_link[g], transit_by_link[g]
-            ));
         }
         for (i, buffered) in self.obs_buf.as_slice().iter().enumerate() {
             // The buffered readings against the gather `observe_into`
@@ -855,22 +814,6 @@ impl QueueSim {
             }
         }
         Ok(())
-    }
-
-    /// The in-transit movement counts a rescan of the (audited) delay
-    /// lines gives.
-    fn rescan_transit_by_link(&self) -> Vec<u32> {
-        let mut counts = vec![0; self.links.len()];
-        for road in &self.roads {
-            let Some(i) = road.dest_intersection else {
-                continue;
-            };
-            for v in &road.transit {
-                let (_, link) = v.route.hop(v.hop).expect("audited transit hop");
-                counts[self.link_off[i] + link.index()] += 1;
-            }
-        }
-        counts
     }
 
     /// Walks `route` from hop `hop` on `road` to the network exit: each
@@ -988,14 +931,6 @@ impl QueueSim {
         watch.lap(Section::Waiting);
     }
 
-    /// Runs `horizon` steps with no exogenous demand (useful to drain the
-    /// network at the end of an experiment).
-    pub fn run_empty(&mut self, horizon: Ticks) {
-        for _ in 0..horizon.count() {
-            self.step(Vec::new());
-        }
-    }
-
     /// Moves vehicles whose transit delay has elapsed into their movement
     /// queue (internal roads) or out of the network (exit roads); returns
     /// the number of journeys completed. Visits only the roads with a
@@ -1020,12 +955,6 @@ impl QueueSim {
                             .hop(v.hop)
                             .expect("route hop exists for internal road");
                         let g = self.link_off[intersection] + link.index();
-                        decrement(
-                            &mut self.transit_by_link[g],
-                            "in-transit movement count",
-                            r,
-                            Some(link.index()),
-                        );
                         self.queues[g].push_back(QueuedVehicle {
                             id: v.id,
                             entered: v.entered,
@@ -1170,10 +1099,6 @@ impl QueueSim {
         state.occupancy += 1;
         state.entered += 1;
         let arrives = now + state.travel;
-        if let Some(i) = state.dest_intersection {
-            let (_, link) = route.hop(hop).expect("internal road implies a further hop");
-            self.transit_by_link[self.link_off[i] + link.index()] += 1;
-        }
         state.transit.push_back(TransitVehicle {
             id,
             entered,
@@ -1195,10 +1120,9 @@ impl QueueSim {
     /// then backlogs in road / FIFO order. The callback receives the
     /// vehicle's id, its route, and the number of committed leading hops —
     /// `hop + 1` for queued and in-transit vehicles, whose movement queue
-    /// (and the incremental `transit_by_link` counter) is bound to the
-    /// cursor's movement, and `0` for backlogged vehicles that have not
-    /// entered yet. A returned replacement must preserve exactly that
-    /// prefix. Returns the number of vehicles rewritten; draws no
+    /// is bound to the cursor's movement, and `0` for backlogged vehicles
+    /// that have not entered yet. A returned replacement must preserve
+    /// exactly that prefix. Returns the number of vehicles rewritten; draws no
     /// randomness.
     pub fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
         let mut diverted = 0u64;
@@ -1251,10 +1175,9 @@ impl QueueSim {
     /// tables, transit delays) and intra-step scratch (the observation
     /// buffer, per-slot decisions — rewritten by the next step's decide
     /// phase) are *not* state and are not written. The roads' `queued`
-    /// and `occupancy` counters, the incremental `transit_by_link`
-    /// counters and the sets of roads with a non-empty delay line or
-    /// backlog are derived from the queues, transit lines and backlogs
-    /// and are rebuilt on load. Queues and credits are written per
+    /// and `occupancy` counters and the sets of roads with a non-empty
+    /// delay line or backlog are derived from the queues, transit lines
+    /// and backlogs and are rebuilt on load. Queues and credits are written per
     /// intersection in `LinkId` order.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
@@ -1437,9 +1360,8 @@ impl QueueSim {
         let on_roads: usize = self.roads.iter().map(|r| r.occupancy as usize).sum();
         self.ledger.check_live(on_roads + self.backlog_len())?;
         // Rebuild the rest of the derived state from the restored (and
-        // now audited) delay lines and backlogs: the in-transit movement
-        // counters and the sets of roads a step visits.
-        self.transit_by_link = self.rescan_transit_by_link();
+        // now audited) delay lines and backlogs: the sets of roads a step
+        // visits.
         self.transit_live.clear();
         self.backlog_live.clear();
         for (r, road) in self.roads.iter().enumerate() {
@@ -1786,7 +1708,9 @@ mod tests {
     fn a_drained_network_serves_nothing() {
         let (grid, mut s) = loaded();
         s.set_road_closed(grid.entries()[0].road, false);
-        s.run_empty(Ticks::new(2_000));
+        for _ in 0..2_000 {
+            s.step(Vec::new());
+        }
         assert_eq!(s.ledger().active(), 0, "the network drained");
         s.step(Vec::new());
         for (i, slot) in s.controllers.iter().enumerate() {
@@ -1853,7 +1777,9 @@ mod tests {
             for k in 0..250 {
                 plant.step(other.poll(&grid, Tick::new(k)));
             }
-            plant.run_empty(Ticks::new(drain));
+            for _ in 0..drain {
+                plant.step(Vec::new());
+            }
             plant
         };
         let mut plants = [

@@ -49,7 +49,7 @@ pub(crate) const TAG_TELEMETRY: u32 = 5;
 pub struct CheckpointPolicy {
     /// Ticks between captures (≥ 1). Tick 0 is never captured — the
     /// initial state is reproducible from the spec alone.
-    pub period: u64,
+    pub(crate) period: u64,
 }
 
 impl CheckpointPolicy {

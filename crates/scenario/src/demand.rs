@@ -111,13 +111,13 @@ impl NetworkDemand {
     }
 
     /// Vehicles generated so far.
-    pub fn generated(&self) -> u64 {
+    pub(crate) fn generated(&self) -> u64 {
         self.next_vehicle
     }
 
     /// Would-be arrivals suppressed because every route was blocked by
     /// closures.
-    pub fn suppressed(&self) -> u64 {
+    pub(crate) fn suppressed(&self) -> u64 {
         self.suppressed
     }
 
@@ -135,7 +135,7 @@ impl NetworkDemand {
     }
 
     /// The current surge multiplier.
-    pub fn surge(&self) -> f64 {
+    pub(crate) fn surge(&self) -> f64 {
         self.surge
     }
 
@@ -199,7 +199,7 @@ impl NetworkDemand {
     /// stream. The cached cumulative-weight tables are derived from the
     /// closure mask and are rebuilt on load; the next vehicle id is the
     /// plant ledger's entered count, which load takes from there.
-    pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
+    pub(crate) fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         writer.push_usize(self.clocks.len());
         for &clock in &self.clocks {
             writer.push_f64(clock);
@@ -230,7 +230,7 @@ impl NetworkDemand {
     /// lies before `now` (every poll leaves each clock at or past the end
     /// of its window, and a far-past clock would make the next poll
     /// generate arrivals without bound).
-    pub fn load_state(
+    pub(crate) fn load_state(
         &mut self,
         network: &Network,
         now: Tick,

@@ -50,8 +50,8 @@ use utilbp_substrate::{
     build_substrate, GuardMode, InvariantGuard, SubstrateScratch, TrafficSubstrate,
 };
 use utilbp_telemetry::{
-    Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, NullRecorder, PhaseStopwatch,
-    Recorder, ReplanTrigger, Section, TickProfiler,
+    Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, PhaseStopwatch, ReplanTrigger,
+    Section, TickProfiler,
 };
 
 use crate::checkpoint::{
@@ -79,7 +79,7 @@ pub struct EngineConfig {
     /// a recorder is installed (the `trace` replay uses it). Off by
     /// default: the guard costs a per-tick occupancy sweep, and
     /// production runs pay nothing for it when disabled.
-    pub guard: Option<GuardMode>,
+    pub(crate) guard: Option<GuardMode>,
 }
 
 impl EngineConfig {
@@ -258,7 +258,7 @@ impl CongestionMonitor {
     }
 
     /// The congested flag of every road, indexed by `RoadId`.
-    pub fn congested(&self) -> &[bool] {
+    pub(crate) fn congested(&self) -> &[bool] {
         &self.congested
     }
 
@@ -327,13 +327,13 @@ struct Gauges {
 }
 
 /// The engine's observability state. All of it is strictly passive:
-/// with the default [`NullRecorder`] (`active == false`), no profiler,
-/// and no gauges, every telemetry branch in the step path is a cold
-/// boolean test and the hot loop allocates nothing.
+/// with no recorder (the default), no profiler and no gauges, every
+/// telemetry branch in the step path is a cold `None` test and the hot
+/// loop allocates nothing.
 struct Telemetry {
-    recorder: Box<dyn Recorder>,
-    /// Cached `recorder.enabled()` — the one flag the step path tests.
-    active: bool,
+    /// The event sink; recording is on exactly when it is `Some`.
+    /// Emitters test it before constructing an event.
+    recorder: Option<FlightRecorder>,
     gauges: Option<Gauges>,
     profiler: Option<TickProfiler>,
     /// Last recorded `trace_value` per intersection (empty until the
@@ -347,13 +347,19 @@ struct Telemetry {
 impl Telemetry {
     fn off() -> Self {
         Telemetry {
-            recorder: Box::new(NullRecorder),
-            active: false,
+            recorder: None,
             gauges: None,
             profiler: None,
             prev_trace: Vec::new(),
             prev_activations: Vec::new(),
             prev_recoveries: Vec::new(),
+        }
+    }
+
+    /// Records `event` when a recorder is installed.
+    fn record(&mut self, event: Event) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(event);
         }
     }
 
@@ -369,7 +375,7 @@ impl Telemetry {
             let value = u16::from(decision.trace_value());
             if self.prev_trace[i] != value {
                 self.prev_trace[i] = value;
-                self.recorder.record(Event {
+                self.record(Event {
                     tick: now,
                     kind: EventKind::PhaseChange {
                         intersection: i as u32,
@@ -386,7 +392,7 @@ impl Telemetry {
         for (i, watchdog) in watchdogs.iter().enumerate() {
             let activations = watchdog.activations();
             for _ in self.prev_activations[i]..activations {
-                self.recorder.record(Event {
+                self.record(Event {
                     tick: now,
                     kind: EventKind::WatchdogActivated {
                         intersection: i as u32,
@@ -396,7 +402,7 @@ impl Telemetry {
             self.prev_activations[i] = activations;
             let recoveries = watchdog.recoveries();
             for _ in self.prev_recoveries[i]..recoveries {
-                self.recorder.record(Event {
+                self.record(Event {
                     tick: now,
                     kind: EventKind::WatchdogRecovered {
                         intersection: i as u32,
@@ -712,11 +718,6 @@ impl ScenarioEngine {
         self.demand.generated()
     }
 
-    /// Would-be arrivals suppressed by closures so far.
-    pub fn demand_suppressed(&self) -> u64 {
-        self.demand.suppressed()
-    }
-
     /// Vehicles already en route whose routes were rewritten away from a
     /// closed or congested road so far (always 0 under
     /// [`ReplanPolicy::Off`]).
@@ -738,19 +739,6 @@ impl ScenarioEngine {
         self.congestion_reroutes
     }
 
-    /// Whether the congestion monitor currently flags `road` (always
-    /// `false` outside [`ReplanPolicy::Congestion`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_congested(&self, road: RoadId) -> bool {
-        self.monitor
-            .as_ref()
-            .map(|m| m.congested()[road.index()])
-            .unwrap_or(false)
-    }
-
     /// Congested-set state flips so far (the churn metric hysteresis
     /// bounds; always 0 outside [`ReplanPolicy::Congestion`]).
     pub fn congestion_transitions(&self) -> u64 {
@@ -770,16 +758,6 @@ impl ScenarioEngine {
     /// [`vehicles_restored`](Self::vehicles_restored).
     pub fn congestion_restores(&self) -> u64 {
         self.congestion_restores
-    }
-
-    /// Whether the sensor-fault window is currently open.
-    pub fn faults_active(&self) -> bool {
-        self.fault_switch.is_active()
-    }
-
-    /// Whether the actuation-fault window is currently open.
-    pub fn actuation_faults_active(&self) -> bool {
-        self.actuation_switch.is_active()
     }
 
     /// A handle on the sensor-fault window switch. Cloning shares the
@@ -839,19 +817,6 @@ impl ScenarioEngine {
         total as f64 / recoveries as f64
     }
 
-    /// Installs `recorder` as the engine's event sink, replacing the
-    /// previous one (a [`NullRecorder`] by default). Event emission is
-    /// gated on `recorder.enabled()`, so installing a `NullRecorder`
-    /// returns the step path to its zero-cost recording-off shape.
-    /// Watchdog watermarks reset to the *current* counters: events
-    /// describe what happens after installation, not history.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.telemetry.active = recorder.enabled();
-        self.telemetry.recorder = recorder;
-        self.telemetry.prev_trace.clear();
-        self.mark_watchdogs();
-    }
-
     /// Brings the watchdog event watermarks up to the counters.
     fn mark_watchdogs(&mut self) {
         self.telemetry.prev_activations.clear();
@@ -871,13 +836,23 @@ impl ScenarioEngine {
     ///
     /// Panics if `capacity` is 0.
     pub fn enable_recording(&mut self, capacity: usize) {
-        self.set_recorder(Box::new(FlightRecorder::new(capacity)));
+        self.install_recorder(FlightRecorder::new(capacity));
     }
 
-    /// The installed [`FlightRecorder`], when the current recorder is
-    /// one (`None` under the default [`NullRecorder`]).
+    /// Installs `recorder` as the engine's event sink, replacing the
+    /// previous one. Watchdog watermarks reset to the *current*
+    /// counters: events describe what happens after installation, not
+    /// history.
+    fn install_recorder(&mut self, recorder: FlightRecorder) {
+        self.telemetry.recorder = Some(recorder);
+        self.telemetry.prev_trace.clear();
+        self.mark_watchdogs();
+    }
+
+    /// The installed [`FlightRecorder`] (`None` while recording is off,
+    /// the default).
     pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.telemetry.recorder.flight()
+        self.telemetry.recorder.as_ref()
     }
 
     /// The recorded event stream as JSON Lines (empty without a
@@ -968,16 +943,10 @@ impl ScenarioEngine {
     }
 
     /// Per-vehicle journey accounting of the running substrate (completed
-    /// vehicles; see [`mean_waiting_including_active`](Self::mean_waiting_including_active)
-    /// for the headline metric counting active vehicles).
+    /// vehicles; [`ScenarioOutcome::avg_queuing_time_s`] is the headline
+    /// metric counting active vehicles).
     pub fn ledger(&self) -> &WaitingLedger {
         self.substrate.ledger()
-    }
-
-    /// Mean waiting ticks per vehicle including vehicles still in the
-    /// network, folded from the substrate's live wait accumulators.
-    pub fn mean_waiting_including_active(&self) -> f64 {
-        self.substrate.mean_waiting_including_active()
     }
 
     /// Applies due events, runs the periodic congestion check when one is
@@ -996,7 +965,7 @@ impl ScenarioEngine {
             "step past the scenario horizon of {} ticks",
             self.spec.horizon.count()
         );
-        let recording = self.telemetry.active;
+        let recording = self.telemetry.recorder.is_some();
         // Periodic checkpoint capture, at the tick boundary before the
         // tick's events apply. The snapshot is taken *before* its own
         // `checkpoint` event is recorded, so restoring it and re-running
@@ -1013,7 +982,7 @@ impl ScenarioEngine {
                 };
                 self.checkpoint_into(&mut bytes);
                 if recording {
-                    self.telemetry.recorder.record(Event {
+                    self.telemetry.record(Event {
                         tick: now,
                         kind: EventKind::Checkpoint {
                             bytes: bytes.len() as u64,
@@ -1041,7 +1010,7 @@ impl ScenarioEngine {
                         } else {
                             EventKind::RoadReopened { road }
                         };
-                        self.telemetry.recorder.record(Event { tick: now, kind });
+                        self.telemetry.record(Event { tick: now, kind });
                     }
                     if self.spec.replan.responds_to_closures() {
                         let before = (self.diverted, self.restored);
@@ -1053,7 +1022,7 @@ impl ScenarioEngine {
                             }
                         });
                         if recording {
-                            self.telemetry.recorder.record(Event {
+                            self.telemetry.record(Event {
                                 tick: now,
                                 kind: EventKind::Replan {
                                     trigger: if closed {
@@ -1071,7 +1040,7 @@ impl ScenarioEngine {
                 Action::Surge(factor) => {
                     self.demand.set_surge(factor);
                     if recording {
-                        self.telemetry.recorder.record(Event {
+                        self.telemetry.record(Event {
                             tick: now,
                             kind: EventKind::Surge { factor },
                         });
@@ -1080,7 +1049,7 @@ impl ScenarioEngine {
                 Action::Faults(active) => {
                     self.fault_switch.set_active(active);
                     if recording {
-                        self.telemetry.recorder.record(Event {
+                        self.telemetry.record(Event {
                             tick: now,
                             kind: EventKind::SensorFaultWindow { active },
                         });
@@ -1089,7 +1058,7 @@ impl ScenarioEngine {
                 Action::ActuationFaults(active) => {
                     self.actuation_switch.set_active(active);
                     if recording {
-                        self.telemetry.recorder.record(Event {
+                        self.telemetry.record(Event {
                             tick: now,
                             kind: EventKind::ActuationFaultWindow { active },
                         });
@@ -1108,7 +1077,7 @@ impl ScenarioEngine {
                     // the passes that actually rewrote a route.
                     let rerouted = self.congestion_reroutes - before_reroutes;
                     if rerouted > 0 {
-                        self.telemetry.recorder.record(Event {
+                        self.telemetry.record(Event {
                             tick: now,
                             kind: EventKind::Replan {
                                 trigger: ReplanTrigger::Congestion,
@@ -1119,7 +1088,7 @@ impl ScenarioEngine {
                     }
                     let restored = self.congestion_restores - before_restores;
                     if restored > 0 {
-                        self.telemetry.recorder.record(Event {
+                        self.telemetry.record(Event {
                             tick: now,
                             kind: EventKind::Replan {
                                 trigger: ReplanTrigger::CongestionCleared,
@@ -1170,7 +1139,7 @@ impl ScenarioEngine {
             return;
         };
         for violation in guard.drain_violations() {
-            self.telemetry.recorder.record(Event {
+            self.telemetry.record(Event {
                 tick: Tick::new(violation.tick),
                 kind: EventKind::GuardViolation {
                     check: violation.check.to_string(),
@@ -1434,11 +1403,6 @@ impl ScenarioEngine {
         }
     }
 
-    /// The substrate this engine runs on.
-    pub fn backend(&self) -> Backend {
-        self.substrate.backend()
-    }
-
     /// The aggregate outcome at the current instant.
     pub fn outcome(&self) -> ScenarioOutcome {
         let ledger = self.substrate.ledger();
@@ -1457,11 +1421,6 @@ impl ScenarioEngine {
             mean_journey_s: ledger.journey_stats().mean() * self.dt_seconds,
             final_backlog: self.substrate.backlog_len(),
         }
-    }
-
-    /// The configuration this engine was built under.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Turns on periodic checkpoint capture: every `policy.period`
@@ -1497,12 +1456,11 @@ impl ScenarioEngine {
     /// `fallback` says whether the restore fell back past a corrupted
     /// newer checkpoint.
     pub fn mark_restored(&mut self, fallback: bool) {
-        if self.telemetry.active {
-            self.telemetry.recorder.record(Event {
-                tick: self.now(),
-                kind: EventKind::Restore { fallback },
-            });
-        }
+        let tick = self.now();
+        self.telemetry.record(Event {
+            tick,
+            kind: EventKind::Restore { fallback },
+        });
     }
 
     /// Serializes the engine's full state into a durable snapshot (the
@@ -1528,7 +1486,7 @@ impl ScenarioEngine {
     /// [`checkpoint`](Self::checkpoint) into `bytes`, replacing its
     /// content but keeping its allocation, so a caller that recycles an
     /// old capture's buffer makes a new one without allocating.
-    pub fn checkpoint_into(&self, bytes: &mut Vec<u8>) {
+    pub(crate) fn checkpoint_into(&self, bytes: &mut Vec<u8>) {
         let mut snapshot = SnapshotWriter::reusing(std::mem::take(bytes));
 
         snapshot.section_state(TAG_META, |meta| {
@@ -1778,7 +1736,7 @@ impl ScenarioEngine {
                 word: capacity as u64,
             })?;
             recorder.load_state(&mut reader)?;
-            engine.set_recorder(Box::new(recorder));
+            engine.install_recorder(recorder);
             let len = reader.take_usize()?;
             for _ in 0..len {
                 let word = reader.take()?;
@@ -1956,15 +1914,18 @@ mod tests {
         };
         let mut engine =
             ScenarioEngine::new(spec, EngineConfig::default(), &util_factory()).unwrap();
-        assert!(!engine.faults_active());
+        assert!(!engine.fault_switch.is_active());
         while engine.now() <= from {
             engine.step();
         }
-        assert!(engine.faults_active(), "window open after `from`");
+        assert!(engine.fault_switch.is_active(), "window open after `from`");
         while engine.now() <= until {
             engine.step();
         }
-        assert!(!engine.faults_active(), "window shut after `until`");
+        assert!(
+            !engine.fault_switch.is_active(),
+            "window shut after `until`"
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! 2. **Topology** ([`TopologySpec`]) — which network family to build:
 //!    the paper's uniform grid, an arterial corridor, a ring road, or an
 //!    asymmetric grid (per-axis lengths/capacities). Every family is
-//!    generated by `utilbp-netgen` as a [`Network`]: a validated
+//!    generated by `utilbp-netgen` as a
+//!    [`Network`](utilbp_netgen::Network): a validated
 //!    [`NetworkTopology`](utilbp_netgen::NetworkTopology) of standard
 //!    four-way junctions plus, per boundary entry, the pre-enumerated
 //!    weighted routes vehicles may take.
@@ -65,7 +66,7 @@
 //!   If *every*
 //!   route of an entry is blocked (e.g. the entry road itself is
 //!   closed), its would-be arrivals are suppressed and counted
-//!   ([`NetworkDemand::suppressed`]), not queued.
+//!   (`NetworkDemand::suppressed`), not queued.
 //! - **Surges** multiply every entry's arrival rate by `factor` during
 //!   `[from, until)`, on top of the demand profile's schedule.
 //! - **Sensor-fault windows** activate the
@@ -133,6 +134,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod checkpoint;
 mod demand;
@@ -150,8 +152,6 @@ pub use spec::{
     Backend, DemandProfile, RateSchedule, ReplanPolicy, ScenarioEvent, ScenarioSpec, TopologySpec,
 };
 
-// Re-exported so downstream crates can name the network type scenarios
-// are built on, and the guard mode `EngineConfig` holds, without
-// depending on utilbp-netgen or utilbp-substrate directly.
-pub use utilbp_netgen::Network;
+// Re-exported so downstream crates can name the guard mode `EngineConfig`
+// holds without depending on utilbp-substrate directly.
 pub use utilbp_substrate::GuardMode;

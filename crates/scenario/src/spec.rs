@@ -35,7 +35,7 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// Builds the routable network this spec describes.
-    pub fn build(&self) -> Network {
+    pub(crate) fn build(&self) -> Network {
         match self {
             TopologySpec::Grid { spec, pattern } => {
                 Network::from_grid(&GridNetwork::new(*spec), *pattern)
@@ -59,7 +59,7 @@ impl TopologySpec {
     ///
     /// A message naming the first parameter out of range by its
     /// scenario-text key.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             TopologySpec::Grid { spec: s, .. } => at_least("rows", s.rows, 1)
                 .and(at_least("cols", s.cols, 1))
@@ -296,7 +296,7 @@ impl RateSchedule {
     ///
     /// Panics if `segments` is empty, a duration is zero, or a multiplier
     /// is not positive and finite.
-    pub fn from_segments(segments: Vec<(Ticks, f64)>) -> Self {
+    pub(crate) fn from_segments(segments: Vec<(Ticks, f64)>) -> Self {
         assert!(!segments.is_empty(), "schedule must have segments");
         for &(d, m) in &segments {
             assert!(!d.is_zero(), "segment durations must be positive");
@@ -305,14 +305,9 @@ impl RateSchedule {
         RateSchedule { segments }
     }
 
-    /// The segments in order.
-    pub fn segments(&self) -> &[(Ticks, f64)] {
-        &self.segments
-    }
-
     /// The multiplier active at `tick` (the last segment's persists past
     /// the end).
-    pub fn multiplier_at(&self, tick: Tick) -> f64 {
+    pub(crate) fn multiplier_at(&self, tick: Tick) -> f64 {
         let mut start = 0u64;
         for &(d, m) in &self.segments {
             let end = start.saturating_add(d.count());
@@ -369,7 +364,7 @@ impl DemandProfile {
     ///
     /// A message naming the first parameter out of range by its
     /// scenario-text key.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             DemandProfile::Constant => Ok(()),
             DemandProfile::RushHour {
@@ -393,7 +388,7 @@ impl DemandProfile {
     ///
     /// Panics if the profile fails [`validate`](Self::validate) or the
     /// horizon is zero for [`DemandProfile::Day`].
-    pub fn schedule(&self, horizon: Ticks) -> RateSchedule {
+    pub(crate) fn schedule(&self, horizon: Ticks) -> RateSchedule {
         match *self {
             DemandProfile::Constant => RateSchedule::flat(),
             DemandProfile::RushHour {
@@ -559,8 +554,8 @@ impl ScenarioSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the topology fails [`TopologySpec::validate`]; use
-    /// [`validated_network`](Self::validated_network) on untrusted specs.
+    /// Panics if the topology is invalid; check untrusted specs with
+    /// [`validate`](Self::validate) first.
     pub fn build_network(&self) -> Network {
         self.topology.build()
     }
@@ -577,7 +572,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a message describing the first problem found.
-    pub fn validated_network(&self) -> Result<Network, String> {
+    pub(crate) fn validated_network(&self) -> Result<Network, String> {
         if self.horizon.is_zero() {
             return Err(format!("scenario {}: horizon must be positive", self.name));
         }
@@ -620,8 +615,9 @@ impl ScenarioSpec {
         }
     }
 
-    /// Validates the spec ([`validated_network`](Self::validated_network)
-    /// without keeping the network).
+    /// Validates the spec with the checks the parser and the engine run
+    /// (topology, demand, replanning policy, peak arrival rate, events),
+    /// building its network and dropping it.
     ///
     /// # Errors
     ///
@@ -641,7 +637,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a message describing the first problem found.
-    pub fn validate_against(&self, network: &Network) -> Result<(), String> {
+    pub(crate) fn validate_against(&self, network: &Network) -> Result<(), String> {
         let mut fault_windows = 0usize;
         let mut actuation_windows = 0usize;
         for event in &self.events {

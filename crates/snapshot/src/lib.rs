@@ -77,7 +77,7 @@
 //! ```
 //! use utilbp_snapshot::{SnapshotReader, SnapshotWriter, SnapshotError};
 //!
-//! let mut w = SnapshotWriter::new();
+//! let mut w = SnapshotWriter::default();
 //! w.section_state(1, |words| {
 //!     words.push(7);
 //!     words.push_f64(0.5);
@@ -103,6 +103,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::error::Error;
 use std::fmt;
@@ -110,7 +111,7 @@ use std::fmt;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 
 /// The 8-byte magic prefix of every snapshot.
-pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
+pub(crate) const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 
 /// The current wire-format version. Versions 2 to 6 changed no framing:
 /// version 2 marks the waiting ledger's sparse word layout, version 3 the
@@ -119,7 +120,7 @@ pub const MAGIC: [u8; 8] = *b"UBPSNAP\0";
 /// version 6 a ledger without its waiting-time histogram
 /// instead of in the ledger (see the crate docs), so an older capture is
 /// rejected instead of misread.
-pub const FORMAT_VERSION: u32 = 6;
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Builds the slicing-by-16 CRC-32 (IEEE, reflected polynomial
 /// `0xEDB88320`) tables at compile time. `table[0]` is the classic
@@ -200,7 +201,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// bytes never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The bytes do not start with [`MAGIC`].
+    /// The bytes do not start with the snapshot magic `UBPSNAP\0`.
     BadMagic,
     /// The header names a format version this reader does not speak.
     UnsupportedVersion {
@@ -298,7 +299,7 @@ const SECTION_HEADER: usize = 16;
 impl SnapshotWriter {
     /// A writer with the header already emitted (the section count is
     /// patched in by [`finish`](Self::finish)).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SnapshotWriter::reusing(Vec::new())
     }
 
@@ -422,16 +423,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(SnapshotReader { sections })
     }
 
-    /// The section tags, in write order.
-    pub fn tags(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sections.iter().map(|&(t, _)| t)
-    }
-
-    /// Whether a section with `tag` exists.
-    pub fn has(&self, tag: u32) -> bool {
-        self.sections.iter().any(|&(t, _)| t == tag)
-    }
-
     /// The raw payload of section `tag`.
     ///
     /// # Errors
@@ -460,16 +451,6 @@ impl<'a> SnapshotReader<'a> {
         }
         Ok(StateReader::new(payload))
     }
-}
-
-/// Verifies `bytes` parse as a well-formed snapshot with every section
-/// checksum intact (the recovery scan's validity test).
-///
-/// # Errors
-///
-/// The first [`SnapshotError`] encountered.
-pub fn validate(bytes: &[u8]) -> Result<(), SnapshotError> {
-    SnapshotReader::parse(bytes).map(|_| ())
 }
 
 #[cfg(test)]
@@ -504,12 +485,12 @@ mod tests {
     fn round_trips_sections_by_tag() {
         let bytes = sample();
         let r = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(r.tags().collect::<Vec<_>>(), vec![10, 20, 30]);
+        let tags: Vec<u32> = r.sections.iter().map(|&(t, _)| t).collect();
+        assert_eq!(tags, [10, 20, 30]);
         assert_eq!(read_words(&r, 10), SAMPLE_WORDS);
         assert_eq!(r.bytes(20).unwrap(), b"scenario text\n");
         assert_eq!(read_words(&r, 30), Vec::<u64>::new());
-        assert!(r.has(10));
-        assert!(!r.has(99));
+        assert!(r.bytes(99).is_err());
     }
 
     #[test]
@@ -685,14 +666,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn validate_matches_parse() {
-        let bytes = sample();
-        assert!(validate(&bytes).is_ok());
-        let mut torn = bytes.clone();
-        torn.truncate(torn.len() - 1);
-        assert!(validate(&torn).is_err());
     }
 }

@@ -123,6 +123,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{IncomingId, PhaseDecision, SignalController, Tick};

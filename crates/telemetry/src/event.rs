@@ -19,7 +19,7 @@ pub enum ReplanTrigger {
 
 impl ReplanTrigger {
     /// The trigger's canonical name (what the JSONL sink records).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ReplanTrigger::Closure => "closure",
             ReplanTrigger::Reopen => "reopen",
@@ -116,7 +116,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// The kind's canonical snake-case name (the JSONL `kind` field).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::PhaseChange { .. } => "phase_change",
             EventKind::RoadClosed { .. } => "road_closed",
@@ -163,7 +163,7 @@ fn escape_json(s: &str) -> String {
 impl Event {
     /// The event as one compact JSON object (keys in fixed order, so
     /// equal event streams render to byte-identical text).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let tick = self.tick.index();
         let kind = self.kind.name();
         match &self.kind {
@@ -210,7 +210,7 @@ impl Event {
     }
 
     /// Serializes the event into a durable word stream.
-    pub fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
+    pub(crate) fn save_state(&self, writer: &mut utilbp_core::state::StateWriter) {
         writer.push(self.tick.index());
         match &self.kind {
             EventKind::PhaseChange {
@@ -287,7 +287,7 @@ impl Event {
     ///
     /// Returns a [`StateError`](utilbp_core::state::StateError) on a
     /// truncated stream or an unknown kind/trigger tag.
-    pub fn load_state(
+    pub(crate) fn load_state(
         reader: &mut utilbp_core::state::StateReader<'_>,
     ) -> Result<Self, utilbp_core::state::StateError> {
         use utilbp_core::state::StateError;
@@ -356,41 +356,6 @@ impl Event {
     }
 }
 
-/// An event sink. The contract that keeps recording zero-cost when off:
-/// emitters must gate event *construction* on [`enabled`](Self::enabled)
-/// (cache it — it never changes over a recorder's lifetime), so a
-/// disabled recorder costs one boolean test per emission site and no
-/// allocation.
-pub trait Recorder {
-    /// Whether this recorder wants events at all.
-    fn enabled(&self) -> bool;
-
-    /// Accepts one event. Events arrive in tick order; ties preserve
-    /// emission order.
-    fn record(&mut self, event: Event);
-
-    /// The concrete ring buffer behind this recorder, when it is one —
-    /// sinks that retain events expose themselves here so drivers can
-    /// read the stream back through the trait object.
-    fn flight(&self) -> Option<&FlightRecorder> {
-        None
-    }
-}
-
-/// The recording-off recorder: rejects every event without looking at
-/// it. [`Recorder::enabled`] is `false`, so well-behaved emitters never
-/// even construct the event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: Event) {}
-}
-
 /// A bounded ring buffer of events: when full, the **oldest** event is
 /// dropped (and counted), so the recorder keeps the most recent history
 /// — flight-recorder semantics. Eviction depends only on the event
@@ -401,7 +366,7 @@ impl Recorder for NullRecorder {
 ///
 /// ```
 /// use utilbp_core::Tick;
-/// use utilbp_telemetry::{Event, EventKind, FlightRecorder, Recorder};
+/// use utilbp_telemetry::{Event, EventKind, FlightRecorder};
 ///
 /// let mut rec = FlightRecorder::new(2);
 /// for k in 0..3 {
@@ -410,7 +375,7 @@ impl Recorder for NullRecorder {
 ///         kind: EventKind::RoadClosed { road: 0 },
 ///     });
 /// }
-/// assert_eq!(rec.len(), 2);
+/// assert_eq!(rec.events().count(), 2);
 /// assert_eq!(rec.dropped(), 1);
 /// assert_eq!(rec.events().next().unwrap().tick, Tick::new(1));
 /// ```
@@ -447,19 +412,20 @@ impl FlightRecorder {
         })
     }
 
+    /// Accepts one event, evicting the oldest when the ring is full.
+    /// Events arrive in tick order; ties preserve emission order.
+    pub fn record(&mut self, event: Event) {
+        if self.buffer.len() == self.capacity {
+            self.buffer.pop_front();
+            self.dropped += 1;
+        }
+        self.buffer.push_back(event);
+        self.recorded += 1;
+    }
+
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> + '_ {
         self.buffer.iter()
-    }
-
-    /// Retained event count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
     }
 
     /// The configured capacity.
@@ -533,25 +499,6 @@ impl FlightRecorder {
     }
 }
 
-impl Recorder for FlightRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: Event) {
-        if self.buffer.len() == self.capacity {
-            self.buffer.pop_front();
-            self.dropped += 1;
-        }
-        self.buffer.push_back(event);
-        self.recorded += 1;
-    }
-
-    fn flight(&self) -> Option<&FlightRecorder> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,19 +559,11 @@ mod tests {
         for k in 0..10 {
             rec.record(ev(k, EventKind::RoadClosed { road: k as u32 }));
         }
-        assert_eq!(rec.len(), 3);
+        assert_eq!(rec.events().count(), 3);
         assert_eq!(rec.recorded(), 10);
         assert_eq!(rec.dropped(), 7);
         let ticks: Vec<u64> = rec.events().map(|e| e.tick.index()).collect();
         assert_eq!(ticks, [7, 8, 9]);
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        let mut null = NullRecorder;
-        assert!(!null.enabled());
-        null.record(ev(0, EventKind::Surge { factor: 2.0 }));
-        assert!(null.flight().is_none());
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl GaugeRegistry {
         }
     }
 
-    /// The sampling cadence in ticks.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     /// Registers a gauge under `name` and returns its handle.
     pub fn register(&mut self, name: impl Into<String>) -> GaugeId {
         let id = GaugeId(self.series.len());

@@ -6,9 +6,8 @@
 //! threads three instruments through a run:
 //!
 //! - a typed **event stream** — [`Event`] / [`EventKind`] — captured by
-//!   anything implementing [`Recorder`]: [`FlightRecorder`] keeps a
-//!   bounded ring buffer of tick-stamped events, [`NullRecorder`]
-//!   compiles to a no-op;
+//!   a [`FlightRecorder`], a bounded ring buffer of tick-stamped events
+//!   (a driver without one records nothing);
 //! - a **gauge registry** — [`GaugeRegistry`] — sampling named counters
 //!   (per-intersection queue and peak-movement pressure, per-road
 //!   occupancy, backlog depth, congestion-set size) on a configurable
@@ -16,15 +15,16 @@
 //! - a **tick-section profiler** — [`TickProfiler`] — folding per-tick
 //!   wall-clock laps for the step pipeline's [`Section`]s (decide,
 //!   car-following, landings, waiting, replan, monitor) into streaming
-//!   [`SummaryStats`](utilbp_metrics::SummaryStats) and
-//!   [`Histogram`](utilbp_metrics::Histogram) percentiles. It is the
+//!   [`SummaryStats`](utilbp_metrics::SummaryStats) and log-scaled
+//!   percentile histograms. It is the
 //!   workspace's one timing schema: both plants' `step_into` and the
 //!   scenario engine lap into it through a [`PhaseStopwatch`], which
 //!   takes no clock reading when no profiler is attached.
 //!
 //! ## Event taxonomy
 //!
-//! Every event is an [`EventKind`] stamped with the [`Tick`] it was
+//! Every event is an [`EventKind`] stamped with the
+//! [`Tick`](utilbp_core::Tick) it was
 //! observed at (the tick the engine just simulated):
 //!
 //! | kind | emitted when |
@@ -47,10 +47,10 @@
 //!   recording-off runs, across repeats — and the event stream itself
 //!   is byte-deterministic (same scenario ⇒ byte-identical
 //!   [`FlightRecorder::to_jsonl`]);
-//! - with recording **off** ([`NullRecorder`], the default), the hot
-//!   path performs no event construction and no allocation — the
-//!   workspace's counting-allocator test bounds the scenario engine's
-//!   steady state with the null recorder installed.
+//! - with recording **off** (no recorder, the default), the hot path
+//!   performs no event construction and no allocation — the
+//!   workspace's counting-allocator test bounds the default scenario
+//!   engine's steady state.
 //!
 //! Wall-clock readings taken by the profiler never influence control
 //! flow; they are measurements of the run, not inputs to it.
@@ -74,15 +74,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod event;
 mod gauges;
 mod profiler;
 mod timeline;
 
-pub use event::{Event, EventKind, FlightRecorder, NullRecorder, Recorder, ReplanTrigger};
+pub use event::{Event, EventKind, FlightRecorder, ReplanTrigger};
 pub use gauges::{GaugeId, GaugeRegistry};
 pub use profiler::{PhaseStopwatch, Section, TickProfiler};
 pub use timeline::render_timeline;
-
-pub use utilbp_core::Tick;

@@ -3,14 +3,50 @@
 
 use std::time::Instant;
 
-use utilbp_metrics::{Histogram, SummaryStats, TextTable};
+use utilbp_metrics::{SummaryStats, TextTable};
 
-/// Histogram granularity: 2 µs bins, 256 of them, so percentile
-/// resolution is 2 µs up to ~0.5 ms per section per tick (slower laps
-/// land in the last bin and still count toward max/mean exactly via
-/// the summary stats).
-const BIN_WIDTH_US: f64 = 2.0;
-const BINS: usize = 256;
+/// Lap-histogram buckets per doubling of lap time: percentiles resolve
+/// to within 2^(1/4) ≈ 19% of the lap at every scale.
+const PER_OCTAVE: usize = 4;
+/// Bucket 0 holds laps up to 1 ns; bucket `i` those in
+/// (2^((i−1)/4), 2^(i/4)] ns, up to 2^30 ns ≈ 1.07 s. The last bucket
+/// also takes anything slower (the summary stats keep its max exactly).
+const BUCKETS: usize = 30 * PER_OCTAVE + 1;
+
+/// Log-scaled lap-time counts, for percentiles: means hide the tail.
+#[derive(Debug, Clone)]
+struct LapHistogram {
+    counts: [u64; BUCKETS],
+}
+
+impl LapHistogram {
+    const EMPTY: LapHistogram = LapHistogram {
+        counts: [0; BUCKETS],
+    };
+
+    /// Records one lap of `us` microseconds.
+    fn record(&mut self, us: f64) {
+        let ns = us * 1e3;
+        // NaN and laps up to 1 ns land in bucket 0; `as` saturates an
+        // infinite lap, which the `min` puts in the last bucket.
+        let bucket = (ns.log2() * PER_OCTAVE as f64).ceil().max(0.0) as usize;
+        self.counts[bucket.min(BUCKETS - 1)] += 1;
+    }
+
+    /// The `p`-th percentile (0–100) in microseconds, as the upper edge
+    /// of the bucket where the cumulative count crosses `p`% — `None`
+    /// when empty.
+    fn percentile(&self, p: f64) -> Option<f64> {
+        let total: u64 = self.counts.iter().sum();
+        let target = (p / 100.0 * total as f64).ceil().max(1.0) as u64;
+        let mut cumulative = 0;
+        let bucket = self.counts.iter().position(|&n| {
+            cumulative += n;
+            cumulative >= target
+        })?;
+        Some((bucket as f64 / PER_OCTAVE as f64).exp2() / 1e3)
+    }
+}
 
 /// One attributable section of a simulated tick.
 ///
@@ -65,7 +101,7 @@ impl Section {
     ];
 
     /// The section's display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Section::Decide => "decide",
             Section::CarFollowing => "car-following",
@@ -89,8 +125,9 @@ impl Section {
 }
 
 /// Streaming per-[`Section`] wall-clock statistics. Each recorded lap
-/// feeds a [`SummaryStats`] (exact mean/min/max) and a [`Histogram`]
-/// (percentiles at 2 µs resolution). Laps are recorded in seconds (the
+/// feeds a [`SummaryStats`] (exact mean/min/max) and a log-scaled
+/// histogram (percentiles within ~19% of the lap, from nanoseconds to
+/// a second). Laps are recorded in seconds (the
 /// unit `Instant::elapsed().as_secs_f64()` hands out) and rendered in
 /// microseconds.
 ///
@@ -99,7 +136,7 @@ impl Section {
 #[derive(Debug, Clone)]
 pub struct TickProfiler {
     stats: [SummaryStats; 6],
-    histograms: Vec<Histogram>,
+    histograms: [LapHistogram; 6],
     /// Controllers the profiled ticks' decide phases called (added by
     /// [`PhaseStopwatch::count_decide_calls`]).
     decide_calls: u64,
@@ -116,7 +153,7 @@ impl TickProfiler {
     pub fn new() -> Self {
         TickProfiler {
             stats: [SummaryStats::new(); 6],
-            histograms: (0..6).map(|_| Histogram::new(BIN_WIDTH_US, BINS)).collect(),
+            histograms: [LapHistogram::EMPTY; 6],
             decide_calls: 0,
         }
     }
@@ -142,27 +179,11 @@ impl TickProfiler {
         &self.stats[section.index()]
     }
 
-    /// The percentile histogram for `section`, in microseconds.
-    pub fn histogram(&self, section: Section) -> &Histogram {
-        &self.histograms[section.index()]
-    }
-
-    /// Total recorded wall-clock across all sections, in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.stats
-            .iter()
-            .map(|s| s.mean() * s.count() as f64)
-            .sum::<f64>()
-            / 1e6
-    }
-
     /// The profile as a table: one row per section with laps, mean,
     /// p50/p90/p99, max (all µs) and share of total recorded time.
     /// Sections with no laps are omitted. A percentile is the upper edge
-    /// of its 2 µs bin clamped to the section's observed `[min, max]`,
-    /// so a section faster than one bin never reads a percentile above
-    /// its own maximum, and one that falls in the overflow bin reads as
-    /// the maximum.
+    /// of its histogram bucket clamped to the section's observed
+    /// `[min, max]`, so it never reads above the section's own maximum.
     pub fn table(&self) -> TextTable {
         let total_us: f64 = self.stats.iter().map(|s| s.mean() * s.count() as f64).sum();
         let mut table = TextTable::new([
@@ -173,7 +194,7 @@ impl TickProfiler {
             let (Some(min), Some(max)) = (stats.min(), stats.max()) else {
                 continue;
             };
-            let hist = self.histogram(section);
+            let hist = &self.histograms[section.index()];
             let pct = |p: f64| {
                 let edge = hist.percentile(p).unwrap_or(f64::INFINITY);
                 format!("{:.1}", edge.clamp(min, max))
@@ -253,7 +274,7 @@ mod tests {
         let decide = profiler.stats(Section::Decide);
         assert_eq!(decide.count(), 2);
         assert!((decide.mean() - 20.0).abs() < 1e-9);
-        assert!((profiler.total_seconds() - 100e-6).abs() < 1e-12);
+        assert_eq!(profiler.stats(Section::Replan).count(), 1);
     }
 
     #[test]
@@ -299,14 +320,19 @@ mod tests {
     }
 
     #[test]
-    fn printed_percentiles_never_exceed_the_section_maximum() {
+    fn printed_percentiles_are_ordered_and_resolve_fast_and_slow_laps() {
         let mut profiler = TickProfiler::new();
-        for us in [0.3, 0.5, 0.8] {
+        // Sub-microsecond laps over one octave, and multi-millisecond
+        // ones: both must resolve a median below their maximum.
+        for us in [0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60] {
             profiler.record(Section::Landings, us * 1e-6);
         }
-        profiler.record(Section::Replan, 900e-6); // overflow bin
+        for ms in [2.0, 3.0, 4.0, 5.0, 8.0] {
+            profiler.record(Section::Replan, ms * 1e-3);
+        }
+        profiler.record(Section::Monitor, 5.0); // beyond the last bucket edge
         let rendered = profiler.table().render();
-        for name in ["landings", "replan"] {
+        for name in ["landings", "replan", "monitor"] {
             let row = rendered
                 .lines()
                 .find(|l| l.contains(name))
@@ -321,7 +347,22 @@ mod tests {
                 panic!("unexpected row {row:?}");
             };
             assert!(p50 <= p90 && p90 <= p99 && p99 <= max, "{row}");
+            if name != "monitor" {
+                assert!(p50 < max, "{row}");
+            }
         }
+    }
+
+    #[test]
+    fn lap_buckets_are_log_scaled_from_a_nanosecond_to_a_second() {
+        let mut hist = LapHistogram::EMPTY;
+        hist.record(0.0005); // 0.5 ns: the first bucket, edge 1 ns
+        hist.record(1.0); // 1000 ns: edge 2^(40/4) = 1024 ns
+        hist.record(2e6); // 2 s: the last bucket, edge 2^30 ns
+        let edge = |p: f64| hist.percentile(p).unwrap();
+        assert!((edge(0.0) - 0.001).abs() < 1e-15);
+        assert!((edge(50.0) - 1.024).abs() < 1e-12);
+        assert!((edge(100.0) - (1u64 << 30) as f64 / 1e3).abs() < 1e-6);
     }
 
     #[test]
@@ -330,10 +371,9 @@ mod tests {
         for k in 0..100 {
             profiler.record(Section::Waiting, k as f64 * 1e-6);
         }
-        let p50 = profiler
-            .histogram(Section::Waiting)
-            .percentile(50.0)
-            .unwrap();
+        let hist = &profiler.histograms[Section::Waiting.index()];
+        let p50 = hist.percentile(50.0).unwrap();
         assert!((40.0..=60.0).contains(&p50), "p50 was {p50}");
+        assert_eq!(LapHistogram::EMPTY.percentile(50.0), None);
     }
 }

@@ -146,15 +146,15 @@
 //! whole stack: deterministic, strictly passive, and zero-cost when off.
 //! It has four pieces, all engine-attached (`scenario::ScenarioEngine`):
 //!
-//! - **Event stream** ([`telemetry::Recorder`],
-//!   [`telemetry::FlightRecorder`]): typed, tick-stamped events — phase
+//! - **Event stream** ([`telemetry::FlightRecorder`]): typed,
+//!   tick-stamped events — phase
 //!   switches, closures/reopenings, surges, fault windows, watchdog
 //!   activations/recoveries, replans (closure / reopen / congestion),
 //!   invariant-guard violations — captured into a bounded ring buffer
 //!   (oldest dropped first) and exported as JSONL with a fixed key
 //!   order, so fixed-seed streams are byte-identical across repeats.
-//!   [`telemetry::NullRecorder`] is the default: `enabled()` is false
-//!   and every emission site is gated on one cached bool, so the off
+//!   Recording is off by default: the engine holds no recorder, every
+//!   emission site tests for one before building an event, and the off
 //!   path allocates nothing.
 //! - **Gauges** ([`telemetry::GaugeRegistry`]): backlog depth,
 //!   congested-set size, per-intersection queue totals and max
@@ -275,6 +275,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// The paper's intersection model and the UTIL-BP controller
 /// (re-export of `utilbp-core`).

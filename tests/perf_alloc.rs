@@ -150,9 +150,9 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
     );
 
     // --- Scenario engine with recording off. ---
-    // The telemetry plane's zero-cost-when-off claim, measured: with the
-    // `NullRecorder` explicitly installed (the emission sites are gated
-    // on its cached `enabled()`), the engine's steady-state step adds no
+    // The telemetry plane's zero-cost-when-off claim, measured: the
+    // default engine has no recorder (every emission site tests for
+    // one before building an event), and its steady-state step adds no
     // allocations of its own on top of the substrate budget above.
     let mut spec = adaptive_backpressure::scenario::builtin("paper-grid").expect("builtin exists");
     spec.set_horizon(Ticks::new(WARMUP + MEASURED));
@@ -164,7 +164,7 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
         &|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>,
     )
     .expect("spec validates");
-    engine.set_recorder(Box::new(adaptive_backpressure::telemetry::NullRecorder));
+    assert!(engine.recorder().is_none(), "recording is off by default");
     for _ in 0..WARMUP {
         engine.step();
     }
@@ -179,7 +179,7 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
     );
     assert!(
         engine_allocs <= BUDGET,
-        "engine+NullRecorder: {engine_allocs} allocations over {MEASURED} steady-state ticks \
+        "engine, recording off: {engine_allocs} allocations over {MEASURED} steady-state ticks \
          (budget {BUDGET}) — recording-off must stay allocation-free per tick"
     );
 
