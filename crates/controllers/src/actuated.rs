@@ -100,7 +100,6 @@ impl Actuated {
     fn has_demand(view: &IntersectionView<'_>, phase: PhaseId) -> bool {
         view.layout()
             .phase(phase)
-            .links()
             .iter()
             .any(|&l| view.link_servable(l))
     }
@@ -113,7 +112,6 @@ impl Actuated {
         for phase in layout.phase_ids() {
             let servable: u32 = layout
                 .phase(phase)
-                .links()
                 .iter()
                 .map(|&l| view.link_service_bound(l))
                 .sum();

@@ -88,7 +88,7 @@ fn select(view: &IntersectionView<'_>, current: Option<PhaseId>) -> PhaseId {
     for phase in layout.phase_ids() {
         let mut score = 0.0;
         let mut servable = 0u32;
-        for &l in layout.phase(phase).links() {
+        for &l in layout.phase(phase) {
             score += link_weight(view, l);
             servable += view.link_service_bound(l);
         }

@@ -43,7 +43,7 @@ impl FixedLengthUtilBp {
         for phase in layout.phase_ids() {
             let mut total = 0.0;
             let mut max = f64::NEG_INFINITY;
-            for &l in layout.phase(phase).links() {
+            for &l in layout.phase(phase) {
                 let g = pressure::link_gain(view, l, penalties);
                 total += g;
                 max = max.max(g);

@@ -37,7 +37,6 @@ impl OriginalBp {
         for phase in layout.phase_ids() {
             let score: f64 = layout
                 .phase(phase)
-                .links()
                 .iter()
                 .map(|&lid| {
                     let l = layout.link(lid);

@@ -105,7 +105,6 @@ impl SignalController for LongestQueueFirst {
             for phase in layout.phase_ids() {
                 let servable: u32 = layout
                     .phase(phase)
-                    .links()
                     .iter()
                     .map(|&l| view.link_service_bound(l))
                     .sum();

@@ -6,6 +6,13 @@
 //! control phases `C = {c_j}` (each a compatible subset of links). The layout
 //! is immutable once built; per-instant queue state lives in
 //! [`QueueObservation`](crate::QueueObservation).
+//!
+//! The layout is flat, since a controller reads it on every mini-slot:
+//! each [`Link`] record carries the capacity `W_{i'}` of the road it
+//! feeds, so a link gain reads one record and two readings, and every
+//! phase's link list and every incoming road's link list is a range of
+//! one shared [`LinkId`] array. A layout owns four allocations, whatever
+//! its number of phases and roads.
 
 use std::error::Error;
 use std::fmt;
@@ -19,6 +26,8 @@ use crate::ids::{IncomingId, LinkId, OutgoingId, PhaseId};
 pub struct Link {
     from: IncomingId,
     to: OutgoingId,
+    /// `W_{i'}` of the outgoing road `to`, copied in at build time.
+    capacity: u32,
     service_rate: f64,
 }
 
@@ -33,6 +42,12 @@ impl Link {
         self.to
     }
 
+    /// Capacity `W_{i'}` of the outgoing road the link feeds (equal to
+    /// [`IntersectionLayout::capacity`] of [`to`](Self::to)).
+    pub const fn capacity(&self) -> u32 {
+        self.capacity
+    }
+
     /// Maximum service rate `µ_i^{i'}` (vehicles per mini-slot).
     pub const fn service_rate(&self) -> f64 {
         self.service_rate
@@ -42,19 +57,6 @@ impl Link {
 impl fmt::Display for Link {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L({}->{})", self.from, self.to)
-    }
-}
-
-/// One control phase `c_j`: the compatible set of links it activates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Phase {
-    links: Vec<LinkId>,
-}
-
-impl Phase {
-    /// The links activated by this phase.
-    pub fn links(&self) -> &[LinkId] {
-        &self.links
     }
 }
 
@@ -141,20 +143,25 @@ impl Error for LayoutError {}
 /// b.add_phase(&[l]);
 /// let layout = b.build()?;
 /// assert_eq!(layout.num_links(), 1);
+/// assert_eq!(layout.phase(utilbp_core::PhaseId::new(0)), &[l]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntersectionLayout {
-    num_incoming: usize,
     /// Capacity `W_{i'}` of each outgoing road, indexed by `OutgoingId`.
     capacities: Vec<u32>,
     links: Vec<Link>,
-    phases: Vec<Phase>,
+    /// Every phase's links in phase order, then the links leaving each
+    /// incoming road in road order (for per-road pressure, Eq. 5).
+    link_lists: Vec<LinkId>,
+    /// List `n` is `link_lists[list_bounds[n]..list_bounds[n + 1]]`: the
+    /// first `num_phases` lists are the phases, the rest the incoming
+    /// roads.
+    list_bounds: Vec<u32>,
+    num_phases: usize,
     /// `W* = max_{i'} W_{i'}` (Eq. 7), cached at build time.
     max_capacity: u32,
-    /// Links grouped by incoming road, for per-road pressure (Eq. 5).
-    links_by_incoming: Vec<Vec<LinkId>>,
 }
 
 impl IntersectionLayout {
@@ -165,7 +172,7 @@ impl IntersectionLayout {
 
     /// Number of incoming roads `|N_I|`.
     pub fn num_incoming(&self) -> usize {
-        self.num_incoming
+        self.list_bounds.len() - 1 - self.num_phases
     }
 
     /// Number of outgoing roads `|N_O|`.
@@ -180,7 +187,7 @@ impl IntersectionLayout {
 
     /// Number of control phases `|C|` (excluding the transition phase `c0`).
     pub fn num_phases(&self) -> usize {
-        self.phases.len()
+        self.num_phases
     }
 
     /// The link table entry for `id`.
@@ -192,13 +199,22 @@ impl IntersectionLayout {
         &self.links[id.index()]
     }
 
-    /// The phase table entry for `id`.
+    /// The links phase `id` activates.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range for this layout.
-    pub fn phase(&self, id: PhaseId) -> &Phase {
-        &self.phases[id.index()]
+    pub fn phase(&self, id: PhaseId) -> &[LinkId] {
+        assert!(id.index() < self.num_phases, "phase {id} out of range");
+        self.list(id.index())
+    }
+
+    /// Every phase's links, in phase-table order (the slices
+    /// [`phase`](Self::phase) returns for [`phase_ids`](Self::phase_ids)).
+    pub fn phases(&self) -> impl Iterator<Item = &[LinkId]> + '_ {
+        self.list_bounds[..=self.num_phases]
+            .windows(2)
+            .map(|w| &self.link_lists[w[0] as usize..w[1] as usize])
     }
 
     /// Capacity `W_{i'}` of an outgoing road.
@@ -222,7 +238,7 @@ impl IntersectionLayout {
 
     /// Iterates over all phase ids in table order.
     pub fn phase_ids(&self) -> impl Iterator<Item = PhaseId> + '_ {
-        (0..self.phases.len()).map(|i| PhaseId::new(i as u8))
+        (0..self.num_phases).map(|i| PhaseId::new(i as u8))
     }
 
     /// Iterates over all outgoing road ids in table order.
@@ -232,7 +248,7 @@ impl IntersectionLayout {
 
     /// Iterates over all incoming road ids in table order.
     pub fn incoming_ids(&self) -> impl Iterator<Item = IncomingId> + '_ {
-        (0..self.num_incoming).map(|i| IncomingId::new(i as u8))
+        (0..self.num_incoming()).map(|i| IncomingId::new(i as u8))
     }
 
     /// The links departing from incoming road `id` (the movements whose
@@ -242,7 +258,12 @@ impl IntersectionLayout {
     ///
     /// Panics if `id` is out of range for this layout.
     pub fn links_from(&self, id: IncomingId) -> &[LinkId] {
-        &self.links_by_incoming[id.index()]
+        self.list(self.num_phases + id.index())
+    }
+
+    /// Link list `n` of `link_lists`.
+    fn list(&self, n: usize) -> &[LinkId] {
+        &self.link_lists[self.list_bounds[n] as usize..self.list_bounds[n + 1] as usize]
     }
 }
 
@@ -252,8 +273,12 @@ impl IntersectionLayout {
 pub struct IntersectionLayoutBuilder {
     num_incoming: usize,
     capacities: Vec<u32>,
+    /// Links as added; `build` fills in each one's capacity.
     links: Vec<Link>,
-    phases: Vec<Phase>,
+    /// Every phase's links, back to back.
+    phase_links: Vec<LinkId>,
+    /// Where each phase's links end in `phase_links`.
+    phase_ends: Vec<u32>,
 }
 
 impl IntersectionLayoutBuilder {
@@ -278,6 +303,7 @@ impl IntersectionLayoutBuilder {
         self.links.push(Link {
             from,
             to,
+            capacity: 0,
             service_rate,
         });
         id
@@ -285,11 +311,16 @@ impl IntersectionLayoutBuilder {
 
     /// Declares a control phase activating `links` and returns its id.
     pub fn add_phase(&mut self, links: &[LinkId]) -> PhaseId {
-        let id = PhaseId::new(self.phases.len() as u8);
-        self.phases.push(Phase {
-            links: links.to_vec(),
-        });
+        let id = PhaseId::new(self.phase_ends.len() as u8);
+        self.phase_links.extend_from_slice(links);
+        self.phase_ends.push(self.phase_links.len() as u32);
         id
+    }
+
+    /// The links of phase `j`.
+    fn phase(&self, j: usize) -> &[LinkId] {
+        let start = if j == 0 { 0 } else { self.phase_ends[j - 1] };
+        &self.phase_links[start as usize..self.phase_ends[j] as usize]
     }
 
     /// Validates the accumulated structure and produces the layout.
@@ -305,7 +336,7 @@ impl IntersectionLayoutBuilder {
         if self.capacities.is_empty() {
             return Err(LayoutError::NoOutgoingRoads);
         }
-        if self.phases.is_empty() {
+        if self.phase_ends.is_empty() {
             return Err(LayoutError::NoPhases);
         }
         for (idx, &w) in self.capacities.iter().enumerate() {
@@ -330,33 +361,52 @@ impl IntersectionLayoutBuilder {
                 return Err(LayoutError::DuplicateLink(link.from, link.to));
             }
         }
-        for (j, phase) in self.phases.iter().enumerate() {
-            if phase.links.is_empty() {
+        for j in 0..self.phase_ends.len() {
+            let phase = self.phase(j);
+            if phase.is_empty() {
                 return Err(LayoutError::EmptyPhase(j));
             }
-            for (pos, &lid) in phase.links.iter().enumerate() {
+            for (pos, &lid) in phase.iter().enumerate() {
                 if lid.index() >= self.links.len() {
                     return Err(LayoutError::UnknownLink(lid));
                 }
-                if phase.links[..pos].contains(&lid) {
+                if phase[..pos].contains(&lid) {
                     return Err(LayoutError::DuplicateLinkInPhase(j, lid));
                 }
             }
         }
 
-        let mut links_by_incoming = vec![Vec::new(); self.num_incoming];
-        for (idx, link) in self.links.iter().enumerate() {
-            links_by_incoming[link.from.index()].push(LinkId::new(idx as u16));
+        let lists = self.phase_ends.len() + self.num_incoming;
+        let mut link_lists = Vec::with_capacity(self.phase_links.len() + self.links.len());
+        link_lists.extend_from_slice(&self.phase_links);
+        let mut list_bounds = Vec::with_capacity(lists + 1);
+        list_bounds.push(0);
+        list_bounds.extend_from_slice(&self.phase_ends);
+        for arm in 0..self.num_incoming {
+            link_lists.extend(
+                (0..self.links.len())
+                    .filter(|&idx| self.links[idx].from.index() == arm)
+                    .map(|idx| LinkId::new(idx as u16)),
+            );
+            list_bounds.push(link_lists.len() as u32);
         }
+        let links = self
+            .links
+            .iter()
+            .map(|&link| Link {
+                capacity: self.capacities[link.to.index()],
+                ..link
+            })
+            .collect();
         let max_capacity = self.capacities.iter().copied().max().unwrap_or(0);
 
         Ok(IntersectionLayout {
-            num_incoming: self.num_incoming,
             capacities: self.capacities.clone(),
-            links: self.links.clone(),
-            phases: self.phases.clone(),
+            links,
+            link_lists,
+            list_bounds,
+            num_phases: self.phase_ends.len(),
             max_capacity,
-            links_by_incoming,
         })
     }
 }
@@ -388,8 +438,32 @@ mod tests {
         assert_eq!(layout.num_phases(), 2);
         assert_eq!(layout.max_capacity(), 120);
         assert_eq!(layout.capacity(OutgoingId::new(0)), 100);
-        assert_eq!(layout.links_from(IncomingId::new(0)).len(), 2);
-        assert_eq!(layout.links_from(IncomingId::new(1)).len(), 1);
+        assert_eq!(
+            layout.links_from(IncomingId::new(0)),
+            &[LinkId::new(0), LinkId::new(1)]
+        );
+        assert_eq!(layout.links_from(IncomingId::new(1)), &[LinkId::new(2)]);
+        assert_eq!(
+            layout.phase(PhaseId::new(0)),
+            &[LinkId::new(0), LinkId::new(1)]
+        );
+        assert_eq!(layout.phase(PhaseId::new(1)), &[LinkId::new(2)]);
+        let capacities: Vec<u32> = layout
+            .link_ids()
+            .map(|l| layout.link(l).capacity())
+            .collect();
+        assert_eq!(
+            capacities,
+            [100, 120, 100],
+            "each link carries its exit's W"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_phase_past_the_table_panics() {
+        let layout = two_by_two().build().expect("layout is valid");
+        let _ = layout.phase(PhaseId::new(2));
     }
 
     #[test]

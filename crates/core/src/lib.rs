@@ -70,7 +70,7 @@ mod utilbp;
 
 pub use controller::{PhaseDecision, SignalController};
 pub use ids::{IncomingId, LinkId, OutgoingId, PhaseId};
-pub use layout::{IntersectionLayout, IntersectionLayoutBuilder, LayoutError, Link, Phase};
+pub use layout::{IntersectionLayout, IntersectionLayoutBuilder, LayoutError, Link};
 pub use observation::{
     IntersectionView, ObservationBuffer, ObservationShapeError, QueueObservation,
 };

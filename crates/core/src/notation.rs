@@ -11,7 +11,7 @@
 //! | `N_i ∈ N_I` | incoming road | [`IncomingId`](crate::IncomingId) |
 //! | `N_{i'} ∈ N_O` | outgoing road | [`OutgoingId`](crate::OutgoingId) |
 //! | `L_i^{i'} ∈ L` | feasible link (turning movement) | [`LinkId`](crate::LinkId), [`Link`](crate::Link) |
-//! | `c_j ∈ C` | control phase | [`PhaseId`](crate::PhaseId), [`Phase`](crate::Phase) |
+//! | `c_j ∈ C` | control phase | [`PhaseId`](crate::PhaseId), [`IntersectionLayout::phase`](crate::IntersectionLayout::phase) |
 //! | `c_0 = ∅` | transition (amber) phase | [`PhaseDecision::Transition`](crate::PhaseDecision::Transition) |
 //! | `k` | discrete time instant (mini-slot) | [`Tick`](crate::Tick) |
 //! | `∆k` | transition duration | [`UtilBpConfig::transition`](crate::UtilBpConfig) |

@@ -185,17 +185,19 @@ impl QueueObservation {
 /// phase (read-only views), so every controller decides from the same
 /// tick's sensing.
 ///
-/// Each intersection carries a changed flag: every mutable access marks
-/// it ([`get_mut`](Self::get_mut), [`as_mut_slice`](Self::as_mut_slice),
-/// or [`sense`](Self::sense) when its gather reports a difference), and
-/// the decide phase clears it when it calls the intersection's
-/// controller (see [`decide_all`](crate::decide::decide_all)).
+/// The buffer also keeps the *due set*: a bitset over the intersections
+/// whose controller the next decide phase calls. Every mutable access
+/// marks its intersection due ([`get_mut`](Self::get_mut),
+/// [`as_mut_slice`](Self::as_mut_slice), or [`sense`](Self::sense) when
+/// its gather reports a difference); the decide phase clears a bit when
+/// it calls the controller and sets it again when the controller is not
+/// at rest (see [`decide_all`](crate::decide::decide_all)).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationBuffer {
     observations: Vec<QueueObservation>,
-    /// Per intersection: whether a reading may have changed since the
-    /// controller's last call.
-    changed: Vec<bool>,
+    /// Intersection `i` is due when bit `i % 64` of word `i / 64` is
+    /// set; bits past the last intersection stay clear.
+    due: Vec<u64>,
 }
 
 impl ObservationBuffer {
@@ -205,7 +207,7 @@ impl ObservationBuffer {
     }
 
     /// Shapes one observation per layout, reusing allocations, and marks
-    /// every one changed. Call once at construction (or whenever the
+    /// every one due. Call once at construction (or whenever the
     /// network changes); calling again with the same layouts is
     /// allocation-free after the first time.
     pub fn shape_for<'a>(&mut self, layouts: impl Iterator<Item = &'a IntersectionLayout>) {
@@ -219,8 +221,8 @@ impl ObservationBuffer {
             n += 1;
         }
         self.observations.truncate(n);
-        self.changed.clear();
-        self.changed.resize(n, true);
+        self.due.resize(n.div_ceil(64), 0);
+        self.mark_all_due();
     }
 
     /// Number of observations in the buffer.
@@ -233,46 +235,60 @@ impl ObservationBuffer {
         self.observations.is_empty()
     }
 
-    /// The observation for intersection index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub(crate) fn get(&self, i: usize) -> &QueueObservation {
-        &self.observations[i]
-    }
-
-    /// Mutable observation for intersection index `i`; marks it changed.
+    /// Mutable observation for intersection index `i`; marks it due.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn get_mut(&mut self, i: usize) -> &mut QueueObservation {
-        self.changed[i] = true;
-        &mut self.observations[i]
+        let obs = &mut self.observations[i];
+        self.due[i / 64] |= 1 << (i % 64);
+        obs
     }
 
     /// Rewrites intersection `i`'s readings with `gather`, which returns
     /// whether any reading differs from the one it overwrote; marks the
-    /// intersection changed only then.
+    /// intersection due only then.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn sense(&mut self, i: usize, gather: impl FnOnce(&mut QueueObservation) -> bool) {
         if gather(&mut self.observations[i]) {
-            self.changed[i] = true;
+            self.due[i / 64] |= 1 << (i % 64);
         }
     }
 
-    /// Marks every intersection changed.
-    pub(crate) fn mark_all_changed(&mut self) {
-        self.changed.fill(true);
+    /// Marks every intersection due.
+    pub(crate) fn mark_all_due(&mut self) {
+        let n = self.observations.len();
+        for (w, word) in self.due.iter_mut().enumerate() {
+            let bits = (n - w * 64).min(64);
+            *word = if bits == 64 { !0 } else { (1 << bits) - 1 };
+        }
     }
 
-    /// Whether intersection `i` was marked changed; clears the mark.
-    pub(crate) fn take_changed(&mut self, i: usize) -> bool {
-        std::mem::take(&mut self.changed[i])
+    /// The due set as words: intersection `i` is due when bit `i % 64`
+    /// of word `i / 64` is set.
+    pub fn due_words(&self) -> &[u64] {
+        &self.due
+    }
+
+    /// Calls `visit(i, observation)` for every due intersection `i`, in
+    /// ascending order, clearing its bit first; `visit` returns whether
+    /// to mark `i` due again.
+    pub(crate) fn visit_due(&mut self, mut visit: impl FnMut(usize, &QueueObservation) -> bool) {
+        for (w, word) in self.due.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                if visit(i, &self.observations[i]) {
+                    *word |= bit;
+                }
+                bits ^= bit;
+            }
+        }
     }
 
     /// All observations, indexed by intersection.
@@ -280,9 +296,9 @@ impl ObservationBuffer {
         &self.observations
     }
 
-    /// All observations, mutably; marks every one changed.
+    /// All observations, mutably; marks every one due.
     pub fn as_mut_slice(&mut self) -> &mut [QueueObservation] {
-        self.mark_all_changed();
+        self.mark_all_due();
         &mut self.observations
     }
 }

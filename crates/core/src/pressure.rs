@@ -161,7 +161,7 @@ pub fn link_gain(view: &IntersectionView<'_>, link: LinkId, penalties: GainPenal
     util_link_gain(
         view.movement_queue(link),
         view.outgoing_occupancy(l.to()),
-        layout.capacity(l.to()),
+        l.capacity(),
         layout.max_capacity(),
         l.service_rate(),
         penalties,

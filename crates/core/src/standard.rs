@@ -166,7 +166,7 @@ impl fmt::Display for Turn {
 ///
 /// // c2 activates exactly the north–south right turns.
 /// let c2 = layout.phase(utilbp_core::PhaseId::new(1));
-/// assert_eq!(c2.links().len(), 2);
+/// assert_eq!(c2.len(), 2);
 /// ```
 pub fn four_way(capacity: u32, service_rate: f64) -> IntersectionLayout {
     four_way_with([capacity; 4], service_rate)
@@ -302,39 +302,31 @@ mod tests {
         let layout = four_way(120, 1.0);
         // c1 = {L1^6, L1^7, L3^5, L3^8}: N straight/left + S straight/left.
         let c1 = layout.phase(phase_id(1));
-        assert_eq!(c1.links().len(), 4);
-        assert!(c1
-            .links()
-            .contains(&link_id(Approach::North, Turn::Straight)));
-        assert!(c1.links().contains(&link_id(Approach::North, Turn::Left)));
-        assert!(c1
-            .links()
-            .contains(&link_id(Approach::South, Turn::Straight)));
-        assert!(c1.links().contains(&link_id(Approach::South, Turn::Left)));
+        assert_eq!(c1.len(), 4);
+        assert!(c1.contains(&link_id(Approach::North, Turn::Straight)));
+        assert!(c1.contains(&link_id(Approach::North, Turn::Left)));
+        assert!(c1.contains(&link_id(Approach::South, Turn::Straight)));
+        assert!(c1.contains(&link_id(Approach::South, Turn::Left)));
 
         // c2 = {L1^8, L3^6}: N/S right turns.
         let c2 = layout.phase(phase_id(2));
-        assert_eq!(c2.links().len(), 2);
-        assert!(c2.links().contains(&link_id(Approach::North, Turn::Right)));
-        assert!(c2.links().contains(&link_id(Approach::South, Turn::Right)));
+        assert_eq!(c2.len(), 2);
+        assert!(c2.contains(&link_id(Approach::North, Turn::Right)));
+        assert!(c2.contains(&link_id(Approach::South, Turn::Right)));
 
         // c3 = {L2^7, L2^8, L4^5, L4^6}: E/W straight + left.
         let c3 = layout.phase(phase_id(3));
-        assert_eq!(c3.links().len(), 4);
-        assert!(c3
-            .links()
-            .contains(&link_id(Approach::East, Turn::Straight)));
-        assert!(c3.links().contains(&link_id(Approach::East, Turn::Left)));
-        assert!(c3
-            .links()
-            .contains(&link_id(Approach::West, Turn::Straight)));
-        assert!(c3.links().contains(&link_id(Approach::West, Turn::Left)));
+        assert_eq!(c3.len(), 4);
+        assert!(c3.contains(&link_id(Approach::East, Turn::Straight)));
+        assert!(c3.contains(&link_id(Approach::East, Turn::Left)));
+        assert!(c3.contains(&link_id(Approach::West, Turn::Straight)));
+        assert!(c3.contains(&link_id(Approach::West, Turn::Left)));
 
         // c4 = {L2^5, L4^7}: E/W right turns.
         let c4 = layout.phase(phase_id(4));
-        assert_eq!(c4.links().len(), 2);
-        assert!(c4.links().contains(&link_id(Approach::East, Turn::Right)));
-        assert!(c4.links().contains(&link_id(Approach::West, Turn::Right)));
+        assert_eq!(c4.len(), 2);
+        assert!(c4.contains(&link_id(Approach::East, Turn::Right)));
+        assert!(c4.contains(&link_id(Approach::West, Turn::Right)));
     }
 
     #[test]
@@ -343,7 +335,7 @@ mod tests {
         for link in layout.link_ids() {
             let count = layout
                 .phase_ids()
-                .filter(|&p| layout.phase(p).links().contains(&link))
+                .filter(|&p| layout.phase(p).contains(&link))
                 .count();
             assert_eq!(count, 1, "link {link} must appear in exactly one phase");
         }

@@ -176,7 +176,7 @@ impl UtilBp {
         view.layout()
             .phase_ids()
             .map(|phase| {
-                let links = view.layout().phase(phase).links();
+                let links = view.layout().phase(phase);
                 let mut total = 0.0;
                 let mut max = f64::NEG_INFINITY;
                 let mut argmax = links[0];
@@ -239,8 +239,7 @@ impl UtilBp {
                 }
             };
         };
-        for phase in view.layout().phase_ids() {
-            let links = view.layout().phase(phase).links();
+        for (phase, links) in view.layout().phase_ids().zip(view.layout().phases()) {
             let mut total = 0.0;
             let mut max = f64::NEG_INFINITY;
             for &l in links {
@@ -345,7 +344,7 @@ fn phase_gain_max_under(
     view: &IntersectionView<'_>,
     phase: PhaseId,
 ) -> (f64, crate::ids::LinkId) {
-    let links = view.layout().phase(phase).links();
+    let links = view.layout().phase(phase);
     let mut best = (f64::NEG_INFINITY, links[0]);
     for &l in links {
         let g = ctrl.gain(view, l);

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use utilbp_core::{
-    pressure, standard, GainPenalties, IntersectionView, PhaseDecision, QueueObservation,
-    SignalController, Tick, Ticks, UtilBp, UtilBpConfig,
+    pressure, standard, GStarPolicy, GainMode, GainPenalties, IntersectionLayout, IntersectionView,
+    LinkId, PhaseDecision, PhaseId, PhaseScore, QueueObservation, SignalController, Tick, Ticks,
+    UtilBp, UtilBpConfig,
 };
 
 const W: u32 = 120;
@@ -31,7 +32,90 @@ fn build_view(
     obs
 }
 
+/// The phase a ranking of `pool` (key, phase) picks: the highest key,
+/// the current phase among equals, else the first in table order.
+fn best(pool: impl Iterator<Item = (f64, PhaseId)>, current: Option<PhaseId>) -> Option<PhaseId> {
+    let pool: Vec<(f64, PhaseId)> = pool.collect();
+    let top = pool.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
+    let tied: Vec<PhaseId> = pool.iter().filter(|p| p.0 == top).map(|p| p.1).collect();
+    match current {
+        Some(c) if tied.contains(&c) => Some(c),
+        _ => tied.first().copied(),
+    }
+}
+
+/// Algorithm 1's Case 3 choice, read off a [`UtilBp::phase_scores`]
+/// table: the utilizable phases (`g_max > α`) by total gain, else every
+/// phase by `g_max`.
+fn ranked(scores: &[PhaseScore], current: Option<PhaseId>) -> PhaseId {
+    let alpha = GainPenalties::PAPER.alpha();
+    let utilizable = scores.iter().filter(|s| s.max > alpha);
+    best(utilizable.map(|s| (s.total, s.phase)), current)
+        .or_else(|| best(scores.iter().map(|s| (s.max, s.phase)), current))
+        .expect("a layout has phases")
+}
+
 proptest! {
+    /// Whatever a builder is given, the flat layout hands back exactly
+    /// that: each phase's links, each road's departing links in link
+    /// order, and each link's record with its exit's capacity.
+    #[test]
+    fn flat_layout_returns_what_was_added(
+        incoming in 1usize..=6,
+        capacities in proptest::collection::vec(1u32..=200, 1..=6),
+        raw_links in proptest::collection::vec((0usize..6, 0usize..6, 0.1f64..4.0), 1..=24),
+        raw_phases in proptest::collection::vec(
+            proptest::collection::vec(0usize..24, 1..=8),
+            1..=8,
+        ),
+    ) {
+        let mut b = IntersectionLayout::builder();
+        let arms: Vec<_> = (0..incoming).map(|_| b.add_incoming()).collect();
+        let exits: Vec<_> = capacities.iter().map(|&w| b.add_outgoing(w)).collect();
+        let mut links = Vec::new();
+        for (f, t, mu) in raw_links {
+            let (from, to) = (arms[f % arms.len()], exits[t % exits.len()]);
+            if !links.iter().any(|&(a, o, _)| (a, o) == (from, to)) {
+                prop_assert_eq!(b.add_link(from, to, mu), LinkId::new(links.len() as u16));
+                links.push((from, to, mu));
+            }
+        }
+        let mut phases = Vec::new();
+        for raw in raw_phases {
+            let mut phase: Vec<LinkId> = Vec::new();
+            for r in raw {
+                let l = LinkId::new((r % links.len()) as u16);
+                if !phase.contains(&l) {
+                    phase.push(l);
+                }
+            }
+            b.add_phase(&phase);
+            phases.push(phase);
+        }
+        let layout = b.build().expect("valid inputs build");
+
+        prop_assert_eq!(layout.num_incoming(), incoming);
+        prop_assert_eq!(layout.num_outgoing(), capacities.len());
+        prop_assert_eq!(layout.num_links(), links.len());
+        prop_assert_eq!(layout.num_phases(), phases.len());
+        for (j, phase) in phases.iter().enumerate() {
+            prop_assert_eq!(layout.phase(PhaseId::new(j as u8)), phase.as_slice());
+        }
+        for (n, &(from, to, mu)) in links.iter().enumerate() {
+            let link = layout.link(LinkId::new(n as u16));
+            prop_assert_eq!((link.from(), link.to(), link.service_rate()), (from, to, mu));
+            prop_assert_eq!(link.capacity(), capacities[to.index()]);
+            prop_assert_eq!(layout.capacity(to), capacities[to.index()]);
+        }
+        for &arm in &arms {
+            let departing: Vec<LinkId> = (0..links.len())
+                .filter(|&n| links[n].0 == arm)
+                .map(|n| LinkId::new(n as u16))
+                .collect();
+            prop_assert_eq!(layout.links_from(arm), departing.as_slice());
+        }
+    }
+
     /// Eq. 8's three cases are mutually exclusive and exhaustive, and the
     /// ordinary case is always strictly better than both penalties.
     #[test]
@@ -104,7 +188,7 @@ proptest! {
             let PhaseDecision::Control(p) = decision else {
                 return Err(TestCaseError::fail("cold start must not transition"));
             };
-            let serves = layout.phase(p).links().iter().any(|&l| view.link_servable(l));
+            let serves = layout.phase(p).iter().any(|&l| view.link_servable(l));
             prop_assert!(serves, "picked {p} which serves nothing");
         }
     }
@@ -192,7 +276,7 @@ proptest! {
         let view = IntersectionView::new(&layout, &obs).unwrap();
         let ctrl = UtilBp::paper();
         for score in ctrl.phase_scores(&view) {
-            let links = layout.phase(score.phase).links();
+            let links = layout.phase(score.phase);
             prop_assert!(links.contains(&score.argmax));
             let manual_total: f64 = links
                 .iter()
@@ -204,6 +288,51 @@ proptest! {
                 .map(|&l| pressure::link_gain(&view, l, GainPenalties::PAPER))
                 .fold(f64::NEG_INFINITY, f64::max);
             prop_assert!((score.max - manual_max).abs() < 1e-9);
+        }
+    }
+
+    /// Under every gain mode and `g*` policy, the decisions are the ones
+    /// a ranking of the [`UtilBp::phase_scores`] table implies: from a
+    /// cold start Case 3's pick, and on the next tick Case 2's keep
+    /// (`g_max > g*`, with `g* = W*·µ` of the phase's best link) or
+    /// Case 3's pick, through an amber when it differs.
+    #[test]
+    fn decisions_follow_the_phase_score_ranking(
+        (first, second) in (observation_strategy(), observation_strategy()),
+    ) {
+        let layout = standard::four_way(W, 1.0);
+        let obs1 = build_view(&layout, &first.0, &first.1);
+        let obs2 = build_view(&layout, &second.0, &second.1);
+        let view1 = IntersectionView::new(&layout, &obs1).unwrap();
+        let view2 = IntersectionView::new(&layout, &obs2).unwrap();
+        for gain_mode in [GainMode::UtilizationAware, GainMode::PlainModified, GainMode::PerRoadPressure] {
+            for g_star in [GStarPolicy::MaxLinkCapacityRate, GStarPolicy::AlwaysReevaluate] {
+                let mut ctrl = UtilBp::new(UtilBpConfig { gain_mode, g_star, ..UtilBpConfig::default() });
+                let picked = ranked(&ctrl.phase_scores(&view1), None);
+                prop_assert_eq!(ctrl.decide(&view1, Tick::ZERO), PhaseDecision::Control(picked));
+
+                let scores = ctrl.phase_scores(&view2);
+                let current = scores[picked.index()];
+                let threshold = match g_star {
+                    GStarPolicy::MaxLinkCapacityRate => {
+                        W as f64 * layout.link(current.argmax).service_rate()
+                    }
+                    GStarPolicy::AlwaysReevaluate => f64::INFINITY,
+                };
+                let keeps = current.max > threshold || ranked(&scores, Some(picked)) == picked;
+                let expected = if keeps {
+                    PhaseDecision::Control(picked)
+                } else {
+                    PhaseDecision::Transition
+                };
+                prop_assert_eq!(
+                    ctrl.decide(&view2, Tick::new(1)),
+                    expected,
+                    "{:?} / {:?}",
+                    gain_mode,
+                    g_star
+                );
+            }
         }
     }
 }

@@ -435,7 +435,7 @@ impl MicroSim {
             phase_base.push(phases.len());
             for p in layout.phase_ids() {
                 let start = phase_links.len();
-                phase_links.extend(layout.phase(p).links().iter().map(|l| l.index() as u16));
+                phase_links.extend(layout.phase(p).iter().map(|l| l.index() as u16));
                 phases.push((start, phase_links.len()));
             }
         }

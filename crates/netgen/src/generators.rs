@@ -100,14 +100,12 @@ impl ArterialSpec {
             for side in [Approach::North, Approach::South] {
                 let arm = side as usize;
                 incoming[i][arm] = b.add_road(Road::new(
-                    format!("side:{side}{i}->I{i}"),
                     None,
                     Some((iid(i), side.incoming())),
                     self.side_length_m,
                     self.side_capacity,
                 ));
                 outgoing[i][arm] = b.add_road(Road::new(
-                    format!("I{i}->side:{side}{i}"),
                     Some((iid(i), side.outgoing())),
                     None,
                     self.side_length_m,
@@ -128,14 +126,12 @@ impl ArterialSpec {
             let east_arm = Approach::East as usize;
             if i == 0 {
                 incoming[i][west_arm] = b.add_road(Road::new(
-                    "arterial:west->I0".to_string(),
                     None,
                     Some((iid(0), Approach::West.incoming())),
                     self.arterial_length_m,
                     self.arterial_capacity,
                 ));
                 outgoing[i][west_arm] = b.add_road(Road::new(
-                    "I0->arterial:west".to_string(),
                     Some((iid(0), Approach::West.outgoing())),
                     None,
                     self.arterial_length_m,
@@ -151,7 +147,6 @@ impl ArterialSpec {
             if i + 1 < n {
                 // Eastbound: I_i east out → I_{i+1} west in.
                 let east = b.add_road(Road::new(
-                    format!("I{i}->I{}", i + 1),
                     Some((iid(i), Approach::East.outgoing())),
                     Some((iid(i + 1), Approach::West.incoming())),
                     self.arterial_length_m,
@@ -161,7 +156,6 @@ impl ArterialSpec {
                 incoming[i + 1][west_arm] = east;
                 // Westbound: I_{i+1} west out → I_i east in.
                 let west = b.add_road(Road::new(
-                    format!("I{}->I{i}", i + 1),
                     Some((iid(i + 1), Approach::West.outgoing())),
                     Some((iid(i), Approach::East.incoming())),
                     self.arterial_length_m,
@@ -171,14 +165,12 @@ impl ArterialSpec {
                 incoming[i][east_arm] = west;
             } else {
                 incoming[i][east_arm] = b.add_road(Road::new(
-                    format!("arterial:east->I{i}"),
                     None,
                     Some((iid(i), Approach::East.incoming())),
                     self.arterial_length_m,
                     self.arterial_capacity,
                 ));
                 outgoing[i][east_arm] = b.add_road(Road::new(
-                    format!("I{i}->arterial:east"),
                     Some((iid(i), Approach::East.outgoing())),
                     None,
                     self.arterial_length_m,
@@ -193,8 +185,8 @@ impl ArterialSpec {
             }
         }
 
-        for (i, (inc, out)) in incoming.iter().zip(&outgoing).enumerate() {
-            b.add_intersection(format!("I{i}"), layout.clone(), inc.to_vec(), out.to_vec());
+        for (inc, out) in incoming.iter().zip(&outgoing) {
+            b.add_intersection(layout.clone(), inc.to_vec(), out.to_vec());
         }
         let topology = b.build().expect("arterial wiring satisfies the invariants");
         finish(topology, entries, &self.turning, 1, n + 2)
@@ -280,14 +272,12 @@ impl RingSpec {
             ] {
                 let arm = side as usize;
                 incoming[i][arm] = b.add_road(Road::new(
-                    format!("{label}:{i}->I{i}"),
                     None,
                     Some((iid(i), side.incoming())),
                     self.spoke_length_m,
                     self.spoke_capacity,
                 ));
                 outgoing[i][arm] = b.add_road(Road::new(
-                    format!("I{i}->{label}:{i}"),
                     Some((iid(i), side.outgoing())),
                     None,
                     self.spoke_length_m,
@@ -305,7 +295,6 @@ impl RingSpec {
             let next = (i + 1) % n;
             // Clockwise: I_i east out → I_next west in.
             let cw = b.add_road(Road::new(
-                format!("ring:I{i}->I{next}"),
                 Some((iid(i), Approach::East.outgoing())),
                 Some((iid(next), Approach::West.incoming())),
                 self.ring_length_m,
@@ -315,7 +304,6 @@ impl RingSpec {
             incoming[next][Approach::West as usize] = cw;
             // Counterclockwise: I_next west out → I_i east in.
             let ccw = b.add_road(Road::new(
-                format!("ring:I{next}->I{i}"),
                 Some((iid(next), Approach::West.outgoing())),
                 Some((iid(i), Approach::East.incoming())),
                 self.ring_length_m,
@@ -325,8 +313,8 @@ impl RingSpec {
             incoming[i][Approach::East as usize] = ccw;
         }
 
-        for (i, (inc, out)) in incoming.iter().zip(&outgoing).enumerate() {
-            b.add_intersection(format!("I{i}"), layout.clone(), inc.to_vec(), out.to_vec());
+        for (inc, out) in incoming.iter().zip(&outgoing) {
+            b.add_intersection(layout.clone(), inc.to_vec(), out.to_vec());
         }
         let topology = b.build().expect("ring wiring satisfies the invariants");
         // Two turns: onto the ring, then off it. Hop budget caps laps.

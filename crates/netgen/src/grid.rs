@@ -306,7 +306,6 @@ pub(crate) fn wire_grid(
                         let there = iid(npos);
                         let in_arm = dir.opposite().incoming();
                         let rid = builder.add_road(Road::new(
-                            format!("I({row},{col}):{dir}->I({},{})", npos.row, npos.col),
                             Some((here, out_arm)),
                             Some((there, in_arm)),
                             length,
@@ -318,7 +317,6 @@ pub(crate) fn wire_grid(
                     None => {
                         // Boundary: one exit road out, one entry in.
                         outgoing[here.index()][out_arm.index()] = builder.add_road(Road::new(
-                            format!("I({row},{col}):{dir}->boundary"),
                             Some((here, out_arm)),
                             None,
                             length,
@@ -326,7 +324,6 @@ pub(crate) fn wire_grid(
                         ));
                         let in_arm = dir.incoming();
                         let entry = builder.add_road(Road::new(
-                            format!("boundary:{dir}->I({row},{col})"),
                             None,
                             Some((here, in_arm)),
                             length,
@@ -349,14 +346,8 @@ pub(crate) fn wire_grid(
         }
     }
 
-    for (cell, (inc, out)) in incoming.iter().zip(&outgoing).enumerate() {
-        let (row, col) = (cell as u32 / cols, cell as u32 % cols);
-        builder.add_intersection(
-            format!("I({row},{col})"),
-            layout.clone(),
-            inc.to_vec(),
-            out.to_vec(),
-        );
+    for (inc, out) in incoming.iter().zip(&outgoing) {
+        builder.add_intersection(layout.clone(), inc.to_vec(), out.to_vec());
     }
     let topology = builder
         .build()

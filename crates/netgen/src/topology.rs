@@ -59,7 +59,6 @@ impl fmt::Display for RoadId {
 /// One directed road.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Road {
-    name: String,
     /// `(intersection, outgoing arm)` feeding this road, or `None` for a
     /// boundary entry road.
     source: Option<(IntersectionId, OutgoingId)>,
@@ -74,14 +73,12 @@ impl Road {
     /// Creates a road record. Prefer building whole networks through
     /// [`NetworkTopologyBuilder`].
     pub fn new(
-        name: impl Into<String>,
         source: Option<(IntersectionId, OutgoingId)>,
         dest: Option<(IntersectionId, IncomingId)>,
         length_m: f64,
         capacity: u32,
     ) -> Self {
         Road {
-            name: name.into(),
             source,
             dest,
             length_m,
@@ -130,7 +127,6 @@ impl Road {
 /// arms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntersectionNode {
-    name: String,
     layout: IntersectionLayout,
     /// Road feeding each incoming arm, indexed by `IncomingId`.
     incoming_roads: Vec<RoadId>,
@@ -300,14 +296,12 @@ impl NetworkTopologyBuilder {
     /// `outgoing_roads[o]` the road fed by outgoing arm `o`.
     pub fn add_intersection(
         &mut self,
-        name: impl Into<String>,
         layout: IntersectionLayout,
         incoming_roads: Vec<RoadId>,
         outgoing_roads: Vec<RoadId>,
     ) -> IntersectionId {
         let id = IntersectionId::new(self.intersections.len() as u32);
         self.intersections.push(IntersectionNode {
-            name: name.into(),
             layout,
             incoming_roads,
             outgoing_roads,
@@ -422,7 +416,6 @@ mod tests {
         let mut outgoing = Vec::new();
         for arm in 0..4u8 {
             incoming.push(b.add_road(Road::new(
-                format!("entry{arm}"),
                 None,
                 Some((iid, IncomingId::new(arm))),
                 300.0,
@@ -431,14 +424,13 @@ mod tests {
         }
         for arm in 0..4u8 {
             outgoing.push(b.add_road(Road::new(
-                format!("exit{arm}"),
                 Some((iid, OutgoingId::new(arm))),
                 None,
                 300.0,
                 120,
             )));
         }
-        b.add_intersection("I0", layout, incoming, outgoing);
+        b.add_intersection(layout, incoming, outgoing);
         b.build().expect("single intersection is valid")
     }
 
@@ -463,7 +455,7 @@ mod tests {
     fn rejects_arm_count_mismatch() {
         let layout = standard::four_way(120, 1.0);
         let mut b = NetworkTopology::builder();
-        b.add_intersection("I0", layout, vec![], vec![]);
+        b.add_intersection(layout, vec![], vec![]);
         assert!(matches!(
             b.build().unwrap_err(),
             TopologyError::ArmCountMismatch { .. }
@@ -479,7 +471,6 @@ mod tests {
         let mut outgoing = Vec::new();
         for arm in 0..4u8 {
             incoming.push(b.add_road(Road::new(
-                format!("entry{arm}"),
                 None,
                 Some((iid, IncomingId::new(arm))),
                 300.0,
@@ -489,14 +480,13 @@ mod tests {
         for arm in 0..4u8 {
             // Wrong capacity: layout says 120.
             outgoing.push(b.add_road(Road::new(
-                format!("exit{arm}"),
                 Some((iid, OutgoingId::new(arm))),
                 None,
                 300.0,
                 60,
             )));
         }
-        b.add_intersection("I0", layout, incoming, outgoing);
+        b.add_intersection(layout, incoming, outgoing);
         assert!(matches!(
             b.build().unwrap_err(),
             TopologyError::CapacityMismatch { .. }
@@ -508,18 +498,11 @@ mod tests {
         let layout = standard::four_way(120, 1.0);
         let mut b = NetworkTopology::builder();
         let iid = IntersectionId::new(0);
-        let shared = b.add_road(Road::new(
-            "shared",
-            None,
-            Some((iid, IncomingId::new(0))),
-            300.0,
-            120,
-        ));
+        let shared = b.add_road(Road::new(None, Some((iid, IncomingId::new(0))), 300.0, 120));
         // Reuse the same road for two incoming arms.
         let mut incoming = vec![shared, shared];
         for arm in 2..4u8 {
             incoming.push(b.add_road(Road::new(
-                format!("entry{arm}"),
                 None,
                 Some((iid, IncomingId::new(arm))),
                 300.0,
@@ -529,14 +512,13 @@ mod tests {
         let mut outgoing = Vec::new();
         for arm in 0..4u8 {
             outgoing.push(b.add_road(Road::new(
-                format!("exit{arm}"),
                 Some((iid, OutgoingId::new(arm))),
                 None,
                 300.0,
                 120,
             )));
         }
-        b.add_intersection("I0", layout, incoming, outgoing);
+        b.add_intersection(layout, incoming, outgoing);
         let err = b.build().unwrap_err();
         assert!(
             matches!(
@@ -550,7 +532,7 @@ mod tests {
     #[test]
     fn rejects_invalid_length() {
         let mut b = NetworkTopology::builder();
-        b.add_road(Road::new("bad", None, None, 0.0, 120));
+        b.add_road(Road::new(None, None, 0.0, 120));
         assert!(matches!(
             b.build().unwrap_err(),
             TopologyError::InvalidLength(_)

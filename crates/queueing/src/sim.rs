@@ -156,19 +156,26 @@ struct LinkService {
     out_road: u32,
 }
 
-/// A set of road indices as a bitset. Ascending iteration
-/// ([`next_from`](Self::next_from)) is road-index order, so a pass over
-/// the members does its work in the same order as a pass over every
-/// road.
+/// A set of road or intersection indices as a bitset. Ascending
+/// iteration ([`next_from`](Self::next_from)) is index order, so a pass
+/// over the members does its work in the same order as a pass over
+/// every index.
 #[derive(Debug)]
-struct RoadSet {
+struct IndexSet {
     words: Vec<u64>,
 }
 
-impl RoadSet {
-    fn new(roads: usize) -> Self {
-        RoadSet {
-            words: vec![0; roads.div_ceil(64)],
+impl IndexSet {
+    fn new(len: usize) -> Self {
+        IndexSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Adds every member of `words`, a bitset of the same length.
+    fn union_words(&mut self, words: &[u64]) {
+        for (mine, &theirs) in self.words.iter_mut().zip(words) {
+            *mine |= theirs;
         }
     }
 
@@ -318,15 +325,23 @@ pub struct QueueSim {
     /// Fractional service credit (supports non-integer `µ·Δt`).
     credit: Vec<f64>,
     /// Roads whose delay line is non-empty.
-    transit_live: RoadSet,
+    transit_live: IndexSet,
     /// Roads whose boundary backlog is non-empty.
-    backlog_live: RoadSet,
+    backlog_live: IndexSet,
     /// Per intersection, the phase whose last serve left every one of
     /// its links with an empty queue and capped credit, so serving it
     /// again is a no-op, until a vehicle joins one of the intersection's
     /// queues. A cache of the step path, never checkpointed:
     /// `load_state` clears it.
     settled: Vec<Option<PhaseId>>,
+    /// The intersections the serve pass visits: a superset of those
+    /// holding a control phase that is not settled. Each step adds the
+    /// decide phase's due set before deciding (only a called controller
+    /// changes its decision, and a vehicle joining a queue marks its
+    /// intersection due), and the serve pass drops an intersection once
+    /// it is in amber or its phase is settled. Derived, never
+    /// checkpointed: `load_state` fills it.
+    serve_due: IndexSet,
     /// Vehicles waiting outside full boundary entry roads, FIFO.
     backlogs: Vec<VecDeque<(VehicleId, Arc<Route>, Tick)>>,
     ledger: WaitingLedger,
@@ -410,13 +425,7 @@ impl QueueSim {
             phase_base.push(phases.len());
             for p in layout.phase_ids() {
                 let start = phase_links.len();
-                phase_links.extend(
-                    layout
-                        .phase(p)
-                        .links()
-                        .iter()
-                        .map(|l| (base + l.index()) as u32),
-                );
+                phase_links.extend(layout.phase(p).iter().map(|l| (base + l.index()) as u32));
                 phases.push((start, phase_links.len()));
             }
         }
@@ -472,9 +481,10 @@ impl QueueSim {
             phase_base,
             queues: vec![VecDeque::new(); num_links],
             credit: vec![0.0; num_links],
-            transit_live: RoadSet::new(num_roads),
-            backlog_live: RoadSet::new(num_roads),
+            transit_live: IndexSet::new(num_roads),
+            backlog_live: IndexSet::new(num_roads),
             settled: vec![None; num_intersections],
+            serve_due: IndexSet::new(num_intersections),
             backlogs,
             ledger: WaitingLedger::new(),
             now: Tick::ZERO,
@@ -676,9 +686,10 @@ impl QueueSim {
     /// backlog must match a rescan.
     /// It also validates what the step derives from that state: every
     /// intersection's buffered observation must equal a fresh
-    /// [`observe`](Self::observe), and every settled phase's
-    /// links must have empty queues and capped credit. Debug/test
-    /// facility backing the regression suite.
+    /// [`observe`](Self::observe), every intersection holding a control
+    /// phase that is not settled must be in the serve set, and every
+    /// settled phase's links must have empty queues and capped credit.
+    /// Debug/test facility backing the regression suite.
     ///
     /// # Errors
     ///
@@ -726,6 +737,13 @@ impl QueueSim {
                     "intersection {i}: buffered outgoing reading {o} is {q}, a fresh sense {}",
                     self.roads[road as usize].queued
                 ));
+            }
+            if let PhaseDecision::Control(phase) = self.controllers[i].decision {
+                if self.settled[i] != Some(phase) && !self.serve_due.contains(i) {
+                    return Err(format!(
+                        "intersection {i}: unsettled phase {phase} is missing from the serve set"
+                    ));
+                }
             }
             let Some(phase) = self.settled[i] else {
                 continue;
@@ -889,7 +907,8 @@ impl QueueSim {
         // the observation buffer current, marking what they touch. Decide,
         // per intersection, from purely local observations — one
         // controller per slot, called where readings changed or where it
-        // is not at rest.
+        // is not at rest. Whatever is due to decide is due to serve.
+        self.serve_due.union_words(self.obs_buf.due_words());
         let topology = &self.topology;
         let calls = decide::decide_all(&mut self.controllers, &mut self.obs_buf, now, |idx| {
             topology
@@ -899,14 +918,21 @@ impl QueueSim {
         watch.lap(Section::Decide);
         watch.count_decide_calls(calls);
 
-        // Serve activated links, skipping settled phases (a no-op).
+        // Serve activated links, skipping settled phases (a no-op); an
+        // intersection leaves the serve set once in amber or settled.
         let mut served = 0u32;
-        for i in 0..self.controllers.len() {
-            if let PhaseDecision::Control(phase) = self.controllers[i].decision {
-                if self.settled[i] != Some(phase) {
+        let mut next = self.serve_due.next_from(0);
+        while let Some(i) = next {
+            match self.controllers[i].decision {
+                PhaseDecision::Control(phase) if self.settled[i] != Some(phase) => {
                     served += self.serve_phase(i, phase, now);
+                    if self.settled[i] == Some(phase) {
+                        self.serve_due.remove(i);
+                    }
                 }
+                _ => self.serve_due.remove(i),
             }
+            next = self.serve_due.next_from(i + 1);
         }
         watch.lap(Section::CarFollowing);
 
@@ -1248,8 +1274,12 @@ impl QueueSim {
     /// backlog. The roads' `queued` and `occupancy` counters are not read
     /// but rebuilt from the restored queues and delay lines.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        // The settled marks describe the state being replaced.
+        // The settled marks describe the state being replaced, so every
+        // intersection is served until its phase settles again.
         self.settled.fill(None);
+        for i in 0..self.settled.len() {
+            self.serve_due.insert(i);
+        }
         self.now = Tick::new(reader.take()?);
         self.total_served = reader.take_count("queueing served count")?;
         self.ledger = WaitingLedger::load_state(reader)?;
@@ -1698,6 +1728,27 @@ mod tests {
             .expect_err("a settled phase with a queue");
         assert!(
             err.starts_with(&format!("intersection {i}: settled on phase {phase}")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_missing_serve_bit_is_named_by_verify_sensors() {
+        let (_, mut s) = loaded();
+        // An intersection whose control phase still has work to serve.
+        let i = (0..s.phase_base.len())
+            .find(|&i| match s.controllers[i].decision {
+                PhaseDecision::Control(p) => s.settled[i] != Some(p),
+                PhaseDecision::Transition => false,
+            })
+            .expect("an unsettled control phase");
+        s.verify_sensors().expect("the serve set covers it");
+        s.serve_due.remove(i);
+        let err = s
+            .verify_sensors()
+            .expect_err("an unsettled phase outside the serve set");
+        assert!(
+            err.starts_with(&format!("intersection {i}: unsettled phase")),
             "{err}"
         );
     }

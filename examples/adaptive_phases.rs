@@ -43,7 +43,7 @@ fn replay(controller: &mut dyn SignalController) -> PhaseTrace {
         // Toy plant: a green movement drains at µ = 1 vehicle per second;
         // the background approaches trickle-refill every 15 s.
         if let PhaseDecision::Control(phase) = decision {
-            for &link in layout.phase(phase).links() {
+            for &link in layout.phase(phase) {
                 let q = obs.movement(link);
                 obs.set_movement(link, q.saturating_sub(1));
             }

@@ -47,33 +47,13 @@ fn main() {
     let iid = IntersectionId::new(0);
     let mut net = NetworkTopology::builder();
     let mut entries = Vec::new();
-    for (arm, name) in [
-        (from_west, "west"),
-        (from_east, "east"),
-        (from_south, "south"),
-    ] {
-        entries.push(net.add_road(Road::new(
-            format!("entry-{name}"),
-            None,
-            Some((iid, arm)),
-            200.0,
-            60,
-        )));
+    for arm in [from_west, from_east, from_south] {
+        entries.push(net.add_road(Road::new(None, Some((iid, arm)), 200.0, 60)));
     }
-    for (arm, capacity, name) in [
-        (to_west, 60, "west"),
-        (to_east, 60, "east"),
-        (to_south, 40, "south"),
-    ] {
-        net.add_road(Road::new(
-            format!("exit-{name}"),
-            Some((iid, arm)),
-            None,
-            200.0,
-            capacity,
-        ));
+    for (arm, capacity) in [(to_west, 60), (to_east, 60), (to_south, 40)] {
+        net.add_road(Road::new(Some((iid, arm)), None, 200.0, capacity));
     }
-    net.add_intersection("T", layout, entries.clone(), {
+    net.add_intersection(layout, entries.clone(), {
         // Outgoing roads were added after the three entries, ids 3..6.
         (3..6)
             .map(adaptive_backpressure::netgen::RoadId::new)

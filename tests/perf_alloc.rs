@@ -14,9 +14,15 @@
 //! Periodic checkpoint capture is held to a byte budget instead: once
 //! the retention ring is full, each capture reuses the buffer of the one
 //! it evicts, so what it allocates is small against what it writes.
+//!
+//! Setup is held to an allocation count: building a 20×20 network and
+//! its engine allocates a fixed number of blocks per junction and road,
+//! and that number is pinned. The tests take one lock, so no count sees
+//! another test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use adaptive_backpressure::core::{SignalController, Tick, Ticks, UtilBp};
 use adaptive_backpressure::microsim::{MicroSim, MicroSimConfig};
@@ -53,6 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by every test while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const WARMUP: u64 = 600;
 const MEASURED: u64 = 300;
 /// Amortized arena/backlog growth allowance over the measured window —
@@ -68,6 +77,7 @@ fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
 
 #[test]
 fn steady_state_stepping_stays_within_the_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = GridNetwork::new(GridSpec::with_size(3, 3));
     let n = g.topology().num_intersections();
 
@@ -223,5 +233,38 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
         allocated * 10 < captured,
         "policy captures allocated {allocated} B while writing {captured} B — \
          a capture must reuse the evicted buffer, not allocate its own"
+    );
+}
+
+/// Allocations per junction allowed while building a 20×20 network
+/// and its queueing engine. The build makes about 44: each junction's
+/// layout is four blocks (capacities, link records, one shared
+/// link-list array and its bounds), and no road or junction carries a
+/// formatted name. A nested layout (a vector per phase and per
+/// approach) with a name string per road and junction made about 72.
+const SETUP_ALLOCATIONS_PER_JUNCTION: u64 = 50;
+
+#[test]
+fn building_a_20x20_network_and_engine_stays_within_its_allocation_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let text = "scenario setup-count\nseed 1\nhorizon 1000\n\
+                topology asym-grid rows=20 cols=20\ndemand constant\n";
+    let spec = adaptive_backpressure::scenario::parse_scenario(text).expect("scenario parses");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let engine = adaptive_backpressure::scenario::ScenarioEngine::new(
+        spec,
+        adaptive_backpressure::scenario::EngineConfig::new(
+            adaptive_backpressure::scenario::Backend::Queueing,
+        ),
+        &|_| Box::new(UtilBp::paper()) as Box<dyn SignalController>,
+    )
+    .expect("spec validates");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(engine.demand_generated(), 0, "nothing stepped yet");
+    let budget = SETUP_ALLOCATIONS_PER_JUNCTION * 400;
+    assert!(
+        allocations <= budget,
+        "building a 20×20 network and engine made {allocations} allocations \
+         (budget {budget}): a per-junction or per-road allocation crept into setup"
     );
 }
