@@ -211,7 +211,7 @@ impl IntersectionLayout {
 
     /// Every phase's links, in phase-table order (the slices
     /// [`phase`](Self::phase) returns for [`phase_ids`](Self::phase_ids)).
-    pub fn phases(&self) -> impl Iterator<Item = &[LinkId]> + '_ {
+    pub(crate) fn phases(&self) -> impl Iterator<Item = &[LinkId]> + '_ {
         self.list_bounds[..=self.num_phases]
             .windows(2)
             .map(|w| &self.link_lists[w[0] as usize..w[1] as usize])
