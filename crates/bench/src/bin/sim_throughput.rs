@@ -30,19 +30,23 @@
 //! noise) and always emits JSON, which makes its numbers directly
 //! comparable between commits. Scale knobs:
 //! `BENCH_TICKS=<n>` overrides the measured tick count, `BENCH_REPS=<n>`
-//! the repetition count, `BENCH_OUT=<path>` the output path,
+//! the repetition count (each a positive integer, or the run exits 1
+//! naming the variable), `BENCH_OUT=<path>` the output path,
 //! `BENCH_LABEL=<s>` the run label recorded in the protocol.
 
 use std::time::Instant;
 
+use utilbp_bench::positive_count;
 use utilbp_bench::trajectory::{append_run, render_run, Measurement};
 use utilbp_core::{SignalController, Tick, Ticks, UtilBp};
 use utilbp_microsim::MicroSimConfig;
 use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
-use utilbp_scenario::{builtin, Backend, CheckpointPolicy, EngineConfig, ScenarioEngine};
-use utilbp_substrate::{build_substrate, SubstrateScratch};
+use utilbp_scenario::{
+    build_substrate, builtin, Backend, CheckpointPolicy, EngineConfig, ScenarioEngine,
+};
+use utilbp_substrate::StepReport;
 use utilbp_telemetry::TickProfiler;
 
 const WARMUP_TICKS: u64 = 300;
@@ -79,21 +83,21 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
     );
     let mut gen = demand(&grid);
     let mut k = 0u64;
-    let mut scratch = SubstrateScratch::new();
+    let mut report = StepReport::empty();
     let mut arrivals = Vec::new();
     for _ in 0..WARMUP_TICKS {
         arrivals.clear();
         gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut scratch, None);
+        sim.step_into(&mut arrivals, &mut report, None);
         k += 1;
     }
     let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let start = Instant::now();
         for _ in 0..ticks {
             arrivals.clear();
             gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-            sim.step_into(&mut arrivals, &mut scratch, None);
+            sim.step_into(&mut arrivals, &mut report, None);
             k += 1;
         }
         best = best.min(start.elapsed().as_secs_f64());
@@ -102,7 +106,7 @@ fn measure_grid(backend: Backend, size: u32, ticks: u64, reps: u32) -> Measureme
     for _ in 0..ticks {
         arrivals.clear();
         gen.poll_into(&grid, Tick::new(k), &mut arrivals);
-        sim.step_into(&mut arrivals, &mut scratch, Some(&mut phases));
+        sim.step_into(&mut arrivals, &mut report, Some(&mut phases));
         k += 1;
     }
     Measurement {
@@ -142,7 +146,7 @@ fn measure_scenario(
     checkpoint: Option<u64>,
 ) -> Measurement {
     let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let mut spec = builtin(name).expect("built-in scenario exists");
         // The engine is throughput-bound here, not horizon-bound; events
         // the new horizon no longer covers are dropped with it (a closure
@@ -183,19 +187,29 @@ fn measure_scenario(
     }
 }
 
+/// The environment's value of the count knob `name`.
+fn count_knob<T>(name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    positive_count(name, std::env::var(name).ok().as_deref())
+}
+
 fn main() {
     if let Some(arg) = std::env::args().nth(1) {
         eprintln!("sim_throughput: unknown flag `{arg}`");
         std::process::exit(1);
     }
-    let tick_override = std::env::var("BENCH_TICKS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    let reps = std::env::var("BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(3)
-        .max(1);
+    let (tick_override, reps) = match (
+        count_knob::<u64>("BENCH_TICKS"),
+        count_knob::<u32>("BENCH_REPS"),
+    ) {
+        (Ok(ticks), Ok(reps)) => (ticks, reps.unwrap_or(3)),
+        (Err(why), _) | (_, Err(why)) => {
+            eprintln!("sim_throughput: {why}");
+            std::process::exit(1);
+        }
+    };
     let label = std::env::var("BENCH_LABEL").unwrap_or_else(|_| "dev".to_string());
     let out_path =
         std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_sim_throughput.json".to_string());

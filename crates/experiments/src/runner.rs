@@ -1,5 +1,5 @@
 //! Substrate-agnostic scenario runner with probes. Both backends are
-//! built through `utilbp-substrate`'s shared constructor and driven
+//! built through `utilbp-scenario`'s shared constructor and driven
 //! through the [`utilbp_substrate::TrafficSubstrate`] trait — the runner
 //! never dispatches on the backend. Every run is guarded: an
 //! [`InvariantGuard`] in panic mode re-proves vehicle conservation,
@@ -9,7 +9,8 @@
 use utilbp_core::{IncomingId, Tick};
 use utilbp_metrics::{PhaseTrace, TimeSeries};
 use utilbp_netgen::{Arrival, DemandConfig, DemandGenerator, GridNetwork, IntersectionId};
-use utilbp_substrate::{build_substrate, GuardMode, InvariantGuard, SubstrateScratch};
+use utilbp_scenario::build_substrate;
+use utilbp_substrate::{GuardMode, InvariantGuard, StepReport};
 
 use crate::scenario::{ControllerKind, Scenario};
 
@@ -119,16 +120,16 @@ pub fn run(scenario: &Scenario, controller: &ControllerKind, probe: &Probe) -> R
 
     let horizon = scenario.horizon().count();
     let mut arrivals: Vec<Arrival> = Vec::new();
-    let mut scratch = SubstrateScratch::new();
+    let mut report = StepReport::empty();
     let mut guard = InvariantGuard::new(GuardMode::Panic);
     for k in 0..horizon {
         let tick = Tick::new(k);
         arrivals.clear();
         demand.poll_into(&grid, tick, &mut arrivals);
-        let decisions = substrate.step_into(&mut arrivals, &mut scratch, None);
+        substrate.step_into(&mut arrivals, &mut report, None);
         guard.check(&*substrate);
         for (slot, &i) in probe.phase_traces.iter().enumerate() {
-            traces[slot].record(tick, decisions[i.index()]);
+            traces[slot].record(tick, report.decisions[i.index()]);
         }
         if k % stride == 0 {
             for (slot, &(i, arm)) in probe.queue_series.iter().enumerate() {

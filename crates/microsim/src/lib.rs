@@ -23,9 +23,10 @@
 //!
 //! See [`MicroSim`] for the step protocol and an end-to-end example.
 //!
-//! Together with `utilbp-queueing`, this simulator implements the
-//! workspace's unified plant interface — the `TrafficSubstrate` trait in
-//! `utilbp-substrate` — which states the cross-substrate contract
+//! Like `utilbp-queueing`'s `QueueSim`, [`MicroSim`] implements the
+//! workspace's plant contract, the
+//! [`TrafficSubstrate`](utilbp_substrate::TrafficSubstrate) trait, which
+//! states the cross-substrate guarantees
 //! (determinism across repeats, road-closure semantics,
 //! accumulator-based waiting accounting, deterministic route-cursor
 //! access for en-route replanning) once for both backends;
@@ -64,7 +65,7 @@
 //! undisturbed by being unseeded for a tick), so the active list changes
 //! *which* memory is touched, never a single trajectory byte. The list's
 //! consistency with the spans' live counters is checkable at runtime
-//! via [`MicroSim::verify_sensors`].
+//! via [`verify_sensors`](utilbp_substrate::TrafficSubstrate::verify_sensors).
 //!
 //! **Flat lane-indexed tables.** Every per-tick pass reads flat arrays
 //! built once at construction, not topology or layout objects: per
@@ -89,12 +90,15 @@
 //! `road_halted` are therefore O(1) reads of dense arrays — the sense
 //! phase never touches lane storage. The invariant (*counter ≡
 //! from-scratch rescan under the same sensor spec*) is checkable at
-//! runtime via [`MicroSim::verify_sensors`] and enforced tick-by-tick in
-//! the regression suite. A checkpoint stores none of these counters:
-//! [`MicroSim::load_state`] rebuilds them from the same rescan, so a
-//! crafted snapshot cannot carry a counter that disagrees with its
-//! fleet into the step path. The same idea gives `dest_lane_has_room` an
-//! O(1) per-lane pending-reservation counter and the head phase a
+//! runtime via
+//! [`verify_sensors`](utilbp_substrate::TrafficSubstrate::verify_sensors)
+//! and enforced tick-by-tick in the regression suite. A checkpoint
+//! stores none of these counters:
+//! [`load_state`](utilbp_substrate::TrafficSubstrate::load_state)
+//! rebuilds them from the same rescan, so a crafted snapshot cannot
+//! carry a counter that disagrees with its fleet into the step path.
+//! The same idea gives `dest_lane_has_room` an O(1) per-lane
+//! pending-reservation counter and the head phase a
 //! per-lane green-with-credit flag precomputed in the signal-refresh
 //! pass. The `SharedMixed` lane discipline keeps per-(road, link)
 //! movement counters over lane-cached link indices, so even the
@@ -108,15 +112,14 @@
 //! Vehicles queued outside a full boundary entry are credited their
 //! whole backlog dwell when they insert. Nothing scans the fleet or the
 //! backlogs per tick;
-//! [`MicroSim::mean_waiting_including_active`] folds the live
+//! `mean_waiting_including_active` folds the live
 //! accumulators into the completed statistics at query time.
 //!
 //! **Reusable scratch.** One `ObservationBuffer` (one observation per
 //! intersection) and the caller's `StepReport` are rewritten in place
-//! every tick via [`MicroSim::step_into`], so the steady-state step path
-//! performs no heap allocation (bounded by a counting-allocator
-//! regression test). The allocating `step` remains as a thin convenience
-//! wrapper.
+//! every tick via `step_into`, so the steady-state step path performs no
+//! heap allocation (bounded by a counting-allocator regression test).
+//! The trait's allocating `step` remains as a thin convenience wrapper.
 //! Handed a `utilbp_telemetry::TickProfiler`, the same `step_into` laps
 //! its four phase groups into the profiler's `Section`s for `trace
 //! --profile`, the scenario engine and the perf harness.
@@ -150,7 +153,7 @@ mod sim;
 
 pub use config::{LaneDiscipline, MicroSimConfig};
 pub use krauss::{next_speed, LeaderInfo};
-pub use sim::{MicroSim, StepReport};
+pub use sim::MicroSim;
 
 #[cfg(test)]
 mod tests {
@@ -163,6 +166,7 @@ mod tests {
         Arrival, DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
         RouteChoice,
     };
+    use utilbp_substrate::TrafficSubstrate;
 
     fn grid() -> GridNetwork {
         GridNetwork::new(GridSpec::paper())

@@ -53,6 +53,7 @@ use utilbp_core::{
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
+use utilbp_substrate::{Backend, StepReport, TrafficSubstrate};
 use utilbp_telemetry::{PhaseStopwatch, Section, TickProfiler};
 
 use crate::config::MicroSimConfig;
@@ -200,37 +201,6 @@ struct Counters {
     roads: Vec<(u32, u32, Option<MovementCounters>)>,
 }
 
-/// What happened during one microscopic step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepReport {
-    /// The instant that was simulated.
-    pub(crate) tick: Tick,
-    /// The decision applied at each intersection, indexed by
-    /// `IntersectionId`.
-    pub decisions: Vec<PhaseDecision>,
-    /// Stop-line crossings started this step.
-    pub(crate) crossings: u32,
-    /// Vehicles that left the network this step.
-    pub(crate) completed: u32,
-    /// Vehicles inserted at boundary entries this step (excluding those
-    /// pushed to a backlog).
-    pub(crate) injected: u32,
-}
-
-impl StepReport {
-    /// An empty report, ready to be passed to
-    /// [`MicroSim::step_into`] — its buffers are reused across ticks.
-    pub fn empty() -> Self {
-        StepReport {
-            tick: Tick::ZERO,
-            decisions: Vec::new(),
-            crossings: 0,
-            completed: 0,
-            injected: 0,
-        }
-    }
-}
-
 /// The microscopic simulator (SUMO substitute).
 ///
 /// # Examples
@@ -238,6 +208,7 @@ impl StepReport {
 /// ```
 /// use utilbp_core::{SignalController, Tick, Ticks, UtilBp};
 /// use utilbp_microsim::{MicroSim, MicroSimConfig};
+/// use utilbp_substrate::TrafficSubstrate;
 /// use utilbp_netgen::{
 ///     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec,
 ///     Pattern,
@@ -501,37 +472,6 @@ impl MicroSim {
         }
     }
 
-    /// The current instant (the next tick to be simulated).
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
-    /// Per-vehicle journey accounting and completed-vehicle waiting
-    /// statistics. Active vehicles carry their waiting in simulator-side
-    /// accumulators; use
-    /// [`mean_waiting_including_active`](Self::mean_waiting_including_active)
-    /// for the paper's headline metric.
-    pub fn ledger(&self) -> &WaitingLedger {
-        &self.ledger
-    }
-
-    /// Average waiting time per vehicle including vehicles still in the
-    /// network (and those queued outside full entries) — the paper's
-    /// "average queuing time of a vehicle". Folds the live per-vehicle
-    /// wait accumulators into the ledger's completed statistics at query
-    /// time; O(active vehicles), never touched by the step path.
-    pub fn mean_waiting_including_active(&self) -> f64 {
-        let now = self.now;
-        let lane_waits = self.net.all_waits();
-        let box_waits = self.boxes.iter().flat_map(|b| b.iter().map(|c| c.wait));
-        let backlog_waits = self
-            .backlogs
-            .iter()
-            .flat_map(|b| b.iter().map(move |e| now.saturating_since(e.since).count()));
-        self.ledger
-            .mean_waiting_including_active(lane_waits.chain(box_waits).chain(backlog_waits))
-    }
-
     /// Stop-line crossings since the start.
     pub fn total_crossings(&self) -> u64 {
         self.total_crossings
@@ -542,11 +482,6 @@ impl MicroSim {
         let on_lanes = self.net.total_vehicles();
         let in_boxes: usize = self.boxes.iter().map(Vec::len).sum();
         on_lanes + in_boxes
-    }
-
-    /// Vehicles waiting outside full boundary entries.
-    pub fn backlog_len(&self) -> usize {
-        self.backlogs.iter().map(|b| b.len()).sum()
     }
 
     /// Debug/test digest of the fleet state: `(on-lane vehicles, in-box
@@ -568,48 +503,6 @@ impl MicroSim {
         }
         let in_boxes: usize = self.boxes.iter().map(Vec::len).sum();
         (on_lanes, in_boxes, pos, speed)
-    }
-
-    /// Closes or reopens a road (a disruption event). A closed road admits
-    /// no new traffic — heads are never released toward it and boundary
-    /// insertions on a closed entry road stay in the backlog — but
-    /// vehicles already on it keep driving and may leave it, like a
-    /// street closed at its upstream end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn set_road_closed(&mut self, road: RoadId, closed: bool) {
-        self.roads[road.index()].closed = closed;
-    }
-
-    /// Whether `road` is currently closed to entering traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_closed(&self, road: RoadId) -> bool {
-        self.roads[road.index()].closed
-    }
-
-    /// Detected queue `q_i^{i'}` for `link` at `intersection`: vehicles
-    /// present on the movement's dedicated lane within the detector range
-    /// of the stop line. Presence (rather than halting) is used upstream
-    /// so a *discharging* queue keeps exerting pressure until it has
-    /// physically cleared the junction — halting counts collapse the
-    /// moment the queue starts rolling, which makes every adaptive
-    /// controller thrash.
-    ///
-    /// Under [`LaneDiscipline::DedicatedPerMovement`](crate::LaneDiscipline)
-    /// this is an O(1) read of the lane's incrementally maintained
-    /// detector counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    pub fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        let i = intersection.index();
-        self.link_queue(&self.links[self.link_off[i] + link.index()], link.index())
     }
 
     /// Total vehicles bound for `link` on the incoming road, over its
@@ -655,41 +548,6 @@ impl MicroSim {
         self.roads[road.index()].halted_sum
     }
 
-    /// Detected total queue `q_i` (Eq. 1) at an incoming arm — the paper's
-    /// Fig. 5 quantity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    pub fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
-        let layout = self.topology.intersection(intersection).layout();
-        layout
-            .links_from(arm)
-            .iter()
-            .map(|&l| self.movement_queue_len(intersection, l))
-            .sum()
-    }
-
-    /// Occupancy of a road (vehicles on its lanes plus inbound junction-box
-    /// reservations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_occupancy(&self, road: RoadId) -> u32 {
-        self.roads[road.index()].occupancy
-    }
-
-    /// Cumulative vehicles that have entered `road` since the start
-    /// (boundary insertions plus junction-box landings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_entered(&self, road: RoadId) -> u64 {
-        self.roads[road.index()].entered
-    }
-
     /// Writes the observation the controller at `intersection` sees into
     /// `obs` (shaped for the intersection's layout) without allocating.
     /// Returns whether any reading differs from the one it overwrote,
@@ -726,28 +584,6 @@ impl MicroSim {
             *q = reading;
         }
         changed
-    }
-
-    /// Validates the incremental-sensing invariants: every lane's detector
-    /// and halt counters must equal a from-scratch rescan, every lane's
-    /// pending-reservation counter must equal the number of junction-box
-    /// crossings heading for it, the movement counters must equal a
-    /// rescan of the lanes' cached links, and every vehicle's route must
-    /// continue from where the vehicle is (see `audit_routes`).
-    /// Debug/test facility backing the regression suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first divergent road/lane.
-    pub fn verify_sensors(&self) -> Result<(), String> {
-        self.net.verify_active()?;
-        self.audit_routes().map_err(|m| m.detail)?;
-        for (r, backlog) in self.backlogs.iter().enumerate() {
-            for entry in backlog {
-                (self.check_backlog_route(r, &entry.route)).map_err(|m| m.detail)?;
-            }
-        }
-        self.audit_counters().map_err(|m| m.detail)
     }
 
     /// Checks the remaining route of every vehicle on a lane or in a
@@ -984,23 +820,122 @@ impl MicroSim {
         Ok(())
     }
 
-    /// Simulates one step of `Δt`, injecting this tick's `arrivals`.
-    pub fn step(&mut self, arrivals: Vec<Arrival>) -> StepReport {
-        let mut arrivals = arrivals;
-        let mut report = StepReport::empty();
-        self.step_into(&mut arrivals, &mut report, None);
-        report
+    /// The destination lane on `out_road` for a vehicle whose next hop is
+    /// `hop`.
+    fn choose_dest_lane(&self, out_road: usize, hop: usize, route: &Route) -> usize {
+        match (self.road_dest[out_road], self.config.lane_discipline) {
+            (Some(_next_i), crate::LaneDiscipline::DedicatedPerMovement) => {
+                let (next_i, link) = route
+                    .hop(hop)
+                    .expect("internal destination road implies a further hop");
+                debug_assert_eq!(next_i.index(), _next_i, "route disagrees with topology");
+                self.dedicated_lane(out_road, link)
+            }
+            // Exit roads and mixed-lane roads: pick the lane with the most
+            // entry space.
+            _ => self.emptiest_lane(out_road),
+        }
     }
 
-    /// Allocation-free variant of [`step`](Self::step): drains `arrivals`
-    /// and overwrites `report` in place, reusing its buffers. This is the
-    /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
-    /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from observations or decision vectors. With a `profiler`
-    /// attached, the step laps each of its four phase groups into it
-    /// once (see [`Section`] for what each lap covers); without, the
-    /// step takes no clock readings.
-    pub fn step_into(
+    /// The lane of `road` dedicated to `link` at the road's destination.
+    fn dedicated_lane(&self, road: usize, link: LinkId) -> usize {
+        let j = self.road_dest[road].expect("a lane dedicated to a link feeds a junction");
+        self.links[self.link_off[j] + link.index()].in_lane as usize - self.net.lane0(road)
+    }
+
+    /// The lane of `road` with the most entry space.
+    fn emptiest_lane(&self, road: usize) -> usize {
+        let length = self.roads[road].length;
+        let mut best = 0usize;
+        let mut best_tail = f64::NEG_INFINITY;
+        for i in 0..self.net.num_lanes(road) {
+            let tail = self.net.tail_position(road, i, length);
+            if tail > best_tail {
+                best_tail = tail;
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// Whether `dest_lane` on `out_road` can absorb one more crossing,
+    /// counting vehicles already in boxes heading for the same lane —
+    /// an O(1) read of the road's pending-reservation counter.
+    fn dest_lane_has_room(&self, out_road: usize, dest_lane: usize) -> bool {
+        let road = &self.roads[out_road];
+        let pending = self.pending[self.net.lane0(out_road) + dest_lane] as f64;
+        let tail = self.net.tail_position(out_road, dest_lane, road.length);
+        tail >= self.config.jam_spacing_m() * (pending + 1.0)
+    }
+
+    /// The lane on entry road `r` that can absorb `route`'s vehicle right
+    /// now, or `None` if the road is full or the lane entry is blocked.
+    fn insert_slot(&self, r: usize, route: &Route) -> Option<usize> {
+        if self.roads[r].closed || self.roads[r].occupancy >= self.roads[r].capacity {
+            return None;
+        }
+        let (_, link) = route.hop(0).expect("routes have at least one hop");
+        let lane_idx = match self.config.lane_discipline {
+            crate::LaneDiscipline::DedicatedPerMovement => self.dedicated_lane(r, link),
+            crate::LaneDiscipline::SharedMixed => self.emptiest_lane(r),
+        };
+        if !self
+            .net
+            .entry_clear(r, lane_idx, self.roads[r].length, &self.config)
+        {
+            return None;
+        }
+        Some(lane_idx)
+    }
+
+    /// Inserts a vehicle that entered the network at `entered` at the
+    /// start of lane `lane_idx` of road `r` (which
+    /// [`insert_slot`](Self::insert_slot) must have cleared), seeding its
+    /// wait accumulator with `wait` already-accrued ticks (backlog
+    /// dwell).
+    fn place_vehicle(
+        &mut self,
+        r: usize,
+        lane_idx: usize,
+        id: VehicleId,
+        entered: Tick,
+        route: Arc<Route>,
+        mut wait: u64,
+    ) {
+        let (_, link) = route.hop(0).expect("routes have at least one hop");
+        let link = link.index() as u16;
+        let slot = self.arena.insert(id, entered, route);
+        let length = self.roads[r].length;
+        let leader = lane_entry_leader(&self.net, r, lane_idx, length, &self.config);
+        let speed = next_speed(self.config.insertion_speed_mps, leader, 0.0, &self.config);
+        if speed < self.config.waiting_speed_mps {
+            // Inserted into a standing queue after the follower phase:
+            // this tick already counts as waiting.
+            wait += 1;
+        }
+        let road = &mut self.roads[r];
+        road.sensor_add(&mut self.sensors, self.net.lane0(r) + lane_idx, 0.0, speed);
+        if let Some(mv) = road.move_counts.as_mut() {
+            mv.add(link as usize, 0.0, road.spec);
+        }
+        road.occupancy += 1;
+        road.entered += 1;
+        self.net.push(r, lane_idx, 0.0, speed, wait, slot, link);
+    }
+}
+
+impl TrafficSubstrate for MicroSim {
+    fn backend(&self) -> Backend {
+        Backend::Microscopic
+    }
+
+    fn now(&self) -> Tick {
+        self.now
+    }
+
+    /// The pipeline is the module docs' "Step pipeline"; the report's
+    /// `served` counts the stop-line crossings started this step.
+    fn step_into(
         &mut self,
         arrivals: &mut Vec<Arrival>,
         report: &mut StepReport,
@@ -1314,132 +1249,91 @@ impl MicroSim {
         report
             .decisions
             .extend(self.controllers.iter().map(|slot| slot.decision));
-        report.crossings = crossings;
+        report.served = crossings;
         report.completed = completed;
         report.injected = injected;
         watch.lap(Section::Waiting);
     }
 
-    /// The destination lane on `out_road` for a vehicle whose next hop is
-    /// `hop`.
-    fn choose_dest_lane(&self, out_road: usize, hop: usize, route: &Route) -> usize {
-        match (self.road_dest[out_road], self.config.lane_discipline) {
-            (Some(_next_i), crate::LaneDiscipline::DedicatedPerMovement) => {
-                let (next_i, link) = route
-                    .hop(hop)
-                    .expect("internal destination road implies a further hop");
-                debug_assert_eq!(next_i.index(), _next_i, "route disagrees with topology");
-                self.dedicated_lane(out_road, link)
-            }
-            // Exit roads and mixed-lane roads: pick the lane with the most
-            // entry space.
-            _ => self.emptiest_lane(out_road),
-        }
+    /// Heads are never released toward a closed road, and boundary
+    /// insertions on a closed entry road stay in the backlog.
+    fn set_road_closed(&mut self, road: RoadId, closed: bool) {
+        self.roads[road.index()].closed = closed;
     }
 
-    /// The lane of `road` dedicated to `link` at the road's destination.
-    fn dedicated_lane(&self, road: usize, link: LinkId) -> usize {
-        let j = self.road_dest[road].expect("a lane dedicated to a link feeds a junction");
-        self.links[self.link_off[j] + link.index()].in_lane as usize - self.net.lane0(road)
+    fn road_closed(&self, road: RoadId) -> bool {
+        self.roads[road.index()].closed
     }
 
-    /// The lane of `road` with the most entry space.
-    fn emptiest_lane(&self, road: usize) -> usize {
-        let length = self.roads[road].length;
-        let mut best = 0usize;
-        let mut best_tail = f64::NEG_INFINITY;
-        for i in 0..self.net.num_lanes(road) {
-            let tail = self.net.tail_position(road, i, length);
-            if tail > best_tail {
-                best_tail = tail;
-                best = i;
-            }
-        }
-        best
+    fn road_occupancy(&self, road: RoadId) -> u32 {
+        self.roads[road.index()].occupancy
     }
 
-    /// Whether `dest_lane` on `out_road` can absorb one more crossing,
-    /// counting vehicles already in boxes heading for the same lane —
-    /// an O(1) read of the road's pending-reservation counter.
-    fn dest_lane_has_room(&self, out_road: usize, dest_lane: usize) -> bool {
-        let road = &self.roads[out_road];
-        let pending = self.pending[self.net.lane0(out_road) + dest_lane] as f64;
-        let tail = self.net.tail_position(out_road, dest_lane, road.length);
-        tail >= self.config.jam_spacing_m() * (pending + 1.0)
+    /// Boundary insertions plus junction-box landings.
+    fn road_entered(&self, road: RoadId) -> u64 {
+        self.roads[road.index()].entered
     }
 
-    /// The lane on entry road `r` that can absorb `route`'s vehicle right
-    /// now, or `None` if the road is full or the lane entry is blocked.
-    fn insert_slot(&self, r: usize, route: &Route) -> Option<usize> {
-        if self.roads[r].closed || self.roads[r].occupancy >= self.roads[r].capacity {
-            return None;
-        }
-        let (_, link) = route.hop(0).expect("routes have at least one hop");
-        let lane_idx = match self.config.lane_discipline {
-            crate::LaneDiscipline::DedicatedPerMovement => self.dedicated_lane(r, link),
-            crate::LaneDiscipline::SharedMixed => self.emptiest_lane(r),
-        };
-        if !self
-            .net
-            .entry_clear(r, lane_idx, self.roads[r].length, &self.config)
-        {
-            return None;
-        }
-        Some(lane_idx)
-    }
-
-    /// Inserts a vehicle that entered the network at `entered` at the
-    /// start of lane `lane_idx` of road `r` (which
-    /// [`insert_slot`](Self::insert_slot) must have cleared), seeding its
-    /// wait accumulator with `wait` already-accrued ticks (backlog
-    /// dwell).
-    fn place_vehicle(
-        &mut self,
-        r: usize,
-        lane_idx: usize,
-        id: VehicleId,
-        entered: Tick,
-        route: Arc<Route>,
-        mut wait: u64,
-    ) {
-        let (_, link) = route.hop(0).expect("routes have at least one hop");
-        let link = link.index() as u16;
-        let slot = self.arena.insert(id, entered, route);
-        let length = self.roads[r].length;
-        let leader = lane_entry_leader(&self.net, r, lane_idx, length, &self.config);
-        let speed = next_speed(self.config.insertion_speed_mps, leader, 0.0, &self.config);
-        if speed < self.config.waiting_speed_mps {
-            // Inserted into a standing queue after the follower phase:
-            // this tick already counts as waiting.
-            wait += 1;
-        }
-        let road = &mut self.roads[r];
-        road.sensor_add(&mut self.sensors, self.net.lane0(r) + lane_idx, 0.0, speed);
-        if let Some(mv) = road.move_counts.as_mut() {
-            mv.add(link as usize, 0.0, road.spec);
-        }
-        road.occupancy += 1;
-        road.entered += 1;
-        self.net.push(r, lane_idx, 0.0, speed, wait, slot, link);
-    }
-
-    /// Visits every vehicle that still has junction crossings ahead of it
-    /// and lets `replan` rewrite its remaining route (en-route
-    /// replanning; part of the `TrafficSubstrate` contract in
-    /// `utilbp-substrate`).
+    /// Vehicles present on the movement's dedicated lane within the
+    /// detector range of the stop line. Presence (rather than halting) is used upstream
+    /// so a *discharging* queue keeps exerting pressure until it has
+    /// physically cleared the junction — halting counts collapse the
+    /// moment the queue starts rolling, which makes every adaptive
+    /// controller thrash.
     ///
-    /// The walk order is deterministic: roads in index order (lanes in
-    /// order, head to tail), then junction boxes in index order (box
-    /// order), then backlogs in road order (FIFO). The callback receives
-    /// the vehicle's id, its route, and the number of committed leading hops —
+    /// Under [`LaneDiscipline::DedicatedPerMovement`](crate::LaneDiscipline)
+    /// this is an O(1) read of the lane's incrementally maintained
+    /// detector counter.
+    fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
+        let i = intersection.index();
+        self.link_queue(&self.links[self.link_off[i] + link.index()], link.index())
+    }
+
+    fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
+        let layout = self.topology.intersection(intersection).layout();
+        layout
+            .links_from(arm)
+            .iter()
+            .map(|&l| self.movement_queue_len(intersection, l))
+            .sum()
+    }
+
+    fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.roads.iter().map(|r| r.occupancy));
+    }
+
+    fn backlog_len(&self) -> usize {
+        self.backlogs.iter().map(|b| b.len()).sum()
+    }
+
+    fn ledger(&self) -> &WaitingLedger {
+        &self.ledger
+    }
+
+    /// Folds the wait accumulators of vehicles on lanes, in junction
+    /// boxes and outside full entries; O(active vehicles).
+    fn mean_waiting_including_active(&self) -> f64 {
+        let now = self.now;
+        let lane_waits = self.net.all_waits();
+        let box_waits = self.boxes.iter().flat_map(|b| b.iter().map(|c| c.wait));
+        let backlog_waits = self
+            .backlogs
+            .iter()
+            .flat_map(|b| b.iter().map(move |e| now.saturating_since(e.since).count()));
+        self.ledger
+            .mean_waiting_including_active(lane_waits.chain(box_waits).chain(backlog_waits))
+    }
+
+    /// The walk order: roads in index order (lanes in order, head to
+    /// tail), then junction boxes in index order (box order), then
+    /// backlogs in road order (FIFO). The committed prefix is
     /// `cursor + 1` for vehicles in the network, whose current lane (or,
     /// while crossing, destination lane) is bound to the cursor's
     /// movement, and `0` for backlogged vehicles that have not entered
-    /// yet. A returned replacement must preserve exactly that prefix; the
-    /// lanes' cached link indices and the pending-reservation counters
-    /// stay valid because the bound movement never changes. Returns the
-    /// number of vehicles rewritten; draws no randomness.
-    pub fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
+    /// yet; the lanes' cached link indices and the pending-reservation
+    /// counters stay valid because the bound movement never changes.
+    fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
         let mut diverted = 0u64;
         for r in 0..self.roads.len() {
             for lane_idx in 0..self.net.num_lanes(r) {
@@ -1475,12 +1369,21 @@ impl MicroSim {
         diverted
     }
 
-    /// Fills `out` with every road's current occupancy, indexed by
-    /// [`RoadId`] (the `TrafficSubstrate` occupancy-snapshot contract).
-    /// O(roads) reads of the incrementally maintained counters.
-    pub fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.roads.iter().map(|r| r.occupancy));
+    /// Validates the incremental-sensing invariants: every lane's detector
+    /// and halt counters must equal a from-scratch rescan, every lane's
+    /// pending-reservation counter must equal the number of junction-box
+    /// crossings heading for it, the movement counters must equal a
+    /// rescan of the lanes' cached links, and every vehicle's route must
+    /// continue from where the vehicle is (see `audit_routes`).
+    fn verify_sensors(&self) -> Result<(), String> {
+        self.net.verify_active()?;
+        self.audit_routes().map_err(|m| m.detail)?;
+        for (r, backlog) in self.backlogs.iter().enumerate() {
+            for entry in backlog {
+                (self.check_backlog_route(r, &entry.route)).map_err(|m| m.detail)?;
+            }
+        }
+        self.audit_counters().map_err(|m| m.detail)
     }
 
     /// Serializes the whole plant state — the waiting ledger, the fleet
@@ -1498,7 +1401,7 @@ impl MicroSim {
     /// detector counters and pending reservations, movement counters):
     /// they summarize the fleet and the junction boxes, and load
     /// rebuilds them from those.
-    pub fn save_state(&self, writer: &mut StateWriter) {
+    fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_crossings);
         self.ledger.save_state(writer);
@@ -1565,7 +1468,7 @@ impl MicroSim {
     /// reaches the step path to panic there. The incremental counters are
     /// not read but rebuilt from the restored fleet and junction boxes,
     /// so they agree with them by construction.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.now = Tick::new(reader.take()?);
         self.total_crossings = reader.take_count("crossing count")?;
         self.ledger = WaitingLedger::load_state(reader)?;
@@ -1746,7 +1649,7 @@ mod occupancy_probe {
             7,
         );
         let mut arrivals = Vec::new();
-        let mut report = crate::StepReport::empty();
+        let mut report = StepReport::empty();
         for k in 0..500u64 {
             arrivals.clear();
             gen.poll_into(&g, utilbp_core::Tick::new(k), &mut arrivals);
@@ -1799,7 +1702,7 @@ mod occupancy_probe {
             7,
         );
         let mut arrivals = Vec::new();
-        let mut report = crate::StepReport::empty();
+        let mut report = StepReport::empty();
         let mut k = 0u64;
         let mut step = |sim: &mut MicroSim, gen: &mut DemandGenerator, k: &mut u64| {
             arrivals.clear();

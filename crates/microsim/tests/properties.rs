@@ -7,6 +7,7 @@ use utilbp_microsim::{next_speed, LeaderInfo, MicroSim, MicroSimConfig};
 use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
+use utilbp_substrate::TrafficSubstrate;
 
 fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
     (0..n)

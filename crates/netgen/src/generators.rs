@@ -115,7 +115,6 @@ impl ArterialSpec {
                     road: incoming[i][arm],
                     intersection: iid(i),
                     base_inter_arrival_s: self.side_inter_arrival_s,
-                    name: format!("{side}-{i}"),
                 });
             }
         }
@@ -141,7 +140,6 @@ impl ArterialSpec {
                     road: incoming[i][west_arm],
                     intersection: iid(0),
                     base_inter_arrival_s: self.arterial_inter_arrival_s,
-                    name: "west-arterial".to_string(),
                 });
             }
             if i + 1 < n {
@@ -180,7 +178,6 @@ impl ArterialSpec {
                     road: incoming[i][east_arm],
                     intersection: iid(i),
                     base_inter_arrival_s: self.arterial_inter_arrival_s,
-                    name: "east-arterial".to_string(),
                 });
             }
         }
@@ -266,9 +263,10 @@ impl RingSpec {
         let mut entries: Vec<NetEntry> = Vec::new();
 
         for i in 0..n {
-            for (side, label, mean) in [
-                (Approach::North, "outer", self.outer_inter_arrival_s),
-                (Approach::South, "inner", self.inner_inter_arrival_s),
+            // North is the outer spoke, south the inner one.
+            for (side, mean) in [
+                (Approach::North, self.outer_inter_arrival_s),
+                (Approach::South, self.inner_inter_arrival_s),
             ] {
                 let arm = side as usize;
                 incoming[i][arm] = b.add_road(Road::new(
@@ -287,7 +285,6 @@ impl RingSpec {
                     road: incoming[i][arm],
                     intersection: iid(i),
                     base_inter_arrival_s: mean,
-                    name: format!("{label}-{i}"),
                 });
             }
         }
@@ -385,7 +382,6 @@ impl AsymmetricGridSpec {
                 road: e.road,
                 intersection: e.intersection,
                 base_inter_arrival_s: self.inter_arrival_s[e.side as usize],
-                name: format!("{}-{}", e.side, e.slot),
             })
             .collect();
         let max_hops = (self.rows + self.cols) as usize + 2;
@@ -414,6 +410,16 @@ fn finish(
 mod tests {
     use super::*;
 
+    /// The index of the entry whose road feeds `side`'s arm of
+    /// `intersection`.
+    fn entry_into(net: &Network, intersection: IntersectionId, side: Approach) -> usize {
+        let dest = Some((intersection, side.incoming()));
+        net.entries()
+            .iter()
+            .position(|e| net.topology().road(e.road).dest() == dest)
+            .unwrap()
+    }
+
     #[test]
     fn arterial_builds_and_routes_exit() {
         let spec = ArterialSpec::default();
@@ -432,11 +438,7 @@ mod tests {
         }
         // The west arterial entry has a straight-through route crossing
         // every junction.
-        let west = net
-            .entries()
-            .iter()
-            .position(|e| e.name == "west-arterial")
-            .unwrap();
+        let west = entry_into(&net, IntersectionId::new(0), Approach::West);
         assert!(net.route_options(west).iter().any(|o| o.route.len() == n));
     }
 
@@ -464,11 +466,7 @@ mod tests {
         assert_eq!(net.num_entries(), 2 * n);
         // Some route from an outer spoke travels ≥ 2 ring segments before
         // exiting (enter + at least two ring hops).
-        let outer = net
-            .entries()
-            .iter()
-            .position(|e| e.name == "outer-0")
-            .unwrap();
+        let outer = entry_into(&net, IntersectionId::new(0), Approach::North);
         assert!(net.route_options(outer).iter().any(|o| o.route.len() >= 3));
         // And the trivial crossing to the inner spoke exists.
         assert!(net.route_options(outer).iter().any(|o| o.route.len() == 1));
@@ -500,7 +498,10 @@ mod tests {
         let north = net
             .entries()
             .iter()
-            .find(|e| e.name.starts_with("north"))
+            .find(|e| {
+                let dest = net.topology().road(e.road).dest();
+                dest.is_some_and(|(_, arm)| arm == Approach::North.incoming())
+            })
             .unwrap();
         assert_eq!(north.base_inter_arrival_s, spec.inter_arrival_s[0]);
     }

@@ -36,8 +36,6 @@ pub struct NetEntry {
     /// Base mean inter-arrival time at this entry, in seconds (before any
     /// scenario-level rate scaling).
     pub base_inter_arrival_s: f64,
-    /// Human-readable label (e.g. `"west-arterial"`).
-    pub(crate) name: String,
 }
 
 /// One candidate journey from an entry, with its sampling weight and the
@@ -97,31 +95,31 @@ impl Network {
         }
         for (i, entry) in entries.iter().enumerate() {
             if entry.road.index() >= topology.num_roads() {
-                return Err(format!("entry {} references unknown road", entry.name));
+                return Err(format!("entry road {} does not exist", entry.road));
             }
             if !topology.road(entry.road).is_entry() {
-                return Err(format!("entry {} road is not a boundary entry", entry.name));
+                return Err(format!("entry road {} is not a boundary entry", entry.road));
             }
             if !(entry.base_inter_arrival_s.is_finite() && entry.base_inter_arrival_s > 0.0) {
                 return Err(format!(
                     "entry {} has non-positive inter-arrival time",
-                    entry.name
+                    entry.road
                 ));
             }
             if routes[i].is_empty() {
-                return Err(format!("entry {} has no routes", entry.name));
+                return Err(format!("entry {} has no routes", entry.road));
             }
             for opt in &routes[i] {
                 if opt.route.entry() != entry.road {
                     return Err(format!(
                         "a route of entry {} starts on the wrong road",
-                        entry.name
+                        entry.road
                     ));
                 }
                 if !(opt.weight.is_finite() && opt.weight > 0.0) {
                     return Err(format!(
                         "a route of entry {} has non-positive weight",
-                        entry.name
+                        entry.road
                     ));
                 }
             }
@@ -177,7 +175,6 @@ impl Network {
                 road: point.road,
                 intersection: point.intersection,
                 base_inter_arrival_s: pattern.inter_arrival_s(point.side),
-                name: format!("{}-{}", point.side, point.slot),
             });
             routes.push(enumerate_routes(
                 &topology, point.road, &turning, 1, max_hops,
@@ -346,16 +343,14 @@ mod tests {
     fn base_rates_follow_the_pattern() {
         let grid = GridNetwork::new(GridSpec::paper());
         let net = Network::from_grid(&grid, Pattern::I);
-        let north = net
-            .entries()
-            .iter()
-            .find(|e| e.name.starts_with("north"))
-            .unwrap();
-        let west = net
-            .entries()
-            .iter()
-            .find(|e| e.name.starts_with("west"))
-            .unwrap();
+        let from = |side: Approach| {
+            let arm = |e: &&NetEntry| net.topology().road(e.road).dest().map(|(_, arm)| arm);
+            net.entries()
+                .iter()
+                .find(|e| arm(e) == Some(side.incoming()))
+                .unwrap()
+        };
+        let (north, west) = (from(Approach::North), from(Approach::West));
         assert_eq!(north.base_inter_arrival_s, 3.0);
         assert_eq!(west.base_inter_arrival_s, 9.0);
     }

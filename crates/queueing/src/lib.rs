@@ -12,11 +12,12 @@
 //! tests, parameter sweeps, and cross-validation of the microscopic
 //! results.
 //!
-//! Both simulators implement the workspace's unified plant interface —
-//! the `TrafficSubstrate` trait in `utilbp-substrate` — which states the
-//! cross-substrate contract (determinism across repeats, road-closure
-//! semantics, accumulator-based waiting accounting, deterministic
-//! route-cursor access for en-route replanning) once for both backends.
+//! [`QueueSim`] implements the workspace's plant contract, the
+//! [`TrafficSubstrate`](utilbp_substrate::TrafficSubstrate) trait, which
+//! states the cross-substrate guarantees (determinism across repeats,
+//! road-closure semantics, accumulator-based waiting accounting,
+//! deterministic route-cursor access for en-route replanning) once for
+//! both backends; stepping, probing and checkpointing go through it.
 //!
 //! See [`QueueSim`] for the step semantics and an end-to-end example.
 
@@ -26,7 +27,7 @@
 
 mod sim;
 
-pub use sim::{QueueSim, QueueSimConfig, StepReport, TransitModel};
+pub use sim::{QueueSim, QueueSimConfig, TransitModel};
 
 #[cfg(test)]
 mod tests {
@@ -39,6 +40,7 @@ mod tests {
         Arrival, DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
         RouteChoice,
     };
+    use utilbp_substrate::TrafficSubstrate;
 
     fn grid() -> GridNetwork {
         GridNetwork::new(GridSpec::paper())

@@ -27,6 +27,7 @@ use utilbp_core::{
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
+use utilbp_substrate::{Backend, StepReport, TrafficSubstrate};
 use utilbp_telemetry::{PhaseStopwatch, Section, TickProfiler};
 
 /// How vehicles travel between a junction's exit and the next queue.
@@ -230,37 +231,6 @@ fn decrement(counter: &mut u32, what: &str, road: usize, link: Option<usize>) {
     });
 }
 
-/// What happened during one simulation step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepReport {
-    /// The instant that was simulated.
-    pub(crate) tick: Tick,
-    /// The decision applied at each intersection, indexed by
-    /// `IntersectionId`.
-    pub decisions: Vec<PhaseDecision>,
-    /// Vehicles served (moved through a junction) this step.
-    pub served: u32,
-    /// Vehicles that completed their journey this step.
-    pub(crate) completed: u32,
-    /// Vehicles injected into the network this step (excluding those pushed
-    /// to a boundary backlog).
-    pub(crate) injected: u32,
-}
-
-impl StepReport {
-    /// An empty report, ready to be passed to
-    /// [`QueueSim::step_into`] — its buffers are reused across ticks.
-    pub fn empty() -> Self {
-        StepReport {
-            tick: Tick::ZERO,
-            decisions: Vec::new(),
-            served: 0,
-            completed: 0,
-            injected: 0,
-        }
-    }
-}
-
 /// The mesoscopic network simulator.
 ///
 /// # Examples
@@ -272,6 +242,7 @@ impl StepReport {
 ///     Pattern,
 /// };
 /// use utilbp_queueing::{QueueSim, QueueSimConfig};
+/// use utilbp_substrate::TrafficSubstrate;
 ///
 /// let grid = GridNetwork::new(GridSpec::paper());
 /// let controllers = (0..9)
@@ -492,57 +463,9 @@ impl QueueSim {
         }
     }
 
-    /// The current instant (the next tick to be simulated).
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
-    /// Per-vehicle journey accounting and completed-vehicle waiting
-    /// statistics. Active vehicles carry their waiting in simulator-side
-    /// accumulators; use
-    /// [`mean_waiting_including_active`](Self::mean_waiting_including_active)
-    /// for the paper's headline metric.
-    pub fn ledger(&self) -> &WaitingLedger {
-        &self.ledger
-    }
-
-    /// Average waiting time per vehicle including vehicles still in the
-    /// network — the paper's "average queuing time of a vehicle". Folds
-    /// the per-vehicle accumulators carried by queued and in-transit
-    /// vehicles into the ledger's completed statistics at query time;
-    /// vehicles still waiting outside a full boundary entry contribute
-    /// their backlog dwell so far (`now − since`, the amount that will be
-    /// credited when they are admitted), matching the microscopic
-    /// substrate — without it, congested runs would *understate* waiting
-    /// by exactly their stuck vehicles.
-    pub fn mean_waiting_including_active(&self) -> f64 {
-        let now = self.now;
-        let queued = self.queues.iter().flat_map(|q| q.iter().map(|v| v.waited));
-        let transit = self
-            .roads
-            .iter()
-            .flat_map(|r| r.transit.iter().map(|v| v.waited));
-        let backlogged = self.backlogs.iter().flat_map(move |b| {
-            b.iter()
-                .map(move |&(_, _, since)| now.saturating_since(since).count())
-        });
-        self.ledger
-            .mean_waiting_including_active(queued.chain(transit).chain(backlogged))
-    }
-
     /// Total vehicles served through junctions so far.
     pub fn total_served(&self) -> u64 {
         self.total_served
-    }
-
-    /// The number of vehicles physically queued at the junction head for
-    /// `link` at `intersection` (the servable part of `q_i^{i'}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    pub fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
-        self.queues[self.link_index(intersection, link)].len() as u32
     }
 
     /// The flat (global) index of `link` of `intersection`.
@@ -560,40 +483,6 @@ impl QueueSim {
         g
     }
 
-    /// Total queue `q_i` (Eq. 1) at an incoming arm of an intersection —
-    /// the quantity plotted in the paper's Fig. 5.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    pub fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
-        let layout = self.topology.intersection(intersection).layout();
-        layout
-            .links_from(arm)
-            .iter()
-            .map(|&l| self.movement_queue_len(intersection, l))
-            .sum()
-    }
-
-    /// The current occupancy of a road (transit + queued at its head).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_occupancy(&self, road: RoadId) -> u32 {
-        self.roads[road.index()].occupancy
-    }
-
-    /// Cumulative vehicles that have entered `road` since the start
-    /// (injections, backlog drains, and junction transfers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_entered(&self, road: RoadId) -> u64 {
-        self.roads[road.index()].entered
-    }
-
     /// The number of vehicles *queued* on a road (waiting at its
     /// downstream junction; zero for boundary exit roads) — the `q_{i'}`
     /// the controllers observe, an O(1) read of the road's incrementally
@@ -605,33 +494,6 @@ impl QueueSim {
     /// Panics if `road` is out of range.
     pub fn road_queue(&self, road: RoadId) -> u32 {
         self.roads[road.index()].queued
-    }
-
-    /// Vehicles currently waiting outside full boundary entry roads.
-    pub fn backlog_len(&self) -> usize {
-        self.backlogs.iter().map(|b| b.len()).sum()
-    }
-
-    /// Closes or reopens a road (a disruption event). A closed road admits
-    /// no new traffic — junctions do not serve vehicles onto it and
-    /// boundary arrivals on a closed entry road wait in the backlog — but
-    /// vehicles already on it keep moving and may leave it, exactly like a
-    /// street closed at its upstream end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn set_road_closed(&mut self, road: RoadId, closed: bool) {
-        self.roads[road.index()].closed = closed;
-    }
-
-    /// Whether `road` is currently closed to entering traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `road` is out of range.
-    pub fn road_closed(&self, road: RoadId) -> bool {
-        self.roads[road.index()].closed
     }
 
     /// The queue observation a controller at `intersection` would see now.
@@ -677,92 +539,6 @@ impl QueueSim {
         for (q, &road) in outgoings.iter_mut().zip(outs) {
             *q = self.roads[road as usize].queued;
         }
-    }
-
-    /// Validates the incremental bookkeeping: every road's `queued`
-    /// counter must equal the sum of the movement queues at its
-    /// downstream arm, its occupancy the queued vehicles plus its delay
-    /// line, and the sets of roads with a non-empty delay line or
-    /// backlog must match a rescan.
-    /// It also validates what the step derives from that state: every
-    /// intersection's buffered observation must equal a fresh
-    /// [`observe`](Self::observe), every intersection holding a control
-    /// phase that is not settled must be in the serve set, and every
-    /// settled phase's links must have empty queues and capped credit.
-    /// Debug/test facility backing the regression suite.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first divergent road, link or
-    /// intersection.
-    pub fn verify_sensors(&self) -> Result<(), String> {
-        self.audit().map_err(|m| m.detail)?;
-        for (r, road) in self.roads.iter().enumerate() {
-            if self.transit_live.contains(r) == road.transit.is_empty() {
-                return Err(format!(
-                    "road {r}: delay-line set membership {} != non-empty line {}",
-                    self.transit_live.contains(r),
-                    !road.transit.is_empty()
-                ));
-            }
-            if self.backlog_live.contains(r) == self.backlogs[r].is_empty() {
-                return Err(format!(
-                    "road {r}: backlog set membership {} != non-empty backlog {}",
-                    self.backlog_live.contains(r),
-                    !self.backlogs[r].is_empty()
-                ));
-            }
-        }
-        for (i, buffered) in self.obs_buf.as_slice().iter().enumerate() {
-            // The buffered readings against the gather `observe_into`
-            // would make, compared in place.
-            let queues = &self.queues[self.link_off[i]..self.link_off[i + 1]];
-            let movements = buffered.movements().iter().zip(queues);
-            if let Some((l, (q, queue))) = movements
-                .enumerate()
-                .find(|(_, (&q, queue))| q as usize != queue.len())
-            {
-                return Err(format!(
-                    "intersection {i}: buffered movement reading {l} is {q}, a fresh sense {}",
-                    queue.len()
-                ));
-            }
-            let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
-            let outgoings = buffered.outgoings().iter().zip(outs);
-            if let Some((o, (q, &road))) = outgoings
-                .enumerate()
-                .find(|(_, (&q, &road))| q != self.roads[road as usize].queued)
-            {
-                return Err(format!(
-                    "intersection {i}: buffered outgoing reading {o} is {q}, a fresh sense {}",
-                    self.roads[road as usize].queued
-                ));
-            }
-            if let PhaseDecision::Control(phase) = self.controllers[i].decision {
-                if self.settled[i] != Some(phase) && !self.serve_due.contains(i) {
-                    return Err(format!(
-                        "intersection {i}: unsettled phase {phase} is missing from the serve set"
-                    ));
-                }
-            }
-            let Some(phase) = self.settled[i] else {
-                continue;
-            };
-            let (start, end) = self.phases[self.phase_base[i] + phase.index()];
-            for &g in &self.phase_links[start..end] {
-                let g = g as usize;
-                let cap = self.links[g].mu_dt.max(1.0);
-                if !self.queues[g].is_empty() || self.credit[g] != cap {
-                    return Err(format!(
-                        "intersection {i}: settled on phase {phase} but link {g} holds {} \
-                         queued at credit {} (cap {cap})",
-                        self.queues[g].len(),
-                        self.credit[g]
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Every road's queued count, rescanned from the movement queues at
@@ -864,97 +640,6 @@ impl QueueSim {
             hop += 1;
         }
         Ok(first)
-    }
-
-    /// Simulates one mini-slot, injecting `arrivals` (produced for this
-    /// tick by a demand generator).
-    ///
-    /// Step order within the slot: transit arrivals join queues → boundary
-    /// backlogs drain → controllers decide on the state `Q(k)` → activated
-    /// links serve → new exogenous arrivals are injected (Eq. 2's
-    /// `A(k, k+1)`).
-    pub fn step(&mut self, arrivals: Vec<Arrival>) -> StepReport {
-        let mut arrivals = arrivals;
-        let mut report = StepReport::empty();
-        self.step_into(&mut arrivals, &mut report, None);
-        report
-    }
-
-    /// Allocation-free variant of [`step`](Self::step): drains `arrivals`
-    /// and overwrites `report` in place, reusing its buffers. This is the
-    /// steady-state hot path — callers that reuse the same `Vec<Arrival>`
-    /// and [`StepReport`] across ticks incur no per-tick heap allocation
-    /// from the stepping machinery. With a `profiler` attached, each
-    /// pipeline section takes one lap of it: transit and backlog drains
-    /// as [`Section::Landings`], decide as [`Section::Decide`], serve as
-    /// [`Section::CarFollowing`] and injection as [`Section::Waiting`].
-    /// Timing reads are measurements, not inputs — the simulated outcome
-    /// is identical either way.
-    pub fn step_into(
-        &mut self,
-        arrivals: &mut Vec<Arrival>,
-        report: &mut StepReport,
-        profiler: Option<&mut TickProfiler>,
-    ) {
-        let mut watch = PhaseStopwatch::new(profiler);
-        let now = self.now;
-
-        let completed = self.move_transit_arrivals(now);
-        self.drain_backlogs(now);
-        watch.lap(Section::Landings);
-
-        // Sense is already done: the two sites that change a reading keep
-        // the observation buffer current, marking what they touch. Decide,
-        // per intersection, from purely local observations — one
-        // controller per slot, called where readings changed or where it
-        // is not at rest. Whatever is due to decide is due to serve.
-        self.serve_due.union_words(self.obs_buf.due_words());
-        let topology = &self.topology;
-        let calls = decide::decide_all(&mut self.controllers, &mut self.obs_buf, now, |idx| {
-            topology
-                .intersection(IntersectionId::new(idx as u32))
-                .layout()
-        });
-        watch.lap(Section::Decide);
-        watch.count_decide_calls(calls);
-
-        // Serve activated links, skipping settled phases (a no-op); an
-        // intersection leaves the serve set once in amber or settled.
-        let mut served = 0u32;
-        let mut next = self.serve_due.next_from(0);
-        while let Some(i) = next {
-            match self.controllers[i].decision {
-                PhaseDecision::Control(phase) if self.settled[i] != Some(phase) => {
-                    served += self.serve_phase(i, phase, now);
-                    if self.settled[i] == Some(phase) {
-                        self.serve_due.remove(i);
-                    }
-                }
-                _ => self.serve_due.remove(i),
-            }
-            next = self.serve_due.next_from(i + 1);
-        }
-        watch.lap(Section::CarFollowing);
-
-        // Inject this slot's exogenous arrivals.
-        let mut injected = 0u32;
-        for arrival in arrivals.drain(..) {
-            if self.inject(arrival, now) {
-                injected += 1;
-            }
-        }
-
-        self.total_served += served as u64;
-        self.now = now.next();
-        report.tick = now;
-        report.decisions.clear();
-        report
-            .decisions
-            .extend(self.controllers.iter().map(|slot| slot.decision));
-        report.served = served;
-        report.completed = completed;
-        report.injected = injected;
-        watch.lap(Section::Waiting);
     }
 
     /// Moves vehicles whose transit delay has elapsed into their movement
@@ -1136,21 +821,181 @@ impl QueueSim {
         self.transit_live.insert(r);
     }
 
-    /// Visits every vehicle that still has junction crossings ahead of it
-    /// and lets `replan` rewrite its remaining route (en-route
-    /// replanning; part of the `TrafficSubstrate` contract in
-    /// `utilbp-substrate`).
-    ///
-    /// The walk order is deterministic: movement queues in intersection /
-    /// link / FIFO order, then transit delay lines in road / FIFO order,
-    /// then backlogs in road / FIFO order. The callback receives the
-    /// vehicle's id, its route, and the number of committed leading hops —
-    /// `hop + 1` for queued and in-transit vehicles, whose movement queue
-    /// is bound to the cursor's movement, and `0` for backlogged vehicles
-    /// that have not entered yet. A returned replacement must preserve
-    /// exactly that prefix. Returns the number of vehicles rewritten; draws no
-    /// randomness.
-    pub fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
+    /// Injects an exogenous arrival; returns `false` if it was backlogged.
+    fn inject(&mut self, arrival: Arrival, now: Tick) -> bool {
+        let road = arrival.route.entry();
+        let route = arrival.route;
+        self.ledger.enter();
+        if !self.roads[road.index()].closed
+            && self.roads[road.index()].occupancy < self.roads[road.index()].capacity
+        {
+            self.enter_road(road, (arrival.vehicle, now), route, 0, now, 0);
+            true
+        } else {
+            self.backlogs[road.index()].push_back((arrival.vehicle, route, now));
+            self.backlog_live.insert(road.index());
+            false
+        }
+    }
+}
+
+impl TrafficSubstrate for QueueSim {
+    fn backend(&self) -> Backend {
+        Backend::Queueing
+    }
+
+    fn now(&self) -> Tick {
+        self.now
+    }
+
+    /// Step order within the slot: transit arrivals join queues → boundary
+    /// backlogs drain → controllers decide on the state `Q(k)` → activated
+    /// links serve → new exogenous arrivals are injected (Eq. 2's
+    /// `A(k, k+1)`). The profiler laps transit and backlog drains as
+    /// [`Section::Landings`], decide as [`Section::Decide`], serve as
+    /// [`Section::CarFollowing`] and injection as [`Section::Waiting`].
+    fn step_into(
+        &mut self,
+        arrivals: &mut Vec<Arrival>,
+        report: &mut StepReport,
+        profiler: Option<&mut TickProfiler>,
+    ) {
+        let mut watch = PhaseStopwatch::new(profiler);
+        let now = self.now;
+
+        let completed = self.move_transit_arrivals(now);
+        self.drain_backlogs(now);
+        watch.lap(Section::Landings);
+
+        // Sense is already done: the two sites that change a reading keep
+        // the observation buffer current, marking what they touch. Decide,
+        // per intersection, from purely local observations — one
+        // controller per slot, called where readings changed or where it
+        // is not at rest. Whatever is due to decide is due to serve.
+        self.serve_due.union_words(self.obs_buf.due_words());
+        let topology = &self.topology;
+        let calls = decide::decide_all(&mut self.controllers, &mut self.obs_buf, now, |idx| {
+            topology
+                .intersection(IntersectionId::new(idx as u32))
+                .layout()
+        });
+        watch.lap(Section::Decide);
+        watch.count_decide_calls(calls);
+
+        // Serve activated links, skipping settled phases (a no-op); an
+        // intersection leaves the serve set once in amber or settled.
+        let mut served = 0u32;
+        let mut next = self.serve_due.next_from(0);
+        while let Some(i) = next {
+            match self.controllers[i].decision {
+                PhaseDecision::Control(phase) if self.settled[i] != Some(phase) => {
+                    served += self.serve_phase(i, phase, now);
+                    if self.settled[i] == Some(phase) {
+                        self.serve_due.remove(i);
+                    }
+                }
+                _ => self.serve_due.remove(i),
+            }
+            next = self.serve_due.next_from(i + 1);
+        }
+        watch.lap(Section::CarFollowing);
+
+        // Inject this slot's exogenous arrivals.
+        let mut injected = 0u32;
+        for arrival in arrivals.drain(..) {
+            if self.inject(arrival, now) {
+                injected += 1;
+            }
+        }
+
+        self.total_served += served as u64;
+        self.now = now.next();
+        report.tick = now;
+        report.decisions.clear();
+        report
+            .decisions
+            .extend(self.controllers.iter().map(|slot| slot.decision));
+        report.served = served;
+        report.completed = completed;
+        report.injected = injected;
+        watch.lap(Section::Waiting);
+    }
+
+    /// Junctions do not serve vehicles onto a closed road, and boundary
+    /// arrivals on a closed entry road wait in the backlog.
+    fn set_road_closed(&mut self, road: RoadId, closed: bool) {
+        self.roads[road.index()].closed = closed;
+    }
+
+    fn road_closed(&self, road: RoadId) -> bool {
+        self.roads[road.index()].closed
+    }
+
+    /// Vehicles in transit on the road plus those queued at its head.
+    fn road_occupancy(&self, road: RoadId) -> u32 {
+        self.roads[road.index()].occupancy
+    }
+
+    fn road_entered(&self, road: RoadId) -> u64 {
+        self.roads[road.index()].entered
+    }
+
+    /// The vehicles physically queued at the junction head for `link`
+    /// (the servable part of `q_i^{i'}`).
+    fn movement_queue_len(&self, intersection: IntersectionId, link: LinkId) -> u32 {
+        self.queues[self.link_index(intersection, link)].len() as u32
+    }
+
+    fn incoming_queue_len(&self, intersection: IntersectionId, arm: IncomingId) -> u32 {
+        let layout = self.topology.intersection(intersection).layout();
+        layout
+            .links_from(arm)
+            .iter()
+            .map(|&l| self.movement_queue_len(intersection, l))
+            .sum()
+    }
+
+    fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.roads.iter().map(|r| r.occupancy));
+    }
+
+    fn backlog_len(&self) -> usize {
+        self.backlogs.iter().map(|b| b.len()).sum()
+    }
+
+    fn ledger(&self) -> &WaitingLedger {
+        &self.ledger
+    }
+
+    /// Folds the accumulators carried by queued and in-transit vehicles;
+    /// vehicles still waiting outside a full boundary entry contribute
+    /// their backlog dwell so far (`now − since`, the amount that will be
+    /// credited when they are admitted), matching the microscopic
+    /// substrate — without it, congested runs would *understate* waiting
+    /// by exactly their stuck vehicles.
+    fn mean_waiting_including_active(&self) -> f64 {
+        let now = self.now;
+        let queued = self.queues.iter().flat_map(|q| q.iter().map(|v| v.waited));
+        let transit = self
+            .roads
+            .iter()
+            .flat_map(|r| r.transit.iter().map(|v| v.waited));
+        let backlogged = self.backlogs.iter().flat_map(move |b| {
+            b.iter()
+                .map(move |&(_, _, since)| now.saturating_since(since).count())
+        });
+        self.ledger
+            .mean_waiting_including_active(queued.chain(transit).chain(backlogged))
+    }
+
+    /// The walk order: movement queues in intersection / link / FIFO
+    /// order, then transit delay lines in road / FIFO order, then
+    /// backlogs in road / FIFO order. The committed prefix is `hop + 1`
+    /// for queued and in-transit vehicles, whose movement queue is bound
+    /// to the cursor's movement, and `0` for backlogged vehicles that
+    /// have not entered yet.
+    fn replan_routes(&mut self, replan: &mut utilbp_netgen::RouteRewrite<'_>) -> u64 {
         let mut diverted = 0u64;
         for queue in &mut self.queues {
             for v in queue.iter_mut() {
@@ -1183,12 +1028,84 @@ impl QueueSim {
         diverted
     }
 
-    /// Fills `out` with every road's current occupancy, indexed by
-    /// [`RoadId`] (the `TrafficSubstrate` occupancy-snapshot contract).
-    /// O(roads) reads of the incrementally maintained counters.
-    pub fn occupancy_snapshot(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(self.roads.iter().map(|r| r.occupancy));
+    /// Validates the incremental bookkeeping: every road's `queued`
+    /// counter must equal the sum of the movement queues at its
+    /// downstream arm, its occupancy the queued vehicles plus its delay
+    /// line, and the sets of roads with a non-empty delay line or
+    /// backlog must match a rescan.
+    /// It also validates what the step derives from that state: every
+    /// intersection's buffered observation must equal a fresh
+    /// [`observe`](Self::observe), every intersection holding a control
+    /// phase that is not settled must be in the serve set, and every
+    /// settled phase's links must have empty queues and capped credit.
+    fn verify_sensors(&self) -> Result<(), String> {
+        self.audit().map_err(|m| m.detail)?;
+        for (r, road) in self.roads.iter().enumerate() {
+            if self.transit_live.contains(r) == road.transit.is_empty() {
+                return Err(format!(
+                    "road {r}: delay-line set membership {} != non-empty line {}",
+                    self.transit_live.contains(r),
+                    !road.transit.is_empty()
+                ));
+            }
+            if self.backlog_live.contains(r) == self.backlogs[r].is_empty() {
+                return Err(format!(
+                    "road {r}: backlog set membership {} != non-empty backlog {}",
+                    self.backlog_live.contains(r),
+                    !self.backlogs[r].is_empty()
+                ));
+            }
+        }
+        for (i, buffered) in self.obs_buf.as_slice().iter().enumerate() {
+            // The buffered readings against the gather `observe_into`
+            // would make, compared in place.
+            let queues = &self.queues[self.link_off[i]..self.link_off[i + 1]];
+            let movements = buffered.movements().iter().zip(queues);
+            if let Some((l, (q, queue))) = movements
+                .enumerate()
+                .find(|(_, (&q, queue))| q as usize != queue.len())
+            {
+                return Err(format!(
+                    "intersection {i}: buffered movement reading {l} is {q}, a fresh sense {}",
+                    queue.len()
+                ));
+            }
+            let outs = &self.out_roads[self.out_off[i]..self.out_off[i + 1]];
+            let outgoings = buffered.outgoings().iter().zip(outs);
+            if let Some((o, (q, &road))) = outgoings
+                .enumerate()
+                .find(|(_, (&q, &road))| q != self.roads[road as usize].queued)
+            {
+                return Err(format!(
+                    "intersection {i}: buffered outgoing reading {o} is {q}, a fresh sense {}",
+                    self.roads[road as usize].queued
+                ));
+            }
+            if let PhaseDecision::Control(phase) = self.controllers[i].decision {
+                if self.settled[i] != Some(phase) && !self.serve_due.contains(i) {
+                    return Err(format!(
+                        "intersection {i}: unsettled phase {phase} is missing from the serve set"
+                    ));
+                }
+            }
+            let Some(phase) = self.settled[i] else {
+                continue;
+            };
+            let (start, end) = self.phases[self.phase_base[i] + phase.index()];
+            for &g in &self.phase_links[start..end] {
+                let g = g as usize;
+                let cap = self.links[g].mu_dt.max(1.0);
+                if !self.queues[g].is_empty() || self.credit[g] != cap {
+                    return Err(format!(
+                        "intersection {i}: settled on phase {phase} but link {g} holds {} \
+                         queued at credit {} (cap {cap})",
+                        self.queues[g].len(),
+                        self.credit[g]
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Serializes the full dynamic state into a durable word stream:
@@ -1205,7 +1122,7 @@ impl QueueSim {
     /// delay line or backlog are derived from the queues, transit lines
     /// and backlogs and are rebuilt on load. Queues and credits are written per
     /// intersection in `LinkId` order.
-    pub fn save_state(&self, writer: &mut StateWriter) {
+    fn save_state(&self, writer: &mut StateWriter) {
         writer.push(self.now.index());
         writer.push(self.total_served);
         self.ledger.save_state(writer);
@@ -1273,7 +1190,7 @@ impl QueueSim {
     /// ledger's live count is not the vehicles on the roads plus the
     /// backlog. The roads' `queued` and `occupancy` counters are not read
     /// but rebuilt from the restored queues and delay lines.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         // The settled marks describe the state being replaced, so every
         // intersection is served until its phase settles again.
         self.settled.fill(None);
@@ -1409,23 +1326,6 @@ impl QueueSim {
         }
         self.obs_buf = obs_buf;
         Ok(())
-    }
-
-    /// Injects an exogenous arrival; returns `false` if it was backlogged.
-    fn inject(&mut self, arrival: Arrival, now: Tick) -> bool {
-        let road = arrival.route.entry();
-        let route = arrival.route;
-        self.ledger.enter();
-        if !self.roads[road.index()].closed
-            && self.roads[road.index()].occupancy < self.roads[road.index()].capacity
-        {
-            self.enter_road(road, (arrival.vehicle, now), route, 0, now, 0);
-            true
-        } else {
-            self.backlogs[road.index()].push_back((arrival.vehicle, route, now));
-            self.backlog_live.insert(road.index());
-            false
-        }
     }
 }
 

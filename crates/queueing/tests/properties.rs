@@ -6,6 +6,7 @@ use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
 use utilbp_queueing::{QueueSim, QueueSimConfig, TransitModel};
+use utilbp_substrate::TrafficSubstrate;
 
 fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
     (0..n)

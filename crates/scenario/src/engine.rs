@@ -1,7 +1,8 @@
 //! The scenario engine: drives a [`TrafficSubstrate`] through a
 //! [`ScenarioSpec`]'s demand profile and event timeline.
 //!
-//! Both simulators are driven through the one plant interface of
+//! Both simulators are built by [`build_substrate`], the one function
+//! that names them, and driven through the plant contract of
 //! `utilbp-substrate` — the engine never dispatches on the backend. When
 //! the scenario enables a routing-response policy, the engine rewrites
 //! the routes of vehicles already en route via [`Replanner`]: closure
@@ -43,12 +44,11 @@ use utilbp_baselines::{
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{SignalController, Tick, Ticks};
 use utilbp_metrics::{TimeSeries, VehicleId, WaitingLedger};
-use utilbp_microsim::{LaneDiscipline, MicroSimConfig};
-use utilbp_netgen::{Arrival, Network, Replanner, RoadId, TurningProbabilities};
+use utilbp_microsim::{LaneDiscipline, MicroSim, MicroSimConfig};
+use utilbp_netgen::{Arrival, Network, NetworkTopology, Replanner, RoadId, TurningProbabilities};
+use utilbp_queueing::{QueueSim, QueueSimConfig};
 use utilbp_snapshot::{crc32, SnapshotReader, SnapshotWriter};
-use utilbp_substrate::{
-    build_substrate, GuardMode, InvariantGuard, SubstrateScratch, TrafficSubstrate,
-};
+use utilbp_substrate::{GuardMode, InvariantGuard, StepReport, TrafficSubstrate};
 use utilbp_telemetry::{
     Event, EventKind, FlightRecorder, GaugeId, GaugeRegistry, PhaseStopwatch, ReplanTrigger,
     Section, TickProfiler,
@@ -77,8 +77,10 @@ pub struct EngineConfig {
     /// violation (chaos harnesses use it); [`GuardMode::Observe`] keeps
     /// stepping and surfaces violations as `guard_violation` events when
     /// a recorder is installed (the `trace` replay uses it). Off by
-    /// default: the guard costs a per-tick occupancy sweep, and
-    /// production runs pay nothing for it when disabled.
+    /// default: besides a per-tick occupancy sweep, the guard runs the
+    /// plant's `verify_sensors`, a full rescan of the network that is
+    /// most of a guarded run's cost; production runs pay nothing for it
+    /// when disabled.
     pub(crate) guard: Option<GuardMode>,
 }
 
@@ -109,6 +111,41 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig::new(Backend::Queueing)
+    }
+}
+
+/// Builds the substrate for `backend` over `topology`, one controller per
+/// intersection.
+///
+/// `micro` supplies the full microscopic configuration; the queueing
+/// substrate derives its `Δt` and free-flow speed from it (on the
+/// paper-exact instant-transfer model), so both backends simulate the
+/// same physical setup. This is the one construction path every driver
+/// shares — the scenario engine, the experiments runner, and the perf
+/// harness all build through here.
+///
+/// # Panics
+///
+/// Panics if the controller count does not match the intersection count
+/// or the configuration is invalid (see [`QueueSim::new`] /
+/// [`MicroSim::new`]).
+pub fn build_substrate(
+    backend: Backend,
+    topology: NetworkTopology,
+    controllers: Vec<Box<dyn SignalController>>,
+    micro: MicroSimConfig,
+) -> Box<dyn TrafficSubstrate> {
+    match backend {
+        Backend::Queueing => Box::new(QueueSim::new(
+            topology,
+            controllers,
+            QueueSimConfig {
+                dt_seconds: micro.dt_seconds,
+                free_speed_mps: micro.free_speed_mps,
+                ..QueueSimConfig::paper_exact()
+            },
+        )),
+        Backend::Microscopic => Box::new(MicroSim::new(topology, controllers, micro)),
     }
 }
 
@@ -458,7 +495,7 @@ pub struct ScenarioEngine {
     /// installs one).
     watchdogs: Vec<WatchdogStats>,
     arrivals: Vec<Arrival>,
-    scratch: SubstrateScratch,
+    report: StepReport,
     /// Turning probabilities of the scenario's topology (detour weights).
     turning: TurningProbabilities,
     /// Vehicles diverted by en-route replanning so far (closure and
@@ -675,7 +712,7 @@ impl ScenarioEngine {
             actuation_switch,
             watchdogs,
             arrivals: Vec::new(),
-            scratch: SubstrateScratch::new(),
+            report: StepReport::empty(),
             turning,
             diverted: 0,
             restored: 0,
@@ -1103,13 +1140,13 @@ impl ScenarioEngine {
         self.arrivals.clear();
         self.demand
             .poll_into(&self.network, now, &mut self.arrivals);
-        let decisions = self.substrate.step_into(
+        self.substrate.step_into(
             &mut self.arrivals,
-            &mut self.scratch,
+            &mut self.report,
             self.telemetry.profiler.as_mut(),
         );
         if recording {
-            self.telemetry.record_phases(now, decisions);
+            self.telemetry.record_phases(now, &self.report.decisions);
         }
         if let Some(guard) = self.guard.as_mut() {
             guard.check(&*self.substrate);

@@ -99,8 +99,9 @@
 //! ## Running scenarios
 //!
 //! [`ScenarioEngine`] builds the network, instantiates one controller per
-//! intersection from a factory, and steps the chosen substrate through
-//! the timeline; [`run_scenario`] is the one-call wrapper. The
+//! intersection from a factory, builds the chosen substrate through
+//! [`build_substrate`] (which every other driver uses too) and steps it
+//! through the timeline; [`run_scenario`] is the one-call wrapper. The
 //! `scenarios` binary in `utilbp-experiments` runs the whole built-in
 //! library ([`builtin_scenarios`]) across controllers on both substrates
 //! and renders a comparison table.
@@ -145,7 +146,9 @@ mod spec;
 
 pub use checkpoint::{CheckpointPolicy, RestoreError};
 pub use demand::NetworkDemand;
-pub use engine::{run_scenario, CongestionMonitor, EngineConfig, ScenarioEngine, ScenarioOutcome};
+pub use engine::{
+    build_substrate, run_scenario, CongestionMonitor, EngineConfig, ScenarioEngine, ScenarioOutcome,
+};
 pub use format::parse_scenario;
 pub use library::{builtin, builtin_scenarios};
 pub use spec::{

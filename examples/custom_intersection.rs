@@ -10,6 +10,7 @@ use adaptive_backpressure::core::{IntersectionLayout, SignalController, Tick, Ut
 use adaptive_backpressure::metrics::VehicleId;
 use adaptive_backpressure::netgen::{Arrival, IntersectionId, NetworkTopology, Road, Route};
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+use adaptive_backpressure::substrate::TrafficSubstrate;
 
 fn main() {
     // ── 1. The junction ────────────────────────────────────────────────

@@ -10,6 +10,7 @@ use adaptive_backpressure::netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+use adaptive_backpressure::substrate::TrafficSubstrate;
 
 fn main() {
     // A 1×1 "grid" is exactly the paper's Fig. 1 intersection with four

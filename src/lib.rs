@@ -20,7 +20,7 @@
 //! | [`microsim`] | `utilbp-microsim` | Microscopic simulator: Krauss car-following, dedicated lanes, ambers |
 //! | [`netgen`] | `utilbp-netgen` | 3×3 grid builder, Table I/II demand, routes, en-route replanning |
 //! | [`metrics`] | `utilbp-metrics` | Waiting ledgers, time series, phase traces, rendering |
-//! | [`substrate`] | `utilbp-substrate` | The unified plant layer: one `TrafficSubstrate` trait over both simulators, plus the opt-in `InvariantGuard` checker that runs next to it |
+//! | [`substrate`] | `utilbp-substrate` | The plant contract: the `TrafficSubstrate` trait both simulators implement in their own crates, one `StepReport`, plus the opt-in `InvariantGuard` checker that runs next to the plant |
 //! | [`scenario`] | `utilbp-scenario` | Scenario files: topologies × demand profiles × disruption events (closures, sensor/actuator/comms faults) |
 //! | [`telemetry`] | `utilbp-telemetry` | Flight recorder: typed event stream, gauge registry, tick-section profiler, timeline rendering |
 //! | [`snapshot`] | `utilbp-snapshot` | Durable snapshot container: versioned format, per-section checksums, typed corruption errors |
@@ -31,13 +31,15 @@
 //! The paper's CPS framing separates the *control plane* (decentralized
 //! adaptive back-pressure signal decisions) from the *plant* (the road
 //! network). In this workspace the plant is a single trait —
-//! [`substrate::TrafficSubstrate`] — with two implementations:
-//! [`queueing::QueueSim`] (the paper's Section II store-and-forward
-//! model, exact and fast) and [`microsim::MicroSim`] (the microscopic
-//! SUMO substitute). Every driver — the scenario engine, the experiments
-//! runner, the `scenarios` binary, the perf harness — builds a simulator
-//! through [`substrate::build_substrate`] and steps it through the trait;
-//! nothing above the substrate crate dispatches on the backend.
+//! [`substrate::TrafficSubstrate`] — with two implementations, each in
+//! its plant's own crate: [`queueing::QueueSim`] (the paper's Section II
+//! store-and-forward model, exact and fast) and [`microsim::MicroSim`]
+//! (the microscopic SUMO substitute). The contract crate sits below both
+//! plants and names neither. Every driver — the scenario engine, the
+//! experiments runner, the `scenarios` binary, the perf harness — builds
+//! a simulator through [`scenario::build_substrate`], the one function
+//! that names both plants, and steps it through the trait; nothing else
+//! dispatches on the backend.
 //!
 //! The trait is a *contract*, not just an interface (the full statement
 //! lives in the `utilbp-substrate` crate docs):
@@ -238,6 +240,7 @@
 //!     Pattern,
 //! };
 //! use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+//! use adaptive_backpressure::substrate::TrafficSubstrate;
 //!
 //! let grid = GridNetwork::new(GridSpec::paper());
 //! let controllers = (0..9)
@@ -320,9 +323,9 @@ pub mod metrics {
     pub use utilbp_metrics::*;
 }
 
-/// The unified plant layer: the `TrafficSubstrate` trait both simulators
-/// implement and the shared constructor every driver builds through
-/// (re-export of `utilbp-substrate`).
+/// The plant contract: the `TrafficSubstrate` trait both simulators
+/// implement and the invariant guard that checks it (re-export of
+/// `utilbp-substrate`).
 pub mod substrate {
     pub use utilbp_substrate::*;
 }

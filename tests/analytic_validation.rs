@@ -6,6 +6,7 @@ use adaptive_backpressure::core::{SignalController, Tick, UtilBp};
 use adaptive_backpressure::metrics::VehicleId;
 use adaptive_backpressure::netgen::{Arrival, GridNetwork, GridSpec, RouteChoice};
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+use adaptive_backpressure::substrate::TrafficSubstrate;
 
 fn single_junction() -> (GridNetwork, QueueSim) {
     let grid = GridNetwork::new(GridSpec::with_size(1, 1));

@@ -13,6 +13,7 @@ use adaptive_backpressure::netgen::{
     RouteChoice,
 };
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+use adaptive_backpressure::substrate::TrafficSubstrate;
 
 fn util_controllers(n: usize) -> Vec<Box<dyn SignalController>> {
     (0..n)

@@ -30,6 +30,7 @@ use adaptive_backpressure::netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
 };
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
+use adaptive_backpressure::substrate::{StepReport, TrafficSubstrate};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -96,7 +97,7 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
         7,
     );
     let mut arrivals = Vec::new();
-    let mut report = adaptive_backpressure::microsim::StepReport::empty();
+    let mut report = StepReport::empty();
     let mut k = 0u64;
     for _ in 0..WARMUP {
         arrivals.clear();
@@ -136,7 +137,7 @@ fn steady_state_stepping_stays_within_the_allocation_budget() {
         )),
         7,
     );
-    let mut report = adaptive_backpressure::queueing::StepReport::empty();
+    let mut report = StepReport::empty();
     let mut k = 0u64;
     for _ in 0..WARMUP {
         arrivals.clear();

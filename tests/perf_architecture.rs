@@ -17,10 +17,10 @@ use adaptive_backpressure::netgen::{
 };
 use adaptive_backpressure::queueing::{QueueSim, QueueSimConfig};
 use adaptive_backpressure::scenario::{
-    builtin_scenarios, Backend, CheckpointPolicy, EngineConfig, NetworkDemand, RateSchedule,
-    ScenarioEngine, ScenarioOutcome,
+    build_substrate, builtin_scenarios, Backend, CheckpointPolicy, EngineConfig, NetworkDemand,
+    RateSchedule, ScenarioEngine, ScenarioOutcome,
 };
-use adaptive_backpressure::substrate::{build_substrate, SubstrateScratch, TrafficSubstrate};
+use adaptive_backpressure::substrate::{StepReport, TrafficSubstrate};
 
 fn controllers(n: usize) -> Vec<Box<dyn SignalController>> {
     (0..n)
@@ -267,24 +267,22 @@ fn a_restore_over_a_running_plant_decides_afresh() {
             )
         };
         let (mut drained, mut idle) = (build(), build());
-        let (mut scratch_a, mut scratch_b) = (SubstrateScratch::new(), SubstrateScratch::new());
+        let (mut report_a, mut report_b) = (StepReport::empty(), StepReport::empty());
         let mut gen = demand(&grid, 2000);
-        let mut held = (Vec::new(), Vec::new());
         for k in 0..1000 {
             let mut arrivals = if k < 200 {
                 tick_arrivals(&mut gen, &grid, k)
             } else {
                 Vec::new()
             };
-            held.0 = drained
-                .step_into(&mut arrivals, &mut scratch_a, None)
-                .to_vec();
-            held.1 = idle
-                .step_into(&mut Vec::new(), &mut scratch_b, None)
-                .to_vec();
+            drained.step_into(&mut arrivals, &mut report_a, None);
+            idle.step_into(&mut Vec::new(), &mut report_b, None);
         }
         assert_eq!(drained.ledger().active(), 0, "{backend:?}: drained");
-        assert_ne!(held.0, held.1, "{backend:?}: different phases held");
+        assert_ne!(
+            report_a.decisions, report_b.decisions,
+            "{backend:?}: different phases held"
+        );
         let capture = |plant: &dyn TrafficSubstrate| {
             let mut writer = StateWriter::new();
             plant.save_state(&mut writer);
@@ -294,9 +292,12 @@ fn a_restore_over_a_running_plant_decides_afresh() {
             .expect("an intact capture");
         for k in 1000..1200 {
             let arrivals = tick_arrivals(&mut gen, &grid, k);
-            let a = drained.step_into(&mut arrivals.clone(), &mut scratch_a, None);
-            let b = idle.step_into(&mut arrivals.clone(), &mut scratch_b, None);
-            assert_eq!(a, b, "{backend:?}: decisions at k={k}");
+            drained.step_into(&mut arrivals.clone(), &mut report_a, None);
+            idle.step_into(&mut arrivals.clone(), &mut report_b, None);
+            assert_eq!(
+                report_a.decisions, report_b.decisions,
+                "{backend:?}: decisions at k={k}"
+            );
         }
         assert!(
             capture(&*drained) == capture(&*idle),
@@ -326,7 +327,7 @@ fn step_into_reuses_buffers_and_matches_step() {
     let mut demand_b = demand(&g, HORIZON);
 
     let mut arrivals = Vec::new();
-    let mut report = adaptive_backpressure::microsim::StepReport::empty();
+    let mut report = StepReport::empty();
     for k in 0..HORIZON {
         let wrapped = a.step(tick_arrivals(&mut demand_a, &g, k));
         arrivals.clear();
@@ -451,7 +452,7 @@ fn disruption_run() -> (u64, u64, usize, (usize, usize, f64, f64), f64) {
         .find(|&r| net.topology().road(r).is_internal())
         .expect("grid has internal roads");
     let mut arrivals = Vec::new();
-    let mut report = adaptive_backpressure::microsim::StepReport::empty();
+    let mut report = StepReport::empty();
     for k in 0..HORIZON {
         if k == 100 {
             sim.set_road_closed(closed, true);
